@@ -8,13 +8,13 @@ __all__ = ["unitary_exp_i", "unitarize", "max_abs"]
 
 
 def unitary_exp_i(H: np.ndarray) -> np.ndarray:
-    """exp(i H) for Hermitian H via eigendecomposition.
+    """exp(i H) for Hermitian H, or for each matrix of a (k, n, n) stack.
 
-    Unitary to roundoff by construction, which keeps long path-ordered
-    products from drifting off the unitary group.
+    Via eigendecomposition, so unitary to roundoff by construction, which
+    keeps long path-ordered products from drifting off the unitary group.
     """
     w, V = np.linalg.eigh(H)
-    return (V * np.exp(1j * w)) @ V.conj().T
+    return (V * np.exp(1j * w)[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
 
 
 def unitarize(M: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -272,20 +271,6 @@ def _build_path(args, config: PhysicalConfig) -> _holonomy.ParameterPath:
     return _holonomy.box_loop(
         kind, (c["Ey1"], c["Ey2"]), (c["lam1"], c["lam2"]), (c["B1"], c["B2"])
     )
-
-
-def _thread_count(jobs: int) -> int:
-    raw = os.environ.get("DLH_THREADS")
-    if raw is None:
-        workers = min(4, os.cpu_count() or 1)
-    else:
-        try:
-            workers = int(raw)
-        except ValueError as exc:
-            raise ValidationError(f"DLH_THREADS must be an integer, got {raw!r}") from exc
-        if workers < 1:
-            raise ValidationError(f"DLH_THREADS must be >= 1, got {workers}")
-    return max(1, min(workers, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -664,12 +649,7 @@ def _cmd_sweep(args) -> int:
             result.steps,
         ]
 
-    workers = _thread_count(len(combos))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_combo, combos))
-    else:
-        rows = [run_combo(c) for c in combos]
+    rows = [run_combo(c) for c in combos]
 
     if kind == "C1_rectangle":
         header = names + ["signed_area", "curvature", "gamma_line_integral", "gamma_area_law"]

@@ -274,13 +274,18 @@ def pipeline_state(grid: Grid2D, config: PhysicalConfig, point, n: int, m: int) 
     return displace_field(grid, sc, build_state(grid, sc, n, m))
 
 
+def _check_window(window: tuple[int, int]) -> tuple[int, int]:
+    m_lo, m_hi = window
+    if not (0 <= m_lo <= m_hi):
+        raise ValidationError(f"window must satisfy 0 <= m_lo <= m_hi, got {window}")
+    return m_lo, m_hi
+
+
 def window_states(
     grid: Grid2D, config: PhysicalConfig, point, n: int, window: tuple[int, int]
 ) -> list[WaveField]:
     """Displaced fields for every m in the window, sharing the raise chain."""
-    m_lo, m_hi = window
-    if not (0 <= m_lo <= m_hi):
-        raise ValidationError(f"window must satisfy 0 <= m_lo <= m_hi, got {window}")
+    m_lo, m_hi = _check_window(window)
     ex, ey, lam, b = (float(v) for v in point)
     sc = derive_scales(config.at_point(ex, ey, lam, b))
     grid.check_adequate(sc.l_m, shift=math.sqrt(2.0) * sc.l_m * abs(sc.nu))
@@ -431,9 +436,10 @@ def wilson_loop_oracle(
         raise ValidationError("wilson_loop_oracle needs a closed path")
     if steps < 8:
         raise ValidationError(f"steps must be >= 8, got {steps}")
+    m_lo, m_hi = _check_window(window)
     lengths = path.segment_lengths
     total = float(lengths.sum())
-    size = window[1] - window[0] + 1
+    size = m_hi - m_lo + 1
     if total == 0.0:
         # constant path: every link is the Gram matrix of one frame, identity
         return WilsonResult(

@@ -245,6 +245,13 @@ def test_bad_inputs_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("target", ["-1e-8", "nan", "inf"])
+def test_bad_target_exit_2(capsys, target):
+    rc, out, err = run_cli(capsys, "holonomy", "--named", "ABCHEFA", f"--target={target}")
+    assert rc == 2 and "target" in err
+    assert out == ""
+
+
 def test_exit_3_on_numerical_failure(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise ConvergenceError("no convergence at step cap")
@@ -277,8 +284,9 @@ def test_sweep_box_steps_convergence(capsys):
     lines = out.splitlines()
     assert lines[0] == "steps,S_closed_form,identity_distance,unitarity_defect,convergence_estimate,steps_used"
     rows = [line.split(",") for line in lines[1:]]
-    estimates = [float(r[4]) for r in rows]
-    assert estimates[0] > estimates[1] > estimates[2]
+    # every segment of a box loop is exact, so the step count changes nothing
+    assert all(float(r[4]) <= 1e-13 for r in rows)
+    assert len({r[2] for r in rows}) == 1
     assert [float(r[1]) for r in rows] == pytest.approx([-0.75] * 3)
 
 
@@ -303,18 +311,6 @@ def test_sweep_validation(capsys):
     assert rc == 2
     rc, _, err = run_cli(capsys, "sweep", "--named", "C1", "--sweep", "zz=1,2")
     assert rc == 2 and "unknown sweep axis" in err
-
-
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("DLH_THREADS", "0")
-    rc, _, err = run_cli(capsys, "sweep", "--named", "C1", "--sweep", "area=1,2")
-    assert rc == 2 and "DLH_THREADS" in err
-    monkeypatch.setenv("DLH_THREADS", "abc")
-    rc, _, err = run_cli(capsys, "sweep", "--named", "C1", "--sweep", "area=1,2")
-    assert rc == 2
-    monkeypatch.setenv("DLH_THREADS", "2")
-    rc, out, _ = run_cli(capsys, "sweep", "--named", "C1", "--sweep", "area=1,2")
-    assert rc == 0
 
 
 def test_oracle_check_passes(capsys, tmp_path):

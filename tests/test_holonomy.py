@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+import dlh.holonomy as hol
 from dlh.errors import ConvergenceError, ValidationError
 from dlh.holonomy import (
     AbelianPhases,
@@ -24,6 +26,42 @@ from dlh.holonomy import (
 )
 
 EY, LAM, BB = (0.0, 1.0), (1.0, 4.0), (1.0, 4.0)
+
+# the generic loop of acceptance check C9: Ex' engaged, so the field rotates
+# on every segment but the first
+C9_LOOP = ParameterPath(
+    np.array(
+        [
+            [0.0, 0.0, 1.0, 1.0],
+            [0.6, 0.2, 1.0, 1.0],
+            [0.6, 0.9, 2.0, 1.0],
+            [0.2, 0.9, 2.0, 2.0],
+            [0.0, 0.0, 1.0, 1.0],
+        ]
+    )
+)
+
+
+def _random_loop(rng):
+    corners = np.column_stack([rng.uniform(-0.8, 0.8, (4, 2)), rng.uniform(1.0, 4.0, (4, 2))])
+    return ParameterPath(np.vstack([corners, corners[:1]]))
+
+
+def _commuting_loop(rng, legs=3):
+    """Random loop whose every segment commutes internally, but not with the others.
+
+    Legs alternate between moving the field at fixed (lambda, B) and moving
+    (lambda, B) at fixed field.
+    """
+    start = np.concatenate([rng.uniform(-0.8, 0.8, 2), rng.uniform(1.0, 4.0, 2)])
+    verts = [start]
+    for k in range(legs):
+        field = verts[-1].copy()
+        field[:2] = start[:2] if k == legs - 1 else rng.uniform(-0.8, 0.8, 2)
+        control = field.copy()
+        control[2:] = start[2:] if k == legs - 1 else rng.uniform(1.0, 4.0, 2)
+        verts += [field, control]
+    return ParameterPath(np.array(verts))
 
 
 def test_path_validation():
@@ -166,14 +204,121 @@ def test_reversal_gives_adjoint():
 
 
 def test_auto_refinement_and_cap():
-    loop = box_loop("ABCHEFA", EY, LAM, BB)
-    res = holonomy_path_ordered(loop, 0.5, window=(0, 1), steps=16, target=1e-3)
+    # box loops are exact under "auto"; refinement needs a rotating loop
+    res = holonomy_path_ordered(C9_LOOP, 0.5, window=(0, 1), steps=16, target=1e-8)
     assert res.steps > 16
-    assert res.convergence_estimate <= 1e-3
-    with pytest.raises(ConvergenceError):
-        holonomy_path_ordered(loop, 0.5, window=(0, 1), steps=16, target=1e-12, step_cap=64)
+    assert res.convergence_estimate <= 1e-8
+    with pytest.raises(ConvergenceError, match="step cap"):
+        holonomy_path_ordered(C9_LOOP, 0.5, window=(0, 1), steps=16, target=1e-12, step_cap=64)
     with pytest.raises(ValidationError):
-        holonomy_path_ordered(loop, 0.5, steps=8)
+        holonomy_path_ordered(C9_LOOP, 0.5, steps=8)
+    with pytest.raises(ValidationError):
+        holonomy_path_ordered(C9_LOOP, 0.5, method="midpoint")
+
+
+@pytest.mark.parametrize("target", [-1e-8, float("nan"), float("inf"), -float("inf"), "tight"])
+def test_bad_target_rejected(target):
+    with pytest.raises(ValidationError, match="target"):
+        holonomy_path_ordered(C9_LOOP, 0.5, target=target)
+
+
+def test_rounding_floor_fails_fast():
+    t0 = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="rounding floor") as exc:
+        holonomy_path_ordered(C9_LOOP, 0.5, window=(0, 3), target=1e-15)
+    assert time.perf_counter() - t0 < 1.0
+    floor = float(str(exc.value).split("rounding floor ")[1].split(",")[0])
+    assert 1e-15 < floor < 1e-11
+
+
+def test_coarse_stall_is_not_the_rounding_floor():
+    # at 16 -> 32 steps this loop's estimate falls only 1.9x (2.2e-5 to
+    # 1.1e-5), then 36x; refinement must go on past that first doubling
+    corners = np.array(
+        [[-0.15, 0.02, 2.45, 1.34], [-0.12, 0.23, 4.57, 4.44], [0.24, 0.4, 0.81, 1.21]]
+    )
+    loop = ParameterPath(np.vstack([corners, corners[:1]]))
+    res = holonomy_path_ordered(loop, 0.5, steps=16, target=1e-9)
+    assert res.steps > 32 and res.convergence_estimate <= 1e-9
+
+
+def test_box_loops_are_exact_and_step_free():
+    loop = box_loop("ABCHEFA", EY, LAM, BB)
+    want = commuting_holonomy(area_closed_form("ABCHEFA", EY, LAM, BB), 0.5, (0, 3))
+    coarse = holonomy_path_ordered(loop, 0.5, steps=16, target=1e-14)
+    fine = holonomy_path_ordered(loop, 0.5, steps=4096, target=None)
+    assert coarse.steps == 16 and coarse.convergence_estimate == 0.0
+    assert np.array_equal(coarse.matrix, fine.matrix)
+    assert np.abs(coarse.matrix - want).max() < 1e-13
+
+
+def test_exact_segments_match_magnus_on_commuting_segments(rng):
+    u = 0.5
+    loops = [_commuting_loop(rng) for _ in range(3)]
+    # Ex' = 0 loops with every coordinate moving at once
+    for _ in range(2):
+        loop = _random_loop(rng)
+        verts = loop.vertices.copy()
+        verts[:, 0] = 0.0
+        loops.append(ParameterPath(verts))
+    for loop in loops:
+        exact = holonomy_path_ordered(loop, u, window=(0, 3), target=None)
+        magnus = holonomy_path_ordered(loop, u, window=(0, 3), target=1e-11, method="magnus")
+        assert exact.convergence_estimate == 0.0
+        assert np.abs(exact.matrix - magnus.matrix).max() <= 1e-10
+
+
+def test_segment_integrals_at_rounding_accuracy():
+    from scipy.integrate import quad
+
+    # lambda and B sweep a 200x and 7x range: the Gauss rule needs panels
+    a, b, u = np.array([0.3, 0.2, 0.05, 1.0]), np.array([-0.1, 0.7, 10.0, 7.0]), 0.5
+    phi, zeta = hol._segment_integrals(a, b, u)
+
+    def density(s, part):
+        p, z = hol._step_exponents((a + s * (b - a))[None], (b - a)[None], u)
+        return (p[0], z[0].real, z[0].imag)[part]
+
+    want = [quad(density, 0.0, 1.0, args=(k,), epsabs=1e-15, limit=200)[0] for k in range(3)]
+    assert max(abs(phi - want[0]), abs(zeta.real - want[1]), abs(zeta.imag - want[2])) < 1e-12
+
+
+def test_tree_product_matches_sequential_product(rng):
+    loop = _random_loop(rng)
+    for steps in (37, 256):
+        factors = np.concatenate(list(hol._step_factors(loop, 0.5, (1, 4), steps, "magnus")))
+        seq = np.eye(4, dtype=complex)
+        for f in factors:
+            seq = f @ seq
+        assert np.abs(hol._tree_product(factors) - seq).max() <= 1e-13
+
+
+def test_chunked_stacks_match_one_stack(rng, monkeypatch):
+    loop = _random_loop(rng)
+    whole = holonomy_path_ordered(loop, 0.5, window=(0, 3), steps=200, target=None)
+    ks, mats = hol._partial_products(loop, 0.5, (0, 3), 200, 16)
+    monkeypatch.setattr(hol, "_CHUNK_ENTRIES", 16 * 7)  # 7 steps per chunk
+    chunked = holonomy_path_ordered(loop, 0.5, window=(0, 3), steps=200, target=None)
+    ks7, mats7 = hol._partial_products(loop, 0.5, (0, 3), 200, 16)
+    assert np.abs(whole.matrix - chunked.matrix).max() <= 1e-13
+    assert ks == ks7
+    assert np.abs(mats - mats7).max() <= 1e-13
+
+
+def test_partial_products_are_prefixes_of_the_full_product(rng):
+    loop = _random_loop(rng)
+    steps, window = 300, (0, 2)
+    ks, mats = hol._partial_products(loop, 0.5, window, steps, 32)
+    full = holonomy_path_ordered(loop, 0.5, window=window, steps=steps, target=None, method="magnus")
+    assert ks[-1] == len(loop.discretize(steps)[0])
+    assert np.abs(mats[-1] - full.matrix).max() <= 1e-13
+    # every sampled prefix is the sequential product of the first k factors
+    factors = np.concatenate(list(hol._step_factors(loop, 0.5, window, steps, "magnus")))
+    seq, prefixes = np.eye(3, dtype=complex), {}
+    for k, f in enumerate(factors, start=1):
+        seq = f @ seq
+        prefixes[k] = seq
+    assert max(np.abs(m - prefixes[k]).max() for k, m in zip(ks, mats)) <= 1e-13
 
 
 def test_constant_path_is_identity():
@@ -183,6 +328,18 @@ def test_constant_path_is_identity():
     assert res.unitarity_defect == 0.0 and res.convergence_estimate == 0.0
     assert np.array_equal(unordered_holonomy(const, 0.5, (0, 2)), np.eye(3, dtype=complex))
     assert partial_unitarity_series(const, 0.5) == [(0, 0.0)]
+
+
+def test_unordered_holonomy_is_step_free():
+    # Ex' = 0 projection of the C9 loop: the generators commute, so the
+    # unordered exponential is the exact holonomy
+    verts = C9_LOOP.vertices.copy()
+    verts[:, 0] = 0.0
+    flat = ParameterPath(verts)
+    want = commuting_holonomy(loop_area_integral(flat), 0.5, (0, 3))
+    assert np.abs(unordered_holonomy(flat, 0.5, (0, 3)) - want).max() < 1e-13
+    out = noncommutativity_defect(flat, 0.5, window=(0, 3), steps=16)
+    assert out["defect"] < 1e-13
 
 
 def test_noncommutativity_diagnostic():
@@ -204,6 +361,13 @@ def test_convergence_series_monotone():
     ests = [r["convergence_estimate"] for r in rows]
     assert ests[0] > ests[1] > ests[2]
     assert all(r["unitarity_defect"] < 1e-12 for r in rows)
+
+
+def test_magnus_steps_are_fourth_order():
+    # a second-order scheme would shrink the estimate 4x per doubling
+    rows = convergence_series(C9_LOOP, 0.5, window=(0, 3), steps_list=(64, 128, 256))
+    ests = [r["convergence_estimate"] for r in rows]
+    assert ests[0] / ests[1] > 10.0 and ests[1] / ests[2] > 10.0
 
 
 def test_partial_unitarity_series_shape():

@@ -196,6 +196,11 @@ def test_wilson_validation(grid12, cfg_natural):
         wilson_loop_oracle(grid12, cfg_natural, trimmed)
     with pytest.raises(ValidationError):
         wilson_loop_oracle(grid12, cfg_natural, open_path, steps=4)
+    # a reversed window fails validation, also on a constant path that
+    # needs no grid states
+    const = hol.ParameterPath(np.array([[0.0, 0.5, 1.0, 1.0]] * 3))
+    with pytest.raises(ValidationError, match="window"):
+        wilson_loop_oracle(grid12, cfg_natural, const, window=(3, 1))
 
 
 def test_wavefield_guards(grid12):

@@ -1,25 +1,37 @@
 """Berry connection of the displaced Landau levels over (Ex', Ey', lambda, B).
 
 Within one Landau level n the degenerate states |n(nu), m> acquire a
-Mead-Berry connection A_km(xi) = i <n(nu), k | d/dxi | n(nu), m>. Two routes
-are implemented:
+Mead-Berry connection A_km(xi) = i <n(nu), k | d/dxi | n(nu), m>. Two
+independent routes are implemented:
 
 * :func:`connection_general` follows the chain rule through nu(xi) and
   l_m(xi): the in-plane field components move nu directly, while lambda and B
   move both nu (through l_m) and the basis scale itself.
-* :func:`connection_closed_form` evaluates the resolved closed forms.
+* The closed form, written once in :func:`_generator_scalars`. Contracted
+  with a step d = (dEx', dEy', dlambda, dB) the connection is the step
+  generator
 
-Both use the sign convention fixed by the finite-difference oracle
+      Theta = phi I + zeta L + conj(zeta) L^T,
+      phi   = (Ex' dEy' - Ey' dEx') / (16 u^2 lambda B),
+      zeta  = (Ey' - i Ex') [dlambda / (8 u lambda^{3/2} B^{1/2})
+                             + dB / (8 u lambda^{1/2} B^{3/2})],
+
+  with L the lowering pattern L_{m+1,m} = sqrt(m+1) on the m-window.
+  :func:`connection_matrix` is Theta for a unit step along one parameter,
+  :func:`connection_closed_form` one entry of it, and the holonomy engine
+  (:mod:`dlh.holonomy`) contracts the same function with its path steps.
+
+Both routes use the sign convention fixed by the finite-difference oracle
 (:mod:`dlh.oracle`); the two possible sign choices for the diagonal pair and
-for the off-diagonal band are recorded in :data:`SIGN_CONVENTION`. In this
-convention, with c = 1/(4 u sqrt(lambda B)) and m the radial index,
+for the off-diagonal band are recorded in :data:`SIGN_CONVENTION`. Per
+parameter, with m the radial index,
 
     A(Ex')_mm      = -Ey' / (16 u^2 lambda B)
     A(Ey')_mm      = +Ex' / (16 u^2 lambda B)
     A(lam)_{m+1,m} = +(Ey' - i Ex') sqrt(m+1) / (8 u lambda^{3/2} B^{1/2})
     A(B)_{m+1,m}   = +(Ey' - i Ex') sqrt(m+1) / (8 u lambda^{1/2} B^{3/2})
 
-with Hermitian conjugate entries below the diagonal. The off-diagonal
+with Hermitian conjugate entries above the diagonal. The off-diagonal
 prefactor 1/(8u) equals u exactly when hbar = alpha (natural units); only
 1/(8u) keeps the holonomy angle invariant under a change of units. Matrix
 elements do not depend on the level index n, only on m; n is accepted for
@@ -36,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import max_abs
 from .errors import ValidationError
 
 __all__ = [
@@ -97,6 +110,41 @@ def _check_level_and_m(n: int, m_row: int, m_col: int) -> None:
         raise ValidationError(f"radial indices must be >= 0, got ({m_row}, {m_col})")
 
 
+def _check_window(window: tuple[int, int]) -> tuple[int, int]:
+    m_lo, m_hi = window
+    if not (0 <= m_lo <= m_hi):
+        raise ValidationError(f"window must satisfy 0 <= m_lo <= m_hi, got {window}")
+    return m_lo, m_hi
+
+
+def _lowering_pattern(window: tuple[int, int]) -> np.ndarray:
+    """L_{m+1,m} = sqrt(m+1) on the window m_lo..m_hi."""
+    m_lo, m_hi = _check_window(window)
+    return np.diag(np.sqrt(np.arange(m_lo + 1, m_hi + 1, dtype=float)), -1)
+
+
+def _generator_scalars(points, steps, u: float):
+    """Scalars (phi, zeta) of the step generator phi I + zeta L + conj(zeta) L^T.
+
+    `points` and `steps` are (Ex', Ey', lambda, B) rows of the same shape,
+    (4,) or (k, 4); the generator is the connection contracted with the step.
+    """
+    ex, ey, lam, b = np.asarray(points, dtype=float).T
+    dex, dey, dlam, db = np.asarray(steps, dtype=float).T
+    phi = (ex * dey - ey * dex) / (16.0 * u * u * lam * b)
+    zeta = (ey - 1j * ex) * (
+        dlam / (8.0 * u * lam ** 1.5 * np.sqrt(b)) + db / (8.0 * u * np.sqrt(lam) * b ** 1.5)
+    )
+    return phi, zeta
+
+
+def _generators(phi, zeta, L: np.ndarray) -> np.ndarray:
+    """phi I + zeta L + conj(zeta) L^T, stacked over the shape of phi and zeta."""
+    phi = np.asarray(phi)[..., None, None]
+    zeta = np.asarray(zeta)[..., None, None]
+    return phi * np.eye(len(L)) + zeta * L + np.conj(zeta) * L.T
+
+
 def connection_general(
     param: str, point, u: float, n: int, m_row: int, m_col: int
 ) -> complex:
@@ -135,25 +183,12 @@ def connection_general(
 def connection_closed_form(
     param: str, point, u: float, n: int, m_row: int, m_col: int
 ) -> complex:
-    """Connection element from the resolved closed forms (see module docstring)."""
-    _check_param(param)
-    _check_u(u)
+    """One entry of :func:`connection_matrix` (see module docstring)."""
     _check_level_and_m(n, m_row, m_col)
-    ex, ey, lam, b = _unpack(point)
-    if param in ("Ex_prime", "Ey_prime"):
-        if m_row != m_col:
-            return 0.0 + 0.0j
-        k = 1.0 / (16.0 * u * u * lam * b)
-        return complex(-ey * k, 0.0) if param == "Ex_prime" else complex(ex * k, 0.0)
-    if param == "lambda_density":
-        pref = 1.0 / (8.0 * u * lam ** 1.5 * math.sqrt(b))
-    else:
-        pref = 1.0 / (8.0 * u * math.sqrt(lam) * b ** 1.5)
-    if m_row == m_col + 1:
-        return pref * complex(ey, -ex) * math.sqrt(m_col + 1)
-    if m_row == m_col - 1:
-        return pref * complex(ey, ex) * math.sqrt(m_col)
-    return 0.0 + 0.0j
+    m_lo = min(m_row, m_col)
+    i, j = m_row - m_lo, m_col - m_lo
+    A = connection_matrix(param, point, u, n, (m_lo, m_lo + 1)).entries
+    return complex(A[i, j]) if max(i, j) <= 1 else 0j
 
 
 @dataclass(frozen=True)
@@ -179,49 +214,40 @@ class ConnectionMatrix:
 def connection_matrix(
     param: str, point, u: float, n: int, window: tuple[int, int]
 ) -> ConnectionMatrix:
-    """Assemble the window matrix of one connection component.
+    """Window matrix of one connection component: the step generator of a unit step along `param`.
 
     The lower window edge m_lo = 0 is physical (the sqrt(m) coupling to
     m = -1 vanishes identically); any other edge is an artificial cut and
     windows should be widened to test sensitivity.
     """
-    m_lo, m_hi = window
-    if not (0 <= m_lo <= m_hi):
-        raise ValidationError(f"window must satisfy 0 <= m_lo <= m_hi, got {window}")
-    size = m_hi - m_lo + 1
-    A = np.zeros((size, size), dtype=complex)
-    for i in range(size):
-        A[i, i] = connection_closed_form(param, point, u, n, m_lo + i, m_lo + i)
-        if i + 1 < size:
-            A[i + 1, i] = connection_closed_form(param, point, u, n, m_lo + i + 1, m_lo + i)
-            A[i, i + 1] = connection_closed_form(param, point, u, n, m_lo + i, m_lo + i + 1)
-    ex, ey, lam, b = _unpack(point)
-    return ConnectionMatrix(param=param, point=(ex, ey, lam, b), n=n, m_lo=m_lo, m_hi=m_hi, entries=A)
+    _check_param(param)
+    _check_u(u)
+    m_lo, m_hi = _check_window(window)
+    _check_level_and_m(n, m_lo, m_hi)
+    p = _unpack(point)
+    step = np.eye(4)[CONTROL_PARAMS.index(param)]
+    A = _generators(*_generator_scalars(p, step, u), _lowering_pattern(window))
+    return ConnectionMatrix(param=param, point=p, n=n, m_lo=m_lo, m_hi=m_hi, entries=A)
 
 
 def chain_rule_consistency(point, u: float, n: int, window: tuple[int, int]) -> dict[str, float]:
     """Max |general - closed_form| per parameter over the window, plus "max".
 
-    Exercises every band entry (diagonal and both off-diagonals) including
-    one row beyond each window edge so edge couplings are covered too.
+    Compares every band entry (diagonal and both off-diagonals) of the
+    closed-form matrix on the window widened by one row at each edge, so
+    edge couplings are covered too.
     """
-    m_lo, m_hi = window
-    if not (0 <= m_lo <= m_hi):
-        raise ValidationError(f"window must satisfy 0 <= m_lo <= m_hi, got {window}")
+    m_lo, m_hi = _check_window(window)
+    wide = (max(0, m_lo - 1), m_hi + 1)
     out: dict[str, float] = {}
-    worst = 0.0
     for param in CONTROL_PARAMS:
-        dev = 0.0
-        for m in range(m_lo, m_hi + 1):
-            for k in (m - 1, m, m + 1):
-                if k < 0:
-                    continue
-                g = connection_general(param, point, u, n, k, m)
-                c = connection_closed_form(param, point, u, n, k, m)
-                dev = max(dev, abs(g - c))
-        out[param] = dev
-        worst = max(worst, dev)
-    out["max"] = worst
+        closed = connection_matrix(param, point, u, n, wide).entries
+        general = np.array(
+            [[connection_general(param, point, u, n, k, m) for m in range(wide[0], wide[1] + 1)]
+             for k in range(wide[0], wide[1] + 1)]
+        )
+        out[param] = max_abs(general, closed)
+    out["max"] = max(out.values())
     return out
 
 

@@ -8,13 +8,14 @@ in :class:`~dlh.params.DerivedScales`:
     H_nu  = hbar |omega| [(a+ - nu*)(a- - nu) + 1/2] = D H D^dag.
 
 D acts on the level ladder only, so it commutes with b+- and the radial
-index m rides along unchanged.
+index m is a spectator: on the (n, m) basis D = D_n (x) I_m, a Kronecker
+factor, and everything here is computed on the single n-mode of n_max + 1
+levels and expanded over m only at the end.
 
-Two independent routes build the matrix of D and are checked against each
-other on the interior block: a dense matrix exponential of the anti-Hermitian
-generator, and the normally ordered product
-e^{-|nu|^2/2} e^{nu a+} e^{-nu* a-} whose factors are finite series in the
-nilpotent truncated ladders.
+Two independent routes build D_n and are checked against each other on the
+interior block: a dense matrix exponential of the anti-Hermitian generator,
+and the normally ordered product e^{-|nu|^2/2} e^{nu a+} e^{-nu* a-} whose
+factors are finite series in the nilpotent truncated ladders.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import scipy.linalg
 
 from ._linalg import max_abs
 from .errors import ConsistencyError, ValidationError
-from .fock import FockBasis, OperatorMatrix, ladder_a, state_from_ground
+from .fock import FockBasis, OperatorMatrix, _ladder_1d
 from .params import DerivedScales, PhysicalConfig, derive_scales
 
 __all__ = [
@@ -74,8 +75,36 @@ def _nilpotent_exp(A: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
+def _n_ladders(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a+, a-) on the single n-mode of n_max + 1 levels."""
+    return _ladder_1d(n_max + 1, "create"), _ladder_1d(n_max + 1, "annihilate")
+
+
+def _dense_route(nu: complex, n_max: int) -> np.ndarray:
+    """D_n(nu) by scipy.linalg.expm of the anti-Hermitian generator."""
+    ap, am = _n_ladders(n_max)
+    return scipy.linalg.expm(nu * ap - np.conj(nu) * am)
+
+
+def _interior(n_max: int) -> slice:
+    """Levels n <= n_max - max(1, n_max // 2): the upper half, where truncation bends D, is cut."""
+    return slice(0, n_max + 1 - max(1, n_max // 2))
+
+
+def _route_gap(nu: complex, n_max: int, dense: np.ndarray) -> float:
+    """Max deviation of `dense` from e^{-|nu|^2/2} e^{nu a+} e^{-nu* a-} on the interior levels."""
+    ap, am = _n_ladders(n_max)
+    ordered = (
+        math.exp(-abs(nu) ** 2 / 2.0)
+        * _nilpotent_exp(nu * ap, n_max)
+        @ _nilpotent_exp(-np.conj(nu) * am, n_max)
+    )
+    i = _interior(n_max)
+    return max_abs(dense[i, i], ordered[i, i])
+
+
 def displacement_matrix(nu: complex, basis: FockBasis, check: bool = True) -> OperatorMatrix:
-    """Matrix of D(nu) = exp(nu a+ - nu* a-) on the truncated basis.
+    """Matrix of D(nu) = exp(nu a+ - nu* a-) = D_n(nu) (x) I_m on the truncated basis.
 
     Parameters
     ----------
@@ -90,46 +119,34 @@ def displacement_matrix(nu: complex, basis: FockBasis, check: bool = True) -> Op
 
     Notes
     -----
-    The dense route exponentiates the anti-Hermitian generator with
-    scipy.linalg.expm. Truncation makes D slightly non-unitary in the last
-    few levels; on the interior block columns are orthonormal to roundoff.
+    The dense route exponentiates the anti-Hermitian generator on the
+    n-mode with scipy.linalg.expm. Truncation makes D slightly non-unitary
+    in the last few levels; on the interior block columns are orthonormal to
+    roundoff.
     """
     nu = complex(nu)
     _check_truncation(nu, basis)
-    ap = ladder_a(basis, "plus").entries
-    am = ladder_a(basis, "minus").entries
-    gen = nu * ap - np.conj(nu) * am
-    dense = scipy.linalg.expm(gen)
+    d_n = _dense_route(nu, basis.n_max)
     if check:
-        dev = dual_route_deviation(nu, basis, _dense=dense)
+        dev = _route_gap(nu, basis.n_max, d_n)
         if dev > _DUAL_ROUTE_TOL:
             raise ConsistencyError(
                 f"dense-exponential and normally ordered D(nu) disagree by {dev:.3e} "
                 f"on the interior block (tol {_DUAL_ROUTE_TOL:.0e})"
             )
-    return OperatorMatrix(dense, basis)
+    return OperatorMatrix(np.kron(d_n, np.eye(basis.m_max + 1)), basis)
 
 
-def dual_route_deviation(nu: complex, basis: FockBasis, _dense: np.ndarray | None = None) -> float:
-    """Interior max deviation between the two routes to D(nu).
+def dual_route_deviation(nu: complex, basis: FockBasis) -> float:
+    """Interior max deviation between the two routes to D(nu), on the n-mode.
 
     Compares the dense matrix exponential against the normally ordered
-    product e^{-|nu|^2/2} e^{nu a+} e^{-nu* a-}; the interior block excludes
-    the upper half of the level range, where truncation bends both routes.
+    product e^{-|nu|^2/2} e^{nu a+} e^{-nu* a-} on the levels
+    n <= n_max - max(1, n_max // 2); m is a spectator and plays no part.
     """
     nu = complex(nu)
     _check_truncation(nu, basis)
-    ap = ladder_a(basis, "plus").entries
-    am = ladder_a(basis, "minus").entries
-    if _dense is None:
-        _dense = scipy.linalg.expm(nu * ap - np.conj(nu) * am)
-    ordered = (
-        math.exp(-abs(nu) ** 2 / 2.0)
-        * _nilpotent_exp(nu * ap, basis.n_max)
-        @ _nilpotent_exp(-np.conj(nu) * am, basis.n_max)
-    )
-    interior = basis.interior_indices(n_margin=max(1, basis.n_max // 2), m_margin=0)
-    return max_abs(_dense[np.ix_(interior, interior)], ordered[np.ix_(interior, interior)])
+    return _route_gap(nu, basis.n_max, _dense_route(nu, basis.n_max))
 
 
 @dataclass(frozen=True)
@@ -147,41 +164,42 @@ class DisplacedState:
 
 
 def displaced_state(n: int, m: int, nu: complex, basis: FockBasis) -> DisplacedState:
-    """Expand D(nu)|n, m> over the truncated basis."""
-    vec = state_from_ground(basis, n, m)
-    D = displacement_matrix(nu, basis, check=False)
-    coeff = D.entries @ vec
+    """Expand D(nu)|n, m> over the truncated basis: column n of D_n, placed at radial index m."""
+    basis.index(n, m)  # ValidationError outside the truncation
+    nu = complex(nu)
+    _check_truncation(nu, basis)
+    coeff = np.zeros(basis.size, dtype=complex)
+    coeff[m :: basis.m_max + 1] = _dense_route(nu, basis.n_max)[:, n]
     deficit = abs(1.0 - float(np.linalg.norm(coeff)))
-    return DisplacedState(n=n, m=m, nu=complex(nu), coefficients=coeff, trunc_deficit=deficit)
+    return DisplacedState(n=n, m=m, nu=nu, coefficients=coeff, trunc_deficit=deficit)
 
 
 def displaced_hamiltonian(
     nu: complex, basis: FockBasis, scales: DerivedScales, check: bool = True
 ) -> OperatorMatrix:
-    """H_nu = hbar |omega| [(a+ - nu*)(a- - nu) + 1/2].
+    """H_nu = hbar |omega| [(a+ - nu*)(a- - nu) + 1/2], built on the n-mode.
 
-    With check=True the same operator is built as D H D^dag and the two
-    constructions must agree to 1e-7 max-norm on the interior block
+    With check=True the same operator is built as D_n H_n D_n^dag and the
+    two constructions must agree to 1e-7 max-norm on the interior levels
     (truncation spoils the conjugation route near the cut).
     """
     nu = complex(nu)
-    ap = ladder_a(basis, "plus").entries
-    am = ladder_a(basis, "minus").entries
-    eye = np.eye(basis.size, dtype=complex)
+    ap, am = _n_ladders(basis.n_max)
+    eye = np.eye(basis.n_max + 1, dtype=complex)
     hw = scales.energy_quantum
     direct = hw * ((ap - np.conj(nu) * eye) @ (am - nu * eye) + 0.5 * eye)
     if check:
-        h0 = hw * (ap @ am + 0.5 * eye)
-        D = displacement_matrix(nu, basis, check=False).entries
-        conjugated = D @ h0 @ D.conj().T
-        interior = basis.interior_indices(n_margin=max(1, basis.n_max // 2), m_margin=0)
-        dev = max_abs(direct[np.ix_(interior, interior)], conjugated[np.ix_(interior, interior)])
+        _check_truncation(nu, basis)
+        d_n = _dense_route(nu, basis.n_max)
+        conjugated = d_n @ (hw * (ap @ am + 0.5 * eye)) @ d_n.conj().T
+        i = _interior(basis.n_max)
+        dev = max_abs(direct[i, i], conjugated[i, i])
         if dev > _HNU_TOL * max(1.0, hw):
             raise ConsistencyError(
                 f"H_nu direct form and D H D^dag disagree by {dev:.3e} on the interior "
                 f"block (tol {_HNU_TOL:.0e} x energy quantum)"
             )
-    return OperatorMatrix(direct, basis)
+    return OperatorMatrix(np.kron(direct, np.eye(basis.m_max + 1)), basis)
 
 
 def position_shift(config: PhysicalConfig) -> tuple[float, float]:

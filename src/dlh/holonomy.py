@@ -21,16 +21,10 @@ here, in increasing generality:
   ``method="magnus"`` sends every segment through the Magnus steps. Step
   doubling gives an a-posteriori convergence estimate.
 
-The step generator at a point has the closed shape
-
-    Theta = phi I + zeta L + conj(zeta) L^T,
-    phi  = (Ex' dEy' - Ey' dEx') / (16 u^2 lambda B),
-    zeta = (Ey' - i Ex') [dlambda / (8 u lambda^{3/2} B^{1/2})
-                          + dB / (8 u lambda^{1/2} B^{3/2})],
-
-with L the lowering pattern L_{m+1,m} = sqrt(m+1) on the m-window. This is
-the same data as :mod:`dlh.connection` contracted with the step vector; the
-test suite checks the two agree entry by entry.
+Every step generator is Theta = phi I + zeta L + conj(zeta) L^T, with L the
+lowering pattern L_{m+1,m} = sqrt(m+1) on the m-window. The scalars
+(phi, zeta) come from :func:`dlh.connection._generator_scalars`, the one
+closed form of the connection contracted with a step.
 """
 
 from __future__ import annotations
@@ -41,10 +35,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import max_abs, unitary_exp_i
-from .connection import _check_u, _unpack
+from .connection import (
+    CONTROL_PARAMS,
+    _check_u,
+    _check_window,
+    _generator_scalars,
+    _generators,
+    _lowering_pattern,
+    _unpack,
+)
 from .errors import ConvergenceError, ValidationError
 
 __all__ = [
+    "BOX_KINDS",
     "LOOP_KINDS",
     "ParameterPath",
     "rectangle_loop",
@@ -65,8 +68,15 @@ __all__ = [
     "partial_unitarity_series",
 ]
 
-AXES = ("Ex_prime", "Ey_prime", "lambda_density", "B")
-LOOP_KINDS = ("C1_rectangle", "ABCHEFA", "ABCHGFA", "ADCHEFA", "custom")
+# Box itineraries: each vertex indexes (low 0, high 1) into the Ey', lambda
+# and B ranges, in that order.
+_BOX_ITINERARIES = {
+    "ABCHEFA": ("000", "010", "011", "111", "101", "100", "000"),
+    "ABCHGFA": ("000", "010", "011", "001", "101", "100", "000"),
+    "ADCHEFA": ("000", "100", "110", "111", "101", "001", "000"),
+}
+BOX_KINDS = tuple(_BOX_ITINERARIES)
+LOOP_KINDS = ("C1_rectangle", *BOX_KINDS, "custom")
 
 _CLOSURE_ATOL = 1e-12
 _STEP_CAP = 2 ** 20
@@ -179,9 +189,9 @@ def rectangle_loop(axis_a: str, axis_b: str, range_a, range_b, base_point) -> Pa
     in-plane field components is tagged C1_rectangle; anything else is
     custom.
     """
-    if axis_a not in AXES or axis_b not in AXES or axis_a == axis_b:
-        raise ValidationError(f"axes must be two distinct names from {AXES}")
-    ia, ib = AXES.index(axis_a), AXES.index(axis_b)
+    if axis_a not in CONTROL_PARAMS or axis_b not in CONTROL_PARAMS or axis_a == axis_b:
+        raise ValidationError(f"axes must be two distinct names from {CONTROL_PARAMS}")
+    ia, ib = CONTROL_PARAMS.index(axis_a), CONTROL_PARAMS.index(axis_b)
     a1, a2 = (float(v) for v in range_a)
     b1, b2 = (float(v) for v in range_b)
     p = _base4(base_point)
@@ -206,28 +216,12 @@ def box_loop(kind: str, ey_range, lam_range, b_range, ex: float = 0.0) -> Parame
     so their loop functionals S = closed-integral of (lam B)^(-1/2) dEy' are
     the closed forms in :func:`area_closed_form`.
     """
-    ey1, ey2 = (float(v) for v in ey_range)
-    l1, l2 = (float(v) for v in lam_range)
-    b1, b2 = (float(v) for v in b_range)
-    ex = float(ex)
-    if kind == "ABCHEFA":
-        rows = [
-            (ey1, l1, b1), (ey1, l2, b1), (ey1, l2, b2), (ey2, l2, b2),
-            (ey2, l1, b2), (ey2, l1, b1), (ey1, l1, b1),
-        ]
-    elif kind == "ABCHGFA":
-        rows = [
-            (ey1, l1, b1), (ey1, l2, b1), (ey1, l2, b2), (ey1, l1, b2),
-            (ey2, l1, b2), (ey2, l1, b1), (ey1, l1, b1),
-        ]
-    elif kind == "ADCHEFA":
-        rows = [
-            (ey1, l1, b1), (ey2, l1, b1), (ey2, l2, b1), (ey2, l2, b2),
-            (ey2, l1, b2), (ey1, l1, b2), (ey1, l1, b1),
-        ]
-    else:
+    if kind not in _BOX_ITINERARIES:
         raise ValidationError(f"kind must be ABCHEFA, ABCHGFA or ADCHEFA, got {kind!r}")
-    verts = np.array([(ex, ey, lam, b) for ey, lam, b in rows])
+    ranges = [(float(lo), float(hi)) for lo, hi in (ey_range, lam_range, b_range)]
+    verts = np.array(
+        [(float(ex), *(r[int(c)] for r, c in zip(ranges, corner))) for corner in _BOX_ITINERARIES[kind]]
+    )
     return ParameterPath(verts, kind=kind)
 
 
@@ -243,13 +237,13 @@ def signed_area(path: ParameterPath, plane: tuple[str, str] = ("Ex_prime", "Ey_p
     The two remaining coordinates must be constant along the path.
     """
     _require_closed(path)
-    if plane[0] not in AXES or plane[1] not in AXES or plane[0] == plane[1]:
-        raise ValidationError(f"plane must be two distinct names from {AXES}")
-    ia, ib = AXES.index(plane[0]), AXES.index(plane[1])
+    if plane[0] not in CONTROL_PARAMS or plane[1] not in CONTROL_PARAMS or plane[0] == plane[1]:
+        raise ValidationError(f"plane must be two distinct names from {CONTROL_PARAMS}")
+    ia, ib = CONTROL_PARAMS.index(plane[0]), CONTROL_PARAMS.index(plane[1])
     v = path.vertices
     for j in range(4):
         if j not in (ia, ib) and np.ptp(v[:, j]) != 0.0:
-            raise ValidationError(f"path is not planar: {AXES[j]} varies along it")
+            raise ValidationError(f"path is not planar: {CONTROL_PARAMS[j]} varies along it")
     a, b = v[:, ia], v[:, ib]
     return 0.5 * float(np.sum(a[:-1] * b[1:] - a[1:] * b[:-1]))
 
@@ -359,22 +353,6 @@ def line_integral_area_check(kind: str, ey_range, lam_range, b_range, ex: float 
     }
 
 
-def _window_size(window: tuple[int, int]) -> int:
-    m_lo, m_hi = window
-    if not (0 <= m_lo <= m_hi):
-        raise ValidationError(f"window must satisfy 0 <= m_lo <= m_hi, got {window}")
-    return m_hi - m_lo + 1
-
-
-def _lowering_pattern(window: tuple[int, int]) -> np.ndarray:
-    m_lo, m_hi = window
-    size = m_hi - m_lo + 1
-    L = np.zeros((size, size))
-    for i in range(size - 1):
-        L[i + 1, i] = math.sqrt(m_lo + i + 1)
-    return L
-
-
 def commuting_angle(area: float, u: float, window: tuple[int, int]) -> np.ndarray:
     """Angle matrix (S / 4u) T for an Ex' = 0 loop with functional S.
 
@@ -383,7 +361,6 @@ def commuting_angle(area: float, u: float, window: tuple[int, int]) -> np.ndarra
     hbar = alpha.
     """
     _check_u(u)
-    _window_size(window)
     L = _lowering_pattern(window)
     return (float(area) / (4.0 * u)) * (L + L.T)
 
@@ -391,24 +368,6 @@ def commuting_angle(area: float, u: float, window: tuple[int, int]) -> np.ndarra
 def commuting_holonomy(area: float, u: float, window: tuple[int, int]) -> np.ndarray:
     """exp(i (S / 4u) T), the closed-form holonomy of an Ex' = 0 loop."""
     return unitary_exp_i(commuting_angle(area, u, window))
-
-
-def _step_exponents(mids: np.ndarray, deltas: np.ndarray, u: float) -> tuple[np.ndarray, np.ndarray]:
-    """Scalars (phi, zeta) of each step generator phi I + zeta L + conj(zeta) L^T."""
-    ex, ey, lam, b = mids.T
-    dex, dey, dlam, db = deltas.T
-    phi = (ex * dey - ey * dex) / (16.0 * u * u * lam * b)
-    zeta = (ey - 1j * ex) * (
-        dlam / (8.0 * u * lam ** 1.5 * np.sqrt(b)) + db / (8.0 * u * np.sqrt(lam) * b ** 1.5)
-    )
-    return phi, zeta
-
-
-def _generators(phi, zeta, L: np.ndarray) -> np.ndarray:
-    """phi I + zeta L + conj(zeta) L^T, stacked over the shape of phi and zeta."""
-    phi = np.asarray(phi)[..., None, None]
-    zeta = np.asarray(zeta)[..., None, None]
-    return phi * np.eye(len(L)) + zeta * L + np.conj(zeta) * L.T
 
 
 def _segment_quadrature(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -428,7 +387,7 @@ def _segment_quadrature(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
 def _segment_integrals(a: np.ndarray, b: np.ndarray, u: float) -> tuple[float, complex]:
     """Integrals (Phi, Z) of the generator scalars phi, zeta along a -> b."""
     pts, w = _segment_quadrature(a, b)
-    phi, zeta = _step_exponents(pts, np.broadcast_to(b - a, pts.shape), u)
+    phi, zeta = _generator_scalars(pts, np.broadcast_to(b - a, pts.shape), u)
     return float(w @ phi), complex(w @ zeta)
 
 
@@ -468,7 +427,7 @@ def _step_factors(path: ParameterPath, u: float, window: tuple[int, int], steps:
             j = np.arange(j0, min(count, j0 + chunk))
             t = ((j[:, None] + _MAGNUS_T) / count).ravel()
             pts = a + t[:, None] * (b - a)
-            phi, zeta = _step_exponents(pts, np.broadcast_to((b - a) / count, pts.shape), u)
+            phi, zeta = _generator_scalars(pts, np.broadcast_to((b - a) / count, pts.shape), u)
             pair = _generators(phi, zeta, L).reshape(len(j), 2, size, size)
             a1, a2 = pair[:, 0], pair[:, 1]
             yield unitary_exp_i(0.5 * (a1 + a2) + 1j * _MAGNUS_C * (a2 @ a1 - a1 @ a2))
@@ -492,8 +451,13 @@ def _prefix_products(stack: np.ndarray) -> np.ndarray:
     return out
 
 
+def _identity(window: tuple[int, int]) -> np.ndarray:
+    m_lo, m_hi = _check_window(window)
+    return np.eye(m_hi - m_lo + 1, dtype=complex)
+
+
 def _ordered_product(path: ParameterPath, u: float, window: tuple[int, int], steps: int, method: str) -> np.ndarray:
-    U = np.eye(_window_size(window), dtype=complex)
+    U = _identity(window)
     for factors in _step_factors(path, u, window, steps, method):
         U = _tree_product(factors) @ U
     return U
@@ -508,10 +472,9 @@ def _partial_products(
     the final count) and the (len(k), n, n) stack of products over the first
     k steps.
     """
-    size = _window_size(window)
     total = int(path._allocation(steps).sum())
     stride = max(1, total // max(1, samples))
-    U = np.eye(size, dtype=complex)
+    U = _identity(window)
     done = 0
     ks: list[int] = []
     mats = []
@@ -543,11 +506,11 @@ def partial_unitarity_series(
     """
     _check_u(u)
     _require_closed(path)
-    size = _window_size(window)
+    eye = _identity(window)
     if float(path.segment_lengths.sum()) == 0.0:
         return [(0, 0.0)]
     ks, mats = _partial_products(path, u, window, steps, samples)
-    defects = np.abs(mats @ np.swapaxes(mats.conj(), -1, -2) - np.eye(size)).max(axis=(1, 2))
+    defects = np.abs(mats @ np.swapaxes(mats.conj(), -1, -2) - eye).max(axis=(1, 2))
     return [(k, float(d)) for k, d in zip(ks, defects)]
 
 
@@ -621,9 +584,8 @@ def holonomy_path_ordered(
     target = _check_target(target)
     if float(path.segment_lengths.sum()) == 0.0:
         # constant path: the loop encloses nothing and the product is exact
-        eye = np.eye(_window_size(window), dtype=complex)
         return HolonomyResult(
-            matrix=eye,
+            matrix=_identity(window),
             steps=steps,
             window=tuple(window),
             unitarity_defect=0.0,
@@ -667,9 +629,9 @@ def unordered_holonomy(path: ParameterPath, u: float, window: tuple[int, int] = 
     """
     _check_u(u)
     _require_closed(path)
-    size = _window_size(window)
+    eye = _identity(window)
     if float(path.segment_lengths.sum()) == 0.0:
-        return np.eye(size, dtype=complex)
+        return eye
     phi, zeta = 0.0, 0j
     for a, b in zip(path.vertices[:-1], path.vertices[1:]):
         p, z = _segment_integrals(a, b, u)

@@ -25,12 +25,13 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import max_abs, unitarize
-from .connection import CONTROL_PARAMS, connection_closed_form
+from .connection import CONTROL_PARAMS, _check_window, connection_closed_form
 from .errors import ValidationError
 from .holonomy import ParameterPath, rectangle_loop
 from .params import DerivedScales, PhysicalConfig, derive_scales
 
 __all__ = [
+    "OPERATING_CONFIG",
     "Grid2D",
     "default_grid",
     "WaveField",
@@ -53,6 +54,12 @@ __all__ = [
     "sign_convention_report",
     "render_sign_report",
 ]
+
+# Desk-scale operating point of the sign-convention report and of
+# `dlh oracle-check` without --config: u = 0.5, l_m = 1, fields on.
+OPERATING_CONFIG = PhysicalConfig(
+    mass=1.0, alpha=0.5, hbar=1.0, lambda_density=2.0, B=1.0, Ex_prime=0.3, Ey_prime=0.7
+)
 
 _NORM_TOL = 1e-6
 _BOUNDARY_TOL = 1e-10
@@ -274,13 +281,6 @@ def pipeline_state(grid: Grid2D, config: PhysicalConfig, point, n: int, m: int) 
     return displace_field(grid, sc, build_state(grid, sc, n, m))
 
 
-def _check_window(window: tuple[int, int]) -> tuple[int, int]:
-    m_lo, m_hi = window
-    if not (0 <= m_lo <= m_hi):
-        raise ValidationError(f"window must satisfy 0 <= m_lo <= m_hi, got {window}")
-    return m_lo, m_hi
-
-
 def window_states(
     grid: Grid2D, config: PhysicalConfig, point, n: int, window: tuple[int, int]
 ) -> list[WaveField]:
@@ -496,9 +496,7 @@ def sign_convention_report(
     measurements so the report shows how far off each one is.
     """
     if config is None:
-        config = PhysicalConfig(
-            mass=1.0, alpha=0.5, hbar=1.0, lambda_density=2.0, B=1.0, Ex_prime=0.3, Ey_prime=0.7
-        )
+        config = OPERATING_CONFIG
     if grid is None:
         grid = default_grid()
     sc = derive_scales(config)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dlh.cli import main
-from dlh.errors import ConvergenceError
+from dlh.errors import ConsistencyError, ConvergenceError
 
 
 def run_cli(capsys, *argv):
@@ -330,3 +330,58 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("quantity,value")
+
+
+def test_oracle_check_at_a_strong_field(capsys, tmp_path):
+    # |nu|^2 = 0.78: inside the truncation guards, but a fixed 16-level
+    # basis would put the two displacement routes 1e-7 apart
+    cfg = tmp_path / "strong.json"
+    cfg.write_text(json.dumps({"mass_kg": 1.0, "alpha_Fm2": 0.5, "hbar": 1.0, "lambda_Vm2": 2.0,
+                               "B_T": 1.0, "Ex_Vm": 2.5, "Ey_Vm": 0.0}))
+    rc, out, err = run_cli(capsys, "oracle-check", "--grid-points", "128", "--config", str(cfg))
+    assert rc == 0, err
+    payload = json.loads(out)
+    assert payload["cross_checks"]["dual_route_displacement_ok"] is True
+    assert payload["sign_report"]["operating_point"]["Ex_prime"] == 2.5
+
+
+def test_oracle_check_names_a_failed_dual_route(capsys, monkeypatch):
+    def disagree(*args, **kwargs):
+        raise ConsistencyError("routes disagree")
+
+    monkeypatch.setattr("dlh.displaced.displacement_matrix", disagree)
+    rc, out, err = run_cli(capsys, "oracle-check", "--grid-points", "128")
+    assert rc == 3
+    assert json.loads(out)["pass"] is False
+    assert "oracle cross-validation failed: dual_route_displacement_ok" in err
+
+
+def test_box_sweep_rows_equal_single_holonomies(capsys):
+    rc, out, _ = run_cli(capsys, "sweep", "--named", "ABCHEFA", "--sweep", "Ey2=0.6,1.3",
+                         "--sweep", "lam2=2.5,3.5")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "Ey2,lam2,S_closed_form,identity_distance,unitarity_defect,convergence_estimate,steps_used"
+    for line in lines[1:]:
+        ey2, lam2, s_closed, dist, defect, estimate, steps = line.split(",")
+        rc, hol, _ = run_cli(capsys, "holonomy", "--named", "ABCHEFA", "--Ey2", ey2, "--lam2", lam2,
+                             "--steps", "512", "--target", "0")
+        rc_phase, phase, _ = run_cli(capsys, "phase", "--named", "ABCHEFA", "--Ey2", ey2, "--lam2", lam2)
+        assert rc == rc_phase == 0
+        payload = json.loads(hol)
+        assert float(dist) == payload["identity_distance"]
+        assert float(defect) == payload["unitarity_defect"]
+        assert float(estimate) == payload["convergence_estimate"]
+        assert int(steps) == payload["steps"]
+        assert float(s_closed) == json.loads(phase)["S_closed_form"]
+
+
+def test_c1_sweep_rows_equal_single_phases(capsys):
+    rc, out, _ = run_cli(capsys, "sweep", "--named", "C1", "--sweep", "area=0.3,1.7")
+    assert rc == 0
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    for row in rows:
+        rc, phase, _ = run_cli(capsys, "phase", "--named", "C1", "--area", row[0])
+        assert rc == 0
+        payload = json.loads(phase)
+        assert [float(v) for v in row[1:]] == [payload[k] for k in header[1:]]

@@ -6,6 +6,9 @@ import pytest
 from dlh.connection import (
     CONTROL_PARAMS,
     SIGN_CONVENTION,
+    _generator_scalars,
+    _generators,
+    _lowering_pattern,
     abelian_curvature,
     chain_rule_consistency,
     connection_closed_form,
@@ -144,3 +147,29 @@ def test_in_plane_elements_zero_at_origin():
     for param in ("lambda_density", "B"):
         mat = connection_matrix(param, pt, 0.5, 0, (0, 4)).entries
         assert np.abs(mat).max() == 0.0
+
+
+def test_one_generator_matches_chain_rule(rng):
+    # the single closed form, contracted with an arbitrary step, against the
+    # chain-rule route summed over parameters entry by entry
+    for pt in _random_points(rng, 6):
+        u = 0.3 + rng.random()
+        window = (int(rng.integers(0, 3)), int(rng.integers(3, 6)))
+        L = _lowering_pattern(window)
+        for _ in range(3):
+            d = rng.standard_normal(4)
+            got = _generators(*_generator_scalars(pt, d, u), L)
+            want = np.zeros_like(got)
+            for param, dp in zip(CONTROL_PARAMS, d):
+                for i, k in enumerate(range(window[0], window[1] + 1)):
+                    for j, m in enumerate(range(window[0], window[1] + 1)):
+                        want[i, j] += dp * connection_general(param, pt, u, 0, k, m)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_generator_stack_matches_single_points(rng):
+    pts = np.array(_random_points(rng, 5))
+    steps = rng.standard_normal((5, 4))
+    phi, zeta = _generator_scalars(pts, steps, 0.7)
+    for p, d, f, z in zip(pts, steps, phi, zeta):
+        assert _generator_scalars(p, d, 0.7) == (f, z)

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dlh.displaced import (
     DisplacedState,
@@ -13,7 +14,7 @@ from dlh.displaced import (
     position_shift,
 )
 from dlh.errors import ValidationError
-from dlh.fock import build_basis, state_from_ground
+from dlh.fock import build_basis, ladder_a, state_from_ground
 from dlh.params import derive_scales
 
 
@@ -116,3 +117,35 @@ def test_zero_displacement_is_identity():
     vec = state_from_ground(basis, 2, 1)
     st = displaced_state(2, 1, 0.0, basis)
     assert np.array_equal(st.coefficients, vec)
+
+
+def _full_space_route(nu, basis):
+    # the displacement as it was built before the Kronecker factorization:
+    # expm on the whole (n_max+1)(m_max+1) space
+    ap = ladder_a(basis, "plus").entries
+    am = ladder_a(basis, "minus").entries
+    return ap, am, scipy.linalg.expm(nu * ap - np.conj(nu) * am)
+
+
+@pytest.mark.parametrize("n_max, m_max, nus", [(40, 6, (0.5 - 0.2j, -0.35j)), (14, 2, (0.3 + 0.1j, -0.25))])
+def test_kronecker_displacement_matches_full_space(cfg_desk, n_max, m_max, nus):
+    basis = build_basis(n_max, m_max)
+    sc = derive_scales(cfg_desk)
+    hw = sc.energy_quantum
+    eye = np.eye(basis.size)
+    interior = basis.interior_indices(n_margin=max(1, n_max // 2), m_margin=0)
+    block = np.ix_(interior, interior)
+    for nu in nus:
+        ap, am, full = _full_space_route(nu, basis)
+        D = displacement_matrix(nu, basis).entries
+        assert np.abs(D - full).max() <= 1e-14
+        # H_nu itself, and the D H D^dag route that checks it, on the interior
+        H = displaced_hamiltonian(nu, basis, sc).entries
+        direct = hw * ((ap - np.conj(nu) * eye) @ (am - nu * eye) + 0.5 * eye)
+        assert np.abs(H - direct).max() <= 1e-14 * np.abs(H).max()
+        h0 = hw * (ap @ am + 0.5 * eye)
+        conj_kron, conj_full = D @ h0 @ D.conj().T, full @ h0 @ full.conj().T
+        assert np.abs(conj_kron[block] - conj_full[block]).max() <= 1e-14 * np.abs(H).max()
+        for n, m in ((0, 0), (3, m_max)):
+            st = displaced_state(n, m, nu, basis)
+            assert np.abs(st.coefficients - full[:, basis.index(n, m)]).max() <= 1e-14

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dlh.holonomy as hol
+from dlh.connection import _generator_scalars
 from dlh.errors import ConvergenceError, ValidationError
 from dlh.holonomy import (
     AbelianPhases,
@@ -276,7 +277,7 @@ def test_segment_integrals_at_rounding_accuracy():
     phi, zeta = hol._segment_integrals(a, b, u)
 
     def density(s, part):
-        p, z = hol._step_exponents((a + s * (b - a))[None], (b - a)[None], u)
+        p, z = _generator_scalars((a + s * (b - a))[None], (b - a)[None], u)
         return (p[0], z[0].real, z[0].imag)[part]
 
     want = [quad(density, 0.0, 1.0, args=(k,), epsabs=1e-15, limit=200)[0] for k in range(3)]

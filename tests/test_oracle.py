@@ -243,3 +243,32 @@ def test_sign_convention_report_contents(grid12):
     text = render_sign_report(report)
     assert "resolved relative sign: opposite" in text
     assert "area-law" in text
+
+
+def test_oracle_is_independent_of_the_algebra():
+    # the grid oracle may share only parameter names and the window check with
+    # the analytic side, and reads closed forms only to report against them
+    import ast
+
+    import dlh.oracle
+
+    tree = ast.parse(open(dlh.oracle.__file__).read())
+    forbidden = {"dlh.fock", "dlh.displaced"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not {a.name for a in node.names} & (forbidden | {"dlh.connection"})
+        elif isinstance(node, ast.ImportFrom):
+            base = "dlh" if node.level else ""
+            module = ".".join(p for p in (base, node.module) if p)
+            names = {a.name for a in node.names}
+            assert module not in forbidden
+            assert not {f"{module}.{n}" for n in names} & (forbidden | {"dlh.connection"})
+            if module == "dlh.connection":
+                assert names <= {"CONTROL_PARAMS", "_check_window", "connection_closed_form"}
+    users = {
+        getattr(stmt, "name", type(stmt).__name__)
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and node.id == "connection_closed_form"
+    }
+    assert users == {"sign_convention_report"}

@@ -527,12 +527,12 @@ def _cmd_oracle_check(args) -> int:
 
     # The displaced vacuum has mean level occupation |nu|^2, so the n-mode
     # grows with it; m is a Kronecker spectator of D, so one radial step is
-    # enough. Up to |nu|^2 = 5 the two D routes stay within 2e-9 and the
-    # H_nu check, on twice the levels, within 3e-11.
-    levels = 16 + 8 * math.ceil(abs(scales.nu) ** 2)
+    # enough. Up to |nu|^2 = 5 the two D routes stay within 2e-9; the H_nu
+    # check pads its own conjugation and needs no wider basis.
+    nu_basis = _fock.build_basis(16 + 8 * math.ceil(abs(scales.nu) ** 2), 1)
     try:
-        _displaced.displacement_matrix(scales.nu, _fock.build_basis(levels, 1), check=True)
-        _displaced.displaced_hamiltonian(scales.nu, _fock.build_basis(2 * levels, 1), scales, check=True)
+        _displaced.displacement_matrix(scales.nu, nu_basis, check=True)
+        _displaced.displaced_hamiltonian(scales.nu, nu_basis, scales, check=True)
         dual_ok = True
     except ConsistencyError:
         dual_ok = False

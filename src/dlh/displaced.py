@@ -180,8 +180,11 @@ def displaced_hamiltonian(
     """H_nu = hbar |omega| [(a+ - nu*)(a- - nu) + 1/2], built on the n-mode.
 
     With check=True the same operator is built as D_n H_n D_n^dag and the
-    two constructions must agree to 1e-7 max-norm on the interior levels
-    (truncation spoils the conjugation route near the cut).
+    two constructions must agree to 1e-7 max-norm on the interior levels.
+    The direct form is exact on the truncated basis, but truncation bends
+    D_n near the cut, and the conjugation carries that error inwards; so the
+    conjugation runs on a padded n-mode of 2 n_max + 16 levels and is
+    compared on the interior block of the original one.
     """
     nu = complex(nu)
     ap, am = _n_ladders(basis.n_max)
@@ -190,8 +193,10 @@ def displaced_hamiltonian(
     direct = hw * ((ap - np.conj(nu) * eye) @ (am - nu * eye) + 0.5 * eye)
     if check:
         _check_truncation(nu, basis)
-        d_n = _dense_route(nu, basis.n_max)
-        conjugated = d_n @ (hw * (ap @ am + 0.5 * eye)) @ d_n.conj().T
+        pad = 2 * basis.n_max + 15  # highest level of the padded n-mode
+        d_pad = _dense_route(nu, pad)
+        h_pad = hw * np.diag(np.arange(pad + 1) + 0.5)  # H = hw (a+ a- + 1/2) on the padded mode
+        conjugated = d_pad @ h_pad @ d_pad.conj().T
         i = _interior(basis.n_max)
         dev = max_abs(direct[i, i], conjugated[i, i])
         if dev > _HNU_TOL * max(1.0, hw):

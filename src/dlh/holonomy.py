@@ -43,6 +43,7 @@ from .connection import (
     _generators,
     _lowering_pattern,
     _unpack,
+    abelian_curvature,
 )
 from .errors import ConvergenceError, ValidationError
 
@@ -272,23 +273,20 @@ class AbelianPhases:
 def abelian_phase(path: ParameterPath, u: float) -> AbelianPhases:
     """Phases for a closed loop in the (Ex', Ey') plane at fixed lambda, B.
 
-    The diagonal connection is linear in the field components, so the
-    per-segment midpoint rule used for the line integral is exact for
-    polygonal loops.
+    The line integral sums the step generator's phase phi
+    (:func:`dlh.connection._generator_scalars`) over the polygon's segments,
+    each evaluated at the segment midpoint; the diagonal connection is
+    linear in the field components, so this midpoint rule is exact.
     """
     _check_u(u)
     area = signed_area(path, plane=("Ex_prime", "Ey_prime"))
     v = path.vertices
     _, _, lam, b = _unpack(v[0])
-    k = 1.0 / (16.0 * u * u * lam * b)
-    ex, ey = v[:, 0], v[:, 1]
-    dex, dey = np.diff(ex), np.diff(ey)
-    mx, my = 0.5 * (ex[:-1] + ex[1:]), 0.5 * (ey[:-1] + ey[1:])
-    gamma_line = float(k * np.sum(mx * dey - my * dex))
+    phi, _ = _generator_scalars(0.5 * (v[:-1] + v[1:]), np.diff(v, axis=0), u)
     return AbelianPhases(
         signed_area=area,
-        curvature=1.0 / (8.0 * u * u * lam * b),
-        gamma_line_integral=gamma_line,
+        curvature=abelian_curvature(v[0], u),
+        gamma_line_integral=float(np.sum(phi)),
         gamma_area_law=-area / (16.0 * u * u * lam * b),
     )
 

@@ -11,6 +11,16 @@ therefore an independent check, and the finite-difference measurements are
 what fixes the sign conventions recorded in
 :data:`dlh.connection.SIGN_CONVENTION`.
 
+Displaced states are built in shifted coordinates, with no translation FFT.
+The translation T of the displacement commutes with d/dx and d/dy and moves
+the coordinates, T X T^-1 = X + a_x, so T R^m B^n G = R'^m B'^n G(x + a_x,
+y + a_y), where R' and B' are the raising operators with X -> X + a_x and
+Y -> Y + a_y. The shifted Gaussian and the phase ramp are products of 1-D
+vectors, so the raising operators' spectral derivatives are the only FFTs
+left (:func:`window_states`). The spectral route, :func:`build_state`
+followed by the FFT translation of :func:`displace_field`, is kept as the
+independent check that pins this one.
+
 The oracle operates at desk-scale dimensionless parameters (everything of
 order one), never at laboratory magnitudes; the phases being validated are
 dimensionless, so convention resolution transfers.
@@ -146,9 +156,35 @@ def _ddy(grid: Grid2D, f: np.ndarray) -> np.ndarray:
     return np.fft.ifft(1j * grid.KY * np.fft.fft(f, axis=1), axis=1)
 
 
+def _ladder(grid: Grid2D, l_m: float, a: int, sign: int, f: np.ndarray, X, Y, out=None) -> np.ndarray:
+    """[(X + i a Y) f / (2 l_m) + sign l_m (d/dx + i a d/dy) f] / sqrt(2).
+
+    All four ladder operators have this form (a = +-sigma, sign = +-1). The
+    coordinates (X, Y) may be shifted, and f may be one field (N, N) or a
+    stack (k, N, N): every term acts on the last two axes. Each term is
+    added into `out` from one scratch array, since fresh full-size
+    temporaries cost more (in page faults) than the arithmetic.
+    """
+    c, e = 0.5 / (math.sqrt(2.0) * l_m), sign * l_m / math.sqrt(2.0)
+    out = np.multiply(f, c * X, out=out)
+    buf = np.multiply(f, (1j * a * c) * Y)
+    out += buf
+    for axis, factor in ((-2, 1j * e * grid.KX), (-1, -a * e * grid.KY)):  # d/dx, i a d/dy
+        np.fft.fft(f, axis=axis, out=buf)
+        buf *= factor
+        np.fft.ifft(buf, axis=axis, out=buf)
+        out += buf
+    return out
+
+
 def _translate(grid: Grid2D, f: np.ndarray, ax: float, ay: float) -> np.ndarray:
     """f(x + ax, y + ay) by spectral phase ramp (exact for band-limited f)."""
-    return np.fft.ifft2(np.fft.fft2(f) * np.exp(1j * (grid.KX * ax + grid.KY * ay)))
+    return np.fft.ifft2(np.fft.fft2(f) * np.outer(np.exp(1j * grid.k * ax), np.exp(1j * grid.k * ay)))
+
+
+def _overlaps(grid: Grid2D, bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Matrix of grid overlaps <bras[i] | kets[j]> for two (k, N, N) stacks."""
+    return grid.h * grid.h * (bras.conj().reshape(len(bras), -1) @ kets.reshape(len(kets), -1).T)
 
 
 @dataclass(frozen=True)
@@ -180,25 +216,35 @@ class WaveField:
 
 
 def _normalized(grid: Grid2D, f: np.ndarray, context: str) -> np.ndarray:
+    """f scaled to unit norm in place, once its norm is within 1e-3 of 1."""
     nrm = grid.norm(f)
     if abs(nrm - 1.0) > _DRIFT_TOL:
         raise ValidationError(
             f"norm drifted to {nrm:.6f} while building {context}; grid resolution insufficient"
         )
-    return f / nrm
+    f /= nrm
+    return f
 
 
 def ground_state(grid: Grid2D, l_m: float) -> WaveField:
-    """Gaussian ground field, renormalized to unit quadrature norm.
+    """Gaussian ground field at unit quadrature norm.
 
-    The analytic normalization constant is 1/(l_m sqrt(2 pi)); numerical
-    renormalization keeps the contract independent of that choice.
+    The norm is fixed numerically (analytically the constant is
+    1/(l_m sqrt(2 pi))), which keeps the contract independent of that choice.
     """
     grid.check_adequate(l_m)
-    r2 = grid.X ** 2 + grid.Y ** 2
-    f = np.exp(-r2 / (4.0 * l_m * l_m)).astype(complex) / (l_m * math.sqrt(2.0 * math.pi))
-    f = f / grid.norm(f)
-    return WaveField(grid=grid, values=f, n=0, m=0, nu=0j, l_m=l_m)
+    return WaveField(grid=grid, values=_gaussian(grid, l_m, 0.0, 0.0), n=0, m=0, nu=0j, l_m=l_m)
+
+
+def _gaussian(grid: Grid2D, l_m: float, ax: float, ay: float) -> np.ndarray:
+    """exp(-((x + ax)^2 + (y + ay)^2) / (4 l_m^2)) at unit quadrature norm.
+
+    Separable: the outer product of two 1-D factors, each normalized on its
+    own, since the 2-D quadrature norm is the product of the 1-D norms.
+    """
+    gx, gy = (np.exp(-((grid.x + a) ** 2) / (4.0 * l_m * l_m)) for a in (ax, ay))
+    gx, gy = (g / math.sqrt(grid.h * float(g @ g)) for g in (gx, gy))
+    return np.outer(gx.astype(complex), gy)
 
 
 def apply_level_raise(grid: Grid2D, l_m: float, sigma: int, f: np.ndarray) -> np.ndarray:
@@ -209,28 +255,22 @@ def apply_level_raise(grid: Grid2D, l_m: float, sigma: int, f: np.ndarray) -> np
     exactly this pair of ladder operators.  Per-level phases i**n drop out
     of every fixed-level observable (connections, overlaps within a level).
     """
-    ang = grid.X - 1j * sigma * grid.Y
-    out = (ang / (2.0 * l_m) * f - l_m * (_ddx(grid, f) - 1j * sigma * _ddy(grid, f))) / math.sqrt(2.0)
-    return 1j * out
+    return 1j * _ladder(grid, l_m, -sigma, -1, f, grid.X, grid.Y)
 
 
 def apply_level_lower(grid: Grid2D, l_m: float, sigma: int, f: np.ndarray) -> np.ndarray:
     """Adjoint of the level raise; annihilates the ground field."""
-    ang = grid.X + 1j * sigma * grid.Y
-    out = (ang / (2.0 * l_m) * f + l_m * (_ddx(grid, f) + 1j * sigma * _ddy(grid, f))) / math.sqrt(2.0)
-    return -1j * out
+    return -1j * _ladder(grid, l_m, sigma, +1, f, grid.X, grid.Y)
 
 
 def apply_radial_raise(grid: Grid2D, l_m: float, sigma: int, f: np.ndarray) -> np.ndarray:
     """Radial-index raising operator (m -> m+1) as a differential operator."""
-    ang = grid.X + 1j * sigma * grid.Y
-    return (ang / (2.0 * l_m) * f - l_m * (_ddx(grid, f) + 1j * sigma * _ddy(grid, f))) / math.sqrt(2.0)
+    return _ladder(grid, l_m, sigma, -1, f, grid.X, grid.Y)
 
 
 def apply_radial_lower(grid: Grid2D, l_m: float, sigma: int, f: np.ndarray) -> np.ndarray:
     """Adjoint of the radial raise; annihilates the ground field."""
-    ang = grid.X - 1j * sigma * grid.Y
-    return (ang / (2.0 * l_m) * f + l_m * (_ddx(grid, f) - 1j * sigma * _ddy(grid, f))) / math.sqrt(2.0)
+    return _ladder(grid, l_m, -sigma, +1, f, grid.X, grid.Y)
 
 
 def build_state(grid: Grid2D, scales: DerivedScales, n: int, m: int) -> WaveField:
@@ -246,6 +286,20 @@ def build_state(grid: Grid2D, scales: DerivedScales, n: int, m: int) -> WaveFiel
     return WaveField(grid=grid, values=f, n=n, m=m, nu=0j, l_m=scales.l_m)
 
 
+def _shift(scales: DerivedScales) -> tuple[float, float]:
+    """Translation (a_x, a_y) of the displacement (see displace_field)."""
+    r = math.sqrt(2.0) * scales.l_m
+    return r * scales.nu.imag, -r * scales.sigma * scales.nu.real
+
+
+def _apply_ramp(grid: Grid2D, scales: DerivedScales, f: np.ndarray) -> np.ndarray:
+    """Multiply f (one field or a (k, N, N) stack) in place by the separable phase ramp."""
+    c = 1.0 / (math.sqrt(2.0) * scales.l_m)
+    f *= np.exp(1j * c * scales.nu.real * grid.X)
+    f *= np.exp(1j * c * scales.sigma * scales.nu.imag * grid.Y)
+    return f
+
+
 def displace_field(grid: Grid2D, scales: DerivedScales, field: WaveField) -> WaveField:
     """Exact displacement: linear phase times rigid translation.
 
@@ -257,52 +311,70 @@ def displace_field(grid: Grid2D, scales: DerivedScales, field: WaveField) -> Wav
                       * f(x + sqrt(2) l nu_y,  y - sqrt(2) s l nu_x)
 
     which moves the density centroid by (-sqrt(2) l nu_y, +sqrt(2) s l nu_x).
+    This is the spectral route (an FFT translation of a sampled field);
+    :func:`window_states` builds the same states in shifted coordinates.
     """
-    nu, s, l = scales.nu, scales.sigma, scales.l_m
+    nu, l = scales.nu, scales.l_m
     if nu == 0:
         return WaveField(grid=grid, values=field.values.copy(), n=field.n, m=field.m, nu=0j, l_m=l)
-    g = _translate(grid, field.values, math.sqrt(2.0) * l * nu.imag, -math.sqrt(2.0) * s * l * nu.real)
-    g = g * np.exp(1j * (nu.real * grid.X + s * nu.imag * grid.Y) / (math.sqrt(2.0) * l))
+    g = _apply_ramp(grid, scales, _translate(grid, field.values, *_shift(scales)))
     g = _normalized(grid, g, f"displaced state (n={field.n}, m={field.m})")
     return WaveField(grid=grid, values=g, n=field.n, m=field.m, nu=nu, l_m=l)
 
 
 def pipeline_state(grid: Grid2D, config: PhysicalConfig, point, n: int, m: int) -> WaveField:
-    """Displaced (n, m) field at a control point, built by one analytic recipe.
+    """Displaced (n, m) field at a control point: one field of :func:`window_states`.
 
     Every state on one grid comes from the same closed-form pipeline
-    (ground Gaussian -> raises -> displacement), so the family is smooth in
-    the control parameters and finite differences of it measure the
-    connection in a fixed gauge.
+    (shifted ground Gaussian -> raises -> phase ramp), so the family is
+    smooth in the control parameters and finite differences of it measure
+    the connection in a fixed gauge.
     """
-    ex, ey, lam, b = (float(v) for v in point)
-    sc = derive_scales(config.at_point(ex, ey, lam, b))
-    grid.check_adequate(sc.l_m, shift=math.sqrt(2.0) * sc.l_m * abs(sc.nu))
-    return displace_field(grid, sc, build_state(grid, sc, n, m))
+    return window_states(grid, config, point, n, (m, m))[0]
 
 
 def window_states(
     grid: Grid2D, config: PhysicalConfig, point, n: int, window: tuple[int, int]
 ) -> list[WaveField]:
-    """Displaced fields for every m in the window, sharing the raise chain."""
+    """Displaced fields for every m in the window, sharing the raise chain.
+
+    Built without a translation FFT: the raising operators act in the
+    shifted coordinates on the shifted Gaussian (module docstring). The
+    fields are views into one (k, N, N) stack.
+    """
+    return _window_stack(grid, config, point, n, window)[1]
+
+
+def _window_stack(
+    grid: Grid2D, config: PhysicalConfig, point, n: int, window: tuple[int, int]
+) -> tuple[np.ndarray, list[WaveField]]:
+    """(k, N, N) stack of the displaced window fields, and the guarded fields viewing it."""
     m_lo, m_hi = _check_window(window)
+    if n < 0:
+        raise ValidationError(f"indices must be >= 0, got n={n}")
     ex, ey, lam, b = (float(v) for v in point)
     sc = derive_scales(config.at_point(ex, ey, lam, b))
-    grid.check_adequate(sc.l_m, shift=math.sqrt(2.0) * sc.l_m * abs(sc.nu))
-    out: list[WaveField] = []
-    f = ground_state(grid, sc.l_m).values
-    for m in range(0, m_hi + 1):
-        if m > 0:
-            f = apply_radial_raise(grid, sc.l_m, sc.sigma, f) / math.sqrt(m)
-        if m < m_lo:
-            continue
-        t = f
-        for j in range(1, n + 1):
-            t = apply_level_raise(grid, sc.l_m, sc.sigma, t) / math.sqrt(j)
-        t = _normalized(grid, t, f"state (n={n}, m={m})")
-        base = WaveField(grid=grid, values=t, n=n, m=m, nu=0j, l_m=sc.l_m)
-        out.append(displace_field(grid, sc, base))
-    return out
+    l, s = sc.l_m, sc.sigma
+    grid.check_adequate(l, shift=math.sqrt(2.0) * l * abs(sc.nu))
+    ax, ay = _shift(sc)
+    X, Y = grid.X + ax, grid.Y + ay
+    stack = np.empty((m_hi - m_lo + 1, grid.points, grid.points), dtype=complex)
+    f = _gaussian(grid, l, ax, ay)
+    if m_lo == 0:
+        stack[0] = f
+    for m in range(1, m_hi + 1):
+        # radial raise, into the stack once m reaches the window
+        f = _ladder(grid, l, s, -1, f, X, Y, out=stack[m - m_lo] if m >= m_lo else None)
+        f /= math.sqrt(m)
+    for j in range(1, n + 1):
+        stack = _ladder(grid, l, -s, -1, stack, X, Y)  # level raise, up to its factor i
+        stack *= 1j / math.sqrt(j)
+    _apply_ramp(grid, sc, stack)
+    fields = []
+    for i, m in enumerate(range(m_lo, m_hi + 1)):
+        _normalized(grid, stack[i], f"state (n={n}, m={m})")
+        fields.append(WaveField(grid=grid, values=stack[i], n=n, m=m, nu=sc.nu, l_m=l))
+    return stack, fields
 
 
 def apply_angular_momentum(grid: Grid2D, hbar: float, f: np.ndarray) -> np.ndarray:
@@ -392,16 +464,11 @@ def fd_connection_matrix(
         raise ValidationError(f"unknown control parameter {param!r}, expected one of {CONTROL_PARAMS}")
     if h_step <= 0:
         raise ValidationError(f"h_step must be positive, got {h_step}")
-    bras = window_states(grid, config, point, n, window)
-    kets_plus = window_states(grid, config, _shifted_point(point, param, +h_step), n, window)
-    kets_minus = window_states(grid, config, _shifted_point(point, param, -h_step), n, window)
-    size = len(bras)
-    A = np.zeros((size, size), dtype=complex)
-    for j in range(size):
-        dket = (kets_plus[j].values - kets_minus[j].values) / (2.0 * h_step)
-        for i in range(size):
-            A[i, j] = 1j * grid.overlap(bras[i].values, dket)
-    return A
+    bras = _window_stack(grid, config, point, n, window)[0]
+    dkets = _window_stack(grid, config, _shifted_point(point, param, +h_step), n, window)[0]
+    dkets -= _window_stack(grid, config, _shifted_point(point, param, -h_step), n, window)[0]
+    dkets /= 2.0 * h_step
+    return 1j * _overlaps(grid, bras, dkets)
 
 
 @dataclass(frozen=True)
@@ -455,15 +522,13 @@ def wilson_loop_oracle(
         count = max(1, int(round(steps * ln / total)))
         t = np.arange(count) / count
         pts.extend(a + tt * (b - a) for tt in t)
-    first = window_states(grid, config, pts[0], n, window)
+    first = _window_stack(grid, config, pts[0], n, window)[0]
     prev = first
     product = np.eye(size, dtype=complex)
     smallest = np.inf
     for k in range(1, len(pts) + 1):
-        cur = window_states(grid, config, pts[k], n, window) if k < len(pts) else first
-        link = np.array(
-            [[grid.overlap(prev[i].values, cur[j].values) for j in range(size)] for i in range(size)]
-        )
+        cur = _window_stack(grid, config, pts[k], n, window)[0] if k < len(pts) else first
+        link = _overlaps(grid, prev, cur)
         smallest = min(smallest, float(np.linalg.svd(link, compute_uv=False)[-1]))
         product = product @ link
         prev = cur

@@ -149,3 +149,19 @@ def test_kronecker_displacement_matches_full_space(cfg_desk, n_max, m_max, nus):
         for n, m in ((0, 0), (3, m_max)):
             st = displaced_state(n, m, nu, basis)
             assert np.abs(st.coefficients - full[:, basis.index(n, m)]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n_max", [6, 14, 25, 40])
+def test_hnu_check_accepts_what_the_truncation_guard_accepts(cfg_desk, n_max):
+    # every basis the guard lets through without a warning (|nu|^2 <= n_max/8)
+    # must pass the D H D^dag check; at (14, 2), nu = 0.5 - 0.2j, conjugating
+    # on the unpadded n-mode was 2.5e-6 off
+    sc = derive_scales(cfg_desk)
+    nus = [0.5 - 0.2j] + [
+        r * math.sqrt(n_max / 8.0) * np.exp(1j * t) for r in (0.5, 0.999) for t in (0.3, 2.0, 4.4)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nu in nus:
+            for m_max in (0, 2):
+                displaced_hamiltonian(nu, build_basis(n_max, m_max), sc, check=True)

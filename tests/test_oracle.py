@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from dlh import oracle
+from dlh._linalg import unitarize
 from dlh.connection import connection_closed_form
 from dlh.errors import ValidationError
 from dlh.holonomy import box_loop, holonomy_path_ordered, rectangle_loop
@@ -19,6 +21,7 @@ from dlh.oracle import (
     berry_connection_fd,
     build_state,
     default_grid,
+    displace_field,
     fd_connection_matrix,
     ground_state,
     pipeline_state,
@@ -169,6 +172,81 @@ def test_window_states_match_pipeline(grid12, cfg_desk):
     for w in ws:
         direct = pipeline_state(grid12, cfg_desk, point, 1, w.m)
         assert np.abs(w.values - direct.values).max() < 1e-12
+
+
+# grid, (lambda, Ex', Ey') at u = 0.5, B = 1, levels n and window: both
+# chiralities, from nu = 0 to about |nu| = 2.4 on the 14-extent grid, near
+# where its n + m = 5 states reach the boundary frame (the adequacy rule
+# alone would allow |nu| = 5.6), and the 256-point grid of the Wilson loops
+_PIN_CASES = [
+    ("grid_coarse", 2.0, 0.0, 0.0, (0, 1, 2), (0, 3)),
+    ("grid_coarse", 2.0, 0.3, 0.7, (0, 1, 2), (0, 3)),
+    ("grid_coarse", 2.0, 2.0, -3.1, (0, 1, 2), (0, 3)),
+    ("grid_coarse", 2.0, -4.0, 5.4, (0, 1, 2), (0, 3)),
+    ("grid_coarse", -2.0, 0.3, 0.7, (0, 1, 2), (0, 3)),
+    ("grid_coarse", -2.0, 5.5, 3.9, (0, 1, 2), (0, 3)),
+    ("grid12", 2.0, 0.9, -1.6, (0, 1), (0, 2)),
+    ("grid12", -2.0, 0.9, -1.6, (0, 1), (0, 2)),
+]
+
+
+@pytest.mark.parametrize("grid_name, lam, ex, ey, levels, window", _PIN_CASES)
+def test_window_states_match_spectral_route(request, cfg_desk, grid_name, lam, ex, ey, levels, window):
+    # the shifted-coordinate construction against raises on the centred
+    # Gaussian followed by the FFT translation and phase ramp
+    grid = request.getfixturevalue(grid_name)
+    point = (ex, ey, lam, 1.0)
+    sc = derive_scales(cfg_desk.at_point(*point))
+    assert sc.sigma == (1 if lam > 0 else -1) and abs(sc.nu) <= 2.45
+    for n in levels:
+        ws = window_states(grid, cfg_desk, point, n, window)
+        assert [(w.n, w.m, w.nu) for w in ws] == [(n, m, sc.nu) for m in range(window[0], window[1] + 1)]
+        for w in ws:
+            ref = displace_field(grid, sc, build_state(grid, sc, n, w.m))
+            assert np.abs(w.values - ref.values).max() <= 1e-9
+
+
+def test_window_states_validation(grid_coarse, cfg_desk):
+    with pytest.raises(ValidationError):
+        window_states(grid_coarse, cfg_desk, (0.3, 0.7, 2.0, 1.0), -1, (0, 1))
+    with pytest.raises(ValidationError):
+        pipeline_state(grid_coarse, cfg_desk, (0.3, 0.7, 2.0, 1.0), 0, -1)
+
+
+def _per_entry(grid, bras, kets):
+    return np.array([[grid.overlap(b.values, k.values) for k in kets] for b in bras])
+
+
+def test_fd_matrix_matches_per_entry_overlaps(grid_coarse, cfg_desk):
+    point, h = (0.3, 0.7, 2.0, 1.0), 1e-3
+    for param in ("Ey_prime", "B"):
+        bras = window_states(grid_coarse, cfg_desk, point, 1, (0, 3))
+        plus = window_states(grid_coarse, cfg_desk, oracle._shifted_point(point, param, h), 1, (0, 3))
+        minus = window_states(grid_coarse, cfg_desk, oracle._shifted_point(point, param, -h), 1, (0, 3))
+        want = np.array(
+            [[1j * grid_coarse.overlap(b.values, (p.values - m.values) / (2 * h)) for p, m in zip(plus, minus)]
+             for b in bras]
+        )
+        got = fd_connection_matrix(grid_coarse, cfg_desk, param, point, 1, (0, 3), h_step=h)
+        assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+
+def test_wilson_links_match_per_entry_overlaps(grid_coarse, cfg_natural):
+    # a square with 16 links: four equally spaced samples per side
+    loop = rectangle_loop("Ex_prime", "Ey_prime", (0.0, 0.3), (0.2, 0.5), (0, 0, 1.0, 1.0))
+    pts = [a + t * (b - a) for a, b in zip(loop.vertices[:-1], loop.vertices[1:]) for t in (0, 0.25, 0.5, 0.75)]
+    frames = [window_states(grid_coarse, cfg_natural, p, 0, (0, 1)) for p in pts]
+    product, smallest = np.eye(2, dtype=complex), np.inf
+    for prev, cur in zip(frames, frames[1:] + frames[:1]):
+        link = _per_entry(grid_coarse, prev, cur)
+        stacks = (np.array([w.values for w in frame]) for frame in (prev, cur))
+        assert np.abs(oracle._overlaps(grid_coarse, *stacks) - link).max() <= 1e-14
+        smallest = min(smallest, np.linalg.svd(link, compute_uv=False)[-1])
+        product = product @ link
+    res = wilson_loop_oracle(grid_coarse, cfg_natural, loop, n=0, window=(0, 1), steps=16)
+    assert res.points == 16
+    assert np.abs(res.matrix - unitarize(product).conj().T).max() <= 1e-14
+    assert abs(res.smallest_overlap_singular - smallest) <= 1e-14
 
 
 def test_wilson_loop_identity_for_zero_functional(grid12, cfg_natural):

@@ -1,4 +1,9 @@
-"""Small shared numerics: exactly-unitary exponentials and unitarization."""
+"""Small shared numerics: exactly-unitary exponentials and unitarization.
+
+:func:`unitary_exp_i` is the one matrix exponential of the package: it
+exponentiates the holonomy engine's step generators and, on the n-mode, the
+displacement D(nu) = exp(nu a+ - nu* a-).
+"""
 
 from __future__ import annotations
 

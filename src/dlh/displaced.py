@@ -13,8 +13,9 @@ factor, and everything here is computed on the single n-mode of n_max + 1
 levels and expanded over m only at the end.
 
 Two independent routes build D_n and are checked against each other on the
-interior block: a dense matrix exponential of the anti-Hermitian generator,
-and the normally ordered product e^{-|nu|^2/2} e^{nu a+} e^{-nu* a-} whose
+interior block: the eigendecomposition of the truncated generator, which is
+i times a Hermitian matrix, through :func:`dlh._linalg.unitary_exp_i`; and
+the normally ordered product e^{-|nu|^2/2} e^{nu a+} e^{-nu* a-} whose
 factors are finite series in the nilpotent truncated ladders.
 """
 
@@ -25,9 +26,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from ._linalg import max_abs
+from ._linalg import max_abs, unitary_exp_i
 from .errors import ConsistencyError, ValidationError
 from .fock import FockBasis, OperatorMatrix, _ladder_1d
 from .params import DerivedScales, PhysicalConfig, derive_scales
@@ -81,9 +81,9 @@ def _n_ladders(n_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dense_route(nu: complex, n_max: int) -> np.ndarray:
-    """D_n(nu) by scipy.linalg.expm of the anti-Hermitian generator."""
+    """D_n(nu) = exp(i H) with H = -i (nu a+ - nu* a-) Hermitian, by eigendecomposition."""
     ap, am = _n_ladders(n_max)
-    return scipy.linalg.expm(nu * ap - np.conj(nu) * am)
+    return unitary_exp_i(-1j * (nu * ap - np.conj(nu) * am))
 
 
 def _interior(n_max: int) -> slice:
@@ -120,9 +120,9 @@ def displacement_matrix(nu: complex, basis: FockBasis, check: bool = True) -> Op
     Notes
     -----
     The dense route exponentiates the anti-Hermitian generator on the
-    n-mode with scipy.linalg.expm. Truncation makes D slightly non-unitary
-    in the last few levels; on the interior block columns are orthonormal to
-    roundoff.
+    n-mode by eigendecomposition (:func:`dlh._linalg.unitary_exp_i`), so
+    D_n is unitary to roundoff. Truncation bends it away from the
+    infinite-basis D in the last few levels; the interior block matches.
     """
     nu = complex(nu)
     _check_truncation(nu, basis)

@@ -7,6 +7,8 @@ import scipy.linalg
 
 from dlh.displaced import (
     DisplacedState,
+    _dense_route,
+    _n_ladders,
     displaced_hamiltonian,
     displaced_state,
     displacement_matrix,
@@ -117,6 +119,20 @@ def test_zero_displacement_is_identity():
     vec = state_from_ground(basis, 2, 1)
     st = displaced_state(2, 1, 0.0, basis)
     assert np.array_equal(st.coefficients, vec)
+
+
+@pytest.mark.parametrize("n_max", [2, 6, 14, 40])
+def test_dense_route_matches_scipy_expm(n_max):
+    # D_n by eigendecomposition, pinned to scipy's expm of the same generator,
+    # on the n-mode and on the padded n-mode that displaced_hamiltonian uses
+    for size in (n_max, 2 * n_max + 15):
+        ap, am = _n_ladders(size)
+        for occ in np.linspace(0.0, n_max / 8.0, 4):
+            for phase in (0.3, 2.0, 4.4):
+                nu = math.sqrt(occ) * complex(math.cos(phase), math.sin(phase))
+                D = _dense_route(nu, size)
+                assert np.abs(D - scipy.linalg.expm(nu * ap - np.conj(nu) * am)).max() <= 1e-13
+                assert np.abs(D.conj().T @ D - np.eye(size + 1)).max() <= 1e-14
 
 
 def _full_space_route(nu, basis):

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dlh.holonomy as hol
 from dlh.connection import _generator_scalars
@@ -202,6 +204,46 @@ def test_reversal_gives_adjoint():
     fwd = holonomy_path_ordered(loop, u, window=(0, 2), steps=256, target=None)
     bwd = holonomy_path_ordered(loop.reversed(), u, window=(0, 2), steps=256, target=None)
     assert np.abs(bwd.matrix - fwd.matrix.conj().T).max() < 1e-12
+
+
+# random closed polygons in (Ex', Ey', lambda, B); the properties below hold
+# for any fixed step count, so refinement is off
+_vertex = st.tuples(
+    st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(1.0, 4.0), st.floats(1.0, 4.0)
+)
+_polygon = st.lists(_vertex, min_size=3, max_size=5).map(lambda vs: np.array(vs + vs[:1]))
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=25, database=None)
+
+
+def _holonomy(path):
+    return holonomy_path_ordered(path, 0.5, window=(0, 3), steps=64, target=None).matrix
+
+
+def _spectrum_gap(A, B):
+    # eigenvalues of two unitaries, each sorted by angle; the best cyclic
+    # alignment absorbs a pair that straddles the branch cut at -1
+    a, b = (w[np.argsort(np.angle(w))] for w in map(np.linalg.eigvals, (A, B)))
+    return min(np.abs(a - np.roll(b, k)).max() for k in range(len(b)))
+
+
+@_PROPERTY
+@given(_polygon)
+def test_property_reversal_gives_adjoint_and_unitary(vertices):
+    path = ParameterPath(vertices)
+    fwd, bwd = _holonomy(path), _holonomy(path.reversed())
+    eye = np.eye(4)
+    assert np.abs(fwd.conj().T @ fwd - eye).max() <= 1e-10
+    assert np.abs(bwd.conj().T @ bwd - eye).max() <= 1e-10
+    assert np.abs(bwd - fwd.conj().T).max() <= 1e-10
+
+
+@_PROPERTY
+@given(_polygon, st.integers(0, 3))
+def test_property_start_vertex_shift_keeps_spectrum(vertices, shift):
+    # moving the base point conjugates the holonomy: same eigenvalues
+    k = 1 + shift % (len(vertices) - 2)
+    shifted = np.vstack([vertices[k:-1], vertices[: k + 1]])
+    assert _spectrum_gap(_holonomy(ParameterPath(vertices)), _holonomy(ParameterPath(shifted))) <= 1e-10
 
 
 def test_auto_refinement_and_cap():

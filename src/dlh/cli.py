@@ -726,7 +726,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "json")
     _add_path_flags(p)
     p.add_argument("--window", type=_parse_window, default=(0, 3), help="m-window lo..hi (default 0..3)")
-    p.add_argument("--steps", type=int, default=1024, help="initial step count (default 1024)")
+    p.add_argument(
+        "--steps",
+        type=int,
+        default=_holonomy.DEFAULT_STEPS,
+        help=f"initial step count, doubled until --target is met (default {_holonomy.DEFAULT_STEPS})",
+    )
     p.add_argument(
         "--target",
         type=float,

@@ -86,6 +86,17 @@ def _dense_route(nu: complex, n_max: int) -> np.ndarray:
     return unitary_exp_i(-1j * (nu * ap - np.conj(nu) * am))
 
 
+def _padded_top(n_max: int) -> int:
+    """Highest level of the padded n-mode of 2 n_max + 16 levels, where D_n is read free of truncation."""
+    return 2 * n_max + 15
+
+
+def _tail_weight(nu: complex, n: int, n_max: int, top: int) -> float:
+    """Weight of D(nu)|n> past level n_max: sum over k > n_max of |<k|D_n|n>|^2 on the n-mode 0..top."""
+    column = _dense_route(nu, top)[n_max + 1 :, n]
+    return float(np.vdot(column, column).real)
+
+
 def _interior(n_max: int) -> slice:
     """Levels n <= n_max - max(1, n_max // 2): the upper half, where truncation bends D, is cut."""
     return slice(0, n_max + 1 - max(1, n_max // 2))
@@ -153,7 +164,11 @@ def dual_route_deviation(nu: complex, basis: FockBasis) -> float:
 class DisplacedState:
     """Coefficient vector of D(nu)|n, m> with its truncation deficit.
 
-    trunc_deficit = |1 - ||c||| measures weight lost past the basis cut.
+    coefficients is column n of D_n on the basis itself, placed at radial
+    index m. trunc_deficit is the weight of D(nu)|n, m> that lies past
+    n_max, sum over k > n_max of |<k, m|D(nu)|n, m>|^2, read off column n of
+    D_n on a padded n-mode of 2 n_max + 16 levels: the probability that the
+    truncated basis leaves out.
     """
 
     n: int
@@ -170,7 +185,7 @@ def displaced_state(n: int, m: int, nu: complex, basis: FockBasis) -> DisplacedS
     _check_truncation(nu, basis)
     coeff = np.zeros(basis.size, dtype=complex)
     coeff[m :: basis.m_max + 1] = _dense_route(nu, basis.n_max)[:, n]
-    deficit = abs(1.0 - float(np.linalg.norm(coeff)))
+    deficit = _tail_weight(nu, n, basis.n_max, _padded_top(basis.n_max))
     return DisplacedState(n=n, m=m, nu=nu, coefficients=coeff, trunc_deficit=deficit)
 
 
@@ -193,7 +208,7 @@ def displaced_hamiltonian(
     direct = hw * ((ap - np.conj(nu) * eye) @ (am - nu * eye) + 0.5 * eye)
     if check:
         _check_truncation(nu, basis)
-        pad = 2 * basis.n_max + 15  # highest level of the padded n-mode
+        pad = _padded_top(basis.n_max)
         d_pad = _dense_route(nu, pad)
         h_pad = hw * np.diag(np.arange(pad + 1) + 0.5)  # H = hw (a+ a- + 1/2) on the padded mode
         conjugated = d_pad @ h_pad @ d_pad.conj().T

@@ -172,6 +172,27 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert target.read_text() == out
 
 
+def test_holonomy_steps_default_is_the_library_default(capsys):
+    from dlh.holonomy import DEFAULT_STEPS, box_loop, holonomy_path_ordered
+
+    rc, out, _ = run_cli(capsys, "holonomy", "--named", "ABCHEFA")
+    assert rc == 0
+    lib = holonomy_path_ordered(box_loop("ABCHEFA", (0.0, 1.0), (1.0, 4.0), (1.0, 4.0)), 0.5)
+    payload = json.loads(out)
+    assert payload["steps"] == lib.steps == DEFAULT_STEPS
+    assert payload["convergence_estimate"] == 0.0
+
+
+def test_refined_holonomy_is_byte_deterministic(capsys, tmp_path):
+    vf = tmp_path / "rotating.txt"
+    vf.write_text("0 0 1 1\n0.6 0.2 1 1\n0.6 0.9 2 1\n0.2 0.9 2 2\n0 0 1 1\n")
+    for argv in (("--named", "ABCHEFA"), ("--vertices", str(vf), "--target", "1e-9")):
+        _, out1, _ = run_cli(capsys, "holonomy", *argv)
+        _, out2, _ = run_cli(capsys, "holonomy", *argv)
+        assert out1 == out2
+    assert json.loads(out1)["steps"] > 32
+
+
 def test_byte_determinism(capsys):
     _, out1, _ = run_cli(capsys, "holonomy", "--named", "ABCHGFA", "--steps", "64",
                          "--target", "0", "--window", "0..1")

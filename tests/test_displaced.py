@@ -9,6 +9,8 @@ from dlh.displaced import (
     DisplacedState,
     _dense_route,
     _n_ladders,
+    _padded_top,
+    _tail_weight,
     displaced_hamiltonian,
     displaced_state,
     displacement_matrix,
@@ -46,6 +48,22 @@ def test_coherent_amplitudes():
         expect = math.exp(-abs(nu) ** 2 / 2) * nu**n / math.sqrt(math.factorial(n))
         assert state.coefficients[basis.index(n, 0)] == pytest.approx(expect, abs=1e-12)
     assert state.trunc_deficit < 1e-12
+
+
+def test_trunc_deficit_is_the_poisson_tail():
+    # D(nu)|0> is a coherent state: the weight past n_max is the Poisson
+    # tail of mean |nu|^2, here 1.9% of the state
+    nu, n_max = math.sqrt(3.92), 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # |nu|^2 > n_max/8
+        state = displaced_state(0, 0, nu, build_basis(n_max, 0))
+    tail = 1.0 - sum(math.exp(-3.92) * 3.92**k / math.factorial(k) for k in range(n_max + 1))
+    assert state.trunc_deficit == pytest.approx(tail, abs=1e-10)
+    assert tail == pytest.approx(0.019076, abs=1e-6)
+    doubled = _tail_weight(nu, 0, n_max, 2 * (_padded_top(n_max) + 1) - 1)
+    assert abs(doubled - state.trunc_deficit) < 1e-12
+    # the coefficients stay the column of D_n on the basis itself
+    assert np.array_equal(state.coefficients, _dense_route(nu, n_max)[:, 0])
 
 
 def test_displacement_block_diagonal_in_m():

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dlh.holonomy as hol
-from dlh.connection import _generator_scalars
+from dlh import connection
+from dlh._linalg import unitary_exp_i
+from dlh.connection import _generator_scalars, _generators, _lowering_pattern
 from dlh.errors import ConvergenceError, ValidationError
 from dlh.holonomy import (
     AbelianPhases,
@@ -434,3 +436,127 @@ def test_signed_area_planarity_guard():
             rectangle_loop("Ex_prime", "Ey_prime", (0, 1), (0, 1), (0, 0, 1, 1)),
             plane=("Ex_prime", "Ex_prime"),
         )
+
+
+@pytest.mark.parametrize("window", [(0, 3), (1, 4), (0, 15), (0, 63)])
+def test_span_exponential_matches_eigendecomposition(window, rng):
+    k = 64
+    phi = rng.uniform(-3.0, 3.0, k)
+    zeta = rng.uniform(0.0, 10.0, k) * np.exp(1j * rng.uniform(-np.pi, np.pi, k))
+    zeta[:4] = 0.0
+    zeta[4] = 10.0 * np.exp(0.3j)
+    got = hol._span_exp(phi, zeta, hol._span_basis(window))
+    want = unitary_exp_i(_generators(phi, zeta, _lowering_pattern(window)))
+    assert np.abs(got - want).max() <= 1e-13
+
+
+# -- the commutator-free steps against Magnus-4 and an adaptive ODE ------------
+
+
+def _magnus4_product(path, u, window, steps):
+    """Ordered product of fourth-order Magnus steps with the commutator term.
+
+    With A1, A2 the step generators at the two Gauss nodes, each step is
+    exp(i H) with H = (A1 + A2)/2 + i (sqrt(3)/12) [A2, A1].
+    """
+    L = _lowering_pattern(window)
+    nodes = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
+    U = np.eye(len(L), dtype=complex)
+    for a, b, count in zip(path.vertices[:-1], path.vertices[1:], path._allocation(steps)):
+        if count == 0:
+            continue
+        t = ((np.arange(count)[:, None] + nodes) / count).ravel()
+        pts = a + t[:, None] * (b - a)
+        phi, zeta = _generator_scalars(pts, np.broadcast_to((b - a) / count, pts.shape), u)
+        pair = _generators(phi, zeta, L).reshape(count, 2, len(L), len(L))
+        a1, a2 = pair[:, 0], pair[:, 1]
+        for f in unitary_exp_i(0.5 * (a1 + a2) + 1j * (math.sqrt(3.0) / 12.0) * (a2 @ a1 - a1 @ a2)):
+            U = f @ U
+    return U
+
+
+def _dop853_holonomy(path, u, window):
+    """dU/ds = i A(x(s)) x'(s) U by DOP853, with A from the chain-rule connection entries."""
+    from scipy.integrate import solve_ivp
+
+    m_lo, m_hi = window
+    size = m_hi - m_lo + 1
+
+    def generator(point, step):
+        out = np.zeros((size, size), dtype=complex)
+        for param, d in zip(connection.CONTROL_PARAMS, step):
+            for i in range(size):
+                for j in range(max(0, i - 1), min(size, i + 2)):
+                    out[i, j] += d * connection.connection_general(param, point, u, 0, m_lo + i, m_lo + j)
+        return out
+
+    U = np.eye(size, dtype=complex)
+    for a, b in zip(path.vertices[:-1], path.vertices[1:]):
+        def rhs(s, y, a=a, step=b - a):
+            return (1j * generator(a + s * step, step) @ y.reshape(size, size)).ravel()
+
+        sol = solve_ivp(rhs, (0.0, 1.0), U.ravel(), method="DOP853", rtol=1e-12, atol=1e-14)
+        assert sol.success, sol.message
+        U = sol.y[:, -1].reshape(size, size)
+    return U
+
+
+@pytest.fixture(scope="module")
+def rotating_quadrilaterals():
+    """Three random quadrilaterals with Ex' varying, so the field rotates on every segment."""
+    rng = np.random.default_rng(606)
+    loops = []
+    for _ in range(3):
+        corners = np.column_stack([rng.uniform(-0.75, 0.75, (4, 2)), rng.uniform(1.0, 4.0, (4, 2))])
+        loop = ParameterPath(np.vstack([corners, corners[:1]]))
+        loops.append((loop, _dop853_holonomy(loop, 0.5, (0, 3))))
+    return loops
+
+
+def test_commutator_free_steps_match_magnus4(rotating_quadrilaterals):
+    for loop, ref in rotating_quadrilaterals:
+        for steps in (16, 32, 64, 128, 256):
+            cf4 = holonomy_path_ordered(loop, 0.5, steps=steps, target=None, method="magnus").matrix
+            err_cf4 = np.abs(cf4 - ref).max()
+            err_m4 = np.abs(_magnus4_product(loop, 0.5, (0, 3), steps) - ref).max()
+            assert err_cf4 <= 2.0 * err_m4
+        assert err_cf4 <= 1e-8 and err_m4 <= 1e-8
+
+
+def test_convergence_estimate_bounds_the_true_error(rotating_quadrilaterals):
+    for loop, ref in rotating_quadrilaterals:
+        for steps in (16, 32, 64, 128, 256):
+            res = holonomy_path_ordered(loop, 0.5, steps=steps, target=None)
+            assert res.convergence_estimate >= np.abs(res.matrix - ref).max()
+        res = holonomy_path_ordered(loop, 0.5, target=1e-9)
+        assert np.abs(res.matrix - ref).max() <= res.convergence_estimate <= 1e-9
+
+
+def _recorded_step_counts(monkeypatch):
+    counts = []
+    product = hol._ordered_product
+
+    def recording(path, u, window, steps, method):
+        counts.append(steps)
+        return product(path, u, window, steps, method)
+
+    monkeypatch.setattr(hol, "_ordered_product", recording)
+    return counts
+
+
+def test_refinement_reuses_the_previous_product(monkeypatch):
+    counts = _recorded_step_counts(monkeypatch)
+    res = holonomy_path_ordered(C9_LOOP, 0.5, target=1e-9)
+    assert hol.DEFAULT_STEPS == 32
+    # the first product, its half-step shadow, then one new product per doubling
+    assert counts[:2] == [32, 16] and counts[2:] == [32 * 2**k for k in range(1, len(counts) - 1)]
+    assert res.steps == counts[-1] > 32
+
+
+def test_exact_loops_skip_the_shadow_run(monkeypatch):
+    counts = _recorded_step_counts(monkeypatch)
+    res = holonomy_path_ordered(box_loop("ADCHEFA", EY, LAM, BB), 0.5, target=1e-14)
+    assert counts == [hol.DEFAULT_STEPS] and res.convergence_estimate == 0.0
+    # "magnus" integrates the same loop and needs its shadow run
+    holonomy_path_ordered(box_loop("ADCHEFA", EY, LAM, BB), 0.5, steps=64, target=None, method="magnus")
+    assert counts[1:] == [64, 32]

@@ -91,12 +91,6 @@ def _padded_top(n_max: int) -> int:
     return 2 * n_max + 15
 
 
-def _tail_weight(nu: complex, n: int, n_max: int, top: int) -> float:
-    """Weight of D(nu)|n> past level n_max: sum over k > n_max of |<k|D_n|n>|^2 on the n-mode 0..top."""
-    column = _dense_route(nu, top)[n_max + 1 :, n]
-    return float(np.vdot(column, column).real)
-
-
 def _interior(n_max: int) -> slice:
     """Levels n <= n_max - max(1, n_max // 2): the upper half, where truncation bends D, is cut."""
     return slice(0, n_max + 1 - max(1, n_max // 2))
@@ -185,7 +179,8 @@ def displaced_state(n: int, m: int, nu: complex, basis: FockBasis) -> DisplacedS
     _check_truncation(nu, basis)
     coeff = np.zeros(basis.size, dtype=complex)
     coeff[m :: basis.m_max + 1] = _dense_route(nu, basis.n_max)[:, n]
-    deficit = _tail_weight(nu, n, basis.n_max, _padded_top(basis.n_max))
+    tail = _dense_route(nu, _padded_top(basis.n_max))[basis.n_max + 1 :, n]
+    deficit = float(np.vdot(tail, tail).real)
     return DisplacedState(n=n, m=m, nu=nu, coefficients=coeff, trunc_deficit=deficit)
 
 

@@ -153,10 +153,13 @@ class ParameterPath:
         return ParameterPath(self.vertices[::-1].copy(), kind=self.kind)
 
     def _allocation(self, steps: int) -> np.ndarray:
-        """Steps per segment, `steps` split by length.
+        """Steps per segment at a nominal count of `steps`.
 
-        Every segment of nonzero length receives at least one step and a
-        zero-length segment none. The split is symmetric under path reversal.
+        steps // 2 is split by length, at least one step to every segment of
+        nonzero length and none to a zero-length segment, and every share is
+        doubled. The counts are even, so halving them gives a run at half the
+        steps on every segment at once, however many segments the path has.
+        The split is symmetric under path reversal.
         """
         if steps < 1:
             raise ValidationError(f"steps must be >= 1, got {steps}")
@@ -164,8 +167,8 @@ class ParameterPath:
         total = float(lengths.sum())
         if total == 0.0:
             raise ValidationError("path has zero total length")
-        counts = np.maximum(1, np.rint(steps * lengths / total)).astype(int)
-        return np.where(lengths == 0.0, 0, counts)
+        half = np.maximum(1, np.rint((steps // 2) * lengths / total)).astype(int)
+        return np.where(lengths == 0.0, 0, 2 * half)
 
     def discretize(self, steps: int) -> tuple[np.ndarray, np.ndarray]:
         """Midpoints and step vectors of the allocation of `steps`.
@@ -439,14 +442,15 @@ def _span_exp(phi, zeta, basis: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return core * (np.exp(1j * phi)[:, None] * rot)[:, :, None] * rot.conj()[:, None, :]
 
 
-def _step_factors(path: ParameterPath, u: float, window: tuple[int, int], steps: int, method: str):
+def _step_factors(path: ParameterPath, u: float, window: tuple[int, int], counts: np.ndarray, method: str):
     """Factors of the ordered product in path order, as (k, n, n) stacks.
 
-    Under "auto" a commuting segment yields its one exact factor
-    exp(i (Phi I + Z L + conj(Z) L^T)). Other segments (every segment under
-    "magnus") take their share of `steps` as commutator-free fourth-order
-    steps: with A1, A2 the step generators at the two Gauss nodes of a step,
-    exp(i (b A1 + a A2)) exp(i (a A1 + b A2)) with a, b = 1/4 +- sqrt(3)/6.
+    `counts` gives the steps of each segment. Under "auto" a commuting
+    segment yields its one exact factor exp(i (Phi I + Z L + conj(Z) L^T)).
+    Other segments (every segment under "magnus") take their count of
+    commutator-free fourth-order steps: with A1, A2 the step generators at
+    the two Gauss nodes of a step, exp(i (b A1 + a A2)) exp(i (a A1 + b A2))
+    with a, b = 1/4 +- sqrt(3)/6.
     Both factors are in the generator span and the step is time-symmetric.
     The steps of a segment are built and exponentiated in chunks of bounded
     size.
@@ -455,7 +459,7 @@ def _step_factors(path: ParameterPath, u: float, window: tuple[int, int], steps:
     size = len(basis[0])
     chunk = max(1, _CHUNK_ENTRIES // (size * size))
     verts = path.vertices
-    for a, b, count in zip(verts[:-1], verts[1:], path._allocation(steps)):
+    for a, b, count in zip(verts[:-1], verts[1:], counts):
         if count == 0:
             continue
         if method == "auto" and _commuting_segment(a, b):
@@ -496,9 +500,11 @@ def _identity(window: tuple[int, int]) -> np.ndarray:
     return np.eye(m_hi - m_lo + 1, dtype=complex)
 
 
-def _ordered_product(path: ParameterPath, u: float, window: tuple[int, int], steps: int, method: str) -> np.ndarray:
+def _ordered_product(
+    path: ParameterPath, u: float, window: tuple[int, int], counts: np.ndarray, method: str
+) -> np.ndarray:
     U = _identity(window)
-    for factors in _step_factors(path, u, window, steps, method):
+    for factors in _step_factors(path, u, window, counts, method):
         U = _tree_product(factors) @ U
     return U
 
@@ -512,13 +518,14 @@ def _partial_products(
     the final count) and the (len(k), n, n) stack of products over the first
     k steps.
     """
-    total = int(path._allocation(steps).sum())
+    counts = path._allocation(steps)
+    total = int(counts.sum())
     stride = max(1, total // max(1, samples))
     U = _identity(window)
     done = 0
     ks: list[int] = []
     mats = []
-    for factors in _step_factors(path, u, window, steps, "magnus"):
+    for factors in _step_factors(path, u, window, counts, "magnus"):
         prefix = _prefix_products(factors) @ U
         k = done + np.arange(1, len(factors) + 1)
         keep = (k % stride == 0) | (k == total)
@@ -558,14 +565,20 @@ def partial_unitarity_series(
 class HolonomyResult:
     """Path-ordered holonomy on an m-window, with its numerical defects.
 
-    steps is the step count of the returned product (after refinement),
-    split over the segments by length; under method "auto" a commuting
-    segment is exact and uses none of its share. convergence_estimate is
-    max |U(steps) - U(steps // 2)|, from a shadow run at half the steps: it
-    measures the error of the coarser product, so it bounds the error of the
-    returned one from above (the commutator-free fourth-order steps of
-    Blanes & Moan 2006 are about 16x more accurate per doubling). It is zero
-    when every segment is exact. unitarity_defect is max |U U^dag - I|.
+    steps is the nominal step count of the returned product (after
+    refinement). Half of the starting count is split over the segments by
+    length, at least one step per segment of nonzero length, and doubled;
+    each refinement doubles every segment's count. A loop of many segments
+    therefore takes at least two steps per segment, more than its nominal
+    count. Under method "auto" a commuting segment is exact and uses none of
+    its share. convergence_estimate is max |U(steps) - U(steps // 2)|, from
+    a shadow run with exactly half the returned product's count on every
+    segment, so every integrated segment enters it. The commutator-free
+    fourth-order steps of Blanes & Moan 2006 are about 16x more accurate per
+    halving of the step, so the estimate measures the error of the coarser
+    product and overstates that of the returned one once the steps are in
+    the fourth-order regime. It is zero when every segment is exact.
+    unitarity_defect is max |U U^dag - I|.
     """
 
     matrix: np.ndarray
@@ -608,10 +621,12 @@ def holonomy_path_ordered(
     whose step generators commute is one exact factor and the other segments
     take commutator-free fourth-order Magnus steps (Blanes & Moan 2006);
     ``method="magnus"`` takes those steps everywhere. convergence_estimate
-    is max |U(steps) - U(steps // 2)|, from a shadow run at half the steps;
-    while it exceeds `target` the step count doubles, the previous product
-    becoming the new shadow, up to `step_cap` (target=None disables
-    refinement). A loop of exact segments is computed once, with estimate 0.
+    is max |U(steps) - U(steps // 2)|, from a shadow run at half the steps
+    whose per-segment counts are exactly half those of the returned product;
+    while it exceeds `target` the count of every segment doubles, the
+    previous product becoming the new shadow, up to `step_cap` (target=None
+    disables refinement). A loop of exact segments is computed once, with
+    estimate 0.
     ConvergenceError is raised at the cap, or at once when a doubling fails
     to halve an estimate that is already within a thousand roundings per
     step: the estimate has then reached its rounding floor.
@@ -635,19 +650,21 @@ def holonomy_path_ordered(
             unitarity_defect=0.0,
             convergence_estimate=0.0,
         )
-    current = _ordered_product(path, u, window, steps, method)
+    counts = path._allocation(steps)
+    current = _ordered_product(path, u, window, counts, method)
     verts = path.vertices
     if method == "auto" and all(_commuting_segment(a, b) for a, b in zip(verts[:-1], verts[1:])):
         estimate = 0.0
     else:
-        estimate = max_abs(current, _ordered_product(path, u, window, steps // 2, method))
+        estimate = max_abs(current, _ordered_product(path, u, window, counts // 2, method))
     while target is not None and estimate > target:
         if 2 * steps > step_cap:
             raise ConvergenceError(
                 f"holonomy estimate {estimate:.3e} above target {target:.3e} at step cap {step_cap}"
             )
         steps *= 2
-        coarse, current = current, _ordered_product(path, u, window, steps, method)
+        counts = 2 * counts
+        coarse, current = current, _ordered_product(path, u, window, counts, method)
         previous, estimate = estimate, max_abs(current, coarse)
         stalled = estimate > 0.5 * previous and estimate < _FLOOR_ROUNDINGS * steps
         if estimate > target and stalled:
@@ -717,8 +734,11 @@ def convergence_series(
     """Convergence estimates of the Magnus steps over a ladder of step counts.
 
     Uses ``method="magnus"`` on every segment, since it measures the
-    integrator. The scheme is fourth order, so estimates should fall by
-    about 16x per doubling; the acceptance suite checks they are monotone.
+    integrator. Each row's convergence_estimate compares the product at s =
+    its ``steps`` with the shadow at s // 2, max |U(s) - U(s // 2)|, so it
+    measures the error at s // 2 steps. The scheme is fourth order, so
+    estimates should fall by about 16x per doubling; the acceptance suite
+    checks they are monotone.
     """
     rows = []
     for s in steps_list:

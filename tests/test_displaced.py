@@ -10,7 +10,6 @@ from dlh.displaced import (
     _dense_route,
     _n_ladders,
     _padded_top,
-    _tail_weight,
     displaced_hamiltonian,
     displaced_state,
     displacement_matrix,
@@ -60,8 +59,8 @@ def test_trunc_deficit_is_the_poisson_tail():
     tail = 1.0 - sum(math.exp(-3.92) * 3.92**k / math.factorial(k) for k in range(n_max + 1))
     assert state.trunc_deficit == pytest.approx(tail, abs=1e-10)
     assert tail == pytest.approx(0.019076, abs=1e-6)
-    doubled = _tail_weight(nu, 0, n_max, 2 * (_padded_top(n_max) + 1) - 1)
-    assert abs(doubled - state.trunc_deficit) < 1e-12
+    doubled = _dense_route(nu, 2 * (_padded_top(n_max) + 1) - 1)[n_max + 1 :, 0]
+    assert abs(np.vdot(doubled, doubled).real - state.trunc_deficit) < 1e-12
     # the coefficients stay the column of D_n on the basis itself
     assert np.array_equal(state.coefficients, _dense_route(nu, n_max)[:, 0])
 

@@ -331,7 +331,7 @@ def test_segment_integrals_at_rounding_accuracy():
 def test_tree_product_matches_sequential_product(rng):
     loop = _random_loop(rng)
     for steps in (37, 256):
-        factors = np.concatenate(list(hol._step_factors(loop, 0.5, (1, 4), steps, "magnus")))
+        factors = np.concatenate(list(hol._step_factors(loop, 0.5, (1, 4), loop._allocation(steps), "magnus")))
         seq = np.eye(4, dtype=complex)
         for f in factors:
             seq = f @ seq
@@ -358,7 +358,7 @@ def test_partial_products_are_prefixes_of_the_full_product(rng):
     assert ks[-1] == len(loop.discretize(steps)[0])
     assert np.abs(mats[-1] - full.matrix).max() <= 1e-13
     # every sampled prefix is the sequential product of the first k factors
-    factors = np.concatenate(list(hol._step_factors(loop, 0.5, window, steps, "magnus")))
+    factors = np.concatenate(list(hol._step_factors(loop, 0.5, window, loop._allocation(steps), "magnus")))
     seq, prefixes = np.eye(3, dtype=complex), {}
     for k, f in enumerate(factors, start=1):
         seq = f @ seq
@@ -533,12 +533,13 @@ def test_convergence_estimate_bounds_the_true_error(rotating_quadrilaterals):
 
 
 def _recorded_step_counts(monkeypatch):
+    """Per-segment step counts of every ordered product, in the order they are built."""
     counts = []
     product = hol._ordered_product
 
-    def recording(path, u, window, steps, method):
-        counts.append(steps)
-        return product(path, u, window, steps, method)
+    def recording(path, u, window, seg_counts, method):
+        counts.append(seg_counts.tolist())
+        return product(path, u, window, seg_counts, method)
 
     monkeypatch.setattr(hol, "_ordered_product", recording)
     return counts
@@ -548,15 +549,40 @@ def test_refinement_reuses_the_previous_product(monkeypatch):
     counts = _recorded_step_counts(monkeypatch)
     res = holonomy_path_ordered(C9_LOOP, 0.5, target=1e-9)
     assert hol.DEFAULT_STEPS == 32
-    # the first product, its half-step shadow, then one new product per doubling
-    assert counts[:2] == [32, 16] and counts[2:] == [32 * 2**k for k in range(1, len(counts) - 1)]
-    assert res.steps == counts[-1] > 32
+    # the first product, its half-step shadow, then one new product per doubling,
+    # each with exactly twice the previous count on every segment
+    start = C9_LOOP._allocation(32)
+    assert counts[0] == start.tolist() and counts[1] == (start // 2).tolist()
+    assert counts[2:] == [(start * 2**k).tolist() for k in range(1, len(counts) - 1)]
+    assert res.steps == 32 * 2 ** (len(counts) - 2) > 32
 
 
 def test_exact_loops_skip_the_shadow_run(monkeypatch):
     counts = _recorded_step_counts(monkeypatch)
-    res = holonomy_path_ordered(box_loop("ADCHEFA", EY, LAM, BB), 0.5, target=1e-14)
-    assert counts == [hol.DEFAULT_STEPS] and res.convergence_estimate == 0.0
+    loop = box_loop("ADCHEFA", EY, LAM, BB)
+    res = holonomy_path_ordered(loop, 0.5, target=1e-14)
+    assert counts == [loop._allocation(hol.DEFAULT_STEPS).tolist()] and res.convergence_estimate == 0.0
     # "magnus" integrates the same loop and needs its shadow run
-    holonomy_path_ordered(box_loop("ADCHEFA", EY, LAM, BB), 0.5, steps=64, target=None, method="magnus")
-    assert counts[1:] == [64, 32]
+    holonomy_path_ordered(loop, 0.5, steps=64, target=None, method="magnus")
+    assert counts[1:] == [loop._allocation(64).tolist(), (loop._allocation(64) // 2).tolist()]
+
+
+def _rotating_polygon(sides):
+    """Closed polygon of `sides` equal segments: the field circles the origin while lambda and B oscillate."""
+    t = 2.0 * np.pi * np.arange(sides + 1) / sides
+    return ParameterPath(
+        np.column_stack([0.6 * np.cos(t), 0.6 * np.sin(t), 2.0 + np.sin(t), 2.0 + np.cos(2.0 * t)])
+    )
+
+
+@pytest.mark.parametrize("sides", [24, 64])
+def test_many_segment_estimate_bounds_the_true_error(sides):
+    # one step per segment in a shadow run would match the returned product
+    # exactly and report an estimate of 0; the counts halve instead
+    loop = _rotating_polygon(sides)
+    ref = _dop853_holonomy(loop, 0.5, (0, 3))
+    for steps in (16, 32, 64):
+        res = holonomy_path_ordered(loop, 0.5, steps=steps, target=None)
+        assert res.convergence_estimate >= np.abs(res.matrix - ref).max() > 0.0
+    res = holonomy_path_ordered(loop, 0.5, target=1e-7)
+    assert np.abs(res.matrix - ref).max() <= res.convergence_estimate <= 1e-7

@@ -606,6 +606,24 @@ def _check_target(target) -> float | None:
     return value
 
 
+def _first_product(path: ParameterPath, u: float, window, steps: int, method: str):
+    """Validated (counts, product at `steps`); counts is None on a constant path, whose product is I."""
+    _check_u(u)
+    _require_closed(path)
+    if steps < 16:
+        raise ValidationError(f"steps must be >= 16, got {steps}")
+    if method not in _METHODS:
+        raise ValidationError(f"method must be one of {_METHODS}, got {method!r}")
+    if float(path.segment_lengths.sum()) == 0.0:
+        return None, _identity(window)
+    counts = path._allocation(steps)
+    return counts, _ordered_product(path, u, window, counts, method)
+
+
+def _unitarity_defect(matrix: np.ndarray) -> float:
+    return max_abs(matrix @ matrix.conj().T, np.eye(matrix.shape[0]))
+
+
 def holonomy_path_ordered(
     path: ParameterPath,
     u: float,
@@ -634,24 +652,10 @@ def holonomy_path_ordered(
     because the discretization mirrors exactly and every factor is
     time-symmetric.
     """
-    _check_u(u)
-    _require_closed(path)
-    if steps < 16:
-        raise ValidationError(f"steps must be >= 16, got {steps}")
-    if method not in _METHODS:
-        raise ValidationError(f"method must be one of {_METHODS}, got {method!r}")
     target = _check_target(target)
-    if float(path.segment_lengths.sum()) == 0.0:
-        # constant path: the loop encloses nothing and the product is exact
-        return HolonomyResult(
-            matrix=_identity(window),
-            steps=steps,
-            window=tuple(window),
-            unitarity_defect=0.0,
-            convergence_estimate=0.0,
-        )
-    counts = path._allocation(steps)
-    current = _ordered_product(path, u, window, counts, method)
+    counts, current = _first_product(path, u, window, steps, method)
+    if counts is None:
+        return HolonomyResult(current, steps, tuple(window), 0.0, 0.0)
     verts = path.vertices
     if method == "auto" and all(_commuting_segment(a, b) for a, b in zip(verts[:-1], verts[1:])):
         estimate = 0.0
@@ -672,14 +676,7 @@ def holonomy_path_ordered(
                 f"holonomy estimate stalled at its rounding floor {min(previous, estimate):.3e}, "
                 f"above target {target:.3e}, at {steps} steps"
             )
-    defect = max_abs(current @ current.conj().T, np.eye(current.shape[0]))
-    return HolonomyResult(
-        matrix=current,
-        steps=steps,
-        window=tuple(window),
-        unitarity_defect=defect,
-        convergence_estimate=estimate,
-    )
+    return HolonomyResult(current, steps, tuple(window), _unitarity_defect(current), estimate)
 
 
 def unordered_holonomy(path: ParameterPath, u: float, window: tuple[int, int] = (0, 3)) -> np.ndarray:
@@ -712,16 +709,17 @@ def noncommutativity_defect(
     the ordered product at `steps` and no refinement. The defect is a
     discretization-stable functional of the loop: well above zero when the
     loop engages non-commuting generator directions, at the rounding floor
-    for the commuting Ex' = 0 family.
+    for the commuting Ex' = 0 family. The ordered product is the matrix of
+    ``holonomy_path_ordered(..., target=None)``, built without its shadow run.
     """
-    ordered = holonomy_path_ordered(path, u, window=window, steps=steps, target=None)
+    ordered = _first_product(path, u, window, steps, "auto")[1]
     unordered = unordered_holonomy(path, u, window=window)
     return {
-        "ordered": ordered.matrix,
+        "ordered": ordered,
         "unordered": unordered,
-        "defect": max_abs(ordered.matrix, unordered),
-        "steps": ordered.steps,
-        "unitarity_defect": ordered.unitarity_defect,
+        "defect": max_abs(ordered, unordered),
+        "steps": steps,
+        "unitarity_defect": _unitarity_defect(ordered),
     }
 
 

@@ -11,15 +11,21 @@ therefore an independent check, and the finite-difference measurements are
 what fixes the sign conventions recorded in
 :data:`dlh.connection.SIGN_CONVENTION`.
 
-Displaced states are built in shifted coordinates, with no translation FFT.
-The translation T of the displacement commutes with d/dx and d/dy and moves
-the coordinates, T X T^-1 = X + a_x, so T R^m B^n G = R'^m B'^n G(x + a_x,
-y + a_y), where R' and B' are the raising operators with X -> X + a_x and
-Y -> Y + a_y. The shifted Gaussian and the phase ramp are products of 1-D
-vectors, so the raising operators' spectral derivatives are the only FFTs
-left (:func:`window_states`). The spectral route, :func:`build_state`
-followed by the FFT translation of :func:`displace_field`, is kept as the
-independent check that pins this one.
+Displaced windows are built in shifted coordinates from 1-D factors, with
+no translation FFT and no N x N field. The translation T of the displacement
+commutes with d/dx and d/dy and moves the coordinates, T X T^-1 = X + a_x,
+so T R^m B^n G is the raises R^m B^n with X -> X + a_x, Y -> Y + a_y applied
+to the shifted Gaussian. Every ladder operator is P (x) I + i a I (x) Q, with
+P and Q one 1-D operator c x + e d/dx (:func:`_axis_ladder`) along x and y;
+the radial raise has a = sigma, the level raise a = -sigma. The Gaussian and
+the phase ramp are outer products too, so the field (n, m) is U C V^T: U
+holds P^p g_x and V holds Q^q g_y (p, q <= n + m_hi), each times its 1-D
+ramp, and each raise takes the small matrix C to S C + i a C S^T (S the
+down-shift) before its 1/sqrt(j) and i factors. An overlap is
+h^2 sum conj(C) o (U^H U') C' (V^H V')^T, and the norm and frame guards come
+from the factors as well; :func:`window_states` forms U C V^T for callers
+that want fields. The spectral route, :func:`build_state` followed by the FFT
+translation of :func:`displace_field`, is the independent check of this one.
 
 The oracle operates at desk-scale dimensionless parameters (everything of
 order one), never at laboratory magnitudes; the phases being validated are
@@ -114,14 +120,6 @@ class Grid2D:
     def Y(self) -> np.ndarray:
         return self.x[None, :]
 
-    @cached_property
-    def KX(self) -> np.ndarray:
-        return self.k[:, None]
-
-    @cached_property
-    def KY(self) -> np.ndarray:
-        return self.k[None, :]
-
     def check_adequate(self, l_m: float, shift: float = 0.0) -> None:
         """Adequacy rule: extent covers 6 l_m plus the shift, spacing <= l_m/4."""
         if self.extent < 6.0 * l_m + abs(shift):
@@ -148,33 +146,28 @@ def default_grid(extent: float = 12.0, points: int = 256) -> Grid2D:
     return Grid2D(extent=extent, points=points)
 
 
-def _ddx(grid: Grid2D, f: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(1j * grid.KX * np.fft.fft(f, axis=0), axis=0)
+def _deriv(grid: Grid2D, f: np.ndarray, axis: int) -> np.ndarray:
+    """Spectral derivative along x (axis -2 of a field), along y (axis -1) or of a 1-D factor."""
+    k = grid.k[:, None] if axis == -2 else grid.k
+    return np.fft.ifft(1j * k * np.fft.fft(f, axis=axis), axis=axis)
 
 
-def _ddy(grid: Grid2D, f: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(1j * grid.KY * np.fft.fft(f, axis=1), axis=1)
+def _axis_ladder(grid: Grid2D, l_m: float, sign: int, coord, f: np.ndarray, axis: int) -> np.ndarray:
+    """[coord f / (2 l_m) + sign l_m df/dcoord] / sqrt(2) along one axis of f.
+
+    The 1-D factor of every ladder operator (see :func:`_ladder`); `coord`
+    is the coordinate of that axis, possibly shifted, broadcast against f.
+    """
+    return (0.5 / l_m * coord * f + sign * l_m * _deriv(grid, f, axis)) / math.sqrt(2.0)
 
 
-def _ladder(grid: Grid2D, l_m: float, a: int, sign: int, f: np.ndarray, X, Y, out=None) -> np.ndarray:
+def _ladder(grid: Grid2D, l_m: float, a: int, sign: int, f: np.ndarray) -> np.ndarray:
     """[(X + i a Y) f / (2 l_m) + sign l_m (d/dx + i a d/dy) f] / sqrt(2).
 
-    All four ladder operators have this form (a = +-sigma, sign = +-1). The
-    coordinates (X, Y) may be shifted, and f may be one field (N, N) or a
-    stack (k, N, N): every term acts on the last two axes. Each term is
-    added into `out` from one scratch array, since fresh full-size
-    temporaries cost more (in page faults) than the arithmetic.
+    All four ladder operators have this form (a = +-sigma, sign = +-1). It is
+    P f + i a Q f, with P and Q the 1-D factor acting along x and along y.
     """
-    c, e = 0.5 / (math.sqrt(2.0) * l_m), sign * l_m / math.sqrt(2.0)
-    out = np.multiply(f, c * X, out=out)
-    buf = np.multiply(f, (1j * a * c) * Y)
-    out += buf
-    for axis, factor in ((-2, 1j * e * grid.KX), (-1, -a * e * grid.KY)):  # d/dx, i a d/dy
-        np.fft.fft(f, axis=axis, out=buf)
-        buf *= factor
-        np.fft.ifft(buf, axis=axis, out=buf)
-        out += buf
-    return out
+    return _axis_ladder(grid, l_m, sign, grid.X, f, -2) + 1j * a * _axis_ladder(grid, l_m, sign, grid.Y, f, -1)
 
 
 def _translate(grid: Grid2D, f: np.ndarray, ax: float, ay: float) -> np.ndarray:
@@ -182,9 +175,18 @@ def _translate(grid: Grid2D, f: np.ndarray, ax: float, ay: float) -> np.ndarray:
     return np.fft.ifft2(np.fft.fft2(f) * np.outer(np.exp(1j * grid.k * ax), np.exp(1j * grid.k * ay)))
 
 
-def _overlaps(grid: Grid2D, bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """Matrix of grid overlaps <bras[i] | kets[j]> for two (k, N, N) stacks."""
-    return grid.h * grid.h * (bras.conj().reshape(len(bras), -1) @ kets.reshape(len(kets), -1).T)
+def _check_frame(edge: float, context: str) -> None:
+    if edge > _BOUNDARY_TOL:
+        raise ValidationError(
+            f"{context} reaches the boundary frame at {edge:.3e} (> {_BOUNDARY_TOL}); enlarge the grid"
+        )
+
+
+def _check_drift(nrm: float, context: str) -> None:
+    if abs(nrm - 1.0) > _DRIFT_TOL:
+        raise ValidationError(
+            f"norm drifted to {nrm:.6f} while building {context}; grid resolution insufficient"
+        )
 
 
 @dataclass(frozen=True)
@@ -208,20 +210,13 @@ class WaveField:
             raise ValidationError("field shape does not match its grid")
         if abs(self.grid.norm(self.values) - 1.0) > _NORM_TOL:
             raise ValidationError("field is not normalized")
-        edge = self.grid.boundary_max(self.values)
-        if edge > _BOUNDARY_TOL:
-            raise ValidationError(
-                f"field reaches the boundary frame at {edge:.3e} (> {_BOUNDARY_TOL}); enlarge the grid"
-            )
+        _check_frame(self.grid.boundary_max(self.values), "field")
 
 
 def _normalized(grid: Grid2D, f: np.ndarray, context: str) -> np.ndarray:
     """f scaled to unit norm in place, once its norm is within 1e-3 of 1."""
     nrm = grid.norm(f)
-    if abs(nrm - 1.0) > _DRIFT_TOL:
-        raise ValidationError(
-            f"norm drifted to {nrm:.6f} while building {context}; grid resolution insufficient"
-        )
+    _check_drift(nrm, context)
     f /= nrm
     return f
 
@@ -233,18 +228,14 @@ def ground_state(grid: Grid2D, l_m: float) -> WaveField:
     1/(l_m sqrt(2 pi))), which keeps the contract independent of that choice.
     """
     grid.check_adequate(l_m)
-    return WaveField(grid=grid, values=_gaussian(grid, l_m, 0.0, 0.0), n=0, m=0, nu=0j, l_m=l_m)
+    g = _gaussian(grid, l_m, 0.0)
+    return WaveField(grid=grid, values=np.outer(g, g), n=0, m=0, nu=0j, l_m=l_m)
 
 
-def _gaussian(grid: Grid2D, l_m: float, ax: float, ay: float) -> np.ndarray:
-    """exp(-((x + ax)^2 + (y + ay)^2) / (4 l_m^2)) at unit quadrature norm.
-
-    Separable: the outer product of two 1-D factors, each normalized on its
-    own, since the 2-D quadrature norm is the product of the 1-D norms.
-    """
-    gx, gy = (np.exp(-((grid.x + a) ** 2) / (4.0 * l_m * l_m)) for a in (ax, ay))
-    gx, gy = (g / math.sqrt(grid.h * float(g @ g)) for g in (gx, gy))
-    return np.outer(gx.astype(complex), gy)
+def _gaussian(grid: Grid2D, l_m: float, a: float) -> np.ndarray:
+    """exp(-(x + a)^2 / (4 l_m^2)) at unit 1-D norm: a factor of the unit-norm 2-D Gaussian."""
+    g = np.exp(-((grid.x + a) ** 2) / (4.0 * l_m * l_m))
+    return (g / math.sqrt(grid.h * float(g @ g))).astype(complex)
 
 
 def apply_level_raise(grid: Grid2D, l_m: float, sigma: int, f: np.ndarray) -> np.ndarray:
@@ -255,22 +246,22 @@ def apply_level_raise(grid: Grid2D, l_m: float, sigma: int, f: np.ndarray) -> np
     exactly this pair of ladder operators.  Per-level phases i**n drop out
     of every fixed-level observable (connections, overlaps within a level).
     """
-    return 1j * _ladder(grid, l_m, -sigma, -1, f, grid.X, grid.Y)
+    return 1j * _ladder(grid, l_m, -sigma, -1, f)
 
 
 def apply_level_lower(grid: Grid2D, l_m: float, sigma: int, f: np.ndarray) -> np.ndarray:
     """Adjoint of the level raise; annihilates the ground field."""
-    return -1j * _ladder(grid, l_m, sigma, +1, f, grid.X, grid.Y)
+    return -1j * _ladder(grid, l_m, sigma, +1, f)
 
 
 def apply_radial_raise(grid: Grid2D, l_m: float, sigma: int, f: np.ndarray) -> np.ndarray:
     """Radial-index raising operator (m -> m+1) as a differential operator."""
-    return _ladder(grid, l_m, sigma, -1, f, grid.X, grid.Y)
+    return _ladder(grid, l_m, sigma, -1, f)
 
 
 def apply_radial_lower(grid: Grid2D, l_m: float, sigma: int, f: np.ndarray) -> np.ndarray:
     """Adjoint of the radial raise; annihilates the ground field."""
-    return _ladder(grid, l_m, -sigma, +1, f, grid.X, grid.Y)
+    return _ladder(grid, l_m, -sigma, +1, f)
 
 
 def build_state(grid: Grid2D, scales: DerivedScales, n: int, m: int) -> WaveField:
@@ -292,12 +283,10 @@ def _shift(scales: DerivedScales) -> tuple[float, float]:
     return r * scales.nu.imag, -r * scales.sigma * scales.nu.real
 
 
-def _apply_ramp(grid: Grid2D, scales: DerivedScales, f: np.ndarray) -> np.ndarray:
-    """Multiply f (one field or a (k, N, N) stack) in place by the separable phase ramp."""
+def _ramps(grid: Grid2D, scales: DerivedScales) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y factors of the displacement's separable phase ramp."""
     c = 1.0 / (math.sqrt(2.0) * scales.l_m)
-    f *= np.exp(1j * c * scales.nu.real * grid.X)
-    f *= np.exp(1j * c * scales.sigma * scales.nu.imag * grid.Y)
-    return f
+    return np.exp(1j * c * scales.nu.real * grid.x), np.exp(1j * c * scales.sigma * scales.nu.imag * grid.x)
 
 
 def displace_field(grid: Grid2D, scales: DerivedScales, field: WaveField) -> WaveField:
@@ -317,9 +306,67 @@ def displace_field(grid: Grid2D, scales: DerivedScales, field: WaveField) -> Wav
     nu, l = scales.nu, scales.l_m
     if nu == 0:
         return WaveField(grid=grid, values=field.values.copy(), n=field.n, m=field.m, nu=0j, l_m=l)
-    g = _apply_ramp(grid, scales, _translate(grid, field.values, *_shift(scales)))
+    g = _translate(grid, field.values, *_shift(scales))
+    rx, ry = _ramps(grid, scales)
+    g *= rx[:, None]
+    g *= ry
     g = _normalized(grid, g, f"displaced state (n={field.n}, m={field.m})")
     return WaveField(grid=grid, values=g, n=field.n, m=field.m, nu=nu, l_m=l)
+
+
+@dataclass(frozen=True)
+class _Window:
+    """The fields F_k = U C[k] V^T of one displaced m-window (module docstring)."""
+
+    grid: Grid2D
+    scales: DerivedScales
+    U: np.ndarray
+    V: np.ndarray
+    C: np.ndarray
+
+
+def _overlaps(bras: _Window, kets: _Window) -> np.ndarray:
+    """Grid overlaps <bras_i | kets_j> = h^2 sum conj(C_i) o (U^H U') C'_j (V^H V')^T."""
+    moved = (bras.U.conj().T @ kets.U) @ kets.C @ (bras.V.conj().T @ kets.V).T
+    return bras.grid.h ** 2 * (bras.C.conj().reshape(len(bras.C), -1) @ moved.reshape(len(moved), -1).T)
+
+
+def _window(grid: Grid2D, config: PhysicalConfig, point, n: int, window: tuple[int, int]) -> _Window:
+    """Normalized factors of the displaced window, with every field guard applied to them."""
+    m_lo, m_hi = _check_window(window)
+    if n < 0:
+        raise ValidationError(f"indices must be >= 0, got n={n}")
+    sc = derive_scales(config.at_point(*(float(v) for v in point)))
+    l, s = sc.l_m, sc.sigma
+    grid.check_adequate(l, shift=math.sqrt(2.0) * l * abs(sc.nu))
+    size = n + m_hi + 1
+    factors = []
+    for a, ramp in zip(_shift(sc), _ramps(grid, sc)):
+        cols = [_gaussian(grid, l, a)]
+        for _ in range(1, size):  # P (or Q) in the shifted coordinate
+            cols.append(_axis_ladder(grid, l, -1, grid.x + a, cols[-1], -1))
+        factors.append(ramp[:, None] * np.stack(cols, axis=1))
+    down = np.eye(size, k=-1)  # S: power p -> p + 1
+    c = np.zeros((size, size), dtype=complex)
+    c[0, 0] = 1.0
+    coefs = [c] if m_lo == 0 else []
+    for m in range(1, m_hi + 1):
+        c = (down @ c + 1j * s * (c @ down.T)) / math.sqrt(m)  # radial raise
+        if m >= m_lo:
+            coefs.append(c)
+    c = np.array(coefs)
+    for j in range(1, n + 1):
+        c = (1j / math.sqrt(j)) * (down @ c - 1j * s * (c @ down.T))  # level raise
+    U, V = factors
+    win = _Window(grid, sc, U, V, c)
+    norms = np.sqrt(np.diagonal(_overlaps(win, win)).real)
+    rows = np.abs(U[[0, -1]] @ c @ V.T).max(axis=(1, 2))
+    cols = np.abs(U @ c @ V[[0, -1]].T).max(axis=(1, 2))
+    for m, nrm, edge in zip(range(m_lo, m_hi + 1), norms, np.maximum(rows, cols)):
+        _check_drift(float(nrm), f"state (n={n}, m={m})")
+        _check_frame(float(edge / nrm), f"state (n={n}, m={m})")
+    c /= norms[:, None, None]  # normalizes win.C in place
+    return win
 
 
 def pipeline_state(grid: Grid2D, config: PhysicalConfig, point, n: int, m: int) -> WaveField:
@@ -336,49 +383,19 @@ def pipeline_state(grid: Grid2D, config: PhysicalConfig, point, n: int, m: int) 
 def window_states(
     grid: Grid2D, config: PhysicalConfig, point, n: int, window: tuple[int, int]
 ) -> list[WaveField]:
-    """Displaced fields for every m in the window, sharing the raise chain.
+    """Displaced fields for every m in the window, formed as U C V^T from its 1-D factors.
 
     Built without a translation FFT: the raising operators act in the
-    shifted coordinates on the shifted Gaussian (module docstring). The
-    fields are views into one (k, N, N) stack.
+    shifted coordinates on the shifted Gaussian (module docstring).
     """
-    return _window_stack(grid, config, point, n, window)[1]
-
-
-def _window_stack(
-    grid: Grid2D, config: PhysicalConfig, point, n: int, window: tuple[int, int]
-) -> tuple[np.ndarray, list[WaveField]]:
-    """(k, N, N) stack of the displaced window fields, and the guarded fields viewing it."""
-    m_lo, m_hi = _check_window(window)
-    if n < 0:
-        raise ValidationError(f"indices must be >= 0, got n={n}")
-    ex, ey, lam, b = (float(v) for v in point)
-    sc = derive_scales(config.at_point(ex, ey, lam, b))
-    l, s = sc.l_m, sc.sigma
-    grid.check_adequate(l, shift=math.sqrt(2.0) * l * abs(sc.nu))
-    ax, ay = _shift(sc)
-    X, Y = grid.X + ax, grid.Y + ay
-    stack = np.empty((m_hi - m_lo + 1, grid.points, grid.points), dtype=complex)
-    f = _gaussian(grid, l, ax, ay)
-    if m_lo == 0:
-        stack[0] = f
-    for m in range(1, m_hi + 1):
-        # radial raise, into the stack once m reaches the window
-        f = _ladder(grid, l, s, -1, f, X, Y, out=stack[m - m_lo] if m >= m_lo else None)
-        f /= math.sqrt(m)
-    for j in range(1, n + 1):
-        stack = _ladder(grid, l, -s, -1, stack, X, Y)  # level raise, up to its factor i
-        stack *= 1j / math.sqrt(j)
-    _apply_ramp(grid, sc, stack)
-    fields = []
-    for i, m in enumerate(range(m_lo, m_hi + 1)):
-        _normalized(grid, stack[i], f"state (n={n}, m={m})")
-        fields.append(WaveField(grid=grid, values=stack[i], n=n, m=m, nu=sc.nu, l_m=l))
-    return stack, fields
+    win = _window(grid, config, point, n, window)
+    nu, l = win.scales.nu, win.scales.l_m
+    values = win.U @ win.C @ win.V.T
+    return [WaveField(grid=grid, values=f, n=n, m=window[0] + i, nu=nu, l_m=l) for i, f in enumerate(values)]
 
 
 def apply_angular_momentum(grid: Grid2D, hbar: float, f: np.ndarray) -> np.ndarray:
-    return -1j * hbar * (grid.X * _ddy(grid, f) - grid.Y * _ddx(grid, f))
+    return -1j * hbar * (grid.X * _deriv(grid, f, -1) - grid.Y * _deriv(grid, f, -2))
 
 
 def apply_base_hamiltonian(grid: Grid2D, scales: DerivedScales, f: np.ndarray) -> np.ndarray:
@@ -391,7 +408,7 @@ def apply_base_hamiltonian(grid: Grid2D, scales: DerivedScales, f: np.ndarray) -
     """
     hw = scales.hbar * scales.omega
     l2 = scales.l_m * scales.l_m
-    kinetic = np.fft.ifft2(np.fft.fft2(f) * (0.5 * hw * l2 * (grid.KX ** 2 + grid.KY ** 2)))
+    kinetic = np.fft.ifft2(np.fft.fft2(f) * (0.5 * hw * l2 * (grid.k[:, None] ** 2 + grid.k ** 2)))
     angular = -0.5 * scales.sigma * scales.omega * apply_angular_momentum(grid, scales.hbar, f)
     potential = (hw / (8.0 * l2)) * (grid.X ** 2 + grid.Y ** 2) * f
     return kinetic + angular + potential
@@ -434,20 +451,14 @@ def berry_connection_fd(
 ) -> complex:
     """Central-difference connection element i <psi_row | d/dxi | psi_col>.
 
-    The derivative acts on the full pipeline state, so for xi in
+    One entry of :func:`fd_connection_matrix` on the window spanning both
+    indices. The derivative acts on the full pipeline state, so for xi in
     {lambda, B} it includes the basis rescaling through l_m, not just the
     motion of nu. Truncation error is O(h_step^2); halving h_step is the
     Richardson check used in the tests.
     """
-    if param not in CONTROL_PARAMS:
-        raise ValidationError(f"unknown control parameter {param!r}, expected one of {CONTROL_PARAMS}")
-    if h_step <= 0:
-        raise ValidationError(f"h_step must be positive, got {h_step}")
-    bra = pipeline_state(grid, config, point, n, m_row)
-    ket_plus = pipeline_state(grid, config, _shifted_point(point, param, +h_step), n, m_col)
-    ket_minus = pipeline_state(grid, config, _shifted_point(point, param, -h_step), n, m_col)
-    dket = (ket_plus.values - ket_minus.values) / (2.0 * h_step)
-    return 1j * grid.overlap(bra.values, dket)
+    lo, hi = min(m_row, m_col), max(m_row, m_col)
+    return complex(fd_connection_matrix(grid, config, param, point, n, (lo, hi), h_step)[m_row - lo, m_col - lo])
 
 
 def fd_connection_matrix(
@@ -459,16 +470,17 @@ def fd_connection_matrix(
     window: tuple[int, int],
     h_step: float = 1e-3,
 ) -> np.ndarray:
-    """Finite-difference connection matrix over an m-window."""
+    """Finite-difference connection matrix over an m-window: 1j (<b|p> - <b|m>) / (2 h_step)."""
     if param not in CONTROL_PARAMS:
         raise ValidationError(f"unknown control parameter {param!r}, expected one of {CONTROL_PARAMS}")
     if h_step <= 0:
         raise ValidationError(f"h_step must be positive, got {h_step}")
-    bras = _window_stack(grid, config, point, n, window)[0]
-    dkets = _window_stack(grid, config, _shifted_point(point, param, +h_step), n, window)[0]
-    dkets -= _window_stack(grid, config, _shifted_point(point, param, -h_step), n, window)[0]
-    dkets /= 2.0 * h_step
-    return 1j * _overlaps(grid, bras, dkets)
+    bras = _window(grid, config, point, n, window)
+    plus, minus = (
+        _overlaps(bras, _window(grid, config, _shifted_point(point, param, d), n, window))
+        for d in (h_step, -h_step)
+    )
+    return 1j * (plus - minus) / (2.0 * h_step)
 
 
 @dataclass(frozen=True)
@@ -509,12 +521,7 @@ def wilson_loop_oracle(
     size = m_hi - m_lo + 1
     if total == 0.0:
         # constant path: every link is the Gram matrix of one frame, identity
-        return WilsonResult(
-            matrix=np.eye(size, dtype=complex),
-            points=0,
-            window=tuple(window),
-            smallest_overlap_singular=1.0,
-        )
+        return WilsonResult(np.eye(size, dtype=complex), 0, (int(m_lo), int(m_hi)), 1.0)
     pts: list[np.ndarray] = []
     for a, b, ln in zip(path.vertices[:-1], path.vertices[1:], lengths):
         if ln == 0.0:
@@ -522,23 +529,14 @@ def wilson_loop_oracle(
         count = max(1, int(round(steps * ln / total)))
         t = np.arange(count) / count
         pts.extend(a + tt * (b - a) for tt in t)
-    first = _window_stack(grid, config, pts[0], n, window)[0]
-    prev = first
-    product = np.eye(size, dtype=complex)
-    smallest = np.inf
-    for k in range(1, len(pts) + 1):
-        cur = _window_stack(grid, config, pts[k], n, window)[0] if k < len(pts) else first
-        link = _overlaps(grid, prev, cur)
+    wins = [_window(grid, config, p, n, window) for p in pts]  # a few N x K factors each
+    product, smallest = np.eye(size, dtype=complex), np.inf
+    for prev, cur in zip(wins, wins[1:] + wins[:1]):
+        link = _overlaps(prev, cur)
         smallest = min(smallest, float(np.linalg.svd(link, compute_uv=False)[-1]))
         product = product @ link
-        prev = cur
     gamma = unitarize(product).conj().T
-    return WilsonResult(
-        matrix=gamma,
-        points=len(pts),
-        window=(int(window[0]), int(window[1])),
-        smallest_overlap_singular=smallest,
-    )
+    return WilsonResult(gamma, len(pts), (int(m_lo), int(m_hi)), smallest)
 
 
 def _c2(z: complex) -> list[float]:

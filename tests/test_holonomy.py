@@ -400,6 +400,20 @@ def test_noncommutativity_diagnostic():
     assert set(out) == {"ordered", "unordered", "defect", "steps", "unitarity_defect"}
 
 
+def test_noncommutativity_defect_builds_one_product(monkeypatch):
+    # C9's loop at its default steps: only the returned product, no shadow
+    # run, and the same bits as the unrefined path-ordered engine
+    calls = []
+    real = hol._ordered_product
+    monkeypatch.setattr(hol, "_ordered_product", lambda *a: calls.append(a) or real(*a))
+    out = noncommutativity_defect(C9_LOOP, 0.5, window=(0, 3))
+    assert len(calls) == 1
+    ref = holonomy_path_ordered(C9_LOOP, 0.5, window=(0, 3), steps=1024, target=None)
+    assert np.array_equal(out["ordered"], ref.matrix)
+    assert out["steps"] == ref.steps
+    assert out["unitarity_defect"] == ref.unitarity_defect
+
+
 def test_convergence_series_monotone():
     loop = box_loop("ADCHEFA", EY, LAM, BB)
     rows = convergence_series(loop, 0.5, window=(0, 1), steps_list=(64, 128, 256))

@@ -213,34 +213,63 @@ def test_window_states_validation(grid_coarse, cfg_desk):
         pipeline_state(grid_coarse, cfg_desk, (0.3, 0.7, 2.0, 1.0), 0, -1)
 
 
+# a window with a state past the 1e-10 boundary guard: (grid, point, n, window)
+_FRAME_CASES = [
+    ("grid12", (0.9, -0.4, -1.5, 1.0), 2, (1, 3)),
+    ("grid14", (0.3, 0.7, 2.0, 1.0), 3, (0, 4)),
+]
+
+
+@pytest.mark.parametrize("grid_name, point, n, window", _FRAME_CASES)
+def test_fast_paths_reject_states_at_the_frame(request, cfg_desk, grid_name, point, n, window):
+    # the guard is computed from the factors on the Wilson and fd paths,
+    # which never form the fields
+    grid = request.getfixturevalue(grid_name)
+    # a loop keeps lambda > 0; the mirrored point has the same l_m and |nu|
+    ex, ey, lam, b = point
+    loop = rectangle_loop("Ex_prime", "Ey_prime", (ex, ex + 0.1), (ey, ey + 0.1), (ex, ey, abs(lam), b))
+    for call in (
+        lambda: window_states(grid, cfg_desk, point, n, window),
+        lambda: fd_connection_matrix(grid, cfg_desk, "B", point, n, window),
+        lambda: wilson_loop_oracle(grid, cfg_desk, loop, n=n, window=window, steps=8),
+    ):
+        with pytest.raises(ValidationError, match="boundary frame"):
+            call()
+
+
 def _per_entry(grid, bras, kets):
     return np.array([[grid.overlap(b.values, k.values) for k in kets] for b in bras])
 
 
 def test_fd_matrix_matches_per_entry_overlaps(grid_coarse, cfg_desk):
+    # the factored overlaps against per-entry overlaps of the materialized
+    # fields; the fd matrix is their quotient, which divides rounding by 2h
     point, h = (0.3, 0.7, 2.0, 1.0), 1e-3
     for param in ("Ey_prime", "B"):
-        bras = window_states(grid_coarse, cfg_desk, point, 1, (0, 3))
-        plus = window_states(grid_coarse, cfg_desk, oracle._shifted_point(point, param, h), 1, (0, 3))
-        minus = window_states(grid_coarse, cfg_desk, oracle._shifted_point(point, param, -h), 1, (0, 3))
-        want = np.array(
-            [[1j * grid_coarse.overlap(b.values, (p.values - m.values) / (2 * h)) for p, m in zip(plus, minus)]
-             for b in bras]
-        )
-        got = fd_connection_matrix(grid_coarse, cfg_desk, param, point, 1, (0, 3), h_step=h)
-        assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+        pts = [point] + [oracle._shifted_point(point, param, d) for d in (h, -h)]
+        wins = [oracle._window(grid_coarse, cfg_desk, p, 1, (0, 3)) for p in pts]
+        bras, plus, minus = (window_states(grid_coarse, cfg_desk, p, 1, (0, 3)) for p in pts)
+        pinned = []
+        for kets, win in ((plus, wins[1]), (minus, wins[2])):
+            got = oracle._overlaps(wins[0], win)
+            assert np.abs(got - _per_entry(grid_coarse, bras, kets)).max() <= 1e-14
+            pinned.append(got)
+        fd = fd_connection_matrix(grid_coarse, cfg_desk, param, point, 1, (0, 3), h_step=h)
+        assert np.array_equal(fd, 1j * (pinned[0] - pinned[1]) / (2 * h))
+        want = 1j * (_per_entry(grid_coarse, bras, plus) - _per_entry(grid_coarse, bras, minus)) / (2 * h)
+        assert np.abs(fd - want).max() <= 2e-14 / (2 * h)
 
 
 def test_wilson_links_match_per_entry_overlaps(grid_coarse, cfg_natural):
     # a square with 16 links: four equally spaced samples per side
     loop = rectangle_loop("Ex_prime", "Ey_prime", (0.0, 0.3), (0.2, 0.5), (0, 0, 1.0, 1.0))
     pts = [a + t * (b - a) for a, b in zip(loop.vertices[:-1], loop.vertices[1:]) for t in (0, 0.25, 0.5, 0.75)]
+    wins = [oracle._window(grid_coarse, cfg_natural, p, 0, (0, 1)) for p in pts]
     frames = [window_states(grid_coarse, cfg_natural, p, 0, (0, 1)) for p in pts]
     product, smallest = np.eye(2, dtype=complex), np.inf
-    for prev, cur in zip(frames, frames[1:] + frames[:1]):
+    for k, (prev, cur) in enumerate(zip(frames, frames[1:] + frames[:1])):
         link = _per_entry(grid_coarse, prev, cur)
-        stacks = (np.array([w.values for w in frame]) for frame in (prev, cur))
-        assert np.abs(oracle._overlaps(grid_coarse, *stacks) - link).max() <= 1e-14
+        assert np.abs(oracle._overlaps(wins[k], wins[(k + 1) % len(wins)]) - link).max() <= 1e-14
         smallest = min(smallest, np.linalg.svd(link, compute_uv=False)[-1])
         product = product @ link
     res = wilson_loop_oracle(grid_coarse, cfg_natural, loop, n=0, window=(0, 1), steps=16)

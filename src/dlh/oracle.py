@@ -342,10 +342,10 @@ def _window(grid: Grid2D, config: PhysicalConfig, point, n: int, window: tuple[i
     size = n + m_hi + 1
     factors = []
     for a, ramp in zip(_shift(sc), _ramps(grid, sc)):
-        cols = [_gaussian(grid, l, a)]
+        powers = [_gaussian(grid, l, a)]
         for _ in range(1, size):  # P (or Q) in the shifted coordinate
-            cols.append(_axis_ladder(grid, l, -1, grid.x + a, cols[-1], -1))
-        factors.append(ramp[:, None] * np.stack(cols, axis=1))
+            powers.append(_axis_ladder(grid, l, -1, grid.x + a, powers[-1], -1))
+        factors.append(ramp[:, None] * np.stack(powers, axis=1))
     down = np.eye(size, k=-1)  # S: power p -> p + 1
     c = np.zeros((size, size), dtype=complex)
     c[0, 0] = 1.0

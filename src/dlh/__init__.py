@@ -18,160 +18,107 @@ connection  Berry connection components, closed forms and chain-rule route
 holonomy    parameter loops, Abelian phases, path-ordered holonomies
 oracle      FFT grid representation: independent checks of all of the above
 cli         deterministic batch interface (`dlh` entry point)
+
+``import dlh`` loads no submodule. Each name in ``__all__`` is looked up in
+its module on first access (PEP 562), which imports that module, so a
+program pays only for the modules it touches. Values are not cached here:
+every access reads the module's current binding. The ``dlh`` command works
+the same way: each subcommand imports only the modules it calls, so
+``dlh spectrum`` loads none beyond ``params`` and starts in about the time
+of ``import numpy`` (README, Start-up).
 """
 
-from .connection import (
-    CONTROL_PARAMS,
-    SIGN_CONVENTION,
-    ConnectionMatrix,
-    abelian_curvature,
-    chain_rule_consistency,
-    connection_closed_form,
-    connection_general,
-    connection_matrix,
-)
-from .displaced import (
-    DisplacedState,
-    displaced_hamiltonian,
-    displaced_state,
-    displacement_matrix,
-    dual_route_deviation,
-    position_shift,
-)
-from .errors import ConsistencyError, ConvergenceError, ValidationError
-from .fock import (
-    FockBasis,
-    OperatorMatrix,
-    build_basis,
-    commutator,
-    hamiltonian_matrix,
-    ladder_a,
-    ladder_b,
-    lz_matrix,
-    number_a,
-    number_b,
-    state_from_ground,
-)
-from .holonomy import (
-    LOOP_KINDS,
-    AbelianPhases,
-    HolonomyResult,
-    ParameterPath,
-    abelian_phase,
-    area_closed_form,
-    line_integral_area_check,
-    box_loop,
-    commuting_angle,
-    commuting_holonomy,
-    convergence_series,
-    holonomy_path_ordered,
-    loop_area_integral,
-    noncommutativity_defect,
-    partial_unitarity_series,
-    rectangle_loop,
-    signed_area,
-    unordered_holonomy,
-)
-from .oracle import (
-    Grid2D,
-    WaveField,
-    WilsonResult,
-    berry_connection_fd,
-    default_grid,
-    displace_field,
-    fd_connection_matrix,
-    ground_state,
-    pipeline_state,
-    sign_convention_report,
-    wilson_loop_oracle,
-)
-from .params import (
-    NATURAL_DESK,
-    DerivedScales,
-    PhysicalConfig,
-    RegimeReport,
-    UnitMap,
-    derive_scales,
-    natural_map,
-    nondimensionalize,
-    validate_regime,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # params
-    "PhysicalConfig",
-    "DerivedScales",
-    "RegimeReport",
-    "UnitMap",
-    "NATURAL_DESK",
-    "derive_scales",
-    "validate_regime",
-    "nondimensionalize",
-    "natural_map",
-    # fock
-    "FockBasis",
-    "OperatorMatrix",
-    "build_basis",
-    "ladder_a",
-    "ladder_b",
-    "hamiltonian_matrix",
-    "lz_matrix",
-    "number_a",
-    "number_b",
-    "state_from_ground",
-    "commutator",
-    # displaced
-    "DisplacedState",
-    "displacement_matrix",
-    "dual_route_deviation",
-    "displaced_state",
-    "displaced_hamiltonian",
-    "position_shift",
-    # connection
-    "CONTROL_PARAMS",
-    "SIGN_CONVENTION",
-    "ConnectionMatrix",
-    "connection_general",
-    "connection_closed_form",
-    "connection_matrix",
-    "chain_rule_consistency",
-    "abelian_curvature",
-    # holonomy
-    "LOOP_KINDS",
-    "ParameterPath",
-    "AbelianPhases",
-    "HolonomyResult",
-    "rectangle_loop",
-    "box_loop",
-    "signed_area",
-    "abelian_phase",
-    "loop_area_integral",
-    "area_closed_form",
-    "line_integral_area_check",
-    "commuting_angle",
-    "commuting_holonomy",
-    "holonomy_path_ordered",
-    "unordered_holonomy",
-    "noncommutativity_defect",
-    "convergence_series",
-    "partial_unitarity_series",
-    # oracle
-    "Grid2D",
-    "WaveField",
-    "WilsonResult",
-    "default_grid",
-    "ground_state",
-    "displace_field",
-    "pipeline_state",
-    "berry_connection_fd",
-    "fd_connection_matrix",
-    "wilson_loop_oracle",
-    "sign_convention_report",
-    # errors
-    "ValidationError",
-    "ConvergenceError",
-    "ConsistencyError",
-]
+# module -> the names the package exports from it
+_EXPORTS = {
+    "params": (
+        "PhysicalConfig",
+        "DerivedScales",
+        "RegimeReport",
+        "NATURAL_DESK",
+        "derive_scales",
+        "validate_regime",
+    ),
+    "fock": (
+        "FockBasis",
+        "OperatorMatrix",
+        "build_basis",
+        "ladder_a",
+        "ladder_b",
+        "hamiltonian_matrix",
+        "lz_matrix",
+        "number_a",
+        "number_b",
+        "state_from_ground",
+        "commutator",
+    ),
+    "displaced": (
+        "DisplacedState",
+        "displacement_matrix",
+        "dual_route_deviation",
+        "displaced_state",
+        "displaced_hamiltonian",
+        "position_shift",
+    ),
+    "connection": (
+        "CONTROL_PARAMS",
+        "SIGN_CONVENTION",
+        "ConnectionMatrix",
+        "connection_general",
+        "connection_closed_form",
+        "connection_matrix",
+        "chain_rule_consistency",
+        "abelian_curvature",
+    ),
+    "holonomy": (
+        "LOOP_KINDS",
+        "ParameterPath",
+        "AbelianPhases",
+        "HolonomyResult",
+        "rectangle_loop",
+        "box_loop",
+        "signed_area",
+        "abelian_phase",
+        "loop_area_integral",
+        "area_closed_form",
+        "line_integral_area_check",
+        "commuting_angle",
+        "commuting_holonomy",
+        "holonomy_path_ordered",
+        "unordered_holonomy",
+        "noncommutativity_defect",
+        "convergence_series",
+        "partial_unitarity_series",
+    ),
+    "oracle": (
+        "Grid2D",
+        "WaveField",
+        "WilsonResult",
+        "default_grid",
+        "ground_state",
+        "displace_field",
+        "pipeline_state",
+        "berry_connection_fd",
+        "fd_connection_matrix",
+        "wilson_loop_oracle",
+        "sign_convention_report",
+    ),
+    "errors": ("ValidationError", "ConvergenceError", "ConsistencyError"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

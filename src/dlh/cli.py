@@ -15,6 +15,10 @@ Outputs are reproducible byte for byte: floats are rendered with repr
 (shortest round-trip), JSON keys are sorted, row order is fixed, and files
 are written atomically (temp file + rename). Exit codes: 0 success,
 2 validation error, 3 convergence or cross-validation failure.
+
+Start-up is most of a call's time, so each subcommand imports only the
+library modules it calls: `spectrum` loads none beyond `params`, and only
+`oracle-check` loads `oracle`.
 """
 
 from __future__ import annotations
@@ -27,16 +31,15 @@ import sys
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import connection as _connection
-from . import displaced as _displaced
-from . import fock as _fock
-from . import holonomy as _holonomy
-from . import oracle as _oracle
 from .errors import ConsistencyError, ConvergenceError, ValidationError
 from .params import PhysicalConfig, derive_scales, validate_regime
+
+if TYPE_CHECKING:
+    from .holonomy import ParameterPath
 
 __all__ = ["main", "build_parser", "load_config", "DEFAULT_CONFIG"]
 
@@ -109,9 +112,7 @@ def load_config(path: str | None) -> PhysicalConfig:
     kwargs: dict = {}
     for key, value in raw.items():
         field = _CONFIG_KEYS[key]
-        if key == "sigma_override":
-            if value is not None and value not in (1, -1):
-                raise ValidationError(f"config key {key!r} must be 1, -1 or null, got {value!r}")
+        if key == "sigma_override":  # PhysicalConfig checks it
             kwargs[field] = value
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -187,6 +188,8 @@ def _write_text(out: str | None, text: str) -> None:
 
 
 def _parse_window(text: str) -> tuple[int, int]:
+    from . import connection as _connection
+
     lo, sep, hi = text.partition("..")
     if not sep:
         raise ValidationError(f"window must look like lo..hi, got {text!r}")
@@ -198,6 +201,8 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 
 def _normalize_kind(name: str) -> str:
+    from . import holonomy as _holonomy
+
     if name == "C1":
         return "C1_rectangle"
     if name in ("C1_rectangle", *_holonomy.BOX_KINDS):
@@ -275,7 +280,9 @@ class _LoopSpec:
     def _ranges(self) -> tuple[tuple[float, float], ...]:
         return (self.Ey1, self.Ey2), (self.lam1, self.lam2), (self.B1, self.B2)
 
-    def path(self, config: PhysicalConfig) -> _holonomy.ParameterPath:
+    def path(self, config: PhysicalConfig) -> ParameterPath:
+        from . import holonomy as _holonomy
+
         if self.kind == "custom":
             return _holonomy.ParameterPath(vertices=self.vertices, kind="custom")
         if self.kind == "C1_rectangle":
@@ -285,6 +292,8 @@ class _LoopSpec:
 
     def closed_form(self) -> float | None:
         """Closed-form loop functional S of a box itinerary; None for other loops."""
+        from . import holonomy as _holonomy
+
         if self.kind not in _holonomy.BOX_KINDS:
             return None
         return _holonomy.area_closed_form(self.kind, *self._ranges())
@@ -299,6 +308,8 @@ def _identity_distance(matrix: np.ndarray) -> float:
 
 
 def _cmd_derive(args) -> int:
+    from . import displaced as _displaced
+
     config = load_config(args.config)
     scales = derive_scales(config)
     regime = validate_regime(config)
@@ -369,6 +380,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_displace(args) -> int:
+    from . import displaced as _displaced
+    from . import fock as _fock
+
     config = load_config(args.config)
     scales = derive_scales(config)
     n = args.n if args.n is not None else 0
@@ -404,6 +418,8 @@ def _cmd_displace(args) -> int:
 
 
 def _cmd_connection(args) -> int:
+    from . import connection as _connection
+
     config = load_config(args.config)
     scales = derive_scales(config)
     if args.param not in _PARAM_ALIASES:
@@ -437,6 +453,8 @@ def _cmd_connection(args) -> int:
 
 
 def _phase_payload(spec: _LoopSpec, config: PhysicalConfig) -> dict:
+    from . import holonomy as _holonomy
+
     scales = derive_scales(config)
     path = spec.path(config)
     payload: dict = {"kind": path.kind, "u": scales.u}
@@ -478,15 +496,16 @@ def _cmd_phase(args) -> int:
 
 
 def _cmd_holonomy(args) -> int:
+    from . import holonomy as _holonomy
+
     config = load_config(args.config)
     scales = derive_scales(config)
     if args.format == "csv":
         raise ValidationError("holonomy output is a matrix; use --format json")
     path = _LoopSpec.from_args(args).path(config)
     window = args.window
-    result = _holonomy.holonomy_path_ordered(
-        path, scales.u, window=window, steps=args.steps, target=args.target
-    )
+    steps = _holonomy.DEFAULT_STEPS if args.steps is None else args.steps
+    result = _holonomy.holonomy_path_ordered(path, scales.u, window=window, steps=steps, target=args.target)
     payload = {
         "kind": path.kind,
         "window": [window[0], window[1]],
@@ -509,6 +528,11 @@ def _cmd_holonomy(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    from . import connection as _connection
+    from . import displaced as _displaced
+    from . import fock as _fock
+    from . import oracle as _oracle
+
     config = load_config(args.config) if args.config else _oracle.OPERATING_CONFIG
     scales = derive_scales(config)
     grid = _oracle.default_grid(points=args.grid_points)
@@ -595,6 +619,8 @@ def _parse_sweeps(specs: list[str]) -> list[tuple[str, list[float]]]:
 
 
 def _cmd_sweep(args) -> int:
+    from . import holonomy as _holonomy
+
     config = load_config(args.config)
     scales = derive_scales(config)
     if not args.named:
@@ -729,8 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--steps",
         type=int,
-        default=_holonomy.DEFAULT_STEPS,
-        help=f"initial step count, doubled until --target is met (default {_holonomy.DEFAULT_STEPS})",
+        help="initial step count, doubled until --target is met (default: the library's DEFAULT_STEPS)",
     )
     p.add_argument(
         "--target",

@@ -1,4 +1,4 @@
-"""Physical configuration, derived scales, and unit handling.
+"""Physical configuration and derived scales.
 
 A neutral particle with polarizability ``alpha`` moving through the field
 configuration E = (lambda/2)(x, y, 0), B = (0, 0, B) behaves as an effective
@@ -18,7 +18,9 @@ so unit questions are settled once, here.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,13 +31,13 @@ __all__ = [
     "PhysicalConfig",
     "DerivedScales",
     "RegimeReport",
-    "UnitMap",
     "derive_scales",
     "validate_regime",
-    "nondimensionalize",
-    "natural_map",
     "NATURAL_DESK",
 ]
+
+
+_REAL_FIELDS = ("mass", "alpha", "hbar", "lambda_density", "B", "Ex_prime", "Ey_prime")
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,10 @@ class PhysicalConfig:
     sigma_override: int | None = None
 
     def __post_init__(self):
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValidationError(f"{name} must be a finite number, got {value!r}")
         if not self.mass > 0:
             raise ValidationError(f"mass must be positive, got {self.mass}")
         if not self.alpha > 0:
@@ -81,10 +87,10 @@ class PhysicalConfig:
                 "lambda_density * B must be nonzero: the effective Landau "
                 "problem degenerates at zero cyclotron frequency"
             )
-        if self.sigma_override not in (None, 1, -1):
-            raise ValidationError(
-                f"sigma_override must be +1, -1 or None, got {self.sigma_override!r}"
-            )
+        sigma = self.sigma_override
+        integral = isinstance(sigma, numbers.Integral) and not isinstance(sigma, bool)
+        if sigma is not None and not (integral and sigma in (1, -1)):
+            raise ValidationError(f"sigma_override must be +1, -1 or None, got {sigma!r}")
 
     def at_point(self, Ex: float, Ey: float, lam: float, B: float) -> "PhysicalConfig":
         """Same particle, different control-space point (Ex', Ey', lambda, B)."""
@@ -114,8 +120,13 @@ class DerivedScales:
     hbar: float
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise ValidationError(f"omega must be positive, got {self.omega}")
+        # finite inputs can still over- or underflow here, e.g. alpha/M = 1e600
+        for name in ("omega", "l_m", "u"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValidationError(f"{name} must be positive and finite, got {value}")
+        if not cmath.isfinite(self.nu):
+            raise ValidationError(f"nu must be finite, got {self.nu}")
         if self.sigma not in (1, -1):
             raise ValidationError(f"sigma must be +1 or -1, got {self.sigma}")
 
@@ -188,67 +199,4 @@ def validate_regime(
         mass_threshold=mass_threshold,
         energy_threshold=energy_threshold,
         verdict=verdict,
-    )
-
-
-@dataclass(frozen=True)
-class UnitMap:
-    """Multiplicative factors mapping an SI configuration to natural units.
-
-    Natural units fix M = hbar = alpha = 1 and |omega| = 1 (so l_m = 1 and
-    u = 1/sqrt(8)). The map preserves every dimensionless output: nu, Berry
-    phases, holonomy matrices.
-    """
-
-    f_E: float       # multiplies Ex', Ey'
-    f_lambda: float  # multiplies lambda_density
-    f_B: float       # multiplies B
-
-    def map_point(self, point) -> tuple[float, float, float, float]:
-        """Map one control-space point (Ex', Ey', lambda, B)."""
-        ex, ey, lam, b = point
-        return (self.f_E * ex, self.f_E * ey, self.f_lambda * lam, self.f_B * b)
-
-    def map_vertices(self, vertices: np.ndarray) -> np.ndarray:
-        """Map an array of control-space points, shape (V, 4)."""
-        v = np.asarray(vertices, dtype=float).copy()
-        v[:, 0] *= self.f_E
-        v[:, 1] *= self.f_E
-        v[:, 2] *= self.f_lambda
-        v[:, 3] *= self.f_B
-        return v
-
-
-def natural_map(config: PhysicalConfig) -> UnitMap:
-    """Unit map sending ``config`` to its natural-unit equivalent."""
-    scales = derive_scales(config)
-    lam, B = config.lambda_density, config.B
-    f_lambda = math.sqrt(abs(lam) / (abs(B) * scales.omega)) / abs(lam)
-    f_B = math.sqrt(scales.omega * abs(B) / abs(lam)) / abs(B)
-    f_E = config.alpha * scales.l_m / config.hbar
-    return UnitMap(f_E=f_E, f_lambda=f_lambda, f_B=f_B)
-
-
-def nondimensionalize(config: PhysicalConfig) -> PhysicalConfig:
-    """Equivalent configuration in natural units.
-
-    Lengths are measured in l_m, energies in hbar |omega|, and the
-    polarizability scale is absorbed (alpha = 1), which fixes
-    |lambda * B| = 1. All dimensionless outputs computed from the returned
-    configuration match the input configuration to roundoff; paths in control
-    space must be mapped with the same :func:`natural_map`.
-    """
-    m = natural_map(config)
-    ex, ey, lam, b = m.map_point(
-        (config.Ex_prime, config.Ey_prime, config.lambda_density, config.B)
-    )
-    return PhysicalConfig(
-        mass=1.0,
-        alpha=1.0,
-        hbar=1.0,
-        lambda_density=lam,
-        B=b,
-        Ex_prime=ex,
-        Ey_prime=ey,
-        sigma_override=config.sigma_override,
     )

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -251,6 +252,31 @@ def test_config_errors(capsys, tmp_path):
     assert rc == 2
 
 
+_GOOD_CONFIG = {"mass_kg": 1.0, "alpha_Fm2": 0.5, "hbar": 1.0, "lambda_Vm2": 2.0, "B_T": 1.0,
+                "Ex_Vm": 0.3, "Ey_Vm": 0.7}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("key", sorted(_GOOD_CONFIG))
+def test_non_finite_config_values_exit_2(capsys, tmp_path, key, value):
+    # json reads the NaN and Infinity literals as floats
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_GOOD_CONFIG, key: value}))
+    rc, out, err = run_cli(capsys, "derive", "--config", str(cfg))
+    assert (rc, out) == (2, "") and "must be a finite number" in err
+
+
+@pytest.mark.parametrize("value", [True, 1.0, -1.0, "1"])
+def test_mistyped_sigma_override_exits_2(capsys, tmp_path, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_GOOD_CONFIG, "sigma_override": value}))
+    rc, out, err = run_cli(capsys, "derive", "--config", str(cfg))
+    assert (rc, out) == (2, "") and "sigma_override" in err
+    cfg.write_text(json.dumps({**_GOOD_CONFIG, "sigma_override": -1}))
+    rc, out, _ = run_cli(capsys, "derive", "--config", str(cfg))
+    assert rc == 0 and "sigma,-1" in out.splitlines()
+
+
 def test_bad_inputs_exit_2(capsys):
     rc, _, err = run_cli(capsys, "phase", "--named", "Q3")
     assert rc == 2
@@ -353,13 +379,79 @@ def test_console_entry_point():
     assert proc.stdout.startswith("quantity,value")
 
 
-def test_import_loads_no_scipy():
-    # start-up cost: scipy is a test-only dependency, and a fresh `import dlh`
-    # or `import dlh.cli` must not load any part of it
-    for module in ("dlh", "dlh.cli"):
-        code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "[]", (module, proc.stdout)
+_CLI_RUN = "import contextlib, io\nfrom dlh.cli import main\nwith contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0"
+
+# the dlh modules each subcommand may load, beyond dlh and dlh.cli
+_SCALES = {"params", "errors"}
+_STATES = _SCALES | {"fock", "displaced", "_linalg"}
+_LOOPS = _STATES | {"connection", "holonomy"}
+_FOOTPRINTS = {
+    ("spectrum",): _SCALES,
+    ("derive",): _STATES,
+    ("displace", "--n-max", "4"): _STATES,
+    ("connection", "--param", "B"): _STATES | {"connection"},
+    ("phase", "--named", "C1"): _LOOPS,
+    ("holonomy", "--named", "ABCHEFA"): _LOOPS,
+    ("sweep", "--named", "C1", "--sweep", "area=1,2"): _LOOPS,
+    ("oracle-check", "--grid-points", "128"): _LOOPS | {"oracle"},
+}
+_PROBES = {
+    "import dlh": "import dlh",
+    "import dlh.cli": "import dlh.cli",
+    "first export": "import dlh\ndlh.derive_scales",
+    **{argv: _CLI_RUN.format(argv=list(argv)) for argv in _FOOTPRINTS},
+}
+
+
+def _loaded_modules(code: str) -> set[str]:
+    probe = f"import sys\n{code}\nprint(' '.join(m for m in sys.modules if m.split('.')[0] in ('dlh', 'scipy')))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
+
+
+@pytest.fixture(scope="module")
+def loaded_modules():
+    """The dlh and scipy modules loaded by each of _PROBES, each run in a fresh interpreter."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return dict(zip(_PROBES, pool.map(_loaded_modules, _PROBES.values())))
+
+
+def test_import_loads_no_scipy(loaded_modules):
+    # start-up cost: scipy is a test-only dependency, and neither a fresh
+    # `import dlh` or `import dlh.cli` nor any subcommand may load any part of it
+    for probe, loaded in loaded_modules.items():
+        assert not any(m.split(".")[0] == "scipy" for m in loaded), (probe, loaded)
+
+
+@pytest.mark.parametrize("argv", list(_FOOTPRINTS), ids=lambda argv: argv[0])
+def test_subcommand_loads_only_its_modules(loaded_modules, argv):
+    # start-up cost: each subcommand imports the library modules it calls
+    loaded = loaded_modules[argv]
+    assert loaded <= {"dlh", "dlh.cli"} | {f"dlh.{m}" for m in _FOOTPRINTS[argv]}, loaded
+    assert ("dlh.oracle" in loaded) == (argv[0] == "oracle-check")
+    assert ("dlh.holonomy" in loaded) == (argv[0] in ("phase", "holonomy", "sweep", "oracle-check"))
+
+
+def test_package_exports_load_on_first_use(loaded_modules, monkeypatch):
+    assert loaded_modules["import dlh"] == {"dlh"}
+    assert loaded_modules["first export"] == {"dlh", "dlh.params", "dlh.errors"}
+    import dlh
+    import dlh.params
+
+    # no cached value: a rebinding in the module, and its undoing, show through
+    original = dlh.params.derive_scales
+    monkeypatch.setattr(dlh.params, "derive_scales", len)
+    assert dlh.derive_scales is len
+    monkeypatch.undo()
+    assert dlh.derive_scales is original
+
+    namespace: dict = {}
+    exec("from dlh import *", namespace)
+    for name in dlh.__all__:
+        assert namespace[name] is getattr(dlh, name) is not None
+        assert name in dir(dlh)
+    with pytest.raises(AttributeError):
+        dlh.no_such_name
 
 
 def test_oracle_check_at_a_strong_field(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,6 @@ from dlh.params import (
     NATURAL_DESK,
     PhysicalConfig,
     derive_scales,
-    natural_map,
-    nondimensionalize,
     validate_regime,
 )
 
@@ -56,6 +55,7 @@ def test_sigma_override():
         mass=1.0, alpha=1.0, hbar=1.0, lambda_density=1.0, B=1.0, sigma_override=-1
     )
     assert derive_scales(cfg).sigma == -1
+    assert derive_scales(replace(cfg, sigma_override=np.int64(1))).sigma == 1
     with pytest.raises(ValidationError):
         PhysicalConfig(mass=1.0, alpha=1.0, hbar=1.0, lambda_density=1.0, B=1.0, sigma_override=2)
 
@@ -77,6 +77,35 @@ def test_invalid_configs_raise():
         PhysicalConfig(mass=1.0, alpha=1.0, hbar=1.0, lambda_density=0.0, B=1.0)
     with pytest.raises(ValidationError):
         PhysicalConfig(mass=1.0, alpha=1.0, hbar=1.0, lambda_density=1.0, B=0.0)
+
+
+_REAL_FIELDS = ("mass", "alpha", "hbar", "lambda_density", "B", "Ex_prime", "Ey_prime")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", _REAL_FIELDS)
+def test_non_finite_fields_raise(cfg_desk, field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be a finite number"):
+        PhysicalConfig(**{**vars(cfg_desk), field: value})
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"mass": 1e-300, "alpha": 1e300, "lambda_density": 1e10},  # omega overflows, l_m underflows
+        {"alpha": 1e-320},  # l_m and u overflow
+        {"alpha": 1e300, "mass": 1e300, "Ex_prime": 1e300},  # nu overflows
+    ],
+)
+def test_scales_that_overflow_raise(cfg_desk, fields):
+    with pytest.raises(ValidationError, match="must be (positive and )?finite"):
+        derive_scales(PhysicalConfig(**{**vars(cfg_desk), **fields}))
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, -1.0, "1"])
+def test_sigma_override_must_be_the_int_plus_or_minus_one(cfg_desk, value):
+    with pytest.raises(ValidationError, match="sigma_override"):
+        PhysicalConfig(**{**vars(cfg_desk), "sigma_override": value})
 
 
 def test_at_point_replaces_control_coordinates(cfg_desk):
@@ -101,35 +130,3 @@ def test_regime_screening():
     report = validate_regime(lab, energy_threshold=1e-20)
     assert report.mass_correction_ratio < 1e-6
     assert report.ok
-
-
-def test_nondimensionalize_preserves_dimensionless_outputs(rng):
-    for _ in range(10):
-        cfg = PhysicalConfig(
-            mass=rng.uniform(0.5, 3.0),
-            alpha=rng.uniform(0.5, 3.0),
-            hbar=rng.uniform(0.5, 3.0),
-            lambda_density=rng.uniform(0.5, 3.0),
-            B=rng.uniform(0.5, 3.0),
-            Ex_prime=rng.uniform(-1.0, 1.0),
-            Ey_prime=rng.uniform(-1.0, 1.0),
-        )
-        nat = nondimensionalize(cfg)
-        assert nat.mass == 1.0 and nat.alpha == 1.0 and nat.hbar == 1.0
-        sc, sn = derive_scales(cfg), derive_scales(nat)
-        assert sn.omega == pytest.approx(1.0, rel=1e-12)
-        assert sn.nu == pytest.approx(sc.nu, rel=1e-12)
-        assert sn.sigma == sc.sigma
-
-
-def test_natural_map_point_consistency(cfg_desk):
-    um = natural_map(cfg_desk)
-    ex, ey, lam, b = um.map_point(
-        (cfg_desk.Ex_prime, cfg_desk.Ey_prime, cfg_desk.lambda_density, cfg_desk.B)
-    )
-    nat = nondimensionalize(cfg_desk)
-    assert (ex, ey) == pytest.approx((nat.Ex_prime, nat.Ey_prime), rel=1e-12)
-    assert (lam, b) == pytest.approx((nat.lambda_density, nat.B), rel=1e-12)
-    verts = um.map_vertices(np.array([[0.3, 0.7, 2.0, 1.0], [0.0, 0.0, 2.0, 1.0]]))
-    assert verts.shape == (2, 4)
-    assert verts[0] == pytest.approx([ex, ey, lam, b], rel=1e-12)

@@ -17,7 +17,8 @@ here, in increasing generality:
   stay fixed) contributes one exact factor, the exponential of its
   Gauss-integrated generator. Every other segment takes the commutator-free
   fourth-order Magnus steps of Blanes & Moan (2006) on the two-point Gauss
-  rule, built, exponentiated and multiplied as batched stacks.
+  rule. One ordered product is one stack across segments, built,
+  exponentiated and multiplied in chunks of bounded size.
   ``method="magnus"`` sends every segment through these steps. A shadow run
   at half the step count gives an a-posteriori convergence estimate.
 
@@ -26,11 +27,15 @@ lowering pattern L_{m+1,m} = sqrt(m+1) on the m-window. The scalars
 (phi, zeta) come from :func:`dlh.connection._generator_scalars`, the one
 closed form of the connection contracted with a step. Every exponential the
 engine takes stays in that span, so :func:`_span_exp` takes it in closed
-form from one eigendecomposition of T = L + L^T per window.
+form from one eigendecomposition of T = L + L^T per window, computed once.
+
+Paths, and so the engine and the Wilson oracle, cover lambda, B > 0 only;
+the sigma = -1 branch is rejected at the vertices.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,11 +93,6 @@ _STEP_CAP = 2 ** 20
 DEFAULT_STEPS = 32
 _METHODS = ("auto", "magnus")
 
-# 16-point Gauss-Legendre on [0, 1], for line integrals with curved weights.
-_GAUSS_T, _GAUSS_W = np.polynomial.legendre.leggauss(16)
-_GAUSS_T = 0.5 * (_GAUSS_T + 1.0)
-_GAUSS_W = 0.5 * _GAUSS_W
-
 # Commutator-free fourth-order step (Blanes & Moan 2006): with A1, A2 the
 # step generators at the two Gauss nodes on [0, 1] and a, b = 1/4 +- sqrt(3)/6,
 # the step is exp(i (b A1 + a A2)) exp(i (a A1 + b A2)). Rows of _CF4_MIX
@@ -129,7 +129,10 @@ class ParameterPath:
     """Piecewise-linear path through (Ex', Ey', lambda, B).
 
     Segments are straight in all four coordinates, so positivity of lambda
-    and B at the vertices guarantees positivity along the whole path.
+    and B at the vertices guarantees positivity along the whole path. A
+    vertex with lambda <= 0 or B <= 0 is a ValidationError: the holonomy
+    engine and the Wilson oracle cover lambda, B > 0 only, not the
+    sigma = -1 branch.
     """
 
     vertices: np.ndarray
@@ -309,14 +312,10 @@ def loop_area_integral(path: ParameterPath) -> float:
     constant.
     """
     _require_closed(path)
-    total = 0.0
-    for a, b in zip(path.vertices[:-1], path.vertices[1:]):
-        dey = b[1] - a[1]
-        if dey == 0.0:
-            continue
-        pts, w = _segment_quadrature(a, b)
-        total += dey * float(np.sum(w / np.sqrt(pts[:, 2] * pts[:, 3])))
-    return total
+    a, b = path.vertices[:-1], path.vertices[1:]
+    seg, pts, w = _segment_quadrature(a, b)
+    per_segment = np.bincount(seg, w / np.sqrt(pts[:, 2] * pts[:, 3]), len(a))
+    return float(np.sum((b[:, 1] - a[:, 1]) * per_segment))
 
 
 def area_closed_form(kind: str, ey_range, lam_range, b_range) -> float:
@@ -378,46 +377,79 @@ def commuting_holonomy(area: float, u: float, window: tuple[int, int]) -> np.nda
     return unitary_exp_i(commuting_angle(area, u, window))
 
 
-def _segment_quadrature(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Composite 16-point Gauss nodes (points) and weights on the segment a -> b.
+@functools.cache
+def _gauss16() -> tuple[np.ndarray, np.ndarray]:
+    """16-point Gauss-Legendre nodes and weights on [0, 1], built on first use."""
+    t, w = np.polynomial.legendre.leggauss(16)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
-    One panel, unless lambda or B changes by more than 4x along the segment;
-    then enough equal panels that each stays within a ratio of 4, which keeps
-    the rule at rounding accuracy for the powers of lambda and B it weighs.
+
+def _runs(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run index and offset within its run of every entry of consecutive runs of `lengths`."""
+    index = np.repeat(np.arange(len(lengths)), lengths)
+    return index, np.arange(len(index)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def _segment_quadrature(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composite 16-point Gauss rule on every segment a -> b of the (S, 4) rows a, b.
+
+    Returns the segment index, point and weight of every node, segment by
+    segment. One panel per segment, unless lambda or B changes by more than
+    4x along it; then enough equal panels that each stays within a ratio of
+    4, which keeps the rule at rounding accuracy for the powers of lambda and
+    B it weighs.
     """
-    ends = np.array([a[2:], b[2:]])
-    ratio = float(np.max(ends.max(axis=0) / ends.min(axis=0)))
-    panels = max(1, math.ceil((ratio - 1.0) / 3.0))
-    t = ((np.arange(panels)[:, None] + _GAUSS_T) / panels).ravel()
-    return a + t[:, None] * (b - a), np.tile(_GAUSS_W / panels, panels)
+    gauss_t, gauss_w = _gauss16()
+    ratio = np.max(np.maximum(a[:, 2:], b[:, 2:]) / np.minimum(a[:, 2:], b[:, 2:]), axis=1)
+    panels = np.maximum(1, np.ceil((ratio - 1.0) / 3.0)).astype(int)
+    seg, panel = _runs(panels)
+    t = ((panel[:, None] + gauss_t) / panels[seg, None]).ravel()
+    w = (gauss_w / panels[seg, None]).ravel()
+    seg = np.repeat(seg, len(gauss_t))
+    return seg, a[seg] + t[:, None] * (b - a)[seg], w
 
 
-def _segment_integrals(a: np.ndarray, b: np.ndarray, u: float) -> tuple[float, complex]:
-    """Integrals (Phi, Z) of the generator scalars phi, zeta along a -> b."""
-    pts, w = _segment_quadrature(a, b)
-    phi, zeta = _generator_scalars(pts, np.broadcast_to(b - a, pts.shape), u)
-    return float(w @ phi), complex(w @ zeta)
+def _segment_integrals(a: np.ndarray, b: np.ndarray, u: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals (Phi, Z) of the generator scalars phi, zeta along every segment a -> b.
+
+    One Gauss quadrature over the nodes of all (S, 4) rows a, b at once; the
+    weighted nodes are summed per segment.
+    """
+    seg, pts, w = _segment_quadrature(a, b)
+    phi, zeta = _generator_scalars(pts, (b - a)[seg], u)
+    size = len(a)
+    wz = w * zeta
+    return np.bincount(seg, w * phi, size), np.bincount(seg, wz.real, size) + 1j * np.bincount(seg, wz.imag, size)
 
 
-def _commuting_segment(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether every step generator on the segment a -> b commutes with every other.
+def _commuting_segments(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether every step generator on each segment a -> b commutes with every other.
 
     True when the in-plane field keeps one direction through the origin (zero
     cross product: phi = 0 and zeta keeps a fixed phase) or when lambda and
     B stay fixed (zeta = 0).
     """
-    return a[0] * b[1] - a[1] * b[0] == 0.0 or (a[2] == b[2] and a[3] == b[3])
+    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return (cross == 0.0) | ((a[:, 2] == b[:, 2]) & (a[:, 3] == b[:, 3]))
 
 
+@functools.lru_cache(maxsize=16)
 def _span_basis(window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of T = L + L^T on the window, and the (n, n*n) table of products V_aj V_bj.
 
     Row j of the table is the projector onto the j-th eigenvector of T,
-    flattened, so that V diag(e) V^T is e @ table.
+    flattened, so that V diag(e) V^T is e @ table. Computed once per window
+    and cached; both arrays are read-only.
     """
     L = _lowering_pattern(window)
     lam, V = np.linalg.eigh(L + L.T)
-    return lam, np.einsum("aj,bj->jab", V, V).reshape(len(lam), -1)
+    table = np.einsum("aj,bj->jab", V, V).reshape(len(lam), -1)
+    lam.setflags(write=False)
+    table.setflags(write=False)
+    return lam, table
 
 
 def _span_exp(phi, zeta, basis: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -452,29 +484,40 @@ def _step_factors(path: ParameterPath, u: float, window: tuple[int, int], counts
     the two Gauss nodes of a step, exp(i (b A1 + a A2)) exp(i (a A1 + b A2))
     with a, b = 1/4 +- sqrt(3)/6.
     Both factors are in the generator span and the step is time-symmetric.
-    The steps of a segment are built and exponentiated in chunks of bounded
-    size.
+
+    One ordered product is one stack across segments: the factors of the
+    whole loop are laid out in path order and cut into chunks of bounded
+    size, whose boundaries fall anywhere, across segment boundaries too.
+    Each chunk takes one scalar evaluation, one exponential of its (left,
+    right) pairs and one pairwise product; an exact factor is the left half
+    of a pair whose right half is the identity. The (Phi, Z) of all exact
+    segments come from one vectorised quadrature.
     """
-    basis = _span_basis(window)
+    basis = _span_basis(tuple(window))
     size = len(basis[0])
     chunk = max(1, _CHUNK_ENTRIES // (size * size))
-    verts = path.vertices
-    for a, b, count in zip(verts[:-1], verts[1:], counts):
-        if count == 0:
-            continue
-        if method == "auto" and _commuting_segment(a, b):
-            yield _span_exp(*_segment_integrals(a, b, u), basis)
-            continue
-        for j0 in range(0, count, chunk):
-            j = np.arange(j0, min(count, j0 + chunk))
-            t = ((j[:, None] + _GAUSS2_T) / count).ravel()
-            pts = a + t[:, None] * (b - a)
-            phi, zeta = _generator_scalars(pts, np.broadcast_to((b - a) / count, pts.shape), u)
-            # node scalars (A1, A2) per step -> factor scalars (left, right)
-            phi = (phi.reshape(-1, 2) @ _CF4_MIX.T).ravel()
-            zeta = (zeta.reshape(-1, 2) @ _CF4_MIX.T).ravel()
-            pair = _span_exp(phi, zeta, basis).reshape(len(j), 2, size, size)
-            yield pair[:, 0] @ pair[:, 1]
+    a, b = path.vertices[:-1], path.vertices[1:]
+    span = b - a
+    exact = (counts > 0) & (method == "auto") & _commuting_segments(a, b)
+    if exact.any():
+        exact_phi, exact_zeta = _segment_integrals(a[exact], b[exact], u)
+        rank = np.cumsum(exact) - 1
+    seg, offset = _runs(np.where(exact, 1, counts))
+    for i0 in range(0, len(seg), chunk):
+        s, j = seg[i0 : i0 + chunk], offset[i0 : i0 + chunk]
+        n = counts[s, None]
+        t = (j[:, None] + _GAUSS2_T) / n
+        pts = a[s, None] + t[:, :, None] * span[s, None]
+        phi, zeta = _generator_scalars(pts.reshape(-1, 4), np.repeat(span[s] / n, 2, axis=0), u)
+        # node scalars (A1, A2) per step -> factor scalars (left, right)
+        phi = phi.reshape(-1, 2) @ _CF4_MIX.T
+        zeta = zeta.reshape(-1, 2) @ _CF4_MIX.T
+        ex = exact[s]
+        if ex.any():
+            phi[ex], zeta[ex] = 0.0, 0.0
+            phi[ex, 0], zeta[ex, 0] = exact_phi[rank[s[ex]]], exact_zeta[rank[s[ex]]]
+        pair = _span_exp(phi.ravel(), zeta.ravel(), basis).reshape(len(s), 2, size, size)
+        yield pair[:, 0] @ pair[:, 1]
 
 
 def _tree_product(stack: np.ndarray) -> np.ndarray:
@@ -638,7 +681,9 @@ def holonomy_path_ordered(
     Later steps multiply from the left. Under ``method="auto"`` each segment
     whose step generators commute is one exact factor and the other segments
     take commutator-free fourth-order Magnus steps (Blanes & Moan 2006);
-    ``method="magnus"`` takes those steps everywhere. convergence_estimate
+    ``method="magnus"`` takes those steps everywhere. Each product is one
+    stack of factors across all segments, in chunks of bounded size, with
+    the span basis of the window computed once. convergence_estimate
     is max |U(steps) - U(steps // 2)|, from a shadow run at half the steps
     whose per-segment counts are exactly half those of the returned product;
     while it exceeds `target` the count of every segment doubles, the
@@ -657,7 +702,7 @@ def holonomy_path_ordered(
     if counts is None:
         return HolonomyResult(current, steps, tuple(window), 0.0, 0.0)
     verts = path.vertices
-    if method == "auto" and all(_commuting_segment(a, b) for a, b in zip(verts[:-1], verts[1:])):
+    if method == "auto" and _commuting_segments(verts[:-1], verts[1:]).all():
         estimate = 0.0
     else:
         estimate = max_abs(current, _ordered_product(path, u, window, counts // 2, method))
@@ -692,12 +737,8 @@ def unordered_holonomy(path: ParameterPath, u: float, window: tuple[int, int] = 
     eye = _identity(window)
     if float(path.segment_lengths.sum()) == 0.0:
         return eye
-    phi, zeta = 0.0, 0j
-    for a, b in zip(path.vertices[:-1], path.vertices[1:]):
-        p, z = _segment_integrals(a, b, u)
-        phi += p
-        zeta += z
-    return _span_exp(phi, zeta, _span_basis(window))[0]
+    phi, zeta = _segment_integrals(path.vertices[:-1], path.vertices[1:], u)
+    return _span_exp(phi.sum(), zeta.sum(), _span_basis(tuple(window)))[0]
 
 
 def noncommutativity_defect(

@@ -164,6 +164,16 @@ def test_vertices_file(capsys, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("vertex", ["0.6 0.9 -2 1", "0.6 0.9 2 -1"], ids=["lambda", "B"])
+def test_holonomy_rejects_the_sigma_minus_branch(capsys, tmp_path, vertex):
+    # the engine and the Wilson oracle cover lambda, B > 0 only
+    vf = tmp_path / "loop.txt"
+    vf.write_text(f"0 0 1 1\n0.6 0.2 1 1\n{vertex}\n0 0 1 1\n")
+    rc, out, err = run_cli(capsys, "holonomy", "--vertices", str(vf))
+    assert rc == 2 and out == ""
+    assert "validation error" in err and "positive" in err
+
+
 def test_out_file_matches_stdout(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, "phase", "--named", "ABCHGFA")
     target = tmp_path / "phase.json"

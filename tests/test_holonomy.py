@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -74,8 +76,11 @@ def test_path_validation():
         ParameterPath(np.zeros((1, 4)))  # too few vertices
     with pytest.raises(ValidationError):
         ParameterPath(np.zeros((3, 3)))  # wrong width
-    with pytest.raises(ValidationError):
+    # lambda, B > 0 only: the sigma = -1 branch is rejected at the vertices
+    with pytest.raises(ValidationError, match="positive"):
         ParameterPath(np.array([[0, 0, 1, 1], [0, 0, -1, 1]], dtype=float))
+    with pytest.raises(ValidationError, match="positive"):
+        ParameterPath(np.array([[0, 0, 1, 1], [0, 0, 1, -1]], dtype=float))
     with pytest.raises(ValidationError):
         ParameterPath(np.array([[0, 0, 1, 1], [0, 0, 2, 1]]), kind="XYZ")
     open_path = ParameterPath(np.array([[0, 0, 1, 1], [0, 1, 1, 1]], dtype=float))
@@ -318,7 +323,7 @@ def test_segment_integrals_at_rounding_accuracy():
 
     # lambda and B sweep a 200x and 7x range: the Gauss rule needs panels
     a, b, u = np.array([0.3, 0.2, 0.05, 1.0]), np.array([-0.1, 0.7, 10.0, 7.0]), 0.5
-    phi, zeta = hol._segment_integrals(a, b, u)
+    (phi,), (zeta,) = hol._segment_integrals(a[None], b[None], u)
 
     def density(s, part):
         p, z = _generator_scalars((a + s * (b - a))[None], (b - a)[None], u)
@@ -600,3 +605,132 @@ def test_many_segment_estimate_bounds_the_true_error(sides):
         assert res.convergence_estimate >= np.abs(res.matrix - ref).max() > 0.0
     res = holonomy_path_ordered(loop, 0.5, target=1e-7)
     assert np.abs(res.matrix - ref).max() <= res.convergence_estimate <= 1e-7
+
+
+# -- one stack per ordered product against the per-segment route ---------------
+
+
+def _segment_integrals_one(a, b, u):
+    """(Phi, Z) on the one segment a -> b by the composite 16-point Gauss rule, panel by panel."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    ends = np.array([a[2:], b[2:]])
+    panels = max(1, math.ceil((float(np.max(ends.max(axis=0) / ends.min(axis=0))) - 1.0) / 3.0))
+    t = ((np.arange(panels)[:, None] + nodes) / panels).ravel()
+    pts = a + t[:, None] * (b - a)
+    phi, zeta = _generator_scalars(pts, np.broadcast_to(b - a, pts.shape), u)
+    w = np.tile(weights / panels, panels)
+    return float(w @ phi), complex(w @ zeta)
+
+
+def _per_segment_product(path, u, window, counts, method):
+    """The ordered product segment by segment: one exact factor or one batch of steps each, multiplied in sequence."""
+    basis = hol._span_basis(tuple(window))
+    size = len(basis[0])
+    U = np.eye(size, dtype=complex)
+    for a, b, count in zip(path.vertices[:-1], path.vertices[1:], counts):
+        if count == 0:
+            continue
+        if method == "auto" and (a[0] * b[1] - a[1] * b[0] == 0.0 or (a[2] == b[2] and a[3] == b[3])):
+            factors = hol._span_exp(*_segment_integrals_one(a, b, u), basis)
+        else:
+            t = ((np.arange(count)[:, None] + hol._GAUSS2_T) / count).ravel()
+            pts = a + t[:, None] * (b - a)
+            phi, zeta = _generator_scalars(pts, np.broadcast_to((b - a) / count, pts.shape), u)
+            phi = (phi.reshape(-1, 2) @ hol._CF4_MIX.T).ravel()
+            zeta = (zeta.reshape(-1, 2) @ hol._CF4_MIX.T).ravel()
+            pair = hol._span_exp(phi, zeta, basis).reshape(count, 2, size, size)
+            factors = pair[:, 0] @ pair[:, 1]
+        for f in factors:
+            U = f @ U
+    return U
+
+
+def _mixed_loop(rng):
+    """Random closed loop of exact and integrated segments, with one zero-length segment."""
+    verts = list(_commuting_loop(rng).vertices)
+    verts[2:2] = [np.concatenate([rng.uniform(-0.8, 0.8, 2), rng.uniform(1.0, 4.0, 2)]) for _ in range(2)]
+    verts.insert(6, verts[6].copy())
+    return ParameterPath(np.array(verts))
+
+
+@pytest.mark.parametrize("method", ["auto", "magnus"])
+def test_one_stack_matches_the_per_segment_product(monkeypatch, method):
+    rng = np.random.default_rng(1909)
+    loops = [_mixed_loop(rng) for _ in range(3)]
+    a, b = loops[0].vertices[:-1], loops[0].vertices[1:]
+    exact = hol._commuting_segments(a, b)
+    assert exact.any() and not exact.all() and (loops[0].segment_lengths == 0.0).any()
+    for chunk_steps in (None, 7):
+        if chunk_steps is not None:
+            monkeypatch.setattr(hol, "_CHUNK_ENTRIES", 16 * chunk_steps)
+        for loop in loops:
+            for steps in (16, 100):
+                counts = loop._allocation(steps)
+                want = _per_segment_product(loop, 0.5, (0, 3), counts, method)
+                got = hol._ordered_product(loop, 0.5, (0, 3), counts, method)
+                assert np.abs(got - want).max() <= 1e-13
+    # chunks of 7 steps cut across segment boundaries
+    counts = loops[0]._allocation(100)
+    sizes = [len(f) for f in hol._step_factors(loops[0], 0.5, (0, 3), counts, "magnus")]
+    assert sizes[:-1] == [7] * (len(sizes) - 1) and sum(sizes) == counts.sum()
+    assert not set(np.cumsum(sizes)) >= set(np.cumsum(counts)[counts > 0])
+
+
+@pytest.mark.parametrize("sides", [64, 400])
+def test_many_segment_product_matches_the_per_segment_product(sides, monkeypatch):
+    loop = _rotating_polygon(sides)
+    res = holonomy_path_ordered(loop, 0.5, target=1e-8)
+    monkeypatch.setattr(hol, "_ordered_product", _per_segment_product)
+    ref = holonomy_path_ordered(loop, 0.5, target=1e-8)
+    assert res.steps == ref.steps
+    assert abs(res.convergence_estimate - ref.convergence_estimate) <= 1e-12
+    assert np.abs(res.matrix - ref.matrix).max() <= 1e-13
+
+
+def test_vectorised_segment_integrals_match_one_segment_at_a_time():
+    rng = np.random.default_rng(1910)
+    a = np.column_stack([rng.uniform(-0.8, 0.8, (6, 2)), rng.uniform(0.5, 4.0, (6, 2))])
+    b = np.column_stack([rng.uniform(-0.8, 0.8, (6, 2)), rng.uniform(0.5, 4.0, (6, 2))])
+    b[2, 2] = 25.0 * a[2, 2]  # lambda grows 25x along segment 2
+    b[4] = a[4]  # zero length
+    seg, _, _ = hol._segment_quadrature(a, b)
+    assert np.bincount(seg)[2] == 8 * 16 and np.bincount(seg)[4] == 16
+    phi, zeta = hol._segment_integrals(a, b, 0.5)
+    assert phi[4] == 0.0 and zeta[4] == 0.0
+    for k in range(len(a)):
+        p, z = _segment_integrals_one(a[k], b[k], 0.5)
+        assert abs(phi[k] - p) <= 1e-14 and abs(zeta[k] - z) <= 1e-14
+        (p1,), (z1,) = hol._segment_integrals(a[k : k + 1], b[k : k + 1], 0.5)
+        assert abs(phi[k] - p1) <= 1e-14 and abs(zeta[k] - z1) <= 1e-14
+
+
+def test_unordered_holonomy_matches_the_per_segment_sum():
+    rng = np.random.default_rng(1911)
+    for loop in (_mixed_loop(rng), _random_loop(rng), C9_LOOP):
+        phi, zeta = 0.0, 0j
+        for a, b in zip(loop.vertices[:-1], loop.vertices[1:]):
+            p, z = _segment_integrals_one(a, b, 0.5)
+            phi += p
+            zeta += z
+        want = unitary_exp_i(_generators(phi, zeta, _lowering_pattern((0, 3))))
+        assert np.abs(unordered_holonomy(loop, 0.5, (0, 3)) - want).max() <= 1e-13
+
+
+def test_span_basis_is_cached_and_read_only():
+    basis = hol._span_basis((1, 4))
+    assert hol._span_basis((1, 4)) is basis
+    for arr in basis:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def test_gauss_table_is_built_on_first_use():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    t, w = hol._gauss16()
+    assert np.array_equal(t, 0.5 * (nodes + 1.0)) and np.array_equal(w, 0.5 * weights)
+    # importing the engine does not load numpy.polynomial
+    probe = "import sys\nimport dlh.holonomy\nprint('numpy.polynomial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False"]
+

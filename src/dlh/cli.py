@@ -761,7 +761,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--target",
         type=float,
         default=1e-7,
-        help="convergence target for step doubling (default 1e-7; 0 disables)",
+        help=(
+            "target for the error estimate of the returned product; steps double until it is met "
+            "(default 1e-7; 0 disables and reports the raw max|U(steps) - U(steps//2)|)"
+        ),
     )
     p.add_argument(
         "--emit-plot-data",

@@ -20,7 +20,9 @@ here, in increasing generality:
   rule. One ordered product is one stack across segments, built,
   exponentiated and multiplied in chunks of bounded size.
   ``method="magnus"`` sends every segment through these steps. A shadow run
-  at half the step count gives an a-posteriori convergence estimate.
+  at half the step count gives an a-posteriori convergence estimate, which
+  refinement turns into a step-doubling estimate of the returned product's
+  own error.
 
 Every step generator is Theta = phi I + zeta L + conj(zeta) L^T, with L the
 lowering pattern L_{m+1,m} = sqrt(m+1) on the m-window. The scalars
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +112,15 @@ _CHUNK_ENTRIES = 2 ** 16
 # per step: coarse steps on a large loop can stall once before the
 # fourth-order rate sets in.
 _FLOOR_ROUNDINGS = 1e3 * 2.0 ** -52
+
+# Step doubling on fourth-order steps: the product at s steps is about
+# 2^4 - 1 = 15 times closer to the limit than |U(s) - U(s/2)|. That ratio is
+# taken, with a margin of 2, only once two successive differences fell at
+# least 8x (the steps are in their asymptotic regime) and while the
+# difference stays above the rounding floor.
+_ORDER_RATE = 16.0
+_MIN_RATE = 8.0
+_MARGIN = 2.0
 
 
 def _validate_vertices(vertices) -> np.ndarray:
@@ -596,6 +608,7 @@ def partial_unitarity_series(
     """
     _check_u(u)
     _require_closed(path)
+    steps = _check_steps(steps)
     eye = _identity(window)
     if float(path.segment_lengths.sum()) == 0.0:
         return [(0, 0.0)]
@@ -614,13 +627,18 @@ class HolonomyResult:
     each refinement doubles every segment's count. A loop of many segments
     therefore takes at least two steps per segment, more than its nominal
     count. Under method "auto" a commuting segment is exact and uses none of
-    its share. convergence_estimate is max |U(steps) - U(steps // 2)|, from
-    a shadow run with exactly half the returned product's count on every
-    segment, so every integrated segment enters it. The commutator-free
-    fourth-order steps of Blanes & Moan 2006 are about 16x more accurate per
-    halving of the step, so the estimate measures the error of the coarser
-    product and overstates that of the returned one once the steps are in
-    the fourth-order regime. It is zero when every segment is exact.
+    its share. convergence_estimate estimates the error of the returned
+    product. It starts from diff = max |U(steps) - U(steps // 2)|, from a
+    shadow run with exactly half the returned product's count on every
+    segment, so every integrated segment enters it; diff is the error of the
+    coarser product. The commutator-free fourth-order steps of Blanes & Moan
+    2006 are about 16x more accurate per halving of the step, so once a
+    refinement round has fallen at least 8x from the previous diff (rate =
+    previous / diff >= 8) and diff is above the rounding floor of a thousand
+    roundings per step, the estimate is the step-doubling one
+    2 diff / (min(rate, 16) - 1), with a margin of 2. Otherwise, and always
+    without refinement (target=None, the first product, sweep rows), it is
+    diff itself. It is zero when every segment is exact.
     unitarity_defect is max |U U^dag - I|.
     """
 
@@ -649,12 +667,23 @@ def _check_target(target) -> float | None:
     return value
 
 
+def _check_count(name: str, value, minimum: int) -> int:
+    """`value` as an int >= `minimum`; a bool, a float or a string is a ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _check_steps(steps) -> int:
+    return _check_count("steps", steps, 16)
+
+
 def _first_product(path: ParameterPath, u: float, window, steps: int, method: str):
-    """Validated (counts, product at `steps`); counts is None on a constant path, whose product is I."""
+    """(counts, product at the validated `steps`); counts is None on a constant path, whose product is I."""
     _check_u(u)
     _require_closed(path)
-    if steps < 16:
-        raise ValidationError(f"steps must be >= 16, got {steps}")
     if method not in _METHODS:
         raise ValidationError(f"method must be one of {_METHODS}, got {method!r}")
     if float(path.segment_lengths.sum()) == 0.0:
@@ -665,6 +694,18 @@ def _first_product(path: ParameterPath, u: float, window, steps: int, method: st
 
 def _unitarity_defect(matrix: np.ndarray) -> float:
     return max_abs(matrix @ matrix.conj().T, np.eye(matrix.shape[0]))
+
+
+def _extrapolated_error(previous: float, diff: float, steps: int) -> float:
+    """Error estimate of U(steps) from the last two differences |U(s) - U(s/2)|.
+
+    `diff` is the difference at `steps`, `previous` the one a doubling
+    earlier. With rate = previous / diff >= 8 and diff above the rounding
+    floor, returns 2 diff / (min(rate, 16) - 1); otherwise diff itself.
+    """
+    if diff < _FLOOR_ROUNDINGS * steps or previous < _MIN_RATE * diff:
+        return diff
+    return _MARGIN * diff / (min(previous / diff, _ORDER_RATE) - 1.0)
 
 
 def holonomy_path_ordered(
@@ -683,29 +724,37 @@ def holonomy_path_ordered(
     take commutator-free fourth-order Magnus steps (Blanes & Moan 2006);
     ``method="magnus"`` takes those steps everywhere. Each product is one
     stack of factors across all segments, in chunks of bounded size, with
-    the span basis of the window computed once. convergence_estimate
-    is max |U(steps) - U(steps // 2)|, from a shadow run at half the steps
-    whose per-segment counts are exactly half those of the returned product;
-    while it exceeds `target` the count of every segment doubles, the
-    previous product becoming the new shadow, up to `step_cap` (target=None
-    disables refinement). A loop of exact segments is computed once, with
-    estimate 0.
+    the span basis of the window computed once. The difference
+    diff = max |U(steps) - U(steps // 2)| comes from a shadow run at half the
+    steps whose per-segment counts are exactly half those of the returned
+    product. While convergence_estimate exceeds `target` the count of every
+    segment doubles, the previous product becoming the new shadow, up to
+    `step_cap` (target=None disables refinement). convergence_estimate is
+    the error of the returned product: diff at the first product, then, from
+    the second on, 2 diff / (min(rate, 16) - 1) with rate = previous diff /
+    diff, provided rate >= 8 and diff is at least a thousand roundings per
+    step; otherwise diff. A loop of exact segments is computed once, with
+    estimate 0. `steps` must be an integer >= 16 and `step_cap` an integer
+    >= `steps`, else ValidationError before any work.
     ConvergenceError is raised at the cap, or at once when a doubling fails
-    to halve an estimate that is already within a thousand roundings per
+    to halve a difference that is already within a thousand roundings per
     step: the estimate has then reached its rounding floor.
     Reversing the path returns the adjoint holonomy to rounding accuracy,
     because the discretization mirrors exactly and every factor is
     time-symmetric.
     """
     target = _check_target(target)
+    steps = _check_steps(steps)
+    step_cap = _check_count("step_cap", step_cap, steps)
     counts, current = _first_product(path, u, window, steps, method)
     if counts is None:
         return HolonomyResult(current, steps, tuple(window), 0.0, 0.0)
     verts = path.vertices
     if method == "auto" and _commuting_segments(verts[:-1], verts[1:]).all():
-        estimate = 0.0
+        diff = 0.0
     else:
-        estimate = max_abs(current, _ordered_product(path, u, window, counts // 2, method))
+        diff = max_abs(current, _ordered_product(path, u, window, counts // 2, method))
+    estimate = diff
     while target is not None and estimate > target:
         if 2 * steps > step_cap:
             raise ConvergenceError(
@@ -714,11 +763,12 @@ def holonomy_path_ordered(
         steps *= 2
         counts = 2 * counts
         coarse, current = current, _ordered_product(path, u, window, counts, method)
-        previous, estimate = estimate, max_abs(current, coarse)
-        stalled = estimate > 0.5 * previous and estimate < _FLOOR_ROUNDINGS * steps
+        previous, diff = diff, max_abs(current, coarse)
+        estimate = _extrapolated_error(previous, diff, steps)
+        stalled = diff > 0.5 * previous and diff < _FLOOR_ROUNDINGS * steps
         if estimate > target and stalled:
             raise ConvergenceError(
-                f"holonomy estimate stalled at its rounding floor {min(previous, estimate):.3e}, "
+                f"holonomy estimate stalled at its rounding floor {min(previous, diff):.3e}, "
                 f"above target {target:.3e}, at {steps} steps"
             )
     return HolonomyResult(current, steps, tuple(window), _unitarity_defect(current), estimate)
@@ -753,6 +803,7 @@ def noncommutativity_defect(
     for the commuting Ex' = 0 family. The ordered product is the matrix of
     ``holonomy_path_ordered(..., target=None)``, built without its shadow run.
     """
+    steps = _check_steps(steps)
     ordered = _first_product(path, u, window, steps, "auto")[1]
     unordered = unordered_holonomy(path, u, window=window)
     return {
@@ -775,13 +826,17 @@ def convergence_series(
     Uses ``method="magnus"`` on every segment, since it measures the
     integrator. Each row's convergence_estimate compares the product at s =
     its ``steps`` with the shadow at s // 2, max |U(s) - U(s // 2)|, so it
-    measures the error at s // 2 steps. The scheme is fourth order, so
-    estimates should fall by about 16x per doubling; the acceptance suite
-    checks they are monotone.
+    measures the error at s // 2 steps: rows are unrefined (target=None)
+    and keep this raw difference, not the step-doubling error estimate of a
+    refined :func:`holonomy_path_ordered` result. The scheme is fourth
+    order, so estimates should fall by about 16x per doubling; the
+    acceptance suite checks they are monotone. Every entry of `steps_list`
+    must be an integer >= 16.
     """
+    steps_list = [_check_steps(s) for s in steps_list]
     rows = []
     for s in steps_list:
-        res = holonomy_path_ordered(path, u, window=window, steps=int(s), target=None, method="magnus")
+        res = holonomy_path_ordered(path, u, window=window, steps=s, target=None, method="magnus")
         rows.append(
             {
                 "steps": res.steps,

@@ -1,3 +1,4 @@
+import functools
 import math
 import subprocess
 import sys
@@ -281,13 +282,15 @@ def test_rounding_floor_fails_fast():
     assert 1e-15 < floor < 1e-11
 
 
+# at 16 -> 32 steps this loop's estimate falls only 1.9x (2.2e-5 to 1.1e-5),
+# then 36x
+_STALL_CORNERS = np.array([[-0.15, 0.02, 2.45, 1.34], [-0.12, 0.23, 4.57, 4.44], [0.24, 0.4, 0.81, 1.21]])
+COARSE_STALL_LOOP = ParameterPath(np.vstack([_STALL_CORNERS, _STALL_CORNERS[:1]]))
+
+
 def test_coarse_stall_is_not_the_rounding_floor():
-    # at 16 -> 32 steps this loop's estimate falls only 1.9x (2.2e-5 to
-    # 1.1e-5), then 36x; refinement must go on past that first doubling
-    corners = np.array(
-        [[-0.15, 0.02, 2.45, 1.34], [-0.12, 0.23, 4.57, 4.44], [0.24, 0.4, 0.81, 1.21]]
-    )
-    loop = ParameterPath(np.vstack([corners, corners[:1]]))
+    # refinement must go on past the first doubling
+    loop = COARSE_STALL_LOOP
     res = holonomy_path_ordered(loop, 0.5, steps=16, target=1e-9)
     assert res.steps > 32 and res.convergence_estimate <= 1e-9
 
@@ -594,17 +597,132 @@ def _rotating_polygon(sides):
     )
 
 
+@functools.cache
+def _rotating_polygon_reference(sides):
+    loop = _rotating_polygon(sides)
+    return loop, _dop853_holonomy(loop, 0.5, (0, 3))
+
+
 @pytest.mark.parametrize("sides", [24, 64])
 def test_many_segment_estimate_bounds_the_true_error(sides):
     # one step per segment in a shadow run would match the returned product
     # exactly and report an estimate of 0; the counts halve instead
-    loop = _rotating_polygon(sides)
-    ref = _dop853_holonomy(loop, 0.5, (0, 3))
+    loop, ref = _rotating_polygon_reference(sides)
     for steps in (16, 32, 64):
         res = holonomy_path_ordered(loop, 0.5, steps=steps, target=None)
         assert res.convergence_estimate >= np.abs(res.matrix - ref).max() > 0.0
     res = holonomy_path_ordered(loop, 0.5, target=1e-7)
     assert np.abs(res.matrix - ref).max() <= res.convergence_estimate <= 1e-7
+
+
+# -- the error estimate of the returned product ---------------------------------
+
+
+def _difference(loop, counts, method="auto"):
+    """max |U(counts) - U(counts // 2)| from two products at explicit per-segment counts."""
+    fine = hol._ordered_product(loop, 0.5, (0, 3), counts, method)
+    return np.abs(fine - hol._ordered_product(loop, 0.5, (0, 3), counts // 2, method)).max()
+
+
+@functools.cache
+def _dop853_c9():
+    return _dop853_holonomy(C9_LOOP, 0.5, (0, 3))
+
+
+@pytest.mark.parametrize("target", [1e-7, 1e-8, 1e-9, 1e-10])
+def test_estimate_bounds_the_returned_products_error(rotating_quadrilaterals, target):
+    loops = [(C9_LOOP, _dop853_c9())] + list(rotating_quadrilaterals)
+    loops += [_rotating_polygon_reference(sides) for sides in (24, 64)]
+    for loop, ref in loops:
+        res = holonomy_path_ordered(loop, 0.5, target=target)
+        assert np.abs(res.matrix - ref).max() <= res.convergence_estimate <= target
+
+
+def test_estimate_halves_the_steps_of_the_raw_difference_rule():
+    # the raw rule stops once max |U(s) - U(s/2)| <= target; the returned
+    # product is then one doubling finer than it needs to be
+    counts, steps = C9_LOOP._allocation(hol.DEFAULT_STEPS), hol.DEFAULT_STEPS
+    while _difference(C9_LOOP, counts) > 1e-8:
+        counts, steps = 2 * counts, 2 * steps
+    res = holonomy_path_ordered(C9_LOOP, 0.5, target=1e-8)
+    assert res.steps == steps // 2
+    assert np.abs(res.matrix - _dop853_c9()).max() <= res.convergence_estimate <= 1e-8
+
+
+def test_extrapolated_error_rule():
+    floor = hol._FLOOR_ROUNDINGS * 1024
+    assert hol._extrapolated_error(16e-6, 1e-6, 1024) == 2e-6 / 15.0
+    assert hol._extrapolated_error(40e-6, 1e-6, 1024) == 2e-6 / 15.0  # rate capped at 16
+    assert hol._extrapolated_error(8e-6, 1e-6, 1024) == 2e-6 / 7.0
+    assert hol._extrapolated_error(7.9e-6, 1e-6, 1024) == 1e-6  # below the rate gate
+    assert hol._extrapolated_error(16.0 * floor, 0.99 * floor, 1024) == 0.99 * floor  # below the floor guard
+    assert hol._extrapolated_error(1e-10, 0.0, 1024) == 0.0
+
+
+def test_slow_round_reports_the_raw_difference():
+    # at 16 -> 32 steps the difference of the coarse-stall loop falls 1.9x,
+    # below the rate gate of 8: stopping there reports the raw difference
+    loop = COARSE_STALL_LOOP
+    counts = loop._allocation(16)
+    first, second = _difference(loop, counts), _difference(loop, 2 * counts)
+    assert 1.0 < first / second < 8.0
+    res = holonomy_path_ordered(loop, 0.5, steps=16, target=0.5 * (first + second))
+    assert res.steps == 32 and res.convergence_estimate == second
+
+
+@pytest.mark.parametrize("loop", [C9_LOOP, COARSE_STALL_LOOP, _rotating_polygon(24)])
+def test_unrefined_estimate_is_the_raw_difference(loop):
+    for steps in (16, 64, 256):
+        res = holonomy_path_ordered(loop, 0.5, steps=steps, target=None)
+        assert res.steps == steps
+        assert res.convergence_estimate == _difference(loop, loop._allocation(steps))
+    rows = convergence_series(loop, 0.5, window=(0, 3), steps_list=(64, 128, 256))
+    for row in rows:
+        want = _difference(loop, loop._allocation(row["steps"]), method="magnus")
+        assert row["convergence_estimate"] == want
+
+
+# -- steps and step_cap are checked before any product is built ------------------
+
+_BAD_COUNTS = [
+    (dict(step_cap=0), "step_cap"),
+    (dict(step_cap=-5), "step_cap"),
+    (dict(step_cap=10.5), "step_cap"),
+    (dict(step_cap="x"), "step_cap"),
+    (dict(step_cap=True), "step_cap"),
+    (dict(steps=64, step_cap=32), "step_cap"),
+    (dict(steps="32"), "steps"),
+    (dict(steps=16.5), "steps"),
+    (dict(steps=32.0), "steps"),
+    (dict(steps=True), "steps"),
+    (dict(steps=8), "steps"),
+    (dict(steps=None), "steps"),
+]
+
+
+@pytest.mark.parametrize("kwargs, name", _BAD_COUNTS)
+def test_bad_step_counts_rejected_before_any_work(kwargs, name, monkeypatch):
+    counts = _recorded_step_counts(monkeypatch)
+    with pytest.raises(ValidationError, match=name):
+        holonomy_path_ordered(C9_LOOP, 0.5, target=1e-8, **kwargs)
+    assert counts == []
+
+
+@pytest.mark.parametrize("steps", ["32", 16.5, 64.0, True, 8, None])
+def test_diagnostics_reject_bad_step_counts(steps, monkeypatch):
+    counts = _recorded_step_counts(monkeypatch)
+    with pytest.raises(ValidationError, match="steps"):
+        noncommutativity_defect(C9_LOOP, 0.5, steps=steps)
+    with pytest.raises(ValidationError, match="steps"):
+        convergence_series(C9_LOOP, 0.5, steps_list=(64, steps))
+    with pytest.raises(ValidationError, match="steps"):
+        partial_unitarity_series(C9_LOOP, 0.5, steps=steps)
+    assert counts == []
+
+
+def test_integer_step_counts_are_plain_ints():
+    res = holonomy_path_ordered(C9_LOOP, 0.5, steps=np.int64(16), target=None, step_cap=np.int64(16))
+    assert res.steps == 16 and type(res.steps) is int
 
 
 # -- one stack per ordered product against the per-segment route ---------------

@@ -11,10 +11,25 @@ Eight subcommands cover the library surface:
     oracle-check  grid cross-validation suite and sign-convention report
     sweep         Cartesian parameter studies of phase/holonomy diagnostics
 
+Each subcommand builds one payload dict and `_emit` renders it, in either
+format, by one rule:
+
+- JSON is the payload with sorted keys and indent 2; a complex number is
+  [re, im], an array nested lists of those.
+- CSV leaves are named by walking the payload in sorted key order: a dict's
+  keys get the prefix `group_`, a list or array item the suffix `_0`,
+  `_1`, ..., and a complex value splits into `name_re` and `name_im`.
+- A payload without a table is `quantity,value` and one row per leaf.
+- A payload with a table (`rows`, `coefficients` or `matrix`, named by the
+  subcommand) writes `# name = value` for every other leaf, then the table.
+  A list of records gives a header of the first record's keys and one row
+  per record; a complex array gives its labelled index columns (`n,m`, or
+  `row,col` offset by the window's lower edge), then `re,im`.
+
 Outputs are reproducible byte for byte: floats are rendered with repr
-(shortest round-trip), JSON keys are sorted, row order is fixed, and files
-are written atomically (temp file + rename). Exit codes: 0 success,
-2 validation error, 3 convergence or cross-validation failure.
+(shortest round-trip), row order is fixed, and files are written atomically
+(temp file + rename). Exit codes: 0 success, 2 validation error,
+3 convergence or cross-validation failure.
 
 Start-up is most of a call's time, so each subcommand imports only the
 library modules it calls: `spectrum` loads none beyond `params`, and only
@@ -29,7 +44,8 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from itertools import product
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -141,24 +157,58 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _csv_text(header: list[str], rows: list[list], comments: list[str] | None = None) -> str:
-    lines = [f"# {c}" for c in (comments or [])]
-    lines.append(",".join(header))
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _json_value(value):
+    """JSON form of a payload value: a complex number becomes [re, im]."""
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, (complex, np.complexfloating)):
+        return [float(value.real), float(value.imag)]
+    return value
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _leaves(value, name: str = ""):
+    """(name, scalar) pairs of a payload value in the CSV naming of the module rule."""
+    prefix = f"{name}_" if name else ""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _leaves(value[key], prefix + key)
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{prefix}{i}")
+    elif isinstance(value, (complex, np.complexfloating)):
+        yield prefix + "re", value.real
+        yield prefix + "im", value.imag
+    else:
+        yield name, value
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _emit(args, payload: dict, table: str | None = None, index=None) -> None:
+    """Write a subcommand's payload to --out in --format, by the module rule.
 
-
-def _matrix_pairs(matrix: np.ndarray) -> list[list[list[float]]]:
-    """Row-major [re, im] encoding of a complex matrix."""
-    return [[_pair(z) for z in row] for row in np.asarray(matrix)]
+    `table` names the payload entry that the CSV writes as its table: a list
+    of records, or a complex array whose entries `index` labels as
+    (column names, one label tuple per entry in row-major order).
+    """
+    if args.format == "json":
+        text = json.dumps(_json_value(payload), indent=2, sort_keys=True)
+    else:
+        scalars = _leaves({k: v for k, v in payload.items() if k != table})
+        if table is None:
+            lines = ["quantity,value", *(f"{k},{_fmt(v)}" for k, v in scalars)]
+        else:
+            lines = [f"# {k} = {_fmt(v)}" for k, v in scalars]
+            entries = payload[table]
+            if index is None:
+                header, rows = list(entries[0]), [record.values() for record in entries]
+            else:
+                header = [*index[0], "re", "im"]
+                rows = [(*label, z.real, z.imag) for label, z in zip(index[1], np.ravel(entries))]
+            lines.append(",".join(header))
+            lines.extend(",".join(map(_fmt, row)) for row in rows)
+        text = "\n".join(lines)
+    _write_text(args.out, text + "\n")
 
 
 def _write_text(out: str | None, text: str) -> None:
@@ -312,70 +362,27 @@ def _cmd_derive(args) -> int:
 
     config = load_config(args.config)
     scales = derive_scales(config)
-    regime = validate_regime(config)
-    shift = _displaced.position_shift(config)
-    if args.format == "json":
-        payload = {
-            "omega": scales.omega,
-            "sigma": scales.sigma,
-            "l_m": scales.l_m,
-            "u": scales.u,
-            "nu": _pair(scales.nu),
-            "energy_quantum": scales.energy_quantum,
-            "hbar": scales.hbar,
-            "position_shift": [shift[0], shift[1]],
-            "regime": {
-                "mass_correction_ratio": regime.mass_correction_ratio,
-                "dipole_energy": regime.dipole_energy,
-                "mass_threshold": regime.mass_threshold,
-                "energy_threshold": regime.energy_threshold,
-                "verdict": regime.verdict,
-            },
-        }
-        _write_text(args.out, _json_text(payload))
-    else:
-        rows = [
-            ["omega", scales.omega],
-            ["sigma", scales.sigma],
-            ["l_m", scales.l_m],
-            ["u", scales.u],
-            ["nu_re", scales.nu.real],
-            ["nu_im", scales.nu.imag],
-            ["energy_quantum", scales.energy_quantum],
-            ["hbar", scales.hbar],
-            ["shift_x", shift[0]],
-            ["shift_y", shift[1]],
-            ["regime_mass_correction_ratio", regime.mass_correction_ratio],
-            ["regime_dipole_energy", regime.dipole_energy],
-            ["regime_verdict", regime.verdict],
-        ]
-        _write_text(args.out, _csv_text(["quantity", "value"], rows))
+    shift_x, shift_y = _displaced.position_shift(config)
+    payload = {
+        **asdict(scales),
+        "energy_quantum": scales.energy_quantum,
+        "shift": {"x": shift_x, "y": shift_y},
+        "regime": asdict(validate_regime(config)),
+    }
+    _emit(args, payload)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    config = load_config(args.config)
-    scales = derive_scales(config)
-    n_max = args.n if args.n is not None else 3
-    m_max = args.m if args.m is not None else 3
-    if n_max < 0 or m_max < 0:
-        raise ValidationError(f"n and m bounds must be >= 0, got {n_max}, {m_max}")
+    scales = derive_scales(load_config(args.config))
+    if args.n < 0 or args.m < 0:
+        raise ValidationError(f"n and m bounds must be >= 0, got {args.n}, {args.m}")
     rows = []
-    for n in range(n_max + 1):
-        for m in range(m_max + 1):
+    for n in range(args.n + 1):
+        for m in range(args.m + 1):
             ell = scales.sigma * (m - n)
-            rows.append([n, m, ell, n + 0.5, ell])
-    if args.format == "json":
-        payload = {
-            "sigma": scales.sigma,
-            "rows": [
-                {"n": r[0], "m": r[1], "l": r[2], "E_over_hw": r[3], "Lz_over_h": r[4]}
-                for r in rows
-            ],
-        }
-        _write_text(args.out, _json_text(payload))
-    else:
-        _write_text(args.out, _csv_text(["n", "m", "l", "E_over_hw", "Lz_over_h"], rows))
+            rows.append({"n": n, "m": m, "l": ell, "E_over_hw": n + 0.5, "Lz_over_h": ell})
+    _emit(args, {"sigma": scales.sigma, "rows": rows}, table="rows")
     return 0
 
 
@@ -383,37 +390,23 @@ def _cmd_displace(args) -> int:
     from . import displaced as _displaced
     from . import fock as _fock
 
-    config = load_config(args.config)
-    scales = derive_scales(config)
-    n = args.n if args.n is not None else 0
-    m = args.m if args.m is not None else 0
+    scales = derive_scales(load_config(args.config))
     if args.nu_re is not None or args.nu_im is not None:
         nu = complex(args.nu_re or 0.0, args.nu_im or 0.0)
     else:
         nu = scales.nu
     basis = _fock.build_basis(args.n_max, args.m_max, sigma=scales.sigma)
-    state = _displaced.displaced_state(n, m, nu, basis)
-    if args.format == "json":
-        payload = {
-            "n": n,
-            "m": m,
-            "nu": _pair(nu),
-            "n_max": basis.n_max,
-            "m_max": basis.m_max,
-            "trunc_deficit": state.trunc_deficit,
-            "coefficients": [_pair(z) for z in state.coefficients],
-        }
-        _write_text(args.out, _json_text(payload))
-    else:
-        rows = []
-        for idx, z in enumerate(state.coefficients):
-            bn, bm = basis.labels(idx)
-            rows.append([bn, bm, z.real, z.imag])
-        comments = [
-            f"displaced state n={n} m={m} nu_re={_fmt(nu.real)} nu_im={_fmt(nu.imag)}",
-            f"trunc_deficit = {_fmt(state.trunc_deficit)}",
-        ]
-        _write_text(args.out, _csv_text(["n", "m", "re", "im"], rows, comments))
+    state = _displaced.displaced_state(args.n, args.m, nu, basis)
+    payload = {
+        "n": args.n,
+        "m": args.m,
+        "nu": nu,
+        "n_max": basis.n_max,
+        "m_max": basis.m_max,
+        "trunc_deficit": state.trunc_deficit,
+        "coefficients": state.coefficients,
+    }
+    _emit(args, payload, table="coefficients", index=(("n", "m"), map(basis.labels, range(basis.size))))
     return 0
 
 
@@ -428,27 +421,17 @@ def _cmd_connection(args) -> int:
             f"{sorted(set(_PARAM_ALIASES))}"
         )
     param = _PARAM_ALIASES[args.param]
-    window = args.window
-    n = args.n if args.n is not None else 0
     point = _config_point(config)
-    mat = _connection.connection_matrix(param, point, scales.u, n, window)
-    if args.format == "json":
-        payload = {
-            "param": param,
-            "point": list(point),
-            "n": n,
-            "window": [window[0], window[1]],
-            "u": scales.u,
-            "matrix": _matrix_pairs(mat.entries),
-        }
-        _write_text(args.out, _json_text(payload))
-    else:
-        rows = []
-        for i, m_row in enumerate(mat.window):
-            for j, m_col in enumerate(mat.window):
-                z = mat.entries[i, j]
-                rows.append([m_row, m_col, z.real, z.imag])
-        _write_text(args.out, _csv_text(["row", "col", "re", "im"], rows))
+    mat = _connection.connection_matrix(param, point, scales.u, args.n, args.window)
+    payload = {
+        "param": param,
+        "point": point,
+        "n": args.n,
+        "window": args.window,
+        "u": scales.u,
+        "matrix": mat.entries,
+    }
+    _emit(args, payload, table="matrix", index=(("row", "col"), product(mat.window, repeat=2)))
     return 0
 
 
@@ -485,13 +468,7 @@ def _phase_payload(spec: _LoopSpec, config: PhysicalConfig) -> dict:
 
 
 def _cmd_phase(args) -> int:
-    config = load_config(args.config)
-    payload = _phase_payload(_LoopSpec.from_args(args), config)
-    if args.format == "csv":
-        rows = [[k, v] for k, v in sorted(payload.items())]
-        _write_text(args.out, _csv_text(["quantity", "value"], rows))
-    else:
-        _write_text(args.out, _json_text(payload))
+    _emit(args, _phase_payload(_LoopSpec.from_args(args), load_config(args.config)))
     return 0
 
 
@@ -500,24 +477,24 @@ def _cmd_holonomy(args) -> int:
 
     config = load_config(args.config)
     scales = derive_scales(config)
-    if args.format == "csv":
-        raise ValidationError("holonomy output is a matrix; use --format json")
     path = _LoopSpec.from_args(args).path(config)
     window = args.window
     steps = _holonomy.DEFAULT_STEPS if args.steps is None else args.steps
-    result = _holonomy.holonomy_path_ordered(path, scales.u, window=window, steps=steps, target=args.target)
+    target = None if args.target == 0.0 else args.target
+    result = _holonomy.holonomy_path_ordered(path, scales.u, window=window, steps=steps, target=target)
     payload = {
         "kind": path.kind,
-        "window": [window[0], window[1]],
+        "window": window,
         "steps": result.steps,
         "u": scales.u,
-        "matrix": _matrix_pairs(result.matrix),
+        "matrix": result.matrix,
         "unitarity_defect": result.unitarity_defect,
         "convergence_estimate": result.convergence_estimate,
         "identity_distance": _identity_distance(result.matrix),
-        "vertices": [[float(v) for v in row] for row in path.vertices],
+        "vertices": path.vertices,
     }
-    _write_text(args.out, _json_text(payload))
+    labels = product(range(window[0], window[1] + 1), repeat=2)
+    _emit(args, payload, table="matrix", index=(("row", "col"), labels))
     if args.emit_plot_data:
         series = _holonomy.partial_unitarity_series(
             path, scales.u, window=window, steps=result.steps
@@ -587,7 +564,7 @@ def _cmd_oracle_check(args) -> int:
         "tolerances": tolerances,
         "pass": passed,
     }
-    _write_text(args.out, _json_text(payload))
+    _emit(args, payload)
     print(_oracle.render_sign_report(report), file=sys.stderr)
     if not passed:
         raise ConsistencyError("oracle cross-validation failed: " + ", ".join(failed))
@@ -634,51 +611,33 @@ def _cmd_sweep(args) -> int:
             raise ValidationError(f"sweep axis {name!r} does not apply to {kind}")
 
     names = [name for name, _ in axes]
-    combos = [()]
-    for _, vals in axes:
-        combos = [prev + (v,) for prev in combos for v in vals]
-    combos.sort()
+    combos = sorted(product(*(vals for _, vals in axes)))
 
-    def run_combo(combo: tuple[float, ...]) -> list:
-        override = dict(zip(names, combo))
-        steps = args.steps
-        if "steps" in override:
-            value = override.pop("steps")
-            steps = int(value)
-            if steps != value:
-                raise ValidationError(f"swept steps must be integers, got {value}")
-        spec = replace(base, **override)
+    def run_combo(combo: tuple[float, ...]) -> dict:
+        row = dict(zip(names, combo))
+        steps = row.get("steps", args.steps)
+        if not float(steps).is_integer():
+            raise ValidationError(f"swept steps must be integers, got {steps}")
+        spec = replace(base, **{k: v for k, v in row.items() if k != "steps"})
         loop = spec.path(config)
         if kind == "C1_rectangle":
             phases = _holonomy.abelian_phase(loop, scales.u)
-            return list(combo) + [
-                phases.signed_area,
-                phases.curvature,
-                phases.gamma_line_integral,
-                phases.gamma_area_law,
-            ]
-        result = _holonomy.holonomy_path_ordered(loop, scales.u, window=args.window, steps=steps, target=None)
-        return list(combo) + [
-            spec.closed_form(),
-            _identity_distance(result.matrix),
-            result.unitarity_defect,
-            result.convergence_estimate,
-            result.steps,
-        ]
+            return row | {
+                "signed_area": phases.signed_area,
+                "curvature": phases.curvature,
+                "gamma_line_integral": phases.gamma_line_integral,
+                "gamma_area_law": phases.gamma_area_law,
+            }
+        result = _holonomy.holonomy_path_ordered(loop, scales.u, window=args.window, steps=int(steps), target=None)
+        return row | {
+            "S_closed_form": spec.closed_form(),
+            "identity_distance": _identity_distance(result.matrix),
+            "unitarity_defect": result.unitarity_defect,
+            "convergence_estimate": result.convergence_estimate,
+            "steps_used": result.steps,
+        }
 
-    rows = [run_combo(c) for c in combos]
-
-    if kind == "C1_rectangle":
-        header = names + ["signed_area", "curvature", "gamma_line_integral", "gamma_area_law"]
-    else:
-        header = names + [
-            "S_closed_form", "identity_distance", "unitarity_defect", "convergence_estimate", "steps_used"
-        ]
-    if args.format == "json":
-        payload = {"kind": kind, "header": header, "rows": rows}
-        _write_text(args.out, _json_text(payload))
-    else:
-        _write_text(args.out, _csv_text(header, rows))
+    _emit(args, {"kind": kind, "rows": [run_combo(c) for c in combos]}, table="rows")
     return 0
 
 
@@ -722,14 +681,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("spectrum", help="(n, m, l, E/hw, Lz/hbar) table")
     _add_common(p, "csv")
-    p.add_argument("--n", type=int, help="largest level index n (default 3)")
-    p.add_argument("--m", type=int, help="largest radial index m (default 3)")
+    p.add_argument("--n", type=int, default=3, help="largest level index n (default 3)")
+    p.add_argument("--m", type=int, default=3, help="largest radial index m (default 3)")
     p.set_defaults(func=_cmd_spectrum)
 
     p = subs.add_parser("displace", help="displaced-state coefficients")
     _add_common(p, "json")
-    p.add_argument("--n", type=int, help="level index n (default 0)")
-    p.add_argument("--m", type=int, help="radial index m (default 0)")
+    p.add_argument("--n", type=int, default=0, help="level index n (default 0)")
+    p.add_argument("--m", type=int, default=0, help="radial index m (default 0)")
     p.add_argument("--nu-re", type=float, dest="nu_re", help="override Re nu (default: from config fields)")
     p.add_argument("--nu-im", type=float, dest="nu_im", help="override Im nu")
     p.add_argument("--n-max", type=int, default=12, dest="n_max", help="basis cut in n (default 12)")
@@ -739,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("connection", help="one connection component on an m-window")
     _add_common(p, "csv")
     p.add_argument("--param", required=True, help="Ex_prime | Ey_prime | lambda_density | B (aliases Ex, Ey, lambda)")
-    p.add_argument("--n", type=int, help="level index n (default 0)")
+    p.add_argument("--n", type=int, default=0, help="level index n (default 0)")
     p.add_argument("--window", type=_parse_window, default=(0, 3), help="m-window lo..hi (default 0..3)")
     p.set_defaults(func=_cmd_connection)
 
@@ -799,8 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "target", None) == 0.0:
-        args.target = None
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -16,10 +16,18 @@ def run_cli(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def split_csv(out: str) -> tuple[list[str], list[str]]:
+    """The leading '# name = value' lines of a CSV table, and the header and rows after them."""
+    lines = out.splitlines()
+    count = next(i for i, line in enumerate(lines) if not line.startswith("# "))
+    return lines[:count], lines[count:]
+
+
 def test_spectrum_csv_header_and_rows(capsys):
     rc, out, _ = run_cli(capsys, "spectrum", "--n", "1", "--m", "1")
     assert rc == 0
-    lines = out.splitlines()
+    comments, lines = split_csv(out)
+    assert comments == ["# sigma = 1"]
     assert lines[0] == "n,m,l,E_over_hw,Lz_over_h"
     assert lines[1] == "0,0,0,0.5,0"
     assert lines[2] == "0,1,1,0.5,1"
@@ -88,16 +96,19 @@ def test_displace_json_and_csv(capsys):
     assert len(payload["coefficients"]) == 15 * 3
     assert payload["trunc_deficit"] < 1e-9
     rc, out, _ = run_cli(capsys, "displace", "--format", "csv", "--nu-re", "0.3")
-    lines = out.splitlines()
-    assert lines[0].startswith("# displaced state n=0 m=0 nu_re=0.3")
-    assert lines[1].startswith("# trunc_deficit")
-    assert lines[2] == "n,m,re,im"
+    comments, lines = split_csv(out)
+    assert comments[:6] == ["# m = 0", "# m_max = 12", "# n = 0", "# n_max = 12", "# nu_re = 0.3", "# nu_im = 0.0"]
+    assert comments[6].startswith("# trunc_deficit = ")
+    assert len(comments) == 7
+    assert lines[0] == "n,m,re,im"
 
 
 def test_connection_csv_and_json(capsys):
     rc, out, _ = run_cli(capsys, "connection", "--param", "lambda", "--window", "0..2")
     assert rc == 0
-    lines = out.splitlines()
+    comments, lines = split_csv(out)
+    assert comments == ["# n = 0", "# param = lambda_density", "# point_0 = 0.0", "# point_1 = 0.0",
+                        "# point_2 = 2.0", "# point_3 = 1.0", "# u = 0.5", "# window_0 = 0", "# window_1 = 2"]
     assert lines[0] == "row,col,re,im"
     assert len(lines) == 1 + 9
     rc, out, _ = run_cli(
@@ -133,10 +144,21 @@ def test_holonomy_identity_loop(capsys, tmp_path):
     assert int(series[-1][0]) >= 64
 
 
-def test_holonomy_rejects_csv(capsys):
-    rc, _, err = run_cli(capsys, "holonomy", "--named", "ABCHEFA", "--format", "csv")
-    assert rc == 2
-    assert "validation error" in err
+def test_holonomy_csv_table_is_the_json_matrix(capsys):
+    argv = ("holonomy", "--named", "ADCHEFA", "--window", "1..3")
+    rc, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    rc_json, out_json, _ = run_cli(capsys, *argv)
+    assert rc == rc_json == 0
+    payload = json.loads(out_json)
+    comments, lines = split_csv(out)
+    assert "# kind = ADCHEFA" in comments
+    assert f"# steps = {payload['steps']}" in comments
+    assert comments[-2:] == ["# window_0 = 1", "# window_1 = 3"]
+    assert lines[0] == "row,col,re,im"
+    cells = [line.split(",") for line in lines[1:]]
+    assert [(int(r), int(c)) for r, c, _, _ in cells] == [(r, c) for r in (1, 2, 3) for c in (1, 2, 3)]
+    matrix = [[float(re), float(im)] for _, _, re, im in cells]
+    assert matrix == [pair for row in payload["matrix"] for pair in row]
 
 
 def test_vertices_file(capsys, tmp_path):
@@ -322,7 +344,8 @@ def test_exit_3_on_numerical_failure(capsys, monkeypatch):
 def test_sweep_c1_area(capsys):
     rc, out, _ = run_cli(capsys, "sweep", "--named", "C1", "--sweep", "area=0.5,1.0,2.0")
     assert rc == 0
-    lines = out.splitlines()
+    comments, lines = split_csv(out)
+    assert comments == ["# kind = C1_rectangle"]
     assert lines[0] == "area,signed_area,curvature,gamma_line_integral,gamma_area_law"
     rows = [line.split(",") for line in lines[1:]]
     areas = [float(r[0]) for r in rows]
@@ -338,7 +361,8 @@ def test_sweep_box_steps_convergence(capsys):
         "--sweep", "steps=64,128,256",
     )
     assert rc == 0
-    lines = out.splitlines()
+    comments, lines = split_csv(out)
+    assert comments == ["# kind = ABCHEFA"]
     assert lines[0] == "steps,S_closed_form,identity_distance,unitarity_defect,convergence_estimate,steps_used"
     rows = [line.split(",") for line in lines[1:]]
     # every segment of a box loop is exact, so the step count changes nothing
@@ -353,7 +377,9 @@ def test_sweep_two_axes_sorted(capsys):
         "--sweep", "Ey2=1.0,0.5", "--sweep", "B2=4.0,2.0",
     )
     assert rc == 0
-    lines = out.splitlines()
+    comments, lines = split_csv(out)
+    assert comments == ["# kind = ABCHGFA"]
+    assert lines[0].startswith("Ey2,B2,")
     combos = [tuple(float(v) for v in line.split(",")[:2]) for line in lines[1:]]
     assert combos == sorted(combos)
     assert len(combos) == 4
@@ -492,7 +518,8 @@ def test_box_sweep_rows_equal_single_holonomies(capsys):
     rc, out, _ = run_cli(capsys, "sweep", "--named", "ABCHEFA", "--sweep", "Ey2=0.6,1.3",
                          "--sweep", "lam2=2.5,3.5")
     assert rc == 0
-    lines = out.splitlines()
+    comments, lines = split_csv(out)
+    assert comments == ["# kind = ABCHEFA"]
     assert lines[0] == "Ey2,lam2,S_closed_form,identity_distance,unitarity_defect,convergence_estimate,steps_used"
     for line in lines[1:]:
         ey2, lam2, s_closed, dist, defect, estimate, steps = line.split(",")
@@ -511,7 +538,9 @@ def test_box_sweep_rows_equal_single_holonomies(capsys):
 def test_c1_sweep_rows_equal_single_phases(capsys):
     rc, out, _ = run_cli(capsys, "sweep", "--named", "C1", "--sweep", "area=0.3,1.7")
     assert rc == 0
-    header, *rows = [line.split(",") for line in out.splitlines()]
+    comments, lines = split_csv(out)
+    assert comments == ["# kind = C1_rectangle"]
+    header, *rows = [line.split(",") for line in lines]
     for row in rows:
         rc, phase, _ = run_cli(capsys, "phase", "--named", "C1", "--area", row[0])
         assert rc == 0

@@ -217,20 +217,17 @@ def _write_text(out: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     target = Path(out)
-    parent = target.parent if str(target.parent) else Path(".")
-    if not parent.is_dir():
-        raise ValidationError(f"output directory {parent} does not exist")
-    fd, tmp = tempfile.mkstemp(dir=parent, prefix=f".{target.name}.", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, target)
-    except BaseException:
-        try:
+    except OSError as exc:  # e.g. a missing directory, or a directory at `out`
+        raise ValidationError(f"cannot write {out}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.lexists(tmp):
             os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +235,20 @@ def _write_text(out: str | None, text: str) -> None:
 
 
 def _parse_window(text: str) -> tuple[int, int]:
+    # argparse replaces the message of any other error from a type function
     from . import connection as _connection
 
     lo, sep, hi = text.partition("..")
     if not sep:
-        raise ValidationError(f"window must look like lo..hi, got {text!r}")
+        raise argparse.ArgumentTypeError(f"window must look like lo..hi, got {text!r}")
     try:
         bounds = (int(lo), int(hi))
-    except ValueError as exc:
-        raise ValidationError(f"window bounds must be integers, got {text!r}") from exc
-    return _connection._check_window(bounds)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"window bounds must be integers, got {text!r}") from None
+    try:
+        return _connection._check_window(bounds)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _normalize_kind(name: str) -> str:

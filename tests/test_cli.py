@@ -324,6 +324,27 @@ def test_bad_inputs_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "window, reason",
+    [("3..1", "0 <= m_lo <= m_hi"), ("-1..2", "0 <= m_lo <= m_hi"), ("3", "lo..hi"), ("a..b", "integers")],
+)
+def test_window_errors_name_their_reason(capsys, window, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(["connection", "--param", "B", f"--window={window}"])
+    assert exc.value.code == 2
+    assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--emit-plot-data"])
+def test_writing_to_a_directory_exits_2(capsys, tmp_path, flag):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    rc, _, err = run_cli(capsys, "holonomy", "--named", "ABCHEFA", flag, str(taken))
+    assert rc == 2 and "validation error: cannot write" in err
+    # no temporary file is left beside the target or in it
+    assert list(tmp_path.iterdir()) == [taken] and not any(taken.iterdir())
+
+
 @pytest.mark.parametrize("target", ["-1e-8", "nan", "inf"])
 def test_bad_target_exit_2(capsys, target):
     rc, out, err = run_cli(capsys, "holonomy", "--named", "ABCHEFA", f"--target={target}")
@@ -394,6 +415,9 @@ def test_sweep_validation(capsys):
     assert rc == 2
     rc, _, err = run_cli(capsys, "sweep", "--named", "C1", "--sweep", "zz=1,2")
     assert rc == 2 and "unknown sweep axis" in err
+    for values in ("64,64.5", "64,nan", "64,inf"):
+        rc, _, err = run_cli(capsys, "sweep", "--named", "ABCHEFA", "--sweep", f"steps={values}")
+        assert rc == 2 and "swept steps must be integers" in err
 
 
 def test_oracle_check_passes(capsys, tmp_path):

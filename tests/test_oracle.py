@@ -7,7 +7,7 @@ from dlh import oracle
 from dlh._linalg import unitarize
 from dlh.connection import connection_closed_form
 from dlh.errors import ValidationError
-from dlh.holonomy import box_loop, holonomy_path_ordered, rectangle_loop
+from dlh.holonomy import ParameterPath, box_loop, holonomy_path_ordered, rectangle_loop
 from dlh.oracle import (
     Grid2D,
     WaveField,
@@ -292,6 +292,20 @@ def test_wilson_loop_matches_path_ordered(grid12, cfg_natural):
     wilson = wilson_loop_oracle(grid12, cfg_natural, loop, n=0, window=(0, 1), steps=96)
     ordered = holonomy_path_ordered(loop, sc.u, window=(0, 1), steps=512, target=None)
     assert np.abs(wilson.matrix - ordered.matrix).max() < 1e-6
+
+
+def test_wilson_loop_is_second_order_in_the_links(grid14, cfg_natural):
+    # a loop that moves all four parameters, so no segment is trivially exact
+    vertices = [(0, 0, 1, 1), (0.3, 0.1, 1, 1), (0.3, 0.45, 1.5, 1), (0.1, 0.45, 1.5, 1.5), (0, 0, 1, 1)]
+    loop = ParameterPath(vertices=np.array(vertices, dtype=float), kind="custom")
+    u = derive_scales(cfg_natural).u
+    exact = holonomy_path_ordered(loop, u, window=(0, 1), target=1e-12, method="magnus").matrix
+    errors = [
+        np.abs(wilson_loop_oracle(grid14, cfg_natural, loop, n=0, window=(0, 1), steps=s).matrix - exact).max()
+        for s in (32, 64, 128)
+    ]
+    # first order would fall 2x per doubling; this falls about 4x
+    assert errors[0] >= 3 * errors[1] >= 9 * errors[2]
 
 
 def test_wilson_validation(grid12, cfg_natural):

@@ -1,9 +1,8 @@
 """Byte-exact stdout of every subcommand in both formats.
 
 Each case runs in-process in CSV and in JSON and must reproduce
-tests/golden/<case>.<format> exactly. The files are edited by hand, never
-regenerated by a test run, so a diff of them is the record of every output
-byte a change moves.
+tests/golden/<case>.<format> exactly. No test run rewrites these files, so
+a diff of them is the record of every output byte a change moves.
 """
 
 import json
@@ -42,17 +41,12 @@ FORMATS = ("csv", "json")
 TABLES = {"spectrum": "rows", "sweep": "rows", "displace": "coefficients", "connection": "matrix", "holonomy": "matrix"}
 
 
-def run(capsys, case: str, fmt: str) -> tuple[int, str]:
-    rc = main([*CASES[case], "--format", fmt])
-    return rc, capsys.readouterr().out
-
-
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stdout_matches_golden(capsys, case, fmt):
     expected = (GOLDEN / f"{case}.{fmt}").read_bytes()
-    rc, out = run(capsys, case, fmt)
-    assert (rc, out.encode()) == (0, expected)
+    rc = main([*CASES[case], "--format", fmt])
+    assert (rc, capsys.readouterr().out.encode()) == (0, expected)
 
 
 def test_every_case_has_both_golden_files():

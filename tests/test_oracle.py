@@ -295,7 +295,7 @@ def test_wilson_loop_matches_path_ordered(grid12, cfg_natural):
 
 
 def test_wilson_loop_is_second_order_in_the_links(grid14, cfg_natural):
-    # a loop that moves all four parameters, so no segment is trivially exact
+    # a loop through all four parameters, against the Magnus engine at 1e-12
     vertices = [(0, 0, 1, 1), (0.3, 0.1, 1, 1), (0.3, 0.45, 1.5, 1), (0.1, 0.45, 1.5, 1.5), (0, 0, 1, 1)]
     loop = ParameterPath(vertices=np.array(vertices, dtype=float), kind="custom")
     u = derive_scales(cfg_natural).u

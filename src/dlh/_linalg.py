@@ -1,8 +1,8 @@
 """Small shared numerics: exactly-unitary exponentials and unitarization.
 
-:func:`unitary_exp_i` is the one matrix exponential of the package: it
-exponentiates the holonomy engine's step generators and, on the n-mode, the
-displacement D(nu) = exp(nu a+ - nu* a-).
+:func:`unitary_exp_i` exponentiates by eigendecomposition the displacement
+D(nu) on the n-mode and the closed-form holonomy of an Ex' = 0 loop. The
+engine's step generators go through ``holonomy._span_exp`` instead.
 """
 
 from __future__ import annotations

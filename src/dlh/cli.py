@@ -494,14 +494,13 @@ def _cmd_holonomy(args) -> int:
         "identity_distance": _identity_distance(result.matrix),
         "vertices": path.vertices,
     }
-    labels = product(range(window[0], window[1] + 1), repeat=2)
-    _emit(args, payload, table="matrix", index=(("row", "col"), labels))
-    if args.emit_plot_data:
+    if args.emit_plot_data:  # before the payload, so a failed plot path leaves no output
         series = _holonomy.partial_unitarity_series(
             path, scales.u, window=window, steps=result.steps
         )
-        lines = "".join(f"{k} {_fmt(d)}\n" for k, d in series)
-        _write_text(args.emit_plot_data, lines)
+        _write_text(args.emit_plot_data, "".join(f"{k} {_fmt(d)}\n" for k, d in series))
+    labels = product(range(window[0], window[1] + 1), repeat=2)
+    _emit(args, payload, table="matrix", index=(("row", "col"), labels))
     return 0
 
 
@@ -530,7 +529,7 @@ def _cmd_oracle_check(args) -> int:
     # The displaced vacuum has mean level occupation |nu|^2, so the n-mode
     # grows with it; m is a Kronecker spectator of D, so one radial step is
     # enough. Up to |nu|^2 = 5 the two D routes stay within 2e-9; the H_nu
-    # check pads its own conjugation and needs no wider basis.
+    # check reads the closed-form D, exact on any basis, and needs no padding.
     nu_basis = _fock.build_basis(16 + 8 * math.ceil(abs(scales.nu) ** 2), 1)
     try:
         _displaced.displacement_matrix(scales.nu, nu_basis, check=True)

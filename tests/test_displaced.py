@@ -8,15 +8,16 @@ import scipy.linalg
 from dlh.displaced import (
     DisplacedState,
     _dense_route,
+    _displacement_block,
     _n_ladders,
-    _padded_top,
     displaced_hamiltonian,
     displaced_state,
     displacement_matrix,
     dual_route_deviation,
     position_shift,
 )
-from dlh.errors import ValidationError
+import dlh.displaced
+from dlh.errors import ConsistencyError, ValidationError
 from dlh.fock import build_basis, ladder_a, state_from_ground
 from dlh.params import derive_scales
 
@@ -59,7 +60,7 @@ def test_trunc_deficit_is_the_poisson_tail():
     tail = 1.0 - sum(math.exp(-3.92) * 3.92**k / math.factorial(k) for k in range(n_max + 1))
     assert state.trunc_deficit == pytest.approx(tail, abs=1e-10)
     assert tail == pytest.approx(0.019076, abs=1e-6)
-    doubled = _dense_route(nu, 2 * (_padded_top(n_max) + 1) - 1)[n_max + 1 :, 0]
+    doubled = _dense_route(nu, 2 * (2 * n_max + 16) - 1)[n_max + 1 :, 0]
     assert abs(np.vdot(doubled, doubled).real - state.trunc_deficit) < 1e-12
     # the coefficients stay the column of D_n on the basis itself
     assert np.array_equal(state.coefficients, _dense_route(nu, n_max)[:, 0])
@@ -198,3 +199,88 @@ def test_hnu_check_accepts_what_the_truncation_guard_accepts(cfg_desk, n_max):
         for nu in nus:
             for m_max in (0, 2):
                 displaced_hamiltonian(nu, build_basis(n_max, m_max), sc, check=True)
+
+
+def _nu(occ, phase):
+    return math.sqrt(occ) * complex(math.cos(phase), math.sin(phase))
+
+
+@pytest.mark.parametrize("occ, phase", [(0.01, 0.3), (2.0, 2.0), (7.0, 4.4), (20.0, 5.9)])
+def test_displacement_block_matches_scipy_expm(occ, phase):
+    # the closed form on the infinite ladder, against expm on a 301-level
+    # mode whose truncation is far past every block read here; |nu|^2 = 20
+    # is the truncation guard's bound n_max/2 at n_max = 40
+    ap, am = _n_ladders(300)
+    nu = _nu(occ, phase)
+    ref = scipy.linalg.expm(nu * ap - np.conj(nu) * am)
+    blocks = [(range(4), range(4)), (range(16), range(16)), (range(5, 13), range(5, 13))]
+    blocks += [(range(41), range(41)), (range(41, 96), [0, 20, 40])]
+    for rows, cols in blocks:
+        got = _displacement_block(nu, rows, cols)
+        assert np.abs(got - ref[np.ix_(list(rows), list(cols))]).max() <= 1e-13
+
+
+def test_displacement_block_at_zero_is_the_identity():
+    assert np.array_equal(_displacement_block(0.0, range(3, 30), range(41)), np.eye(27, 41, k=3, dtype=complex))
+
+
+@pytest.mark.parametrize("n_max", [2, 6, 14, 25, 40])
+def test_trunc_deficit_matches_the_padded_route_it_replaces(n_max):
+    # the deficit used to be read off column n of D_n on a padded mode of
+    # 2 n_max + 16 levels; wherever that was resolved it must agree
+    basis = build_basis(n_max, 0)
+    for occ in np.linspace(0.0, 0.999 * n_max / 8.0, 4)[1:]:
+        for phase in (0.3, 4.4):
+            nu = _nu(occ, phase)
+            padded = _dense_route(nu, 2 * n_max + 15)[n_max + 1 :]
+            for n in range(n_max + 1):
+                head = float(np.vdot(padded[:, n], padded[:, n]).real)
+                if head >= 1e-12:
+                    assert abs(displaced_state(n, 0, nu, basis).trunc_deficit - head) <= 1e-9 * head
+
+
+def test_trunc_deficit_is_exact_far_below_rounding():
+    # far below the rounding floor of any dense route: the Poisson tail of
+    # mean |nu|^2 past level 40, 5.2e-97
+    occ = 0.0725
+    state = displaced_state(0, 0, math.sqrt(occ), build_basis(40, 0))
+    tail = sum(math.exp(-occ) * occ**k / math.factorial(k) for k in range(41, 120))
+    assert abs(state.trunc_deficit - tail) <= 1e-12 * tail
+
+
+def test_trunc_deficit_at_the_top_level():
+    # n = n_max with |nu|^2 just under n_max/2: most of the state lies past
+    # the truncation, and its edge nears the old padded mode's top level 47
+    nu, n_max = _nu(7.99, 0.7), 16
+    with pytest.warns(UserWarning):
+        state = displaced_state(n_max, 0, nu, build_basis(n_max, 0))
+    ap, am = _n_ladders(399)
+    tail = scipy.linalg.expm(nu * ap - np.conj(nu) * am)[n_max + 1 :, n_max]
+    assert state.trunc_deficit == pytest.approx(np.vdot(tail, tail).real, abs=1e-10)
+
+
+def _reflected(route):
+    return lambda beta, *args: route(-beta, *args)
+
+
+@pytest.mark.parametrize("n_max", [6, 14, 25, 40])
+def test_displacement_checks_catch_a_wrong_closed_form(cfg_desk, monkeypatch, n_max):
+    # nu = 0.1 - 0.05j passes both checks even at n_max = 6, where the
+    # interior block of C3 is levels 0..3
+    nu, basis, sc = 0.1 - 0.05j, build_basis(n_max, 1), derive_scales(cfg_desk)
+    displacement_matrix(nu, basis, check=True)
+    displaced_hamiltonian(nu, basis, sc, check=True)
+    monkeypatch.setattr(dlh.displaced, "_displacement_block", _reflected(_displacement_block))
+    with pytest.raises(ConsistencyError):
+        displacement_matrix(nu, basis, check=True)
+    with pytest.raises(ConsistencyError):
+        displaced_hamiltonian(nu, basis, sc, check=True)
+
+
+@pytest.mark.parametrize("n_max", [6, 14, 25, 40])
+def test_displacement_check_catches_a_wrong_dense_route(monkeypatch, n_max):
+    basis = build_basis(n_max, 1)
+    displacement_matrix(0.1 - 0.05j, basis, check=True)
+    monkeypatch.setattr(dlh.displaced, "_dense_route", _reflected(_dense_route))
+    with pytest.raises(ConsistencyError):
+        displacement_matrix(0.1 - 0.05j, basis, check=True)

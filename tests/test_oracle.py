@@ -324,6 +324,19 @@ def test_wilson_validation(grid12, cfg_natural):
         wilson_loop_oracle(grid12, cfg_natural, const, window=(3, 1))
 
 
+@pytest.mark.parametrize("steps", ["64", 16.5, True, 4])
+def test_wilson_steps_must_be_an_integer_count(grid12, cfg_natural, steps):
+    loop = rectangle_loop("Ex_prime", "Ey_prime", (0, 0.2), (0, 0.2), (0, 0, 1, 1))
+    with pytest.raises(ValidationError, match="steps"):
+        wilson_loop_oracle(grid12, cfg_natural, loop, steps=steps)
+
+
+@pytest.mark.parametrize("h_step", ["1e-3", math.nan, math.inf, -math.inf, 0.0, -1e-3])
+def test_fd_h_step_must_be_a_finite_positive_number(grid12, cfg_desk, h_step):
+    with pytest.raises(ValidationError, match="h_step"):
+        fd_connection_matrix(grid12, cfg_desk, "B", (0.1, 0.1, 1.0, 1.0), 0, (0, 1), h_step=h_step)
+
+
 def test_wavefield_guards(grid12):
     bad = np.ones((grid12.points, grid12.points), dtype=complex)
     with pytest.raises(ValidationError):

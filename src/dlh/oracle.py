@@ -21,11 +21,16 @@ the radial raise has a = sigma, the level raise a = -sigma. The Gaussian and
 the phase ramp are outer products too, so the field (n, m) is U C V^T: U
 holds P^p g_x and V holds Q^q g_y (p, q <= n + m_hi), each times its 1-D
 ramp, and each raise takes the small matrix C to S C + i a C S^T (S the
-down-shift) before its 1/sqrt(j) and i factors. An overlap is
-h^2 sum conj(C) o (U^H U') C' (V^H V')^T, and the norm and frame guards come
-from the factors as well; :func:`window_states` forms U C V^T for callers
-that want fields. The spectral route, :func:`build_state` followed by the FFT
-translation of :func:`displace_field`, is the independent check of this one.
+down-shift) before its 1/sqrt(j) and i factors. :func:`_stack` builds the
+windows of K control points as one stack: the factors of every point at
+once, (K, 2, N, n + m_hi + 1) with one FFT along the last axis per power,
+and C once per sigma, as it depends on (sigma, n, window) only. An overlap
+is h^2 sum conj(C) o (U^H U') C' (V^H V')^T, broadcast over the points, so
+the links of a Wilson loop, an fd triple and each window of the sign report
+are one batched product; the norm and frame guards come from the factors
+too, for every point and m. :func:`window_states` (K = 1) forms U C V^T for
+callers that want fields. The spectral route, :func:`build_state` followed
+by the FFT translation of :func:`displace_field`, is the independent check.
 
 The oracle operates at desk-scale dimensionless parameters (everything of
 order one), never at laboratory magnitudes; the phases being validated are
@@ -96,10 +101,10 @@ class Grid2D:
     points: int
 
     def __post_init__(self) -> None:
-        if self.points < 64:
-            raise ValidationError(f"grid needs at least 64 points per axis, got {self.points}")
-        if self.extent <= 0:
-            raise ValidationError(f"grid extent must be positive, got {self.extent}")
+        if isinstance(self.points, bool) or not isinstance(self.points, numbers.Integral) or self.points < 64:
+            raise ValidationError(f"grid needs an integer of at least 64 points per axis, got {self.points!r}")
+        if isinstance(self.extent, bool) or not isinstance(self.extent, numbers.Real) or not 0 < self.extent < math.inf:
+            raise ValidationError(f"grid extent must be a finite number > 0, got {self.extent!r}")
 
     @property
     def h(self) -> float:
@@ -177,14 +182,14 @@ def _translate(grid: Grid2D, f: np.ndarray, ax: float, ay: float) -> np.ndarray:
 
 
 def _check_frame(edge: float, context: str) -> None:
-    if edge > _BOUNDARY_TOL:
+    if not edge <= _BOUNDARY_TOL:
         raise ValidationError(
             f"{context} reaches the boundary frame at {edge:.3e} (> {_BOUNDARY_TOL}); enlarge the grid"
         )
 
 
 def _check_drift(nrm: float, context: str) -> None:
-    if abs(nrm - 1.0) > _DRIFT_TOL:
+    if not abs(nrm - 1.0) <= _DRIFT_TOL:
         raise ValidationError(
             f"norm drifted to {nrm:.6f} while building {context}; grid resolution insufficient"
         )
@@ -209,7 +214,7 @@ class WaveField:
     def __post_init__(self) -> None:
         if self.values.shape != (self.grid.points, self.grid.points):
             raise ValidationError("field shape does not match its grid")
-        if abs(self.grid.norm(self.values) - 1.0) > _NORM_TOL:
+        if not abs(self.grid.norm(self.values) - 1.0) <= _NORM_TOL:
             raise ValidationError("field is not normalized")
         _check_frame(self.grid.boundary_max(self.values), "field")
 
@@ -233,10 +238,13 @@ def ground_state(grid: Grid2D, l_m: float) -> WaveField:
     return WaveField(grid=grid, values=np.outer(g, g), n=0, m=0, nu=0j, l_m=l_m)
 
 
-def _gaussian(grid: Grid2D, l_m: float, a: float) -> np.ndarray:
-    """exp(-(x + a)^2 / (4 l_m^2)) at unit 1-D norm: a factor of the unit-norm 2-D Gaussian."""
+def _gaussian(grid: Grid2D, l_m, a) -> np.ndarray:
+    """exp(-(x + a)^2 / (4 l_m^2)) at unit 1-D norm: a factor of the unit-norm 2-D Gaussian.
+
+    l_m and a may be arrays shaped (..., 1), giving one factor per entry.
+    """
     g = np.exp(-((grid.x + a) ** 2) / (4.0 * l_m * l_m))
-    return (g / math.sqrt(grid.h * float(g @ g))).astype(complex)
+    return (g / np.sqrt(grid.h * (g[..., None, :] @ g[..., None])[..., 0])).astype(complex)
 
 
 def apply_level_raise(grid: Grid2D, l_m: float, sigma: int, f: np.ndarray) -> np.ndarray:
@@ -278,16 +286,11 @@ def build_state(grid: Grid2D, scales: DerivedScales, n: int, m: int) -> WaveFiel
     return WaveField(grid=grid, values=f, n=n, m=m, nu=0j, l_m=scales.l_m)
 
 
-def _shift(scales: DerivedScales) -> tuple[float, float]:
-    """Translation (a_x, a_y) of the displacement (see displace_field)."""
-    r = math.sqrt(2.0) * scales.l_m
-    return r * scales.nu.imag, -r * scales.sigma * scales.nu.real
-
-
-def _ramps(grid: Grid2D, scales: DerivedScales) -> tuple[np.ndarray, np.ndarray]:
-    """The x and y factors of the displacement's separable phase ramp."""
-    c = 1.0 / (math.sqrt(2.0) * scales.l_m)
-    return np.exp(1j * c * scales.nu.real * grid.x), np.exp(1j * c * scales.sigma * scales.nu.imag * grid.x)
+def _displacement(scales: DerivedScales) -> tuple[float, float, float, float]:
+    """Translation (a_x, a_y) and phase-ramp rates (k_x, k_y) of the displacement (see displace_field)."""
+    r, c = math.sqrt(2.0) * scales.l_m, 1.0 / (math.sqrt(2.0) * scales.l_m)
+    nu, s = scales.nu, scales.sigma
+    return r * nu.imag, -r * s * nu.real, c * nu.real, c * s * nu.imag
 
 
 def displace_field(grid: Grid2D, scales: DerivedScales, field: WaveField) -> WaveField:
@@ -307,67 +310,80 @@ def displace_field(grid: Grid2D, scales: DerivedScales, field: WaveField) -> Wav
     nu, l = scales.nu, scales.l_m
     if nu == 0:
         return WaveField(grid=grid, values=field.values.copy(), n=field.n, m=field.m, nu=0j, l_m=l)
-    g = _translate(grid, field.values, *_shift(scales))
-    rx, ry = _ramps(grid, scales)
-    g *= rx[:, None]
-    g *= ry
+    ax, ay, kx, ky = _displacement(scales)
+    g = _translate(grid, field.values, ax, ay)
+    g *= np.exp(1j * kx * grid.x)[:, None]
+    g *= np.exp(1j * ky * grid.x)
     g = _normalized(grid, g, f"displaced state (n={field.n}, m={field.m})")
     return WaveField(grid=grid, values=g, n=field.n, m=field.m, nu=nu, l_m=l)
 
 
 @dataclass(frozen=True)
-class _Window:
-    """The fields F_k = U C[k] V^T of one displaced m-window (module docstring)."""
+class _Stack:
+    """Fields U_k C[k, i] V_k^T of K displaced m-windows, F[k] = (U_k, V_k) (module docstring)."""
 
     grid: Grid2D
-    scales: DerivedScales
-    U: np.ndarray
-    V: np.ndarray
+    scales: tuple[DerivedScales, ...]
+    F: np.ndarray
     C: np.ndarray
 
-
-def _overlaps(bras: _Window, kets: _Window) -> np.ndarray:
-    """Grid overlaps <bras_i | kets_j> = h^2 sum conj(C_i) o (U^H U') C'_j (V^H V')^T."""
-    moved = (bras.U.conj().T @ kets.U) @ kets.C @ (bras.V.conj().T @ kets.V).T
-    return bras.grid.h ** 2 * (bras.C.conj().reshape(len(bras.C), -1) @ moved.reshape(len(moved), -1).T)
+    def take(self, idx) -> _Stack:
+        return _Stack(self.grid, tuple(self.scales[i] for i in idx), self.F[idx], self.C[idx])
 
 
-def _window(grid: Grid2D, config: PhysicalConfig, point, n: int, window: tuple[int, int]) -> _Window:
-    """Normalized factors of the displaced window, with every field guard applied to them."""
-    m_lo, m_hi = _check_window(window)
-    if n < 0:
-        raise ValidationError(f"indices must be >= 0, got n={n}")
-    sc = derive_scales(config.at_point(*(float(v) for v in point)))
-    l, s = sc.l_m, sc.sigma
-    grid.check_adequate(l, shift=math.sqrt(2.0) * l * abs(sc.nu))
+def _overlaps(bras: _Stack, kets: _Stack) -> np.ndarray:
+    """Overlaps <bras_ki | kets_kj> = h^2 sum conj(C_ki) o (U^H U') C'_kj (V^H V')^T, broadcast over k."""
+    uu, vv = np.moveaxis(bras.F.conj().swapaxes(-1, -2) @ kets.F, 1, 0)
+    moved = uu[:, None] @ kets.C @ vv[:, None].swapaxes(-1, -2)
+    k, m = moved.shape[:2]
+    return bras.grid.h ** 2 * (bras.C.conj().reshape(len(bras.C), m, -1) @ moved.reshape(k, m, -1).swapaxes(-1, -2))
+
+
+def _coefficients(sigma: int, n: int, m_lo: int, m_hi: int) -> np.ndarray:
+    """Unnormalized C of the (n, m) fields for m in [m_lo, m_hi], each (n + m_hi + 1) square."""
     size = n + m_hi + 1
-    factors = []
-    for a, ramp in zip(_shift(sc), _ramps(grid, sc)):
-        powers = [_gaussian(grid, l, a)]
-        for _ in range(1, size):  # P (or Q) in the shifted coordinate
-            powers.append(_axis_ladder(grid, l, -1, grid.x + a, powers[-1], -1))
-        factors.append(ramp[:, None] * np.stack(powers, axis=1))
     down = np.eye(size, k=-1)  # S: power p -> p + 1
     c = np.zeros((size, size), dtype=complex)
     c[0, 0] = 1.0
     coefs = [c] if m_lo == 0 else []
     for m in range(1, m_hi + 1):
-        c = (down @ c + 1j * s * (c @ down.T)) / math.sqrt(m)  # radial raise
+        c = (down @ c + 1j * sigma * (c @ down.T)) / math.sqrt(m)  # radial raise
         if m >= m_lo:
             coefs.append(c)
     c = np.array(coefs)
     for j in range(1, n + 1):
-        c = (1j / math.sqrt(j)) * (down @ c - 1j * s * (c @ down.T))  # level raise
-    U, V = factors
-    win = _Window(grid, sc, U, V, c)
-    norms = np.sqrt(np.diagonal(_overlaps(win, win)).real)
-    rows = np.abs(U[[0, -1]] @ c @ V.T).max(axis=(1, 2))
-    cols = np.abs(U @ c @ V[[0, -1]].T).max(axis=(1, 2))
-    for m, nrm, edge in zip(range(m_lo, m_hi + 1), norms, np.maximum(rows, cols)):
-        _check_drift(float(nrm), f"state (n={n}, m={m})")
-        _check_frame(float(edge / nrm), f"state (n={n}, m={m})")
-    c /= norms[:, None, None]  # normalizes win.C in place
-    return win
+        c = (1j / math.sqrt(j)) * (down @ c - 1j * sigma * (c @ down.T))  # level raise
+    return c
+
+
+def _stack(grid: Grid2D, config: PhysicalConfig, points, n: int, window: tuple[int, int]) -> _Stack:
+    """Normalized factors of the displaced window at each point, with every field guard applied to them."""
+    m_lo, m_hi = _check_window(window)
+    if n < 0:
+        raise ValidationError(f"indices must be >= 0, got n={n}")
+    scales = tuple(derive_scales(config.at_point(*(float(v) for v in p))) for p in points)
+    for sc in scales:
+        grid.check_adequate(sc.l_m, shift=math.sqrt(2.0) * sc.l_m * abs(sc.nu))
+    size, count = n + m_hi + 1, len(scales)
+    l = np.array([sc.l_m for sc in scales])[:, None, None]
+    shift, rate = np.array([_displacement(sc) for sc in scales]).reshape(count, 2, 2, 1).swapaxes(0, 1)
+    powers = [_gaussian(grid, l, shift)]  # (K, 2, N): the x and y factors of every point
+    for _ in range(1, size):  # P (or Q) in the shifted coordinate
+        powers.append(_axis_ladder(grid, l, -1, grid.x + shift, powers[-1], -1))
+    F = np.stack(powers, axis=-1)
+    np.multiply(np.exp(1j * rate * grid.x)[..., None], F, out=F)  # times the phase ramps
+    coefs = {s: _coefficients(s, n, m_lo, m_hi) for s in {sc.sigma for sc in scales}}  # C per chirality
+    st = _Stack(grid, scales, F, np.array([coefs[sc.sigma] for sc in scales]))
+    norms = np.sqrt(np.diagonal(_overlaps(st, st), axis1=1, axis2=2).real)  # (K, m-count)
+    # |field| on the first and last row, then on the first and last column
+    edges = [np.abs((F[:, a][:, None, [0, -1]] @ c).reshape(count, -1, size) @ F[:, 1 - a].swapaxes(1, 2))
+             for a, c in ((0, st.C), (1, st.C.swapaxes(-1, -2)))]
+    frame = np.maximum(*(e.reshape(norms.shape + (-1,)).max(axis=-1) for e in edges)) / norms
+    for (k, i), nrm in np.ndenumerate(norms):
+        _check_drift(float(nrm), f"state (n={n}, m={m_lo + i})")
+        _check_frame(float(frame[k, i]), f"state (n={n}, m={m_lo + i})")
+    np.divide(st.C, norms[:, :, None, None], out=st.C)
+    return st
 
 
 def pipeline_state(grid: Grid2D, config: PhysicalConfig, point, n: int, m: int) -> WaveField:
@@ -389,9 +405,9 @@ def window_states(
     Built without a translation FFT: the raising operators act in the
     shifted coordinates on the shifted Gaussian (module docstring).
     """
-    win = _window(grid, config, point, n, window)
-    nu, l = win.scales.nu, win.scales.l_m
-    values = win.U @ win.C @ win.V.T
+    st = _stack(grid, config, [point], n, window)
+    nu, l = st.scales[0].nu, st.scales[0].l_m
+    values = st.F[0, 0] @ st.C[0] @ st.F[0, 1].T
     return [WaveField(grid=grid, values=f, n=n, m=window[0] + i, nu=nu, l_m=l) for i, f in enumerate(values)]
 
 
@@ -472,16 +488,20 @@ def fd_connection_matrix(
     h_step: float = 1e-3,
 ) -> np.ndarray:
     """Finite-difference connection matrix over an m-window: 1j (<b|p> - <b|m>) / (2 h_step)."""
+    return _fd_matrices(grid, config, (param,), point, n, window, h_step)[0]
+
+
+def _fd_matrices(grid: Grid2D, config: PhysicalConfig, params, point, n: int, window, h_step) -> np.ndarray:
+    """fd connection matrices of several parameters, from one stack [point, +h, -h, +h', -h', ...]."""
     if isinstance(h_step, bool) or not isinstance(h_step, numbers.Real) or not 0 < h_step < math.inf:
         raise ValidationError(f"h_step must be a finite number > 0, got {h_step!r}")
-    if param not in CONTROL_PARAMS:
-        raise ValidationError(f"unknown control parameter {param!r}, expected one of {CONTROL_PARAMS}")
-    bras = _window(grid, config, point, n, window)
-    plus, minus = (
-        _overlaps(bras, _window(grid, config, _shifted_point(point, param, d), n, window))
-        for d in (h_step, -h_step)
-    )
-    return 1j * (plus - minus) / (2.0 * h_step)
+    for param in params:
+        if param not in CONTROL_PARAMS:
+            raise ValidationError(f"unknown control parameter {param!r}, expected one of {CONTROL_PARAMS}")
+    pts = [point] + [_shifted_point(point, p, d) for p in params for d in (h_step, -h_step)]
+    st = _stack(grid, config, pts, n, window)
+    shifted = _overlaps(st.take([0]), st.take(range(1, len(pts))))  # <point | +h>, <point | -h>, ...
+    return 1j * (shifted[0::2] - shifted[1::2]) / (2.0 * h_step)
 
 
 @dataclass(frozen=True)
@@ -529,11 +549,11 @@ def wilson_loop_oracle(
         count = max(1, int(round(steps * ln / total)))
         t = np.arange(count) / count
         pts.extend(a + tt * (b - a) for tt in t)
-    wins = [_window(grid, config, p, n, window) for p in pts]  # a few N x K factors each
-    product, smallest = np.eye(size, dtype=complex), np.inf
-    for prev, cur in zip(wins, wins[1:] + wins[:1]):
-        link = _overlaps(prev, cur)
-        smallest = min(smallest, float(np.linalg.svd(link, compute_uv=False)[-1]))
+    st = _stack(grid, config, pts, n, window)
+    links = _overlaps(st, st.take([*range(1, len(pts)), 0]))  # each point with the next
+    smallest = float(np.linalg.svd(links, compute_uv=False)[:, -1].min())
+    product = np.eye(size, dtype=complex)
+    for link in links:
         product = product @ link
     gamma = unitarize(product).conj().T
     return WilsonResult(gamma, len(pts), (int(m_lo), int(m_hi)), smallest)
@@ -567,10 +587,9 @@ def sign_convention_report(
     point = (config.Ex_prime, config.Ey_prime, config.lambda_density, config.B)
     ex, ey, lam, b = point
 
-    fd_ex = berry_connection_fd(grid, config, "Ex_prime", point, 0, 0, 0, h_step)
-    fd_ey = berry_connection_fd(grid, config, "Ey_prime", point, 0, 0, 0, h_step)
-    fd_lam = berry_connection_fd(grid, config, "lambda_density", point, 0, 1, 0, h_step)
-    fd_b = berry_connection_fd(grid, config, "B", point, 0, 1, 0, h_step)
+    # one stack per window: the diagonal entries (0, 0) and the band entries (1, 0)
+    fd_ex, fd_ey = map(complex, _fd_matrices(grid, config, CONTROL_PARAMS[:2], point, 0, (0, 0), h_step)[:, 0, 0])
+    fd_lam, fd_b = map(complex, _fd_matrices(grid, config, CONTROL_PARAMS[2:], point, 0, (0, 1), h_step)[:, 1, 0])
 
     cf_ex = connection_closed_form("Ex_prime", point, u, 0, 0, 0)
     cf_ey = connection_closed_form("Ey_prime", point, u, 0, 0, 0)

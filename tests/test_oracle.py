@@ -242,18 +242,16 @@ def _per_entry(grid, bras, kets):
 
 
 def test_fd_matrix_matches_per_entry_overlaps(grid_coarse, cfg_desk):
-    # the factored overlaps against per-entry overlaps of the materialized
+    # the stacked overlaps against per-entry overlaps of the materialized
     # fields; the fd matrix is their quotient, which divides rounding by 2h
     point, h = (0.3, 0.7, 2.0, 1.0), 1e-3
     for param in ("Ey_prime", "B"):
         pts = [point] + [oracle._shifted_point(point, param, d) for d in (h, -h)]
-        wins = [oracle._window(grid_coarse, cfg_desk, p, 1, (0, 3)) for p in pts]
+        stack = oracle._stack(grid_coarse, cfg_desk, pts, 1, (0, 3))
         bras, plus, minus = (window_states(grid_coarse, cfg_desk, p, 1, (0, 3)) for p in pts)
-        pinned = []
-        for kets, win in ((plus, wins[1]), (minus, wins[2])):
-            got = oracle._overlaps(wins[0], win)
+        pinned = oracle._overlaps(stack.take([0]), stack.take([1, 2]))
+        for got, kets in zip(pinned, (plus, minus)):
             assert np.abs(got - _per_entry(grid_coarse, bras, kets)).max() <= 1e-14
-            pinned.append(got)
         fd = fd_connection_matrix(grid_coarse, cfg_desk, param, point, 1, (0, 3), h_step=h)
         assert np.array_equal(fd, 1j * (pinned[0] - pinned[1]) / (2 * h))
         want = 1j * (_per_entry(grid_coarse, bras, plus) - _per_entry(grid_coarse, bras, minus)) / (2 * h)
@@ -264,18 +262,42 @@ def test_wilson_links_match_per_entry_overlaps(grid_coarse, cfg_natural):
     # a square with 16 links: four equally spaced samples per side
     loop = rectangle_loop("Ex_prime", "Ey_prime", (0.0, 0.3), (0.2, 0.5), (0, 0, 1.0, 1.0))
     pts = [a + t * (b - a) for a, b in zip(loop.vertices[:-1], loop.vertices[1:]) for t in (0, 0.25, 0.5, 0.75)]
-    wins = [oracle._window(grid_coarse, cfg_natural, p, 0, (0, 1)) for p in pts]
+    stack = oracle._stack(grid_coarse, cfg_natural, pts, 0, (0, 1))
+    links = oracle._overlaps(stack, stack.take([*range(1, len(pts)), 0]))
     frames = [window_states(grid_coarse, cfg_natural, p, 0, (0, 1)) for p in pts]
     product, smallest = np.eye(2, dtype=complex), np.inf
     for k, (prev, cur) in enumerate(zip(frames, frames[1:] + frames[:1])):
         link = _per_entry(grid_coarse, prev, cur)
-        assert np.abs(oracle._overlaps(wins[k], wins[(k + 1) % len(wins)]) - link).max() <= 1e-14
+        assert np.abs(links[k] - link).max() <= 1e-14
         smallest = min(smallest, np.linalg.svd(link, compute_uv=False)[-1])
         product = product @ link
     res = wilson_loop_oracle(grid_coarse, cfg_natural, loop, n=0, window=(0, 1), steps=16)
     assert res.points == 16
     assert np.abs(res.matrix - unitarize(product).conj().T).max() <= 1e-14
     assert abs(res.smallest_overlap_singular - smallest) <= 1e-14
+
+
+def test_a_stack_equals_its_one_point_stacks(grid12, cfg_desk):
+    # both chiralities in one stack, so its C come from two sigma
+    pts = [(0.3, 0.7, 2.0, 1.0), (0.9, -1.6, -2.0, 1.0), (-0.4, 0.2, 1.5, 1.2)]
+    stack = oracle._stack(grid12, cfg_desk, pts, 1, (0, 2))
+    singles = [oracle._stack(grid12, cfg_desk, [p], 1, (0, 2)) for p in pts]
+    assert stack.scales == tuple(s.scales[0] for s in singles)
+    assert np.abs(stack.F - np.concatenate([s.F for s in singles])).max() <= 1e-15
+    assert np.abs(stack.C - np.concatenate([s.C for s in singles])).max() <= 1e-15
+    links = oracle._overlaps(stack, stack.take([1, 2, 0]))
+    for k, link in enumerate(links):
+        assert np.abs(link - oracle._overlaps(singles[k], singles[(k + 1) % 3])[0]).max() <= 1e-15
+
+
+def test_a_guard_failure_at_one_point_of_a_stack_names_its_state(grid12, cfg_desk):
+    # at lambda = 1.6 the (n=1, m=2) field reaches the frame while m = 0, 1
+    # and every field at lambda = 2 stay inside it
+    good, bad = (0.3, 0.7, 2.0, 1.0), (0.3, 0.7, 1.6, 1.0)
+    oracle._stack(grid12, cfg_desk, [good, good], 1, (0, 2))
+    oracle._stack(grid12, cfg_desk, [bad], 1, (0, 1))
+    with pytest.raises(ValidationError, match=r"state \(n=1, m=2\) reaches the boundary frame"):
+        oracle._stack(grid12, cfg_desk, [good, bad, good], 1, (0, 2))
 
 
 def test_wilson_loop_identity_for_zero_functional(grid12, cfg_natural):
@@ -348,6 +370,24 @@ def test_wavefield_guards(grid12):
         WaveField(grid=grid12, values=leak, n=0, m=0, nu=0j, l_m=1.0)
     with pytest.raises(ValidationError):
         WaveField(grid=grid12, values=bad[:10, :10], n=0, m=0, nu=0j, l_m=1.0)
+    with pytest.raises(ValidationError, match="normalized"):
+        WaveField(grid=grid12, values=np.full_like(bad, np.nan), n=0, m=0, nu=0j, l_m=1.0)
+
+
+def test_field_guards_reject_nan():
+    with pytest.raises(ValidationError, match="drifted"):
+        oracle._check_drift(math.nan, "state (n=0, m=0)")
+    with pytest.raises(ValidationError, match="boundary frame"):
+        oracle._check_frame(math.nan, "state (n=0, m=0)")
+
+
+@pytest.mark.parametrize(
+    "extent, points",
+    [(math.nan, 256), (math.inf, 256), (0.0, 256), (True, 256), ("12", 256), (12.0, 256.5), (12.0, 63), (12.0, True), (12.0, "256")],
+)
+def test_grid_rejects_bad_sizes(extent, points):
+    with pytest.raises(ValidationError, match="grid"):
+        Grid2D(extent=extent, points=points)
 
 
 def test_pipeline_rejects_offgrid_displacement(grid12, cfg_natural):

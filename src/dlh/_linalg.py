@@ -1,25 +1,66 @@
-"""Small shared numerics: exactly-unitary exponentials and unitarization.
+"""Small shared numerics: the ladder, the one span exponential, unitarization.
 
-:func:`unitary_exp_i` exponentiates by eigendecomposition the displacement
-D(nu) on the n-mode and the closed-form holonomy of an Ex' = 0 loop. The
-engine's step generators go through ``holonomy._span_exp`` instead.
+The engine's holonomy steps, the Ex' = 0 angle (S / 4u) T and the generator
+of D_n(nu) are each phi I + zeta L + conj(zeta) L^T, with L the ladder
+L_{m+1,m} = sqrt(m+1) on a window of levels (:func:`_ladder`). The one span
+kernel :func:`_span_exp` exponentiates all three.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-__all__ = ["unitary_exp_i", "unitarize", "max_abs"]
+__all__ = ["unitarize", "max_abs"]
 
 
-def unitary_exp_i(H: np.ndarray) -> np.ndarray:
-    """exp(i H) for Hermitian H, or for each matrix of a (k, n, n) stack.
+def _ladder(window: tuple[int, int]) -> np.ndarray:
+    """L_{m+1,m} = sqrt(m+1) on the (already checked) window m_lo..m_hi."""
+    m_lo, m_hi = window
+    return np.diag(np.sqrt(np.arange(m_lo + 1, m_hi + 1, dtype=float)), -1)
 
-    Via eigendecomposition, so unitary to roundoff by construction, which
-    keeps long path-ordered products from drifting off the unitary group.
+
+@functools.lru_cache(maxsize=16)
+def _span_basis(window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Eigenvalues lam and eigenvectors V of T = L + L^T on a checked window, and a table.
+
+    Row j of the (n, n*n) table is the projector V_aj V_bj, so that
+    V diag(e) V^T is e @ table; past 64 levels it is None.
+    Computed once per window and cached; the arrays are read-only.
     """
-    w, V = np.linalg.eigh(H)
-    return (V * np.exp(1j * w)[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
+    L = _ladder(window)
+    lam, V = np.linalg.eigh(L + L.T)
+    lam.setflags(write=False)
+    V.setflags(write=False)
+    if len(lam) > 64:  # the table holds n^3 floats, 62 MB at 201 levels
+        return lam, V, None
+    table = np.einsum("aj,bj->jab", V, V).reshape(len(lam), -1)
+    table.setflags(write=False)
+    return lam, V, table
+
+
+def _span_exp(phi, zeta, basis) -> np.ndarray:
+    """exp(i (phi I + zeta L + conj(zeta) L^T)) for each entry of the 1-d stacks phi, zeta.
+
+    zeta L + conj(zeta) L^T = |zeta| R T R^dag with R = diag(e^{i m arg zeta}),
+    so the exponential is e^{i phi} R V diag(e^{i |zeta| lam}) V^T R^dag, with
+    T = V diag(lam) V^T from :func:`_span_basis`. Unitary to roundoff, since V
+    is orthogonal; returns a (k, n, n) stack.
+
+    The middle factor is taken as I + V diag(e^{i |zeta| lam} - 1) V^T: the
+    rounding of V V^T would otherwise enter every step's identity part alike
+    and add up linearly over a long ordered product.
+    """
+    lam, V, table = basis
+    size = len(lam)
+    phi, zeta = np.atleast_1d(phi), np.atleast_1d(zeta)
+    angle = np.abs(zeta)[:, None] * lam
+    expm1 = 1j * np.sin(angle) - 2.0 * np.sin(0.5 * angle) ** 2
+    core = (V * expm1[:, None, :]) @ V.T if table is None else (expm1 @ table).reshape(-1, size, size)
+    core += np.eye(size)
+    rot = np.exp(1j * np.angle(zeta)[:, None] * np.arange(size))
+    return core * (np.exp(1j * phi)[:, None] * rot)[:, :, None] * rot.conj()[:, None, :]
 
 
 def unitarize(M: np.ndarray) -> np.ndarray:

@@ -350,10 +350,6 @@ class _LoopSpec:
         return _holonomy.area_closed_form(self.kind, *self._ranges())
 
 
-def _identity_distance(matrix: np.ndarray) -> float:
-    return float(np.abs(matrix - np.eye(matrix.shape[0])).max())
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -475,6 +471,7 @@ def _cmd_phase(args) -> int:
 
 def _cmd_holonomy(args) -> int:
     from . import holonomy as _holonomy
+    from ._linalg import max_abs
 
     config = load_config(args.config)
     scales = derive_scales(config)
@@ -491,7 +488,7 @@ def _cmd_holonomy(args) -> int:
         "matrix": result.matrix,
         "unitarity_defect": result.unitarity_defect,
         "convergence_estimate": result.convergence_estimate,
-        "identity_distance": _identity_distance(result.matrix),
+        "identity_distance": max_abs(result.matrix, np.eye(len(result.matrix))),
         "vertices": path.vertices,
     }
     if args.emit_plot_data:  # before the payload, so a failed plot path leaves no output
@@ -509,6 +506,7 @@ def _cmd_oracle_check(args) -> int:
     from . import displaced as _displaced
     from . import fock as _fock
     from . import oracle as _oracle
+    from ._linalg import max_abs
 
     config = load_config(args.config) if args.config else _oracle.OPERATING_CONFIG
     scales = derive_scales(config)
@@ -520,11 +518,8 @@ def _cmd_oracle_check(args) -> int:
     am = _fock.ladder_a(basis, "minus")
     ap = _fock.ladder_a(basis, "plus")
     comm = _fock.commutator(am, ap)
-    interior = basis.interior_indices(1, 1)
-    eye = np.eye(basis.size)
-    comm_dev = float(
-        np.abs(comm.entries[np.ix_(interior, interior)] - eye[np.ix_(interior, interior)]).max()
-    )
+    block = np.ix_(*2 * [basis.interior_indices(1, 1)])
+    comm_dev = max_abs(comm.entries[block], np.eye(basis.size)[block])
 
     # The displaced vacuum has mean level occupation |nu|^2, so the n-mode
     # grows with it; m is a Kronecker spectator of D, so one radial step is
@@ -597,6 +592,7 @@ def _parse_sweeps(specs: list[str]) -> list[tuple[str, list[float]]]:
 
 def _cmd_sweep(args) -> int:
     from . import holonomy as _holonomy
+    from ._linalg import max_abs
 
     config = load_config(args.config)
     scales = derive_scales(config)
@@ -631,7 +627,7 @@ def _cmd_sweep(args) -> int:
         result = _holonomy.holonomy_path_ordered(loop, scales.u, window=args.window, steps=int(steps), target=None)
         return row | {
             "S_closed_form": spec.closed_form(),
-            "identity_distance": _identity_distance(result.matrix),
+            "identity_distance": max_abs(result.matrix, np.eye(len(result.matrix))),
             "unitarity_defect": result.unitarity_defect,
             "convergence_estimate": result.convergence_estimate,
             "steps_used": result.steps,

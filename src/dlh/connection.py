@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import max_abs
+from ._linalg import _ladder, max_abs
 from .errors import ValidationError
 
 __all__ = [
@@ -118,9 +118,8 @@ def _check_window(window: tuple[int, int]) -> tuple[int, int]:
 
 
 def _lowering_pattern(window: tuple[int, int]) -> np.ndarray:
-    """L_{m+1,m} = sqrt(m+1) on the window m_lo..m_hi."""
-    m_lo, m_hi = _check_window(window)
-    return np.diag(np.sqrt(np.arange(m_lo + 1, m_hi + 1, dtype=float)), -1)
+    """L_{m+1,m} = sqrt(m+1) on the window m_lo..m_hi, once the window is checked."""
+    return _ladder(_check_window(window))
 
 
 def _generator_scalars(points, steps, u: float):

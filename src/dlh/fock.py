@@ -19,10 +19,11 @@ by a- and b+.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import _ladder, max_abs
 from .errors import ValidationError
 from .params import DerivedScales
 
@@ -39,6 +40,8 @@ __all__ = [
     "state_from_ground",
     "commutator",
 ]
+
+_HERMITIAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -97,14 +100,13 @@ class OperatorMatrix:
     """Dense complex operator on a :class:`FockBasis`.
 
     hermitian_hint is validated at construction: setting it on a matrix that
-    is not Hermitian to 1e-12 max-norm is an error, so the hint can be trusted
-    downstream.
+    is not Hermitian to _HERMITIAN_TOL (1e-12) max-norm is an error, so the
+    hint can be trusted downstream.
     """
 
     entries: np.ndarray
     basis: FockBasis
     hermitian_hint: bool = False
-    _tol: float = field(default=1e-12, repr=False)
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex)
@@ -114,10 +116,10 @@ class OperatorMatrix:
                 f"entries shape {e.shape} does not match basis size {self.basis.size}"
             )
         if self.hermitian_hint:
-            dev = np.max(np.abs(e - e.conj().T)) if e.size else 0.0
-            if dev > self._tol:
+            dev = max_abs(e, e.conj().T)
+            if dev > _HERMITIAN_TOL:
                 raise ValidationError(
-                    f"hermitian_hint set but max|A - A^dag| = {dev:.3e} > {self._tol:.0e}"
+                    f"hermitian_hint set but max|A - A^dag| = {dev:.3e} > {_HERMITIAN_TOL:.0e}"
                 )
 
     @property
@@ -138,14 +140,6 @@ def build_basis(n_max: int, m_max: int, sigma: int = 1) -> FockBasis:
     return FockBasis(n_max=n_max, m_max=m_max, sigma=sigma)
 
 
-def _ladder_1d(dim: int, kind: str) -> np.ndarray:
-    # creation: sub-diagonal sqrt(k+1); annihilation: super-diagonal sqrt(k)
-    root = np.sqrt(np.arange(1, dim, dtype=float))
-    if kind == "create":
-        return np.diag(root, -1).astype(complex)
-    return np.diag(root, +1).astype(complex)
-
-
 def ladder_a(basis: FockBasis, direction: str) -> OperatorMatrix:
     """Level ladder: "plus" is a+ (raises n), "minus" is a- (lowers n).
 
@@ -154,9 +148,9 @@ def ladder_a(basis: FockBasis, direction: str) -> OperatorMatrix:
     """
     if direction not in ("plus", "minus"):
         raise ValidationError(f'direction must be "plus" or "minus", got {direction!r}')
-    an = _ladder_1d(basis.n_max + 1, "create" if direction == "plus" else "annihilate")
+    an = _ladder((0, basis.n_max))  # a+; a- is its transpose
     im = np.eye(basis.m_max + 1, dtype=complex)
-    return OperatorMatrix(np.kron(an, im), basis)
+    return OperatorMatrix(np.kron(an if direction == "plus" else an.T, im), basis)
 
 
 def ladder_b(basis: FockBasis, direction: str) -> OperatorMatrix:
@@ -169,12 +163,9 @@ def ladder_b(basis: FockBasis, direction: str) -> OperatorMatrix:
     """
     if direction not in ("plus", "minus"):
         raise ValidationError(f'direction must be "plus" or "minus", got {direction!r}')
-    if direction == "plus":
-        bm = _ladder_1d(basis.m_max + 1, "annihilate")  # lowers m, amplitude sqrt(m)
-    else:
-        bm = _ladder_1d(basis.m_max + 1, "create")  # raises m, amplitude sqrt(m+1)
+    bm = _ladder((0, basis.m_max))  # b- raises m by sqrt(m+1); b+ is its transpose
     i_n = np.eye(basis.n_max + 1, dtype=complex)
-    return OperatorMatrix(np.kron(i_n, bm), basis)
+    return OperatorMatrix(np.kron(i_n, bm.T if direction == "plus" else bm), basis)
 
 
 def number_a(basis: FockBasis) -> OperatorMatrix:

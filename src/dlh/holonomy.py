@@ -27,9 +27,9 @@ here, in increasing generality:
 Every step generator is Theta = phi I + zeta L + conj(zeta) L^T, with L the
 lowering pattern L_{m+1,m} = sqrt(m+1) on the m-window. The scalars
 (phi, zeta) come from :func:`dlh.connection._generator_scalars`, the one
-closed form of the connection contracted with a step. Every exponential the
-engine takes stays in that span, so :func:`_span_exp` takes it in closed
-form from one eigendecomposition of T = L + L^T per window, computed once.
+closed form of the connection contracted with a step. Every exponential here
+stays in that span and goes through the one span kernel, :func:`dlh._linalg._span_exp`,
+with one eigendecomposition of T = L + L^T per window, computed once.
 
 Paths, and so the engine and the Wilson oracle, cover lambda, B > 0 only;
 the sigma = -1 branch is rejected at the vertices.
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import max_abs, unitary_exp_i
+from ._linalg import _span_basis, _span_exp, max_abs
 from .connection import (
     CONTROL_PARAMS,
     _check_u,
@@ -385,8 +385,9 @@ def commuting_angle(area: float, u: float, window: tuple[int, int]) -> np.ndarra
 
 
 def commuting_holonomy(area: float, u: float, window: tuple[int, int]) -> np.ndarray:
-    """exp(i (S / 4u) T), the closed-form holonomy of an Ex' = 0 loop."""
-    return unitary_exp_i(commuting_angle(area, u, window))
+    """exp(i (S / 4u) T), the closed-form holonomy of an Ex' = 0 loop: phi = 0, zeta = S / 4u."""
+    _check_u(u)
+    return _span_exp(0.0, float(area) / (4.0 * u), _span_basis(_check_window(window)))[0]
 
 
 @functools.cache
@@ -446,44 +447,6 @@ def _commuting_segments(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     return (cross == 0.0) | ((a[:, 2] == b[:, 2]) & (a[:, 3] == b[:, 3]))
-
-
-@functools.lru_cache(maxsize=16)
-def _span_basis(window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of T = L + L^T on the window, and the (n, n*n) table of products V_aj V_bj.
-
-    Row j of the table is the projector onto the j-th eigenvector of T,
-    flattened, so that V diag(e) V^T is e @ table. Computed once per window
-    and cached; both arrays are read-only.
-    """
-    L = _lowering_pattern(window)
-    lam, V = np.linalg.eigh(L + L.T)
-    table = np.einsum("aj,bj->jab", V, V).reshape(len(lam), -1)
-    lam.setflags(write=False)
-    table.setflags(write=False)
-    return lam, table
-
-
-def _span_exp(phi, zeta, basis: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """exp(i (phi I + zeta L + conj(zeta) L^T)) for each entry of the 1-d stacks phi, zeta.
-
-    zeta L + conj(zeta) L^T = |zeta| R T R^dag with R = diag(e^{i m arg zeta}),
-    so the exponential is e^{i phi} R V diag(e^{i |zeta| lam}) V^T R^dag, with
-    T = V diag(lam) V^T from :func:`_span_basis`. Unitary to roundoff, since V
-    is orthogonal; returns a (k, n, n) stack.
-
-    The middle factor is taken as I + V diag(e^{i |zeta| lam} - 1) V^T: the
-    rounding of V V^T would otherwise enter every step's identity part alike
-    and add up linearly over a long ordered product.
-    """
-    lam, table = basis
-    size = len(lam)
-    phi, zeta = np.atleast_1d(phi), np.atleast_1d(zeta)
-    angle = np.abs(zeta)[:, None] * lam
-    expm1 = 1j * np.sin(angle) - 2.0 * np.sin(0.5 * angle) ** 2
-    core = (expm1 @ table).reshape(-1, size, size) + np.eye(size)
-    rot = np.exp(1j * np.angle(zeta)[:, None] * np.arange(size))
-    return core * (np.exp(1j * phi)[:, None] * rot)[:, :, None] * rot.conj()[:, None, :]
 
 
 def _step_factors(path: ParameterPath, u: float, window: tuple[int, int], counts: np.ndarray, method: str):

@@ -9,7 +9,6 @@ from dlh.displaced import (
     DisplacedState,
     _dense_route,
     _displacement_block,
-    _n_ladders,
     displaced_hamiltonian,
     displaced_state,
     displacement_matrix,
@@ -17,6 +16,7 @@ from dlh.displaced import (
     position_shift,
 )
 import dlh.displaced
+from dlh._linalg import _ladder
 from dlh.errors import ConsistencyError, ValidationError
 from dlh.fock import build_basis, ladder_a, state_from_ground
 from dlh.params import derive_scales
@@ -141,10 +141,11 @@ def test_zero_displacement_is_identity():
 
 @pytest.mark.parametrize("n_max", [2, 6, 14, 40])
 def test_dense_route_matches_scipy_expm(n_max):
-    # D_n by eigendecomposition, pinned to scipy's expm of the same generator,
+    # D_n by the span kernel, pinned to scipy's expm of the same generator,
     # on the n-mode and on the padded n-mode that displaced_hamiltonian uses
     for size in (n_max, 2 * n_max + 15):
-        ap, am = _n_ladders(size)
+        ap = _ladder((0, size))
+        am = ap.T
         for occ in np.linspace(0.0, n_max / 8.0, 4):
             for phase in (0.3, 2.0, 4.4):
                 nu = math.sqrt(occ) * complex(math.cos(phase), math.sin(phase))
@@ -210,7 +211,8 @@ def test_displacement_block_matches_scipy_expm(occ, phase):
     # the closed form on the infinite ladder, against expm on a 301-level
     # mode whose truncation is far past every block read here; |nu|^2 = 20
     # is the truncation guard's bound n_max/2 at n_max = 40
-    ap, am = _n_ladders(300)
+    ap = _ladder((0, 300))
+    am = ap.T
     nu = _nu(occ, phase)
     ref = scipy.linalg.expm(nu * ap - np.conj(nu) * am)
     blocks = [(range(4), range(4)), (range(16), range(16)), (range(5, 13), range(5, 13))]
@@ -254,7 +256,8 @@ def test_trunc_deficit_at_the_top_level():
     nu, n_max = _nu(7.99, 0.7), 16
     with pytest.warns(UserWarning):
         state = displaced_state(n_max, 0, nu, build_basis(n_max, 0))
-    ap, am = _n_ladders(399)
+    ap = _ladder((0, 399))
+    am = ap.T
     tail = scipy.linalg.expm(nu * ap - np.conj(nu) * am)[n_max + 1 :, n_max]
     assert state.trunc_deficit == pytest.approx(np.vdot(tail, tail).real, abs=1e-10)
 
@@ -265,8 +268,8 @@ def _reflected(route):
 
 @pytest.mark.parametrize("n_max", [6, 14, 25, 40])
 def test_displacement_checks_catch_a_wrong_closed_form(cfg_desk, monkeypatch, n_max):
-    # nu = 0.1 - 0.05j passes both checks even at n_max = 6, where the
-    # interior block of C3 is levels 0..3
+    # nu = 0.1 - 0.05j passes both checks even at n_max = 6, where C3
+    # compares levels 0..2
     nu, basis, sc = 0.1 - 0.05j, build_basis(n_max, 1), derive_scales(cfg_desk)
     displacement_matrix(nu, basis, check=True)
     displaced_hamiltonian(nu, basis, sc, check=True)
@@ -284,3 +287,20 @@ def test_displacement_check_catches_a_wrong_dense_route(monkeypatch, n_max):
     monkeypatch.setattr(dlh.displaced, "_dense_route", _reflected(_dense_route))
     with pytest.raises(ConsistencyError):
         displacement_matrix(0.1 - 0.05j, basis, check=True)
+
+
+@pytest.mark.parametrize("n_max", range(2, 13))
+def test_dual_route_check_raises_only_after_a_warning(n_max):
+    # every basis the truncation guard accepts without a warning
+    # (|nu|^2 <= n_max/8); at (10, 0.5 - 0.2j) the fixed interior cut of
+    # n_max - n_max // 2 levels raised at 3.4e-7 without any warning
+    nus = [0.5 - 0.2j] if n_max == 10 else []
+    nus += [_nu(occ, phase) for occ in np.linspace(0.0, n_max / 8.0, 5)[1:] for phase in (0.3, 2.0, 4.4)]
+    basis = build_basis(n_max, 1)
+    for nu in nus:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                displacement_matrix(nu, basis, check=True)
+            except ConsistencyError:
+                assert caught, (n_max, nu)

@@ -6,12 +6,13 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dlh.holonomy as hol
 from dlh import connection
-from dlh._linalg import unitary_exp_i
+from dlh._linalg import _span_basis, _span_exp
 from dlh.connection import _generator_scalars, _generators, _lowering_pattern
 from dlh.errors import ConvergenceError, ValidationError
 from dlh.holonomy import (
@@ -194,6 +195,20 @@ def test_commuting_angle_structure():
     ang = commuting_angle(-0.75, 0.5, (0, 2))
     t = np.array([[0, 1, 0], [1, 0, math.sqrt(2)], [0, math.sqrt(2), 0]])
     assert np.allclose(ang, (-0.75 / 2.0) * t)
+
+
+def test_commuting_holonomy_matches_scipy_expm():
+    for area, window in ((-0.75, (0, 2)), (2.3, (1, 6)), (0.4, (0, 70))):
+        want = scipy.linalg.expm(1j * commuting_angle(area, 0.5, window))
+        assert np.abs(commuting_holonomy(area, 0.5, window) - want).max() <= 1e-13
+
+
+def test_commuting_holonomy_checks_before_building_a_basis():
+    before = _span_basis.cache_info().currsize
+    for u, window in ((0.0, (0, 3)), (-1.0, (0, 3)), (0.5, (3, 1)), (0.5, (-1, 2))):
+        with pytest.raises(ValidationError):
+            commuting_holonomy(1.0, u, window)
+    assert _span_basis.cache_info().currsize == before
 
 
 def test_box_holonomy_matches_commuting_closed_form():
@@ -467,8 +482,8 @@ def test_span_exponential_matches_eigendecomposition(window, rng):
     zeta = rng.uniform(0.0, 10.0, k) * np.exp(1j * rng.uniform(-np.pi, np.pi, k))
     zeta[:4] = 0.0
     zeta[4] = 10.0 * np.exp(0.3j)
-    got = hol._span_exp(phi, zeta, hol._span_basis(window))
-    want = unitary_exp_i(_generators(phi, zeta, _lowering_pattern(window)))
+    got = _span_exp(phi, zeta, _span_basis(window))
+    want = scipy.linalg.expm(1j * _generators(phi, zeta, _lowering_pattern(window)))
     assert np.abs(got - want).max() <= 1e-13
 
 
@@ -492,7 +507,7 @@ def _magnus4_product(path, u, window, steps):
         phi, zeta = _generator_scalars(pts, np.broadcast_to((b - a) / count, pts.shape), u)
         pair = _generators(phi, zeta, L).reshape(count, 2, len(L), len(L))
         a1, a2 = pair[:, 0], pair[:, 1]
-        for f in unitary_exp_i(0.5 * (a1 + a2) + 1j * (math.sqrt(3.0) / 12.0) * (a2 @ a1 - a1 @ a2)):
+        for f in scipy.linalg.expm(1j * (0.5 * (a1 + a2) + 1j * (math.sqrt(3.0) / 12.0) * (a2 @ a1 - a1 @ a2))):
             U = f @ U
     return U
 
@@ -743,21 +758,21 @@ def _segment_integrals_one(a, b, u):
 
 def _per_segment_product(path, u, window, counts, method):
     """The ordered product segment by segment: one exact factor or one batch of steps each, multiplied in sequence."""
-    basis = hol._span_basis(tuple(window))
+    basis = _span_basis(tuple(window))
     size = len(basis[0])
     U = np.eye(size, dtype=complex)
     for a, b, count in zip(path.vertices[:-1], path.vertices[1:], counts):
         if count == 0:
             continue
         if method == "auto" and (a[0] * b[1] - a[1] * b[0] == 0.0 or (a[2] == b[2] and a[3] == b[3])):
-            factors = hol._span_exp(*_segment_integrals_one(a, b, u), basis)
+            factors = _span_exp(*_segment_integrals_one(a, b, u), basis)
         else:
             t = ((np.arange(count)[:, None] + hol._GAUSS2_T) / count).ravel()
             pts = a + t[:, None] * (b - a)
             phi, zeta = _generator_scalars(pts, np.broadcast_to((b - a) / count, pts.shape), u)
             phi = (phi.reshape(-1, 2) @ hol._CF4_MIX.T).ravel()
             zeta = (zeta.reshape(-1, 2) @ hol._CF4_MIX.T).ravel()
-            pair = hol._span_exp(phi, zeta, basis).reshape(count, 2, size, size)
+            pair = _span_exp(phi, zeta, basis).reshape(count, 2, size, size)
             factors = pair[:, 0] @ pair[:, 1]
         for f in factors:
             U = f @ U
@@ -831,16 +846,43 @@ def test_unordered_holonomy_matches_the_per_segment_sum():
             p, z = _segment_integrals_one(a, b, 0.5)
             phi += p
             zeta += z
-        want = unitary_exp_i(_generators(phi, zeta, _lowering_pattern((0, 3))))
+        want = scipy.linalg.expm(1j * _generators(phi, zeta, _lowering_pattern((0, 3))))
         assert np.abs(unordered_holonomy(loop, 0.5, (0, 3)) - want).max() <= 1e-13
 
 
 def test_span_basis_is_cached_and_read_only():
-    basis = hol._span_basis((1, 4))
-    assert hol._span_basis((1, 4)) is basis
+    basis = _span_basis((1, 4))
+    assert _span_basis((1, 4)) is basis
     for arr in basis:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
+
+
+def test_span_exp_through_the_eigenvectors_matches_the_table(rng):
+    # windows past 64 levels carry no projector table; the eigenvector
+    # product they take instead is pinned to the table on a window with one
+    lam, V, table = _span_basis((0, 15))
+    phi = rng.uniform(-3.0, 3.0, 8)
+    zeta = rng.uniform(0.0, 10.0, 8) * np.exp(1j * rng.uniform(-np.pi, np.pi, 8))
+    got = _span_exp(phi, zeta, (lam, V, None))
+    assert np.abs(got - _span_exp(phi, zeta, (lam, V, table))).max() <= 1e-13
+    assert _span_basis((0, 63))[2] is not None and _span_basis((0, 64))[2] is None
+
+
+def test_only_linalg_takes_eigendecompositions_or_exponentials():
+    # every exponential of the package goes through the one span kernel in
+    # _linalg; no other module may call eigh, eig or an expm
+    import ast
+    from pathlib import Path
+
+    for path in Path(hol.__file__).parent.glob("*.py"):
+        if path.name == "_linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                assert name not in {"eigh", "eig", "expm"}, f"{path.name}:{node.lineno} calls {name}"
 
 
 def test_gauss_table_is_built_on_first_use():

@@ -22,42 +22,44 @@ def _ladder(window: tuple[int, int]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _span_basis(window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Eigenvalues lam and eigenvectors V of T = L + L^T on a checked window, and a table.
-
-    Row j of the (n, n*n) table is the projector V_aj V_bj, so that
-    V diag(e) V^T is e @ table; past 64 levels it is None.
-    Computed once per window and cached; the arrays are read-only.
-    """
+def _span_basis(window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues lam and eigenvectors V of T = L + L^T on a checked window; cached, read-only."""
     L = _ladder(window)
     lam, V = np.linalg.eigh(L + L.T)
     lam.setflags(write=False)
     V.setflags(write=False)
-    if len(lam) > 64:  # the table holds n^3 floats, 62 MB at 201 levels
-        return lam, V, None
-    table = np.einsum("aj,bj->jab", V, V).reshape(len(lam), -1)
+    return lam, V
+
+
+@functools.lru_cache(maxsize=16)
+def _span_table(window: tuple[int, int]) -> np.ndarray:
+    """The (n, n*n) projectors V_aj V_bj, so that V diag(e) V^T is e @ table; cached, read-only."""
+    V = _span_basis(window)[1]
+    table = np.einsum("aj,bj->jab", V, V).reshape(len(V), -1)
     table.setflags(write=False)
-    return lam, V, table
+    return table
 
 
-def _span_exp(phi, zeta, basis) -> np.ndarray:
+def _span_exp(phi, zeta, window: tuple[int, int]) -> np.ndarray:
     """exp(i (phi I + zeta L + conj(zeta) L^T)) for each entry of the 1-d stacks phi, zeta.
 
     zeta L + conj(zeta) L^T = |zeta| R T R^dag with R = diag(e^{i m arg zeta}),
     so the exponential is e^{i phi} R V diag(e^{i |zeta| lam}) V^T R^dag, with
-    T = V diag(lam) V^T from :func:`_span_basis`. Unitary to roundoff, since V
-    is orthogonal; returns a (k, n, n) stack.
+    T = V diag(lam) V^T from :func:`_span_basis` on the checked window.
+    Unitary to roundoff, since V is orthogonal; returns a (k, n, n) stack.
 
     The middle factor is taken as I + V diag(e^{i |zeta| lam} - 1) V^T: the
     rounding of V V^T would otherwise enter every step's identity part alike
-    and add up linearly over a long ordered product.
+    and add up linearly over a long ordered product. A stack contracts with
+    the table of :func:`_span_table`, faster than a batch of eigenvector
+    products at 4-128 levels; a single exponential builds no table.
     """
-    lam, V, table = basis
+    lam, V = _span_basis(window)
     size = len(lam)
     phi, zeta = np.atleast_1d(phi), np.atleast_1d(zeta)
     angle = np.abs(zeta)[:, None] * lam
-    expm1 = 1j * np.sin(angle) - 2.0 * np.sin(0.5 * angle) ** 2
-    core = (V * expm1[:, None, :]) @ V.T if table is None else (expm1 @ table).reshape(-1, size, size)
+    e = 1j * np.sin(angle) - 2.0 * np.sin(0.5 * angle) ** 2
+    core = (V * e[:, None]) @ V.T if len(e) == 1 else (e @ _span_table(window)).reshape(-1, size, size)
     core += np.eye(size)
     rot = np.exp(1j * np.angle(zeta)[:, None] * np.arange(size))
     return core * (np.exp(1j * phi)[:, None] * rot)[:, :, None] * rot.conj()[:, None, :]

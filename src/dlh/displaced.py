@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _ladder, _span_basis, _span_exp, max_abs
+from ._linalg import _ladder, _span_exp, max_abs
 from .errors import ConsistencyError, ValidationError
 from .fock import FockBasis, OperatorMatrix
 from .params import DerivedScales, PhysicalConfig, derive_scales
@@ -48,10 +48,8 @@ __all__ = [
 _NU_ERROR_FACTOR = 0.5   # |nu|^2 > n_max/2 is refused
 _NU_WARN_FACTOR = 0.125  # |nu|^2 > n_max/8 warns
 
-# The dual-route check reads the levels whose exact column keeps at most
-# _DUAL_ROUTE_TOL of its weight past n_max; there the dense route was within
-# half that weight (n_max 2-100, |nu|^2 from 1e-9 to n_max/8).
 _DUAL_ROUTE_TOL = 1e-8
+_RESOLVED_WEIGHT = 1.8e-8
 _HNU_TOL = 1e-7
 
 
@@ -100,23 +98,25 @@ def _displacement_block(beta: complex, rows, cols) -> np.ndarray:
 
 def _dense_route(nu: complex, n_max: int) -> np.ndarray:
     """D_n(nu) = exp(i (zeta L + conj(zeta) L^T)), zeta = -i nu, on levels 0..n_max."""
-    return _span_exp(0.0, -1j * nu, _span_basis((0, n_max)))[0]
+    return _span_exp(0.0, -1j * nu, (0, n_max))[0]
 
 
 def _route_gap(nu: complex, n_max: int, dense: np.ndarray) -> float:
     """Max deviation of `dense` from the closed form on the leading levels it resolves.
 
     Level j is resolved when the weight of its exact column past n_max,
-    1 - sum over k <= n_max of |<k|D|j>|^2, is at most _DUAL_ROUTE_TOL.
+    1 - sum over k <= n_max of |<k|D|j>|^2, is at most _RESOLVED_WEIGHT; on
+    those levels the dense route was within 0.5001 times that weight (n_max
+    2-100, |nu|^2 1e-10 to n_max/8). With no level resolved the gap is nan.
     """
     levels = np.arange(n_max + 1)
     closed = _displacement_block(nu, levels, levels)
     past = 1.0 - np.sum(np.abs(closed) ** 2, axis=0)
-    k = int(np.cumprod(past <= _DUAL_ROUTE_TOL).sum())
+    k = int(np.cumprod(past <= _RESOLVED_WEIGHT).sum())
     if k < 2:
         warnings.warn(f"the dual-route check of D(nu) at |nu|^2 = {abs(nu) ** 2:.3g} resolves only "
                       f"{k} level(s) below n_max = {n_max}", stacklevel=3)
-    return max_abs(dense[:k, :k], closed[:k, :k])
+    return max_abs(dense[:k, :k], closed[:k, :k]) if k else math.nan
 
 
 def displacement_matrix(nu: complex, basis: FockBasis, check: bool = True) -> OperatorMatrix:
@@ -131,7 +131,7 @@ def displacement_matrix(nu: complex, basis: FockBasis, check: bool = True) -> Op
     check : bool
         Also evaluate the closed form of the normally ordered product
         e^{-|nu|^2/2} e^{nu a+} e^{-nu* a-} and require agreement to 1e-8
-        max-norm on the resolved levels, raising ConsistencyError otherwise.
+        on the resolved levels, else (or with none) raise ConsistencyError.
 
     Notes
     -----
@@ -147,7 +147,7 @@ def displacement_matrix(nu: complex, basis: FockBasis, check: bool = True) -> Op
         if not dev <= _DUAL_ROUTE_TOL:
             raise ConsistencyError(
                 f"dense-exponential and normally ordered D(nu) disagree by {dev:.3e} "
-                f"on the resolved levels (tol {_DUAL_ROUTE_TOL:.0e})"
+                f"on the resolved levels (tol {_DUAL_ROUTE_TOL:.0e}; nan: no level resolved)"
             )
     return OperatorMatrix(np.kron(d_n, np.eye(basis.m_max + 1)), basis)
 
@@ -155,10 +155,9 @@ def displacement_matrix(nu: complex, basis: FockBasis, check: bool = True) -> Op
 def dual_route_deviation(nu: complex, basis: FockBasis) -> float:
     """Max deviation between the two routes to D(nu) on the resolved levels of the n-mode.
 
-    Compares the dense matrix exponential against the closed form of the
-    normally ordered product e^{-|nu|^2/2} e^{nu a+} e^{-nu* a-} on the
-    leading levels whose exact column keeps at most 1e-8 of its weight past
-    n_max (warning when fewer than two do); m plays no part.
+    The dense exponential against the closed form of the normally ordered
+    product, as :func:`_route_gap` reads them (nan when no level is
+    resolved); m plays no part.
     """
     nu = complex(nu)
     _check_truncation(nu, basis)

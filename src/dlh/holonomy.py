@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _span_basis, _span_exp, max_abs
+from ._linalg import _span_exp, max_abs
 from .connection import (
     CONTROL_PARAMS,
     _check_u,
@@ -387,7 +387,7 @@ def commuting_angle(area: float, u: float, window: tuple[int, int]) -> np.ndarra
 def commuting_holonomy(area: float, u: float, window: tuple[int, int]) -> np.ndarray:
     """exp(i (S / 4u) T), the closed-form holonomy of an Ex' = 0 loop: phi = 0, zeta = S / 4u."""
     _check_u(u)
-    return _span_exp(0.0, float(area) / (4.0 * u), _span_basis(_check_window(window)))[0]
+    return _span_exp(0.0, float(area) / (4.0 * u), _check_window(window))[0]
 
 
 @functools.cache
@@ -468,8 +468,7 @@ def _step_factors(path: ParameterPath, u: float, window: tuple[int, int], counts
     of a pair whose right half is the identity. The (Phi, Z) of all exact
     segments come from one vectorised quadrature.
     """
-    basis = _span_basis(tuple(window))
-    size = len(basis[0])
+    size = window[1] - window[0] + 1
     chunk = max(1, _CHUNK_ENTRIES // (size * size))
     a, b = path.vertices[:-1], path.vertices[1:]
     span = b - a
@@ -491,7 +490,7 @@ def _step_factors(path: ParameterPath, u: float, window: tuple[int, int], counts
         if ex.any():
             phi[ex], zeta[ex] = 0.0, 0.0
             phi[ex, 0], zeta[ex, 0] = exact_phi[rank[s[ex]]], exact_zeta[rank[s[ex]]]
-        pair = _span_exp(phi.ravel(), zeta.ravel(), basis).reshape(len(s), 2, size, size)
+        pair = _span_exp(phi.ravel(), zeta.ravel(), tuple(window)).reshape(len(s), 2, size, size)
         yield pair[:, 0] @ pair[:, 1]
 
 
@@ -751,7 +750,7 @@ def unordered_holonomy(path: ParameterPath, u: float, window: tuple[int, int] = 
     if float(path.segment_lengths.sum()) == 0.0:
         return eye
     phi, zeta = _segment_integrals(path.vertices[:-1], path.vertices[1:], u)
-    return _span_exp(phi.sum(), zeta.sum(), _span_basis(tuple(window)))[0]
+    return _span_exp(phi.sum(), zeta.sum(), tuple(window))[0]
 
 
 def noncommutativity_defect(

@@ -142,7 +142,7 @@ def test_zero_displacement_is_identity():
 @pytest.mark.parametrize("n_max", [2, 6, 14, 40])
 def test_dense_route_matches_scipy_expm(n_max):
     # D_n by the span kernel, pinned to scipy's expm of the same generator,
-    # on the n-mode and on the padded n-mode that displaced_hamiltonian uses
+    # on the n-mode and on a larger mode of 2 n_max + 16 levels
     for size in (n_max, 2 * n_max + 15):
         ap = _ladder((0, size))
         am = ap.T
@@ -289,12 +289,17 @@ def test_displacement_check_catches_a_wrong_dense_route(monkeypatch, n_max):
         displacement_matrix(0.1 - 0.05j, basis, check=True)
 
 
+# the golden `displace` config: n_max = 4, |nu|^2 = 0.0725, where column 0
+# keeps 1.57e-8 of its weight past n_max
+GOLDEN_NU = complex(-0.2474873734152916, -0.10606601717798211)
+
+
 @pytest.mark.parametrize("n_max", range(2, 13))
 def test_dual_route_check_raises_only_after_a_warning(n_max):
     # every basis the truncation guard accepts without a warning
     # (|nu|^2 <= n_max/8); at (10, 0.5 - 0.2j) the fixed interior cut of
     # n_max - n_max // 2 levels raised at 3.4e-7 without any warning
-    nus = [0.5 - 0.2j] if n_max == 10 else []
+    nus = {4: [GOLDEN_NU], 10: [0.5 - 0.2j]}.get(n_max, [])
     nus += [_nu(occ, phase) for occ in np.linspace(0.0, n_max / 8.0, 5)[1:] for phase in (0.3, 2.0, 4.4)]
     basis = build_basis(n_max, 1)
     for nu in nus:
@@ -303,4 +308,22 @@ def test_dual_route_check_raises_only_after_a_warning(n_max):
             try:
                 displacement_matrix(nu, basis, check=True)
             except ConsistencyError:
-                assert caught, (n_max, nu)
+                assert any("dual-route check" in str(w.message) for w in caught), (n_max, nu)
+
+
+def test_dual_route_check_compares_level_0_of_the_golden_config():
+    with pytest.warns(UserWarning, match="resolves only 1 level"):
+        dev = dual_route_deviation(GOLDEN_NU, build_basis(4, 1))
+    assert 0.0 < dev <= 1e-8
+    with pytest.warns(UserWarning, match="resolves only 1 level"):
+        displacement_matrix(GOLDEN_NU, build_basis(4, 1), check=True)
+
+
+def test_dual_route_check_fails_when_no_level_is_resolved():
+    # n_max = 4, nu = 0.5 - 0.2j: every column keeps more than 1.8e-8 of
+    # its weight past n_max, so there is nothing to compare
+    basis = build_basis(4, 1)
+    with pytest.warns(UserWarning, match="resolves only 0 level"):
+        assert math.isnan(dual_route_deviation(0.5 - 0.2j, basis))
+    with pytest.warns(UserWarning, match="resolves only 0 level"), pytest.raises(ConsistencyError, match="nan"):
+        displacement_matrix(0.5 - 0.2j, basis, check=True)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import dlh.holonomy as hol
 from dlh import connection
-from dlh._linalg import _span_basis, _span_exp
+from dlh._linalg import _span_basis, _span_exp, _span_table
 from dlh.connection import _generator_scalars, _generators, _lowering_pattern
 from dlh.errors import ConvergenceError, ValidationError
 from dlh.holonomy import (
@@ -482,7 +482,7 @@ def test_span_exponential_matches_eigendecomposition(window, rng):
     zeta = rng.uniform(0.0, 10.0, k) * np.exp(1j * rng.uniform(-np.pi, np.pi, k))
     zeta[:4] = 0.0
     zeta[4] = 10.0 * np.exp(0.3j)
-    got = _span_exp(phi, zeta, _span_basis(window))
+    got = _span_exp(phi, zeta, window)
     want = scipy.linalg.expm(1j * _generators(phi, zeta, _lowering_pattern(window)))
     assert np.abs(got - want).max() <= 1e-13
 
@@ -758,21 +758,21 @@ def _segment_integrals_one(a, b, u):
 
 def _per_segment_product(path, u, window, counts, method):
     """The ordered product segment by segment: one exact factor or one batch of steps each, multiplied in sequence."""
-    basis = _span_basis(tuple(window))
-    size = len(basis[0])
+    window = tuple(window)
+    size = window[1] - window[0] + 1
     U = np.eye(size, dtype=complex)
     for a, b, count in zip(path.vertices[:-1], path.vertices[1:], counts):
         if count == 0:
             continue
         if method == "auto" and (a[0] * b[1] - a[1] * b[0] == 0.0 or (a[2] == b[2] and a[3] == b[3])):
-            factors = _span_exp(*_segment_integrals_one(a, b, u), basis)
+            factors = _span_exp(*_segment_integrals_one(a, b, u), window)
         else:
             t = ((np.arange(count)[:, None] + hol._GAUSS2_T) / count).ravel()
             pts = a + t[:, None] * (b - a)
             phi, zeta = _generator_scalars(pts, np.broadcast_to((b - a) / count, pts.shape), u)
             phi = (phi.reshape(-1, 2) @ hol._CF4_MIX.T).ravel()
             zeta = (zeta.reshape(-1, 2) @ hol._CF4_MIX.T).ravel()
-            pair = _span_exp(phi, zeta, basis).reshape(count, 2, size, size)
+            pair = _span_exp(phi, zeta, window).reshape(count, 2, size, size)
             factors = pair[:, 0] @ pair[:, 1]
         for f in factors:
             U = f @ U
@@ -853,20 +853,22 @@ def test_unordered_holonomy_matches_the_per_segment_sum():
 def test_span_basis_is_cached_and_read_only():
     basis = _span_basis((1, 4))
     assert _span_basis((1, 4)) is basis
-    for arr in basis:
+    for arr in (*basis, _span_table((1, 4))):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
 
 
-def test_span_exp_through_the_eigenvectors_matches_the_table(rng):
-    # windows past 64 levels carry no projector table; the eigenvector
-    # product they take instead is pinned to the table on a window with one
-    lam, V, table = _span_basis((0, 15))
+@pytest.mark.parametrize("window", [(0, 3), (0, 15), (2, 72)])
+def test_single_exponential_matches_its_entry_in_a_stack(window, rng):
+    # a stack contracts with the projector table; a single exponential
+    # multiplies through the eigenvectors and builds no table
     phi = rng.uniform(-3.0, 3.0, 8)
     zeta = rng.uniform(0.0, 10.0, 8) * np.exp(1j * rng.uniform(-np.pi, np.pi, 8))
-    got = _span_exp(phi, zeta, (lam, V, None))
-    assert np.abs(got - _span_exp(phi, zeta, (lam, V, table))).max() <= 1e-13
-    assert _span_basis((0, 63))[2] is not None and _span_basis((0, 64))[2] is None
+    _span_table.cache_clear()
+    single = np.array([_span_exp(p, z, window)[0] for p, z in zip(phi, zeta)])
+    assert _span_table.cache_info().currsize == 0
+    assert np.abs(single - _span_exp(phi, zeta, window)).max() <= 1e-13
+    assert _span_table.cache_info().currsize == 1
 
 
 def test_only_linalg_takes_eigendecompositions_or_exponentials():

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import _ladder, max_abs
-from .errors import ValidationError
+from .errors import ValidationError, _is_integer
 
 __all__ = [
     "CONTROL_PARAMS",
@@ -88,6 +88,8 @@ def _unpack(point) -> tuple[float, float, float, float]:
         ex, ey, lam, b = (float(v) for v in point)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"point must be 4 numbers (Ex', Ey', lambda, B): {point!r}") from exc
+    if not all(map(math.isfinite, (ex, ey, lam, b))):
+        raise ValidationError(f"point contains non-finite entries: {point!r}")
     if lam <= 0 or b <= 0:
         raise ValidationError(f"lambda and B must be positive, got lambda={lam}, B={b}")
     return ex, ey, lam, b
@@ -99,8 +101,8 @@ def _check_param(param: str) -> None:
 
 
 def _check_u(u: float) -> None:
-    if not u > 0:
-        raise ValidationError(f"u must be positive, got {u}")
+    if not 0 < u < math.inf:
+        raise ValidationError(f"u must be positive and finite, got {u}")
 
 
 def _check_level_and_m(n: int, m_row: int, m_col: int) -> None:
@@ -111,10 +113,11 @@ def _check_level_and_m(n: int, m_row: int, m_col: int) -> None:
 
 
 def _check_window(window: tuple[int, int]) -> tuple[int, int]:
+    """(m_lo, m_hi) as plain ints: integer bounds (not bools) with 0 <= m_lo <= m_hi."""
     m_lo, m_hi = window
-    if not (0 <= m_lo <= m_hi):
-        raise ValidationError(f"window must satisfy 0 <= m_lo <= m_hi, got {window}")
-    return m_lo, m_hi
+    if not (_is_integer(m_lo) and _is_integer(m_hi) and 0 <= m_lo <= m_hi):
+        raise ValidationError(f"window must be integers with 0 <= m_lo <= m_hi, got {window!r}")
+    return int(m_lo), int(m_hi)
 
 
 def _lowering_pattern(window: tuple[int, int]) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import _ladder, max_abs
-from .errors import ValidationError
+from .errors import ValidationError, _check_count
 from .params import DerivedScales
 
 __all__ = [
@@ -48,7 +48,8 @@ _HERMITIAN_TOL = 1e-12
 class FockBasis:
     """Truncated basis with 0 <= n <= n_max, 0 <= m <= m_max.
 
-    Flat index is row-major in (n, m): idx = n * (m_max + 1) + m.
+    Flat index is row-major in (n, m): idx = n * (m_max + 1) + m. The
+    bounds are integers >= 0 (a bool or a float is a ValidationError).
     """
 
     n_max: int
@@ -56,10 +57,8 @@ class FockBasis:
     sigma: int = 1
 
     def __post_init__(self):
-        if self.n_max < 0 or self.m_max < 0:
-            raise ValidationError(
-                f"truncation bounds must be >= 0, got n_max={self.n_max}, m_max={self.m_max}"
-            )
+        for name in ("n_max", "m_max"):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), 0))
         if self.sigma not in (1, -1):
             raise ValidationError(f"sigma must be +1 or -1, got {self.sigma}")
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +53,7 @@ from .connection import (
     _unpack,
     abelian_curvature,
 )
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, _check_count
 
 __all__ = [
     "BOX_KINDS",
@@ -168,36 +167,22 @@ class ParameterPath:
         return ParameterPath(self.vertices[::-1].copy(), kind=self.kind)
 
     def _allocation(self, steps: int) -> np.ndarray:
-        """Steps per segment at a nominal count of `steps`.
+        """Steps per segment at a nominal count of `steps`: the one split of a loop.
 
         steps // 2 is split by length, at least one step to every segment of
         nonzero length and none to a zero-length segment, and every share is
         doubled. The counts are even, so halving them gives a run at half the
         steps on every segment at once, however many segments the path has.
-        The split is symmetric under path reversal.
+        The split is symmetric under path reversal. The holonomy engine takes
+        its steps from it and the Wilson oracle its links; both validate
+        `steps` first.
         """
-        if steps < 1:
-            raise ValidationError(f"steps must be >= 1, got {steps}")
         lengths = self.segment_lengths
         total = float(lengths.sum())
         if total == 0.0:
             raise ValidationError("path has zero total length")
         half = np.maximum(1, np.rint((steps // 2) * lengths / total)).astype(int)
         return np.where(lengths == 0.0, 0, 2 * half)
-
-    def discretize(self, steps: int) -> tuple[np.ndarray, np.ndarray]:
-        """Midpoints and step vectors of the allocation of `steps`.
-
-        A reversed path produces the mirrored midpoint sequence exactly.
-        """
-        mids, deltas = [], []
-        for a, b, n in zip(self.vertices[:-1], self.vertices[1:], self._allocation(steps)):
-            if n == 0:
-                continue
-            t = (np.arange(n) + 0.5) / n
-            mids.append(a + t[:, None] * (b - a))
-            deltas.append(np.broadcast_to((b - a) / n, (n, 4)).copy())
-        return np.concatenate(mids), np.concatenate(deltas)
 
 
 def _base4(base_point) -> np.ndarray:
@@ -307,7 +292,8 @@ def abelian_phase(path: ParameterPath, u: float) -> AbelianPhases:
     area = signed_area(path, plane=("Ex_prime", "Ey_prime"))
     v = path.vertices
     _, _, lam, b = _unpack(v[0])
-    phi, _ = _generator_scalars(0.5 * (v[:-1] + v[1:]), np.diff(v, axis=0), u)
+    one = np.ones(len(v) - 1, dtype=int)  # each segment one piece, taken at its midpoint
+    phi, _ = _generator_scalars(_nodes(v[:-1], v[1:], one, *_runs(one), [0.5])[:, 0], np.diff(v, axis=0), u)
     return AbelianPhases(
         signed_area=area,
         curvature=abelian_curvature(v[0], u),
@@ -406,6 +392,15 @@ def _runs(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return index, np.arange(len(index)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
+def _nodes(a: np.ndarray, b: np.ndarray, counts: np.ndarray, seg: np.ndarray, j: np.ndarray, t) -> np.ndarray:
+    """Points a + (j + t) / counts[seg] (b - a), (len(seg), len(t), 4), at the offsets t of piece j.
+
+    (seg, j) are entries of ``_runs(counts)``; a, b the (S, 4) segment ends.
+    """
+    frac = (j[:, None] + np.asarray(t)) / counts[seg, None]
+    return a[seg, None] + frac[:, :, None] * (b - a)[seg, None]
+
+
 def _segment_quadrature(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Composite 16-point Gauss rule on every segment a -> b of the (S, 4) rows a, b.
 
@@ -419,10 +414,9 @@ def _segment_quadrature(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
     ratio = np.max(np.maximum(a[:, 2:], b[:, 2:]) / np.minimum(a[:, 2:], b[:, 2:]), axis=1)
     panels = np.maximum(1, np.ceil((ratio - 1.0) / 3.0)).astype(int)
     seg, panel = _runs(panels)
-    t = ((panel[:, None] + gauss_t) / panels[seg, None]).ravel()
+    pts = _nodes(a, b, panels, seg, panel, gauss_t).reshape(-1, 4)
     w = (gauss_w / panels[seg, None]).ravel()
-    seg = np.repeat(seg, len(gauss_t))
-    return seg, a[seg] + t[:, None] * (b - a)[seg], w
+    return np.repeat(seg, len(gauss_t)), pts, w
 
 
 def _segment_integrals(a: np.ndarray, b: np.ndarray, u: float) -> tuple[np.ndarray, np.ndarray]:
@@ -479,10 +473,8 @@ def _step_factors(path: ParameterPath, u: float, window: tuple[int, int], counts
     seg, offset = _runs(np.where(exact, 1, counts))
     for i0 in range(0, len(seg), chunk):
         s, j = seg[i0 : i0 + chunk], offset[i0 : i0 + chunk]
-        n = counts[s, None]
-        t = (j[:, None] + _GAUSS2_T) / n
-        pts = a[s, None] + t[:, :, None] * span[s, None]
-        phi, zeta = _generator_scalars(pts.reshape(-1, 4), np.repeat(span[s] / n, 2, axis=0), u)
+        pts = _nodes(a, b, counts, s, j, _GAUSS2_T).reshape(-1, 4)
+        phi, zeta = _generator_scalars(pts, np.repeat(span[s] / counts[s, None], 2, axis=0), u)
         # node scalars (A1, A2) per step -> factor scalars (left, right)
         phi = phi.reshape(-1, 2) @ _CF4_MIX.T
         zeta = zeta.reshape(-1, 2) @ _CF4_MIX.T
@@ -627,15 +619,6 @@ def _check_target(target) -> float | None:
     if not (math.isfinite(value) and value >= 0.0):
         raise ValidationError(f"target must be a finite number >= 0 or None, got {target!r}")
     return value
-
-
-def _check_count(name: str, value, minimum: int) -> int:
-    """`value` as an int >= `minimum`; a bool, a float or a string is a ValidationError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
 
 
 def _check_steps(steps) -> int:

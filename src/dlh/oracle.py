@@ -48,8 +48,8 @@ import numpy as np
 
 from ._linalg import max_abs, unitarize
 from .connection import CONTROL_PARAMS, _check_window, connection_closed_form
-from .errors import ValidationError
-from .holonomy import ParameterPath, _check_count, rectangle_loop
+from .errors import ValidationError, _check_count, _is_integer
+from .holonomy import ParameterPath, _nodes, _require_closed, _runs, rectangle_loop
 from .params import DerivedScales, PhysicalConfig, derive_scales
 
 __all__ = [
@@ -101,7 +101,7 @@ class Grid2D:
     points: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.points, bool) or not isinstance(self.points, numbers.Integral) or self.points < 64:
+        if not (_is_integer(self.points) and self.points >= 64):
             raise ValidationError(f"grid needs an integer of at least 64 points per axis, got {self.points!r}")
         if isinstance(self.extent, bool) or not isinstance(self.extent, numbers.Real) or not 0 < self.extent < math.inf:
             raise ValidationError(f"grid extent must be a finite number > 0, got {self.extent!r}")
@@ -506,7 +506,11 @@ def _fd_matrices(grid: Grid2D, config: PhysicalConfig, params, point, n: int, wi
 
 @dataclass(frozen=True)
 class WilsonResult:
-    """Discrete overlap-product holonomy and its conditioning diagnostics."""
+    """Discrete overlap-product holonomy and its conditioning diagnostics.
+
+    points is the number of links, ``path._allocation(steps).sum()``, or 0 on
+    a constant path, whose holonomy is the identity.
+    """
 
     matrix: np.ndarray
     points: int
@@ -524,7 +528,10 @@ def wilson_loop_oracle(
 ) -> WilsonResult:
     """Holonomy from unitarized products of state-overlap matrices.
 
-    Samples the loop at `steps` points, forms link matrices
+    The loop is split as the holonomy engine splits it,
+    ``path._allocation(steps)`` links per segment (even counts by length, at
+    least two on every segment of nonzero length), and sampled at the start
+    of every link. It forms link matrices
     (M_k)_{ij} = <psi_i(xi_k) | psi_j(xi_{k+1})>, multiplies them in path
     order, polar-unitarizes the product, and takes the adjoint so the
     result matches the path-ordered exponential of +i times the connection
@@ -532,23 +539,15 @@ def wilson_loop_oracle(
     connection; the error is second order in the link count, O(1/steps^2)
     (it falls about 4x per doubling), and spectral in the grid.
     """
-    if not path.is_closed:
-        raise ValidationError("wilson_loop_oracle needs a closed path")
+    _require_closed(path)
     steps = _check_count("steps", steps, 8)
-    m_lo, m_hi = _check_window(window)
-    lengths = path.segment_lengths
-    total = float(lengths.sum())
-    size = m_hi - m_lo + 1
-    if total == 0.0:
+    window = _check_window(window)
+    size = window[1] - window[0] + 1
+    if float(path.segment_lengths.sum()) == 0.0:
         # constant path: every link is the Gram matrix of one frame, identity
-        return WilsonResult(np.eye(size, dtype=complex), 0, (int(m_lo), int(m_hi)), 1.0)
-    pts: list[np.ndarray] = []
-    for a, b, ln in zip(path.vertices[:-1], path.vertices[1:], lengths):
-        if ln == 0.0:
-            continue
-        count = max(1, int(round(steps * ln / total)))
-        t = np.arange(count) / count
-        pts.extend(a + tt * (b - a) for tt in t)
+        return WilsonResult(np.eye(size, dtype=complex), 0, window, 1.0)
+    counts = path._allocation(steps)
+    pts = _nodes(path.vertices[:-1], path.vertices[1:], counts, *_runs(counts), [0.0]).reshape(-1, 4)
     st = _stack(grid, config, pts, n, window)
     links = _overlaps(st, st.take([*range(1, len(pts)), 0]))  # each point with the next
     smallest = float(np.linalg.svd(links, compute_uv=False)[:, -1].min())
@@ -556,7 +555,7 @@ def wilson_loop_oracle(
     for link in links:
         product = product @ link
     gamma = unitarize(product).conj().T
-    return WilsonResult(gamma, len(pts), (int(m_lo), int(m_hi)), smallest)
+    return WilsonResult(gamma, len(pts), window, smallest)
 
 
 def _c2(z: complex) -> list[float]:

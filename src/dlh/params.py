@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _is_integer
 
 __all__ = [
     "PhysicalConfig",
@@ -88,8 +88,7 @@ class PhysicalConfig:
                 "problem degenerates at zero cyclotron frequency"
             )
         sigma = self.sigma_override
-        integral = isinstance(sigma, numbers.Integral) and not isinstance(sigma, bool)
-        if sigma is not None and not (integral and sigma in (1, -1)):
+        if sigma is not None and not (_is_integer(sigma) and sigma in (1, -1)):
             raise ValidationError(f"sigma_override must be +1, -1 or None, got {sigma!r}")
 
     def at_point(self, Ex: float, Ey: float, lam: float, B: float) -> "PhysicalConfig":

@@ -6,6 +6,7 @@ import pytest
 from dlh.connection import (
     CONTROL_PARAMS,
     SIGN_CONVENTION,
+    _check_window,
     _generator_scalars,
     _generators,
     _lowering_pattern,
@@ -16,6 +17,7 @@ from dlh.connection import (
     connection_matrix,
 )
 from dlh.errors import ValidationError
+from dlh.holonomy import commuting_holonomy, holonomy_path_ordered, rectangle_loop
 
 
 def _random_points(rng, count):
@@ -136,6 +138,54 @@ def test_validation_errors():
         connection_matrix("B", good, 0.5, 0, (3, 1))
     with pytest.raises(ValidationError):
         chain_rule_consistency(good, 0.5, 0, (-1, 2))
+
+
+_GOOD = (0.3, 0.7, 1.0, 1.0)
+_LOOP = rectangle_loop("Ex_prime", "Ey_prime", (0.0, 0.3), (0.0, 0.4), (0, 0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("window", [(0.5, 2), (0, 2.5), (0, 2.0), (True, 2), (0, True), ("0", 2)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w: connection_matrix("B", _GOOD, 0.5, 0, w),
+        lambda w: commuting_holonomy(0.5, 0.5, w),
+        lambda w: holonomy_path_ordered(_LOOP, 0.5, window=w),
+        _check_window,
+    ],
+    ids=["connection_matrix", "commuting_holonomy", "holonomy_path_ordered", "check_window"],
+)
+def test_window_bounds_must_be_integers(call, window):
+    with pytest.raises(ValidationError, match=r"window must be integers with 0 <= m_lo <= m_hi"):
+        call(window)
+
+
+def test_window_check_returns_plain_ints():
+    bounds = _check_window((np.int64(1), np.int32(3)))
+    assert bounds == (1, 3) and all(type(v) is int for v in bounds)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: connection_matrix("B", (0, 0, math.nan, 1), 0.5, 0, (0, 1)),
+        lambda: connection_matrix("lambda_density", (math.inf, 0, 1, 1), 0.5, 0, (0, 1)),
+        lambda: connection_general("Ex_prime", (0, -math.inf, 1, 1), 0.5, 0, 0, 0),
+        lambda: abelian_curvature((math.nan, 0, 1, 1), 0.5),
+        lambda: abelian_curvature((0, 0, 1, math.inf), 0.5),
+        lambda: commuting_holonomy(0.5, math.inf, (0, 1)),
+        lambda: commuting_holonomy(0.5, math.nan, (0, 1)),
+        lambda: connection_matrix("B", _GOOD, math.inf, 0, (0, 1)),
+        lambda: holonomy_path_ordered(_LOOP, math.inf),
+    ],
+    ids=[
+        "matrix_nan_lambda", "matrix_inf_ex", "general_inf_ey", "curvature_nan_ex", "curvature_inf_b",
+        "commuting_inf_u", "commuting_nan_u", "matrix_inf_u", "path_ordered_inf_u",
+    ],
+)
+def test_non_finite_points_and_u_are_rejected(call):
+    with pytest.raises(ValidationError, match="non-finite|finite"):
+        call()
 
 
 def test_in_plane_elements_zero_at_origin():

@@ -34,6 +34,17 @@ def test_basis_indexing_roundtrip():
         build_basis(-1, 2)
 
 
+@pytest.mark.parametrize("bounds", [(4.5, 1), (4, 1.0), (True, 1), (4, False), ("4", 1)])
+def test_basis_bounds_must_be_integers(bounds):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        build_basis(*bounds)
+
+
+def test_basis_bounds_become_plain_ints():
+    basis = build_basis(np.int64(4), np.int32(1))
+    assert type(basis.n_max) is int and type(basis.m_max) is int and basis.size == 10
+
+
 def test_angular_momentum_label():
     basis = build_basis(4, 4, sigma=1)
     assert basis.ell(1, 3) == 2

@@ -89,8 +89,6 @@ def test_path_validation():
     assert not open_path.is_closed
     with pytest.raises(ValidationError):
         holonomy_path_ordered(open_path, 0.5)
-    with pytest.raises(ValidationError):
-        open_path.discretize(0)
 
 
 def test_rectangle_vertices_and_area():
@@ -149,12 +147,20 @@ def test_box_loop_itineraries():
         box_loop("AAAAAAA", EY, LAM, BB)
 
 
-def test_discretize_mirrors_under_reversal():
-    loop = box_loop("ABCHEFA", EY, LAM, BB)
-    mids, deltas = loop.discretize(97)
-    rmids, rdeltas = loop.reversed().discretize(97)
-    assert np.allclose(rmids, mids[::-1])
-    assert np.allclose(rdeltas, -deltas[::-1])
+def test_allocation_mirrors_under_reversal():
+    for loop in (box_loop("ABCHEFA", EY, LAM, BB), C9_LOOP):
+        assert np.array_equal(loop.reversed()._allocation(97), loop._allocation(97)[::-1])
+
+
+def test_nodes_tile_every_segment():
+    # offset 1 of each piece is offset 0 of the next; the ends are the vertices
+    a, b = C9_LOOP.vertices[:-1], C9_LOOP.vertices[1:]
+    counts = C9_LOOP._allocation(40)
+    seg, j = hol._runs(counts)
+    ends = hol._nodes(a, b, counts, seg, j, [0.0, 1.0])
+    last = np.cumsum(counts) - 1
+    assert np.allclose(ends[1:, 0], ends[:-1, 1], rtol=0, atol=1e-15)
+    assert np.array_equal(ends[last - counts + 1, 0], a) and np.allclose(ends[last, 1], b, rtol=0, atol=1e-15)
 
 
 def test_loop_functional_closed_forms():
@@ -378,7 +384,7 @@ def test_partial_products_are_prefixes_of_the_full_product(rng):
     steps, window = 300, (0, 2)
     ks, mats = hol._partial_products(loop, 0.5, window, steps, 32)
     full = holonomy_path_ordered(loop, 0.5, window=window, steps=steps, target=None, method="magnus")
-    assert ks[-1] == len(loop.discretize(steps)[0])
+    assert ks[-1] == loop._allocation(steps).sum()
     assert np.abs(mats[-1] - full.matrix).max() <= 1e-13
     # every sampled prefix is the sequential product of the first k factors
     factors = np.concatenate(list(hol._step_factors(loop, 0.5, window, loop._allocation(steps), "magnus")))
@@ -460,8 +466,7 @@ def test_partial_unitarity_series_shape():
     assert len(ks) <= 18
     assert all(d < 1e-12 for _, d in series)
     # the final entry covers the whole loop
-    mids, _ = loop.discretize(128)
-    assert ks[-1] == len(mids)
+    assert ks[-1] == loop._allocation(128).sum()
 
 
 def test_signed_area_planarity_guard():

@@ -346,6 +346,31 @@ def test_wilson_validation(grid12, cfg_natural):
         wilson_loop_oracle(grid12, cfg_natural, const, window=(3, 1))
 
 
+_RECTANGLE = [(0, 0, 1, 1), (0.3, 0, 1, 1), (0.3, 0.4, 1, 1), (0, 0.4, 1, 1), (0, 0, 1, 1)]
+_ANGLES = np.linspace(0.0, 2.0 * np.pi, 25)
+_WILSON_LOOPS = {
+    # six equal legs of 0.5, as in the benchmark's box: 60 links, not 6 x 11
+    "six_leg_box": (box_loop("ABCHEFA", (0.0, 0.5), (1.2, 1.7), (1.3, 1.8)).vertices, 64),
+    "zero_length_segment": (np.array(_RECTANGLE[:2] + _RECTANGLE[1:]), 32),
+    "24-gon": (np.column_stack([0.1 + 0.2 * np.cos(_ANGLES), 0.2 + 0.2 * np.sin(_ANGLES), np.ones((25, 2))]), 8),
+}
+
+
+@pytest.mark.parametrize("name", _WILSON_LOOPS)
+def test_wilson_links_are_the_engine_allocation(grid12, cfg_natural, name):
+    vertices, steps = _WILSON_LOOPS[name]
+    loop = ParameterPath(vertices)
+    counts = loop._allocation(steps)
+    res = wilson_loop_oracle(grid12, cfg_natural, loop, n=0, window=(0, 1), steps=steps)
+    assert res.points == counts.sum()
+    assert np.all(counts[loop.segment_lengths > 0] >= 2)
+    if name == "zero_length_segment":
+        # the repeated vertex adds no link: the same points as the plain rectangle
+        plain_loop = ParameterPath(np.array(_RECTANGLE))
+        plain = wilson_loop_oracle(grid12, cfg_natural, plain_loop, n=0, window=(0, 1), steps=steps)
+        assert res.points == plain.points and np.array_equal(res.matrix, plain.matrix)
+
+
 @pytest.mark.parametrize("steps", ["64", 16.5, True, 4])
 def test_wilson_steps_must_be_an_integer_count(grid12, cfg_natural, steps):
     loop = rectangle_loop("Ex_prime", "Ey_prime", (0, 0.2), (0, 0.2), (0, 0, 1, 1))
@@ -421,7 +446,9 @@ def test_sign_convention_report_contents(grid12):
 
 def test_oracle_is_independent_of_the_algebra():
     # the grid oracle may share only parameter names and the window check with
-    # the analytic side, and reads closed forms only to report against them
+    # the analytic side, and reads closed forms only to report against them;
+    # from the holonomy module it takes loop geometry and validation, never
+    # the engine
     import ast
 
     import dlh.oracle
@@ -430,15 +457,18 @@ def test_oracle_is_independent_of_the_algebra():
     forbidden = {"dlh.fock", "dlh.displaced"}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            assert not {a.name for a in node.names} & (forbidden | {"dlh.connection"})
+            assert not {a.name for a in node.names} & (forbidden | {"dlh.connection", "dlh.holonomy"})
         elif isinstance(node, ast.ImportFrom):
             base = "dlh" if node.level else ""
             module = ".".join(p for p in (base, node.module) if p)
             names = {a.name for a in node.names}
             assert module not in forbidden
-            assert not {f"{module}.{n}" for n in names} & (forbidden | {"dlh.connection"})
+            assert not {f"{module}.{n}" for n in names} & (forbidden | {"dlh.connection", "dlh.holonomy"})
             if module == "dlh.connection":
                 assert names <= {"CONTROL_PARAMS", "_check_window", "connection_closed_form"}
+            if module == "dlh.holonomy":
+                geometry = {"ParameterPath", "rectangle_loop", "_runs", "_nodes"}
+                assert names <= geometry | {"_check_count", "_require_closed"}
     users = {
         getattr(stmt, "name", type(stmt).__name__)
         for stmt in tree.body

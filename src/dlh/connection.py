@@ -114,7 +114,10 @@ def _check_level_and_m(n: int, m_row: int, m_col: int) -> None:
 
 def _check_window(window: tuple[int, int]) -> tuple[int, int]:
     """(m_lo, m_hi) as plain ints: integer bounds (not bools) with 0 <= m_lo <= m_hi."""
-    m_lo, m_hi = window
+    try:
+        m_lo, m_hi = window
+    except (TypeError, ValueError):  # not a pair
+        m_lo = m_hi = None
     if not (_is_integer(m_lo) and _is_integer(m_hi) and 0 <= m_lo <= m_hi):
         raise ValidationError(f"window must be integers with 0 <= m_lo <= m_hi, got {window!r}")
     return int(m_lo), int(m_hi)

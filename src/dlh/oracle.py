@@ -22,15 +22,15 @@ the phase ramp are outer products too, so the field (n, m) is U C V^T: U
 holds P^p g_x and V holds Q^q g_y (p, q <= n + m_hi), each times its 1-D
 ramp, and each raise takes the small matrix C to S C + i a C S^T (S the
 down-shift) before its 1/sqrt(j) and i factors. :func:`_stack` builds the
-windows of K control points as one stack: the factors of every point at
-once, (K, 2, N, n + m_hi + 1) with one FFT along the last axis per power,
-and C once per sigma, as it depends on (sigma, n, window) only. An overlap
-is h^2 sum conj(C) o (U^H U') C' (V^H V')^T, broadcast over the points, so
-the links of a Wilson loop, an fd triple and each window of the sign report
-are one batched product; the norm and frame guards come from the factors
-too, for every point and m. :func:`window_states` (K = 1) forms U C V^T for
-callers that want fields. The spectral route, :func:`build_state` followed
-by the FFT translation of :func:`displace_field`, is the independent check.
+windows of K control points as one stack: the scales l_m, sigma, nu as (K,)
+arrays, the factors (K, 2, N, n + m_hi + 1) with one FFT along the last axis
+per power, and C once per (sigma, n, window), the only things it depends on.
+An overlap is h^2 sum conj(C) o (U^H U') C' (V^H V')^T, broadcast over the
+points, so the links of a Wilson loop, an fd triple and each window of the
+sign report are one batched product; the norm and frame guards come from the
+factors too, for every point and m. :func:`window_states` (K = 1) forms
+U C V^T for callers that want fields. The spectral route, :func:`build_state`
+then the FFT translation of :func:`displace_field`, is the independent check.
 
 The oracle operates at desk-scale dimensionless parameters (everything of
 order one), never at laboratory magnitudes; the phases being validated are
@@ -42,15 +42,15 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._linalg import max_abs, unitarize
+from ._linalg import unitarize
 from .connection import CONTROL_PARAMS, _check_window, connection_closed_form
 from .errors import ValidationError, _check_count, _is_integer
 from .holonomy import ParameterPath, _nodes, _require_closed, _runs, rectangle_loop
-from .params import DerivedScales, PhysicalConfig, derive_scales
+from .params import DerivedScales, PhysicalConfig, _point_scales, derive_scales
 
 __all__ = [
     "OPERATING_CONFIG",
@@ -126,16 +126,14 @@ class Grid2D:
     def Y(self) -> np.ndarray:
         return self.x[None, :]
 
-    def check_adequate(self, l_m: float, shift: float = 0.0) -> None:
-        """Adequacy rule: extent covers 6 l_m plus the shift, spacing <= l_m/4."""
-        if self.extent < 6.0 * l_m + abs(shift):
-            raise ValidationError(
-                f"grid extent {self.extent} too small for l_m={l_m:.4g} with shift {shift:.4g}"
-            )
-        if self.h > l_m / 4.0:
-            raise ValidationError(
-                f"grid spacing {self.h:.4g} does not resolve l_m={l_m:.4g} (need h <= l_m/4)"
-            )
+    def check_adequate(self, l_m, shift=0.0) -> None:
+        """Adequacy rule: extent covers 6 l_m plus the shift, spacing <= l_m/4; at arrays of points, the first failure raises."""
+        l_m, shift = np.broadcast_arrays(l_m, shift)
+        small, coarse = self.extent < 6.0 * l_m + np.abs(shift), self.h > l_m / 4.0
+        for l, d, too_small in zip(l_m[small | coarse], shift[small | coarse], small[small | coarse]):
+            if too_small:
+                raise ValidationError(f"grid extent {self.extent} too small for l_m={l:.4g} with shift {d:.4g}")
+            raise ValidationError(f"grid spacing {self.h:.4g} does not resolve l_m={l:.4g} (need h <= l_m/4)")
 
     def overlap(self, f: np.ndarray, g: np.ndarray) -> complex:
         return complex(self.h * self.h * np.vdot(f, g))
@@ -286,10 +284,9 @@ def build_state(grid: Grid2D, scales: DerivedScales, n: int, m: int) -> WaveFiel
     return WaveField(grid=grid, values=f, n=n, m=m, nu=0j, l_m=scales.l_m)
 
 
-def _displacement(scales: DerivedScales) -> tuple[float, float, float, float]:
-    """Translation (a_x, a_y) and phase-ramp rates (k_x, k_y) of the displacement (see displace_field)."""
-    r, c = math.sqrt(2.0) * scales.l_m, 1.0 / (math.sqrt(2.0) * scales.l_m)
-    nu, s = scales.nu, scales.sigma
+def _displacement(l_m, s, nu) -> tuple:
+    """Translation (a_x, a_y) and phase-ramp rates (k_x, k_y) of the displacement (see displace_field), per point."""
+    r, c = math.sqrt(2.0) * l_m, 1.0 / (math.sqrt(2.0) * l_m)
     return r * nu.imag, -r * s * nu.real, c * nu.real, c * s * nu.imag
 
 
@@ -310,7 +307,7 @@ def displace_field(grid: Grid2D, scales: DerivedScales, field: WaveField) -> Wav
     nu, l = scales.nu, scales.l_m
     if nu == 0:
         return WaveField(grid=grid, values=field.values.copy(), n=field.n, m=field.m, nu=0j, l_m=l)
-    ax, ay, kx, ky = _displacement(scales)
+    ax, ay, kx, ky = _displacement(l, scales.sigma, nu)
     g = _translate(grid, field.values, ax, ay)
     g *= np.exp(1j * kx * grid.x)[:, None]
     g *= np.exp(1j * ky * grid.x)
@@ -323,12 +320,14 @@ class _Stack:
     """Fields U_k C[k, i] V_k^T of K displaced m-windows, F[k] = (U_k, V_k) (module docstring)."""
 
     grid: Grid2D
-    scales: tuple[DerivedScales, ...]
+    l_m: np.ndarray  # (K,): the scales of each point
+    sigma: np.ndarray
+    nu: np.ndarray
     F: np.ndarray
     C: np.ndarray
 
     def take(self, idx) -> _Stack:
-        return _Stack(self.grid, tuple(self.scales[i] for i in idx), self.F[idx], self.C[idx])
+        return _Stack(self.grid, *(a[idx] for a in (self.l_m, self.sigma, self.nu, self.F, self.C)))
 
 
 def _overlaps(bras: _Stack, kets: _Stack) -> np.ndarray:
@@ -339,20 +338,19 @@ def _overlaps(bras: _Stack, kets: _Stack) -> np.ndarray:
     return bras.grid.h ** 2 * (bras.C.conj().reshape(len(bras.C), m, -1) @ moved.reshape(k, m, -1).swapaxes(-1, -2))
 
 
+@lru_cache(maxsize=16)
 def _coefficients(sigma: int, n: int, m_lo: int, m_hi: int) -> np.ndarray:
-    """Unnormalized C of the (n, m) fields for m in [m_lo, m_hi], each (n + m_hi + 1) square."""
+    """Unnormalized C of the (n, m) fields for m in [m_lo, m_hi], each (n + m_hi + 1) square; cached, read-only."""
     size = n + m_hi + 1
     down = np.eye(size, k=-1)  # S: power p -> p + 1
-    c = np.zeros((size, size), dtype=complex)
-    c[0, 0] = 1.0
-    coefs = [c] if m_lo == 0 else []
+    coefs = [np.zeros((size, size), dtype=complex)]
+    coefs[0][0, 0] = 1.0
     for m in range(1, m_hi + 1):
-        c = (down @ c + 1j * sigma * (c @ down.T)) / math.sqrt(m)  # radial raise
-        if m >= m_lo:
-            coefs.append(c)
-    c = np.array(coefs)
+        coefs.append((down @ coefs[-1] + 1j * sigma * (coefs[-1] @ down.T)) / math.sqrt(m))  # radial raise
+    c = np.array(coefs[m_lo:])
     for j in range(1, n + 1):
         c = (1j / math.sqrt(j)) * (down @ c - 1j * sigma * (c @ down.T))  # level raise
+    c.setflags(write=False)
     return c
 
 
@@ -361,26 +359,26 @@ def _stack(grid: Grid2D, config: PhysicalConfig, points, n: int, window: tuple[i
     m_lo, m_hi = _check_window(window)
     if n < 0:
         raise ValidationError(f"indices must be >= 0, got n={n}")
-    scales = tuple(derive_scales(config.at_point(*(float(v) for v in p))) for p in points)
-    for sc in scales:
-        grid.check_adequate(sc.l_m, shift=math.sqrt(2.0) * sc.l_m * abs(sc.nu))
-    size, count = n + m_hi + 1, len(scales)
-    l = np.array([sc.l_m for sc in scales])[:, None, None]
-    shift, rate = np.array([_displacement(sc) for sc in scales]).reshape(count, 2, 2, 1).swapaxes(0, 1)
+    _, sigma, l_m, _, nu = _point_scales(config, points)
+    grid.check_adequate(l_m, shift=math.sqrt(2.0) * l_m * np.abs(nu))
+    size, count = n + m_hi + 1, len(l_m)
+    l = l_m[:, None, None]
+    shift, rate = np.reshape(_displacement(l_m, sigma, nu), (2, 2, count, 1)).swapaxes(1, 2)
     powers = [_gaussian(grid, l, shift)]  # (K, 2, N): the x and y factors of every point
     for _ in range(1, size):  # P (or Q) in the shifted coordinate
         powers.append(_axis_ladder(grid, l, -1, grid.x + shift, powers[-1], -1))
     F = np.stack(powers, axis=-1)
     np.multiply(np.exp(1j * rate * grid.x)[..., None], F, out=F)  # times the phase ramps
-    coefs = {s: _coefficients(s, n, m_lo, m_hi) for s in {sc.sigma for sc in scales}}  # C per chirality
-    st = _Stack(grid, scales, F, np.array([coefs[sc.sigma] for sc in scales]))
+    C = np.where(sigma[:, None, None, None] > 0, _coefficients(1, n, m_lo, m_hi), _coefficients(-1, n, m_lo, m_hi))
+    st = _Stack(grid, l_m, sigma, nu, F, C)  # C per chirality
     norms = np.sqrt(np.diagonal(_overlaps(st, st), axis1=1, axis2=2).real)  # (K, m-count)
     # |field| on the first and last row, then on the first and last column
     edges = [np.abs((F[:, a][:, None, [0, -1]] @ c).reshape(count, -1, size) @ F[:, 1 - a].swapaxes(1, 2))
              for a, c in ((0, st.C), (1, st.C.swapaxes(-1, -2)))]
     frame = np.maximum(*(e.reshape(norms.shape + (-1,)).max(axis=-1) for e in edges)) / norms
-    for (k, i), nrm in np.ndenumerate(norms):
-        _check_drift(float(nrm), f"state (n={n}, m={m_lo + i})")
+    failed = ~(np.abs(norms - 1.0) <= _DRIFT_TOL) | ~(frame <= _BOUNDARY_TOL)
+    for k, i in np.argwhere(failed)[:1]:  # the first in (point, m) order raises, drift before frame
+        _check_drift(float(norms[k, i]), f"state (n={n}, m={m_lo + i})")
         _check_frame(float(frame[k, i]), f"state (n={n}, m={m_lo + i})")
     np.divide(st.C, norms[:, :, None, None], out=st.C)
     return st
@@ -406,7 +404,7 @@ def window_states(
     shifted coordinates on the shifted Gaussian (module docstring).
     """
     st = _stack(grid, config, [point], n, window)
-    nu, l = st.scales[0].nu, st.scales[0].l_m
+    nu, l = complex(st.nu[0]), float(st.l_m[0])
     values = st.F[0, 0] @ st.C[0] @ st.F[0, 1].T
     return [WaveField(grid=grid, values=f, n=n, m=window[0] + i, nu=nu, l_m=l) for i, f in enumerate(values)]
 
@@ -581,8 +579,7 @@ def sign_convention_report(
         config = OPERATING_CONFIG
     if grid is None:
         grid = default_grid()
-    sc = derive_scales(config)
-    u = sc.u
+    u = derive_scales(config).u
     point = (config.Ex_prime, config.Ey_prime, config.lambda_density, config.B)
     ex, ey, lam, b = point
 

@@ -18,7 +18,6 @@ so unit questions are settled once, here.
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -38,6 +37,8 @@ __all__ = [
 
 
 _REAL_FIELDS = ("mass", "alpha", "hbar", "lambda_density", "B", "Ex_prime", "Ey_prime")
+_POINT_FIELDS = ("Ex_prime", "Ey_prime", "lambda_density", "B")
+_DEGENERATE = "lambda_density * B must be nonzero: the effective Landau problem degenerates at zero cyclotron frequency"
 
 
 @dataclass(frozen=True)
@@ -76,17 +77,11 @@ class PhysicalConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
                 raise ValidationError(f"{name} must be a finite number, got {value!r}")
-        if not self.mass > 0:
-            raise ValidationError(f"mass must be positive, got {self.mass}")
-        if not self.alpha > 0:
-            raise ValidationError(f"alpha must be positive, got {self.alpha}")
-        if not self.hbar > 0:
-            raise ValidationError(f"hbar must be positive, got {self.hbar}")
+        for name in ("mass", "alpha", "hbar"):
+            if not getattr(self, name) > 0:
+                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.lambda_density * self.B == 0:
-            raise ValidationError(
-                "lambda_density * B must be nonzero: the effective Landau "
-                "problem degenerates at zero cyclotron frequency"
-            )
+            raise ValidationError(_DEGENERATE)
         sigma = self.sigma_override
         if sigma is not None and not (_is_integer(sigma) and sigma in (1, -1)):
             raise ValidationError(f"sigma_override must be +1, -1 or None, got {sigma!r}")
@@ -104,7 +99,7 @@ NATURAL_DESK = PhysicalConfig(mass=1.0, alpha=1.0, hbar=1.0, lambda_density=1.0,
 
 @dataclass(frozen=True)
 class DerivedScales:
-    """Derived quantities every other module consumes.
+    """Derived quantities every other module consumes, as :func:`derive_scales` checks them.
 
     omega is the positive cyclotron frequency |omega|; the sign lives in
     sigma. hbar is carried along because energy and angular-momentum quanta
@@ -118,41 +113,49 @@ class DerivedScales:
     nu: complex
     hbar: float
 
-    def __post_init__(self):
-        # finite inputs can still over- or underflow here, e.g. alpha/M = 1e600
-        for name in ("omega", "l_m", "u"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValidationError(f"{name} must be positive and finite, got {value}")
-        if not cmath.isfinite(self.nu):
-            raise ValidationError(f"nu must be finite, got {self.nu}")
-        if self.sigma not in (1, -1):
-            raise ValidationError(f"sigma must be +1 or -1, got {self.sigma}")
-
     @property
     def energy_quantum(self) -> float:
         """hbar * |omega|, the Landau level spacing."""
         return self.hbar * self.omega
 
 
-def derive_scales(config: PhysicalConfig) -> DerivedScales:
-    """Compute (omega, sigma, l_m, u, nu) from a configuration.
+def _point_scales(config: PhysicalConfig, points) -> tuple[np.ndarray, ...]:
+    """omega, sigma, l_m, u and nu, each of shape (K,), of the particle of `config` at K (Ex', Ey', lambda, B) rows.
 
-    nu follows the cross-pairing of the in-plane field components:
-    nu_x couples to Ey' and nu_y couples to Ex',
-
-        nu = -(alpha l_m / (sqrt(2) hbar)) * (Ey' + i Ex').
+    nu pairs nu_x with Ey' and nu_y with Ex': nu = -(alpha l_m / (sqrt(2) hbar)) (Ey' + i Ex'). Every row needs
+    finite coordinates, lambda B != 0, omega, l_m and u positive and finite, nu finite; the first bad row raises.
     """
-    lam_B = config.lambda_density * config.B
-    omega = config.alpha * abs(lam_B) / config.mass
-    sigma = int(np.sign(lam_B))
-    if config.sigma_override is not None:
-        sigma = config.sigma_override
-    l_m = math.sqrt(config.hbar / (config.mass * omega))
-    u = math.sqrt(config.hbar / (8.0 * config.alpha))
-    c = config.alpha * l_m / (math.sqrt(2.0) * config.hbar)
-    nu = complex(-c * config.Ey_prime, -c * config.Ex_prime)
-    return DerivedScales(omega=omega, sigma=sigma, l_m=l_m, u=u, nu=nu, hbar=config.hbar)
+    p = np.asarray(points, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 4:
+        raise ValidationError(f"points must be rows of (Ex', Ey', lambda, B), got shape {p.shape}")
+    ex, ey, lam, b = p.T
+    with np.errstate(all="ignore"):  # finite inputs can still over- or underflow, e.g. alpha/M = 1e600
+        lam_B = lam * b
+        omega = config.alpha * np.abs(lam_B) / config.mass
+        sigma = np.sign(lam_B).astype(int) if config.sigma_override is None else np.full(len(p), config.sigma_override)
+        l_m = np.sqrt(config.hbar / (config.mass * omega))
+        u = np.full(len(p), math.sqrt(config.hbar / (8.0 * config.alpha)))
+        c = config.alpha * l_m / (math.sqrt(2.0) * config.hbar)
+        nu = (-c * ey).astype(complex)
+        nu.imag = -c * ex
+    positive = {"omega": omega, "l_m": l_m, "u": u}
+    ok = np.column_stack([np.isfinite(p), lam_B != 0, *((0 < v) & (v < math.inf) for v in positive.values()), np.isfinite(nu)])
+    for k in np.flatnonzero(~ok.all(axis=1))[:1]:
+        point = tuple(float(v) for v in p[k])
+        messages = [
+            *(f"{name} must be a finite number, got {v!r}" for name, v in zip(_POINT_FIELDS, point)),
+            _DEGENERATE,
+            *(f"{name} must be positive and finite, got {float(v[k])}" for name, v in positive.items()),
+            f"nu must be finite, got {complex(nu[k])}",
+        ]
+        raise ValidationError(f"{messages[np.argmin(ok[k])]} at (Ex', Ey', lambda, B) = {point}")
+    return omega, sigma, l_m, u, nu
+
+
+def derive_scales(config: PhysicalConfig) -> DerivedScales:
+    """Compute (omega, sigma, l_m, u, nu) from a configuration: the one-point case of :func:`_point_scales`."""
+    omega, sigma, l_m, u, nu = (a[0] for a in _point_scales(config, [[getattr(config, f) for f in _POINT_FIELDS]]))
+    return DerivedScales(float(omega), int(sigma), float(l_m), float(u), complex(nu), config.hbar)
 
 
 @dataclass(frozen=True)

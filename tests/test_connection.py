@@ -18,6 +18,8 @@ from dlh.connection import (
 )
 from dlh.errors import ValidationError
 from dlh.holonomy import commuting_holonomy, holonomy_path_ordered, rectangle_loop
+from dlh.oracle import Grid2D, wilson_loop_oracle, window_states
+from dlh.params import PhysicalConfig
 
 
 def _random_points(rng, count):
@@ -144,16 +146,26 @@ _GOOD = (0.3, 0.7, 1.0, 1.0)
 _LOOP = rectangle_loop("Ex_prime", "Ey_prime", (0.0, 0.3), (0.0, 0.4), (0, 0, 1.0, 1.0))
 
 
-@pytest.mark.parametrize("window", [(0.5, 2), (0, 2.5), (0, 2.0), (True, 2), (0, True), ("0", 2)])
+_GRID = Grid2D(extent=12.0, points=64)
+_CONFIG = PhysicalConfig(mass=1.0, alpha=0.5, hbar=1.0, lambda_density=1.0, B=1.0)
+
+
+# the last four are not pairs of bounds at all
+@pytest.mark.parametrize(
+    "window", [(0.5, 2), (0, 2.5), (0, 2.0), (True, 2), (0, True), ("0", 2), 5, None, (0, 1, 2), (1,)]
+)
 @pytest.mark.parametrize(
     "call",
     [
         lambda w: connection_matrix("B", _GOOD, 0.5, 0, w),
         lambda w: commuting_holonomy(0.5, 0.5, w),
         lambda w: holonomy_path_ordered(_LOOP, 0.5, window=w),
+        lambda w: wilson_loop_oracle(_GRID, _CONFIG, _LOOP, window=w),
+        lambda w: window_states(_GRID, _CONFIG, _GOOD, 0, w),
         _check_window,
     ],
-    ids=["connection_matrix", "commuting_holonomy", "holonomy_path_ordered", "check_window"],
+    ids=["connection_matrix", "commuting_holonomy", "holonomy_path_ordered", "wilson_loop_oracle", "window_states",
+         "check_window"],
 )
 def test_window_bounds_must_be_integers(call, window):
     with pytest.raises(ValidationError, match=r"window must be integers with 0 <= m_lo <= m_hi"):

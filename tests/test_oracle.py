@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -282,7 +283,8 @@ def test_a_stack_equals_its_one_point_stacks(grid12, cfg_desk):
     pts = [(0.3, 0.7, 2.0, 1.0), (0.9, -1.6, -2.0, 1.0), (-0.4, 0.2, 1.5, 1.2)]
     stack = oracle._stack(grid12, cfg_desk, pts, 1, (0, 2))
     singles = [oracle._stack(grid12, cfg_desk, [p], 1, (0, 2)) for p in pts]
-    assert stack.scales == tuple(s.scales[0] for s in singles)
+    for name in ("l_m", "sigma", "nu"):
+        assert np.array_equal(getattr(stack, name), np.concatenate([getattr(s, name) for s in singles]))
     assert np.abs(stack.F - np.concatenate([s.F for s in singles])).max() <= 1e-15
     assert np.abs(stack.C - np.concatenate([s.C for s in singles])).max() <= 1e-15
     links = oracle._overlaps(stack, stack.take([1, 2, 0]))
@@ -290,14 +292,64 @@ def test_a_stack_equals_its_one_point_stacks(grid12, cfg_desk):
         assert np.abs(link - oracle._overlaps(singles[k], singles[(k + 1) % 3])[0]).max() <= 1e-15
 
 
+@pytest.mark.parametrize("override", [None, 1, -1])
+def test_stack_scales_equal_the_scales_of_each_point(grid12, cfg_desk, rng, override):
+    # the array path against derive_scales of each point's own config, the
+    # route a stack took point by point; lambda < 0 gives sigma = -1 unless
+    # sigma_override fixes it
+    config = replace(cfg_desk, sigma_override=override)
+    lam = rng.choice([-1.0, 1.0], 16) * rng.uniform(1.8, 2.6, 16)
+    pts = np.column_stack([rng.uniform(-0.8, 0.8, (16, 2)), lam, rng.uniform(0.9, 1.1, 16)])
+    stack = oracle._stack(grid12, config, pts, 0, (0, 1))
+    want = [derive_scales(config.at_point(*p)) for p in pts]
+    assert np.array_equal(stack.l_m, [w.l_m for w in want])
+    assert np.array_equal(stack.nu, [w.nu for w in want])
+    assert np.array_equal(stack.sigma, [w.sigma for w in want])
+    assert set(stack.sigma) == ({1, -1} if override is None else {override})
+
+
+_GOOD = (0.3, 0.7, 2.0, 1.0)
+_BAD_POINTS = {
+    "lambda_B_zero": ((0.3, 0.7, 0.0, 1.0), "lambda_density * B must be nonzero"),
+    "infinite_coordinate": ((0.3, math.inf, 2.0, 1.0), "Ey_prime must be a finite number, got inf"),
+    "omega_overflows": ((0.3, 0.7, 1e300, 1e10), "omega must be positive and finite, got inf"),
+    "omega_underflows": ((0.3, 0.7, 5e-324, 1.0), "omega must be positive and finite, got 0.0"),
+}
+
+
+@pytest.mark.parametrize("name", _BAD_POINTS)
+def test_a_bad_point_of_a_stack_is_named(grid12, cfg_desk, name):
+    bad, message = _BAD_POINTS[name]
+    with pytest.raises(ValidationError) as failure:
+        oracle._stack(grid12, cfg_desk, [_GOOD, bad, _GOOD], 0, (0, 1))
+    assert str(failure.value).startswith(message)
+    assert str(failure.value).endswith(f" at (Ex', Ey', lambda, B) = {bad}")
+
+
+def _guard_loop(grid, config, pts, n, window) -> str:
+    """The first guard failure of a stack found point by point, then by m: the order of the per-point loop."""
+    for p in pts:
+        try:
+            oracle._stack(grid, config, [p], n, window)
+        except ValidationError as exc:
+            return str(exc)
+    return ""
+
+
 def test_a_guard_failure_at_one_point_of_a_stack_names_its_state(grid12, cfg_desk):
     # at lambda = 1.6 the (n=1, m=2) field reaches the frame while m = 0, 1
-    # and every field at lambda = 2 stay inside it
-    good, bad = (0.3, 0.7, 2.0, 1.0), (0.3, 0.7, 1.6, 1.0)
+    # and every field at lambda = 2 stay inside it; at lambda = 1.4 even m = 0
+    # does, so a search by m before point would report that one instead
+    good, bad, worse = (0.3, 0.7, 2.0, 1.0), (0.3, 0.7, 1.6, 1.0), (0.3, 0.7, 1.4, 1.0)
     oracle._stack(grid12, cfg_desk, [good, good], 1, (0, 2))
     oracle._stack(grid12, cfg_desk, [bad], 1, (0, 1))
     with pytest.raises(ValidationError, match=r"state \(n=1, m=2\) reaches the boundary frame"):
         oracle._stack(grid12, cfg_desk, [good, bad, good], 1, (0, 2))
+    pts = [good, bad, worse, good]
+    with pytest.raises(ValidationError) as failure:
+        oracle._stack(grid12, cfg_desk, pts, 1, (0, 2))
+    assert str(failure.value) == _guard_loop(grid12, cfg_desk, pts, 1, (0, 2))
+    assert "m=2" in str(failure.value)
 
 
 def test_wilson_loop_identity_for_zero_functional(grid12, cfg_natural):

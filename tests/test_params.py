@@ -60,6 +60,49 @@ def test_sigma_override():
         PhysicalConfig(mass=1.0, alpha=1.0, hbar=1.0, lambda_density=1.0, B=1.0, sigma_override=2)
 
 
+def _scalar_scales(config):
+    """The one-point formula in Python floats, operation for operation: the reference of the array path."""
+    lam_B = config.lambda_density * config.B
+    omega = config.alpha * abs(lam_B) / config.mass
+    sigma = int(np.sign(lam_B)) if config.sigma_override is None else config.sigma_override
+    l_m = math.sqrt(config.hbar / (config.mass * omega))
+    u = math.sqrt(config.hbar / (8.0 * config.alpha))
+    c = config.alpha * l_m / (math.sqrt(2.0) * config.hbar)
+    return omega, sigma, l_m, u, complex(-c * config.Ey_prime, -c * config.Ex_prime)
+
+
+def test_scales_equal_the_scalar_formula(rng):
+    # bit for bit and as plain Python numbers, so that printed scales keep
+    # their bytes; the signed zeros of nu included
+    for k in range(60):
+        mass, alpha, hbar = rng.uniform(0.2, 5.0, size=3).tolist()
+        lam, b = (rng.uniform(0.2, 5.0, 2) * rng.choice([-1.0, 1.0], 2)).tolist()
+        ex, ey = rng.uniform(-2.0, 2.0, 2).tolist() if k % 3 else rng.choice([0.0, -0.0], 2).tolist()
+        cfg = PhysicalConfig(mass=mass, alpha=alpha, hbar=hbar, lambda_density=lam, B=b, Ex_prime=ex, Ey_prime=ey,
+                             sigma_override=(None, 1, -1)[k % 3])
+        sc = derive_scales(cfg)
+        got = (sc.omega, sc.sigma, sc.l_m, sc.u, sc.nu)
+        want = _scalar_scales(cfg)
+        assert got == want and [type(v) for v in got] == [float, int, float, float, complex]
+        assert [math.copysign(1.0, z) for z in (sc.nu.real, sc.nu.imag)] == [
+            math.copysign(1.0, z) for z in (want[4].real, want[4].imag)
+        ]
+
+
+def test_no_module_moves_a_config_point_by_point():
+    # at_point goes through dataclasses.replace and every check of a config;
+    # a stack of points derives its scales as arrays instead
+    import ast
+    from pathlib import Path
+
+    import dlh
+
+    for path in Path(dlh.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                assert node.func.attr != "at_point", f"{path.name}:{node.lineno} calls at_point"
+
+
 def test_nu_cross_pairing(cfg_desk):
     # nu_x couples to Ey' and nu_y couples to Ex'
     sc = derive_scales(cfg_desk)
@@ -95,6 +138,7 @@ def test_non_finite_fields_raise(cfg_desk, field, value):
         {"mass": 1e-300, "alpha": 1e300, "lambda_density": 1e10},  # omega overflows, l_m underflows
         {"alpha": 1e-320},  # l_m and u overflow
         {"alpha": 1e300, "mass": 1e300, "Ex_prime": 1e300},  # nu overflows
+        {"lambda_density": 5e-324},  # lambda B != 0, but omega = alpha lambda B / M underflows to 0
     ],
 )
 def test_scales_that_overflow_raise(cfg_desk, fields):

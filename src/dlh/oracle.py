@@ -26,11 +26,11 @@ windows of K control points as one stack: the scales l_m, sigma, nu as (K,)
 arrays, the factors (K, 2, N, n + m_hi + 1) with one FFT along the last axis
 per power, and C once per (sigma, n, window), the only things it depends on.
 An overlap is h^2 sum conj(C) o (U^H U') C' (V^H V')^T, broadcast over the
-points, so the links of a Wilson loop, an fd triple and each window of the
-sign report are one batched product; the norm and frame guards come from the
-factors too, for every point and m. :func:`window_states` (K = 1) forms
-U C V^T for callers that want fields. The spectral route, :func:`build_state`
-then the FFT translation of :func:`displace_field`, is the independent check.
+points, so a Wilson loop, an fd triple or a sign-report window is one batched
+product. The norms come from the Gram (U^H U, V^H V), and so does a bound of
+the 1e-10 frame guard (Cauchy-Schwarz); only a stack the bound cannot clear
+forms exact edges. :func:`window_states` (K = 1) forms U C V^T as fields.
+The independent check is :func:`build_state` then :func:`displace_field`.
 
 The oracle operates at desk-scale dimensionless parameters (everything of
 order one), never at laboratory magnitudes; the phases being validated are
@@ -330,9 +330,9 @@ class _Stack:
         return _Stack(self.grid, *(a[idx] for a in (self.l_m, self.sigma, self.nu, self.F, self.C)))
 
 
-def _overlaps(bras: _Stack, kets: _Stack) -> np.ndarray:
+def _overlaps(bras: _Stack, kets: _Stack, gram=None) -> np.ndarray:
     """Overlaps <bras_ki | kets_kj> = h^2 sum conj(C_ki) o (U^H U') C'_kj (V^H V')^T, broadcast over k."""
-    uu, vv = np.moveaxis(bras.F.conj().swapaxes(-1, -2) @ kets.F, 1, 0)
+    uu, vv = np.moveaxis(bras.F.conj().swapaxes(-1, -2) @ kets.F, 1, 0) if gram is None else gram  # the caller's, if given
     moved = uu[:, None] @ kets.C @ vv[:, None].swapaxes(-1, -2)
     k, m = moved.shape[:2]
     return bras.grid.h ** 2 * (bras.C.conj().reshape(len(bras.C), m, -1) @ moved.reshape(k, m, -1).swapaxes(-1, -2))
@@ -354,6 +354,12 @@ def _coefficients(sigma: int, n: int, m_lo: int, m_hi: int) -> np.ndarray:
     return c
 
 
+def _frame_edges(F: np.ndarray, ends: list) -> np.ndarray:
+    """Exact max |field| on the frame per (point, m): the edge rows `ends` of every field times its other factor."""
+    return np.maximum(*(np.abs(e.reshape(len(F), -1, F.shape[-1]) @ F[:, 1 - a].swapaxes(1, 2)).reshape(*e.shape[:2], -1)
+                        .max(axis=-1) for a, e in enumerate(ends)))
+
+
 def _stack(grid: Grid2D, config: PhysicalConfig, points, n: int, window: tuple[int, int]) -> _Stack:
     """Normalized factors of the displaced window at each point, with every field guard applied to them."""
     m_lo, m_hi = _check_window(window)
@@ -371,11 +377,14 @@ def _stack(grid: Grid2D, config: PhysicalConfig, points, n: int, window: tuple[i
     np.multiply(np.exp(1j * rate * grid.x)[..., None], F, out=F)  # times the phase ramps
     C = np.where(sigma[:, None, None, None] > 0, _coefficients(1, n, m_lo, m_hi), _coefficients(-1, n, m_lo, m_hi))
     st = _Stack(grid, l_m, sigma, nu, F, C)  # C per chirality
-    norms = np.sqrt(np.diagonal(_overlaps(st, st), axis1=1, axis2=2).real)  # (K, m-count)
-    # |field| on the first and last row, then on the first and last column
-    edges = [np.abs((F[:, a][:, None, [0, -1]] @ c).reshape(count, -1, size) @ F[:, 1 - a].swapaxes(1, 2))
-             for a, c in ((0, st.C), (1, st.C.swapaxes(-1, -2)))]
-    frame = np.maximum(*(e.reshape(norms.shape + (-1,)).max(axis=-1) for e in edges)) / norms
+    gram = np.moveaxis(F.conj().swapaxes(-1, -2) @ F, 1, 0)  # (U^H U, V^H V) per point, as _overlaps forms it
+    norms = np.sqrt(np.diagonal(_overlaps(st, st, gram), axis1=1, axis2=2).real)  # (K, m-count)
+    # edge rows: ends[0] V^T; edge columns: ends[1] U^T. Cauchy-Schwarz, max_y |V_yq| <= ||V_q||, bounds them:
+    ends = [F[:, a][:, None, [0, -1]] @ c for a, c in ((0, st.C), (1, st.C.swapaxes(-1, -2)))]
+    cols = np.sqrt(np.diagonal(gram[::-1], axis1=2, axis2=3).real)[:, :, None, None]  # ||V_q||, ||U_q||
+    frame = np.maximum(*((np.abs(e) * c).sum(axis=-1).max(axis=-1) for e, c in zip(ends, cols))) / norms
+    if not np.all(frame <= _BOUNDARY_TOL):  # a bound over 1e-10, or NaN: only then form the exact edges
+        frame = _frame_edges(F, ends) / norms
     failed = ~(np.abs(norms - 1.0) <= _DRIFT_TOL) | ~(frame <= _BOUNDARY_TOL)
     for k, i in np.argwhere(failed)[:1]:  # the first in (point, m) order raises, drift before frame
         _check_drift(float(norms[k, i]), f"state (n={n}, m={m_lo + i})")
@@ -448,9 +457,10 @@ def apply_uniform_field_hamiltonian(grid: Grid2D, scales: DerivedScales, f: np.n
 
 
 def _shifted_point(point, param: str, delta: float) -> tuple[float, float, float, float]:
-    idx = CONTROL_PARAMS.index(param)
     p = [float(v) for v in point]
-    p[idx] += delta
+    if len(p) != 4:
+        raise ValidationError(f"a point must be (Ex', Ey', lambda, B), got {len(p)} coordinates")
+    p[CONTROL_PARAMS.index(param)] += delta
     return tuple(p)
 
 

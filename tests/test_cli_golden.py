@@ -31,6 +31,7 @@ CASES = {
     "holonomy": ("holonomy", "--named", "ABCHEFA"),
     "holonomy_window": ("holonomy", "--named", "ADCHEFA", "--window", "1..2", "--steps", "64", "--target", "0"),
     "oracle_check": ("oracle-check", "--grid-points", "128"),
+    "oracle_check_default": ("oracle-check",),  # 256 points: the grid of the oracle_grid benchmark
     "sweep_c1": ("sweep", "--named", "C1", "--sweep", "area=0.5,2.0"),
     "sweep_box": ("sweep", "--named", "ABCHEFA", "--sweep", "steps=64,128"),
     "sweep_window": ("sweep", "--named", "ABCHGFA", "--window", "0..1", "--steps", "64",

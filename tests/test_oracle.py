@@ -6,7 +6,7 @@ import pytest
 
 from dlh import oracle
 from dlh._linalg import unitarize
-from dlh.connection import connection_closed_form
+from dlh.connection import CONTROL_PARAMS, connection_closed_form
 from dlh.errors import ValidationError
 from dlh.holonomy import ParameterPath, box_loop, holonomy_path_ordered, rectangle_loop
 from dlh.oracle import (
@@ -352,6 +352,114 @@ def test_a_guard_failure_at_one_point_of_a_stack_names_its_state(grid12, cfg_des
     assert "m=2" in str(failure.value)
 
 
+def _bound_and_edges(st):
+    """The Cauchy-Schwarz frame bound of every (point, m) of a normalized stack, and its exact frame.
+
+    Edge rows of a field are ends[0] V^T and edge columns ends[1] U^T, and
+    max_y |V_yq| <= ||V_q||, so sum_q |ends_q| ||V_q|| bounds an edge; the
+    column norms are taken here with np.linalg.norm, not from a Gram.
+    """
+    ends = [st.F[:, a][:, None, [0, -1]] @ c for a, c in ((0, st.C), (1, st.C.swapaxes(-1, -2)))]
+    cols = np.linalg.norm(st.F, axis=2)  # (K, 2, size): ||U_q|| and ||V_q||
+    bound = np.maximum(*((np.abs(e) * cols[:, 1 - a, None, None]).sum(axis=-1).max(axis=-1)
+                         for a, e in enumerate(ends)))
+    return bound, oracle._frame_edges(st.F, ends)
+
+
+def _counting_edges(monkeypatch) -> list:
+    """Count the calls of the exact frame product, which still runs."""
+    calls, exact = [], oracle._frame_edges
+    monkeypatch.setattr(oracle, "_frame_edges", lambda *args: calls.append(1) or exact(*args))
+    return calls
+
+
+# grid of each point count and the |lambda| range (B near 1) whose l_m it
+# holds adequately: on 64 points every field is past the 1e-10 frame
+_BOUND_GRIDS = {
+    64: (Grid2D(8.0, 64), (1.15, 1.9)),
+    128: (Grid2D(14.0, 128), (0.9, 2.6)),
+    256: (Grid2D(12.0, 256), (1.3, 2.6)),
+}
+
+
+@pytest.mark.parametrize("points", sorted(_BOUND_GRIDS))
+def test_the_frame_bound_is_never_below_the_exact_edges(monkeypatch, cfg_desk, points):
+    grid, lam_range = _BOUND_GRIDS[points]
+    rng = np.random.default_rng(points)
+    stacks = []
+    with monkeypatch.context() as mp:  # no field guard: stacks past the frame are measured too
+        mp.setattr(oracle, "_BOUNDARY_TOL", math.inf)
+        mp.setattr(oracle, "_DRIFT_TOL", math.inf)
+        for sigma in (1, -1):
+            pts = []
+            while len(pts) < 6:  # points the adequacy rule accepts
+                p = (*rng.uniform(-1.5, 1.5, 2), sigma * rng.uniform(*lam_range), rng.uniform(0.9, 1.1))
+                try:
+                    oracle._stack(grid, cfg_desk, [p], 0, (0, 0))
+                    pts.append(p)
+                except ValidationError:
+                    pass
+            for n in (0, 1, 2):
+                for window in ((0, 0), (0, 1), (1, 2), (0, 3)):
+                    stacks.append((pts, n, window, *_bound_and_edges(oracle._stack(grid, cfg_desk, pts, n, window))))
+    for pts, n, window, bound, exact in stacks:
+        assert np.all(bound >= exact)
+        # _stack forms the exact edges just when its bound exceeds the guard,
+        # and its bound is this one: a guard just below it forms them, just above it does not
+        for scale, formed in ((1.0 - 1e-9, [1]), (1.0 + 1e-9, [])):
+            with monkeypatch.context() as mp:
+                mp.setattr(oracle, "_BOUNDARY_TOL", scale * bound.max())
+                mp.setattr(oracle, "_DRIFT_TOL", math.inf)
+                calls = _counting_edges(mp)
+                oracle._stack(grid, cfg_desk, pts, n, window)
+            assert calls == formed
+    # the draws reach past the 1e-10 guard, and on the finer grids inside it
+    tol = oracle._BOUNDARY_TOL
+    assert max(exact.max() for *_, exact in stacks) > tol
+    assert min(bound.min() for *_, bound, _ in stacks) < tol or points == 64
+
+
+_GOOD, _BAD, _WORSE = (0.3, 0.7, 2.0, 1.0), (0.3, 0.7, 1.6, 1.0), (0.3, 0.7, 1.4, 1.0)
+# stacks whose frame bound exceeds 1e-10, with the outcome of the exact guard
+# alone, which formed every edge (None: it accepts the stack)
+_M2, _M0 = "state (n=1, m=2) reaches the boundary frame at 3.819e-10", "state (n=1, m=0) reaches the boundary frame at 3.382e-10"
+_STRADDLE_CASES = {
+    "m2_at_one_point": ([_GOOD, _BAD, _GOOD], 1, (0, 2), _M2),
+    "point_before_m": ([_GOOD, _BAD, _WORSE, _GOOD], 1, (0, 2), _M2),
+    "m0_at_the_first_point": ([_WORSE, _GOOD], 1, (0, 2), _M0),
+    "inside_by_the_exact_edges": ([_BAD], 1, (0, 1), None),
+}
+
+
+@pytest.mark.parametrize("name", _STRADDLE_CASES)
+def test_a_stack_the_bound_cannot_clear_meets_the_exact_guard(monkeypatch, grid12, cfg_desk, name):
+    pts, n, window, message = _STRADDLE_CASES[name]
+    calls = _counting_edges(monkeypatch)
+    if message is None:
+        oracle._stack(grid12, cfg_desk, pts, n, window)
+    else:
+        with pytest.raises(ValidationError) as failure:
+            oracle._stack(grid12, cfg_desk, pts, n, window)
+        assert str(failure.value) == f"{message} (> 1e-10); enlarge the grid"
+    assert calls == [1]
+
+
+class _EdgesFormed(Exception):
+    pass
+
+
+def test_a_stack_inside_the_frame_skips_the_exact_edges(monkeypatch, grid12, cfg_natural, cfg_desk):
+    def refuse(*args):
+        raise _EdgesFormed
+
+    monkeypatch.setattr(oracle, "_frame_edges", refuse)
+    # the six-leg box of the oracle_grid benchmark: 60 links on the 256-point grid
+    loop = box_loop("ABCHEFA", (0.0, 0.5), (1.2, 1.7), (1.3, 1.8))
+    assert wilson_loop_oracle(grid12, cfg_natural, loop, n=0, window=(0, 1), steps=64).points == 60
+    with pytest.raises(_EdgesFormed):
+        oracle._stack(grid12, cfg_desk, [_GOOD, _BAD, _GOOD], 1, (0, 2))
+
+
 def test_wilson_loop_identity_for_zero_functional(grid12, cfg_natural):
     # Ey' constant: the loop functional vanishes and the holonomy is trivial
     loop = box_loop("ABCHEFA", (1.0, 1.0), (1.0, 2.0), (1.0, 2.0))
@@ -480,6 +588,14 @@ def test_fd_parameter_validation(grid12, cfg_desk):
         berry_connection_fd(grid12, cfg_desk, "B", point, 0, 0, 0, h_step=0.0)
     with pytest.raises(ValidationError):
         fd_connection_matrix(grid12, cfg_desk, "B", point, 0, (2, 1))
+
+
+@pytest.mark.parametrize("param", CONTROL_PARAMS)
+@pytest.mark.parametrize("point", [(0.3, 0.7, 2.0), (0.3, 0.7, 2.0, 1.0, 0.5)])
+def test_fd_points_must_have_four_coordinates(grid12, cfg_desk, param, point):
+    # checked before a coordinate is shifted, whichever parameter it is
+    with pytest.raises(ValidationError, match=f"got {len(point)} coordinates"):
+        fd_connection_matrix(grid12, cfg_desk, param, point, 0, (0, 1))
 
 
 def test_sign_convention_report_contents(grid12):

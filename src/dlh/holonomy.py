@@ -22,7 +22,9 @@ here, in increasing generality:
   ``method="magnus"`` sends every segment through these steps. A shadow run
   at half the step count gives an a-posteriori convergence estimate, which
   refinement turns into a step-doubling estimate of the returned product's
-  own error.
+  own error. Products are built in batches that share their chunks: the
+  first product with its shadow, then the next doublings (at most 3) that
+  the fourth-order rate predicts for the target.
 
 Every step generator is Theta = phi I + zeta L + conj(zeta) L^T, with L the
 lowering pattern L_{m+1,m} = sqrt(m+1) on the m-window. The scalars
@@ -120,6 +122,7 @@ _FLOOR_ROUNDINGS = 1e3 * 2.0 ** -52
 _ORDER_RATE = 16.0
 _MIN_RATE = 8.0
 _MARGIN = 2.0
+_BATCH_DOUBLINGS = 3  # most doublings built ahead in one batch
 
 
 def _validate_vertices(vertices) -> np.ndarray:
@@ -443,54 +446,65 @@ def _commuting_segments(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (cross == 0.0) | ((a[:, 2] == b[:, 2]) & (a[:, 3] == b[:, 3]))
 
 
-def _step_factors(path: ParameterPath, u: float, window: tuple[int, int], counts: np.ndarray, method: str):
-    """Factors of the ordered product in path order, as (k, n, n) stacks.
+def _step_factors(path: ParameterPath, u: float, window: tuple[int, int], counts_list, method: str):
+    """Factors of one ordered product per entry of `counts_list`, as (product, (k, n, n) stack) chunks.
 
-    `counts` gives the steps of each segment. Under "auto" a commuting
+    Each entry gives the steps of every segment. Under "auto" a commuting
     segment yields its one exact factor exp(i (Phi I + Z L + conj(Z) L^T)).
     Other segments (every segment under "magnus") take their count of
     commutator-free fourth-order steps: with A1, A2 the step generators at
     the two Gauss nodes of a step, exp(i (b A1 + a A2)) exp(i (a A1 + b A2))
-    with a, b = 1/4 +- sqrt(3)/6.
-    Both factors are in the generator span and the step is time-symmetric.
+    with a, b = 1/4 +- sqrt(3)/6, both in the generator span; the step is
+    time-symmetric.
 
-    One ordered product is one stack across segments: the factors of the
-    whole loop are laid out in path order and cut into chunks of bounded
-    size, whose boundaries fall anywhere, across segment boundaries too.
-    Each chunk takes one scalar evaluation, one exponential of its (left,
-    right) pairs and one pairwise product; an exact factor is the left half
-    of a pair whose right half is the identity. The (Phi, Z) of all exact
-    segments come from one vectorised quadrature.
+    Each product's factors are laid out in path order and cut into chunks of
+    bounded size, across segment boundaries too. Each chunk is a batch, or
+    all products are one batch if they fit in one chunk. A batch takes one
+    scalar evaluation, one exponential of its (left, right) pairs and one
+    pairwise product, an exact factor being a left half whose right half is
+    I; a batch of two or more exact factors only exponentiates just those.
+    The (Phi, Z) of all exact segments come from one vectorised quadrature.
     """
     size = window[1] - window[0] + 1
     chunk = max(1, _CHUNK_ENTRIES // (size * size))
-    a, b = path.vertices[:-1], path.vertices[1:]
-    span = b - a
+    # segment s of product p is segment p * S + s of one tiled path
+    counts = np.concatenate(counts_list)
+    a, b = (np.tile(v, (len(counts_list), 1)) for v in (path.vertices[:-1], path.vertices[1:]))
     exact = (counts > 0) & (method == "auto") & _commuting_segments(a, b)
     if exact.any():
         exact_phi, exact_zeta = _segment_integrals(a[exact], b[exact], u)
         rank = np.cumsum(exact) - 1
-    seg, offset = _runs(np.where(exact, 1, counts))
-    for i0 in range(0, len(seg), chunk):
-        s, j = seg[i0 : i0 + chunk], offset[i0 : i0 + chunk]
-        pts = _nodes(a, b, counts, s, j, _GAUSS2_T).reshape(-1, 4)
-        phi, zeta = _generator_scalars(pts, np.repeat(span[s] / counts[s, None], 2, axis=0), u)
-        # node scalars (A1, A2) per step -> factor scalars (left, right)
-        phi = phi.reshape(-1, 2) @ _CF4_MIX.T
-        zeta = zeta.reshape(-1, 2) @ _CF4_MIX.T
+    entries = np.where(exact, 1, counts)
+    seg, offset = _runs(entries)
+    ends = np.cumsum([0, *entries.reshape(len(counts_list), -1).sum(axis=1)])
+    pieces = [(p, lo, min(lo + chunk, hi)) for p, hi in enumerate(ends[1:]) for lo in range(ends[p], hi, chunk)]
+    # products that fit in one chunk together share one batch
+    for batch in [pieces] if 0 < ends[-1] <= chunk else [[piece] for piece in pieces]:
+        lo, hi = batch[0][1], batch[-1][2]
+        s, j = seg[lo:hi], offset[lo:hi]
         ex = exact[s]
-        if ex.any():
-            phi[ex], zeta[ex] = 0.0, 0.0
-            phi[ex, 0], zeta[ex, 0] = exact_phi[rank[s[ex]]], exact_zeta[rank[s[ex]]]
-        pair = _span_exp(phi.ravel(), zeta.ravel(), tuple(window)).reshape(len(s), 2, size, size)
-        yield pair[:, 0] @ pair[:, 1]
+        if ex.all() and len(s) > 1:
+            stack = _span_exp(exact_phi[rank[s]], exact_zeta[rank[s]], tuple(window))
+        else:
+            pts = _nodes(a, b, counts, s, j, _GAUSS2_T).reshape(-1, 4)
+            phi, zeta = _generator_scalars(pts, np.repeat((b - a)[s] / counts[s, None], 2, axis=0), u)
+            # node scalars (A1, A2) per step -> factor scalars (left, right)
+            phi = phi.reshape(-1, 2) @ _CF4_MIX.T
+            zeta = zeta.reshape(-1, 2) @ _CF4_MIX.T
+            if ex.any():
+                phi[ex], zeta[ex] = 0.0, 0.0
+                phi[ex, 0], zeta[ex, 0] = exact_phi[rank[s[ex]]], exact_zeta[rank[s[ex]]]
+            pair = _span_exp(phi.ravel(), zeta.ravel(), tuple(window)).reshape(len(s), 2, size, size)
+            stack = pair[:, 0] @ pair[:, 1]
+        for p, i0, i1 in batch:
+            yield p, stack[i0 - lo : i1 - lo]
 
 
 def _tree_product(stack: np.ndarray) -> np.ndarray:
     """Ordered product of a (k, n, n) stack, later entries on the left, by pairwise reduction."""
     while len(stack) > 1:
-        even = len(stack) - len(stack) % 2
-        stack = np.concatenate([stack[1:even:2] @ stack[0:even:2], stack[even:]])
+        paired = stack[1::2] @ stack[:-1:2]
+        stack = np.concatenate([paired, stack[-1:]]) if len(stack) % 2 else paired
     return stack[0]
 
 
@@ -509,13 +523,12 @@ def _identity(window: tuple[int, int]) -> np.ndarray:
     return np.eye(m_hi - m_lo + 1, dtype=complex)
 
 
-def _ordered_product(
-    path: ParameterPath, u: float, window: tuple[int, int], counts: np.ndarray, method: str
-) -> np.ndarray:
-    U = _identity(window)
-    for factors in _step_factors(path, u, window, counts, method):
-        U = _tree_product(factors) @ U
-    return U
+def _ordered_products(path: ParameterPath, u: float, window: tuple[int, int], counts_list, method: str) -> list:
+    """One ordered product per entry of `counts_list`; each has the bits of the product built alone."""
+    products = [_identity(window)] * len(counts_list)
+    for p, factors in _step_factors(path, u, window, counts_list, method):
+        products[p] = _tree_product(factors) @ products[p]
+    return products
 
 
 def _partial_products(
@@ -534,7 +547,7 @@ def _partial_products(
     done = 0
     ks: list[int] = []
     mats = []
-    for factors in _step_factors(path, u, window, counts, "magnus"):
+    for _, factors in _step_factors(path, u, window, [counts], "magnus"):
         prefix = _prefix_products(factors) @ U
         k = done + np.arange(1, len(factors) + 1)
         keep = (k % stride == 0) | (k == total)
@@ -573,27 +586,25 @@ def partial_unitarity_series(
 
 @dataclass(frozen=True)
 class HolonomyResult:
-    """Path-ordered holonomy on an m-window, with its numerical defects.
+    """Path-ordered holonomy on an m-window, with its numerical defects and how it was made.
 
-    steps is the nominal step count of the returned product (after
-    refinement). Half of the starting count is split over the segments by
-    length, at least one step per segment of nonzero length, and doubled;
-    each refinement doubles every segment's count. A loop of many segments
-    therefore takes at least two steps per segment, more than its nominal
-    count. Under method "auto" a commuting segment is exact and uses none of
-    its share. convergence_estimate estimates the error of the returned
-    product. It starts from diff = max |U(steps) - U(steps // 2)|, from a
-    shadow run with exactly half the returned product's count on every
-    segment, so every integrated segment enters it; diff is the error of the
-    coarser product. The commutator-free fourth-order steps of Blanes & Moan
-    2006 are about 16x more accurate per halving of the step, so once a
-    refinement round has fallen at least 8x from the previous diff (rate =
-    previous / diff >= 8) and diff is above the rounding floor of a thousand
-    roundings per step, the estimate is the step-doubling one
-    2 diff / (min(rate, 16) - 1), with a margin of 2. Otherwise, and always
-    without refinement (target=None, the first product, sweep rows), it is
-    diff itself. It is zero when every segment is exact.
-    unitarity_defect is max |U U^dag - I|.
+    steps is the nominal step count of the returned product: half the start
+    count is split over the segments by length, at least one step per moving
+    segment, and doubled. rounds counts the refinement rounds after the
+    first product, each doubling every segment's count. steps_taken is the
+    sum of the returned product's per-segment counts (more than steps on a
+    loop of many segments); under "auto" it includes the share of a commuting
+    segment, which is one exact factor. convergence_estimate estimates the
+    returned product's error from diff = max |U(steps) - U(steps // 2)|,
+    against a shadow run with exactly half the count on every segment; diff
+    is the error of the coarser product. The commutator-free fourth-order
+    steps of Blanes & Moan 2006 are about 16x more accurate per halving of
+    the step, so once a round has fallen at least 8x from the previous diff
+    (rate = previous / diff >= 8) and diff is above the rounding floor of a
+    thousand roundings per step, the estimate is 2 diff / (min(rate, 16) - 1),
+    with a margin of 2. Otherwise, and always without refinement (target=None,
+    the first product, sweep rows), it is diff itself; it is zero when every
+    segment is exact. unitarity_defect is max |U U^dag - I|.
     """
 
     matrix: np.ndarray
@@ -601,6 +612,8 @@ class HolonomyResult:
     window: tuple[int, int]
     unitarity_defect: float
     convergence_estimate: float
+    rounds: int
+    steps_taken: int
 
     @property
     def phase_angle(self) -> float:
@@ -625,16 +638,14 @@ def _check_steps(steps) -> int:
     return _check_count("steps", steps, 16)
 
 
-def _first_product(path: ParameterPath, u: float, window, steps: int, method: str):
-    """(counts, product at the validated `steps`); counts is None on a constant path, whose product is I."""
+def _first_counts(path: ParameterPath, u: float, steps: int, method: str) -> np.ndarray:
+    """Per-segment counts of the first product at the validated `steps`; all 0 on a constant path (product I)."""
     _check_u(u)
     _require_closed(path)
     if method not in _METHODS:
         raise ValidationError(f"method must be one of {_METHODS}, got {method!r}")
-    if float(path.segment_lengths.sum()) == 0.0:
-        return None, _identity(window)
-    counts = path._allocation(steps)
-    return counts, _ordered_product(path, u, window, counts, method)
+    lengths = path.segment_lengths
+    return path._allocation(steps) if lengths.sum() > 0.0 else np.zeros(len(lengths), dtype=int)
 
 
 def _unitarity_defect(matrix: np.ndarray) -> float:
@@ -653,6 +664,14 @@ def _extrapolated_error(previous: float, diff: float, steps: int) -> float:
     return _MARGIN * diff / (min(previous / diff, _ORDER_RATE) - 1.0)
 
 
+def _doublings(diff: float, target: float, room: int) -> int:
+    """Predicted doublings: least r with 2 diff / (15 * 16^r) <= target (3 if either is 0), in 1..3, <= `room`."""
+    r = _BATCH_DOUBLINGS
+    if diff > 0.0 and target > 0.0:
+        r = math.ceil(min(r, math.log(_MARGIN * diff / ((_ORDER_RATE - 1.0) * target), _ORDER_RATE)))
+    return max(1, min(r, room))
+
+
 def holonomy_path_ordered(
     path: ParameterPath,
     u: float,
@@ -669,17 +688,19 @@ def holonomy_path_ordered(
     take commutator-free fourth-order Magnus steps (Blanes & Moan 2006);
     ``method="magnus"`` takes those steps everywhere. Each product is one
     stack of factors across all segments, in chunks of bounded size, with
-    the span basis of the window computed once. The difference
-    diff = max |U(steps) - U(steps // 2)| comes from a shadow run at half the
-    steps whose per-segment counts are exactly half those of the returned
-    product. While convergence_estimate exceeds `target` the count of every
-    segment doubles, the previous product becoming the new shadow, up to
-    `step_cap` (target=None disables refinement). convergence_estimate is
-    the error of the returned product: diff at the first product, then, from
-    the second on, 2 diff / (min(rate, 16) - 1) with rate = previous diff /
-    diff, provided rate >= 8 and diff is at least a thousand roundings per
-    step; otherwise diff. A loop of exact segments is computed once, with
-    estimate 0. `steps` must be an integer >= 16 and `step_cap` an integer
+    the span basis of the window computed once. A loop of exact segments
+    takes one quadrature, one exponential and one product, with estimate 0.
+    Otherwise the first batch builds the product and its shadow run, with
+    exactly half the count on every segment, and
+    diff = max |U(steps) - U(steps // 2)|. While convergence_estimate (see
+    :class:`HolonomyResult`) exceeds `target`, the count of every segment
+    doubles, the previous product becoming the new shadow, up to `step_cap`
+    (target=None disables refinement). A batch builds the next r doublings at
+    once: the fewest at which the estimate would meet the target if each
+    diff fell 16x, at most 3 and none past the cap. The rounds are walked one
+    product at a time and the products after the one that meets the target
+    are discarded, so every result is that of one product per round.
+    `steps` must be an integer >= 16 and `step_cap` an integer
     >= `steps`, else ValidationError before any work.
     ConvergenceError is raised at the cap, or at once when a doubling fails
     to halve a difference that is already within a thousand roundings per
@@ -691,23 +712,21 @@ def holonomy_path_ordered(
     target = _check_target(target)
     steps = _check_steps(steps)
     step_cap = _check_count("step_cap", step_cap, steps)
-    counts, current = _first_product(path, u, window, steps, method)
-    if counts is None:
-        return HolonomyResult(current, steps, tuple(window), 0.0, 0.0)
-    verts = path.vertices
-    if method == "auto" and _commuting_segments(verts[:-1], verts[1:]).all():
-        diff = 0.0
-    else:
-        diff = max_abs(current, _ordered_product(path, u, window, counts // 2, method))
-    estimate = diff
+    counts, verts = _first_counts(path, u, steps, method), path.vertices
+    integrated = method != "auto" or not _commuting_segments(verts[:-1], verts[1:]).all()
+    current, *shadow = _ordered_products(path, u, window, [counts, counts // 2][: 1 + integrated], method)
+    diff = max_abs(current, shadow[0]) if shadow else 0.0
+    estimate, rounds, batch = diff, 0, []
     while target is not None and estimate > target:
         if 2 * steps > step_cap:
             raise ConvergenceError(
                 f"holonomy estimate {estimate:.3e} above target {target:.3e} at step cap {step_cap}"
             )
-        steps *= 2
-        counts = 2 * counts
-        coarse, current = current, _ordered_product(path, u, window, counts, method)
+        if not batch:
+            ahead = _doublings(diff, target, (step_cap // steps).bit_length() - 1)
+            batch = _ordered_products(path, u, window, [counts * 2**k for k in range(1, ahead + 1)], method)
+        steps, counts, rounds = 2 * steps, 2 * counts, rounds + 1
+        coarse, current = current, batch.pop(0)
         previous, diff = diff, max_abs(current, coarse)
         estimate = _extrapolated_error(previous, diff, steps)
         stalled = diff > 0.5 * previous and diff < _FLOOR_ROUNDINGS * steps
@@ -716,7 +735,8 @@ def holonomy_path_ordered(
                 f"holonomy estimate stalled at its rounding floor {min(previous, diff):.3e}, "
                 f"above target {target:.3e}, at {steps} steps"
             )
-    return HolonomyResult(current, steps, tuple(window), _unitarity_defect(current), estimate)
+    steps_taken = int(counts.sum())
+    return HolonomyResult(current, steps, tuple(window), _unitarity_defect(current), estimate, rounds, steps_taken)
 
 
 def unordered_holonomy(path: ParameterPath, u: float, window: tuple[int, int] = (0, 3)) -> np.ndarray:
@@ -749,7 +769,7 @@ def noncommutativity_defect(
     ``holonomy_path_ordered(..., target=None)``, built without its shadow run.
     """
     steps = _check_steps(steps)
-    ordered = _first_product(path, u, window, steps, "auto")[1]
+    ordered = _ordered_products(path, u, window, [_first_counts(path, u, steps, "auto")], "auto")[0]
     unordered = unordered_holonomy(path, u, window=window)
     return {
         "ordered": ordered,

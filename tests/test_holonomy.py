@@ -360,7 +360,8 @@ def test_segment_integrals_at_rounding_accuracy():
 def test_tree_product_matches_sequential_product(rng):
     loop = _random_loop(rng)
     for steps in (37, 256):
-        factors = np.concatenate(list(hol._step_factors(loop, 0.5, (1, 4), loop._allocation(steps), "magnus")))
+        chunks = hol._step_factors(loop, 0.5, (1, 4), [loop._allocation(steps)], "magnus")
+        factors = np.concatenate([f for _, f in chunks])
         seq = np.eye(4, dtype=complex)
         for f in factors:
             seq = f @ seq
@@ -387,7 +388,7 @@ def test_partial_products_are_prefixes_of_the_full_product(rng):
     assert ks[-1] == loop._allocation(steps).sum()
     assert np.abs(mats[-1] - full.matrix).max() <= 1e-13
     # every sampled prefix is the sequential product of the first k factors
-    factors = np.concatenate(list(hol._step_factors(loop, 0.5, window, loop._allocation(steps), "magnus")))
+    factors = np.concatenate([f for _, f in hol._step_factors(loop, 0.5, window, [loop._allocation(steps)], "magnus")])
     seq, prefixes = np.eye(3, dtype=complex), {}
     for k, f in enumerate(factors, start=1):
         seq = f @ seq
@@ -433,10 +434,10 @@ def test_noncommutativity_defect_builds_one_product(monkeypatch):
     # C9's loop at its default steps: only the returned product, no shadow
     # run, and the same bits as the unrefined path-ordered engine
     calls = []
-    real = hol._ordered_product
-    monkeypatch.setattr(hol, "_ordered_product", lambda *a: calls.append(a) or real(*a))
+    real = hol._ordered_products
+    monkeypatch.setattr(hol, "_ordered_products", lambda *a: calls.append(a) or real(*a))
     out = noncommutativity_defect(C9_LOOP, 0.5, window=(0, 3))
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(calls[0][3]) == 1
     ref = holonomy_path_ordered(C9_LOOP, 0.5, window=(0, 3), steps=1024, target=None)
     assert np.array_equal(out["ordered"], ref.matrix)
     assert out["steps"] == ref.steps
@@ -577,13 +578,13 @@ def test_convergence_estimate_bounds_the_true_error(rotating_quadrilaterals):
 def _recorded_step_counts(monkeypatch):
     """Per-segment step counts of every ordered product, in the order they are built."""
     counts = []
-    product = hol._ordered_product
+    products = hol._ordered_products
 
-    def recording(path, u, window, seg_counts, method):
-        counts.append(seg_counts.tolist())
-        return product(path, u, window, seg_counts, method)
+    def recording(path, u, window, counts_list, method):
+        counts.extend(c.tolist() for c in counts_list)
+        return products(path, u, window, counts_list, method)
 
-    monkeypatch.setattr(hol, "_ordered_product", recording)
+    monkeypatch.setattr(hol, "_ordered_products", recording)
     return counts
 
 
@@ -640,8 +641,8 @@ def test_many_segment_estimate_bounds_the_true_error(sides):
 
 def _difference(loop, counts, method="auto"):
     """max |U(counts) - U(counts // 2)| from two products at explicit per-segment counts."""
-    fine = hol._ordered_product(loop, 0.5, (0, 3), counts, method)
-    return np.abs(fine - hol._ordered_product(loop, 0.5, (0, 3), counts // 2, method)).max()
+    fine, coarse = hol._ordered_products(loop, 0.5, (0, 3), [counts, counts // 2], method)
+    return np.abs(fine - coarse).max()
 
 
 @functools.cache
@@ -700,6 +701,184 @@ def test_unrefined_estimate_is_the_raw_difference(loop):
     for row in rows:
         want = _difference(loop, loop._allocation(row["steps"]), method="magnus")
         assert row["convergence_estimate"] == want
+
+
+# -- refinement in batched rounds ------------------------------------------------
+
+
+def _single_products(loop, window, counts_list, method="auto"):
+    return [hol._ordered_products(loop, 0.5, window, [c], method)[0] for c in counts_list]
+
+
+def _batch_loops(rotating_quadrilaterals):
+    loops = [C9_LOOP] + [loop for loop, _ in rotating_quadrilaterals]
+    return loops + [_rotating_polygon(sides) for sides in (24, 64)] + [_mixed_loop(np.random.default_rng(1912))]
+
+
+@pytest.mark.parametrize("method", ["auto", "magnus"])
+def test_a_batch_equals_its_single_products(rotating_quadrilaterals, method):
+    for loop in _batch_loops(rotating_quadrilaterals):
+        counts = loop._allocation(32)
+        for counts_list in ([counts, counts // 2], [2 * counts, 4 * counts, 8 * counts]):
+            batch = hol._ordered_products(loop, 0.5, (0, 3), counts_list, method)
+            singles = _single_products(loop, (0, 3), counts_list, method)
+            assert all(np.array_equal(b, s) for b, s in zip(batch, singles))
+
+
+def test_a_product_longer_than_a_chunk_keeps_its_bits():
+    loop, window = C9_LOOP, (0, 3)
+    counts = loop._allocation(8192)
+    assert counts.sum() > hol._CHUNK_ENTRIES // 16  # two chunks, and the shadow a third
+    fine, coarse = _single_products(loop, window, [counts, counts // 2])
+    res = holonomy_path_ordered(loop, 0.5, window=window, steps=8192, target=None)
+    assert np.array_equal(res.matrix, fine)
+    assert res.convergence_estimate == np.abs(fine - coarse).max()
+
+
+def test_a_batch_on_a_wide_window_keeps_the_chunk_boundaries(monkeypatch):
+    # at (0, 63) a chunk holds 16 factors: the products no longer fit in one
+    # batch, and each is cut into chunks of its own
+    window = (0, 63)
+    assert hol._CHUNK_ENTRIES // 64**2 == 16
+    exponentials = []
+    monkeypatch.setattr(hol, "_span_exp", lambda phi, *a: exponentials.append(len(phi)) or _span_exp(phi, *a))
+    for loop in (C9_LOOP, _mixed_loop(np.random.default_rng(1913))):
+        counts = loop._allocation(16)
+        counts_list = [counts, counts // 2, 2 * counts]
+        for method in ("auto", "magnus"):
+            batch = hol._ordered_products(loop, 0.5, window, counts_list, method)
+            singles = _single_products(loop, window, counts_list, method)
+            assert all(np.array_equal(b, s) for b, s in zip(batch, singles))
+    # no exponential stack is larger than one chunk's (left, right) pairs
+    assert max(exponentials) == 2 * 16
+
+
+def _sequential_rule(loop, window, steps, target, step_cap=hol._STEP_CAP, method="auto"):
+    """The refinement rule on one-product calls: the shadow, then one doubling per product."""
+    counts = loop._allocation(steps)
+    current, shadow = _single_products(loop, window, [counts, counts // 2], method)
+    diff = np.abs(current - shadow).max()
+    estimate, rounds = diff, 0
+    while estimate > target:
+        if 2 * steps > step_cap:
+            raise ConvergenceError(f"step cap {step_cap}")
+        steps, counts, rounds = 2 * steps, 2 * counts, rounds + 1
+        coarse, (current,) = current, _single_products(loop, window, [counts], method)
+        previous, diff = diff, np.abs(current - coarse).max()
+        estimate = hol._extrapolated_error(previous, diff, steps)
+        if estimate > target and 0.5 * previous < diff < hol._FLOOR_ROUNDINGS * steps:
+            raise ConvergenceError(f"rounding floor at {steps} steps")
+    return current, steps, estimate, rounds
+
+
+@pytest.mark.parametrize("target", [1e-7, 1e-8, 1e-10])
+def test_batched_rounds_replay_the_sequential_rule(rotating_quadrilaterals, target, monkeypatch):
+    loops = _batch_loops(rotating_quadrilaterals)
+    want = [_sequential_rule(loop, (0, 3), hol.DEFAULT_STEPS, target) for loop in loops]
+    batches = []
+    products = hol._ordered_products
+    monkeypatch.setattr(hol, "_ordered_products", lambda *a: batches.append(len(a[3])) or products(*a))
+    for loop, (matrix, steps, estimate, rounds) in zip(loops, want):
+        batches.clear()
+        res = holonomy_path_ordered(loop, 0.5, window=(0, 3), target=target)
+        assert np.array_equal(res.matrix, matrix)
+        assert (res.steps, res.convergence_estimate, res.rounds) == (steps, estimate, rounds)
+        assert res.unitarity_defect == hol._unitarity_defect(matrix)
+        assert res.steps_taken == loop._allocation(hol.DEFAULT_STEPS).sum() * 2**rounds
+        assert batches[0] == 2 and max(batches) <= hol._BATCH_DOUBLINGS == 3
+        # on the rotating quadrilaterals the prediction builds no product that is not needed
+        if any(loop is quad for quad, _ in rotating_quadrilaterals):
+            assert sum(batches) == res.rounds + 2
+
+
+def test_prediction_of_the_doublings():
+    # 2 d / (15 * 16^r) <= target, clamped to 1..3 and to the room below the cap
+    one = 7.5e-8  # 2 d / (15 target) = 1 at target 1e-8
+    assert hol._doublings(15.9 * one, 1e-8, 10) == 1
+    assert hol._doublings(16.1 * one, 1e-8, 10) == 2
+    assert hol._doublings(257.0 * one, 1e-8, 10) == 3
+    assert hol._doublings(1.0, 1e-8, 10) == 3
+    assert hol._doublings(1.0, 1e-8, 2) == 2
+    assert hol._doublings(1e-12, 1e-8, 10) == 1
+    assert hol._doublings(1e-3, 0.0, 10) == 3 and hol._doublings(0.0, 1e-8, 10) == 3
+    assert hol._doublings(float("inf"), 1e-8, 10) == 3 and hol._doublings(float("nan"), 1e-8, 10) == 3
+
+
+def test_refinement_stops_below_the_step_cap(monkeypatch):
+    # 16 steps under a cap of 64 leave room for two doublings only
+    counts = _recorded_step_counts(monkeypatch)
+    with pytest.raises(ConvergenceError, match="at step cap 64"):
+        holonomy_path_ordered(C9_LOOP, 0.5, window=(0, 1), steps=16, target=1e-12, step_cap=64)
+    assert max(sum(c) for c in counts) == 4 * C9_LOOP._allocation(16).sum()
+
+
+def test_rounds_and_steps_taken_record_the_returned_product():
+    res = holonomy_path_ordered(C9_LOOP, 0.5, target=1e-9)
+    assert res.rounds > 0 and res.steps == hol.DEFAULT_STEPS * 2**res.rounds
+    assert res.steps_taken == C9_LOOP._allocation(hol.DEFAULT_STEPS).sum() * 2**res.rounds
+    assert type(res.steps_taken) is int
+    polygon = holonomy_path_ordered(_rotating_polygon(64), 0.5, target=None)
+    assert (polygon.rounds, polygon.steps) == (0, 32) and polygon.steps_taken == 128
+    box = holonomy_path_ordered(box_loop("ABCHEFA", EY, LAM, BB), 0.5, target=1e-14)
+    assert box.rounds == 0 and box.steps_taken == box_loop("ABCHEFA", EY, LAM, BB)._allocation(32).sum()
+    const = holonomy_path_ordered(ParameterPath(np.array([[0.2, 0.1, 1.0, 1.0]] * 3)), 0.5)
+    assert (const.rounds, const.steps_taken) == (0, 0)
+
+
+def _paired_exact_product(loop, window):
+    """A loop of exact segments by the pair route of a mixed batch: each factor times an identity right half."""
+    size = window[1] - window[0] + 1
+    chunk = hol._CHUNK_ENTRIES // size**2
+    a, b = loop.vertices[:-1], loop.vertices[1:]
+    moving = loop.segment_lengths > 0.0
+    phi, zeta = hol._segment_integrals(a[moving], b[moving], 0.5)
+    phi, zeta = (np.column_stack([v, np.zeros_like(v)]).ravel() for v in (phi, zeta))
+    pair = _span_exp(phi, zeta, window).reshape(-1, 2, size, size)
+    factors, U = pair[:, 0] @ pair[:, 1], np.eye(size, dtype=complex)
+    for i in range(0, len(factors), chunk):
+        U = hol._tree_product(factors[i : i + chunk]) @ U
+    return U
+
+
+def test_exact_loops_take_one_quadrature_one_exponential_one_product(monkeypatch):
+    loops = [box_loop(kind, EY, LAM, BB) for kind in hol.BOX_KINDS]
+    # sweep rows: the box at other corners, at target=None and any steps
+    corners = [(ey2, lam2) for ey2 in (0.0, 0.7) for lam2 in (2.0, 5.0)]
+    loops += [box_loop(kind, (0.0, ey2), (1.0, lam2), BB) for kind in hol.BOX_KINDS for ey2, lam2 in corners]
+    zero_length = np.insert(loops[0].vertices, 3, loops[0].vertices[3], axis=0)
+    loops.append(ParameterPath(zero_length))
+    calls = {name: 0 for name in ("_segment_integrals", "_span_exp", "_tree_product", "_generator_scalars")}
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(hol, name, counted(name, getattr(hol, name)))
+    for loop in loops:
+        for window in ((0, 3), (1, 4)):
+            want = _paired_exact_product(loop, window)
+            calls.update(dict.fromkeys(calls, 0))
+            for steps, target in ((32, 1e-14), (16, None), (256, None)):
+                res = holonomy_path_ordered(loop, 0.5, window=window, steps=steps, target=target)
+                assert np.array_equal(res.matrix, want) and res.convergence_estimate == 0.0
+            # no step scalars: the only generator evaluation is the quadrature's
+            assert calls == dict.fromkeys(calls, 3)
+    # at (0, 63) an Ex' = 0 17-gon is a chunk of 16 exact factors and one of
+    # a single factor, which takes the pair route
+    verts = _rotating_polygon(17).vertices.copy()
+    verts[:, 0] = 0.0
+    flat = ParameterPath(verts)
+    res = holonomy_path_ordered(flat, 0.5, window=(0, 63), target=None)
+    assert np.array_equal(res.matrix, _paired_exact_product(flat, (0, 63)))
+    # "magnus" still takes the steps of every segment
+    calls.update(dict.fromkeys(calls, 0))
+    res = holonomy_path_ordered(loops[0], 0.5, steps=64, target=None, method="magnus")
+    assert res.convergence_estimate > 0.0 and res.steps_taken == loops[0]._allocation(64).sum()
+    assert calls["_segment_integrals"] == 0 and calls["_generator_scalars"] > 0
 
 
 # -- steps and step_cap are checked before any product is built ------------------
@@ -784,6 +963,10 @@ def _per_segment_product(path, u, window, counts, method):
     return U
 
 
+def _per_segment_products(path, u, window, counts_list, method):
+    return [_per_segment_product(path, u, window, c, method) for c in counts_list]
+
+
 def _mixed_loop(rng):
     """Random closed loop of exact and integrated segments, with one zero-length segment."""
     verts = list(_commuting_loop(rng).vertices)
@@ -806,11 +989,11 @@ def test_one_stack_matches_the_per_segment_product(monkeypatch, method):
             for steps in (16, 100):
                 counts = loop._allocation(steps)
                 want = _per_segment_product(loop, 0.5, (0, 3), counts, method)
-                got = hol._ordered_product(loop, 0.5, (0, 3), counts, method)
+                (got,) = hol._ordered_products(loop, 0.5, (0, 3), [counts], method)
                 assert np.abs(got - want).max() <= 1e-13
     # chunks of 7 steps cut across segment boundaries
     counts = loops[0]._allocation(100)
-    sizes = [len(f) for f in hol._step_factors(loops[0], 0.5, (0, 3), counts, "magnus")]
+    sizes = [len(f) for _, f in hol._step_factors(loops[0], 0.5, (0, 3), [counts], "magnus")]
     assert sizes[:-1] == [7] * (len(sizes) - 1) and sum(sizes) == counts.sum()
     assert not set(np.cumsum(sizes)) >= set(np.cumsum(counts)[counts > 0])
 
@@ -819,7 +1002,7 @@ def test_one_stack_matches_the_per_segment_product(monkeypatch, method):
 def test_many_segment_product_matches_the_per_segment_product(sides, monkeypatch):
     loop = _rotating_polygon(sides)
     res = holonomy_path_ordered(loop, 0.5, target=1e-8)
-    monkeypatch.setattr(hol, "_ordered_product", _per_segment_product)
+    monkeypatch.setattr(hol, "_ordered_products", _per_segment_products)
     ref = holonomy_path_ordered(loop, 0.5, target=1e-8)
     assert res.steps == ref.steps
     assert abs(res.convergence_estimate - ref.convergence_estimate) <= 1e-12

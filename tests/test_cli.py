@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +102,53 @@ def test_displace_json_and_csv(capsys):
     assert comments[6].startswith("# trunc_deficit = ")
     assert len(comments) == 7
     assert lines[0] == "n,m,re,im"
+
+
+@pytest.mark.parametrize("nu", [("--nu-re", "nan"), ("--nu-im=-inf",), ("--nu-re", "inf", "--nu-im", "0.1")])
+def test_displace_refuses_a_non_finite_nu(capsys, nu):
+    rc, out, err = run_cli(capsys, "displace", *nu)
+    assert (rc, out) == (2, "")
+    assert "nu must be finite" in err
+
+
+# stdout of `displace --n-max 4 --m-max 1 --nu-re 0.5 --nu-im -0.2 --format csv`,
+# recorded before the truncation rule read the weight past n_max
+_UNRESOLVED_DISPLACE = """\
+# m = 0
+# m_max = 1
+# n = 0
+# n_max = 4
+# nu_re = 0.5
+# nu_im = -0.2
+# trunc_deficit = 1.3434530218044426e-05
+n,m,re,im
+0,0,0.8650223564752078,4.30072748299391e-18
+0,1,0.0,0.0
+1,0,0.4325100689299998,-0.1730040275719999
+1,1,0.0,0.0
+2,0,0.12845904125321342,-0.1223419440506794
+2,1,0.0,0.0
+3,0,0.022906892905844172,-0.0500427506558441
+3,1,0.0,0.0
+4,0,0.0007594760691037156,-0.015559997513343598
+4,1,0.0,0.0
+"""
+
+
+@pytest.mark.parametrize("argv, warning, stdout", [
+    (("--n-max", "4", "--m-max", "1", "--nu-re", "0.5", "--nu-im", "-0.2"), "level 0 keeps 1.34e-05",
+     _UNRESOLVED_DISPLACE),
+    (("--n", "1", "--m", "1", "--nu-re", "0.3", "--nu-im", "-0.2", "--n-max", "5", "--m-max", "2"),
+     "level 1 keeps 1.6e-06", (Path(__file__).parent / "golden" / "displace_excited.csv").read_text()),
+])
+def test_displace_warns_once_on_an_unresolved_level(argv, warning, stdout):
+    # the requested level keeps more than 1.8e-8 of its weight past n_max:
+    # one warning on stderr, and stdout unmoved
+    proc = subprocess.run([sys.executable, "-m", "dlh.cli", "displace", *argv, "--format", "csv"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, stdout)
+    assert proc.stderr.count("Warning") == 1
+    assert f"UserWarning: {warning} of its weight past n_max" in proc.stderr
 
 
 def test_connection_csv_and_json(capsys):

@@ -9,6 +9,7 @@ from dlh.displaced import (
     DisplacedState,
     _dense_route,
     _displacement_block,
+    _tail_weight,
     displaced_hamiltonian,
     displaced_state,
     displacement_matrix,
@@ -54,8 +55,7 @@ def test_trunc_deficit_is_the_poisson_tail():
     # D(nu)|0> is a coherent state: the weight past n_max is the Poisson
     # tail of mean |nu|^2, here 1.9% of the state
     nu, n_max = math.sqrt(3.92), 8
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # |nu|^2 > n_max/8
+    with pytest.warns(UserWarning, match="level 0 keeps 0.0191 of its weight past n_max = 8"):
         state = displaced_state(0, 0, nu, build_basis(n_max, 0))
     tail = 1.0 - sum(math.exp(-3.92) * 3.92**k / math.factorial(k) for k in range(n_max + 1))
     assert state.trunc_deficit == pytest.approx(tail, abs=1e-10)
@@ -100,14 +100,54 @@ def test_displaced_energy_via_expectation(cfg_desk):
 
 
 def test_truncation_refusal_and_warning():
+    # the rule reads the weight that level 0 keeps past n_max: 0.20 at
+    # |nu|^2 = 6.25 and 2.0e-5 at 1.44 on n_max = 8
     basis = build_basis(8, 0)
-    with pytest.raises(ValidationError):
-        displacement_matrix(2.5, basis)  # |nu|^2 = 6.25 > 8/2
-    with pytest.warns(UserWarning):
-        displacement_matrix(1.2, basis, check=False)  # |nu|^2 = 1.44 > 8/8
+    with pytest.raises(ValidationError, match="level 0 keeps over 0.1"):
+        displacement_matrix(2.5, basis)
+    with pytest.warns(UserWarning, match="level 0 keeps 2.03e-05 of its weight past n_max = 8"):
+        displacement_matrix(1.2, basis, check=False)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         displacement_matrix(0.5, build_basis(40, 0))
+    # past |nu|^2 = n_max + 1 the tail is not formed: a huge nu is refused at once
+    with pytest.raises(ValidationError, match="level 0 keeps over 0.1"):
+        displacement_matrix(1e8, basis)
+
+
+def _level0_weight(occ, n_max):
+    return _tail_weight(math.sqrt(occ), n_max, [0])[0]
+
+
+@pytest.mark.parametrize("n_max, occ_max", [(1, 0.5318), (4, 2.4326), (12, 8.6459), (40, 33.0379), (100, 88.3536)])
+def test_refusal_bound_is_a_level_0_weight_of_one_tenth(n_max, occ_max):
+    # occ_max is where level 0 keeps 0.1 of its weight past n_max: the last
+    # |nu|^2 the guard accepts, with a warning, on D itself
+    assert _level0_weight(occ_max - 1e-4, n_max) <= 0.1 < _level0_weight(occ_max + 1e-4, n_max)
+    basis = build_basis(n_max, 0)
+    with pytest.warns(UserWarning, match="level 0 keeps 0.1"):
+        displacement_matrix(math.sqrt(occ_max - 1e-4), basis, check=False)
+    with pytest.raises(ValidationError):
+        displacement_matrix(math.sqrt(occ_max + 1e-4), basis, check=False)
+    # |nu|^2 = n_max/2 keeps level 0 under it
+    assert _level0_weight(n_max / 2, n_max) < 0.091
+
+
+@pytest.mark.parametrize("entry", ["displacement_matrix", "dual_route_deviation", "displaced_state",
+                                   "displaced_hamiltonian"])
+@pytest.mark.parametrize("nu", [math.nan, math.inf, complex(0.1, -math.inf), complex(math.nan, 0.2)])
+def test_non_finite_nu_is_refused(cfg_desk, entry, nu):
+    basis = build_basis(8, 1)
+    call = {
+        "displacement_matrix": lambda: displacement_matrix(nu, basis, check=False),
+        "dual_route_deviation": lambda: dual_route_deviation(nu, basis),
+        "displaced_state": lambda: displaced_state(0, 0, nu, basis),
+        "displaced_hamiltonian": lambda: displaced_hamiltonian(nu, basis, derive_scales(cfg_desk), check=False),
+    }[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="nu must be finite"):
+            call()
 
 
 def test_position_shift_values():
@@ -188,15 +228,16 @@ def test_kronecker_displacement_matches_full_space(cfg_desk, n_max, m_max, nus):
 
 @pytest.mark.parametrize("n_max", [6, 14, 25, 40])
 def test_hnu_check_accepts_what_the_truncation_guard_accepts(cfg_desk, n_max):
-    # every basis the guard lets through without a warning (|nu|^2 <= n_max/8)
-    # must pass the D H D^dag check; at (14, 2), nu = 0.5 - 0.2j, conjugating
-    # on the unpadded n-mode was 2.5e-6 off
+    # every basis the guard accepts, with or without a warning (up to
+    # |nu|^2 = n_max/2, where level 0 keeps at most 0.090 past n_max), must
+    # pass the D H D^dag check; at (14, 2), nu = 0.5 - 0.2j, conjugating on
+    # the unpadded n-mode was 2.5e-6 off
     sc = derive_scales(cfg_desk)
     nus = [0.5 - 0.2j] + [
-        r * math.sqrt(n_max / 8.0) * np.exp(1j * t) for r in (0.5, 0.999) for t in (0.3, 2.0, 4.4)
+        r * math.sqrt(n_max / 2.0) * np.exp(1j * t) for r in (0.25, 0.5, 0.999) for t in (0.3, 2.0, 4.4)
     ]
     with warnings.catch_warnings():
-        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", UserWarning)
         for nu in nus:
             for m_max in (0, 2):
                 displaced_hamiltonian(nu, build_basis(n_max, m_max), sc, check=True)
@@ -210,7 +251,7 @@ def _nu(occ, phase):
 def test_displacement_block_matches_scipy_expm(occ, phase):
     # the closed form on the infinite ladder, against expm on a 301-level
     # mode whose truncation is far past every block read here; |nu|^2 = 20
-    # is the truncation guard's bound n_max/2 at n_max = 40
+    # is n_max/2 at n_max = 40, where the guard accepts up to 33.0
     ap = _ladder((0, 300))
     am = ap.T
     nu = _nu(occ, phase)
@@ -229,16 +270,25 @@ def test_displacement_block_at_zero_is_the_identity():
 @pytest.mark.parametrize("n_max", [2, 6, 14, 25, 40])
 def test_trunc_deficit_matches_the_padded_route_it_replaces(n_max):
     # the deficit used to be read off column n of D_n on a padded mode of
-    # 2 n_max + 16 levels; wherever that was resolved it must agree
+    # 2 n_max + 16 levels; wherever that was resolved the weight past n_max
+    # must agree, read one level at a time (trunc_deficit, wherever the guard
+    # accepts the state) or for all levels at once (what the C3 check reads)
     basis = build_basis(n_max, 0)
     for occ in np.linspace(0.0, 0.999 * n_max / 8.0, 4)[1:]:
         for phase in (0.3, 4.4):
             nu = _nu(occ, phase)
             padded = _dense_route(nu, 2 * n_max + 15)[n_max + 1 :]
+            every = _tail_weight(nu, n_max, range(n_max + 1))
             for n in range(n_max + 1):
                 head = float(np.vdot(padded[:, n], padded[:, n]).real)
                 if head >= 1e-12:
-                    assert abs(displaced_state(n, 0, nu, basis).trunc_deficit - head) <= 1e-9 * head
+                    assert abs(every[n] - head) <= 1e-9 * head
+                    assert abs(_tail_weight(nu, n_max, [n])[0] - head) <= 1e-9 * head
+                if head <= 0.099:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", UserWarning)
+                        deficit = displaced_state(n, 0, nu, basis).trunc_deficit
+                    assert deficit == _tail_weight(nu, n_max, [n])[0]
 
 
 def test_trunc_deficit_is_exact_far_below_rounding():
@@ -252,14 +302,15 @@ def test_trunc_deficit_is_exact_far_below_rounding():
 
 def test_trunc_deficit_at_the_top_level():
     # n = n_max with |nu|^2 just under n_max/2: most of the state lies past
-    # the truncation, and its edge nears the old padded mode's top level 47
+    # the truncation, and its edge nears the old padded mode's top level 47;
+    # the guard refuses that state, so the weight is read from the helper
     nu, n_max = _nu(7.99, 0.7), 16
-    with pytest.warns(UserWarning):
-        state = displaced_state(n_max, 0, nu, build_basis(n_max, 0))
+    with pytest.raises(ValidationError, match="level 16 keeps over 0.1"):
+        displaced_state(n_max, 0, nu, build_basis(n_max, 0))
     ap = _ladder((0, 399))
     am = ap.T
     tail = scipy.linalg.expm(nu * ap - np.conj(nu) * am)[n_max + 1 :, n_max]
-    assert state.trunc_deficit == pytest.approx(np.vdot(tail, tail).real, abs=1e-10)
+    assert _tail_weight(nu, n_max, [n_max])[0] == pytest.approx(np.vdot(tail, tail).real, abs=1e-10)
 
 
 def _reflected(route):
@@ -296,8 +347,7 @@ GOLDEN_NU = complex(-0.2474873734152916, -0.10606601717798211)
 
 @pytest.mark.parametrize("n_max", range(2, 13))
 def test_dual_route_check_raises_only_after_a_warning(n_max):
-    # every basis the truncation guard accepts without a warning
-    # (|nu|^2 <= n_max/8); at (10, 0.5 - 0.2j) the fixed interior cut of
+    # up to |nu|^2 = n_max/8; at (10, 0.5 - 0.2j) the fixed interior cut of
     # n_max - n_max // 2 levels raised at 3.4e-7 without any warning
     nus = {4: [GOLDEN_NU], 10: [0.5 - 0.2j]}.get(n_max, [])
     nus += [_nu(occ, phase) for occ in np.linspace(0.0, n_max / 8.0, 5)[1:] for phase in (0.3, 2.0, 4.4)]
@@ -308,22 +358,96 @@ def test_dual_route_check_raises_only_after_a_warning(n_max):
             try:
                 displacement_matrix(nu, basis, check=True)
             except ConsistencyError:
-                assert any("dual-route check" in str(w.message) for w in caught), (n_max, nu)
+                assert any("of its weight past n_max" in str(w.message) for w in caught), (n_max, nu)
 
 
 def test_dual_route_check_compares_level_0_of_the_golden_config():
-    with pytest.warns(UserWarning, match="resolves only 1 level"):
+    # level 0 keeps 1.57e-8 past n_max = 4, so the guard is silent and the
+    # check compares level 0 alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         dev = dual_route_deviation(GOLDEN_NU, build_basis(4, 1))
-    assert 0.0 < dev <= 1e-8
-    with pytest.warns(UserWarning, match="resolves only 1 level"):
         displacement_matrix(GOLDEN_NU, build_basis(4, 1), check=True)
+    assert 0.0 < dev <= 1e-8
 
 
 def test_dual_route_check_fails_when_no_level_is_resolved():
     # n_max = 4, nu = 0.5 - 0.2j: every column keeps more than 1.8e-8 of
-    # its weight past n_max, so there is nothing to compare
+    # its weight past n_max (level 0: 1.3e-5), so the guard warns and the
+    # check compares level 0 alone, 6.3e-8 off, instead of reading nan
     basis = build_basis(4, 1)
-    with pytest.warns(UserWarning, match="resolves only 0 level"):
-        assert math.isnan(dual_route_deviation(0.5 - 0.2j, basis))
-    with pytest.warns(UserWarning, match="resolves only 0 level"), pytest.raises(ConsistencyError, match="nan"):
+    with pytest.warns(UserWarning, match="level 0 keeps 1.34e-05") as caught:
+        dev = dual_route_deviation(0.5 - 0.2j, basis)
+    assert len(caught) == 1 and 1e-8 < dev <= 0.21 * 1.35e-5
+    with pytest.warns(UserWarning, match="level 0 keeps"), pytest.raises(ConsistencyError, match="6.336e-08"):
         displacement_matrix(0.5 - 0.2j, basis, check=True)
+
+
+_GRID = [(n_max, occ, phase) for n_max in range(2, 13) for occ in np.linspace(n_max / 32, n_max / 8, 4)
+         for phase in (0.3, 2.0, 4.4)]
+
+
+def test_truncation_rule_on_the_grid_of_132_cases():
+    # n_max 2-12, |nu|^2 from n_max/32 to n_max/8, m_max 1: under the two
+    # old rules 81 of these raised from check=True, 73 of them in silence.
+    # Each case now warns once, or passes check=True without a warning.
+    assert len(_GRID) == 132
+    warned = 0
+    for n_max, occ, phase in _GRID:
+        basis = build_basis(n_max, 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                displacement_matrix(_nu(occ, phase), basis, check=True)
+            except ConsistencyError:
+                assert caught, (n_max, occ, phase)
+            assert len(caught) <= 1 and all("of its weight past n_max" in str(w.message) for w in caught)
+            warned += len(caught)
+            dev = dual_route_deviation(_nu(occ, phase), basis)
+        # the check compares the leading levels at or under 1.8e-8, else level 0
+        past = _tail_weight(_nu(occ, phase), n_max, range(n_max + 1))
+        k = max(1, int(np.cumprod(past <= 1.8e-8).sum()))
+        closed = _displacement_block(_nu(occ, phase), range(k), range(k))
+        assert dev == np.abs(_dense_route(_nu(occ, phase), n_max)[:k, :k] - closed).max()
+    assert 0 < warned < len(_GRID)
+
+
+@pytest.mark.parametrize("n_max, occ", [(1, 8.95e-9), (2, 5.967e-9), (12, 1.377e-9), (40, 4.366e-10),
+                                        (100, 1.772e-10)])
+def test_dual_route_check_at_the_warning_bound(n_max, occ):
+    # the top level keeps 1.79e-8 past n_max, just under the warning bound:
+    # every level is compared, and the dense route is off by half that
+    # weight, 8.95e-9, within 0.5007 times it and the 1e-8 tolerance
+    for phase in (0.3, 2.0, 4.4):
+        nu = _nu(occ, phase)
+        top = _tail_weight(nu, n_max, [n_max])[0]
+        assert 1.78e-8 < top <= 1.8e-8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dev = dual_route_deviation(nu, build_basis(n_max, 0))
+        assert 0.49 * top <= dev <= 0.5007 * top
+
+
+@pytest.mark.parametrize("n_max, occ", [(1, 0.5315), (4, 2.432), (12, 8.644), (40, 33.03), (100, 88.35)])
+def test_dual_route_check_at_the_refusal_bound(n_max, occ):
+    # level 0 keeps 0.0998-0.0999 past n_max, under the refusal bound: the guard
+    # warns, and the check compares level 0 alone, within 0.21 times that weight
+    for phase in (0.3, 4.4):
+        with pytest.warns(UserWarning, match="level 0 keeps 0.099"):
+            dev = dual_route_deviation(_nu(occ, phase), build_basis(n_max, 0))
+        assert dev <= 0.21 * 0.0999
+
+
+@pytest.mark.parametrize("occ", np.linspace(0.0, 5.0, 11))
+def test_oracle_check_n_mode_is_accepted_in_silence(cfg_desk, occ):
+    # oracle-check sizes the n-mode of its D checks as 16 + 8 ceil(|nu|^2)
+    # levels; up to |nu|^2 = 5 the guard accepts it without a warning and
+    # both checks pass
+    basis = build_basis(16 + 8 * math.ceil(occ), 1)
+    sc = derive_scales(cfg_desk)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for phase in (0.3, 2.0, 4.4):
+            assert dual_route_deviation(_nu(occ, phase), basis) <= 2e-9
+            displacement_matrix(_nu(occ, phase), basis, check=True)
+            displaced_hamiltonian(_nu(occ, phase), basis, sc, check=True)

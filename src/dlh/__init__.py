@@ -91,7 +91,6 @@ _EXPORTS = {
         "unordered_holonomy",
         "noncommutativity_defect",
         "convergence_series",
-        "partial_unitarity_series",
     ),
     "oracle": (
         "Grid2D",

@@ -44,6 +44,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from dataclasses import asdict, dataclass, replace
 from itertools import product
 from pathlib import Path
@@ -491,11 +492,6 @@ def _cmd_holonomy(args) -> int:
         "identity_distance": max_abs(result.matrix, np.eye(len(result.matrix))),
         "vertices": path.vertices,
     }
-    if args.emit_plot_data:  # before the payload, so a failed plot path leaves no output
-        series = _holonomy.partial_unitarity_series(
-            path, scales.u, window=window, steps=result.steps
-        )
-        _write_text(args.emit_plot_data, "".join(f"{k} {_fmt(d)}\n" for k, d in series))
     labels = product(range(window[0], window[1] + 1), repeat=2)
     _emit(args, payload, table="matrix", index=(("row", "col"), labels))
     return 0
@@ -721,12 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default 1e-7; 0 disables and reports the raw max|U(steps) - U(steps//2)|)"
         ),
     )
-    p.add_argument(
-        "--emit-plot-data",
-        dest="emit_plot_data",
-        metavar="PATH",
-        help="also write a (step, unitarity_defect) series to PATH",
-    )
     p.set_defaults(func=_cmd_holonomy)
 
     p = subs.add_parser("oracle-check", help="grid cross-validation and sign-convention report")
@@ -751,17 +741,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"dlh: warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; library warnings go to stderr as one `dlh: warning:` line each while it runs."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ValidationError as exc:
-        print(f"dlh: validation error: {exc}", file=sys.stderr)
-        return 2
-    except (ConvergenceError, ConsistencyError) as exc:
-        print(f"dlh: numerical failure: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except ValidationError as exc:
+            print(f"dlh: validation error: {exc}", file=sys.stderr)
+            return 2
+        except (ConvergenceError, ConsistencyError) as exc:
+            print(f"dlh: numerical failure: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

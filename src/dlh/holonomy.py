@@ -77,7 +77,6 @@ __all__ = [
     "unordered_holonomy",
     "noncommutativity_defect",
     "convergence_series",
-    "partial_unitarity_series",
 ]
 
 # Box itineraries: each vertex indexes (low 0, high 1) into the Ey', lambda
@@ -508,16 +507,6 @@ def _tree_product(stack: np.ndarray) -> np.ndarray:
     return stack[0]
 
 
-def _prefix_products(stack: np.ndarray) -> np.ndarray:
-    """All ordered prefixes F_k ... F_1 of a (k, n, n) stack, by a log-depth scan."""
-    out = stack.copy()
-    shift = 1
-    while shift < len(out):
-        out[shift:] = out[shift:] @ out[:-shift]
-        shift *= 2
-    return out
-
-
 def _identity(window: tuple[int, int]) -> np.ndarray:
     m_lo, m_hi = _check_window(window)
     return np.eye(m_hi - m_lo + 1, dtype=complex)
@@ -529,59 +518,6 @@ def _ordered_products(path: ParameterPath, u: float, window: tuple[int, int], co
     for p, factors in _step_factors(path, u, window, counts_list, method):
         products[p] = _tree_product(factors) @ products[p]
     return products
-
-
-def _partial_products(
-    path: ParameterPath, u: float, window: tuple[int, int], steps: int, samples: int
-) -> tuple[list[int], np.ndarray]:
-    """Prefix products of the Magnus step factors at evenly spaced step counts.
-
-    Returns the step counts k (at most `samples` strides, always including
-    the final count) and the (len(k), n, n) stack of products over the first
-    k steps.
-    """
-    counts = path._allocation(steps)
-    total = int(counts.sum())
-    stride = max(1, total // max(1, samples))
-    U = _identity(window)
-    done = 0
-    ks: list[int] = []
-    mats = []
-    for _, factors in _step_factors(path, u, window, [counts], "magnus"):
-        prefix = _prefix_products(factors) @ U
-        k = done + np.arange(1, len(factors) + 1)
-        keep = (k % stride == 0) | (k == total)
-        ks.extend(int(v) for v in k[keep])
-        mats.append(prefix[keep])
-        U = prefix[-1]
-        done += len(factors)
-    return ks, np.concatenate(mats)
-
-
-def partial_unitarity_series(
-    path: ParameterPath,
-    u: float,
-    window: tuple[int, int] = (0, 3),
-    steps: int = 1024,
-    samples: int = 256,
-) -> list[tuple[int, float]]:
-    """Unitarity defect of the partial path-ordered product, sampled along the loop.
-
-    Tracks max |U_k U_k^dag - I| for the product U_k over the first k Magnus
-    steps, recording at most `samples` evenly spaced k values (always
-    including the final one). Each factor is exactly unitary, so the series
-    exposes pure rounding accumulation; useful as plot data for step-count
-    studies.
-    """
-    _check_u(u)
-    _require_closed(path)
-    steps = _check_steps(steps)
-    eye = _identity(window)
-    if float(path.segment_lengths.sum()) == 0.0:
-        return [(0, 0.0)]
-    ks, mats = _partial_products(path, u, window, steps, samples)
-    defects = np.abs(mats @ np.swapaxes(mats.conj(), -1, -2) - eye).max(axis=(1, 2))
-    return [(k, float(d)) for k, d in zip(ks, defects)]
 
 
 @dataclass(frozen=True)
@@ -711,7 +647,9 @@ def holonomy_path_ordered(
     """
     target = _check_target(target)
     steps = _check_steps(steps)
-    step_cap = _check_count("step_cap", step_cap, steps)
+    step_cap = _check_count("step_cap", step_cap, 16)
+    if steps > step_cap:
+        raise ValidationError(f"steps must be <= step_cap = {step_cap}, got {steps}")
     counts, verts = _first_counts(path, u, steps, method), path.vertices
     integrated = method != "auto" or not _commuting_segments(verts[:-1], verts[1:]).all()
     current, *shadow = _ordered_products(path, u, window, [counts, counts // 2][: 1 + integrated], method)
@@ -749,11 +687,9 @@ def unordered_holonomy(path: ParameterPath, u: float, window: tuple[int, int] = 
     """
     _check_u(u)
     _require_closed(path)
-    eye = _identity(window)
-    if float(path.segment_lengths.sum()) == 0.0:
-        return eye
+    window = _check_window(window)
     phi, zeta = _segment_integrals(path.vertices[:-1], path.vertices[1:], u)
-    return _span_exp(phi.sum(), zeta.sum(), tuple(window))[0]
+    return _span_exp(phi.sum(), zeta.sum(), window)[0]
 
 
 def noncommutativity_defect(

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -143,12 +144,21 @@ n,m,re,im
 ])
 def test_displace_warns_once_on_an_unresolved_level(argv, warning, stdout):
     # the requested level keeps more than 1.8e-8 of its weight past n_max:
-    # one warning on stderr, and stdout unmoved
+    # one one-line warning on stderr, and stdout unmoved
     proc = subprocess.run([sys.executable, "-m", "dlh.cli", "displace", *argv, "--format", "csv"],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, stdout)
-    assert proc.stderr.count("Warning") == 1
-    assert f"UserWarning: {warning} of its weight past n_max" in proc.stderr
+    n_max = dict(zip(argv[::2], argv[1::2]))["--n-max"]
+    assert proc.stderr == f"dlh: warning: {warning} of its weight past n_max = {n_max} (resolved up to 1.8e-08)\n"
+
+
+def test_warning_handler_is_scoped_to_main(capsys):
+    shown = warnings.showwarning
+    rc, out, err = run_cli(capsys, "displace", "--n-max", "4", "--m-max", "1", "--nu-re", "0.5", "--nu-im", "-0.2",
+                           "--format", "csv")
+    assert (rc, out) == (0, _UNRESOLVED_DISPLACE)
+    assert err == "dlh: warning: level 0 keeps 1.34e-05 of its weight past n_max = 4 (resolved up to 1.8e-08)\n"
+    assert warnings.showwarning is shown
 
 
 def test_connection_csv_and_json(capsys):
@@ -168,8 +178,7 @@ def test_connection_csv_and_json(capsys):
     assert np.abs(mat - mat.conj().T).max() < 1e-15
 
 
-def test_holonomy_identity_loop(capsys, tmp_path):
-    plot = tmp_path / "defects.txt"
+def test_holonomy_identity_loop(capsys):
     rc, out, _ = run_cli(
         capsys,
         "holonomy",
@@ -178,7 +187,6 @@ def test_holonomy_identity_loop(capsys, tmp_path):
         "--steps", "64",
         "--target", "0",
         "--window", "0..1",
-        "--emit-plot-data", str(plot),
     )
     assert rc == 0
     payload = json.loads(out)
@@ -187,9 +195,21 @@ def test_holonomy_identity_loop(capsys, tmp_path):
     assert payload["steps"] == 64
     assert len(payload["matrix"]) == 2
     assert len(payload["vertices"]) == 7
-    series = [line.split() for line in plot.read_text().splitlines()]
-    assert all(float(d) < 1e-12 for _, d in series)
-    assert int(series[-1][0]) >= 64
+
+
+def test_holonomy_has_no_plot_data_flag(capsys, tmp_path):
+    plot = tmp_path / "X"
+    with pytest.raises(SystemExit) as exc:
+        main(["holonomy", "--named", "ABCHEFA", "--emit-plot-data", str(plot)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --emit-plot-data" in capsys.readouterr().err
+    assert not plot.exists()
+
+
+def test_holonomy_steps_past_the_cap_name_steps(capsys):
+    rc, out, err = run_cli(capsys, "holonomy", "--named", "ABCHEFA", "--steps", "2097152")
+    assert (rc, out) == (2, "")
+    assert err == "dlh: validation error: steps must be <= step_cap = 1048576, got 2097152\n"
 
 
 def test_holonomy_csv_table_is_the_json_matrix(capsys):
@@ -383,11 +403,10 @@ def test_window_errors_name_their_reason(capsys, window, reason):
     assert reason in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--out", "--emit-plot-data"])
-def test_writing_to_a_directory_exits_2(capsys, tmp_path, flag):
+def test_writing_to_a_directory_exits_2(capsys, tmp_path):
     taken = tmp_path / "taken"
     taken.mkdir()
-    rc, out, err = run_cli(capsys, "holonomy", "--named", "ABCHEFA", flag, str(taken))
+    rc, out, err = run_cli(capsys, "holonomy", "--named", "ABCHEFA", "--out", str(taken))
     assert rc == 2 and "validation error: cannot write" in err
     assert out == ""
     # no temporary file is left beside the target or in it

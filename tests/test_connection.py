@@ -17,7 +17,7 @@ from dlh.connection import (
     connection_matrix,
 )
 from dlh.errors import ValidationError
-from dlh.holonomy import commuting_holonomy, holonomy_path_ordered, rectangle_loop
+from dlh.holonomy import commuting_holonomy, holonomy_path_ordered, rectangle_loop, unordered_holonomy
 from dlh.oracle import Grid2D, wilson_loop_oracle, window_states
 from dlh.params import PhysicalConfig
 
@@ -160,12 +160,13 @@ _CONFIG = PhysicalConfig(mass=1.0, alpha=0.5, hbar=1.0, lambda_density=1.0, B=1.
         lambda w: connection_matrix("B", _GOOD, 0.5, 0, w),
         lambda w: commuting_holonomy(0.5, 0.5, w),
         lambda w: holonomy_path_ordered(_LOOP, 0.5, window=w),
+        lambda w: unordered_holonomy(_LOOP, 0.5, window=w),
         lambda w: wilson_loop_oracle(_GRID, _CONFIG, _LOOP, window=w),
         lambda w: window_states(_GRID, _CONFIG, _GOOD, 0, w),
         _check_window,
     ],
-    ids=["connection_matrix", "commuting_holonomy", "holonomy_path_ordered", "wilson_loop_oracle", "window_states",
-         "check_window"],
+    ids=["connection_matrix", "commuting_holonomy", "holonomy_path_ordered", "unordered_holonomy",
+         "wilson_loop_oracle", "window_states", "check_window"],
 )
 def test_window_bounds_must_be_integers(call, window):
     with pytest.raises(ValidationError, match=r"window must be integers with 0 <= m_lo <= m_hi"):

@@ -28,7 +28,6 @@ from dlh.holonomy import (
     line_integral_area_check,
     loop_area_integral,
     noncommutativity_defect,
-    partial_unitarity_series,
     rectangle_loop,
     signed_area,
     unordered_holonomy,
@@ -371,29 +370,9 @@ def test_tree_product_matches_sequential_product(rng):
 def test_chunked_stacks_match_one_stack(rng, monkeypatch):
     loop = _random_loop(rng)
     whole = holonomy_path_ordered(loop, 0.5, window=(0, 3), steps=200, target=None)
-    ks, mats = hol._partial_products(loop, 0.5, (0, 3), 200, 16)
     monkeypatch.setattr(hol, "_CHUNK_ENTRIES", 16 * 7)  # 7 steps per chunk
     chunked = holonomy_path_ordered(loop, 0.5, window=(0, 3), steps=200, target=None)
-    ks7, mats7 = hol._partial_products(loop, 0.5, (0, 3), 200, 16)
     assert np.abs(whole.matrix - chunked.matrix).max() <= 1e-13
-    assert ks == ks7
-    assert np.abs(mats - mats7).max() <= 1e-13
-
-
-def test_partial_products_are_prefixes_of_the_full_product(rng):
-    loop = _random_loop(rng)
-    steps, window = 300, (0, 2)
-    ks, mats = hol._partial_products(loop, 0.5, window, steps, 32)
-    full = holonomy_path_ordered(loop, 0.5, window=window, steps=steps, target=None, method="magnus")
-    assert ks[-1] == loop._allocation(steps).sum()
-    assert np.abs(mats[-1] - full.matrix).max() <= 1e-13
-    # every sampled prefix is the sequential product of the first k factors
-    factors = np.concatenate([f for _, f in hol._step_factors(loop, 0.5, window, [loop._allocation(steps)], "magnus")])
-    seq, prefixes = np.eye(3, dtype=complex), {}
-    for k, f in enumerate(factors, start=1):
-        seq = f @ seq
-        prefixes[k] = seq
-    assert max(np.abs(m - prefixes[k]).max() for k, m in zip(ks, mats)) <= 1e-13
 
 
 def test_constant_path_is_identity():
@@ -402,7 +381,6 @@ def test_constant_path_is_identity():
     assert np.array_equal(res.matrix, np.eye(3, dtype=complex))
     assert res.unitarity_defect == 0.0 and res.convergence_estimate == 0.0
     assert np.array_equal(unordered_holonomy(const, 0.5, (0, 2)), np.eye(3, dtype=complex))
-    assert partial_unitarity_series(const, 0.5) == [(0, 0.0)]
 
 
 def test_unordered_holonomy_is_step_free():
@@ -457,17 +435,6 @@ def test_magnus_steps_are_fourth_order():
     rows = convergence_series(C9_LOOP, 0.5, window=(0, 3), steps_list=(64, 128, 256))
     ests = [r["convergence_estimate"] for r in rows]
     assert ests[0] / ests[1] > 10.0 and ests[1] / ests[2] > 10.0
-
-
-def test_partial_unitarity_series_shape():
-    loop = box_loop("ABCHEFA", EY, LAM, BB)
-    series = partial_unitarity_series(loop, 0.5, window=(0, 1), steps=128, samples=16)
-    ks = [k for k, _ in series]
-    assert ks == sorted(ks)
-    assert len(ks) <= 18
-    assert all(d < 1e-12 for _, d in series)
-    # the final entry covers the whole loop
-    assert ks[-1] == loop._allocation(128).sum()
 
 
 def test_signed_area_planarity_guard():
@@ -914,8 +881,6 @@ def test_diagnostics_reject_bad_step_counts(steps, monkeypatch):
         noncommutativity_defect(C9_LOOP, 0.5, steps=steps)
     with pytest.raises(ValidationError, match="steps"):
         convergence_series(C9_LOOP, 0.5, steps_list=(64, steps))
-    with pytest.raises(ValidationError, match="steps"):
-        partial_unitarity_series(C9_LOOP, 0.5, steps=steps)
     assert counts == []
 
 
@@ -1073,6 +1038,21 @@ def test_only_linalg_takes_eigendecompositions_or_exponentials():
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 assert name not in {"eigh", "eig", "expm"}, f"{path.name}:{node.lineno} calls {name}"
+
+
+def test_step_factors_feed_one_product_builder():
+    # every ordered product of the package is the one fold of _ordered_products:
+    # the only reference to _step_factors in dlh, outside its definition, is there
+    import ast
+    from pathlib import Path
+
+    users = []
+    for path in sorted(Path(hol.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if "_step_factors" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                    users.append((path.name, getattr(top, "name", "<module>")))
+    assert users == [("holonomy.py", "_ordered_products")]
 
 
 def test_gauss_table_is_built_on_first_use():

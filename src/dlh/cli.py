@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConsistencyError, ConvergenceError, ValidationError
+from .errors import ConsistencyError, ConvergenceError, ValidationError, _check_window
 from .params import PhysicalConfig, derive_scales, validate_regime
 
 if TYPE_CHECKING:
@@ -237,8 +237,6 @@ def _write_text(out: str | None, text: str) -> None:
 
 def _parse_window(text: str) -> tuple[int, int]:
     # argparse replaces the message of any other error from a type function
-    from . import connection as _connection
-
     lo, sep, hi = text.partition("..")
     if not sep:
         raise argparse.ArgumentTypeError(f"window must look like lo..hi, got {text!r}")
@@ -247,7 +245,7 @@ def _parse_window(text: str) -> tuple[int, int]:
     except ValueError:
         raise argparse.ArgumentTypeError(f"window bounds must be integers, got {text!r}") from None
     try:
-        return _connection._check_window(bounds)
+        return _check_window(bounds)
     except ValidationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 

@@ -49,7 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import _ladder, max_abs
-from .errors import ValidationError, _is_integer
+from .errors import ValidationError, _check_count, _check_positive, _check_window
+from .params import CONTROL_PARAMS, _check_param
 
 __all__ = [
     "CONTROL_PARAMS",
@@ -61,8 +62,6 @@ __all__ = [
     "chain_rule_consistency",
     "abelian_curvature",
 ]
-
-CONTROL_PARAMS = ("Ex_prime", "Ey_prime", "lambda_density", "B")
 
 # Resolved vs rejected sign choices, surfaced by `dlh oracle-check`.
 SIGN_CONVENTION = {
@@ -95,32 +94,9 @@ def _unpack(point) -> tuple[float, float, float, float]:
     return ex, ey, lam, b
 
 
-def _check_param(param: str) -> None:
-    if param not in CONTROL_PARAMS:
-        raise ValidationError(f"unknown control parameter {param!r}, expected one of {CONTROL_PARAMS}")
-
-
-def _check_u(u: float) -> None:
-    if not 0 < u < math.inf:
-        raise ValidationError(f"u must be positive and finite, got {u}")
-
-
 def _check_level_and_m(n: int, m_row: int, m_col: int) -> None:
-    if n < 0:
-        raise ValidationError(f"Landau level n must be >= 0, got {n}")
-    if m_row < 0 or m_col < 0:
-        raise ValidationError(f"radial indices must be >= 0, got ({m_row}, {m_col})")
-
-
-def _check_window(window: tuple[int, int]) -> tuple[int, int]:
-    """(m_lo, m_hi) as plain ints: integer bounds (not bools) with 0 <= m_lo <= m_hi."""
-    try:
-        m_lo, m_hi = window
-    except (TypeError, ValueError):  # not a pair
-        m_lo = m_hi = None
-    if not (_is_integer(m_lo) and _is_integer(m_hi) and 0 <= m_lo <= m_hi):
-        raise ValidationError(f"window must be integers with 0 <= m_lo <= m_hi, got {window!r}")
-    return int(m_lo), int(m_hi)
+    for name, index in (("n", n), ("m_row", m_row), ("m_col", m_col)):
+        _check_count(name, index, 0)
 
 
 def _lowering_pattern(window: tuple[int, int]) -> np.ndarray:
@@ -163,7 +139,7 @@ def connection_general(
     element.
     """
     _check_param(param)
-    _check_u(u)
+    _check_positive("u", u)
     _check_level_and_m(n, m_row, m_col)
     ex, ey, lam, b = _unpack(point)
     c = 1.0 / (4.0 * u * math.sqrt(lam * b))
@@ -226,9 +202,9 @@ def connection_matrix(
     windows should be widened to test sensitivity.
     """
     _check_param(param)
-    _check_u(u)
+    _check_positive("u", u)
     m_lo, m_hi = _check_window(window)
-    _check_level_and_m(n, m_lo, m_hi)
+    n = _check_count("n", n, 0)
     p = _unpack(point)
     step = np.eye(4)[CONTROL_PARAMS.index(param)]
     A = _generators(*_generator_scalars(p, step, u), _lowering_pattern(window))
@@ -262,6 +238,6 @@ def abelian_curvature(point, u: float) -> float:
     Constant over the (Ex', Ey') plane; equal to -2 times the area-law
     coefficient -1/(16 u^2 lambda B) used by the gamma_area_law branch.
     """
-    _check_u(u)
+    _check_positive("u", u)
     _, _, lam, b = _unpack(point)
     return 1.0 / (8.0 * u * u * lam * b)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _ladder, max_abs
-from .errors import ValidationError, _check_count
+from ._linalg import _ladder
+from .errors import ValidationError, _check_count, _is_integer
 from .params import DerivedScales
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "state_from_ground",
     "commutator",
 ]
-
-_HERMITIAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,8 @@ class FockBasis:
         return (self.n_max + 1) * (self.m_max + 1)
 
     def index(self, n: int, m: int) -> int:
-        if not (0 <= n <= self.n_max and 0 <= m <= self.m_max):
+        """Flat index of (n, m); an index that is not an integer (or is a bool) is outside the truncation."""
+        if not (_is_integer(n) and _is_integer(m) and 0 <= n <= self.n_max and 0 <= m <= self.m_max):
             raise ValidationError(
                 f"(n={n}, m={m}) outside truncation n_max={self.n_max}, m_max={self.m_max}"
             )
@@ -96,16 +95,10 @@ class FockBasis:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex operator on a :class:`FockBasis`.
-
-    hermitian_hint is validated at construction: setting it on a matrix that
-    is not Hermitian to _HERMITIAN_TOL (1e-12) max-norm is an error, so the
-    hint can be trusted downstream.
-    """
+    """Dense complex operator on a :class:`FockBasis`."""
 
     entries: np.ndarray
     basis: FockBasis
-    hermitian_hint: bool = False
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex)
@@ -114,24 +107,6 @@ class OperatorMatrix:
             raise ValidationError(
                 f"entries shape {e.shape} does not match basis size {self.basis.size}"
             )
-        if self.hermitian_hint:
-            dev = max_abs(e, e.conj().T)
-            if dev > _HERMITIAN_TOL:
-                raise ValidationError(
-                    f"hermitian_hint set but max|A - A^dag| = {dev:.3e} > {_HERMITIAN_TOL:.0e}"
-                )
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.entries.shape
-
-    def dag(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries.conj().T, self.basis)
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.basis != other.basis:
-            raise ValidationError("operator product across different bases")
-        return OperatorMatrix(self.entries @ other.entries, self.basis)
 
 
 def build_basis(n_max: int, m_max: int, sigma: int = 1) -> FockBasis:
@@ -170,27 +145,27 @@ def ladder_b(basis: FockBasis, direction: str) -> OperatorMatrix:
 def number_a(basis: FockBasis) -> OperatorMatrix:
     """a+ a-: diagonal n."""
     ns = np.repeat(np.arange(basis.n_max + 1), basis.m_max + 1).astype(float)
-    return OperatorMatrix(np.diag(ns).astype(complex), basis, hermitian_hint=True)
+    return OperatorMatrix(np.diag(ns).astype(complex), basis)
 
 
 def number_b(basis: FockBasis) -> OperatorMatrix:
     """b- b+: diagonal m."""
     ms = np.tile(np.arange(basis.m_max + 1), basis.n_max + 1).astype(float)
-    return OperatorMatrix(np.diag(ms).astype(complex), basis, hermitian_hint=True)
+    return OperatorMatrix(np.diag(ms).astype(complex), basis)
 
 
 def hamiltonian_matrix(basis: FockBasis, scales: DerivedScales) -> OperatorMatrix:
     """H = hbar |omega| (a+ a- + 1/2): diagonal, m-degenerate."""
     ns = np.repeat(np.arange(basis.n_max + 1), basis.m_max + 1).astype(float)
     diag = scales.energy_quantum * (ns + 0.5)
-    return OperatorMatrix(np.diag(diag).astype(complex), basis, hermitian_hint=True)
+    return OperatorMatrix(np.diag(diag).astype(complex), basis)
 
 
 def lz_matrix(basis: FockBasis, scales: DerivedScales) -> OperatorMatrix:
     """L_z = sigma hbar (b- b+ - a+ a-): diagonal hbar * l with l = sigma (m - n)."""
     ns, ms = np.divmod(np.arange(basis.size), basis.m_max + 1)
     diag = scales.hbar * basis.sigma * (ms - ns).astype(float)
-    return OperatorMatrix(np.diag(diag).astype(complex), basis, hermitian_hint=True)
+    return OperatorMatrix(np.diag(diag).astype(complex), basis)
 
 
 def state_from_ground(basis: FockBasis, n: int, m: int) -> np.ndarray:
@@ -200,10 +175,7 @@ def state_from_ground(basis: FockBasis, n: int, m: int) -> np.ndarray:
     ground state, so only (a+, b-) generate the basis from |0, 0>. Within the
     truncation the result is exactly the corresponding unit coordinate vector.
     """
-    if not (0 <= n <= basis.n_max and 0 <= m <= basis.m_max):
-        raise ValidationError(
-            f"(n={n}, m={m}) outside truncation n_max={basis.n_max}, m_max={basis.m_max}"
-        )
+    basis.index(n, m)  # ValidationError outside the truncation
     vec = np.zeros(basis.size, dtype=complex)
     vec[basis.index(0, 0)] = 1.0
     ap = ladder_a(basis, "plus").entries

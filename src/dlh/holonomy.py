@@ -46,16 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import _span_exp, max_abs
-from .connection import (
-    CONTROL_PARAMS,
-    _check_u,
-    _check_window,
-    _generator_scalars,
-    _lowering_pattern,
-    _unpack,
-    abelian_curvature,
-)
-from .errors import ConvergenceError, ValidationError, _check_count
+from .connection import _generator_scalars, _lowering_pattern, _unpack, abelian_curvature
+from .errors import ConvergenceError, ValidationError, _check_count, _check_positive, _check_window
+from .params import CONTROL_PARAMS
 
 __all__ = [
     "BOX_KINDS",
@@ -290,12 +283,11 @@ def abelian_phase(path: ParameterPath, u: float) -> AbelianPhases:
     each evaluated at the segment midpoint; the diagonal connection is
     linear in the field components, so this midpoint rule is exact.
     """
-    _check_u(u)
+    _check_positive("u", u)
     area = signed_area(path, plane=("Ex_prime", "Ey_prime"))
     v = path.vertices
     _, _, lam, b = _unpack(v[0])
-    one = np.ones(len(v) - 1, dtype=int)  # each segment one piece, taken at its midpoint
-    phi, _ = _generator_scalars(_nodes(v[:-1], v[1:], one, *_runs(one), [0.5])[:, 0], np.diff(v, axis=0), u)
+    phi, _ = _generator_scalars(v[:-1] + 0.5 * np.diff(v, axis=0), np.diff(v, axis=0), u)
     return AbelianPhases(
         signed_area=area,
         curvature=abelian_curvature(v[0], u),
@@ -367,14 +359,14 @@ def commuting_angle(area: float, u: float, window: tuple[int, int]) -> np.ndarra
     prefactor 1/(4u) is unit invariant; it equals 2u exactly when
     hbar = alpha.
     """
-    _check_u(u)
+    _check_positive("u", u)
     L = _lowering_pattern(window)
     return (float(area) / (4.0 * u)) * (L + L.T)
 
 
 def commuting_holonomy(area: float, u: float, window: tuple[int, int]) -> np.ndarray:
     """exp(i (S / 4u) T), the closed-form holonomy of an Ex' = 0 loop: phi = 0, zeta = S / 4u."""
-    _check_u(u)
+    _check_positive("u", u)
     return _span_exp(0.0, float(area) / (4.0 * u), _check_window(window))[0]
 
 
@@ -576,7 +568,7 @@ def _check_steps(steps) -> int:
 
 def _first_counts(path: ParameterPath, u: float, steps: int, method: str) -> np.ndarray:
     """Per-segment counts of the first product at the validated `steps`; all 0 on a constant path (product I)."""
-    _check_u(u)
+    _check_positive("u", u)
     _require_closed(path)
     if method not in _METHODS:
         raise ValidationError(f"method must be one of {_METHODS}, got {method!r}")
@@ -685,7 +677,7 @@ def unordered_holonomy(path: ParameterPath, u: float, window: tuple[int, int] = 
     product exactly when all step generators commute (Ex' = 0 loops); the
     gap between the two is the non-commutativity diagnostic.
     """
-    _check_u(u)
+    _check_positive("u", u)
     _require_closed(path)
     window = _check_window(window)
     phi, zeta = _segment_integrals(path.vertices[:-1], path.vertices[1:], u)

@@ -40,17 +40,16 @@ dimensionless, so convention resolution transfers.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from ._linalg import unitarize
-from .connection import CONTROL_PARAMS, _check_window, connection_closed_form
-from .errors import ValidationError, _check_count, _is_integer
+from .connection import connection_closed_form
+from .errors import ValidationError, _check_count, _check_positive, _check_window
 from .holonomy import ParameterPath, _nodes, _require_closed, _runs, rectangle_loop
-from .params import DerivedScales, PhysicalConfig, _point_scales, derive_scales
+from .params import CONTROL_PARAMS, DerivedScales, PhysicalConfig, _check_param, _point_scales, derive_scales
 
 __all__ = [
     "OPERATING_CONFIG",
@@ -101,10 +100,8 @@ class Grid2D:
     points: int
 
     def __post_init__(self) -> None:
-        if not (_is_integer(self.points) and self.points >= 64):
-            raise ValidationError(f"grid needs an integer of at least 64 points per axis, got {self.points!r}")
-        if isinstance(self.extent, bool) or not isinstance(self.extent, numbers.Real) or not 0 < self.extent < math.inf:
-            raise ValidationError(f"grid extent must be a finite number > 0, got {self.extent!r}")
+        _check_count("grid points", self.points, 64)
+        _check_positive("grid extent", self.extent)
 
     @property
     def h(self) -> float:
@@ -273,8 +270,7 @@ def apply_radial_lower(grid: Grid2D, l_m: float, sigma: int, f: np.ndarray) -> n
 
 def build_state(grid: Grid2D, scales: DerivedScales, n: int, m: int) -> WaveField:
     """Undisplaced (n, m) field: raising operators applied to the ground Gaussian."""
-    if n < 0 or m < 0:
-        raise ValidationError(f"indices must be >= 0, got (n={n}, m={m})")
+    n, m = _check_count("n", n, 0), _check_count("m", m, 0)
     f = ground_state(grid, scales.l_m).values
     for j in range(1, m + 1):
         f = apply_radial_raise(grid, scales.l_m, scales.sigma, f) / math.sqrt(j)
@@ -363,8 +359,7 @@ def _frame_edges(F: np.ndarray, ends: list) -> np.ndarray:
 def _stack(grid: Grid2D, config: PhysicalConfig, points, n: int, window: tuple[int, int]) -> _Stack:
     """Normalized factors of the displaced window at each point, with every field guard applied to them."""
     m_lo, m_hi = _check_window(window)
-    if n < 0:
-        raise ValidationError(f"indices must be >= 0, got n={n}")
+    n = _check_count("n", n, 0)
     _, sigma, l_m, _, nu = _point_scales(config, points)
     grid.check_adequate(l_m, shift=math.sqrt(2.0) * l_m * np.abs(nu))
     size, count = n + m_hi + 1, len(l_m)
@@ -501,11 +496,9 @@ def fd_connection_matrix(
 
 def _fd_matrices(grid: Grid2D, config: PhysicalConfig, params, point, n: int, window, h_step) -> np.ndarray:
     """fd connection matrices of several parameters, from one stack [point, +h, -h, +h', -h', ...]."""
-    if isinstance(h_step, bool) or not isinstance(h_step, numbers.Real) or not 0 < h_step < math.inf:
-        raise ValidationError(f"h_step must be a finite number > 0, got {h_step!r}")
+    _check_positive("h_step", h_step)
     for param in params:
-        if param not in CONTROL_PARAMS:
-            raise ValidationError(f"unknown control parameter {param!r}, expected one of {CONTROL_PARAMS}")
+        _check_param(param)
     pts = [point] + [_shifted_point(point, p, d) for p in params for d in (h_step, -h_step)]
     st = _stack(grid, config, pts, n, window)
     shifted = _overlaps(st.take([0]), st.take(range(1, len(pts))))  # <point | +h>, <point | -h>, ...

@@ -24,9 +24,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError, _is_integer
+from .errors import ValidationError, _check_positive, _is_integer
 
 __all__ = [
+    "CONTROL_PARAMS",
     "PhysicalConfig",
     "DerivedScales",
     "RegimeReport",
@@ -36,9 +37,13 @@ __all__ = [
 ]
 
 
-_REAL_FIELDS = ("mass", "alpha", "hbar", "lambda_density", "B", "Ex_prime", "Ey_prime")
-_POINT_FIELDS = ("Ex_prime", "Ey_prime", "lambda_density", "B")
+CONTROL_PARAMS = ("Ex_prime", "Ey_prime", "lambda_density", "B")
 _DEGENERATE = "lambda_density * B must be nonzero: the effective Landau problem degenerates at zero cyclotron frequency"
+
+
+def _check_param(param: str) -> None:
+    if param not in CONTROL_PARAMS:
+        raise ValidationError(f"unknown control parameter {param!r}, expected one of {CONTROL_PARAMS}")
 
 
 @dataclass(frozen=True)
@@ -73,13 +78,12 @@ class PhysicalConfig:
     sigma_override: int | None = None
 
     def __post_init__(self):
-        for name in _REAL_FIELDS:
+        for name in ("mass", "alpha", "hbar"):
+            _check_positive(name, getattr(self, name))
+        for name in CONTROL_PARAMS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
                 raise ValidationError(f"{name} must be a finite number, got {value!r}")
-        for name in ("mass", "alpha", "hbar"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.lambda_density * self.B == 0:
             raise ValidationError(_DEGENERATE)
         sigma = self.sigma_override
@@ -143,7 +147,7 @@ def _point_scales(config: PhysicalConfig, points) -> tuple[np.ndarray, ...]:
     for k in np.flatnonzero(~ok.all(axis=1))[:1]:
         point = tuple(float(v) for v in p[k])
         messages = [
-            *(f"{name} must be a finite number, got {v!r}" for name, v in zip(_POINT_FIELDS, point)),
+            *(f"{name} must be a finite number, got {v!r}" for name, v in zip(CONTROL_PARAMS, point)),
             _DEGENERATE,
             *(f"{name} must be positive and finite, got {float(v[k])}" for name, v in positive.items()),
             f"nu must be finite, got {complex(nu[k])}",
@@ -154,7 +158,7 @@ def _point_scales(config: PhysicalConfig, points) -> tuple[np.ndarray, ...]:
 
 def derive_scales(config: PhysicalConfig) -> DerivedScales:
     """Compute (omega, sigma, l_m, u, nu) from a configuration: the one-point case of :func:`_point_scales`."""
-    omega, sigma, l_m, u, nu = (a[0] for a in _point_scales(config, [[getattr(config, f) for f in _POINT_FIELDS]]))
+    omega, sigma, l_m, u, nu = (a[0] for a in _point_scales(config, [[getattr(config, f) for f in CONTROL_PARAMS]]))
     return DerivedScales(float(omega), int(sigma), float(l_m), float(u), complex(nu), config.hbar)
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from dlh.errors import ValidationError
 from dlh.fock import (
-    OperatorMatrix,
     build_basis,
     commutator,
     hamiltonian_matrix,
@@ -140,26 +139,6 @@ def test_number_operators():
             i = basis.index(n, m)
             assert na[i, i] == n
             assert nb[i, i] == m
-
-
-def test_hermitian_hint_is_validated():
-    basis = build_basis(1, 1)
-    bad = np.array(
-        [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], dtype=complex
-    )
-    with pytest.raises(ValidationError):
-        OperatorMatrix(bad, basis, hermitian_hint=True)
-
-
-def test_hermitian_tolerance_is_a_constant():
-    # the 1e-12 bound of the Hermitian check cannot be set per instance
-    basis = build_basis(1, 1)
-    bad = np.zeros((4, 4), dtype=complex)
-    bad[0, 1] = 1e-9
-    with pytest.raises(ValidationError, match=r"= 1\.000e-09 > 1e-12"):
-        OperatorMatrix(bad, basis, hermitian_hint=True)
-    with pytest.raises(TypeError):
-        OperatorMatrix(bad, basis, True, 1.0)
 
 
 def test_state_from_ground_unit_vector():

@@ -613,10 +613,10 @@ def test_sign_convention_report_contents(grid12):
 
 
 def test_oracle_is_independent_of_the_algebra():
-    # the grid oracle may share only parameter names and the window check with
-    # the analytic side, and reads closed forms only to report against them;
-    # from the holonomy module it takes loop geometry and validation, never
-    # the engine
+    # the grid oracle takes parameter names from params and argument checks
+    # from errors, and reads closed forms only to report against them; from
+    # the holonomy module it takes loop geometry and validation, never the
+    # engine
     import ast
 
     import dlh.oracle
@@ -633,10 +633,10 @@ def test_oracle_is_independent_of_the_algebra():
             assert module not in forbidden
             assert not {f"{module}.{n}" for n in names} & (forbidden | {"dlh.connection", "dlh.holonomy"})
             if module == "dlh.connection":
-                assert names <= {"CONTROL_PARAMS", "_check_window", "connection_closed_form"}
+                assert names == {"connection_closed_form"}
             if module == "dlh.holonomy":
                 geometry = {"ParameterPath", "rectangle_loop", "_runs", "_nodes"}
-                assert names <= geometry | {"_check_count", "_require_closed"}
+                assert names <= geometry | {"_require_closed"}
     users = {
         getattr(stmt, "name", type(stmt).__name__)
         for stmt in tree.body

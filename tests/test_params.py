@@ -174,3 +174,70 @@ def test_regime_screening():
     report = validate_regime(lab, energy_threshold=1e-20)
     assert report.mass_correction_ratio < 1e-6
     assert report.ok
+
+
+# ---------------------------------------------------------------------------
+# one check per kind of argument
+
+
+def _bad_inputs():
+    from dlh.connection import connection_matrix
+    from dlh.displaced import displaced_state
+    from dlh.fock import build_basis
+    from dlh.holonomy import abelian_phase, box_loop, holonomy_path_ordered, rectangle_loop
+    from dlh.oracle import Grid2D, build_state, fd_connection_matrix, window_states
+
+    point = (0.3, 0.7, 2.0, 1.0)
+    box = box_loop("ABCHEFA", (0.0, 0.5), (1.0, 2.0), (1.0, 2.0))
+    rect = rectangle_loop("Ex_prime", "Ey_prime", (0.0, 0.5), (1.0, 3.0), (0, 0, 2.0, 1.0))
+    grid = Grid2D(12.0, 128)  # adequate at l_m = 1, so each case reaches its argument check
+    cfg = PhysicalConfig(mass=1.0, alpha=0.5, hbar=1.0, lambda_density=2.0, B=1.0)
+    basis = build_basis(4, 1)
+    return {
+        "connection_u_string": lambda: connection_matrix("B", point, "0.5", 0, (0, 1)),
+        "holonomy_u_string": lambda: holonomy_path_ordered(box, "x"),
+        "abelian_phase_u_string": lambda: abelian_phase(rect, "x"),
+        "connection_u_bool": lambda: connection_matrix("B", point, True, 0, (0, 1)),
+        "connection_n_float": lambda: connection_matrix("B", point, 0.5, 0.5, (0, 1)),
+        "fd_n_float": lambda: fd_connection_matrix(grid, cfg, "B", point, 1.5, (0, 1)),
+        "fd_n_bool": lambda: fd_connection_matrix(grid, cfg, "B", point, True, (0, 1)),
+        "build_state_n_float": lambda: build_state(grid, derive_scales(cfg), 1.5, 0),
+        "window_states_n_string": lambda: window_states(grid, cfg, point, "1", (0, 1)),
+        "displaced_state_n_float": lambda: displaced_state(1.5, 0, 0.1j, basis),
+        "displaced_state_n_bool": lambda: displaced_state(True, 0, 0.1j, basis),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_inputs()))
+def test_bad_argument_raises_validation_error(case):
+    with pytest.raises(ValidationError):
+        _bad_inputs()[case]()
+
+
+def test_each_argument_check_has_one_home():
+    # each shared check and the control-parameter names are defined in one module only
+    import ast
+    from pathlib import Path
+
+    import dlh
+
+    homes = {
+        "_check_count": "errors.py",
+        "_check_positive": "errors.py",
+        "_check_window": "errors.py",
+        "CONTROL_PARAMS": "params.py",
+        "_check_param": "params.py",
+    }
+    found = {}
+    for path in sorted(Path(dlh.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in set(names) & set(homes):
+                found.setdefault(name, []).append(path.name)
+    assert found == {name: [home] for name, home in homes.items()}

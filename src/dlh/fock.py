@@ -47,7 +47,8 @@ class FockBasis:
     """Truncated basis with 0 <= n <= n_max, 0 <= m <= m_max.
 
     Flat index is row-major in (n, m): idx = n * (m_max + 1) + m. The
-    bounds are integers >= 0 (a bool or a float is a ValidationError).
+    bounds are integers >= 0 and sigma is the integer +1 or -1 (a bool or a
+    float is a ValidationError).
     """
 
     n_max: int
@@ -57,8 +58,8 @@ class FockBasis:
     def __post_init__(self):
         for name in ("n_max", "m_max"):
             object.__setattr__(self, name, _check_count(name, getattr(self, name), 0))
-        if self.sigma not in (1, -1):
-            raise ValidationError(f"sigma must be +1 or -1, got {self.sigma}")
+        if not (_is_integer(self.sigma) and self.sigma in (1, -1)):
+            raise ValidationError(f"sigma must be +1 or -1, got {self.sigma!r}")
 
     @property
     def size(self) -> int:
@@ -73,8 +74,8 @@ class FockBasis:
         return n * (self.m_max + 1) + m
 
     def labels(self, idx: int) -> tuple[int, int]:
-        """Inverse of :meth:`index`."""
-        if not 0 <= idx < self.size:
+        """Inverse of :meth:`index`; an index that is not an integer (or is a bool) is outside the basis."""
+        if not (_is_integer(idx) and 0 <= idx < self.size):
             raise ValidationError(f"index {idx} outside basis of size {self.size}")
         return divmod(idx, self.m_max + 1)
 

@@ -557,7 +557,7 @@ def _check_target(target) -> float | None:
         value = float(target)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"target must be a number or None, got {target!r}") from exc
-    if not (math.isfinite(value) and value >= 0.0):
+    if isinstance(target, bool) or not (math.isfinite(value) and value >= 0.0):
         raise ValidationError(f"target must be a finite number >= 0 or None, got {target!r}")
     return value
 

@@ -23,13 +23,16 @@ holds P^p g_x and V holds Q^q g_y (p, q <= n + m_hi), each times its 1-D
 ramp, and each raise takes the small matrix C to S C + i a C S^T (S the
 down-shift) before its 1/sqrt(j) and i factors. :func:`_stack` builds the
 windows of K control points as one stack: the scales l_m, sigma, nu as (K,)
-arrays, the factors (K, 2, N, n + m_hi + 1) with one FFT along the last axis
-per power, and C once per (sigma, n, window), the only things it depends on.
-An overlap is h^2 sum conj(C) o (U^H U') C' (V^H V')^T, broadcast over the
-points, so a Wilson loop, an fd triple or a sign-report window is one batched
-product. The norms come from the Gram (U^H U, V^H V), and so does a bound of
-the 1e-10 frame guard (Cauchy-Schwarz); only a stack the bound cannot clear
-forms exact edges. :func:`window_states` (K = 1) forms U C V^T as fields.
+arrays, the real powers R (K, 2, N, n + m_hi + 1) with one real FFT per
+power, and C once per (sigma, n, window), the only things it depends on.
+The ramp has unit modulus, so it drops out of each point's Gram R^T R and
+out of every |edge|: the norms and a bound of the 1e-10 frame guard
+(Cauchy-Schwarz) read R, and only a stack the bound cannot clear forms exact
+edges. The factors F = R times the ramp (:func:`_ramp`, from two short
+tables) are formed once, for the overlaps between points: h^2 sum conj(C) o
+(U^H U') C' (V^H V')^T, broadcast over the points, so a Wilson loop, an fd
+triple or a sign-report window is one batched product.
+:func:`window_states` (K = 1) forms U C V^T as fields.
 The independent check is :func:`build_state` then :func:`displace_field`.
 
 The oracle operates at desk-scale dimensionless parameters (everything of
@@ -116,6 +119,13 @@ class Grid2D:
         return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.h)
 
     @cached_property
+    def k_half(self) -> np.ndarray:
+        """Wavenumbers of the real FFT, an even grid's Nyquist term set to 0: the derivative of real data is real."""
+        k = 2.0 * np.pi * np.fft.rfftfreq(self.points, d=self.h)
+        k[-1] *= self.points % 2
+        return k
+
+    @cached_property
     def X(self) -> np.ndarray:
         return self.x[:, None]
 
@@ -148,7 +158,10 @@ def default_grid(extent: float = 12.0, points: int = 256) -> Grid2D:
 
 
 def _deriv(grid: Grid2D, f: np.ndarray, axis: int) -> np.ndarray:
-    """Spectral derivative along x (axis -2 of a field), along y (axis -1) or of a 1-D factor."""
+    """Spectral derivative along x (axis -2 of a field), along y (axis -1) or of a 1-D factor (real f: real FFT)."""
+    if not np.iscomplexobj(f):
+        k = grid.k_half[:, None] if axis == -2 else grid.k_half
+        return np.fft.irfft(1j * k * np.fft.rfft(f, axis=axis), grid.points, axis=axis)
     k = grid.k[:, None] if axis == -2 else grid.k
     return np.fft.ifft(1j * k * np.fft.fft(f, axis=axis), axis=axis)
 
@@ -230,16 +243,22 @@ def ground_state(grid: Grid2D, l_m: float) -> WaveField:
     """
     grid.check_adequate(l_m)
     g = _gaussian(grid, l_m, 0.0)
-    return WaveField(grid=grid, values=np.outer(g, g), n=0, m=0, nu=0j, l_m=l_m)
+    return WaveField(grid=grid, values=np.outer(g, g).astype(complex), n=0, m=0, nu=0j, l_m=l_m)
 
 
 def _gaussian(grid: Grid2D, l_m, a) -> np.ndarray:
-    """exp(-(x + a)^2 / (4 l_m^2)) at unit 1-D norm: a factor of the unit-norm 2-D Gaussian.
+    """exp(-(x + a)^2 / (4 l_m^2)) at unit 1-D norm: a real factor of the unit-norm 2-D Gaussian.
 
     l_m and a may be arrays shaped (..., 1), giving one factor per entry.
     """
     g = np.exp(-((grid.x + a) ** 2) / (4.0 * l_m * l_m))
-    return (g / np.sqrt(grid.h * (g[..., None, :] @ g[..., None])[..., 0])).astype(complex)
+    return g / np.sqrt(grid.h * (g[..., None, :] @ g[..., None])[..., 0])
+
+
+def _ramp(grid: Grid2D, rate) -> np.ndarray:
+    """exp(i rate x) on the grid, rate shaped (..., 1): x_j = x_16a + h b, so one outer product of 2 short tables."""
+    coarse, fine = np.exp(1j * rate * grid.x[::16]), np.exp(1j * rate * grid.h * np.arange(16))
+    return (coarse[..., :, None] * fine[..., None, :]).reshape(*coarse.shape[:-1], -1)[..., : grid.points]
 
 
 def apply_level_raise(grid: Grid2D, l_m: float, sigma: int, f: np.ndarray) -> np.ndarray:
@@ -365,21 +384,20 @@ def _stack(grid: Grid2D, config: PhysicalConfig, points, n: int, window: tuple[i
     size, count = n + m_hi + 1, len(l_m)
     l = l_m[:, None, None]
     shift, rate = np.reshape(_displacement(l_m, sigma, nu), (2, 2, count, 1)).swapaxes(1, 2)
-    powers = [_gaussian(grid, l, shift)]  # (K, 2, N): the x and y factors of every point
+    powers = [_gaussian(grid, l, shift)]  # (K, 2, N): the real x and y factors of every point
     for _ in range(1, size):  # P (or Q) in the shifted coordinate
         powers.append(_axis_ladder(grid, l, -1, grid.x + shift, powers[-1], -1))
-    F = np.stack(powers, axis=-1)
-    np.multiply(np.exp(1j * rate * grid.x)[..., None], F, out=F)  # times the phase ramps
+    R = np.stack(powers, axis=-1)
     C = np.where(sigma[:, None, None, None] > 0, _coefficients(1, n, m_lo, m_hi), _coefficients(-1, n, m_lo, m_hi))
-    st = _Stack(grid, l_m, sigma, nu, F, C)  # C per chirality
-    gram = np.moveaxis(F.conj().swapaxes(-1, -2) @ F, 1, 0)  # (U^H U, V^H V) per point, as _overlaps forms it
+    st = _Stack(grid, l_m, sigma, nu, _ramp(grid, rate)[..., None] * R, C)  # C per chirality, F = R times the ramps
+    gram = np.moveaxis(R.swapaxes(-1, -2) @ R, 1, 0)  # (U^H U, V^H V) per point: the unit-modulus ramps drop out
     norms = np.sqrt(np.diagonal(_overlaps(st, st, gram), axis1=1, axis2=2).real)  # (K, m-count)
-    # edge rows: ends[0] V^T; edge columns: ends[1] U^T. Cauchy-Schwarz, max_y |V_yq| <= ||V_q||, bounds them:
-    ends = [F[:, a][:, None, [0, -1]] @ c for a, c in ((0, st.C), (1, st.C.swapaxes(-1, -2)))]
-    cols = np.sqrt(np.diagonal(gram[::-1], axis1=2, axis2=3).real)[:, :, None, None]  # ||V_q||, ||U_q||
+    # |edge rows| = |ends[0] V^T|, |edge columns| = |ends[1] U^T|. Cauchy-Schwarz, max_y |V_yq| <= ||V_q||, bounds them:
+    ends = [R[:, a][:, None, [0, -1]] @ c for a, c in ((0, st.C), (1, st.C.swapaxes(-1, -2)))]
+    cols = np.sqrt(np.diagonal(gram[::-1], axis1=2, axis2=3))[:, :, None, None]  # ||V_q||, ||U_q||
     frame = np.maximum(*((np.abs(e) * c).sum(axis=-1).max(axis=-1) for e, c in zip(ends, cols))) / norms
     if not np.all(frame <= _BOUNDARY_TOL):  # a bound over 1e-10, or NaN: only then form the exact edges
-        frame = _frame_edges(F, ends) / norms
+        frame = _frame_edges(R, ends) / norms
     failed = ~(np.abs(norms - 1.0) <= _DRIFT_TOL) | ~(frame <= _BOUNDARY_TOL)
     for k, i in np.argwhere(failed)[:1]:  # the first in (point, m) order raises, drift before frame
         _check_drift(float(norms[k, i]), f"state (n={n}, m={m_lo + i})")

@@ -44,6 +44,21 @@ def test_basis_bounds_become_plain_ints():
     assert type(basis.n_max) is int and type(basis.m_max) is int and basis.size == 10
 
 
+@pytest.mark.parametrize("sigma", [True, 1.0, np.float64(-1.0)])
+def test_basis_sigma_must_be_an_integer_sign(sigma):
+    with pytest.raises(ValidationError, match="sigma must be"):
+        build_basis(1, 1, sigma=sigma)
+    assert build_basis(1, 1, sigma=np.int64(-1)).ell(0, 1) == -1
+
+
+@pytest.mark.parametrize("idx", [1.5, True, np.float64(2.0)])
+def test_labels_takes_an_integer_index(idx):
+    basis = build_basis(2, 2)
+    with pytest.raises(ValidationError, match="outside basis"):
+        basis.labels(idx)
+    assert basis.labels(np.int64(4)) == (1, 1)
+
+
 def test_angular_momentum_label():
     basis = build_basis(4, 4, sigma=1)
     assert basis.ell(1, 3) == 2

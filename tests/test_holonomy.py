@@ -287,7 +287,7 @@ def test_auto_refinement_and_cap():
         holonomy_path_ordered(C9_LOOP, 0.5, method="midpoint")
 
 
-@pytest.mark.parametrize("target", [-1e-8, float("nan"), float("inf"), -float("inf"), "tight"])
+@pytest.mark.parametrize("target", [-1e-8, float("nan"), float("inf"), -float("inf"), "tight", True, False])
 def test_bad_target_rejected(target):
     with pytest.raises(ValidationError, match="target"):
         holonomy_path_ordered(C9_LOOP, 0.5, target=target)

@@ -207,6 +207,33 @@ def test_window_states_match_spectral_route(request, cfg_desk, grid_name, lam, e
             assert np.abs(w.values - ref.values).max() <= 1e-9
 
 
+@pytest.mark.parametrize("points, extent", [(64, 8.0), (100, 30.0), (128, 14.0), (256, 12.0), (257, 20.0)])
+def test_ramp_from_two_tables_matches_the_direct_exponential(points, extent):
+    # x_j = x_16a + h b for any point count, the product cut back to N
+    grid = Grid2D(extent, points)
+    rate = np.append(np.random.default_rng(points).uniform(-20.0, 20.0, 10), [-20.0, 0.0, 20.0]).reshape(-1, 1)
+    ramp = oracle._ramp(grid, rate)
+    assert ramp.shape == (len(rate), points)
+    assert np.abs(ramp - np.exp(1j * rate * grid.x)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("grid_name", ["grid12", "grid_coarse"])
+def test_real_factors_take_the_real_derivative(request, grid_name):
+    # the real FFT drops the Nyquist term, the only term whose derivative is
+    # imaginary, so it matches the real part of the complex route
+    grid = request.getfixturevalue(grid_name)
+    l, shift = np.array([[0.8], [1.0], [1.3]]), np.array([[-2.0], [0.0], [1.5]])
+    powers = [oracle._gaussian(grid, l, shift)]
+    for _ in range(5):
+        powers.append(oracle._axis_ladder(grid, l, -1, grid.x + shift, powers[-1], -1))
+    field = np.outer(powers[2][1], powers[1][0])
+    for f, axis in [(p, -1) for p in powers] + [(field, -2), (field, -1)]:
+        assert f.dtype == np.float64
+        real, ref = oracle._deriv(grid, f, axis), oracle._deriv(grid, f.astype(complex), axis).real
+        assert real.dtype == np.float64
+        assert np.abs(real - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_window_states_validation(grid_coarse, cfg_desk):
     with pytest.raises(ValidationError):
         window_states(grid_coarse, cfg_desk, (0.3, 0.7, 2.0, 1.0), -1, (0, 1))
@@ -422,7 +449,7 @@ def test_the_frame_bound_is_never_below_the_exact_edges(monkeypatch, cfg_desk, p
 _GOOD, _BAD, _WORSE = (0.3, 0.7, 2.0, 1.0), (0.3, 0.7, 1.6, 1.0), (0.3, 0.7, 1.4, 1.0)
 # stacks whose frame bound exceeds 1e-10, with the outcome of the exact guard
 # alone, which formed every edge (None: it accepts the stack)
-_M2, _M0 = "state (n=1, m=2) reaches the boundary frame at 3.819e-10", "state (n=1, m=0) reaches the boundary frame at 3.382e-10"
+_M2, _M0 = "state (n=1, m=2) reaches the boundary frame at 3.768e-10", "state (n=1, m=0) reaches the boundary frame at 3.382e-10"
 _STRADDLE_CASES = {
     "m2_at_one_point": ([_GOOD, _BAD, _GOOD], 1, (0, 2), _M2),
     "point_before_m": ([_GOOD, _BAD, _WORSE, _GOOD], 1, (0, 2), _M2),

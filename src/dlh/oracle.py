@@ -25,14 +25,14 @@ down-shift) before its 1/sqrt(j) and i factors. :func:`_stack` builds the
 windows of K control points as one stack: the scales l_m, sigma, nu as (K,)
 arrays, the real powers R (K, 2, N, n + m_hi + 1) with one real FFT per
 power, and C once per (sigma, n, window), the only things it depends on.
-The ramp has unit modulus, so it drops out of each point's Gram R^T R and
-out of every |edge|: the norms and a bound of the 1e-10 frame guard
-(Cauchy-Schwarz) read R, and only a stack the bound cannot clear forms exact
-edges. The factors F = R times the ramp (:func:`_ramp`, from two short
-tables) are formed once, for the overlaps between points: h^2 sum conj(C) o
-(U^H U') C' (V^H V')^T, broadcast over the points, so a Wilson loop, an fd
-triple or a sign-report window is one batched product.
-:func:`window_states` (K = 1) forms U C V^T as fields.
+The stack keeps R and each factor's ramp rate. The ramp has unit modulus,
+so it drops out of each point's Gram R^T R and of every |edge|: the norms
+and a bound of the 1e-10 frame guard (Cauchy-Schwarz) read R, and only a
+stack the bound cannot clear forms exact edges. Between points the ramps
+enter only as the relative phase exp(i (rate' - rate) x), so U^H U' is
+R^T diag(cos) R' + i R^T diag(sin) R' on one :func:`_ramp`, and the overlaps
+h^2 sum conj(C) o (U^H U') C' (V^H V')^T are one batched product over slices
+of the stack. Only :func:`window_states` (K = 1) forms F = R times the ramp.
 The independent check is :func:`build_state` then :func:`displace_field`.
 
 The oracle operates at desk-scale dimensionless parameters (everything of
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -332,22 +332,26 @@ def displace_field(grid: Grid2D, scales: DerivedScales, field: WaveField) -> Wav
 
 @dataclass(frozen=True)
 class _Stack:
-    """Fields U_k C[k, i] V_k^T of K displaced m-windows, F[k] = (U_k, V_k) (module docstring)."""
+    """K displaced m-windows from real powers and ramp rates: ramps enter overlaps only as relative phases."""
 
     grid: Grid2D
     l_m: np.ndarray  # (K,): the scales of each point
     sigma: np.ndarray
     nu: np.ndarray
-    F: np.ndarray
+    R: np.ndarray  # (K, 2, N, size), real: F = R times the ramp is formed only in window_states
+    rate: np.ndarray  # (K, 2, 1): the ramp rates along x and y
     C: np.ndarray
 
-    def take(self, idx) -> _Stack:
-        return _Stack(self.grid, *(a[idx] for a in (self.l_m, self.sigma, self.nu, self.F, self.C)))
+    def __getitem__(self, idx) -> _Stack:
+        return _Stack(self.grid, *(a[idx] for a in (self.l_m, self.sigma, self.nu, self.R, self.rate, self.C)))
 
 
 def _overlaps(bras: _Stack, kets: _Stack, gram=None) -> np.ndarray:
     """Overlaps <bras_ki | kets_kj> = h^2 sum conj(C_ki) o (U^H U') C'_kj (V^H V')^T, broadcast over k."""
-    uu, vv = np.moveaxis(bras.F.conj().swapaxes(-1, -2) @ kets.F, 1, 0) if gram is None else gram  # the caller's, if given
+    if gram is None:  # else the caller's; U^H U' = R^T diag(cos) R' + i R^T diag(sin) R' of the relative ramp
+        ramp, rt = _ramp(bras.grid, kets.rate - bras.rate)[..., None], bras.R.swapaxes(-1, -2)
+        gram = rt @ (ramp.real * kets.R) + 1j * (rt @ (ramp.imag * kets.R))
+    uu, vv = np.moveaxis(gram, 1, 0)
     moved = uu[:, None] @ kets.C @ vv[:, None].swapaxes(-1, -2)
     k, m = moved.shape[:2]
     return bras.grid.h ** 2 * (bras.C.conj().reshape(len(bras.C), m, -1) @ moved.reshape(k, m, -1).swapaxes(-1, -2))
@@ -369,9 +373,9 @@ def _coefficients(sigma: int, n: int, m_lo: int, m_hi: int) -> np.ndarray:
     return c
 
 
-def _frame_edges(F: np.ndarray, ends: list) -> np.ndarray:
+def _frame_edges(R: np.ndarray, ends: list) -> np.ndarray:
     """Exact max |field| on the frame per (point, m): the edge rows `ends` of every field times its other factor."""
-    return np.maximum(*(np.abs(e.reshape(len(F), -1, F.shape[-1]) @ F[:, 1 - a].swapaxes(1, 2)).reshape(*e.shape[:2], -1)
+    return np.maximum(*(np.abs(e.reshape(len(R), -1, R.shape[-1]) @ R[:, 1 - a].swapaxes(1, 2)).reshape(*e.shape[:2], -1)
                         .max(axis=-1) for a, e in enumerate(ends)))
 
 
@@ -381,21 +385,20 @@ def _stack(grid: Grid2D, config: PhysicalConfig, points, n: int, window: tuple[i
     n = _check_count("n", n, 0)
     _, sigma, l_m, _, nu = _point_scales(config, points)
     grid.check_adequate(l_m, shift=math.sqrt(2.0) * l_m * np.abs(nu))
-    size, count = n + m_hi + 1, len(l_m)
-    l = l_m[:, None, None]
+    size, count, l = n + m_hi + 1, len(l_m), l_m[:, None, None]
     shift, rate = np.reshape(_displacement(l_m, sigma, nu), (2, 2, count, 1)).swapaxes(1, 2)
-    powers = [_gaussian(grid, l, shift)]  # (K, 2, N): the real x and y factors of every point
-    for _ in range(1, size):  # P (or Q) in the shifted coordinate
-        powers.append(_axis_ladder(grid, l, -1, grid.x + shift, powers[-1], -1))
-    R = np.stack(powers, axis=-1)
+    R = np.empty((count, 2, grid.points, size))  # the real x and y factors of every point
+    R[..., 0] = _gaussian(grid, l, shift)
+    for p in range(1, size):  # P (or Q) in the shifted coordinate
+        R[..., p] = _axis_ladder(grid, l, -1, grid.x + shift, R[..., p - 1], -1)
     C = np.where(sigma[:, None, None, None] > 0, _coefficients(1, n, m_lo, m_hi), _coefficients(-1, n, m_lo, m_hi))
-    st = _Stack(grid, l_m, sigma, nu, _ramp(grid, rate)[..., None] * R, C)  # C per chirality, F = R times the ramps
-    gram = np.moveaxis(R.swapaxes(-1, -2) @ R, 1, 0)  # (U^H U, V^H V) per point: the unit-modulus ramps drop out
+    st = _Stack(grid, l_m, sigma, nu, R, rate, C)  # C per chirality
+    gram = R.swapaxes(-1, -2) @ R  # U^H U and V^H V per point: the unit-modulus ramps drop out
     norms = np.sqrt(np.diagonal(_overlaps(st, st, gram), axis1=1, axis2=2).real)  # (K, m-count)
     # |edge rows| = |ends[0] V^T|, |edge columns| = |ends[1] U^T|. Cauchy-Schwarz, max_y |V_yq| <= ||V_q||, bounds them:
     ends = [R[:, a][:, None, [0, -1]] @ c for a, c in ((0, st.C), (1, st.C.swapaxes(-1, -2)))]
-    cols = np.sqrt(np.diagonal(gram[::-1], axis1=2, axis2=3))[:, :, None, None]  # ||V_q||, ||U_q||
-    frame = np.maximum(*((np.abs(e) * c).sum(axis=-1).max(axis=-1) for e, c in zip(ends, cols))) / norms
+    cols = np.sqrt(np.diagonal(gram, axis1=2, axis2=3))[:, :, None, None]  # ||U_q||, ||V_q||
+    frame = np.maximum(*((np.abs(e) * cols[:, 1 - a]).sum(axis=-1).max(axis=-1) for a, e in enumerate(ends))) / norms
     if not np.all(frame <= _BOUNDARY_TOL):  # a bound over 1e-10, or NaN: only then form the exact edges
         frame = _frame_edges(R, ends) / norms
     failed = ~(np.abs(norms - 1.0) <= _DRIFT_TOL) | ~(frame <= _BOUNDARY_TOL)
@@ -427,8 +430,8 @@ def window_states(
     """
     st = _stack(grid, config, [point], n, window)
     nu, l = complex(st.nu[0]), float(st.l_m[0])
-    values = st.F[0, 0] @ st.C[0] @ st.F[0, 1].T
-    return [WaveField(grid=grid, values=f, n=n, m=window[0] + i, nu=nu, l_m=l) for i, f in enumerate(values)]
+    U, V = _ramp(grid, st.rate[0])[..., None] * st.R[0]  # F: the one place the factors are formed
+    return [WaveField(grid=grid, values=f, n=n, m=window[0] + i, nu=nu, l_m=l) for i, f in enumerate(U @ st.C[0] @ V.T)]
 
 
 def apply_angular_momentum(grid: Grid2D, hbar: float, f: np.ndarray) -> np.ndarray:
@@ -519,7 +522,7 @@ def _fd_matrices(grid: Grid2D, config: PhysicalConfig, params, point, n: int, wi
         _check_param(param)
     pts = [point] + [_shifted_point(point, p, d) for p in params for d in (h_step, -h_step)]
     st = _stack(grid, config, pts, n, window)
-    shifted = _overlaps(st.take([0]), st.take(range(1, len(pts))))  # <point | +h>, <point | -h>, ...
+    shifted = _overlaps(st[:1], st[1:])  # <point | +h>, <point | -h>, ...
     return 1j * (shifted[0::2] - shifted[1::2]) / (2.0 * h_step)
 
 
@@ -561,19 +564,15 @@ def wilson_loop_oracle(
     _require_closed(path)
     steps = _check_count("steps", steps, 8)
     window = _check_window(window)
-    size = window[1] - window[0] + 1
     if float(path.segment_lengths.sum()) == 0.0:
         # constant path: every link is the Gram matrix of one frame, identity
-        return WilsonResult(np.eye(size, dtype=complex), 0, window, 1.0)
+        return WilsonResult(np.eye(window[1] - window[0] + 1, dtype=complex), 0, window, 1.0)
     counts = path._allocation(steps)
     pts = _nodes(path.vertices[:-1], path.vertices[1:], counts, *_runs(counts), [0.0]).reshape(-1, 4)
     st = _stack(grid, config, pts, n, window)
-    links = _overlaps(st, st.take([*range(1, len(pts)), 0]))  # each point with the next
+    links = np.concatenate([_overlaps(st[:-1], st[1:]), _overlaps(st[-1:], st[:1])])  # point k with k + 1 mod K
     smallest = float(np.linalg.svd(links, compute_uv=False)[:, -1].min())
-    product = np.eye(size, dtype=complex)
-    for link in links:
-        product = product @ link
-    gamma = unitarize(product).conj().T
+    gamma = unitarize(reduce(np.matmul, links)).conj().T  # the product in path order
     return WilsonResult(gamma, len(pts), window, smallest)
 
 

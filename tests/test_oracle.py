@@ -166,6 +166,17 @@ def test_fd_matrix_hermitian(grid12, cfg_desk):
     assert np.abs(np.diag(A).imag).max() < 1e-6
 
 
+@pytest.mark.parametrize("points", [128, 256])
+def test_diagonal_fd_entries_are_real_at_the_operating_point(points):
+    # the sign report's diagonal entries: with the ramps taken as relative
+    # phases no product of absolute ramps rounds into their imaginary parts
+    cfg = oracle.OPERATING_CONFIG
+    point = (cfg.Ex_prime, cfg.Ey_prime, cfg.lambda_density, cfg.B)
+    for param in ("Ex_prime", "Ey_prime"):
+        entry = fd_connection_matrix(default_grid(points=points), cfg, param, point, 0, (0, 0))[0, 0]
+        assert abs(entry.imag) <= 1e-14 and abs(entry.real) > 0.01
+
+
 def test_window_states_match_pipeline(grid12, cfg_desk):
     point = (0.2, -0.1, 2.0, 1.0)
     ws = window_states(grid12, cfg_desk, point, 1, (1, 3))
@@ -269,40 +280,94 @@ def _per_entry(grid, bras, kets):
     return np.array([[grid.overlap(b.values, k.values) for k in kets] for b in bras])
 
 
-def test_fd_matrix_matches_per_entry_overlaps(grid_coarse, cfg_desk):
-    # the stacked overlaps against per-entry overlaps of the materialized
-    # fields; the fd matrix is their quotient, which divides rounding by 2h
-    point, h = (0.3, 0.7, 2.0, 1.0), 1e-3
+def _largest_rates(grid, config, pts, n, window, scale=1.05) -> float:
+    """The largest |ramp rate| of a stack the grid accepts, whose points with fields `scale` times as large it refuses."""
+    with pytest.raises(ValidationError):
+        oracle._stack(grid, config, [(scale * ex, scale * ey, lam, b) for ex, ey, lam, b in pts], n, window)
+    return float(np.abs(oracle._stack(grid, config, pts, n, window).rate).max())
+
+
+def _pin_fd_matrix(grid, config, point, h=1e-3):
+    # the stacked overlaps, which take the ramps as relative phases, against
+    # per-entry overlaps of the fields formed with their own ramps; the fd
+    # matrix is their quotient, which divides rounding by 2h
     for param in ("Ey_prime", "B"):
         pts = [point] + [oracle._shifted_point(point, param, d) for d in (h, -h)]
-        stack = oracle._stack(grid_coarse, cfg_desk, pts, 1, (0, 3))
-        bras, plus, minus = (window_states(grid_coarse, cfg_desk, p, 1, (0, 3)) for p in pts)
-        pinned = oracle._overlaps(stack.take([0]), stack.take([1, 2]))
+        stack = oracle._stack(grid, config, pts, 1, (0, 3))
+        bras, plus, minus = (window_states(grid, config, p, 1, (0, 3)) for p in pts)
+        pinned = oracle._overlaps(stack[:1], stack[1:])
         for got, kets in zip(pinned, (plus, minus)):
-            assert np.abs(got - _per_entry(grid_coarse, bras, kets)).max() <= 1e-14
-        fd = fd_connection_matrix(grid_coarse, cfg_desk, param, point, 1, (0, 3), h_step=h)
+            assert np.abs(got - _per_entry(grid, bras, kets)).max() <= 1e-14
+        fd = fd_connection_matrix(grid, config, param, point, 1, (0, 3), h_step=h)
         assert np.array_equal(fd, 1j * (pinned[0] - pinned[1]) / (2 * h))
-        want = 1j * (_per_entry(grid_coarse, bras, plus) - _per_entry(grid_coarse, bras, minus)) / (2 * h)
+        want = 1j * (_per_entry(grid, bras, plus) - _per_entry(grid, bras, minus)) / (2 * h)
         assert np.abs(fd - want).max() <= 2e-14 / (2 * h)
 
 
-def test_wilson_links_match_per_entry_overlaps(grid_coarse, cfg_natural):
-    # a square with 16 links: four equally spaced samples per side
-    loop = rectangle_loop("Ex_prime", "Ey_prime", (0.0, 0.3), (0.2, 0.5), (0, 0, 1.0, 1.0))
+def _pin_wilson_links(grid, config, corner):
+    # a square of side 0.3 with 16 links: four equally spaced samples per side
+    ex, ey = corner[:2]
+    loop = rectangle_loop("Ex_prime", "Ey_prime", (ex, ex + 0.3), (ey, ey + 0.3), corner)
     pts = [a + t * (b - a) for a, b in zip(loop.vertices[:-1], loop.vertices[1:]) for t in (0, 0.25, 0.5, 0.75)]
-    stack = oracle._stack(grid_coarse, cfg_natural, pts, 0, (0, 1))
-    links = oracle._overlaps(stack, stack.take([*range(1, len(pts)), 0]))
-    frames = [window_states(grid_coarse, cfg_natural, p, 0, (0, 1)) for p in pts]
+    stack = oracle._stack(grid, config, pts, 0, (0, 1))
+    links = oracle._overlaps(stack, stack[[*range(1, len(pts)), 0]])
+    frames = [window_states(grid, config, p, 0, (0, 1)) for p in pts]
     product, smallest = np.eye(2, dtype=complex), np.inf
     for k, (prev, cur) in enumerate(zip(frames, frames[1:] + frames[:1])):
-        link = _per_entry(grid_coarse, prev, cur)
+        link = _per_entry(grid, prev, cur)
         assert np.abs(links[k] - link).max() <= 1e-14
         smallest = min(smallest, np.linalg.svd(link, compute_uv=False)[-1])
         product = product @ link
-    res = wilson_loop_oracle(grid_coarse, cfg_natural, loop, n=0, window=(0, 1), steps=16)
+    res = wilson_loop_oracle(grid, config, loop, n=0, window=(0, 1), steps=16)
     assert res.points == 16
     assert np.abs(res.matrix - unitarize(product).conj().T).max() <= 1e-14
     assert abs(res.smallest_overlap_singular - smallest) <= 1e-14
+    return pts
+
+
+def test_fd_matrix_matches_per_entry_overlaps(grid_coarse, cfg_desk):
+    _pin_fd_matrix(grid_coarse, cfg_desk, (0.3, 0.7, 2.0, 1.0))
+
+
+def test_wilson_links_match_per_entry_overlaps(grid_coarse, cfg_natural):
+    _pin_wilson_links(grid_coarse, cfg_natural, (0.0, 0.2, 1.0, 1.0))
+
+
+# on the 256-point grid, near the frame at the finest l_m its spacing
+# resolves (lambda 14, B 1), both chiralities: ramp rates alpha E / 2 hbar up
+# to 27.25, a relative phase of about 2.6 per grid step
+@pytest.mark.parametrize("point", [(-20.0, 105.0, 14.0, 1.0), (108.0, 0.0, -14.0, 1.0)])
+def test_fd_matrix_matches_per_entry_overlaps_at_the_largest_rates(grid12, cfg_desk, point):
+    assert _largest_rates(grid12, cfg_desk, [point], 1, (0, 3)) >= 26.0
+    _pin_fd_matrix(grid12, cfg_desk, point)
+
+
+def test_wilson_links_match_per_entry_overlaps_at_the_largest_rates(grid12, cfg_natural):
+    # a square at lambda 7 near the frame: ramp rates up to 28.65
+    pts = _pin_wilson_links(grid12, cfg_natural, (0.0, 57.0, 7.0, 1.0))
+    assert _largest_rates(grid12, cfg_natural, pts, 0, (0, 1)) >= 28.0
+
+
+def test_the_stack_keeps_real_powers_and_rates():
+    # the factors F = R times the ramp are formed by window_states alone; the
+    # stack holds R and the rates, and overlaps take the ramps' differences
+    import ast
+
+    tree = ast.parse(open(oracle.__file__).read())
+    stack = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Stack")
+    fields = [stmt.target.id for stmt in stack.body if isinstance(stmt, ast.AnnAssign)]
+    assert fields == ["grid", "l_m", "sigma", "nu", "R", "rate", "C"]
+    callers = {
+        stmt.name
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_ramp"
+    }
+    assert callers == {"_overlaps", "window_states"}
+    st = oracle._stack(default_grid(), oracle.OPERATING_CONFIG, [(0.3, 0.7, 2.0, 1.0)] * 2, 1, (0, 2))
+    assert st.R.dtype == st.rate.dtype == np.float64
+    assert st.R.shape == (2, 2, 256, 4) and st.rate.shape == (2, 2, 1)
+    assert np.shares_memory(st[1:].R, st.R)  # a slice pairs points without a copy
 
 
 def test_a_stack_equals_its_one_point_stacks(grid12, cfg_desk):
@@ -310,11 +375,11 @@ def test_a_stack_equals_its_one_point_stacks(grid12, cfg_desk):
     pts = [(0.3, 0.7, 2.0, 1.0), (0.9, -1.6, -2.0, 1.0), (-0.4, 0.2, 1.5, 1.2)]
     stack = oracle._stack(grid12, cfg_desk, pts, 1, (0, 2))
     singles = [oracle._stack(grid12, cfg_desk, [p], 1, (0, 2)) for p in pts]
-    for name in ("l_m", "sigma", "nu"):
+    for name in ("l_m", "sigma", "nu", "rate"):
         assert np.array_equal(getattr(stack, name), np.concatenate([getattr(s, name) for s in singles]))
-    assert np.abs(stack.F - np.concatenate([s.F for s in singles])).max() <= 1e-15
+    assert np.abs(stack.R - np.concatenate([s.R for s in singles])).max() <= 1e-15
     assert np.abs(stack.C - np.concatenate([s.C for s in singles])).max() <= 1e-15
-    links = oracle._overlaps(stack, stack.take([1, 2, 0]))
+    links = oracle._overlaps(stack, stack[[1, 2, 0]])
     for k, link in enumerate(links):
         assert np.abs(link - oracle._overlaps(singles[k], singles[(k + 1) % 3])[0]).max() <= 1e-15
 
@@ -386,11 +451,11 @@ def _bound_and_edges(st):
     max_y |V_yq| <= ||V_q||, so sum_q |ends_q| ||V_q|| bounds an edge; the
     column norms are taken here with np.linalg.norm, not from a Gram.
     """
-    ends = [st.F[:, a][:, None, [0, -1]] @ c for a, c in ((0, st.C), (1, st.C.swapaxes(-1, -2)))]
-    cols = np.linalg.norm(st.F, axis=2)  # (K, 2, size): ||U_q|| and ||V_q||
+    ends = [st.R[:, a][:, None, [0, -1]] @ c for a, c in ((0, st.C), (1, st.C.swapaxes(-1, -2)))]
+    cols = np.linalg.norm(st.R, axis=2)  # (K, 2, size): ||U_q|| and ||V_q||, the unit-modulus ramps left out
     bound = np.maximum(*((np.abs(e) * cols[:, 1 - a, None, None]).sum(axis=-1).max(axis=-1)
                          for a, e in enumerate(ends)))
-    return bound, oracle._frame_edges(st.F, ends)
+    return bound, oracle._frame_edges(st.R, ends)
 
 
 def _counting_edges(monkeypatch) -> list:
@@ -531,6 +596,69 @@ def test_wilson_validation(grid12, cfg_natural):
     const = hol.ParameterPath(np.array([[0.0, 0.5, 1.0, 1.0]] * 3))
     with pytest.raises(ValidationError, match="window"):
         wilson_loop_oracle(grid12, cfg_natural, const, window=(3, 1))
+
+
+# quadrilaterals through all four parameters, 16 links a side, whose holonomy
+# is not diagonal; the quarter turn and the mirror map the 256-point square
+# grid onto itself and reversal reverses the links, so each relation holds to
+# rounding, with no discretization error
+_SYMMETRY_LOOPS = [
+    [(0.1, 0.2, 1.0, 1.0), (0.5, 0.1, 1.2, 1.0), (0.6, 0.5, 1.2, 1.2), (0.2, 0.6, 1.0, 1.2)],
+    [(-0.3, 0.4, 1.2, 0.9), (0.2, -0.2, 1.0, 1.1), (0.7, 0.3, 1.3, 1.0), (0.1, 0.9, 1.1, 1.2)],
+    [(0.8, -0.6, 1.0, 1.0), (1.2, 0.1, 1.5, 1.0), (0.4, 0.7, 1.5, 1.3), (-0.2, -0.1, 1.0, 1.3)],
+]
+
+
+def _closed(vertices) -> ParameterPath:
+    return ParameterPath(np.array(vertices + vertices[:1], dtype=float))
+
+
+def _wilson_of(grid, config, vertices):
+    res = wilson_loop_oracle(grid, config, _closed(vertices), n=0, window=(0, 1), steps=64)
+    assert res.points == 64
+    return res.matrix
+
+
+@pytest.mark.parametrize("loop", range(len(_SYMMETRY_LOOPS)))
+def test_symmetry_loops_match_the_engine(grid12, cfg_natural, loop):
+    # the loops of the symmetry checks carry the physical holonomy, within C6's 1e-4
+    vertices = _SYMMETRY_LOOPS[loop]
+    u = derive_scales(cfg_natural).u
+    exact = holonomy_path_ordered(_closed(vertices), u, window=(0, 1), target=1e-10, method="magnus").matrix
+    gamma = _wilson_of(grid12, cfg_natural, vertices)
+    assert np.abs(gamma - exact).max() <= 1e-4
+    assert np.abs(gamma - np.diag(np.diag(gamma))).max() > 1e-2
+
+
+@pytest.mark.parametrize("loop", range(len(_SYMMETRY_LOOPS)))
+def test_wilson_loop_quarter_turn(grid12, cfg_natural, loop):
+    # (Ex', Ey') -> (-Ey', Ex') multiplies Ey' - i Ex' by i: Gamma -> R Gamma R^dag, R = diag(i^m)
+    vertices = _SYMMETRY_LOOPS[loop]
+    gamma = _wilson_of(grid12, cfg_natural, vertices)
+    turned = _wilson_of(grid12, cfg_natural, [(-ey, ex, lam, b) for ex, ey, lam, b in vertices])
+    right, wrong = np.diag([1.0, 1j]), np.diag([1.0, -1j])
+    assert np.abs(turned - right @ gamma @ right.conj().T).max() <= 1e-12
+    assert np.abs(turned - wrong @ gamma @ wrong.conj().T).max() > 1e-3
+
+
+@pytest.mark.parametrize("loop", range(len(_SYMMETRY_LOOPS)))
+def test_wilson_loop_mirror(grid12, cfg_natural, loop):
+    # Ey' -> -Ey' sends each generator Theta to -conj(Theta): Gamma -> conj(Gamma)
+    vertices = _SYMMETRY_LOOPS[loop]
+    gamma = _wilson_of(grid12, cfg_natural, vertices)
+    mirrored = _wilson_of(grid12, cfg_natural, [(ex, -ey, lam, b) for ex, ey, lam, b in vertices])
+    assert np.abs(mirrored - gamma.conj()).max() <= 1e-12
+    assert np.abs(gamma - gamma.conj()).max() > 1e-3
+
+
+@pytest.mark.parametrize("loop", range(len(_SYMMETRY_LOOPS)))
+def test_wilson_loop_reversal(grid12, cfg_natural, loop):
+    # the same loop from the same vertex, the other way round: Gamma -> Gamma^dag
+    vertices = _SYMMETRY_LOOPS[loop]
+    gamma = _wilson_of(grid12, cfg_natural, vertices)
+    reversed_ = _wilson_of(grid12, cfg_natural, vertices[:1] + vertices[:0:-1])
+    assert np.abs(reversed_ - gamma.conj().T).max() <= 1e-12
+    assert np.abs(gamma - gamma.conj().T).max() > 1e-3
 
 
 _RECTANGLE = [(0, 0, 1, 1), (0.3, 0, 1, 1), (0.3, 0.4, 1, 1), (0, 0.4, 1, 1), (0, 0, 1, 1)]

@@ -38,7 +38,6 @@ _EXPORTS = {
         "PhysicalConfig",
         "DerivedScales",
         "RegimeReport",
-        "NATURAL_DESK",
         "derive_scales",
         "validate_regime",
     ),
@@ -84,8 +83,6 @@ _EXPORTS = {
         "abelian_phase",
         "loop_area_integral",
         "area_closed_form",
-        "line_integral_area_check",
-        "commuting_angle",
         "commuting_holonomy",
         "holonomy_path_ordered",
         "unordered_holonomy",
@@ -99,8 +96,6 @@ _EXPORTS = {
         "default_grid",
         "ground_state",
         "displace_field",
-        "pipeline_state",
-        "berry_connection_fd",
         "fd_connection_matrix",
         "wilson_loop_oracle",
         "sign_convention_report",

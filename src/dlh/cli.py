@@ -94,7 +94,7 @@ _PARAM_ALIASES = {
 }
 
 _CORNERS = ("Ey1", "Ey2", "lam1", "lam2", "B1", "B2")
-_SWEEP_AXES = ("area", *_CORNERS, "steps")
+_SWEEP_AXES = ("area", *_CORNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +605,7 @@ def _cmd_sweep(args) -> int:
 
     def run_combo(combo: tuple[float, ...]) -> dict:
         row = dict(zip(names, combo))
-        steps = row.get("steps", args.steps)
-        if not float(steps).is_integer():
-            raise ValidationError(f"swept steps must be integers, got {steps}")
-        spec = replace(base, **{k: v for k, v in row.items() if k != "steps"})
+        spec = replace(base, **row)
         loop = spec.path(config)
         if kind == "C1_rectangle":
             phases = _holonomy.abelian_phase(loop, scales.u)
@@ -618,7 +615,7 @@ def _cmd_sweep(args) -> int:
                 "gamma_line_integral": phases.gamma_line_integral,
                 "gamma_area_law": phases.gamma_area_law,
             }
-        result = _holonomy.holonomy_path_ordered(loop, scales.u, window=args.window, steps=int(steps), target=None)
+        result = _holonomy.holonomy_path_ordered(loop, scales.u, window=args.window, steps=args.steps, target=None)
         return row | {
             "S_closed_form": spec.closed_form(),
             "identity_distance": max_abs(result.matrix, np.eye(len(result.matrix))),
@@ -732,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="AXIS=V1,V2,...",
-        help="axis to sweep (repeatable); axes: area (C1) or Ey1, Ey2, lam1, lam2, B1, B2, steps",
+        help="axis to sweep (repeatable); axes: area (C1) or Ey1, Ey2, lam1, lam2, B1, B2",
     )
     p.set_defaults(func=_cmd_sweep)
 

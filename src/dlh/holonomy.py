@@ -6,10 +6,10 @@ here, in increasing generality:
 * :func:`abelian_phase` for loops confined to the in-plane field components
   at fixed lambda and B, where the connection is diagonal and the phase is
   curvature times signed area.
-* :func:`commuting_angle` / :func:`commuting_holonomy` for loops at
-  Ex' = 0, where every step generator is a real multiple of one fixed
-  tridiagonal matrix T (T_{m+1,m} = sqrt(m+1)) and the path-ordered product
-  collapses to exp(i S T / (4u)) with S the loop functional
+* :func:`commuting_holonomy` for loops at Ex' = 0, where every step
+  generator is a real multiple of one fixed tridiagonal matrix T
+  (T_{m+1,m} = sqrt(m+1)) and the path-ordered product collapses to
+  exp(i S T / (4u)) with S the loop functional
   S = closed-integral of (lambda B)^(-1/2) dEy'.
 * :func:`holonomy_path_ordered` for arbitrary loops, segment by segment.
   With ``method="auto"``, a segment whose step generators commute (the
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import _span_exp, max_abs
-from .connection import _generator_scalars, _lowering_pattern, _unpack, abelian_curvature
+from .connection import _generator_scalars, _unpack, abelian_curvature
 from .errors import ConvergenceError, ValidationError, _check_count, _check_positive, _check_window
 from .params import CONTROL_PARAMS
 
@@ -61,8 +61,6 @@ __all__ = [
     "abelian_phase",
     "loop_area_integral",
     "area_closed_form",
-    "line_integral_area_check",
-    "commuting_angle",
     "commuting_holonomy",
     "HolonomyResult",
     "DEFAULT_STEPS",
@@ -339,31 +337,6 @@ def area_closed_form(kind: str, ey_range, lam_range, b_range) -> float:
     raise ValidationError(f"kind must be ABCHEFA, ABCHGFA or ADCHEFA, got {kind!r}")
 
 
-def line_integral_area_check(kind: str, ey_range, lam_range, b_range, ex: float = 0.0) -> dict:
-    """Quadrature vs closed form of the loop functional S for one itinerary."""
-    path = box_loop(kind, ey_range, lam_range, b_range, ex=ex)
-    quad = loop_area_integral(path)
-    closed = area_closed_form(kind, ey_range, lam_range, b_range)
-    return {
-        "kind": kind,
-        "quadrature": quad,
-        "closed_form": closed,
-        "deviation": abs(quad - closed),
-    }
-
-
-def commuting_angle(area: float, u: float, window: tuple[int, int]) -> np.ndarray:
-    """Angle matrix (S / 4u) T for an Ex' = 0 loop with functional S.
-
-    T = L + L^T is the symmetric sqrt(m+1) tridiagonal on the window. The
-    prefactor 1/(4u) is unit invariant; it equals 2u exactly when
-    hbar = alpha.
-    """
-    _check_positive("u", u)
-    L = _lowering_pattern(window)
-    return (float(area) / (4.0 * u)) * (L + L.T)
-
-
 def commuting_holonomy(area: float, u: float, window: tuple[int, int]) -> np.ndarray:
     """exp(i (S / 4u) T), the closed-form holonomy of an Ex' = 0 loop: phi = 0, zeta = S / 4u."""
     _check_positive("u", u)
@@ -543,12 +516,6 @@ class HolonomyResult:
     rounds: int
     steps_taken: int
 
-    @property
-    def phase_angle(self) -> float:
-        if self.matrix.shape != (1, 1):
-            raise ValidationError("phase_angle is defined only for a 1x1 window")
-        return float(np.angle(self.matrix[0, 0]))
-
 
 def _check_target(target) -> float | None:
     if target is None:
@@ -606,7 +573,6 @@ def holonomy_path_ordered(
     window: tuple[int, int] = (0, 3),
     steps: int = DEFAULT_STEPS,
     target: float | None = 1e-7,
-    step_cap: int = _STEP_CAP,
     method: str = "auto",
 ) -> HolonomyResult:
     """Path-ordered product of step exponentials around a closed loop.
@@ -622,14 +588,15 @@ def holonomy_path_ordered(
     exactly half the count on every segment, and
     diff = max |U(steps) - U(steps // 2)|. While convergence_estimate (see
     :class:`HolonomyResult`) exceeds `target`, the count of every segment
-    doubles, the previous product becoming the new shadow, up to `step_cap`
-    (target=None disables refinement). A batch builds the next r doublings at
-    once: the fewest at which the estimate would meet the target if each
-    diff fell 16x, at most 3 and none past the cap. The rounds are walked one
-    product at a time and the products after the one that meets the target
-    are discarded, so every result is that of one product per round.
-    `steps` must be an integer >= 16 and `step_cap` an integer
-    >= `steps`, else ValidationError before any work.
+    doubles, the previous product becoming the new shadow, up to the step
+    cap 2^20 (target=None disables refinement). A batch builds the next r
+    doublings at once: the fewest at which the estimate would meet the
+    target if each diff fell 16x, at most 3 and none past the cap. The rounds
+    are walked one product at a time and the products after the one that
+    meets the target are discarded, so every result is that of one product
+    per round.
+    `steps` must be an integer from 16 to the step cap, else ValidationError
+    before any work.
     ConvergenceError is raised at the cap, or at once when a doubling fails
     to halve a difference that is already within a thousand roundings per
     step: the estimate has then reached its rounding floor.
@@ -639,21 +606,20 @@ def holonomy_path_ordered(
     """
     target = _check_target(target)
     steps = _check_steps(steps)
-    step_cap = _check_count("step_cap", step_cap, 16)
-    if steps > step_cap:
-        raise ValidationError(f"steps must be <= step_cap = {step_cap}, got {steps}")
+    if steps > _STEP_CAP:
+        raise ValidationError(f"steps must be <= the step cap {_STEP_CAP}, got {steps}")
     counts, verts = _first_counts(path, u, steps, method), path.vertices
     integrated = method != "auto" or not _commuting_segments(verts[:-1], verts[1:]).all()
     current, *shadow = _ordered_products(path, u, window, [counts, counts // 2][: 1 + integrated], method)
     diff = max_abs(current, shadow[0]) if shadow else 0.0
     estimate, rounds, batch = diff, 0, []
     while target is not None and estimate > target:
-        if 2 * steps > step_cap:
+        if 2 * steps > _STEP_CAP:
             raise ConvergenceError(
-                f"holonomy estimate {estimate:.3e} above target {target:.3e} at step cap {step_cap}"
+                f"holonomy estimate {estimate:.3e} above target {target:.3e} at step cap {_STEP_CAP}"
             )
         if not batch:
-            ahead = _doublings(diff, target, (step_cap // steps).bit_length() - 1)
+            ahead = _doublings(diff, target, (_STEP_CAP // steps).bit_length() - 1)
             batch = _ordered_products(path, u, window, [counts * 2**k for k in range(1, ahead + 1)], method)
         steps, counts, rounds = 2 * steps, 2 * counts, rounds + 1
         coarse, current = current, batch.pop(0)

@@ -66,12 +66,10 @@ __all__ = [
     "apply_radial_lower",
     "build_state",
     "displace_field",
-    "pipeline_state",
     "window_states",
     "apply_angular_momentum",
     "apply_base_hamiltonian",
     "apply_uniform_field_hamiltonian",
-    "berry_connection_fd",
     "fd_connection_matrix",
     "WilsonResult",
     "wilson_loop_oracle",
@@ -409,24 +407,17 @@ def _stack(grid: Grid2D, config: PhysicalConfig, points, n: int, window: tuple[i
     return st
 
 
-def pipeline_state(grid: Grid2D, config: PhysicalConfig, point, n: int, m: int) -> WaveField:
-    """Displaced (n, m) field at a control point: one field of :func:`window_states`.
-
-    Every state on one grid comes from the same closed-form pipeline
-    (shifted ground Gaussian -> raises -> phase ramp), so the family is
-    smooth in the control parameters and finite differences of it measure
-    the connection in a fixed gauge.
-    """
-    return window_states(grid, config, point, n, (m, m))[0]
-
-
 def window_states(
     grid: Grid2D, config: PhysicalConfig, point, n: int, window: tuple[int, int]
 ) -> list[WaveField]:
     """Displaced fields for every m in the window, formed as U C V^T from its 1-D factors.
 
-    Built without a translation FFT: the raising operators act in the
-    shifted coordinates on the shifted Gaussian (module docstring).
+    Every state on one grid comes from the same closed-form pipeline
+    (shifted ground Gaussian -> raises -> phase ramp), so the family is
+    smooth in the control parameters and finite differences of it measure
+    the connection in a fixed gauge. Built without a translation FFT: the
+    raising operators act in the shifted coordinates on the shifted
+    Gaussian (module docstring).
     """
     st = _stack(grid, config, [point], n, window)
     nu, l = complex(st.nu[0]), float(st.l_m[0])
@@ -480,28 +471,6 @@ def _shifted_point(point, param: str, delta: float) -> tuple[float, float, float
     return tuple(p)
 
 
-def berry_connection_fd(
-    grid: Grid2D,
-    config: PhysicalConfig,
-    param: str,
-    point,
-    n: int,
-    m_row: int,
-    m_col: int,
-    h_step: float = 1e-3,
-) -> complex:
-    """Central-difference connection element i <psi_row | d/dxi | psi_col>.
-
-    One entry of :func:`fd_connection_matrix` on the window spanning both
-    indices. The derivative acts on the full pipeline state, so for xi in
-    {lambda, B} it includes the basis rescaling through l_m, not just the
-    motion of nu. Truncation error is O(h_step^2); halving h_step is the
-    Richardson check used in the tests.
-    """
-    lo, hi = min(m_row, m_col), max(m_row, m_col)
-    return complex(fd_connection_matrix(grid, config, param, point, n, (lo, hi), h_step)[m_row - lo, m_col - lo])
-
-
 def fd_connection_matrix(
     grid: Grid2D,
     config: PhysicalConfig,
@@ -511,7 +480,14 @@ def fd_connection_matrix(
     window: tuple[int, int],
     h_step: float = 1e-3,
 ) -> np.ndarray:
-    """Finite-difference connection matrix over an m-window: 1j (<b|p> - <b|m>) / (2 h_step)."""
+    """Finite-difference connection matrix over an m-window: 1j (<b|p> - <b|m>) / (2 h_step).
+
+    Entry [row - m_lo, col - m_lo] is i <psi_row | d/dxi | psi_col>. The
+    derivative acts on the full pipeline state, so for xi in {lambda, B} it
+    includes the basis rescaling through l_m, not just the motion of nu.
+    Truncation error is O(h_step^2); halving h_step is the Richardson check
+    used in the tests.
+    """
     return _fd_matrices(grid, config, (param,), point, n, window, h_step)[0]
 
 
@@ -580,20 +556,16 @@ def _c2(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def sign_convention_report(
-    config: PhysicalConfig | None = None,
-    grid: Grid2D | None = None,
-    h_step: float = 1e-3,
-) -> dict:
+def sign_convention_report(config: PhysicalConfig | None = None, grid: Grid2D | None = None) -> dict:
     """Measure the connection sign conventions and curvature on the grid.
 
-    Finite differences fix the relative sign of the two diagonal components
-    and the sign and prefactor of the off-diagonal band; a small Wilson
-    rectangle measures the curvature constant, which is compared against
-    the closed form +1/(8 u^2 lambda B) and against the area-law
-    coefficient -1/(16 u^2 lambda B) (factor -2: magnitude 2 and opposite
-    orientation). The rejected sign variants are evaluated on the same
-    measurements so the report shows how far off each one is.
+    Finite differences (h_step 1e-3) fix the relative sign of the two
+    diagonal components and the sign and prefactor of the off-diagonal band;
+    a small Wilson rectangle measures the curvature constant, which is
+    compared against the closed form +1/(8 u^2 lambda B) and against the
+    area-law coefficient -1/(16 u^2 lambda B) (factor -2: magnitude 2 and
+    opposite orientation). The rejected sign variants are evaluated on the
+    same measurements so the report shows how far off each one is.
     """
     if config is None:
         config = OPERATING_CONFIG
@@ -604,6 +576,7 @@ def sign_convention_report(
     ex, ey, lam, b = point
 
     # one stack per window: the diagonal entries (0, 0) and the band entries (1, 0)
+    h_step = 1e-3
     fd_ex, fd_ey = map(complex, _fd_matrices(grid, config, CONTROL_PARAMS[:2], point, 0, (0, 0), h_step)[:, 0, 0])
     fd_lam, fd_b = map(complex, _fd_matrices(grid, config, CONTROL_PARAMS[2:], point, 0, (0, 1), h_step)[:, 1, 0])
 

@@ -33,7 +33,6 @@ __all__ = [
     "RegimeReport",
     "derive_scales",
     "validate_regime",
-    "NATURAL_DESK",
 ]
 
 
@@ -95,10 +94,6 @@ class PhysicalConfig:
         return replace(
             self, Ex_prime=float(Ex), Ey_prime=float(Ey), lambda_density=float(lam), B=float(B)
         )
-
-
-# Desk-scale reference: natural units with omega = 1, sigma = +1, u = 1/sqrt(8).
-NATURAL_DESK = PhysicalConfig(mass=1.0, alpha=1.0, hbar=1.0, lambda_density=1.0, B=1.0)
 
 
 @dataclass(frozen=True)
@@ -182,11 +177,11 @@ class RegimeReport:
         return self.verdict == "pass"
 
 
-def validate_regime(
-    config: PhysicalConfig,
-    mass_threshold: float = 1e-6,
-    energy_threshold: float = 1e-20,
-) -> RegimeReport:
+_MASS_THRESHOLD = 1e-6
+_ENERGY_THRESHOLD = 1e-20
+
+
+def validate_regime(config: PhysicalConfig) -> RegimeReport:
     """Screen the approximation regime of the effective Hamiltonian.
 
     The effective single-particle picture drops a term quadratic in the fields
@@ -198,11 +193,11 @@ def validate_regime(
     ratio = config.alpha * config.B**2 / config.mass
     e2 = config.Ex_prime**2 + config.Ey_prime**2
     energy = 0.5 * config.alpha * e2
-    verdict = "pass" if (ratio < mass_threshold and energy < energy_threshold) else "warn"
+    verdict = "pass" if (ratio < _MASS_THRESHOLD and energy < _ENERGY_THRESHOLD) else "warn"
     return RegimeReport(
         mass_correction_ratio=ratio,
         dipole_energy=energy,
-        mass_threshold=mass_threshold,
-        energy_threshold=energy_threshold,
+        mass_threshold=_MASS_THRESHOLD,
+        energy_threshold=_ENERGY_THRESHOLD,
         verdict=verdict,
     )

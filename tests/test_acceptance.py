@@ -35,7 +35,6 @@ from dlh.holonomy import (
     box_loop,
     convergence_series,
     holonomy_path_ordered,
-    line_integral_area_check,
     loop_area_integral,
     noncommutativity_defect,
     rectangle_loop,
@@ -46,9 +45,9 @@ from dlh.oracle import (
     apply_uniform_field_hamiltonian,
     build_state,
     fd_connection_matrix,
-    pipeline_state,
     sign_convention_report,
     wilson_loop_oracle,
+    window_states,
 )
 from dlh.params import derive_scales
 
@@ -99,7 +98,7 @@ def test_c02_spectrum_exact_and_grid(grid12, cfg_natural):
     for n in range(4):
         bare = build_state(grid12, sc, n, 1)
         e_bare = grid12.overlap(bare.values, apply_base_hamiltonian(grid12, sc, bare.values)).real
-        disp = pipeline_state(grid12, cfg_natural, point, n, 1)
+        disp = window_states(grid12, cfg_natural, point, n, (1, 1))[0]
         e_disp = grid12.overlap(
             disp.values, apply_uniform_field_hamiltonian(grid12, sc, disp.values)
         ).real
@@ -264,18 +263,16 @@ def test_c07_commuting_closed_form():
 
 
 def test_c08_area_formulas(rng):
-    worst = 0.0
-    canonical = line_integral_area_check("ABCHEFA", EY, LAM, BB)
-    assert canonical["closed_form"] == -0.75
-    worst = max(worst, canonical["deviation"])
+    canonical = area_closed_form("ABCHEFA", EY, LAM, BB)
+    assert canonical == -0.75
+    worst = abs(loop_area_integral(box_loop("ABCHEFA", EY, LAM, BB)) - canonical)
     for kind in BOX_KINDS:
         for _ in range(5):
             ey = sorted(rng.uniform(-1.5, 1.5, size=2))
             lam = sorted(rng.uniform(0.4, 5.0, size=2))
             bb = sorted(rng.uniform(0.4, 5.0, size=2))
-            rep = line_integral_area_check(kind, ey, lam, bb)
-            assert set(rep) == {"kind", "quadrature", "closed_form", "deviation"}
-            worst = max(worst, rep["deviation"])
+            dev = abs(loop_area_integral(box_loop(kind, ey, lam, bb)) - area_closed_form(kind, ey, lam, bb))
+            worst = max(worst, dev)
     assert worst <= 1e-9
     print(
         f"ACCEPTANCE C8 PASS: printed S formulas vs quadrature deviate <= {worst:.3e} "

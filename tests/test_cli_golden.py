@@ -33,7 +33,7 @@ CASES = {
     "oracle_check": ("oracle-check", "--grid-points", "128"),
     "oracle_check_default": ("oracle-check",),  # 256 points: the grid of the oracle_grid benchmark
     "sweep_c1": ("sweep", "--named", "C1", "--sweep", "area=0.5,2.0"),
-    "sweep_box": ("sweep", "--named", "ABCHEFA", "--sweep", "steps=64,128"),
+    "sweep_box": ("sweep", "--named", "ABCHEFA", "--sweep", "lam2=2.0,4.0"),
     "sweep_window": ("sweep", "--named", "ABCHGFA", "--window", "0..1", "--steps", "64",
                      "--sweep", "Ey2=0.5,1.0", "--sweep", "B2=2.0,4.0"),
 }

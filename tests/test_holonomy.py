@@ -21,11 +21,9 @@ from dlh.holonomy import (
     abelian_phase,
     area_closed_form,
     box_loop,
-    commuting_angle,
     commuting_holonomy,
     convergence_series,
     holonomy_path_ordered,
-    line_integral_area_check,
     loop_area_integral,
     noncommutativity_defect,
     rectangle_loop,
@@ -164,8 +162,7 @@ def test_nodes_tile_every_segment():
 
 def test_loop_functional_closed_forms():
     for kind in ("ABCHEFA", "ABCHGFA", "ADCHEFA"):
-        rep = line_integral_area_check(kind, EY, LAM, BB)
-        assert rep["deviation"] < 1e-12
+        assert abs(loop_area_integral(box_loop(kind, EY, LAM, BB)) - area_closed_form(kind, EY, LAM, BB)) < 1e-12
     assert area_closed_form("ABCHEFA", EY, LAM, BB) == pytest.approx(-0.75)
     assert area_closed_form("ABCHGFA", EY, LAM, BB) == pytest.approx(-0.5)
     assert area_closed_form("ADCHEFA", EY, LAM, BB) == pytest.approx(0.5)
@@ -191,20 +188,14 @@ def test_scalar_window_holonomy_is_line_integral_phase():
     loop = rectangle_loop("Ex_prime", "Ey_prime", (0.0, 1.0), (0.0, 1.0), (0, 0, 2.0, 1.0))
     ph = abelian_phase(loop, u=0.5)
     res = holonomy_path_ordered(loop, 0.5, window=(0, 0), steps=64, target=None)
-    assert res.phase_angle == pytest.approx(ph.gamma_line_integral, abs=1e-12)
-    with pytest.raises(ValidationError):
-        holonomy_path_ordered(loop, 0.5, window=(0, 1), steps=64, target=None).phase_angle
-
-
-def test_commuting_angle_structure():
-    ang = commuting_angle(-0.75, 0.5, (0, 2))
-    t = np.array([[0, 1, 0], [1, 0, math.sqrt(2)], [0, math.sqrt(2), 0]])
-    assert np.allclose(ang, (-0.75 / 2.0) * t)
+    assert np.angle(res.matrix[0, 0]) == pytest.approx(ph.gamma_line_integral, abs=1e-12)
 
 
 def test_commuting_holonomy_matches_scipy_expm():
+    # exp(i (S / 4u) T) with T = L + L^T, L_{m+1,m} = sqrt(m+1), built here from the band
     for area, window in ((-0.75, (0, 2)), (2.3, (1, 6)), (0.4, (0, 70))):
-        want = scipy.linalg.expm(1j * commuting_angle(area, 0.5, window))
+        band = np.diag(np.sqrt(np.arange(window[0], window[1]) + 1.0), -1)
+        want = scipy.linalg.expm(1j * (area / (4.0 * 0.5)) * (band + band.T))
         assert np.abs(commuting_holonomy(area, 0.5, window) - want).max() <= 1e-13
 
 
@@ -274,13 +265,14 @@ def test_property_start_vertex_shift_keeps_spectrum(vertices, shift):
     assert _spectrum_gap(_holonomy(ParameterPath(vertices)), _holonomy(ParameterPath(shifted))) <= 1e-10
 
 
-def test_auto_refinement_and_cap():
+def test_auto_refinement_and_cap(monkeypatch):
     # box loops are exact under "auto"; refinement needs a rotating loop
     res = holonomy_path_ordered(C9_LOOP, 0.5, window=(0, 1), steps=16, target=1e-8)
     assert res.steps > 16
     assert res.convergence_estimate <= 1e-8
+    monkeypatch.setattr(hol, "_STEP_CAP", 64)
     with pytest.raises(ConvergenceError, match="step cap"):
-        holonomy_path_ordered(C9_LOOP, 0.5, window=(0, 1), steps=16, target=1e-12, step_cap=64)
+        holonomy_path_ordered(C9_LOOP, 0.5, window=(0, 1), steps=16, target=1e-12)
     with pytest.raises(ValidationError):
         holonomy_path_ordered(C9_LOOP, 0.5, steps=8)
     with pytest.raises(ValidationError):
@@ -542,6 +534,36 @@ def test_convergence_estimate_bounds_the_true_error(rotating_quadrilaterals):
         assert np.abs(res.matrix - ref).max() <= res.convergence_estimate <= 1e-9
 
 
+# the quarter turn (Ex', Ey') -> (-Ey', Ex') multiplies Ey' - i Ex' by i and
+# conjugates every generator by R = diag(i^m); the mirror Ey' -> -Ey' sends
+# each generator Theta to -conj(Theta); reversal inverts the product. The
+# fields are strong enough that a wrong R misses by far more than rounding;
+# the box loop off Ex' = 0 has only exact segments under "auto"
+_HOLONOMY_ROUTES = {
+    "auto": (lambda loop: holonomy_path_ordered(loop, 0.5, steps=256, target=None).matrix, 1e-12),
+    "magnus": (lambda loop: holonomy_path_ordered(loop, 0.5, steps=256, target=None, method="magnus").matrix, 1e-12),
+    "unordered": (lambda loop: unordered_holonomy(loop, 0.5), 1e-14),
+}
+
+
+@pytest.mark.parametrize("route", _HOLONOMY_ROUTES)
+def test_exact_symmetries_of_the_holonomy(route):
+    holonomy, tol = _HOLONOMY_ROUTES[route]
+    right, wrong = np.diag(1j ** np.arange(4)), np.diag((-1j) ** np.arange(4))
+    rng = np.random.default_rng(7)
+    corners = [np.column_stack([rng.uniform(-1.5, 1.5, (4, 2)), rng.uniform(0.5, 2.0, (4, 2))]) for _ in range(3)]
+    loops = [ParameterPath(np.vstack([c, c[:1]])) for c in corners]
+    for loop in loops + [box_loop("ABCHEFA", (-0.6, 1.2), (0.6, 1.8), (0.7, 1.5), ex=0.5)]:
+        ex, ey, lam, b = loop.vertices.T
+        gamma = holonomy(loop)
+        turned = holonomy(ParameterPath(np.column_stack([-ey, ex, lam, b])))
+        mirrored = holonomy(ParameterPath(np.column_stack([ex, -ey, lam, b])))
+        assert np.abs(turned - right @ gamma @ right.conj().T).max() <= tol
+        assert np.abs(turned - wrong @ gamma @ wrong.conj().T).max() > 1e-2
+        assert np.abs(mirrored - gamma.conj()).max() <= tol
+        assert np.abs(holonomy(loop.reversed()) - gamma.conj().T).max() <= tol
+
+
 def _recorded_step_counts(monkeypatch):
     """Per-segment step counts of every ordered product, in the order they are built."""
     counts = []
@@ -720,15 +742,15 @@ def test_a_batch_on_a_wide_window_keeps_the_chunk_boundaries(monkeypatch):
     assert max(exponentials) == 2 * 16
 
 
-def _sequential_rule(loop, window, steps, target, step_cap=hol._STEP_CAP, method="auto"):
+def _sequential_rule(loop, window, steps, target, method="auto"):
     """The refinement rule on one-product calls: the shadow, then one doubling per product."""
     counts = loop._allocation(steps)
     current, shadow = _single_products(loop, window, [counts, counts // 2], method)
     diff = np.abs(current - shadow).max()
     estimate, rounds = diff, 0
     while estimate > target:
-        if 2 * steps > step_cap:
-            raise ConvergenceError(f"step cap {step_cap}")
+        if 2 * steps > hol._STEP_CAP:
+            raise ConvergenceError(f"step cap {hol._STEP_CAP}")
         steps, counts, rounds = 2 * steps, 2 * counts, rounds + 1
         coarse, (current,) = current, _single_products(loop, window, [counts], method)
         previous, diff = diff, np.abs(current - coarse).max()
@@ -774,8 +796,9 @@ def test_prediction_of_the_doublings():
 def test_refinement_stops_below_the_step_cap(monkeypatch):
     # 16 steps under a cap of 64 leave room for two doublings only
     counts = _recorded_step_counts(monkeypatch)
+    monkeypatch.setattr(hol, "_STEP_CAP", 64)
     with pytest.raises(ConvergenceError, match="at step cap 64"):
-        holonomy_path_ordered(C9_LOOP, 0.5, window=(0, 1), steps=16, target=1e-12, step_cap=64)
+        holonomy_path_ordered(C9_LOOP, 0.5, window=(0, 1), steps=16, target=1e-12)
     assert max(sum(c) for c in counts) == 4 * C9_LOOP._allocation(16).sum()
 
 
@@ -848,15 +871,15 @@ def test_exact_loops_take_one_quadrature_one_exponential_one_product(monkeypatch
     assert calls["_segment_integrals"] == 0 and calls["_generator_scalars"] > 0
 
 
-# -- steps and step_cap are checked before any product is built ------------------
+# -- steps are checked before any product is built ----------------------------
 
 _BAD_COUNTS = [
-    (dict(step_cap=0), "step_cap"),
-    (dict(step_cap=-5), "step_cap"),
-    (dict(step_cap=10.5), "step_cap"),
-    (dict(step_cap="x"), "step_cap"),
-    (dict(step_cap=True), "step_cap"),
-    (dict(steps=64, step_cap=32), "step_cap"),
+    (dict(steps=0), "steps"),
+    (dict(steps=-32), "steps"),
+    (dict(steps=math.nan), "steps"),
+    (dict(steps=math.inf), "steps"),
+    (dict(steps=np.int64(8)), "steps"),
+    (dict(steps=2 * hol._STEP_CAP), "step cap"),
     (dict(steps="32"), "steps"),
     (dict(steps=16.5), "steps"),
     (dict(steps=32.0), "steps"),
@@ -885,7 +908,7 @@ def test_diagnostics_reject_bad_step_counts(steps, monkeypatch):
 
 
 def test_integer_step_counts_are_plain_ints():
-    res = holonomy_path_ordered(C9_LOOP, 0.5, steps=np.int64(16), target=None, step_cap=np.int64(16))
+    res = holonomy_path_ordered(C9_LOOP, 0.5, steps=np.int64(16), target=None)
     assert res.steps == 16 and type(res.steps) is int
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from dlh import oracle
 from dlh._linalg import unitarize
-from dlh.connection import CONTROL_PARAMS, connection_closed_form
+from dlh.connection import CONTROL_PARAMS, connection_closed_form, connection_matrix
 from dlh.errors import ValidationError
 from dlh.holonomy import ParameterPath, box_loop, holonomy_path_ordered, rectangle_loop
 from dlh.oracle import (
@@ -19,13 +19,11 @@ from dlh.oracle import (
     apply_radial_lower,
     apply_radial_raise,
     apply_uniform_field_hamiltonian,
-    berry_connection_fd,
     build_state,
     default_grid,
     displace_field,
     fd_connection_matrix,
     ground_state,
-    pipeline_state,
     render_sign_report,
     sign_convention_report,
     wilson_loop_oracle,
@@ -97,7 +95,7 @@ def test_state_family_orthonormal(grid_coarse, cfg_natural):
 def test_displacement_centroid_and_coherence(grid12, cfg_natural):
     sc = derive_scales(cfg_natural)
     point = (cfg_natural.Ex_prime, cfg_natural.Ey_prime, cfg_natural.lambda_density, cfg_natural.B)
-    psi = pipeline_state(grid12, cfg_natural, point, 0, 0)
+    psi = window_states(grid12, cfg_natural, point, 0, (0, 0))[0]
     nu = sc.nu
     cx = grid12.overlap(psi.values, grid12.X * psi.values).real
     cy = grid12.overlap(psi.values, grid12.Y * psi.values).real
@@ -115,7 +113,7 @@ def test_energies_on_grid(grid12, cfg_natural):
     hw = sc.energy_quantum
     point = (cfg_natural.Ex_prime, cfg_natural.Ey_prime, cfg_natural.lambda_density, cfg_natural.B)
     for n in (0, 1):
-        psi = pipeline_state(grid12, cfg_natural, point, n, 1)
+        psi = window_states(grid12, cfg_natural, point, n, (1, 1))[0]
         e = grid12.overlap(psi.values, apply_uniform_field_hamiltonian(grid12, sc, psi.values)).real
         assert e / hw == pytest.approx(n + 0.5, rel=1e-6)
     bare = build_state(grid12, sc, 2, 0)
@@ -144,7 +142,8 @@ def test_fd_connection_matches_closed_form(grid12, cfg_desk):
         ("lambda_density", 2, 1),
         ("B", 1, 0),
     ):
-        fd = berry_connection_fd(grid12, cfg_desk, param, point, 0, row, col, h_step=1e-3)
+        lo, hi = min(row, col), max(row, col)
+        fd = fd_connection_matrix(grid12, cfg_desk, param, point, 0, (lo, hi), h_step=1e-3)[row - lo, col - lo]
         cf = connection_closed_form(param, point, sc.u, 0, row, col)
         assert abs(fd - cf) < 1e-6
 
@@ -154,8 +153,8 @@ def test_fd_richardson_order(grid12, cfg_desk):
     point = (cfg_desk.Ex_prime, cfg_desk.Ey_prime, cfg_desk.lambda_density, cfg_desk.B)
     sc = derive_scales(cfg_desk)
     cf = connection_closed_form("B", point, sc.u, 0, 1, 0)
-    err4 = abs(berry_connection_fd(grid12, cfg_desk, "B", point, 0, 1, 0, h_step=4e-3) - cf)
-    err2 = abs(berry_connection_fd(grid12, cfg_desk, "B", point, 0, 1, 0, h_step=2e-3) - cf)
+    err4 = abs(fd_connection_matrix(grid12, cfg_desk, "B", point, 0, (0, 1), h_step=4e-3)[1, 0] - cf)
+    err2 = abs(fd_connection_matrix(grid12, cfg_desk, "B", point, 0, (0, 1), h_step=2e-3)[1, 0] - cf)
     assert 2.5 < err4 / err2 < 6.0
 
 
@@ -182,7 +181,7 @@ def test_window_states_match_pipeline(grid12, cfg_desk):
     ws = window_states(grid12, cfg_desk, point, 1, (1, 3))
     assert [w.m for w in ws] == [1, 2, 3]
     for w in ws:
-        direct = pipeline_state(grid12, cfg_desk, point, 1, w.m)
+        direct = window_states(grid12, cfg_desk, point, 1, (w.m, w.m))[0]
         assert np.abs(w.values - direct.values).max() < 1e-12
 
 
@@ -249,7 +248,7 @@ def test_window_states_validation(grid_coarse, cfg_desk):
     with pytest.raises(ValidationError):
         window_states(grid_coarse, cfg_desk, (0.3, 0.7, 2.0, 1.0), -1, (0, 1))
     with pytest.raises(ValidationError):
-        pipeline_state(grid_coarse, cfg_desk, (0.3, 0.7, 2.0, 1.0), 0, -1)
+        window_states(grid_coarse, cfg_desk, (0.3, 0.7, 2.0, 1.0), 0, (-1, -1))
 
 
 # a window with a state past the 1e-10 boundary guard: (grid, point, n, window)
@@ -661,6 +660,34 @@ def test_wilson_loop_reversal(grid12, cfg_natural, loop):
     assert np.abs(gamma - gamma.conj().T).max() > 1e-3
 
 
+# the quarter turn Q: (Ex', Ey') -> (-Ey', Ex') multiplies Ey' - i Ex' by i, so
+# A_k(Qp) = sign R A_j(p) R^dag with R = diag(i^m), for (k, (j, sign)) below;
+# the mirror M: Ey' -> -Ey' gives A_k(Mp) = sign conj(A_k(p))
+_QUARTER_TURN = {"Ex_prime": ("Ey_prime", -1), "Ey_prime": ("Ex_prime", 1),
+                 "lambda_density": ("lambda_density", 1), "B": ("B", 1)}
+_MIRROR = {"Ex_prime": -1, "Ey_prime": 1, "lambda_density": -1, "B": -1}
+
+
+@pytest.mark.parametrize("route, tol", [("closed_form", 1e-15), ("fd", 1e-11)])
+@pytest.mark.parametrize("point", [(0.3, 0.7, 2.0, 1.0), (-0.4, 0.25, 1.5, 1.2)])
+def test_connection_quarter_turn_and_mirror(grid12, cfg_desk, route, tol, point):
+    u = derive_scales(cfg_desk).u
+
+    def connection(p):
+        if route == "closed_form":
+            return {k: connection_matrix(k, p, u, 0, (0, 3)).entries for k in CONTROL_PARAMS}
+        return {k: fd_connection_matrix(grid12, cfg_desk, k, p, 0, (0, 3)) for k in CONTROL_PARAMS}
+
+    ex, ey, lam, b = point
+    at_p, at_q, at_m = connection(point), connection((-ey, ex, lam, b)), connection((ex, -ey, lam, b))
+    right, wrong = np.diag(1j ** np.arange(4)), np.diag((-1j) ** np.arange(4))
+    for k, (j, sign) in _QUARTER_TURN.items():
+        assert np.abs(at_q[k] - sign * right @ at_p[j] @ right.conj().T).max() <= tol
+        assert np.abs(at_m[k] - _MIRROR[k] * at_p[k].conj()).max() <= tol
+    for k in ("lambda_density", "B"):
+        assert np.abs(at_q[k] - wrong @ at_p[k] @ wrong.conj().T).max() > 1e-2
+
+
 _RECTANGLE = [(0, 0, 1, 1), (0.3, 0, 1, 1), (0.3, 0.4, 1, 1), (0, 0.4, 1, 1), (0, 0, 1, 1)]
 _ANGLES = np.linspace(0.0, 2.0 * np.pi, 25)
 _WILSON_LOOPS = {
@@ -732,15 +759,15 @@ def test_grid_rejects_bad_sizes(extent, points):
 
 def test_pipeline_rejects_offgrid_displacement(grid12, cfg_natural):
     with pytest.raises(ValidationError):
-        pipeline_state(grid12, cfg_natural, (0.0, 20.0, 1.0, 1.0), 0, 0)
+        window_states(grid12, cfg_natural, (0.0, 20.0, 1.0, 1.0), 0, (0, 0))
 
 
 def test_fd_parameter_validation(grid12, cfg_desk):
     point = (0.1, 0.1, 1.0, 1.0)
     with pytest.raises(ValidationError):
-        berry_connection_fd(grid12, cfg_desk, "Ez", point, 0, 0, 0)
+        fd_connection_matrix(grid12, cfg_desk, "Ez", point, 0, (0, 0))
     with pytest.raises(ValidationError):
-        berry_connection_fd(grid12, cfg_desk, "B", point, 0, 0, 0, h_step=0.0)
+        fd_connection_matrix(grid12, cfg_desk, "B", point, 0, (0, 0), h_step=0.0)
     with pytest.raises(ValidationError):
         fd_connection_matrix(grid12, cfg_desk, "B", point, 0, (2, 1))
 

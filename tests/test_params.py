@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 
 from dlh.errors import ValidationError
-from dlh.params import (
-    NATURAL_DESK,
-    PhysicalConfig,
-    derive_scales,
-    validate_regime,
-)
+from dlh.params import PhysicalConfig, derive_scales, validate_regime
+
+# natural units with omega = 1, sigma = +1, u = 1/sqrt(8)
+NATURAL = PhysicalConfig(mass=1.0, alpha=1.0, hbar=1.0, lambda_density=1.0, B=1.0)
 
 
 def test_natural_desk_scales():
-    sc = derive_scales(NATURAL_DESK)
+    sc = derive_scales(NATURAL)
     assert sc.omega == 1.0
     assert sc.sigma == 1
     assert sc.l_m == 1.0
@@ -160,7 +158,7 @@ def test_at_point_replaces_control_coordinates(cfg_desk):
 
 
 def test_regime_screening():
-    desk = validate_regime(NATURAL_DESK)
+    desk = validate_regime(NATURAL)
     assert desk.verdict == "warn"  # natural units always trip the SI thresholds
     lab = PhysicalConfig(
         mass=1.4e-25,
@@ -171,7 +169,7 @@ def test_regime_screening():
         Ex_prime=1e3,
         Ey_prime=0.0,
     )
-    report = validate_regime(lab, energy_threshold=1e-20)
+    report = validate_regime(lab)
     assert report.mass_correction_ratio < 1e-6
     assert report.ok
 

@@ -23,14 +23,14 @@ holds P^p g_x and V holds Q^q g_y (p, q <= n + m_hi), each times its 1-D
 ramp, and each raise takes the small matrix C to S C + i a C S^T (S the
 down-shift) before its 1/sqrt(j) and i factors. :func:`_stack` builds the
 windows of K control points as one stack: the scales l_m, sigma, nu as (K,)
-arrays, the real powers R (K, 2, N, n + m_hi + 1) with one real FFT per
-power, and C once per (sigma, n, window), the only things it depends on.
-The stack keeps R and each factor's ramp rate. The ramp has unit modulus,
-so it drops out of each point's Gram R^T R and of every |edge|: the norms
-and a bound of the 1e-10 frame guard (Cauchy-Schwarz) read R, and only a
-stack the bound cannot clear forms exact edges. Between points the ramps
+arrays, the real powers R (K, 2, n + m_hi + 1, N), built in place with one
+real FFT per power and power-major (each P^p g one contiguous row), C once
+per (sigma, n, window), and each factor's ramp rate. The ramp has unit
+modulus, so it drops out of each point's Gram R R^T and of every |edge|: the
+norms and a bound of the 1e-10 frame guard (Cauchy-Schwarz) read R, and only
+a stack the bound cannot clear forms exact edges. Between points the ramps
 enter only as the relative phase exp(i (rate' - rate) x), so U^H U' is
-R^T diag(cos) R' + i R^T diag(sin) R' on one :func:`_ramp`, and the overlaps
+R diag(cos) R'^T + i R diag(sin) R'^T on one :func:`_ramp`, and the overlaps
 h^2 sum conj(C) o (U^H U') C' (V^H V')^T are one batched product over slices
 of the stack. Only :func:`window_states` (K = 1) forms F = R times the ramp.
 The independent check is :func:`build_state` then :func:`displace_field`.
@@ -164,13 +164,16 @@ def _deriv(grid: Grid2D, f: np.ndarray, axis: int) -> np.ndarray:
     return np.fft.ifft(1j * k * np.fft.fft(f, axis=axis), axis=axis)
 
 
-def _axis_ladder(grid: Grid2D, l_m: float, sign: int, coord, f: np.ndarray, axis: int) -> np.ndarray:
-    """[coord f / (2 l_m) + sign l_m df/dcoord] / sqrt(2) along one axis of f.
+def _axis_ladder(grid: Grid2D, l_m: float, sign: int, coord, f: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """[coord f / (2 l_m) + sign l_m df/dcoord] / sqrt(2) along one axis of f, written into `out` when given.
 
     The 1-D factor of every ladder operator (see :func:`_ladder`); `coord`
     is the coordinate of that axis, possibly shifted, broadcast against f.
     """
-    return (0.5 / l_m * coord * f + sign * l_m * _deriv(grid, f, axis)) / math.sqrt(2.0)
+    d = _deriv(grid, f, axis)
+    d *= sign * l_m
+    d += np.multiply(0.5 / l_m * coord, f, out=out)  # `out` holds this term until the sum lands in it
+    return np.divide(d, math.sqrt(2.0), out=d if out is None else out)
 
 
 def _ladder(grid: Grid2D, l_m: float, a: int, sign: int, f: np.ndarray) -> np.ndarray:
@@ -244,13 +247,14 @@ def ground_state(grid: Grid2D, l_m: float) -> WaveField:
     return WaveField(grid=grid, values=np.outer(g, g).astype(complex), n=0, m=0, nu=0j, l_m=l_m)
 
 
-def _gaussian(grid: Grid2D, l_m, a) -> np.ndarray:
+def _gaussian(grid: Grid2D, l_m, a, out=None) -> np.ndarray:
     """exp(-(x + a)^2 / (4 l_m^2)) at unit 1-D norm: a real factor of the unit-norm 2-D Gaussian.
 
-    l_m and a may be arrays shaped (..., 1), giving one factor per entry.
+    l_m and a may be arrays shaped (..., 1), giving one factor per entry; each step writes into `out` if given.
     """
-    g = np.exp(-((grid.x + a) ** 2) / (4.0 * l_m * l_m))
-    return g / np.sqrt(grid.h * (g[..., None, :] @ g[..., None])[..., 0])
+    g = np.add(grid.x, a, out=out)
+    np.exp(np.divide(np.square(g, out=g), -4.0 * l_m * l_m, out=g), out=g)
+    return np.divide(g, np.sqrt(grid.h * (g[..., None, :] @ g[..., None])[..., 0]), out=g)
 
 
 def _ramp(grid: Grid2D, rate) -> np.ndarray:
@@ -336,7 +340,7 @@ class _Stack:
     l_m: np.ndarray  # (K,): the scales of each point
     sigma: np.ndarray
     nu: np.ndarray
-    R: np.ndarray  # (K, 2, N, size), real: F = R times the ramp is formed only in window_states
+    R: np.ndarray  # (K, 2, size, N), real: row R[k, a, p] is P^p g (a = 0) or Q^p g (a = 1), U^T and V^T without ramps
     rate: np.ndarray  # (K, 2, 1): the ramp rates along x and y
     C: np.ndarray
 
@@ -346,10 +350,11 @@ class _Stack:
 
 def _overlaps(bras: _Stack, kets: _Stack, gram=None) -> np.ndarray:
     """Overlaps <bras_ki | kets_kj> = h^2 sum conj(C_ki) o (U^H U') C'_kj (V^H V')^T, broadcast over k."""
-    if gram is None:  # else the caller's; U^H U' = R^T diag(cos) R' + i R^T diag(sin) R' of the relative ramp
-        ramp, rt = _ramp(bras.grid, kets.rate - bras.rate)[..., None], bras.R.swapaxes(-1, -2)
-        gram = rt @ (ramp.real * kets.R) + 1j * (rt @ (ramp.imag * kets.R))
-    uu, vv = np.moveaxis(gram, 1, 0)
+    if gram is None:  # else the caller's; U^H U' = R diag(cos) R'^T + i R diag(sin) R'^T of the relative ramp
+        ramp = _ramp(bras.grid, kets.rate - bras.rate)[..., None, :]
+        w = np.multiply(ramp.real, kets.R)  # one real buffer, for the cos and then the sin part
+        gram = bras.R @ w.swapaxes(-1, -2) + 1j * (bras.R @ np.multiply(ramp.imag, kets.R, out=w).swapaxes(-1, -2))
+    uu, vv = gram[:, 0], gram[:, 1]
     moved = uu[:, None] @ kets.C @ vv[:, None].swapaxes(-1, -2)
     k, m = moved.shape[:2]
     return bras.grid.h ** 2 * (bras.C.conj().reshape(len(bras.C), m, -1) @ moved.reshape(k, m, -1).swapaxes(-1, -2))
@@ -373,7 +378,7 @@ def _coefficients(sigma: int, n: int, m_lo: int, m_hi: int) -> np.ndarray:
 
 def _frame_edges(R: np.ndarray, ends: list) -> np.ndarray:
     """Exact max |field| on the frame per (point, m): the edge rows `ends` of every field times its other factor."""
-    return np.maximum(*(np.abs(e.reshape(len(R), -1, R.shape[-1]) @ R[:, 1 - a].swapaxes(1, 2)).reshape(*e.shape[:2], -1)
+    return np.maximum(*(np.abs(e.reshape(len(R), -1, R.shape[-2]) @ R[:, 1 - a]).reshape(*e.shape[:2], -1)
                         .max(axis=-1) for a, e in enumerate(ends)))
 
 
@@ -385,16 +390,16 @@ def _stack(grid: Grid2D, config: PhysicalConfig, points, n: int, window: tuple[i
     grid.check_adequate(l_m, shift=math.sqrt(2.0) * l_m * np.abs(nu))
     size, count, l = n + m_hi + 1, len(l_m), l_m[:, None, None]
     shift, rate = np.reshape(_displacement(l_m, sigma, nu), (2, 2, count, 1)).swapaxes(1, 2)
-    R = np.empty((count, 2, grid.points, size))  # the real x and y factors of every point
-    R[..., 0] = _gaussian(grid, l, shift)
+    R = np.empty((count, 2, size, grid.points))  # the real x and y factors of every point
+    _gaussian(grid, l, shift, out=R[:, :, 0])
     for p in range(1, size):  # P (or Q) in the shifted coordinate
-        R[..., p] = _axis_ladder(grid, l, -1, grid.x + shift, R[..., p - 1], -1)
+        _axis_ladder(grid, l, -1, grid.x + shift, R[:, :, p - 1], -1, out=R[:, :, p])
     C = np.where(sigma[:, None, None, None] > 0, _coefficients(1, n, m_lo, m_hi), _coefficients(-1, n, m_lo, m_hi))
     st = _Stack(grid, l_m, sigma, nu, R, rate, C)  # C per chirality
-    gram = R.swapaxes(-1, -2) @ R  # U^H U and V^H V per point: the unit-modulus ramps drop out
+    gram = R @ R.swapaxes(-1, -2)  # U^H U and V^H V per point: the unit-modulus ramps drop out
     norms = np.sqrt(np.diagonal(_overlaps(st, st, gram), axis1=1, axis2=2).real)  # (K, m-count)
     # |edge rows| = |ends[0] V^T|, |edge columns| = |ends[1] U^T|. Cauchy-Schwarz, max_y |V_yq| <= ||V_q||, bounds them:
-    ends = [R[:, a][:, None, [0, -1]] @ c for a, c in ((0, st.C), (1, st.C.swapaxes(-1, -2)))]
+    ends = [R[:, a][:, None, :, [0, -1]].swapaxes(-1, -2) @ c for a, c in ((0, st.C), (1, st.C.swapaxes(-1, -2)))]
     cols = np.sqrt(np.diagonal(gram, axis1=2, axis2=3))[:, :, None, None]  # ||U_q||, ||V_q||
     frame = np.maximum(*((np.abs(e) * cols[:, 1 - a]).sum(axis=-1).max(axis=-1) for a, e in enumerate(ends))) / norms
     if not np.all(frame <= _BOUNDARY_TOL):  # a bound over 1e-10, or NaN: only then form the exact edges
@@ -421,8 +426,8 @@ def window_states(
     """
     st = _stack(grid, config, [point], n, window)
     nu, l = complex(st.nu[0]), float(st.l_m[0])
-    U, V = _ramp(grid, st.rate[0])[..., None] * st.R[0]  # F: the one place the factors are formed
-    return [WaveField(grid=grid, values=f, n=n, m=window[0] + i, nu=nu, l_m=l) for i, f in enumerate(U @ st.C[0] @ V.T)]
+    U, V = _ramp(grid, st.rate[0])[:, None] * st.R[0]  # F^T: the one place the factors are formed
+    return [WaveField(grid=grid, values=f, n=n, m=window[0] + i, nu=nu, l_m=l) for i, f in enumerate(U.T @ st.C[0] @ V)]
 
 
 def apply_angular_momentum(grid: Grid2D, hbar: float, f: np.ndarray) -> np.ndarray:
@@ -545,8 +550,8 @@ def wilson_loop_oracle(
         return WilsonResult(np.eye(window[1] - window[0] + 1, dtype=complex), 0, window, 1.0)
     counts = path._allocation(steps)
     pts = _nodes(path.vertices[:-1], path.vertices[1:], counts, *_runs(counts), [0.0]).reshape(-1, 4)
-    st = _stack(grid, config, pts, n, window)
-    links = np.concatenate([_overlaps(st[:-1], st[1:]), _overlaps(st[-1:], st[:1])])  # point k with k + 1 mod K
+    st = _stack(grid, config, np.concatenate([pts, pts[:1]]), n, window)  # the last link ends on the first point
+    links = _overlaps(st[:-1], st[1:])
     smallest = float(np.linalg.svd(links, compute_uv=False)[:, -1].min())
     gamma = unitarize(reduce(np.matmul, links)).conj().T  # the product in path order
     return WilsonResult(gamma, len(pts), window, smallest)
@@ -566,6 +571,11 @@ def sign_convention_report(config: PhysicalConfig | None = None, grid: Grid2D | 
     area-law coefficient -1/(16 u^2 lambda B) (factor -2: magnitude 2 and
     opposite orientation). The rejected sign variants are evaluated on the
     same measurements so the report shows how far off each one is.
+
+    The rectangle's 8 links are exact: at fixed lambda and B its states are
+    displaced ground states |nu>, nu linear in (Ex', Ey'), and the overlap
+    phases Im(conj(nu) nu') around a straight-edged polygon sum to twice its
+    area, however its sides are split; more links move only rounding.
     """
     if config is None:
         config = OPERATING_CONFIG
@@ -589,7 +599,7 @@ def sign_convention_report(config: PhysicalConfig | None = None, grid: Grid2D | 
     loop = rectangle_loop(
         "Ex_prime", "Ey_prime", (ex - side / 2, ex + side / 2), (ey - side / 2, ey + side / 2), point
     )
-    wilson = wilson_loop_oracle(grid, config, loop, n=0, window=(0, 0), steps=32)
+    wilson = wilson_loop_oracle(grid, config, loop, n=0, window=(0, 0), steps=8)
     gamma_measured = float(np.angle(wilson.matrix[0, 0]))
     area = side * side
     measured_curvature = gamma_measured / area

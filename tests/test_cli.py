@@ -1,4 +1,6 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -600,6 +602,48 @@ def test_every_export_is_in_its_modules_all():
         assert not missing, (module, missing)
 
 
+def test_every_dlh_name_the_benchmark_reads_exists():
+    # the benchmark imports dlh names and reads them as alias.name; a name
+    # dropped from dlh fails here, not as an exception in a benchmark run
+    import ast
+    import importlib
+    from types import ModuleType
+
+    def resolve(module: str, name: str):
+        """The submodule module.name, or else the attribute `name` of `module`, which must exist."""
+        try:
+            return importlib.import_module(f"{module}.{name}")
+        except ModuleNotFoundError:
+            assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+            return getattr(importlib.import_module(module), name)
+
+    checked = set()
+    for file in ("workloads.py", "inputs.py", "reference.py"):
+        tree = ast.parse((Path(__file__).parents[1] / "perfbench" / file).read_text())
+        modules = {}  # alias -> the dlh module it binds
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dlh":
+                for alias in node.names:
+                    bound = resolve(node.module, alias.name)
+                    checked.add(f"{node.module}.{alias.name}")
+                    if isinstance(bound, ModuleType):
+                        modules[alias.asname or alias.name] = bound
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "dlh":
+                        bound = importlib.import_module(alias.name)
+                        checked.add(alias.name)
+                        if alias.asname:
+                            modules[alias.asname] = bound
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                module = modules[node.value.id]
+                assert hasattr(module, node.attr), f"{module.__name__}.{node.attr}"
+                checked.add(f"{module.__name__}.{node.attr}")
+    assert {"dlh.holonomy.abelian_phase", "dlh.oracle.sign_convention_report",
+            "dlh.connection.chain_rule_consistency", "dlh.params.PhysicalConfig", "dlh.cli"} <= checked
+
+
 def test_oracle_check_at_a_strong_field(capsys, tmp_path):
     # |nu|^2 = 0.78: inside the truncation guards, but a fixed 16-level
     # basis would put the two displacement routes 1e-7 apart
@@ -656,3 +700,47 @@ def test_c1_sweep_rows_equal_single_phases(capsys):
         assert rc == 0
         payload = json.loads(phase)
         assert [float(v) for v in row[1:]] == [payload[k] for k in header[1:]]
+
+
+README = Path(__file__).parents[1] / "README.md"
+# the config of the connection example, whose header shows its point (0.3, 0.7, 2.0, 1.0) at u = 0.5
+FIELDS_ON = {"mass_kg": 1.0, "alpha_Fm2": 0.5, "hbar": 1.0, "lambda_Vm2": 2.0, "B_T": 1.0, "Ex_Vm": 0.3, "Ey_Vm": 0.7}
+
+
+def _readme_examples() -> list[tuple[str, list[str]]]:
+    """Each `$ dlh ...` line of README's code blocks with the output lines shown under it."""
+    examples, shown, inside = [], None, False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            inside, shown = not inside, None
+        elif inside and line.startswith("$ "):
+            shown = []
+            examples.append((line[2:], shown))
+        elif shown is not None:
+            shown.append(line)
+    for _, shown in examples:
+        while shown and not shown[-1].strip():
+            shown.pop()
+    return examples
+
+
+def _shown_pattern(shown: list[str]) -> str:
+    """The shown lines as a regex of the whole output: each line verbatim, a `...` line any run of lines."""
+    return "".join(r"(?:.*\n)*?" if line.strip() == "..." else re.escape(line) + r"\n" for line in shown)
+
+
+_README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("command, shown", _README_EXAMPLES, ids=[command for command, _ in _README_EXAMPLES])
+def test_readme_example_prints_what_it_shows(capsys, monkeypatch, tmp_path, command, shown):
+    if "my_loop.txt" in command:
+        pytest.skip("README gives no vertex file for this example")
+    (tmp_path / "fields_on.json").write_text(json.dumps(FIELDS_ON))
+    monkeypatch.chdir(tmp_path)
+    program, *argv = shlex.split(command, comments=True)
+    assert program == "dlh"
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    if shown:
+        assert re.fullmatch(_shown_pattern(shown), out), out

@@ -365,7 +365,8 @@ def test_the_stack_keeps_real_powers_and_rates():
     assert callers == {"_overlaps", "window_states"}
     st = oracle._stack(default_grid(), oracle.OPERATING_CONFIG, [(0.3, 0.7, 2.0, 1.0)] * 2, 1, (0, 2))
     assert st.R.dtype == st.rate.dtype == np.float64
-    assert st.R.shape == (2, 2, 256, 4) and st.rate.shape == (2, 2, 1)
+    assert st.R.shape == (2, 2, 4, 256) and st.rate.shape == (2, 2, 1)
+    assert all(st.R[k, a, p].flags.c_contiguous for k in range(2) for a in range(2) for p in range(4))  # power-major
     assert np.shares_memory(st[1:].R, st.R)  # a slice pairs points without a copy
 
 
@@ -450,8 +451,8 @@ def _bound_and_edges(st):
     max_y |V_yq| <= ||V_q||, so sum_q |ends_q| ||V_q|| bounds an edge; the
     column norms are taken here with np.linalg.norm, not from a Gram.
     """
-    ends = [st.R[:, a][:, None, [0, -1]] @ c for a, c in ((0, st.C), (1, st.C.swapaxes(-1, -2)))]
-    cols = np.linalg.norm(st.R, axis=2)  # (K, 2, size): ||U_q|| and ||V_q||, the unit-modulus ramps left out
+    ends = [st.R[:, a][:, None, :, [0, -1]].swapaxes(-1, -2) @ c for a, c in ((0, st.C), (1, st.C.swapaxes(-1, -2)))]
+    cols = np.linalg.norm(st.R, axis=3)  # (K, 2, size): ||U_q|| and ||V_q||, the unit-modulus ramps left out
     bound = np.maximum(*((np.abs(e) * cols[:, 1 - a, None, None]).sum(axis=-1).max(axis=-1)
                          for a, e in enumerate(ends)))
     return bound, oracle._frame_edges(st.R, ends)
@@ -792,6 +793,27 @@ def test_sign_convention_report_contents(grid12):
     text = render_sign_report(report)
     assert "resolved relative sign: opposite" in text
     assert "area-law" in text
+
+
+@pytest.mark.parametrize("points", [128, 256])
+def test_the_report_rectangle_is_exact_at_every_link_count(points):
+    # at fixed lambda and B the window (0, 0) states are displaced ground
+    # states with nu linear in (Ex', Ey'), and the overlap phases around a
+    # straight-edged polygon sum to its area exactly: the link count moves
+    # the report's curvature by rounding only
+    grid, side = default_grid(points=points), 0.25
+    report = sign_convention_report(grid=grid)
+    op = report["operating_point"]
+    ex, ey, lam, b, u = (op[k] for k in ("Ex_prime", "Ey_prime", "lambda_density", "B", "u"))
+    closed = 1.0 / (8.0 * u * u * lam * b)
+    assert report["wilson_points"] == 8
+    assert abs(report["curvature"]["measured"] - closed) <= 1e-15
+    loop = rectangle_loop("Ex_prime", "Ey_prime", (ex - side / 2, ex + side / 2), (ey - side / 2, ey + side / 2),
+                          (ex, ey, lam, b))
+    for steps in (8, 16, 32, 64):
+        wilson = wilson_loop_oracle(grid, oracle.OPERATING_CONFIG, loop, n=0, window=(0, 0), steps=steps)
+        assert wilson.points == steps
+        assert abs(np.angle(wilson.matrix[0, 0]) / side**2 - closed) <= 1e-15
 
 
 def test_oracle_is_independent_of_the_algebra():

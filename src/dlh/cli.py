@@ -34,9 +34,24 @@ Outputs are reproducible byte for byte: floats are rendered with repr
 Start-up is most of a call's time, so each subcommand imports only the
 library modules it calls: `spectrum` loads none beyond `params`, and only
 `oracle-check` loads `oracle`.
+
+A `dlh` process is one-shot, so it runs without the cyclic garbage
+collector: `python -m dlh.cli` turns it off before importing numpy, and the
+`dlh` script's entry `_entry` turns it off before `main`. The entry also
+freezes every object before exit, so the interpreter's shutdown
+collections skip them. Over a whole run the collector frees fewer than a
+thousand small objects, and its passes during import and shutdown took
+about a seventh of a short call's time. `import dlh.cli` and `main(argv)`
+leave the collector as they found it, so library and in-process callers
+keep theirs.
 """
 
 from __future__ import annotations
+
+import gc
+
+if __name__ == "__main__":
+    gc.disable()
 
 import argparse
 import json
@@ -756,5 +771,13 @@ def main(argv: list[str] | None = None) -> int:
             return 3
 
 
+def _entry() -> None:
+    """Run `main` on the command line and exit, with the collector off to the end."""
+    gc.disable()
+    rc = main()
+    gc.freeze()
+    sys.exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _entry()

@@ -508,15 +508,88 @@ def test_oracle_check_passes(capsys, tmp_path):
     assert "sign convention report" in err
 
 
-def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "dlh.cli", "derive"], capture_output=True, text=True
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.startswith("quantity,value")
+_SCRIPT_ARGVS = [
+    ("spectrum",),
+    ("connection", "--param", "B"),
+    ("holonomy", "--named", "ABCHEFA"),
+    ("oracle-check", "--grid-points", "128"),
+    ("connection", "--param", "bogus"),
+]
+
+
+def _script_run(argv: tuple[str, ...]) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "dlh.cli", *argv], capture_output=True, text=True)
+
+
+def test_console_entry_point(capsys):
+    # the script path prints what main(argv) prints in-process, byte for byte
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        procs = list(pool.map(_script_run, _SCRIPT_ARGVS))
+    for argv, proc in zip(_SCRIPT_ARGVS, procs):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err), argv
+    assert [proc.returncode for proc in procs] == [0, 0, 0, 0, 2]
+    assert procs[-1].stderr.startswith("dlh: validation error: unknown control parameter 'bogus'")
 
 
 _CLI_RUN = "import contextlib, io\nfrom dlh.cli import main\nwith contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0"
+
+_GC_PROBES = {
+    "main": _CLI_RUN.format(argv=["spectrum"]),
+    "script": """import contextlib, io, runpy, sys
+sys.argv = ["dlh", "spectrum"]
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        runpy.run_module("dlh.cli", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+else:
+    raise AssertionError("no SystemExit")""",
+}
+
+
+def _collector_after(code: str) -> tuple[bool, int]:
+    probe = f"import gc\n{code}\nprint(gc.isenabled(), gc.get_freeze_count())"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    enabled, frozen = proc.stdout.split()
+    return enabled == "True", int(frozen)
+
+
+def test_only_the_script_path_skips_the_collector():
+    # a dlh process runs and exits without collector passes; importing
+    # dlh.cli and calling main leave a long-lived caller's collector alone
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        after = dict(zip(_GC_PROBES, pool.map(_collector_after, _GC_PROBES.values())))
+    assert after["main"] == (True, 0)
+    enabled, frozen = after["script"]
+    assert not enabled and frozen > 0
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="reading pyproject.toml needs tomllib, new in Python 3.11")
+def test_the_dlh_script_is_the_main_block_entry():
+    import ast
+    import importlib
+    import tomllib
+
+    import dlh.cli
+
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["dlh"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    main_blocks = [
+        node
+        for node in ast.parse(Path(dlh.cli.__file__).read_text()).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    called = {
+        call.func.id
+        for block in main_blocks
+        for call in ast.walk(block)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+    }
+    assert {getattr(dlh.cli, n) for n in called} == {entry}
+
 
 # the dlh modules each subcommand may load, beyond dlh and dlh.cli
 _SCALES = {"params", "errors"}

@@ -1,9 +1,11 @@
-"""Small shared numerics: the ladder, the one span exponential, unitarization.
+"""Small shared numerics: the ladder, the one span exponential, the ordered product, unitarization.
 
 The engine's holonomy steps, the Ex' = 0 angle (S / 4u) T and the generator
 of D_n(nu) are each phi I + zeta L + conj(zeta) L^T, with L the ladder
 L_{m+1,m} = sqrt(m+1) on a window of levels (:func:`_ladder`). The one span
-kernel :func:`_span_exp` exponentiates all three.
+kernel :func:`_span_exp` exponentiates all three. The one ordered product
+:func:`_tree_product` multiplies the engine's step factors and the grid
+oracle's Wilson links.
 """
 
 from __future__ import annotations
@@ -63,6 +65,14 @@ def _span_exp(phi, zeta, window: tuple[int, int]) -> np.ndarray:
     core += np.eye(size)
     rot = np.exp(1j * np.angle(zeta)[:, None] * np.arange(size))
     return core * (np.exp(1j * phi)[:, None] * rot)[:, :, None] * rot.conj()[:, None, :]
+
+
+def _tree_product(stack: np.ndarray) -> np.ndarray:
+    """Ordered product of a (k, n, n) stack, later entries on the left, by pairwise reduction."""
+    while len(stack) > 1:
+        paired = stack[1::2] @ stack[:-1:2]
+        stack = np.concatenate([paired, stack[-1:]]) if len(stack) % 2 else paired
+    return stack[0]
 
 
 def unitarize(M: np.ndarray) -> np.ndarray:

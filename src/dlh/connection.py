@@ -94,9 +94,8 @@ def _unpack(point) -> tuple[float, float, float, float]:
     return ex, ey, lam, b
 
 
-def _check_level_and_m(n: int, m_row: int, m_col: int) -> None:
-    for name, index in (("n", n), ("m_row", m_row), ("m_col", m_col)):
-        _check_count(name, index, 0)
+def _check_level_and_m(n: int, m_row: int, m_col: int) -> tuple[int, int, int]:
+    return tuple(_check_count(name, index, 0) for name, index in (("n", n), ("m_row", m_row), ("m_col", m_col)))
 
 
 def _lowering_pattern(window: tuple[int, int]) -> np.ndarray:
@@ -164,12 +163,21 @@ def connection_general(
 def connection_closed_form(
     param: str, point, u: float, n: int, m_row: int, m_col: int
 ) -> complex:
-    """One entry of :func:`connection_matrix` (see module docstring)."""
-    _check_level_and_m(n, m_row, m_col)
-    m_lo = min(m_row, m_col)
-    i, j = m_row - m_lo, m_col - m_lo
-    A = connection_matrix(param, point, u, n, (m_lo, m_lo + 1)).entries
-    return complex(A[i, j]) if max(i, j) <= 1 else 0j
+    """One entry of :func:`connection_matrix` (see module docstring), bit for bit, from the generator scalars alone.
+
+    The entry is phi I + zeta L + conj(zeta) L^T at (m_row, m_col), with the
+    same operations on the same numbers as in the matrix, signed zeros too.
+    """
+    _, m_row, m_col = _check_level_and_m(n, m_row, m_col)
+    _check_param(param)
+    _check_positive("u", u)
+    p = _unpack(point)
+    if abs(m_row - m_col) > 1:
+        return 0j
+    phi, zeta = _generator_scalars(p, np.eye(4)[CONTROL_PARAMS.index(param)], u)
+    band = math.sqrt(max(m_row, m_col))  # L_{m+1,m} = sqrt(m+1)
+    lower, upper = (band if m_row > m_col else 0.0), (band if m_row < m_col else 0.0)
+    return complex(phi * float(m_row == m_col) + zeta * lower + np.conj(zeta) * upper)
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _span_exp, max_abs
+from ._linalg import _span_exp, _tree_product, max_abs
 from .connection import _generator_scalars, _unpack, abelian_curvature
 from .errors import ConvergenceError, ValidationError, _check_count, _check_positive, _check_window
 from .params import CONTROL_PARAMS
@@ -462,14 +462,6 @@ def _step_factors(path: ParameterPath, u: float, window: tuple[int, int], counts
             stack = pair[:, 0] @ pair[:, 1]
         for p, i0, i1 in batch:
             yield p, stack[i0 - lo : i1 - lo]
-
-
-def _tree_product(stack: np.ndarray) -> np.ndarray:
-    """Ordered product of a (k, n, n) stack, later entries on the left, by pairwise reduction."""
-    while len(stack) > 1:
-        paired = stack[1::2] @ stack[:-1:2]
-        stack = np.concatenate([paired, stack[-1:]]) if len(stack) % 2 else paired
-    return stack[0]
 
 
 def _identity(window: tuple[int, int]) -> np.ndarray:

@@ -44,11 +44,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._linalg import unitarize
+from ._linalg import _tree_product, unitarize
 from .connection import connection_closed_form
 from .errors import ValidationError, _check_count, _check_positive, _check_window
 from .holonomy import ParameterPath, _nodes, _require_closed, _runs, rectangle_loop
@@ -133,12 +133,14 @@ class Grid2D:
 
     def check_adequate(self, l_m, shift=0.0) -> None:
         """Adequacy rule: extent covers 6 l_m plus the shift, spacing <= l_m/4; at arrays of points, the first failure raises."""
-        l_m, shift = np.broadcast_arrays(l_m, shift)
         small, coarse = self.extent < 6.0 * l_m + np.abs(shift), self.h > l_m / 4.0
-        for l, d, too_small in zip(l_m[small | coarse], shift[small | coarse], small[small | coarse]):
-            if too_small:
-                raise ValidationError(f"grid extent {self.extent} too small for l_m={l:.4g} with shift {d:.4g}")
-            raise ValidationError(f"grid spacing {self.h:.4g} does not resolve l_m={l:.4g} (need h <= l_m/4)")
+        if not (small | coarse).any():
+            return
+        l_m, shift, small, bad = np.broadcast_arrays(l_m, shift, small, small | coarse)
+        l, d, too_small = l_m[bad][0], shift[bad][0], small[bad][0]
+        if too_small:
+            raise ValidationError(f"grid extent {self.extent} too small for l_m={l:.4g} with shift {d:.4g}")
+        raise ValidationError(f"grid spacing {self.h:.4g} does not resolve l_m={l:.4g} (need h <= l_m/4)")
 
     def overlap(self, f: np.ndarray, g: np.ndarray) -> complex:
         return complex(self.h * self.h * np.vdot(f, g))
@@ -553,7 +555,7 @@ def wilson_loop_oracle(
     st = _stack(grid, config, np.concatenate([pts, pts[:1]]), n, window)  # the last link ends on the first point
     links = _overlaps(st[:-1], st[1:])
     smallest = float(np.linalg.svd(links, compute_uv=False)[:, -1].min())
-    gamma = unitarize(reduce(np.matmul, links)).conj().T  # the product in path order
+    gamma = unitarize(_tree_product(links[::-1])).conj().T  # the product in path order, the first link leftmost
     return WilsonResult(gamma, len(pts), window, smallest)
 
 
@@ -565,12 +567,15 @@ def sign_convention_report(config: PhysicalConfig | None = None, grid: Grid2D | 
     """Measure the connection sign conventions and curvature on the grid.
 
     Finite differences (h_step 1e-3) fix the relative sign of the two
-    diagonal components and the sign and prefactor of the off-diagonal band;
-    a small Wilson rectangle measures the curvature constant, which is
-    compared against the closed form +1/(8 u^2 lambda B) and against the
-    area-law coefficient -1/(16 u^2 lambda B) (factor -2: magnitude 2 and
-    opposite orientation). The rejected sign variants are evaluated on the
-    same measurements so the report shows how far off each one is.
+    diagonal components and the sign and prefactor of the off-diagonal band.
+    All four come from one stack on window (0, 1), the point and its eight
+    shifts: the diagonal entries are its (0, 0) entries and the band entries
+    its (1, 0) entries. A small Wilson rectangle, the report's only other
+    stack, measures the curvature constant, which is compared against the
+    closed form +1/(8 u^2 lambda B) and against the area-law coefficient
+    -1/(16 u^2 lambda B) (factor -2: magnitude 2 and opposite orientation).
+    The rejected sign variants are evaluated on the same measurements so the
+    report shows how far off each one is.
 
     The rectangle's 8 links are exact: at fixed lambda and B its states are
     displaced ground states |nu>, nu linear in (Ex', Ey'), and the overlap
@@ -585,10 +590,9 @@ def sign_convention_report(config: PhysicalConfig | None = None, grid: Grid2D | 
     point = (config.Ex_prime, config.Ey_prime, config.lambda_density, config.B)
     ex, ey, lam, b = point
 
-    # one stack per window: the diagonal entries (0, 0) and the band entries (1, 0)
-    h_step = 1e-3
-    fd_ex, fd_ey = map(complex, _fd_matrices(grid, config, CONTROL_PARAMS[:2], point, 0, (0, 0), h_step)[:, 0, 0])
-    fd_lam, fd_b = map(complex, _fd_matrices(grid, config, CONTROL_PARAMS[2:], point, 0, (0, 1), h_step)[:, 1, 0])
+    # one stack on window (0, 1): the diagonal entries (0, 0) of Ex', Ey' and the band entries (1, 0) of lambda, B
+    fd = _fd_matrices(grid, config, CONTROL_PARAMS, point, 0, (0, 1), 1e-3)
+    fd_ex, fd_ey, fd_lam, fd_b = map(complex, (*fd[:2, 0, 0], *fd[2:, 1, 0]))
 
     cf_ex = connection_closed_form("Ex_prime", point, u, 0, 0, 0)
     cf_ey = connection_closed_form("Ey_prime", point, u, 0, 0, 0)

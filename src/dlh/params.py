@@ -133,21 +133,25 @@ def _point_scales(config: PhysicalConfig, points) -> tuple[np.ndarray, ...]:
         omega = config.alpha * np.abs(lam_B) / config.mass
         sigma = np.sign(lam_B).astype(int) if config.sigma_override is None else np.full(len(p), config.sigma_override)
         l_m = np.sqrt(config.hbar / (config.mass * omega))
-        u = np.full(len(p), math.sqrt(config.hbar / (8.0 * config.alpha)))
+        u0 = math.sqrt(config.hbar / (8.0 * config.alpha))
+        u = np.full(len(p), u0)
         c = config.alpha * l_m / (math.sqrt(2.0) * config.hbar)
         nu = (-c * ey).astype(complex)
         nu.imag = -c * ex
-    positive = {"omega": omega, "l_m": l_m, "u": u}
-    ok = np.column_stack([np.isfinite(p), lam_B != 0, *((0 < v) & (v < math.inf) for v in positive.values()), np.isfinite(nu)])
-    for k in np.flatnonzero(~ok.all(axis=1))[:1]:
-        point = tuple(float(v) for v in p[k])
-        messages = [
-            *(f"{name} must be a finite number, got {v!r}" for name, v in zip(CONTROL_PARAMS, point)),
-            _DEGENERATE,
-            *(f"{name} must be positive and finite, got {float(v[k])}" for name, v in positive.items()),
-            f"nu must be finite, got {complex(nu[k])}",
-        ]
-        raise ValidationError(f"{messages[np.argmin(ok[k])]} at (Ex', Ey', lambda, B) = {point}")
+    # A row passes every check just when l_m > 0 and nu is finite: l_m > 0 needs a finite omega, so finite lambda
+    # and B, and a finite nu needs l_m < inf (so omega > 0, lambda B != 0) and finite Ex', Ey'. Only failures are diagnosed.
+    if not (np.all((0 < l_m) & np.isfinite(nu)) and 0 < u0 < math.inf):
+        positive = {"omega": omega, "l_m": l_m, "u": u}
+        ok = np.column_stack([np.isfinite(p), lam_B != 0, *((0 < v) & (v < math.inf) for v in positive.values()), np.isfinite(nu)])
+        for k in np.flatnonzero(~ok.all(axis=1))[:1]:
+            point = tuple(float(v) for v in p[k])
+            messages = [
+                *(f"{name} must be a finite number, got {v!r}" for name, v in zip(CONTROL_PARAMS, point)),
+                _DEGENERATE,
+                *(f"{name} must be positive and finite, got {float(v[k])}" for name, v in positive.items()),
+                f"nu must be finite, got {complex(nu[k])}",
+            ]
+            raise ValidationError(f"{messages[np.argmin(ok[k])]} at (Ex', Ey', lambda, B) = {point}")
     return omega, sigma, l_m, u, nu
 
 

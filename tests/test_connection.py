@@ -236,3 +236,29 @@ def test_generator_stack_matches_single_points(rng):
     phi, zeta = _generator_scalars(pts, steps, 0.7)
     for p, d, f, z in zip(pts, steps, phi, zeta):
         assert _generator_scalars(p, d, 0.7) == (f, z)
+
+
+def _bits(z) -> tuple[int, int]:
+    """The IEEE bits of a complex number's two parts: equal bits tell -0.0 from 0.0."""
+    return tuple(np.array([z.real, z.imag]).view(np.uint64).tolist())
+
+
+def test_closed_form_entry_is_the_matrix_entry_bit_for_bit(rng):
+    # each entry from the generator scalars alone, as the window matrix has
+    # it, the sign of every zero part included; zero and negative
+    # coordinates give zero parts of either sign in the products
+    pts = _random_points(rng, 12) + [(0.0, 0.7, 2.0, 1.0), (-0.3, 0.0, 1.5, 2.5), (0.0, -0.0, 3.0, 0.5), (-0.0, -0.4, 0.7, 1.2)]
+    zero_parts = 0
+    for pt in pts:
+        u = 0.3 + rng.random()
+        for param in CONTROL_PARAMS:
+            for m_row in range(5):
+                for m_col in range(5):
+                    m_lo = min(m_row, m_col)
+                    got = connection_closed_form(param, pt, u, 1, m_row, m_col)
+                    entries = connection_matrix(param, pt, u, 1, (m_lo, m_lo + 1)).entries
+                    i, j = m_row - m_lo, m_col - m_lo
+                    want = complex(entries[i, j]) if max(i, j) <= 1 else 0j
+                    assert type(got) is complex and _bits(got) == _bits(want), (param, pt, m_row, m_col)
+                    zero_parts += (got.real == 0.0) + (got.imag == 0.0)
+    assert zero_parts > 0

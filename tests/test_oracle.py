@@ -1,10 +1,11 @@
 import math
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from dlh import oracle
+from dlh import _linalg, holonomy, oracle
 from dlh._linalg import unitarize
 from dlh.connection import CONTROL_PARAMS, connection_closed_form, connection_matrix
 from dlh.errors import ValidationError
@@ -45,6 +46,27 @@ def test_grid_adequacy_rules():
         Grid2D(extent=-1.0, points=64)
     with pytest.raises(ValidationError):
         Grid2D(extent=12.0, points=3)
+
+
+# l_m and shift of each adequacy case on the 256-point grid of extent 12, and
+# the message of its first failing point
+_INADEQUATE = {
+    "too_small": ((3.0,), "grid extent 12.0 too small for l_m=3 with shift 0"),
+    "too_coarse": ((0.1,), "grid spacing 0.09412 does not resolve l_m=0.1 (need h <= l_m/4)"),
+    "shift_too_large": ((1.0, 7.0), "grid extent 12.0 too small for l_m=1 with shift 7"),
+    "small_after_good_points": (([1.0, 1.0, 3.0, 0.1], [0.0, -1.0, 0.5, 0.0]), "grid extent 12.0 too small for l_m=3 with shift 0.5"),
+    "coarse_after_a_good_point": (([1.0, 0.1, 3.0], 0.0), "grid spacing 0.09412 does not resolve l_m=0.1 (need h <= l_m/4)"),
+    "negative_shift": (([1.0, 1.5], [0.0, -4.0]), "grid extent 12.0 too small for l_m=1.5 with shift -4"),
+}
+
+
+@pytest.mark.parametrize("name", _INADEQUATE)
+def test_the_first_inadequate_point_is_diagnosed(grid12, name):
+    args, message = _INADEQUATE[name]
+    with pytest.raises(ValidationError) as failure:
+        grid12.check_adequate(*(np.asarray(a) for a in args))
+    assert str(failure.value) == message
+    grid12.check_adequate(np.ones(3), np.array([0.0, 5.0, -5.0]))  # adequate points raise nothing
 
 
 def test_ground_state_shape_and_width(grid12):
@@ -814,6 +836,42 @@ def test_the_report_rectangle_is_exact_at_every_link_count(points):
         wilson = wilson_loop_oracle(grid, oracle.OPERATING_CONFIG, loop, n=0, window=(0, 0), steps=steps)
         assert wilson.points == steps
         assert abs(np.angle(wilson.matrix[0, 0]) / side**2 - closed) <= 1e-15
+
+
+def test_the_report_takes_one_fd_stack_and_one_wilson_stack(monkeypatch, grid12):
+    calls, real = [], oracle._stack
+    monkeypatch.setattr(oracle, "_stack", lambda *args: calls.append(args) or real(*args))
+    report = sign_convention_report(grid=grid12)
+    # the point and its 8 shifts on window (0, 1); the rectangle's 8 links and the closing point
+    assert [(len(pts), n, window) for _, _, pts, n, window in calls] == [(9, 0, (0, 1)), (9, 0, (0, 0))]
+    op = report["operating_point"]
+    point = tuple(op[k] for k in CONTROL_PARAMS)
+    fd = oracle._fd_matrices(grid12, oracle.OPERATING_CONFIG, CONTROL_PARAMS, point, 0, (0, 1), 1e-3)
+    entries = {("diagonal", "fd_Ex"): fd[0, 0, 0], ("diagonal", "fd_Ey"): fd[1, 0, 0],
+               ("off_diagonal", "fd_lambda_10"): fd[2, 1, 0], ("off_diagonal", "fd_B_10"): fd[3, 1, 0]}
+    for (part, key), z in entries.items():
+        assert report[part][key] == [float(z.real), float(z.imag)]
+
+
+# an oracle_grid box (60 links on the 256-point grid) and a quadrilateral
+# along which all four parameters move, so that its links do not commute
+_QUAD = np.array([(0.2, 0.1, 1.8, 1.0), (-0.3, 0.4, 2.2, 1.1), (-0.1, -0.3, 2.0, 0.9), (0.3, -0.2, 1.6, 1.05), (0.2, 0.1, 1.8, 1.0)])
+
+
+def test_the_wilson_loop_and_the_engine_take_one_ordered_product(monkeypatch, grid12, cfg_natural, cfg_desk):
+    assert oracle._tree_product is holonomy._tree_product is _linalg._tree_product
+    cases = [(cfg_natural, box_loop("ABCHEFA", (0.0, 0.5), (1.2, 1.7), (1.3, 1.8)), 64, 60), (cfg_desk, ParameterPath(_QUAD), 32, 32)]
+    real = oracle._overlaps
+    for config, loop, steps, count in cases:
+        links = []
+        with monkeypatch.context() as mp:  # the link overlaps: the one call without a Gram
+            mp.setattr(oracle, "_overlaps", lambda *args: (links.append(real(*args)) or links[-1]) if len(args) == 2 else real(*args))
+            res = wilson_loop_oracle(grid12, config, loop, n=0, window=(0, 1), steps=steps)
+        (links,) = links
+        assert len(links) == res.points == count
+        want = unitarize(reduce(np.matmul, links)).conj().T  # the product in path order, one link at a time
+        assert np.abs(res.matrix - want).max() <= 1e-15
+        assert np.abs(res.matrix - np.eye(2)).max() > 1e-3  # a loop with a holonomy to get right
 
 
 def test_oracle_is_independent_of_the_algebra():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dlh.errors import ValidationError
-from dlh.params import PhysicalConfig, derive_scales, validate_regime
+from dlh.params import CONTROL_PARAMS, PhysicalConfig, _point_scales, derive_scales, validate_regime
 
 # natural units with omega = 1, sigma = +1, u = 1/sqrt(8)
 NATURAL = PhysicalConfig(mass=1.0, alpha=1.0, hbar=1.0, lambda_density=1.0, B=1.0)
@@ -142,6 +142,90 @@ def test_non_finite_fields_raise(cfg_desk, field, value):
 def test_scales_that_overflow_raise(cfg_desk, fields):
     with pytest.raises(ValidationError, match="must be (positive and )?finite"):
         derive_scales(PhysicalConfig(**{**vars(cfg_desk), **fields}))
+
+
+_DESK = {"mass": 1.0, "alpha": 0.5, "hbar": 1.0}
+_GOOD_ROW = (0.3, 0.7, 2.0, 1.0)
+_DEGENERATE = "lambda_density * B must be nonzero: the effective Landau problem degenerates at zero cyclotron frequency"
+# particle, rows and the exact message of the first failure; the rows
+# (0.3, 0.7, 8.0, 1.0) at hbar = 5e-324 leave omega = 4 but hbar / (M omega) rounds to 0
+_BAD_ROWS = {
+    "nan_coordinate": (_DESK, [(math.nan, 0.7, 2.0, 1.0)], "Ex_prime must be a finite number, got nan"),
+    "infinite_B": (_DESK, [(0.3, 0.7, 2.0, -math.inf)], "B must be a finite number, got -inf"),
+    "lambda_B_zero": (_DESK, [(0.3, 0.7, 2.0, 0.0)], _DEGENERATE),
+    "omega_overflows": (_DESK, [(0.3, 0.7, 1e300, 1e10)], "omega must be positive and finite, got inf"),
+    "omega_underflows": (_DESK, [(0.3, 0.7, 5e-324, 1.0)], "omega must be positive and finite, got 0.0"),
+    "l_m_underflows": ({**_DESK, "hbar": 5e-324}, [(0.3, 0.7, 8.0, 1.0)], "l_m must be positive and finite, got 0.0"),
+    "u_overflows": ({"mass": 1.0, "alpha": 1e-10, "hbar": 1e300}, [(0.3, 0.7, 1e5, 1e5)],
+                    "u must be positive and finite, got inf"),
+    "nu_not_finite": ({"mass": 1.0, "alpha": 1.0, "hbar": 1e-300}, [(0.3, 1e200, 1.0, 1.0)],
+                      "nu must be finite, got (-inf-2.1213203435596425e+149j)"),
+    "bad_row_after_good_ones": (_DESK, [_GOOD_ROW] * 3 + [(0.3, 0.7, -2.0, 0.0), (math.inf, 0.7, 2.0, 1.0)], _DEGENERATE),
+}
+
+
+@pytest.mark.parametrize("name", _BAD_ROWS)
+def test_the_first_bad_row_is_diagnosed(name):
+    particle, rows, message = _BAD_ROWS[name]
+    config = PhysicalConfig(lambda_density=2.0, B=1.0, **particle)
+    bad = next(r for r in rows if r != _GOOD_ROW)
+    with pytest.raises(ValidationError) as failure:
+        _point_scales(config, rows)
+    assert str(failure.value) == f"{message} at (Ex', Ey', lambda, B) = {bad}"
+
+
+def test_no_rows_pass_every_check():
+    # an empty stack has no row to fail, whatever the particle
+    for particle in (_DESK, _BAD_ROWS["u_overflows"][0]):
+        scales = _point_scales(PhysicalConfig(lambda_density=2.0, B=1.0, **particle), np.empty((0, 4)))
+        assert [a.shape for a in scales] == [(0,)] * 5
+
+
+def _written_out(config, row):
+    """The message for one row, every check taken on its own in message order; None if the row passes them all."""
+    ex, ey, lam, b = (np.array([v]) for v in row)
+    with np.errstate(all="ignore"):
+        lam_B = lam * b
+        omega = config.alpha * np.abs(lam_B) / config.mass
+        l_m = np.sqrt(config.hbar / (config.mass * omega))
+        u = np.full(1, math.sqrt(config.hbar / (8.0 * config.alpha)))
+        c = config.alpha * l_m / (math.sqrt(2.0) * config.hbar)
+        nu = (-c * ey).astype(complex)
+        nu.imag = -c * ex
+    checks = [(math.isfinite(v), f"{name} must be a finite number, got {v!r}") for name, v in zip(CONTROL_PARAMS, row)]
+    checks.append((lam_B[0] != 0, _DEGENERATE))
+    for name, v in (("omega", omega), ("l_m", l_m), ("u", u)):
+        checks.append((0 < v[0] < math.inf, f"{name} must be positive and finite, got {float(v[0])}"))
+    checks.append((np.isfinite(nu[0]), f"nu must be finite, got {complex(nu[0])}"))
+    return next((f"{message} at (Ex', Ey', lambda, B) = {row}" for ok, message in checks if not ok), None)
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -1e-300, 1e-160, -1e160, 1e300, math.inf, -math.inf, math.nan]
+_PARTICLES = [_DESK, {"mass": 1e300, "alpha": 1e-300, "hbar": 1.0}, {"mass": 1e-300, "alpha": 1e300, "hbar": 1e-300},
+              {"mass": 1.0, "alpha": 1e-10, "hbar": 1e300}, {"mass": 1.0, "alpha": 0.5, "hbar": 5e-324},
+              {"mass": 1.0, "alpha": 1.0, "hbar": 1e-300}]
+
+
+def test_the_checks_accept_exactly_the_rows_that_pass_each_one():
+    # the pass over all rows reads l_m, nu and u alone; on rows of special
+    # values, each check written out on its own raises or accepts the same
+    rng = np.random.default_rng(7)
+    outcomes = set()
+    for particle in _PARTICLES:
+        config = PhysicalConfig(lambda_density=2.0, B=1.0, **particle)
+        before = [_GOOD_ROW] if _written_out(config, _GOOD_ROW) is None else []  # a good row first, where there is one
+        for _ in range(400):
+            row = tuple(float(rng.choice(_SPECIAL)) if rng.random() < 0.3 else float(rng.uniform(-3.0, 3.0))
+                        for _ in range(4))
+            want = _written_out(config, row)
+            if want is None:
+                _point_scales(config, [*before, row])
+            else:
+                with pytest.raises(ValidationError) as failure:
+                    _point_scales(config, [*before, row])
+                assert str(failure.value) == want
+            outcomes.add(None if want is None else want.split(" must ")[0])
+    assert outcomes == {None, *CONTROL_PARAMS, "omega", "l_m", "u", "nu", "lambda_density * B"}
 
 
 @pytest.mark.parametrize("value", [True, False, 1.0, -1.0, "1"])

@@ -17,102 +17,12 @@ displaced   displacement operator, displaced states, dual-route Hamiltonian
 connection  Berry connection components, closed forms and chain-rule route
 holonomy    parameter loops, Abelian phases, path-ordered holonomies
 oracle      FFT grid representation: independent checks of all of the above
+errors      exception types and the one check of each kind of argument
 cli         deterministic batch interface (`dlh` entry point)
 
-``import dlh`` loads no submodule. Each name in ``__all__`` is looked up in
-its module on first access (PEP 562), which imports that module, so a
-program pays only for the modules it touches. Values are not cached here:
-every access reads the module's current binding. The ``dlh`` command works
-the same way: each subcommand imports only the modules it calls, so
-``dlh spectrum`` loads none beyond ``params`` and starts in about the time
-of ``import numpy`` (README, Start-up).
+``import dlh`` loads no submodule and re-exports nothing: each name comes
+from its module, e.g. ``from dlh.holonomy import holonomy_path_ordered``,
+and each module's ``__all__`` lists its public names.
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-# module -> the names the package exports from it
-_EXPORTS = {
-    "params": (
-        "PhysicalConfig",
-        "DerivedScales",
-        "RegimeReport",
-        "derive_scales",
-        "validate_regime",
-    ),
-    "fock": (
-        "FockBasis",
-        "OperatorMatrix",
-        "build_basis",
-        "ladder_a",
-        "ladder_b",
-        "hamiltonian_matrix",
-        "lz_matrix",
-        "number_a",
-        "number_b",
-        "state_from_ground",
-        "commutator",
-    ),
-    "displaced": (
-        "DisplacedState",
-        "displacement_matrix",
-        "dual_route_deviation",
-        "displaced_state",
-        "displaced_hamiltonian",
-        "position_shift",
-    ),
-    "connection": (
-        "CONTROL_PARAMS",
-        "SIGN_CONVENTION",
-        "ConnectionMatrix",
-        "connection_general",
-        "connection_closed_form",
-        "connection_matrix",
-        "chain_rule_consistency",
-        "abelian_curvature",
-    ),
-    "holonomy": (
-        "LOOP_KINDS",
-        "ParameterPath",
-        "AbelianPhases",
-        "HolonomyResult",
-        "rectangle_loop",
-        "box_loop",
-        "signed_area",
-        "abelian_phase",
-        "loop_area_integral",
-        "area_closed_form",
-        "commuting_holonomy",
-        "holonomy_path_ordered",
-        "unordered_holonomy",
-        "noncommutativity_defect",
-        "convergence_series",
-    ),
-    "oracle": (
-        "Grid2D",
-        "WaveField",
-        "WilsonResult",
-        "default_grid",
-        "ground_state",
-        "displace_field",
-        "fd_connection_matrix",
-        "wilson_loop_oracle",
-        "sign_convention_report",
-    ),
-    "errors": ("ValidationError", "ConvergenceError", "ConsistencyError"),
-}
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = ["__version__", *_MODULE_OF]
-
-
-def __getattr__(name: str):
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})

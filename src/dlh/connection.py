@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import _ladder, max_abs
-from .errors import ValidationError, _check_count, _check_positive, _check_window
+from .errors import ValidationError, _check_count, _check_positive, _check_window, _floats
 from .params import CONTROL_PARAMS, _check_param
 
 __all__ = [
@@ -83,10 +83,7 @@ SIGN_CONVENTION = {
 
 
 def _unpack(point) -> tuple[float, float, float, float]:
-    try:
-        ex, ey, lam, b = (float(v) for v in point)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"point must be 4 numbers (Ex', Ey', lambda, B): {point!r}") from exc
+    ex, ey, lam, b = _floats(point, "point must be 4 numbers (Ex', Ey', lambda, B)", (4,)).tolist()
     if not all(map(math.isfinite, (ex, ey, lam, b))):
         raise ValidationError(f"point contains non-finite entries: {point!r}")
     if lam <= 0 or b <= 0:

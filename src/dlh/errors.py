@@ -7,6 +7,8 @@ ConvergenceError and ConsistencyError -> 3.
 import math
 import numbers
 
+import numpy as np
+
 __all__ = ["ValidationError", "ConvergenceError", "ConsistencyError"]
 
 
@@ -51,3 +53,14 @@ def _check_window(window: tuple[int, int]) -> tuple[int, int]:
     if not (_is_integer(m_lo) and _is_integer(m_hi) and 0 <= m_lo <= m_hi):
         raise ValidationError(f"window must be integers with 0 <= m_lo <= m_hi, got {window!r}")
     return int(m_lo), int(m_hi)
+
+
+def _floats(value, expected: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """`value` as a float array (of `shape`, if given) or ValidationError(f"{expected}: {value!r}"); finite or not."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):  # an entry that is not a number, or ragged rows
+        array = None
+    if array is None or (shape is not None and array.shape != shape):
+        raise ValidationError(f"{expected}: {value!r}")
+    return array

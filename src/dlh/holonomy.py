@@ -47,7 +47,7 @@ import numpy as np
 
 from ._linalg import _span_exp, _tree_product, max_abs
 from .connection import _generator_scalars, _unpack, abelian_curvature
-from .errors import ConvergenceError, ValidationError, _check_count, _check_positive, _check_window
+from .errors import ConvergenceError, ValidationError, _check_count, _check_positive, _check_window, _floats
 from .params import CONTROL_PARAMS
 
 __all__ = [
@@ -78,6 +78,7 @@ _BOX_ITINERARIES = {
     "ADCHEFA": ("000", "100", "110", "111", "101", "001", "000"),
 }
 BOX_KINDS = tuple(_BOX_ITINERARIES)
+_BOX_RANGES = "ey_range, lam_range and b_range must be pairs of numbers"
 LOOP_KINDS = ("C1_rectangle", *BOX_KINDS, "custom")
 
 _CLOSURE_ATOL = 1e-12
@@ -116,7 +117,7 @@ _BATCH_DOUBLINGS = 3  # most doublings built ahead in one batch
 
 
 def _validate_vertices(vertices) -> np.ndarray:
-    v = np.asarray(vertices, dtype=float)
+    v = _floats(vertices, "vertices must be rows of numbers (Ex', Ey', lambda, B)")
     if v.ndim != 2 or v.shape[1] != 4 or v.shape[0] < 2:
         raise ValidationError(
             f"vertices must be (V, 4) with V >= 2 rows of (Ex', Ey', lambda, B), got shape {v.shape}"
@@ -178,13 +179,6 @@ class ParameterPath:
         return np.where(lengths == 0.0, 0, 2 * half)
 
 
-def _base4(base_point) -> np.ndarray:
-    p = np.asarray(base_point, dtype=float)
-    if p.shape != (4,):
-        raise ValidationError(f"base_point must have 4 entries, got shape {p.shape}")
-    return p
-
-
 def rectangle_loop(axis_a: str, axis_b: str, range_a, range_b, base_point) -> ParameterPath:
     """Axis-aligned rectangle in the (axis_a, axis_b) plane, other axes fixed.
 
@@ -196,9 +190,10 @@ def rectangle_loop(axis_a: str, axis_b: str, range_a, range_b, base_point) -> Pa
     if axis_a not in CONTROL_PARAMS or axis_b not in CONTROL_PARAMS or axis_a == axis_b:
         raise ValidationError(f"axes must be two distinct names from {CONTROL_PARAMS}")
     ia, ib = CONTROL_PARAMS.index(axis_a), CONTROL_PARAMS.index(axis_b)
-    a1, a2 = (float(v) for v in range_a)
-    b1, b2 = (float(v) for v in range_b)
-    p = _base4(base_point)
+    (a1, a2), (b1, b2) = _floats((range_a, range_b), "range_a and range_b must be pairs of numbers", (2, 2)).tolist()
+    p = _floats(base_point, "base_point must be 4 numbers")
+    if p.shape != (4,):
+        raise ValidationError(f"base_point must have 4 entries, got shape {p.shape}")
     verts = np.tile(p, (5, 1))
     verts[:, ia] = (a1, a2, a2, a1, a1)
     verts[:, ib] = (b1, b1, b2, b2, b1)
@@ -222,10 +217,9 @@ def box_loop(kind: str, ey_range, lam_range, b_range, ex: float = 0.0) -> Parame
     """
     if kind not in _BOX_ITINERARIES:
         raise ValidationError(f"kind must be ABCHEFA, ABCHGFA or ADCHEFA, got {kind!r}")
-    ranges = [(float(lo), float(hi)) for lo, hi in (ey_range, lam_range, b_range)]
-    verts = np.array(
-        [(float(ex), *(r[int(c)] for r, c in zip(ranges, corner))) for corner in _BOX_ITINERARIES[kind]]
-    )
+    ranges = _floats((ey_range, lam_range, b_range), _BOX_RANGES, (3, 2)).tolist()
+    ex = float(_floats(ex, "ex must be a number", ()))
+    verts = np.array([(ex, *(r[int(c)] for r, c in zip(ranges, corner))) for corner in _BOX_ITINERARIES[kind]])
     return ParameterPath(verts, kind=kind)
 
 
@@ -320,9 +314,9 @@ def area_closed_form(kind: str, ey_range, lam_range, b_range) -> float:
     All three vanish when Ey1 = Ey2; ABCHEFA also vanishes when
     lam1 B1 = lam2 B2.
     """
-    ey1, ey2 = (float(v) for v in ey_range)
-    l1, l2 = (float(v) for v in lam_range)
-    b1, b2 = (float(v) for v in b_range)
+    (ey1, ey2), (l1, l2), (b1, b2) = _floats((ey_range, lam_range, b_range), _BOX_RANGES, (3, 2)).tolist()
+    if not all(map(math.isfinite, (ey1, ey2, l1, l2, b1, b2))):
+        raise ValidationError(f"ranges must be finite, got {ey_range!r}, {lam_range!r}, {b_range!r}")
     if min(l1, l2, b1, b2) <= 0:
         raise ValidationError("lambda and B ranges must be positive")
     w11 = 1.0 / math.sqrt(l1 * b1)

@@ -50,7 +50,7 @@ import numpy as np
 
 from ._linalg import _tree_product, unitarize
 from .connection import connection_closed_form
-from .errors import ValidationError, _check_count, _check_positive, _check_window
+from .errors import ValidationError, _check_count, _check_positive, _check_window, _floats
 from .holonomy import ParameterPath, _nodes, _require_closed, _runs, rectangle_loop
 from .params import CONTROL_PARAMS, DerivedScales, PhysicalConfig, _check_param, _point_scales, derive_scales
 
@@ -133,12 +133,14 @@ class Grid2D:
 
     def check_adequate(self, l_m, shift=0.0) -> None:
         """Adequacy rule: extent covers 6 l_m plus the shift, spacing <= l_m/4; at arrays of points, the first failure raises."""
-        small, coarse = self.extent < 6.0 * l_m + np.abs(shift), self.h > l_m / 4.0
-        if not (small | coarse).any():
+        ok = (self.extent >= 6.0 * l_m + np.abs(shift)) & (self.h <= l_m / 4.0)  # False for a NaN l_m
+        if np.all(ok):
             return
-        l_m, shift, small, bad = np.broadcast_arrays(l_m, shift, small, small | coarse)
-        l, d, too_small = l_m[bad][0], shift[bad][0], small[bad][0]
-        if too_small:
+        l_m, shift, ok = np.broadcast_arrays(l_m, shift, ok)
+        l, d = float(l_m[~ok][0]), float(shift[~ok][0])
+        if not 0 < l < math.inf:
+            raise ValidationError(f"l_m must be positive and finite, got {l}")
+        if not self.extent >= 6.0 * l + abs(d):
             raise ValidationError(f"grid extent {self.extent} too small for l_m={l:.4g} with shift {d:.4g}")
         raise ValidationError(f"grid spacing {self.h:.4g} does not resolve l_m={l:.4g} (need h <= l_m/4)")
 
@@ -470,12 +472,12 @@ def apply_uniform_field_hamiltonian(grid: Grid2D, scales: DerivedScales, f: np.n
     return out
 
 
-def _shifted_point(point, param: str, delta: float) -> tuple[float, float, float, float]:
-    p = [float(v) for v in point]
-    if len(p) != 4:
-        raise ValidationError(f"a point must be (Ex', Ey', lambda, B), got {len(p)} coordinates")
+def _shifted_point(point, param: str, delta: float) -> np.ndarray:
+    p = _floats(point, "a point must be numbers (Ex', Ey', lambda, B)").copy()  # never the caller's array
+    if p.shape != (4,):
+        raise ValidationError(f"a point must be (Ex', Ey', lambda, B), got {p.size} coordinates")
     p[CONTROL_PARAMS.index(param)] += delta
-    return tuple(p)
+    return p
 
 
 def fd_connection_matrix(

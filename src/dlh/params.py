@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError, _check_positive, _is_integer
+from .errors import ValidationError, _check_positive, _floats, _is_integer
 
 __all__ = [
     "CONTROL_PARAMS",
@@ -124,7 +124,7 @@ def _point_scales(config: PhysicalConfig, points) -> tuple[np.ndarray, ...]:
     nu pairs nu_x with Ey' and nu_y with Ex': nu = -(alpha l_m / (sqrt(2) hbar)) (Ey' + i Ex'). Every row needs
     finite coordinates, lambda B != 0, omega, l_m and u positive and finite, nu finite; the first bad row raises.
     """
-    p = np.asarray(points, dtype=float)
+    p = _floats(points, "points must be rows of numbers (Ex', Ey', lambda, B)")
     if p.ndim != 2 or p.shape[1] != 4:
         raise ValidationError(f"points must be rows of (Ex', Ey', lambda, B), got shape {p.shape}")
     ex, ey, lam, b = p.T

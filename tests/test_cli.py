@@ -608,7 +608,6 @@ _FOOTPRINTS = {
 _PROBES = {
     "import dlh": "import dlh",
     "import dlh.cli": "import dlh.cli",
-    "first export": "import dlh\ndlh.derive_scales",
     **{argv: _CLI_RUN.format(argv=list(argv)) for argv in _FOOTPRINTS},
 }
 
@@ -642,37 +641,24 @@ def test_subcommand_loads_only_its_modules(loaded_modules, argv):
     assert ("dlh.holonomy" in loaded) == (argv[0] in ("phase", "holonomy", "sweep", "oracle-check"))
 
 
-def test_package_exports_load_on_first_use(loaded_modules, monkeypatch):
+def test_import_dlh_loads_no_submodule(loaded_modules):
     assert loaded_modules["import dlh"] == {"dlh"}
-    assert loaded_modules["first export"] == {"dlh", "dlh.params", "dlh.errors"}
-    import dlh
-    import dlh.params
-
-    # no cached value: a rebinding in the module, and its undoing, show through
-    original = dlh.params.derive_scales
-    monkeypatch.setattr(dlh.params, "derive_scales", len)
-    assert dlh.derive_scales is len
-    monkeypatch.undo()
-    assert dlh.derive_scales is original
-
-    namespace: dict = {}
-    exec("from dlh import *", namespace)
-    for name in dlh.__all__:
-        assert namespace[name] is getattr(dlh, name) is not None
-        assert name in dir(dlh)
-    with pytest.raises(AttributeError):
-        dlh.no_such_name
 
 
-def test_every_export_is_in_its_modules_all():
-    # the package table and the modules' __all__ are two lists of one public surface
+def test_every_module_all_lists_bound_names_once():
+    # each module's __all__ is the one list of its public names, and the
+    # benchmark's tracer wraps what it lists: a stale name would go untraced
     import importlib
+    import pkgutil
 
     import dlh
 
-    for module, names in dlh._EXPORTS.items():
-        missing = set(names) - set(importlib.import_module(f"dlh.{module}").__all__)
-        assert not missing, (module, missing)
+    modules = [info.name for info in pkgutil.iter_modules(dlh.__path__)]
+    assert {"params", "holonomy", "oracle", "errors", "cli"} <= set(modules)
+    for name in modules:
+        module = importlib.import_module(f"dlh.{name}")
+        assert len(set(module.__all__)) == len(module.__all__), name
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], name
 
 
 def test_every_dlh_name_the_benchmark_reads_exists():
@@ -803,6 +789,36 @@ def _shown_pattern(shown: list[str]) -> str:
 
 
 _README_EXAMPLES = _readme_examples()
+
+
+def test_readme_python_example_prints_what_its_comments_show():
+    # each ```python block runs statement by statement; a statement whose line
+    # ends in `# value` must print exactly that value
+    import ast
+    import contextlib
+    import io
+
+    blocks, block = [], None
+    for line in README.read_text().splitlines():
+        if block is None and line.startswith("```python"):
+            block = []
+        elif block is not None and line.startswith("```"):
+            blocks.append(block)
+            block = None
+        elif block is not None:
+            block.append(line)
+    checked = []
+    for lines in blocks:
+        namespace: dict = {}
+        for statement in ast.parse("\n".join(lines)).body:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                exec(compile(ast.Module([statement], []), str(README), "exec"), namespace)
+            tail = lines[statement.end_lineno - 1][statement.end_col_offset:].strip()
+            if tail.startswith("#"):
+                assert out.getvalue() == tail[1:].strip() + "\n", tail
+                checked.append(tail[1:].strip())
+    assert "-0.75" in checked
 
 
 @pytest.mark.parametrize("command, shown", _README_EXAMPLES, ids=[command for command, _ in _README_EXAMPLES])

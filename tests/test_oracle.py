@@ -9,7 +9,7 @@ from dlh import _linalg, holonomy, oracle
 from dlh._linalg import unitarize
 from dlh.connection import CONTROL_PARAMS, connection_closed_form, connection_matrix
 from dlh.errors import ValidationError
-from dlh.holonomy import ParameterPath, box_loop, holonomy_path_ordered, rectangle_loop
+from dlh.holonomy import ParameterPath, area_closed_form, box_loop, holonomy_path_ordered, rectangle_loop
 from dlh.oracle import (
     Grid2D,
     WaveField,
@@ -30,7 +30,7 @@ from dlh.oracle import (
     wilson_loop_oracle,
     window_states,
 )
-from dlh.params import PhysicalConfig, derive_scales
+from dlh.params import PhysicalConfig, _point_scales, derive_scales
 
 
 def test_grid_adequacy_rules():
@@ -67,6 +67,20 @@ def test_the_first_inadequate_point_is_diagnosed(grid12, name):
         grid12.check_adequate(*(np.asarray(a) for a in args))
     assert str(failure.value) == message
     grid12.check_adequate(np.ones(3), np.array([0.0, 5.0, -5.0]))  # adequate points raise nothing
+
+
+@pytest.mark.parametrize("later_row", [False, True], ids=["scalar", "later_row"])
+@pytest.mark.parametrize("l_m", [math.nan, -1.0, 0.0, math.inf])
+def test_a_bad_l_m_fails_as_itself(grid12, l_m, later_row):
+    # both rules are False for a NaN l_m, and a bad l_m is named, not taken for a grid problem
+    message = f"l_m must be positive and finite, got {l_m}"
+    with pytest.raises(ValidationError) as failure:
+        grid12.check_adequate(np.array([1.0, 1.5, l_m]) if later_row else l_m)
+    assert str(failure.value) == message
+    if not later_row:
+        with pytest.raises(ValidationError) as failure:
+            ground_state(grid12, l_m)
+        assert str(failure.value) == message
 
 
 def test_ground_state_shape_and_width(grid12):
@@ -801,6 +815,31 @@ def test_fd_points_must_have_four_coordinates(grid12, cfg_desk, param, point):
     # checked before a coordinate is shifted, whichever parameter it is
     with pytest.raises(ValidationError, match=f"got {len(point)} coordinates"):
         fd_connection_matrix(grid12, cfg_desk, param, point, 0, (0, 1))
+
+
+# malformed points and ranges: each once escaped as a raw TypeError or ValueError, or returned a float
+_MALFORMED = {
+    "fd_point_not_a_sequence": lambda g, cfg: fd_connection_matrix(g, cfg, "B", 5, 0, (0, 1)),
+    "rectangle_range_not_a_pair": lambda g, cfg: rectangle_loop("Ex_prime", "Ey_prime", 1.0, (0, 1), (0, 0, 1, 1)),
+    "area_range_not_a_pair": lambda g, cfg: area_closed_form("ABCHEFA", 3, (1, 2), (1, 2)),
+    "fd_string_coordinate": lambda g, cfg: fd_connection_matrix(g, cfg, "B", (0, "a", 1, 1), 0, (0, 1)),
+    "window_states_string_coordinate": lambda g, cfg: window_states(g, cfg, (0, "a", 1, 1), 0, (0, 1)),
+    "point_scales_string_coordinate": lambda g, cfg: _point_scales(cfg, [(0, "a", 1, 1)]),
+    "rectangle_string_in_range": lambda g, cfg: rectangle_loop("Ex_prime", "Ey_prime", (0, "a"), (0, 1), (0, 0, 1, 1)),
+    "rectangle_string_in_base_point": lambda g, cfg: rectangle_loop("Ex_prime", "Ey_prime", (0, 1), (0, 1), (0, "a", 1, 1)),
+    "box_string_in_range": lambda g, cfg: box_loop("ABCHEFA", (0, "a"), (1, 2), (1, 2)),
+    "box_string_base_ex": lambda g, cfg: box_loop("ABCHEFA", (0, 1), (1, 2), (1, 2), ex="a"),
+    "box_three_entry_range": lambda g, cfg: box_loop("ABCHEFA", (0, 1, 2), (1, 2), (1, 2)),
+    "ragged_vertices": lambda g, cfg: ParameterPath([(0, 0, 1, 1), (0, 1, 1)]),
+    "area_nan_range": lambda g, cfg: area_closed_form("ABCHEFA", (0, math.nan), (1, 2), (1, 2)),
+    "area_inf_range": lambda g, cfg: area_closed_form("ABCHEFA", (0, 1), (1, math.inf), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", _MALFORMED)
+def test_malformed_points_and_ranges_are_validation_errors(grid12, cfg_desk, name):
+    with pytest.raises(ValidationError):
+        _MALFORMED[name](grid12, cfg_desk)
 
 
 def test_sign_convention_report_contents(grid12):

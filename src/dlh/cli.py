@@ -446,16 +446,15 @@ def _cmd_connection(args) -> int:
     return 0
 
 
-def _phase_payload(spec: _LoopSpec, config: PhysicalConfig) -> dict:
+def _phase_payload(spec: _LoopSpec, config: PhysicalConfig, u: float) -> dict:
     from . import holonomy as _holonomy
 
-    scales = derive_scales(config)
     path = spec.path(config)
-    payload: dict = {"kind": path.kind, "u": scales.u}
+    payload: dict = {"kind": path.kind, "u": u}
     if path.kind == "C1_rectangle" or (
         path.kind == "custom" and np.ptp(path.vertices[:, 2]) == 0.0 and np.ptp(path.vertices[:, 3]) == 0.0
     ):
-        phases = _holonomy.abelian_phase(path, scales.u)
+        phases = _holonomy.abelian_phase(path, u)
         payload.update(
             {
                 "lambda_density": float(path.vertices[0, 2]),
@@ -470,7 +469,7 @@ def _phase_payload(spec: _LoopSpec, config: PhysicalConfig) -> dict:
     else:
         s_quad = _holonomy.loop_area_integral(path)
         payload["S_quadrature"] = s_quad
-        payload["angle_prefactor"] = s_quad / (4.0 * scales.u)
+        payload["angle_prefactor"] = s_quad / (4.0 * u)
         s_closed = spec.closed_form()
         if s_closed is not None:
             payload["S_closed_form"] = s_closed
@@ -479,33 +478,38 @@ def _phase_payload(spec: _LoopSpec, config: PhysicalConfig) -> dict:
 
 
 def _cmd_phase(args) -> int:
-    _emit(args, _phase_payload(_LoopSpec.from_args(args), load_config(args.config)))
+    config = load_config(args.config)
+    _emit(args, _phase_payload(_LoopSpec.from_args(args), config, derive_scales(config).u))
     return 0
 
 
-def _cmd_holonomy(args) -> int:
+def _holonomy_payload(path: ParameterPath, u: float, window: tuple[int, int], steps: int, target) -> dict:
     from . import holonomy as _holonomy
     from ._linalg import max_abs
 
-    config = load_config(args.config)
-    scales = derive_scales(config)
-    path = _LoopSpec.from_args(args).path(config)
-    window = args.window
-    steps = _holonomy.DEFAULT_STEPS if args.steps is None else args.steps
-    target = None if args.target == 0.0 else args.target
-    result = _holonomy.holonomy_path_ordered(path, scales.u, window=window, steps=steps, target=target)
-    payload = {
+    result = _holonomy.holonomy_path_ordered(path, u, window=window, steps=steps, target=target)
+    return {
         "kind": path.kind,
         "window": window,
         "steps": result.steps,
-        "u": scales.u,
+        "u": u,
         "matrix": result.matrix,
         "unitarity_defect": result.unitarity_defect,
         "convergence_estimate": result.convergence_estimate,
         "identity_distance": max_abs(result.matrix, np.eye(len(result.matrix))),
         "vertices": path.vertices,
     }
-    labels = product(range(window[0], window[1] + 1), repeat=2)
+
+
+def _cmd_holonomy(args) -> int:
+    from . import holonomy as _holonomy
+
+    config = load_config(args.config)
+    u = derive_scales(config).u
+    path = _LoopSpec.from_args(args).path(config)
+    steps = _holonomy.DEFAULT_STEPS if args.steps is None else args.steps
+    payload = _holonomy_payload(path, u, args.window, steps, None if args.target == 0.0 else args.target)
+    labels = product(range(args.window[0], args.window[1] + 1), repeat=2)
     _emit(args, payload, table="matrix", index=(("row", "col"), labels))
     return 0
 
@@ -600,11 +604,8 @@ def _parse_sweeps(specs: list[str]) -> list[tuple[str, list[float]]]:
 
 
 def _cmd_sweep(args) -> int:
-    from . import holonomy as _holonomy
-    from ._linalg import max_abs
-
     config = load_config(args.config)
-    scales = derive_scales(config)
+    u = derive_scales(config).u
     if not args.named:
         raise ValidationError("sweep needs --named <kind> as the base loop")
     base = _LoopSpec.from_args(args)
@@ -621,22 +622,14 @@ def _cmd_sweep(args) -> int:
     def run_combo(combo: tuple[float, ...]) -> dict:
         row = dict(zip(names, combo))
         spec = replace(base, **row)
-        loop = spec.path(config)
         if kind == "C1_rectangle":
-            phases = _holonomy.abelian_phase(loop, scales.u)
-            return row | {
-                "signed_area": phases.signed_area,
-                "curvature": phases.curvature,
-                "gamma_line_integral": phases.gamma_line_integral,
-                "gamma_area_law": phases.gamma_area_law,
-            }
-        result = _holonomy.holonomy_path_ordered(loop, scales.u, window=args.window, steps=args.steps, target=None)
+            phase = _phase_payload(spec, config, u)
+            return row | {k: phase[k] for k in ("signed_area", "curvature", "gamma_line_integral", "gamma_area_law")}
+        hol = _holonomy_payload(spec.path(config), u, args.window, args.steps, None)
         return row | {
             "S_closed_form": spec.closed_form(),
-            "identity_distance": max_abs(result.matrix, np.eye(len(result.matrix))),
-            "unitarity_defect": result.unitarity_defect,
-            "convergence_estimate": result.convergence_estimate,
-            "steps_used": result.steps,
+            **{k: hol[k] for k in ("identity_distance", "unitarity_defect", "convergence_estimate")},
+            "steps_used": hol["steps"],
         }
 
     _emit(args, {"kind": kind, "rows": [run_combo(c) for c in combos]}, table="rows")

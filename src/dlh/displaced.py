@@ -73,9 +73,9 @@ def _guard(nu: complex, n_max: int, cols) -> np.ndarray:
     Past |nu|^2 = n_max + 1 every level keeps over half its weight past n_max
     (0.513 or more, n_max 0-100), so the tail, whose rows grow with |nu|^2, is not formed.
     """
-    past = _tail_weight(nu, n_max, cols) if abs(nu) ** 2 <= n_max + 1 else [math.inf]
-    if not past[0] <= _MAX_WEIGHT:
-        raise ValidationError(f"|nu|^2 = {abs(nu) ** 2:.3g}: level {cols[0]} keeps over {_MAX_WEIGHT} "
+    past = _tail_weight(nu, n_max, cols) if abs(nu) <= math.sqrt(n_max + 1) else [math.inf]
+    if not past[0] <= _MAX_WEIGHT:  # |nu| * |nu| is inf where ** 2 raises OverflowError
+        raise ValidationError(f"|nu|^2 = {abs(nu) * abs(nu):.3g}: level {cols[0]} keeps over {_MAX_WEIGHT} "
                               f"of its weight past n_max = {n_max}")
     if past[0] > _RESOLVED_WEIGHT:
         warnings.warn(f"level {cols[0]} keeps {past[0]:.3g} of its weight past n_max = {n_max} "

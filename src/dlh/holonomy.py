@@ -66,8 +66,6 @@ __all__ = [
     "DEFAULT_STEPS",
     "holonomy_path_ordered",
     "unordered_holonomy",
-    "noncommutativity_defect",
-    "convergence_series",
 ]
 
 # Box itineraries: each vertex indexes (low 0, high 1) into the Ey', lambda
@@ -82,6 +80,7 @@ _BOX_RANGES = "ey_range, lam_range and b_range must be pairs of numbers"
 LOOP_KINDS = ("C1_rectangle", *BOX_KINDS, "custom")
 
 _CLOSURE_ATOL = 1e-12
+_MAX_RATIO = 1e4  # largest lambda or B ratio along one quadrature segment
 _STEP_CAP = 2 ** 20
 # Initial step count of holonomy_path_ordered; refinement doubles it until
 # the target is met.
@@ -147,6 +146,11 @@ class ParameterPath:
         object.__setattr__(self, "vertices", _validate_vertices(self.vertices))
         if self.kind not in LOOP_KINDS:
             raise ValidationError(f"kind must be one of {LOOP_KINDS}, got {self.kind!r}")
+        with np.errstate(over="ignore"):
+            lengths = self.segment_lengths
+        if not np.all(np.isfinite(lengths)):
+            s = int(np.argmin(np.isfinite(lengths)))
+            raise ValidationError(f"segment {s} (vertex {s} to {s + 1}) is too long: its length overflows")
 
     @property
     def segment_lengths(self) -> np.ndarray:
@@ -264,6 +268,8 @@ class AbelianPhases:
 
     @property
     def ratio(self) -> float:
+        if self.gamma_area_law == 0.0:
+            raise ValidationError("gamma_area_law is 0 (zero signed area, or 16 u^2 lambda B overflows): no ratio")
         return self.gamma_line_integral / self.gamma_area_law
 
 
@@ -369,10 +375,18 @@ def _segment_quadrature(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
     segment. One panel per segment, unless lambda or B changes by more than
     4x along it; then enough equal panels that each stays within a ratio of
     4, which keeps the rule at rounding accuracy for the powers of lambda and
-    B it weighs.
+    B it weighs. A ratio above the cap 1e4 (3,333 panels) is a
+    ValidationError.
     """
     gauss_t, gauss_w = _gauss16()
-    ratio = np.max(np.maximum(a[:, 2:], b[:, 2:]) / np.minimum(a[:, 2:], b[:, 2:]), axis=1)
+    with np.errstate(over="ignore"):
+        ratio = np.max(np.maximum(a[:, 2:], b[:, 2:]) / np.minimum(a[:, 2:], b[:, 2:]), axis=1)
+    if np.any(ratio > _MAX_RATIO):
+        s = int(np.argmax(ratio))
+        raise ValidationError(
+            f"lambda or B changes by a ratio of {ratio[s]:.3g} along the segment {tuple(a[s].tolist())} -> "
+            f"{tuple(b[s].tolist())}, above the quadrature's cap {_MAX_RATIO:g}"
+        )
     panels = np.maximum(1, np.ceil((ratio - 1.0) / 3.0)).astype(int)
     seg, panel = _runs(panels)
     pts = _nodes(a, b, panels, seg, panel, gauss_t).reshape(-1, 4)
@@ -458,14 +472,10 @@ def _step_factors(path: ParameterPath, u: float, window: tuple[int, int], counts
             yield p, stack[i0 - lo : i1 - lo]
 
 
-def _identity(window: tuple[int, int]) -> np.ndarray:
-    m_lo, m_hi = _check_window(window)
-    return np.eye(m_hi - m_lo + 1, dtype=complex)
-
-
 def _ordered_products(path: ParameterPath, u: float, window: tuple[int, int], counts_list, method: str) -> list:
     """One ordered product per entry of `counts_list`; each has the bits of the product built alone."""
-    products = [_identity(window)] * len(counts_list)
+    m_lo, m_hi = _check_window(window)
+    products = [np.eye(m_hi - m_lo + 1, dtype=complex)] * len(counts_list)
     for p, factors in _step_factors(path, u, window, counts_list, method):
         products[p] = _tree_product(factors) @ products[p]
     return products
@@ -501,32 +511,6 @@ class HolonomyResult:
     convergence_estimate: float
     rounds: int
     steps_taken: int
-
-
-def _check_target(target) -> float | None:
-    if target is None:
-        return None
-    try:
-        value = float(target)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"target must be a number or None, got {target!r}") from exc
-    if isinstance(target, bool) or not (math.isfinite(value) and value >= 0.0):
-        raise ValidationError(f"target must be a finite number >= 0 or None, got {target!r}")
-    return value
-
-
-def _check_steps(steps) -> int:
-    return _check_count("steps", steps, 16)
-
-
-def _first_counts(path: ParameterPath, u: float, steps: int, method: str) -> np.ndarray:
-    """Per-segment counts of the first product at the validated `steps`; all 0 on a constant path (product I)."""
-    _check_positive("u", u)
-    _require_closed(path)
-    if method not in _METHODS:
-        raise ValidationError(f"method must be one of {_METHODS}, got {method!r}")
-    lengths = path.segment_lengths
-    return path._allocation(steps) if lengths.sum() > 0.0 else np.zeros(len(lengths), dtype=int)
 
 
 def _unitarity_defect(matrix: np.ndarray) -> float:
@@ -590,11 +574,24 @@ def holonomy_path_ordered(
     because the discretization mirrors exactly and every factor is
     time-symmetric.
     """
-    target = _check_target(target)
-    steps = _check_steps(steps)
+    if target is not None:
+        try:
+            value = float(target)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"target must be a number or None, got {target!r}") from exc
+        if isinstance(target, bool) or not (math.isfinite(value) and value >= 0.0):
+            raise ValidationError(f"target must be a finite number >= 0 or None, got {target!r}")
+        target = value
+    steps = _check_count("steps", steps, 16)
     if steps > _STEP_CAP:
         raise ValidationError(f"steps must be <= the step cap {_STEP_CAP}, got {steps}")
-    counts, verts = _first_counts(path, u, steps, method), path.vertices
+    _check_positive("u", u)
+    _require_closed(path)
+    if method not in _METHODS:
+        raise ValidationError(f"method must be one of {_METHODS}, got {method!r}")
+    lengths, verts = path.segment_lengths, path.vertices
+    # a constant path takes no steps: its product is I
+    counts = path._allocation(steps) if lengths.sum() > 0.0 else np.zeros(len(lengths), dtype=int)
     integrated = method != "auto" or not _commuting_segments(verts[:-1], verts[1:]).all()
     current, *shadow = _ordered_products(path, u, window, [counts, counts // 2][: 1 + integrated], method)
     diff = max_abs(current, shadow[0]) if shadow else 0.0
@@ -635,58 +632,3 @@ def unordered_holonomy(path: ParameterPath, u: float, window: tuple[int, int] = 
     phi, zeta = _segment_integrals(path.vertices[:-1], path.vertices[1:], u)
     return _span_exp(phi.sum(), zeta.sum(), window)[0]
 
-
-def noncommutativity_defect(
-    path: ParameterPath, u: float, window: tuple[int, int] = (0, 3), steps: int = 1024
-) -> dict:
-    """Ordered vs unordered holonomy around one loop.
-
-    Returns the two matrices and defect = max |ordered - unordered|, with
-    the ordered product at `steps` and no refinement. The defect is a
-    discretization-stable functional of the loop: well above zero when the
-    loop engages non-commuting generator directions, at the rounding floor
-    for the commuting Ex' = 0 family. The ordered product is the matrix of
-    ``holonomy_path_ordered(..., target=None)``, built without its shadow run.
-    """
-    steps = _check_steps(steps)
-    ordered = _ordered_products(path, u, window, [_first_counts(path, u, steps, "auto")], "auto")[0]
-    unordered = unordered_holonomy(path, u, window=window)
-    return {
-        "ordered": ordered,
-        "unordered": unordered,
-        "defect": max_abs(ordered, unordered),
-        "steps": steps,
-        "unitarity_defect": _unitarity_defect(ordered),
-    }
-
-
-def convergence_series(
-    path: ParameterPath,
-    u: float,
-    window: tuple[int, int] = (0, 3),
-    steps_list: tuple[int, ...] = (64, 128, 256, 512, 1024),
-) -> list[dict]:
-    """Convergence estimates of the Magnus steps over a ladder of step counts.
-
-    Uses ``method="magnus"`` on every segment, since it measures the
-    integrator. Each row's convergence_estimate compares the product at s =
-    its ``steps`` with the shadow at s // 2, max |U(s) - U(s // 2)|, so it
-    measures the error at s // 2 steps: rows are unrefined (target=None)
-    and keep this raw difference, not the step-doubling error estimate of a
-    refined :func:`holonomy_path_ordered` result. The scheme is fourth
-    order, so estimates should fall by about 16x per doubling; the
-    acceptance suite checks they are monotone. Every entry of `steps_list`
-    must be an integer >= 16.
-    """
-    steps_list = [_check_steps(s) for s in steps_list]
-    rows = []
-    for s in steps_list:
-        res = holonomy_path_ordered(path, u, window=window, steps=s, target=None, method="magnus")
-        rows.append(
-            {
-                "steps": res.steps,
-                "convergence_estimate": res.convergence_estimate,
-                "unitarity_defect": res.unitarity_defect,
-            }
-        )
-    return rows

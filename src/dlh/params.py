@@ -185,6 +185,13 @@ _MASS_THRESHOLD = 1e-6
 _ENERGY_THRESHOLD = 1e-20
 
 
+def _square(config: PhysicalConfig, name: str) -> float:
+    try:
+        return float(getattr(config, name)) ** 2
+    except OverflowError:
+        raise ValidationError(f"{name} = {getattr(config, name)!r} is too large: its square overflows") from None
+
+
 def validate_regime(config: PhysicalConfig) -> RegimeReport:
     """Screen the approximation regime of the effective Hamiltonian.
 
@@ -192,10 +199,11 @@ def validate_regime(config: PhysicalConfig) -> RegimeReport:
     whose size relative to the rest mass is alpha B^2 / M, and treats the
     induced-dipole energy alpha E'^2 / 2 as small. Exceeding either threshold
     produces verdict "warn", never an exception: desk-scale natural-unit
-    configurations are legitimate and always warn.
+    configurations are legitimate and always warn. Only a field whose square
+    overflows a double is a ValidationError.
     """
-    ratio = config.alpha * config.B**2 / config.mass
-    e2 = config.Ex_prime**2 + config.Ey_prime**2
+    ratio = config.alpha * _square(config, "B") / config.mass
+    e2 = _square(config, "Ex_prime") + _square(config, "Ey_prime")
     energy = 0.5 * config.alpha * e2
     verdict = "pass" if (ratio < _MASS_THRESHOLD and energy < _ENERGY_THRESHOLD) else "warn"
     return RegimeReport(

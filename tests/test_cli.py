@@ -422,6 +422,43 @@ def test_bad_target_exit_2(capsys, target):
     assert out == ""
 
 
+# Inputs that once escaped as a raw ValueError, OverflowError or
+# ZeroDivisionError, or exited 0 with numpy overflow warnings; each file is
+# (name, contents) and the last entry is a text the validation error must hold.
+_RATIO_LOOP = ("ratio.txt", "0 0 1 1\n0 1 1e-300 1\n0 1 1 1\n0 0 1 1\n")
+_ESCAPING_INPUTS = {
+    "holonomy_lambda_ratio": (["holonomy", "--vertices", "{}"], _RATIO_LOOP, "ratio of 1e+300"),
+    "phase_lambda_ratio": (["phase", "--vertices", "{}"], _RATIO_LOOP, "ratio of 1e+300"),
+    "displace_huge_nu": (["displace", "--n-max", "3", "--nu-re", "1e200"], None, "|nu|^2 = inf"),
+    "derive_huge_field": (
+        ["derive", "--config", "{}"], ("cfg.json", json.dumps({**_GOOD_CONFIG, "Ex_Vm": 1e308})), "Ex_prime = 1e+308"
+    ),
+    "holonomy_huge_segment": (
+        ["holonomy", "--vertices", "{}"], ("far.txt", "0 0 1 1\n1e308 1 1 1\n0 1 1 1\n0 0 1 1\n"), "segment 0"
+    ),
+    "phase_zero_area": (["phase", "--vertices", "{}"], ("flat.txt", "0 0 1 1\n1 0 1 1\n0 0 1 1\n"), "gamma_area_law is 0"),
+    # u^2 overflows, so the area-law phase of every row is 0
+    "sweep_area_law_underflow": (
+        ["sweep", "--named", "C1", "--sweep", "area=1,2", "--config", "{}"],
+        ("cfg.json", json.dumps({**_GOOD_CONFIG, "alpha_Fm2": 1e-308})),
+        "gamma_area_law is 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _ESCAPING_INPUTS)
+def test_escaping_inputs_are_validation_errors(capsys, tmp_path, name):
+    argv, file, named = _ESCAPING_INPUTS[name]
+    if file is not None:
+        (tmp_path / file[0]).write_text(file[1])
+        argv = [arg.format(tmp_path / file[0]) for arg in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning escapes main as an exception
+        rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("dlh: validation error: ") and named in err
+
+
 def test_exit_3_on_numerical_failure(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise ConvergenceError("no convergence at step cap")

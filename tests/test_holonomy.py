@@ -22,10 +22,8 @@ from dlh.holonomy import (
     area_closed_form,
     box_loop,
     commuting_holonomy,
-    convergence_series,
     holonomy_path_ordered,
     loop_area_integral,
-    noncommutativity_defect,
     rectangle_loop,
     signed_area,
     unordered_holonomy,
@@ -375,6 +373,12 @@ def test_constant_path_is_identity():
     assert np.array_equal(unordered_holonomy(const, 0.5, (0, 2)), np.eye(3, dtype=complex))
 
 
+def _defect(loop, window, steps):
+    """max |ordered - unordered|, the ordered product unrefined at `steps`, and its unitarity defect."""
+    ordered = holonomy_path_ordered(loop, 0.5, window=window, steps=steps, target=None)
+    return np.abs(ordered.matrix - unordered_holonomy(loop, 0.5, window)).max(), ordered.unitarity_defect
+
+
 def test_unordered_holonomy_is_step_free():
     # Ex' = 0 projection of the C9 loop: the generators commute, so the
     # unordered exponential is the exact holonomy
@@ -383,49 +387,40 @@ def test_unordered_holonomy_is_step_free():
     flat = ParameterPath(verts)
     want = commuting_holonomy(loop_area_integral(flat), 0.5, (0, 3))
     assert np.abs(unordered_holonomy(flat, 0.5, (0, 3)) - want).max() < 1e-13
-    out = noncommutativity_defect(flat, 0.5, window=(0, 3), steps=16)
-    assert out["defect"] < 1e-13
+    assert _defect(flat, (0, 3), 16)[0] < 1e-13
+
+
+def _magnus(loop, window, steps):
+    """The unrefined product of the Magnus steps alone on every segment."""
+    return holonomy_path_ordered(loop, 0.5, window=window, steps=steps, target=None, method="magnus")
+
+
+def _magnus_estimates(loop, window, steps_list):
+    return [_magnus(loop, window, s).convergence_estimate for s in steps_list]
 
 
 def test_noncommutativity_diagnostic():
     # legs at different Ex' rotate the ladder generator phase: ordered != unordered
     twisted = rectangle_loop("Ex_prime", "lambda_density", (0.0, 0.8), (1.0, 2.0), (0.0, 1.0, 1.0, 1.0))
-    out = noncommutativity_defect(twisted, 0.5, window=(0, 2), steps=512)
-    assert out["defect"] > 1e-4
-    assert out["unitarity_defect"] < 1e-10
+    defect, unitarity = _defect(twisted, (0, 2), 512)
+    assert defect > 1e-4
+    assert unitarity < 1e-10
     # same loop squeezed onto the Ex' = 0 plane commutes step by step
     flat = rectangle_loop("Ex_prime", "lambda_density", (0.0, 0.0), (1.0, 2.0), (0.0, 1.0, 1.0, 1.0))
-    out0 = noncommutativity_defect(flat, 0.5, window=(0, 2), steps=512)
-    assert out0["defect"] < 1e-8
-    assert set(out) == {"ordered", "unordered", "defect", "steps", "unitarity_defect"}
-
-
-def test_noncommutativity_defect_builds_one_product(monkeypatch):
-    # C9's loop at its default steps: only the returned product, no shadow
-    # run, and the same bits as the unrefined path-ordered engine
-    calls = []
-    real = hol._ordered_products
-    monkeypatch.setattr(hol, "_ordered_products", lambda *a: calls.append(a) or real(*a))
-    out = noncommutativity_defect(C9_LOOP, 0.5, window=(0, 3))
-    assert len(calls) == 1 and len(calls[0][3]) == 1
-    ref = holonomy_path_ordered(C9_LOOP, 0.5, window=(0, 3), steps=1024, target=None)
-    assert np.array_equal(out["ordered"], ref.matrix)
-    assert out["steps"] == ref.steps
-    assert out["unitarity_defect"] == ref.unitarity_defect
+    assert _defect(flat, (0, 2), 512)[0] < 1e-8
 
 
 def test_convergence_series_monotone():
     loop = box_loop("ADCHEFA", EY, LAM, BB)
-    rows = convergence_series(loop, 0.5, window=(0, 1), steps_list=(64, 128, 256))
-    ests = [r["convergence_estimate"] for r in rows]
+    series = [_magnus(loop, (0, 1), s) for s in (64, 128, 256)]
+    ests = [res.convergence_estimate for res in series]
     assert ests[0] > ests[1] > ests[2]
-    assert all(r["unitarity_defect"] < 1e-12 for r in rows)
+    assert all(res.unitarity_defect < 1e-12 for res in series)
 
 
 def test_magnus_steps_are_fourth_order():
     # a second-order scheme would shrink the estimate 4x per doubling
-    rows = convergence_series(C9_LOOP, 0.5, window=(0, 3), steps_list=(64, 128, 256))
-    ests = [r["convergence_estimate"] for r in rows]
+    ests = _magnus_estimates(C9_LOOP, (0, 3), (64, 128, 256))
     assert ests[0] / ests[1] > 10.0 and ests[1] / ests[2] > 10.0
 
 
@@ -686,10 +681,8 @@ def test_unrefined_estimate_is_the_raw_difference(loop):
         res = holonomy_path_ordered(loop, 0.5, steps=steps, target=None)
         assert res.steps == steps
         assert res.convergence_estimate == _difference(loop, loop._allocation(steps))
-    rows = convergence_series(loop, 0.5, window=(0, 3), steps_list=(64, 128, 256))
-    for row in rows:
-        want = _difference(loop, loop._allocation(row["steps"]), method="magnus")
-        assert row["convergence_estimate"] == want
+    for steps, estimate in zip((64, 128, 256), _magnus_estimates(loop, (0, 3), (64, 128, 256))):
+        assert estimate == _difference(loop, loop._allocation(steps), method="magnus")
 
 
 # -- refinement in batched rounds ------------------------------------------------
@@ -894,16 +887,6 @@ def test_bad_step_counts_rejected_before_any_work(kwargs, name, monkeypatch):
     counts = _recorded_step_counts(monkeypatch)
     with pytest.raises(ValidationError, match=name):
         holonomy_path_ordered(C9_LOOP, 0.5, target=1e-8, **kwargs)
-    assert counts == []
-
-
-@pytest.mark.parametrize("steps", ["32", 16.5, 64.0, True, 8, None])
-def test_diagnostics_reject_bad_step_counts(steps, monkeypatch):
-    counts = _recorded_step_counts(monkeypatch)
-    with pytest.raises(ValidationError, match="steps"):
-        noncommutativity_defect(C9_LOOP, 0.5, steps=steps)
-    with pytest.raises(ValidationError, match="steps"):
-        convergence_series(C9_LOOP, 0.5, steps_list=(64, steps))
     assert counts == []
 
 

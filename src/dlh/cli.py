@@ -60,7 +60,7 @@ import os
 import sys
 import tempfile
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict
 from itertools import product
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -108,8 +108,7 @@ _PARAM_ALIASES = {
     "B": "B",
 }
 
-_CORNERS = ("Ey1", "Ey2", "lam1", "lam2", "B1", "B2")
-_SWEEP_AXES = ("area", *_CORNERS)
+_SWEEP_AXES = ("area", "Ey1", "Ey2", "lam1", "lam2", "B1", "B2")
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +264,6 @@ def _parse_window(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _normalize_kind(name: str) -> str:
-    from . import holonomy as _holonomy
-
-    if name == "C1":
-        return "C1_rectangle"
-    if name in ("C1_rectangle", *_holonomy.BOX_KINDS):
-        return name
-    raise ValidationError(
-        f"unknown named path {name!r}; expected C1, C1_rectangle, ABCHEFA, ABCHGFA or ADCHEFA"
-    )
-
-
 def _read_vertices(path: str) -> np.ndarray:
     """Vertex list file: one vertex per line, four floats (Ex' Ey' lambda B).
 
@@ -306,62 +293,41 @@ def _read_vertices(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-@dataclass(frozen=True)
-class _LoopSpec:
-    """A loop as the path flags name it: the C1 rectangle, a box itinerary or a vertex file.
+def _loop_kind(flags: dict) -> str:
+    """The loop kind ("custom" for a vertex file) that the path flags name, after the checks that need no path."""
+    from .holonomy import BOX_KINDS
 
-    Parsed once per command; `sweep` varies it with dataclasses.replace,
-    which repeats the area check.
+    if flags["vertices"]:
+        if flags["named"]:
+            raise ValidationError("--named and --vertices are mutually exclusive")
+        return "custom"
+    if not flags["named"]:
+        raise ValidationError("a path is required: pass --named <kind> or --vertices <file>")
+    kind = "C1_rectangle" if flags["named"] == "C1" else flags["named"]
+    if kind not in ("C1_rectangle", *BOX_KINDS):
+        raise ValidationError(
+            f"unknown named path {flags['named']!r}; expected C1, C1_rectangle, ABCHEFA, ABCHGFA or ADCHEFA"
+        )
+    if kind == "C1_rectangle" and flags["area"] <= 0:
+        raise ValidationError(f"loop area must be positive, got {flags['area']}")
+    return kind
+
+
+def _loop(flags: dict, config: PhysicalConfig) -> tuple[ParameterPath, float | None]:
+    """The loop that the path flags name, and its closed-form S (box itineraries; None for other loops).
+
+    `flags` are the parsed arguments, with a `sweep` row's values over them.
     """
+    from . import holonomy as _holonomy
 
-    kind: str
-    area: float
-    Ey1: float
-    Ey2: float
-    lam1: float
-    lam2: float
-    B1: float
-    B2: float
-    vertices: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == "C1_rectangle" and self.area <= 0:
-            raise ValidationError(f"loop area must be positive, got {self.area}")
-
-    @classmethod
-    def from_args(cls, args) -> "_LoopSpec":
-        vertices = None
-        if args.vertices:
-            if args.named:
-                raise ValidationError("--named and --vertices are mutually exclusive")
-            kind, vertices = "custom", _read_vertices(args.vertices)
-        elif args.named:
-            kind = _normalize_kind(args.named)
-        else:
-            raise ValidationError("a path is required: pass --named <kind> or --vertices <file>")
-        area = 1.0 if args.area is None else args.area
-        return cls(kind, area, *(getattr(args, k) for k in _CORNERS), vertices=vertices)
-
-    def _ranges(self) -> tuple[tuple[float, float], ...]:
-        return (self.Ey1, self.Ey2), (self.lam1, self.lam2), (self.B1, self.B2)
-
-    def path(self, config: PhysicalConfig) -> ParameterPath:
-        from . import holonomy as _holonomy
-
-        if self.kind == "custom":
-            return _holonomy.ParameterPath(vertices=self.vertices, kind="custom")
-        if self.kind == "C1_rectangle":
-            base_point = (0.0, 0.0, config.lambda_density, config.B)
-            return _holonomy.rectangle_loop("Ex_prime", "Ey_prime", (0.0, self.area), (0.0, 1.0), base_point)
-        return _holonomy.box_loop(self.kind, *self._ranges())
-
-    def closed_form(self) -> float | None:
-        """Closed-form loop functional S of a box itinerary; None for other loops."""
-        from . import holonomy as _holonomy
-
-        if self.kind not in _holonomy.BOX_KINDS:
-            return None
-        return _holonomy.area_closed_form(self.kind, *self._ranges())
+    kind = _loop_kind(flags)
+    if kind == "custom":
+        return _holonomy.ParameterPath(_read_vertices(flags["vertices"]), kind="custom"), None
+    if kind == "C1_rectangle":
+        base_point = (0.0, 0.0, config.lambda_density, config.B)
+        return _holonomy.rectangle_loop("Ex_prime", "Ey_prime", (0.0, flags["area"]), (0.0, 1.0), base_point), None
+    ranges = [(flags[axis + "1"], flags[axis + "2"]) for axis in ("Ey", "lam", "B")]
+    return _holonomy.box_loop(kind, *ranges), _holonomy.area_closed_form(kind, *ranges)
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +412,9 @@ def _cmd_connection(args) -> int:
     return 0
 
 
-def _phase_payload(spec: _LoopSpec, config: PhysicalConfig, u: float) -> dict:
+def _phase_payload(path: ParameterPath, s_closed: float | None, u: float) -> dict:
     from . import holonomy as _holonomy
 
-    path = spec.path(config)
     payload: dict = {"kind": path.kind, "u": u}
     if path.kind == "C1_rectangle" or (
         path.kind == "custom" and np.ptp(path.vertices[:, 2]) == 0.0 and np.ptp(path.vertices[:, 3]) == 0.0
@@ -470,7 +435,6 @@ def _phase_payload(spec: _LoopSpec, config: PhysicalConfig, u: float) -> dict:
         s_quad = _holonomy.loop_area_integral(path)
         payload["S_quadrature"] = s_quad
         payload["angle_prefactor"] = s_quad / (4.0 * u)
-        s_closed = spec.closed_form()
         if s_closed is not None:
             payload["S_closed_form"] = s_closed
             payload["S_deviation"] = abs(s_quad - s_closed)
@@ -479,7 +443,8 @@ def _phase_payload(spec: _LoopSpec, config: PhysicalConfig, u: float) -> dict:
 
 def _cmd_phase(args) -> int:
     config = load_config(args.config)
-    _emit(args, _phase_payload(_LoopSpec.from_args(args), config, derive_scales(config).u))
+    path, s_closed = _loop(vars(args), config)
+    _emit(args, _phase_payload(path, s_closed, derive_scales(config).u))
     return 0
 
 
@@ -506,7 +471,7 @@ def _cmd_holonomy(args) -> int:
 
     config = load_config(args.config)
     u = derive_scales(config).u
-    path = _LoopSpec.from_args(args).path(config)
+    path, _ = _loop(vars(args), config)
     steps = _holonomy.DEFAULT_STEPS if args.steps is None else args.steps
     payload = _holonomy_payload(path, u, args.window, steps, None if args.target == 0.0 else args.target)
     labels = product(range(args.window[0], args.window[1] + 1), repeat=2)
@@ -519,20 +484,10 @@ def _cmd_oracle_check(args) -> int:
     from . import displaced as _displaced
     from . import fock as _fock
     from . import oracle as _oracle
-    from ._linalg import max_abs
 
     config = load_config(args.config) if args.config else _oracle.OPERATING_CONFIG
     scales = derive_scales(config)
-    grid = _oracle.default_grid(points=args.grid_points)
-    report = _oracle.sign_convention_report(config, grid)
-
-    # quick matrix-route cross checks, independent of the grid
-    basis = _fock.build_basis(12, 12)
-    am = _fock.ladder_a(basis, "minus")
-    ap = _fock.ladder_a(basis, "plus")
-    comm = _fock.commutator(am, ap)
-    block = np.ix_(*2 * [basis.interior_indices(1, 1)])
-    comm_dev = max_abs(comm.entries[block], np.eye(basis.size)[block])
+    report = _oracle.sign_convention_report(config, _oracle.Grid2D(points=args.grid_points))
 
     # The displaced vacuum has mean level occupation |nu|^2, so the n-mode
     # grows with it; m is a Kronecker spectator of D, so one radial step is
@@ -540,15 +495,14 @@ def _cmd_oracle_check(args) -> int:
     # check reads the closed-form D, exact on any basis, and needs no padding.
     nu_basis = _fock.build_basis(16 + 8 * math.ceil(abs(scales.nu) ** 2), 1)
     try:
-        _displaced.displacement_matrix(scales.nu, nu_basis, check=True)
-        _displaced.displaced_hamiltonian(scales.nu, nu_basis, scales, check=True)
+        _displaced.displacement_matrix(scales.nu, nu_basis)
+        _displaced.displaced_hamiltonian(scales.nu, nu_basis, scales)
         dual_ok = True
     except ConsistencyError:
         dual_ok = False
     chain = _connection.chain_rule_consistency(_config_point(config), scales.u, 0, (0, 4))
 
     checks = {
-        "ladder_commutator_max_dev": comm_dev,
         "dual_route_displacement_ok": dual_ok,
         "chain_vs_closed_max_dev": chain["max"],
         "fd_diagonal_dev": report["diagonal"]["deviation_resolved"],
@@ -556,7 +510,6 @@ def _cmd_oracle_check(args) -> int:
         "curvature_dev": report["curvature"]["deviation"],
     }
     tolerances = {
-        "ladder_commutator_max_dev": 1e-12,
         "chain_vs_closed_max_dev": 1e-10,
         "fd_diagonal_dev": 1e-4,
         "fd_offdiagonal_dev": 1e-4,
@@ -608,8 +561,8 @@ def _cmd_sweep(args) -> int:
     u = derive_scales(config).u
     if not args.named:
         raise ValidationError("sweep needs --named <kind> as the base loop")
-    base = _LoopSpec.from_args(args)
-    kind = base.kind
+    flags = vars(args)
+    kind = _loop_kind(flags)
     axes = _parse_sweeps(args.sweep)
     allowed = {"area"} if kind == "C1_rectangle" else set(_SWEEP_AXES) - {"area"}
     for name, _ in axes:
@@ -621,13 +574,13 @@ def _cmd_sweep(args) -> int:
 
     def run_combo(combo: tuple[float, ...]) -> dict:
         row = dict(zip(names, combo))
-        spec = replace(base, **row)
+        path, s_closed = _loop({**flags, **row}, config)
         if kind == "C1_rectangle":
-            phase = _phase_payload(spec, config, u)
+            phase = _phase_payload(path, s_closed, u)
             return row | {k: phase[k] for k in ("signed_area", "curvature", "gamma_line_integral", "gamma_area_law")}
-        hol = _holonomy_payload(spec.path(config), u, args.window, args.steps, None)
+        hol = _holonomy_payload(path, u, args.window, args.steps, None)
         return row | {
-            "S_closed_form": spec.closed_form(),
+            "S_closed_form": s_closed,
             **{k: hol[k] for k in ("identity_distance", "unitarity_defect", "convergence_estimate")},
             "steps_used": hol["steps"],
         }
@@ -651,7 +604,7 @@ def _add_common(sub: argparse.ArgumentParser, default_format: str) -> None:
 def _add_path_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--named", help="named loop kind: C1, ABCHEFA, ABCHGFA or ADCHEFA")
     sub.add_argument("--vertices", help="file with explicit loop vertices (Ex' Ey' lambda B per line)")
-    sub.add_argument("--area", type=float, help="rectangle area for --named C1 (default 1.0)")
+    sub.add_argument("--area", type=float, default=1.0, help="rectangle area for --named C1 (default 1.0)")
     sub.add_argument("--Ey1", type=float, default=0.0, help="box corner Ey' low (default 0)")
     sub.add_argument("--Ey2", type=float, default=1.0, help="box corner Ey' high (default 1)")
     sub.add_argument("--lam1", type=float, default=1.0, help="box corner lambda low (default 1)")

@@ -95,9 +95,30 @@ def _check_level_and_m(n: int, m_row: int, m_col: int) -> tuple[int, int, int]:
     return tuple(_check_count(name, index, 0) for name, index in (("n", n), ("m_row", m_row), ("m_col", m_col)))
 
 
-def _lowering_pattern(window: tuple[int, int]) -> np.ndarray:
-    """L_{m+1,m} = sqrt(m+1) on the window m_lo..m_hi, once the window is checked."""
-    return _ladder(_check_window(window))
+def _denominators(lam, b, u: float):
+    """What the generator scalars divide by: 16 u^2 lambda B, 8 u lambda^{3/2} B^{1/2}, 8 u lambda^{1/2} B^{3/2}."""
+    return 16.0 * u * u * lam * b, 8.0 * u * lam ** 1.5 * np.sqrt(b), 8.0 * u * np.sqrt(lam) * b ** 1.5
+
+
+def _check_scales(lam_b, u: float) -> None:
+    """Refuse a u that is not positive and finite, and (lambda, B) rows where the generator scalars are not finite.
+
+    The rows are a path's vertices, or one point's. Where phi would divide by 0, or zeta by 0 or inf, the scalars are
+    inf or NaN or numpy warns (B^{3/2} underflows at B = 1e-308, lambda^{3/2} overflows at lambda = 1e308); 16 u^2
+    lambda B may overflow where u^2 does, and phi is then 0, rounded. Each denominator grows with lambda and B, so
+    the rows' smallest and largest bound it between them.
+    """
+    _check_positive("u", u)
+    low, high = np.min(lam_b, axis=0), np.max(lam_b, axis=0)
+    with np.errstate(all="ignore"):
+        smallest, largest = _denominators(*low, u), _denominators(*high, u)
+    names = ("16 u^2 lambda B", "8 u lambda^(3/2) B^(1/2)", "8 u lambda^(1/2) B^(3/2)")
+    bad = [(name, low, d) for name, d in zip(names, smallest) if not d > 0.0]
+    bad += [(name, high, d) for name, d in zip(names[1:], largest[1:]) if not d < math.inf]
+    if bad:
+        name, (lam, b), d = bad[0]
+        raise ValidationError(f"the connection is not finite at lambda = {float(lam)!r}, B = {float(b)!r}: "
+                              f"{name} is {float(d)!r} (u = {u!r})")
 
 
 def _generator_scalars(points, steps, u: float):
@@ -105,13 +126,13 @@ def _generator_scalars(points, steps, u: float):
 
     `points` and `steps` are (Ex', Ey', lambda, B) rows of the same shape,
     (4,) or (k, 4); the generator is the connection contracted with the step.
+    Callers pass u and the lambda and B range through :func:`_check_scales` first.
     """
     ex, ey, lam, b = np.asarray(points, dtype=float).T
     dex, dey, dlam, db = np.asarray(steps, dtype=float).T
-    phi = (ex * dey - ey * dex) / (16.0 * u * u * lam * b)
-    zeta = (ey - 1j * ex) * (
-        dlam / (8.0 * u * lam ** 1.5 * np.sqrt(b)) + db / (8.0 * u * np.sqrt(lam) * b ** 1.5)
-    )
+    d_phi, d_lam, d_b = _denominators(lam, b, u)
+    phi = (ex * dey - ey * dex) / d_phi
+    zeta = (ey - 1j * ex) * (dlam / d_lam + db / d_b)
     return phi, zeta
 
 
@@ -167,8 +188,8 @@ def connection_closed_form(
     """
     _, m_row, m_col = _check_level_and_m(n, m_row, m_col)
     _check_param(param)
-    _check_positive("u", u)
     p = _unpack(point)
+    _check_scales([p[2:]], u)
     if abs(m_row - m_col) > 1:
         return 0j
     phi, zeta = _generator_scalars(p, np.eye(4)[CONTROL_PARAMS.index(param)], u)
@@ -207,12 +228,12 @@ def connection_matrix(
     windows should be widened to test sensitivity.
     """
     _check_param(param)
-    _check_positive("u", u)
     m_lo, m_hi = _check_window(window)
     n = _check_count("n", n, 0)
     p = _unpack(point)
+    _check_scales([p[2:]], u)
     step = np.eye(4)[CONTROL_PARAMS.index(param)]
-    A = _generators(*_generator_scalars(p, step, u), _lowering_pattern(window))
+    A = _generators(*_generator_scalars(p, step, u), _ladder((m_lo, m_hi)))
     return ConnectionMatrix(param=param, point=p, n=n, m_lo=m_lo, m_hi=m_hi, entries=A)
 
 

@@ -24,6 +24,7 @@ entries are exact on the infinite ladder, on any window of levels.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -107,7 +108,9 @@ def _displacement_block(beta: complex, rows, cols) -> np.ndarray:
         ell[n + 1] = ((2 * n + 1 + alpha - x) * ell[n] - n * ell[n - 1]) / (n + 1 + alpha)
     lnf = np.array([math.lgamma(k + 1.0) for k in range(lo.max() + d.max() + 1)])
     log_mag = 0.5 * (lnf[lo + d] - lnf[lo]) - lnf[d] + d * math.log(abs(beta)) - x / 2
-    phase = np.where(rows >= cols, beta, -np.conj(beta)) / abs(beta)
+    # numpy's complex division takes 1 / abs(beta), which overflows for a subnormal beta: scale it first
+    unit = beta if abs(beta) >= sys.float_info.min else beta * 2.0**600
+    phase = np.where(rows >= cols, unit, -np.conj(unit)) / abs(unit)
     return ell[lo, d] * np.exp(log_mag) * phase**d
 
 
@@ -129,32 +132,21 @@ def _route_gap(nu: complex, dense: np.ndarray, past: np.ndarray) -> float:
     return max_abs(dense[:k, :k], _displacement_block(nu, range(k), range(k)))
 
 
-def displacement_matrix(nu: complex, basis: FockBasis, check: bool = True) -> OperatorMatrix:
+def displacement_matrix(nu: complex, basis: FockBasis) -> OperatorMatrix:
     """Matrix of D(nu) = exp(nu a+ - nu* a-) = D_n(nu) (x) I_m on the truncated basis.
 
-    Parameters
-    ----------
-    nu : complex
-        Phase-space displacement amplitude.
-    basis : FockBasis
-        Truncated basis. The truncation rule reads level 0: it warns once
-        that column keeps more than 1.8e-8 of its weight past n_max and
-        refuses above 0.1.
-    check : bool
-        Also evaluate the closed form of the normally ordered product
-        e^{-|nu|^2/2} e^{nu a+} e^{-nu* a-} and require agreement to 1e-8
-        on the levels the rule resolves, else raise ConsistencyError.
-
-    Notes
-    -----
     The dense route exponentiates the anti-Hermitian generator on the n-mode
     with the span kernel, so D_n is unitary to roundoff; truncation bends it
-    away from the infinite-basis D in the last few levels.
+    away from the infinite-basis D in the last few levels. The truncation
+    rule reads level 0: it warns once that column keeps more than 1.8e-8 of
+    its weight past n_max and refuses above 0.1. On the levels it resolves,
+    D_n must agree to 1e-8 with the closed form of the normally ordered
+    product e^{-|nu|^2/2} e^{nu a+} e^{-nu* a-}, else ConsistencyError.
     """
     nu = _amplitude(nu)
     past = _guard(nu, basis.n_max, range(basis.n_max + 1))
     d_n = _dense_route(nu, basis.n_max)
-    if check and not (dev := _route_gap(nu, d_n, past)) <= _DUAL_ROUTE_TOL:
+    if not (dev := _route_gap(nu, d_n, past)) <= _DUAL_ROUTE_TOL:
         raise ConsistencyError(f"dense-exponential and normally ordered D(nu) disagree by {dev:.3e} "
                                f"on the resolved levels (tol {_DUAL_ROUTE_TOL:.0e})")
     return OperatorMatrix(np.kron(d_n, np.eye(basis.m_max + 1)), basis)
@@ -198,29 +190,26 @@ def displaced_state(n: int, m: int, nu: complex, basis: FockBasis) -> DisplacedS
     return DisplacedState(n=n, m=m, nu=nu, coefficients=coeff, trunc_deficit=deficit)
 
 
-def displaced_hamiltonian(
-    nu: complex, basis: FockBasis, scales: DerivedScales, check: bool = True
-) -> OperatorMatrix:
+def displaced_hamiltonian(nu: complex, basis: FockBasis, scales: DerivedScales) -> OperatorMatrix:
     """H_nu = hbar |omega| [(a+ - nu*)(a- - nu) + 1/2], built on the n-mode.
 
-    With check=True it must intertwine the closed-form D on the exact
-    (n_max + 1)-square block, H_nu D = D H with H = hbar |omega| (a+ a- + 1/2),
-    to 1e-7 max-norm. H_nu is tridiagonal, so every row of H_nu D below the
-    top level is exact without padding; the top row is left out.
+    It must intertwine the closed-form D on the exact (n_max + 1)-square
+    block, H_nu D = D H with H = hbar |omega| (a+ a- + 1/2), to 1e-7 max-norm,
+    else ConsistencyError. H_nu is tridiagonal, so every row of H_nu D below
+    the top level is exact without padding; the top row is left out.
     """
     nu = _amplitude(nu)
+    _guard(nu, basis.n_max, [0])
     ap = _ladder((0, basis.n_max))  # a+; a- is its transpose
     eye = np.eye(basis.n_max + 1, dtype=complex)
     hw = scales.energy_quantum
     direct = hw * ((ap - np.conj(nu) * eye) @ (ap.T - nu * eye) + 0.5 * eye)
-    if check:
-        _guard(nu, basis.n_max, [0])
-        levels = np.arange(basis.n_max + 1)
-        d_n = _displacement_block(nu, levels, levels)
-        dev = max_abs((direct @ d_n)[:-1], (d_n * (hw * (levels + 0.5)))[:-1])
-        if not dev <= _HNU_TOL * max(1.0, hw):
-            raise ConsistencyError(f"H_nu D and D H disagree by {dev:.3e} below the top level "
-                                   f"(tol {_HNU_TOL:.0e} x energy quantum)")
+    levels = np.arange(basis.n_max + 1)
+    d_n = _displacement_block(nu, levels, levels)
+    dev = max_abs((direct @ d_n)[:-1], (d_n * (hw * (levels + 0.5)))[:-1])
+    if not dev <= _HNU_TOL * max(1.0, hw):
+        raise ConsistencyError(f"H_nu D and D H disagree by {dev:.3e} below the top level "
+                               f"(tol {_HNU_TOL:.0e} x energy quantum)")
     return OperatorMatrix(np.kron(direct, np.eye(basis.m_max + 1)), basis)
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import _span_exp, _tree_product, max_abs
-from .connection import _generator_scalars, _unpack, abelian_curvature
+from .connection import _check_scales, _generator_scalars, _unpack, abelian_curvature
 from .errors import ConvergenceError, ValidationError, _check_count, _check_positive, _check_window, _floats
 from .params import CONTROL_PARAMS
 
@@ -80,7 +80,7 @@ _BOX_RANGES = "ey_range, lam_range and b_range must be pairs of numbers"
 LOOP_KINDS = ("C1_rectangle", *BOX_KINDS, "custom")
 
 _CLOSURE_ATOL = 1e-12
-_MAX_RATIO = 1e4  # largest lambda or B ratio along one quadrature segment
+_MAX_RATIO = 1e4  # largest lambda or B ratio along one path segment
 _STEP_CAP = 2 ** 20
 # Initial step count of holonomy_path_ordered; refinement doubles it until
 # the target is met.
@@ -115,6 +115,11 @@ _MARGIN = 2.0
 _BATCH_DOUBLINGS = 3  # most doublings built ahead in one batch
 
 
+def _ratios(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The larger ratio of lambda, and of B, between the ends of every segment a -> b."""
+    return np.max(np.maximum(a[:, 2:], b[:, 2:]) / np.minimum(a[:, 2:], b[:, 2:]), axis=1)
+
+
 def _validate_vertices(vertices) -> np.ndarray:
     v = _floats(vertices, "vertices must be rows of numbers (Ex', Ey', lambda, B)")
     if v.ndim != 2 or v.shape[1] != 4 or v.shape[0] < 2:
@@ -136,7 +141,8 @@ class ParameterPath:
     and B at the vertices guarantees positivity along the whole path. A
     vertex with lambda <= 0 or B <= 0 is a ValidationError: the holonomy
     engine and the Wilson oracle cover lambda, B > 0 only, not the
-    sigma = -1 branch.
+    sigma = -1 branch. So is a segment whose length overflows, or whose
+    lambda or B ratio exceeds 1e4, the quadrature's cap (3,333 panels).
     """
 
     vertices: np.ndarray
@@ -146,11 +152,18 @@ class ParameterPath:
         object.__setattr__(self, "vertices", _validate_vertices(self.vertices))
         if self.kind not in LOOP_KINDS:
             raise ValidationError(f"kind must be one of {LOOP_KINDS}, got {self.kind!r}")
+        a, b = self.vertices[:-1], self.vertices[1:]
         with np.errstate(over="ignore"):
-            lengths = self.segment_lengths
+            lengths, ratio = self.segment_lengths, _ratios(a, b)
         if not np.all(np.isfinite(lengths)):
             s = int(np.argmin(np.isfinite(lengths)))
             raise ValidationError(f"segment {s} (vertex {s} to {s + 1}) is too long: its length overflows")
+        if np.any(ratio > _MAX_RATIO):
+            s = int(np.argmax(ratio))
+            raise ValidationError(
+                f"lambda or B changes by a ratio of {ratio[s]:.3g} along the segment {tuple(a[s].tolist())} -> "
+                f"{tuple(b[s].tolist())}, above the quadrature's cap {_MAX_RATIO:g}"
+            )
 
     @property
     def segment_lengths(self) -> np.ndarray:
@@ -281,7 +294,7 @@ def abelian_phase(path: ParameterPath, u: float) -> AbelianPhases:
     each evaluated at the segment midpoint; the diagonal connection is
     linear in the field components, so this midpoint rule is exact.
     """
-    _check_positive("u", u)
+    _check_scales(path.vertices[:, 2:], u)
     area = signed_area(path, plane=("Ex_prime", "Ey_prime"))
     v = path.vertices
     _, _, lam, b = _unpack(v[0])
@@ -325,9 +338,10 @@ def area_closed_form(kind: str, ey_range, lam_range, b_range) -> float:
         raise ValidationError(f"ranges must be finite, got {ey_range!r}, {lam_range!r}, {b_range!r}")
     if min(l1, l2, b1, b2) <= 0:
         raise ValidationError("lambda and B ranges must be positive")
-    w11 = 1.0 / math.sqrt(l1 * b1)
-    w12 = 1.0 / math.sqrt(l1 * b2)
-    w22 = 1.0 / math.sqrt(l2 * b2)
+    products = (l1 * b1, l1 * b2, l2 * b2)
+    if min(products) == 0.0:
+        raise ValidationError(f"lambda B underflows to 0 at a corner of {lam_range!r} and {b_range!r}")
+    w11, w12, w22 = (1.0 / math.sqrt(p) for p in products)
     if kind == "ABCHEFA":
         return (ey2 - ey1) * (w22 - w11)
     if kind == "ABCHGFA":
@@ -375,19 +389,11 @@ def _segment_quadrature(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
     segment. One panel per segment, unless lambda or B changes by more than
     4x along it; then enough equal panels that each stays within a ratio of
     4, which keeps the rule at rounding accuracy for the powers of lambda and
-    B it weighs. A ratio above the cap 1e4 (3,333 panels) is a
-    ValidationError.
+    B it weighs. The segments are those of a :class:`ParameterPath`, which
+    caps the ratio at 1e4 (3,333 panels).
     """
     gauss_t, gauss_w = _gauss16()
-    with np.errstate(over="ignore"):
-        ratio = np.max(np.maximum(a[:, 2:], b[:, 2:]) / np.minimum(a[:, 2:], b[:, 2:]), axis=1)
-    if np.any(ratio > _MAX_RATIO):
-        s = int(np.argmax(ratio))
-        raise ValidationError(
-            f"lambda or B changes by a ratio of {ratio[s]:.3g} along the segment {tuple(a[s].tolist())} -> "
-            f"{tuple(b[s].tolist())}, above the quadrature's cap {_MAX_RATIO:g}"
-        )
-    panels = np.maximum(1, np.ceil((ratio - 1.0) / 3.0)).astype(int)
+    panels = np.maximum(1, np.ceil((_ratios(a, b) - 1.0) / 3.0)).astype(int)
     seg, panel = _runs(panels)
     pts = _nodes(a, b, panels, seg, panel, gauss_t).reshape(-1, 4)
     w = (gauss_w / panels[seg, None]).ravel()
@@ -487,21 +493,18 @@ class HolonomyResult:
 
     steps is the nominal step count of the returned product: half the start
     count is split over the segments by length, at least one step per moving
-    segment, and doubled. rounds counts the refinement rounds after the
-    first product, each doubling every segment's count. steps_taken is the
-    sum of the returned product's per-segment counts (more than steps on a
-    loop of many segments); under "auto" it includes the share of a commuting
-    segment, which is one exact factor. convergence_estimate estimates the
-    returned product's error from diff = max |U(steps) - U(steps // 2)|,
-    against a shadow run with exactly half the count on every segment; diff
-    is the error of the coarser product. The commutator-free fourth-order
-    steps of Blanes & Moan 2006 are about 16x more accurate per halving of
-    the step, so once a round has fallen at least 8x from the previous diff
-    (rate = previous / diff >= 8) and diff is above the rounding floor of a
-    thousand roundings per step, the estimate is 2 diff / (min(rate, 16) - 1),
-    with a margin of 2. Otherwise, and always without refinement (target=None,
-    the first product, sweep rows), it is diff itself; it is zero when every
-    segment is exact. unitarity_defect is max |U U^dag - I|.
+    segment, and doubled; each refinement round after the first product
+    doubles it. convergence_estimate estimates the returned product's error
+    from diff = max |U(steps) - U(steps // 2)|, against a shadow run with
+    exactly half the count on every segment; diff is the error of the
+    coarser product. The commutator-free fourth-order steps of Blanes & Moan
+    2006 are about 16x more accurate per halving of the step, so once a
+    round has fallen at least 8x from the previous diff (rate = previous /
+    diff >= 8) and diff is above the rounding floor of a thousand roundings
+    per step, the estimate is 2 diff / (min(rate, 16) - 1), with a margin
+    of 2. Otherwise, and always without refinement (target=None, the first
+    product, sweep rows), it is diff itself; it is zero when every segment
+    is exact. unitarity_defect is max |U U^dag - I|.
     """
 
     matrix: np.ndarray
@@ -509,8 +512,6 @@ class HolonomyResult:
     window: tuple[int, int]
     unitarity_defect: float
     convergence_estimate: float
-    rounds: int
-    steps_taken: int
 
 
 def _unitarity_defect(matrix: np.ndarray) -> float:
@@ -585,7 +586,7 @@ def holonomy_path_ordered(
     steps = _check_count("steps", steps, 16)
     if steps > _STEP_CAP:
         raise ValidationError(f"steps must be <= the step cap {_STEP_CAP}, got {steps}")
-    _check_positive("u", u)
+    _check_scales(path.vertices[:, 2:], u)
     _require_closed(path)
     if method not in _METHODS:
         raise ValidationError(f"method must be one of {_METHODS}, got {method!r}")
@@ -595,7 +596,7 @@ def holonomy_path_ordered(
     integrated = method != "auto" or not _commuting_segments(verts[:-1], verts[1:]).all()
     current, *shadow = _ordered_products(path, u, window, [counts, counts // 2][: 1 + integrated], method)
     diff = max_abs(current, shadow[0]) if shadow else 0.0
-    estimate, rounds, batch = diff, 0, []
+    estimate, batch = diff, []
     while target is not None and estimate > target:
         if 2 * steps > _STEP_CAP:
             raise ConvergenceError(
@@ -604,7 +605,7 @@ def holonomy_path_ordered(
         if not batch:
             ahead = _doublings(diff, target, (_STEP_CAP // steps).bit_length() - 1)
             batch = _ordered_products(path, u, window, [counts * 2**k for k in range(1, ahead + 1)], method)
-        steps, counts, rounds = 2 * steps, 2 * counts, rounds + 1
+        steps, counts = 2 * steps, 2 * counts
         coarse, current = current, batch.pop(0)
         previous, diff = diff, max_abs(current, coarse)
         estimate = _extrapolated_error(previous, diff, steps)
@@ -614,8 +615,7 @@ def holonomy_path_ordered(
                 f"holonomy estimate stalled at its rounding floor {min(previous, diff):.3e}, "
                 f"above target {target:.3e}, at {steps} steps"
             )
-    steps_taken = int(counts.sum())
-    return HolonomyResult(current, steps, tuple(window), _unitarity_defect(current), estimate, rounds, steps_taken)
+    return HolonomyResult(current, steps, tuple(window), _unitarity_defect(current), estimate)
 
 
 def unordered_holonomy(path: ParameterPath, u: float, window: tuple[int, int] = (0, 3)) -> np.ndarray:
@@ -626,7 +626,7 @@ def unordered_holonomy(path: ParameterPath, u: float, window: tuple[int, int] = 
     product exactly when all step generators commute (Ex' = 0 loops); the
     gap between the two is the non-commutativity diagnostic.
     """
-    _check_positive("u", u)
+    _check_scales(path.vertices[:, 2:], u)
     _require_closed(path)
     window = _check_window(window)
     phi, zeta = _segment_integrals(path.vertices[:-1], path.vertices[1:], u)

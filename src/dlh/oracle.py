@@ -57,7 +57,6 @@ from .params import CONTROL_PARAMS, DerivedScales, PhysicalConfig, _check_param,
 __all__ = [
     "OPERATING_CONFIG",
     "Grid2D",
-    "default_grid",
     "WaveField",
     "ground_state",
     "apply_level_raise",
@@ -92,13 +91,14 @@ _DRIFT_TOL = 1e-3
 class Grid2D:
     """Square grid on [-extent, extent]^2 with points-per-axis nodes.
 
-    Spacing h = 2 extent / (points - 1). Fields are treated as periodic by
-    the spectral derivatives; all states of interest decay far below
-    rounding at the boundary, which :class:`WaveField` enforces.
+    Spacing h = 2 extent / (points - 1); the default, 256 points on
+    [-12, 12]^2, is the grid of `dlh oracle-check`. Fields are treated as
+    periodic by the spectral derivatives; all states of interest decay far
+    below rounding at the boundary, which :class:`WaveField` enforces.
     """
 
-    extent: float
-    points: int
+    extent: float = 12.0
+    points: int = 256
 
     def __post_init__(self) -> None:
         _check_count("grid points", self.points, 64)
@@ -153,10 +153,6 @@ class Grid2D:
     def boundary_max(self, f: np.ndarray) -> float:
         edges = (f[0, :], f[-1, :], f[:, 0], f[:, -1])
         return float(max(np.max(np.abs(e)) for e in edges))
-
-
-def default_grid(extent: float = 12.0, points: int = 256) -> Grid2D:
-    return Grid2D(extent=extent, points=points)
 
 
 def _deriv(grid: Grid2D, f: np.ndarray, axis: int) -> np.ndarray:
@@ -565,7 +561,7 @@ def _c2(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def sign_convention_report(config: PhysicalConfig | None = None, grid: Grid2D | None = None) -> dict:
+def sign_convention_report(config: PhysicalConfig = OPERATING_CONFIG, grid: Grid2D | None = None) -> dict:
     """Measure the connection sign conventions and curvature on the grid.
 
     Finite differences (h_step 1e-3) fix the relative sign of the two
@@ -584,10 +580,8 @@ def sign_convention_report(config: PhysicalConfig | None = None, grid: Grid2D | 
     phases Im(conj(nu) nu') around a straight-edged polygon sum to twice its
     area, however its sides are split; more links move only rounding.
     """
-    if config is None:
-        config = OPERATING_CONFIG
     if grid is None:
-        grid = default_grid()
+        grid = Grid2D()
     u = derive_scales(config).u
     point = (config.Ex_prime, config.Ey_prime, config.lambda_density, config.B)
     ex, ey, lam, b = point

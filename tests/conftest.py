@@ -1,8 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dlh.oracle import default_grid
+import dlh
+from dlh.oracle import Grid2D
 from dlh.params import PhysicalConfig
+
+# An installed dlh would otherwise be tested in place of this checkout's.
+_SRC = Path(__file__).resolve().parents[1] / "src"
+if Path(dlh.__file__).resolve().parent != _SRC / "dlh":
+    raise pytest.UsageError(f"the tests import dlh from {dlh.__file__}, not from {_SRC}: run them with PYTHONPATH=src")
 
 
 @pytest.fixture(scope="session")
@@ -28,13 +36,13 @@ def cfg_natural():
 
 @pytest.fixture(scope="session")
 def grid12():
-    return default_grid()
+    return Grid2D()
 
 
 @pytest.fixture(scope="session")
 def grid14():
     # wide frame for moderately excited states at l_m = 1
-    return default_grid(extent=14.0, points=256)
+    return Grid2D(extent=14.0, points=256)
 
 
 @pytest.fixture(scope="session")
@@ -43,4 +51,4 @@ def grid_coarse():
     # spectral rounding at the frame by ~(extent + k_max)/2l per application,
     # so a low k_max (coarse h) grid is the one that keeps the boundary
     # guard satisfied for those states
-    return default_grid(extent=14.0, points=128)
+    return Grid2D(extent=14.0, points=128)

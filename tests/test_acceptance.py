@@ -125,7 +125,7 @@ def test_c03_displacement_consistency(rng, cfg_desk):
 
     worst_unitary = 0.0
     for nu in nus:
-        D = displacement_matrix(nu, basis, check=False).entries
+        D = displacement_matrix(nu, basis).entries
         worst_unitary = max(
             worst_unitary, np.abs(D.conj().T @ D - np.eye(basis.size)).max()
         )

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from dlh._linalg import _ladder
 from dlh.connection import (
     CONTROL_PARAMS,
     SIGN_CONVENTION,
     _check_window,
     _generator_scalars,
     _generators,
-    _lowering_pattern,
     abelian_curvature,
     chain_rule_consistency,
     connection_closed_form,
@@ -218,7 +218,7 @@ def test_one_generator_matches_chain_rule(rng):
     for pt in _random_points(rng, 6):
         u = 0.3 + rng.random()
         window = (int(rng.integers(0, 3)), int(rng.integers(3, 6)))
-        L = _lowering_pattern(window)
+        L = _ladder(window)
         for _ in range(3):
             d = rng.standard_normal(4)
             got = _generators(*_generator_scalars(pt, d, u), L)

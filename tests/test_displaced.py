@@ -106,7 +106,7 @@ def test_truncation_refusal_and_warning():
     with pytest.raises(ValidationError, match="level 0 keeps over 0.1"):
         displacement_matrix(2.5, basis)
     with pytest.warns(UserWarning, match="level 0 keeps 2.03e-05 of its weight past n_max = 8"):
-        displacement_matrix(1.2, basis, check=False)
+        displaced_state(0, 0, 1.2, basis)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         displacement_matrix(0.5, build_basis(40, 0))
@@ -126,9 +126,9 @@ def test_refusal_bound_is_a_level_0_weight_of_one_tenth(n_max, occ_max):
     assert _level0_weight(occ_max - 1e-4, n_max) <= 0.1 < _level0_weight(occ_max + 1e-4, n_max)
     basis = build_basis(n_max, 0)
     with pytest.warns(UserWarning, match="level 0 keeps 0.1"):
-        displacement_matrix(math.sqrt(occ_max - 1e-4), basis, check=False)
+        displaced_state(0, 0, math.sqrt(occ_max - 1e-4), basis)
     with pytest.raises(ValidationError):
-        displacement_matrix(math.sqrt(occ_max + 1e-4), basis, check=False)
+        displaced_state(0, 0, math.sqrt(occ_max + 1e-4), basis)
     # |nu|^2 = n_max/2 keeps level 0 under it
     assert _level0_weight(n_max / 2, n_max) < 0.091
 
@@ -139,10 +139,10 @@ def test_refusal_bound_is_a_level_0_weight_of_one_tenth(n_max, occ_max):
 def test_non_finite_nu_is_refused(cfg_desk, entry, nu):
     basis = build_basis(8, 1)
     call = {
-        "displacement_matrix": lambda: displacement_matrix(nu, basis, check=False),
+        "displacement_matrix": lambda: displacement_matrix(nu, basis),
         "dual_route_deviation": lambda: dual_route_deviation(nu, basis),
         "displaced_state": lambda: displaced_state(0, 0, nu, basis),
-        "displaced_hamiltonian": lambda: displaced_hamiltonian(nu, basis, derive_scales(cfg_desk), check=False),
+        "displaced_hamiltonian": lambda: displaced_hamiltonian(nu, basis, derive_scales(cfg_desk)),
     }[entry]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -240,7 +240,7 @@ def test_hnu_check_accepts_what_the_truncation_guard_accepts(cfg_desk, n_max):
         warnings.simplefilter("ignore", UserWarning)
         for nu in nus:
             for m_max in (0, 2):
-                displaced_hamiltonian(nu, build_basis(n_max, m_max), sc, check=True)
+                displaced_hamiltonian(nu, build_basis(n_max, m_max), sc)
 
 
 def _nu(occ, phase):
@@ -322,22 +322,22 @@ def test_displacement_checks_catch_a_wrong_closed_form(cfg_desk, monkeypatch, n_
     # nu = 0.1 - 0.05j passes both checks even at n_max = 6, where C3
     # compares levels 0..2
     nu, basis, sc = 0.1 - 0.05j, build_basis(n_max, 1), derive_scales(cfg_desk)
-    displacement_matrix(nu, basis, check=True)
-    displaced_hamiltonian(nu, basis, sc, check=True)
+    displacement_matrix(nu, basis)
+    displaced_hamiltonian(nu, basis, sc)
     monkeypatch.setattr(dlh.displaced, "_displacement_block", _reflected(_displacement_block))
     with pytest.raises(ConsistencyError):
-        displacement_matrix(nu, basis, check=True)
+        displacement_matrix(nu, basis)
     with pytest.raises(ConsistencyError):
-        displaced_hamiltonian(nu, basis, sc, check=True)
+        displaced_hamiltonian(nu, basis, sc)
 
 
 @pytest.mark.parametrize("n_max", [6, 14, 25, 40])
 def test_displacement_check_catches_a_wrong_dense_route(monkeypatch, n_max):
     basis = build_basis(n_max, 1)
-    displacement_matrix(0.1 - 0.05j, basis, check=True)
+    displacement_matrix(0.1 - 0.05j, basis)
     monkeypatch.setattr(dlh.displaced, "_dense_route", _reflected(_dense_route))
     with pytest.raises(ConsistencyError):
-        displacement_matrix(0.1 - 0.05j, basis, check=True)
+        displacement_matrix(0.1 - 0.05j, basis)
 
 
 # the golden `displace` config: n_max = 4, |nu|^2 = 0.0725, where column 0
@@ -356,7 +356,7 @@ def test_dual_route_check_raises_only_after_a_warning(n_max):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                displacement_matrix(nu, basis, check=True)
+                displacement_matrix(nu, basis)
             except ConsistencyError:
                 assert any("of its weight past n_max" in str(w.message) for w in caught), (n_max, nu)
 
@@ -367,7 +367,7 @@ def test_dual_route_check_compares_level_0_of_the_golden_config():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         dev = dual_route_deviation(GOLDEN_NU, build_basis(4, 1))
-        displacement_matrix(GOLDEN_NU, build_basis(4, 1), check=True)
+        displacement_matrix(GOLDEN_NU, build_basis(4, 1))
     assert 0.0 < dev <= 1e-8
 
 
@@ -380,7 +380,7 @@ def test_dual_route_check_fails_when_no_level_is_resolved():
         dev = dual_route_deviation(0.5 - 0.2j, basis)
     assert len(caught) == 1 and 1e-8 < dev <= 0.21 * 1.35e-5
     with pytest.warns(UserWarning, match="level 0 keeps"), pytest.raises(ConsistencyError, match="6.336e-08"):
-        displacement_matrix(0.5 - 0.2j, basis, check=True)
+        displacement_matrix(0.5 - 0.2j, basis)
 
 
 _GRID = [(n_max, occ, phase) for n_max in range(2, 13) for occ in np.linspace(n_max / 32, n_max / 8, 4)
@@ -389,8 +389,8 @@ _GRID = [(n_max, occ, phase) for n_max in range(2, 13) for occ in np.linspace(n_
 
 def test_truncation_rule_on_the_grid_of_132_cases():
     # n_max 2-12, |nu|^2 from n_max/32 to n_max/8, m_max 1: under the two
-    # old rules 81 of these raised from check=True, 73 of them in silence.
-    # Each case now warns once, or passes check=True without a warning.
+    # old rules 81 of these raised from the dual-route check, 73 of them in
+    # silence. Each case now warns once, or passes the check without a warning.
     assert len(_GRID) == 132
     warned = 0
     for n_max, occ, phase in _GRID:
@@ -398,7 +398,7 @@ def test_truncation_rule_on_the_grid_of_132_cases():
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                displacement_matrix(_nu(occ, phase), basis, check=True)
+                displacement_matrix(_nu(occ, phase), basis)
             except ConsistencyError:
                 assert caught, (n_max, occ, phase)
             assert len(caught) <= 1 and all("of its weight past n_max" in str(w.message) for w in caught)
@@ -449,5 +449,5 @@ def test_oracle_check_n_mode_is_accepted_in_silence(cfg_desk, occ):
         warnings.simplefilter("error")
         for phase in (0.3, 2.0, 4.4):
             assert dual_route_deviation(_nu(occ, phase), basis) <= 2e-9
-            displacement_matrix(_nu(occ, phase), basis, check=True)
-            displaced_hamiltonian(_nu(occ, phase), basis, sc, check=True)
+            displacement_matrix(_nu(occ, phase), basis)
+            displaced_hamiltonian(_nu(occ, phase), basis, sc)

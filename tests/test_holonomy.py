@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import dlh.holonomy as hol
 from dlh import connection
-from dlh._linalg import _span_basis, _span_exp, _span_table
-from dlh.connection import _generator_scalars, _generators, _lowering_pattern
+from dlh._linalg import _ladder, _span_basis, _span_exp, _span_table
+from dlh.connection import _generator_scalars, _generators
 from dlh.errors import ConvergenceError, ValidationError
 from dlh.holonomy import (
     AbelianPhases,
@@ -443,7 +443,7 @@ def test_span_exponential_matches_eigendecomposition(window, rng):
     zeta[:4] = 0.0
     zeta[4] = 10.0 * np.exp(0.3j)
     got = _span_exp(phi, zeta, window)
-    want = scipy.linalg.expm(1j * _generators(phi, zeta, _lowering_pattern(window)))
+    want = scipy.linalg.expm(1j * _generators(phi, zeta, _ladder(window)))
     assert np.abs(got - want).max() <= 1e-13
 
 
@@ -456,7 +456,7 @@ def _magnus4_product(path, u, window, steps):
     With A1, A2 the step generators at the two Gauss nodes, each step is
     exp(i H) with H = (A1 + A2)/2 + i (sqrt(3)/12) [A2, A1].
     """
-    L = _lowering_pattern(window)
+    L = _ladder(window)
     nodes = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
     U = np.eye(len(L), dtype=complex)
     for a, b, count in zip(path.vertices[:-1], path.vertices[1:], path._allocation(steps)):
@@ -764,13 +764,13 @@ def test_batched_rounds_replay_the_sequential_rule(rotating_quadrilaterals, targ
         batches.clear()
         res = holonomy_path_ordered(loop, 0.5, window=(0, 3), target=target)
         assert np.array_equal(res.matrix, matrix)
-        assert (res.steps, res.convergence_estimate, res.rounds) == (steps, estimate, rounds)
+        assert (res.steps, res.convergence_estimate) == (steps, estimate)
+        assert res.steps == hol.DEFAULT_STEPS * 2**rounds
         assert res.unitarity_defect == hol._unitarity_defect(matrix)
-        assert res.steps_taken == loop._allocation(hol.DEFAULT_STEPS).sum() * 2**rounds
         assert batches[0] == 2 and max(batches) <= hol._BATCH_DOUBLINGS == 3
         # on the rotating quadrilaterals the prediction builds no product that is not needed
         if any(loop is quad for quad, _ in rotating_quadrilaterals):
-            assert sum(batches) == res.rounds + 2
+            assert sum(batches) == rounds + 2
 
 
 def test_prediction_of_the_doublings():
@@ -793,19 +793,6 @@ def test_refinement_stops_below_the_step_cap(monkeypatch):
     with pytest.raises(ConvergenceError, match="at step cap 64"):
         holonomy_path_ordered(C9_LOOP, 0.5, window=(0, 1), steps=16, target=1e-12)
     assert max(sum(c) for c in counts) == 4 * C9_LOOP._allocation(16).sum()
-
-
-def test_rounds_and_steps_taken_record_the_returned_product():
-    res = holonomy_path_ordered(C9_LOOP, 0.5, target=1e-9)
-    assert res.rounds > 0 and res.steps == hol.DEFAULT_STEPS * 2**res.rounds
-    assert res.steps_taken == C9_LOOP._allocation(hol.DEFAULT_STEPS).sum() * 2**res.rounds
-    assert type(res.steps_taken) is int
-    polygon = holonomy_path_ordered(_rotating_polygon(64), 0.5, target=None)
-    assert (polygon.rounds, polygon.steps) == (0, 32) and polygon.steps_taken == 128
-    box = holonomy_path_ordered(box_loop("ABCHEFA", EY, LAM, BB), 0.5, target=1e-14)
-    assert box.rounds == 0 and box.steps_taken == box_loop("ABCHEFA", EY, LAM, BB)._allocation(32).sum()
-    const = holonomy_path_ordered(ParameterPath(np.array([[0.2, 0.1, 1.0, 1.0]] * 3)), 0.5)
-    assert (const.rounds, const.steps_taken) == (0, 0)
 
 
 def _paired_exact_product(loop, window):
@@ -860,7 +847,7 @@ def test_exact_loops_take_one_quadrature_one_exponential_one_product(monkeypatch
     # "magnus" still takes the steps of every segment
     calls.update(dict.fromkeys(calls, 0))
     res = holonomy_path_ordered(loops[0], 0.5, steps=64, target=None, method="magnus")
-    assert res.convergence_estimate > 0.0 and res.steps_taken == loops[0]._allocation(64).sum()
+    assert res.convergence_estimate > 0.0 and res.steps == 64
     assert calls["_segment_integrals"] == 0 and calls["_generator_scalars"] > 0
 
 
@@ -1005,7 +992,7 @@ def test_unordered_holonomy_matches_the_per_segment_sum():
             p, z = _segment_integrals_one(a, b, 0.5)
             phi += p
             zeta += z
-        want = scipy.linalg.expm(1j * _generators(phi, zeta, _lowering_pattern((0, 3))))
+        want = scipy.linalg.expm(1j * _generators(phi, zeta, _ladder((0, 3))))
         assert np.abs(unordered_holonomy(loop, 0.5, (0, 3)) - want).max() <= 1e-13
 
 

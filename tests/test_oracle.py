@@ -21,7 +21,6 @@ from dlh.oracle import (
     apply_radial_raise,
     apply_uniform_field_hamiltonian,
     build_state,
-    default_grid,
     displace_field,
     fd_connection_matrix,
     ground_state,
@@ -34,7 +33,7 @@ from dlh.params import PhysicalConfig, _point_scales, derive_scales
 
 
 def test_grid_adequacy_rules():
-    grid = default_grid()
+    grid = Grid2D()
     grid.check_adequate(1.0)
     with pytest.raises(ValidationError):
         grid.check_adequate(3.0)  # extent 12 < 6 * 3
@@ -208,7 +207,7 @@ def test_diagonal_fd_entries_are_real_at_the_operating_point(points):
     cfg = oracle.OPERATING_CONFIG
     point = (cfg.Ex_prime, cfg.Ey_prime, cfg.lambda_density, cfg.B)
     for param in ("Ex_prime", "Ey_prime"):
-        entry = fd_connection_matrix(default_grid(points=points), cfg, param, point, 0, (0, 0))[0, 0]
+        entry = fd_connection_matrix(Grid2D(points=points), cfg, param, point, 0, (0, 0))[0, 0]
         assert abs(entry.imag) <= 1e-14 and abs(entry.real) > 0.01
 
 
@@ -399,7 +398,7 @@ def test_the_stack_keeps_real_powers_and_rates():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_ramp"
     }
     assert callers == {"_overlaps", "window_states"}
-    st = oracle._stack(default_grid(), oracle.OPERATING_CONFIG, [(0.3, 0.7, 2.0, 1.0)] * 2, 1, (0, 2))
+    st = oracle._stack(Grid2D(), oracle.OPERATING_CONFIG, [(0.3, 0.7, 2.0, 1.0)] * 2, 1, (0, 2))
     assert st.R.dtype == st.rate.dtype == np.float64
     assert st.R.shape == (2, 2, 4, 256) and st.rate.shape == (2, 2, 1)
     assert all(st.R[k, a, p].flags.c_contiguous for k in range(2) for a in range(2) for p in range(4))  # power-major
@@ -862,7 +861,7 @@ def test_the_report_rectangle_is_exact_at_every_link_count(points):
     # states with nu linear in (Ex', Ey'), and the overlap phases around a
     # straight-edged polygon sum to its area exactly: the link count moves
     # the report's curvature by rounding only
-    grid, side = default_grid(points=points), 0.25
+    grid, side = Grid2D(points=points), 0.25
     report = sign_convention_report(grid=grid)
     op = report["operating_point"]
     ex, ey, lam, b, u = (op[k] for k in ("Ex_prime", "Ey_prime", "lambda_density", "B", "u"))

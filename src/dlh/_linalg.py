@@ -43,28 +43,30 @@ def _span_table(window: tuple[int, int]) -> np.ndarray:
 
 
 def _span_exp(phi, zeta, window: tuple[int, int]) -> np.ndarray:
-    """exp(i (phi I + zeta L + conj(zeta) L^T)) for each entry of the 1-d stacks phi, zeta.
+    """exp(i (phi I + zeta L + conj(zeta) L^T)) for each entry of the 1-d stacks phi, zeta, as a (k, n, n) stack.
 
     zeta L + conj(zeta) L^T = |zeta| R T R^dag with R = diag(e^{i m arg zeta}),
     so the exponential is e^{i phi} R V diag(e^{i |zeta| lam}) V^T R^dag, with
-    T = V diag(lam) V^T from :func:`_span_basis` on the checked window.
-    Unitary to roundoff, since V is orthogonal; returns a (k, n, n) stack.
-
-    The middle factor is taken as I + V diag(e^{i |zeta| lam} - 1) V^T: the
-    rounding of V V^T would otherwise enter every step's identity part alike
-    and add up linearly over a long ordered product. A stack contracts with
-    the table of :func:`_span_table`, faster than a batch of eigenvector
-    products at 4-128 levels; a single exponential builds no table.
+    T = V diag(lam) V^T from :func:`_span_basis` on the checked window;
+    unitary to roundoff, since V is orthogonal. The middle factor is taken as
+    I + V diag(e^{i |zeta| lam} - 1) V^T: the rounding of V V^T would
+    otherwise enter every step's identity part alike and add up linearly over
+    a long ordered product. A stack contracts with the table of
+    :func:`_span_table`, faster than a batch of eigenvector products at 4-128
+    levels; a single exponential builds no table. The two phase factors scale
+    that middle stack in place, so a stack allocates no temporary of its size.
     """
     lam, V = _span_basis(window)
     size = len(lam)
-    phi, zeta = np.atleast_1d(phi), np.atleast_1d(zeta)
+    phi, zeta = np.atleast_1d(phi, zeta)
     angle = np.abs(zeta)[:, None] * lam
     e = 1j * np.sin(angle) - 2.0 * np.sin(0.5 * angle) ** 2
     core = (V * e[:, None]) @ V.T if len(e) == 1 else (e @ _span_table(window)).reshape(-1, size, size)
     core += np.eye(size)
-    rot = np.exp(1j * np.angle(zeta)[:, None] * np.arange(size))
-    return core * (np.exp(1j * phi)[:, None] * rot)[:, :, None] * rot.conj()[:, None, :]
+    rot = np.exp(1j * np.arctan2(zeta.imag, zeta.real)[:, None] * np.arange(size))
+    core *= (np.exp(1j * phi)[:, None] * rot)[:, :, None]
+    core *= rot.conj()[:, None, :]
+    return core
 
 
 def _tree_product(stack: np.ndarray) -> np.ndarray:

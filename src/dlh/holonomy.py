@@ -17,14 +17,16 @@ here, in increasing generality:
   stay fixed) contributes one exact factor, the exponential of its
   Gauss-integrated generator. Every other segment takes the commutator-free
   fourth-order Magnus steps of Blanes & Moan (2006) on the two-point Gauss
-  rule. One ordered product is one stack across segments, built,
-  exponentiated and multiplied in chunks of bounded size.
-  ``method="magnus"`` sends every segment through these steps. A shadow run
-  at half the step count gives an a-posteriori convergence estimate, which
-  refinement turns into a step-doubling estimate of the returned product's
-  own error. Products are built in batches that share their chunks: the
-  first product with its shadow, then the next doublings (at most 3) that
-  the fourth-order rate predicts for the target.
+  rule. Each call derives the loop's geometry (segment ends and steps, which
+  segments are exact, their integrals) once. One ordered product is one
+  stack across segments, built, exponentiated and multiplied in chunks of
+  bounded size. ``method="magnus"`` sends every segment through these
+  steps. A shadow run at half the step count gives an a-posteriori
+  convergence estimate, which refinement turns into a step-doubling
+  estimate of the returned product's own error. Products are built in
+  batches that share their chunks and the call's geometry: the first
+  product with its shadow, then the next doublings (at most 3) that the
+  fourth-order rate predicts for the target.
 
 Every step generator is Theta = phi I + zeta L + conj(zeta) L^T, with L the
 lowering pattern L_{m+1,m} = sqrt(m+1) on the m-window. The scalars
@@ -50,23 +52,9 @@ from .connection import _check_scales, _generator_scalars, _unpack, abelian_curv
 from .errors import ConvergenceError, ValidationError, _check_count, _check_positive, _check_window, _floats
 from .params import CONTROL_PARAMS
 
-__all__ = [
-    "BOX_KINDS",
-    "LOOP_KINDS",
-    "ParameterPath",
-    "rectangle_loop",
-    "box_loop",
-    "signed_area",
-    "AbelianPhases",
-    "abelian_phase",
-    "loop_area_integral",
-    "area_closed_form",
-    "commuting_holonomy",
-    "HolonomyResult",
-    "DEFAULT_STEPS",
-    "holonomy_path_ordered",
-    "unordered_holonomy",
-]
+__all__ = ["BOX_KINDS", "LOOP_KINDS", "ParameterPath", "rectangle_loop", "box_loop", "signed_area", "AbelianPhases",
+           "abelian_phase", "loop_area_integral", "area_closed_form", "commuting_holonomy", "HolonomyResult",
+           "DEFAULT_STEPS", "holonomy_path_ordered", "unordered_holonomy"]
 
 # Box itineraries: each vertex indexes (low 0, high 1) into the Ey', lambda
 # and B ranges, in that order.
@@ -312,12 +300,20 @@ def loop_area_integral(path: ParameterPath) -> float:
 
     Gauss quadrature per segment (:func:`_segment_quadrature`); exact for the
     named box loops, where every segment has either dEy' = 0 or lambda, B
-    constant.
+    constant. A node where lambda B underflows to 0 or overflows is a
+    ValidationError.
     """
     _require_closed(path)
     a, b = path.vertices[:-1], path.vertices[1:]
     seg, pts, w = _segment_quadrature(a, b)
-    per_segment = np.bincount(seg, w / np.sqrt(pts[:, 2] * pts[:, 3]), len(a))
+    with np.errstate(over="ignore"):
+        lam_b = pts[:, 2] * pts[:, 3]
+    finite = (lam_b > 0.0) & (lam_b < math.inf)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        what = "overflows" if lam_b[k] else "underflows to 0"
+        raise ValidationError(f"lambda B {what} at lambda = {float(pts[k, 2])!r}, B = {float(pts[k, 3])!r}")
+    per_segment = np.bincount(seg, w / np.sqrt(lam_b), len(a))
     return float(np.sum((b[:, 1] - a[:, 1]) * per_segment))
 
 
@@ -424,66 +420,76 @@ def _commuting_segments(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (cross == 0.0) | ((a[:, 2] == b[:, 2]) & (a[:, 3] == b[:, 3]))
 
 
-def _step_factors(path: ParameterPath, u: float, window: tuple[int, int], counts_list, method: str):
+def _loop_geometry(path: ParameterPath, u: float, method: str) -> tuple:
+    """Segment starts a, steps b - a, the exact mask and (Phi, Z): what every batch of one engine call reads.
+
+    Under "auto" a segment whose step generators commute is exact; (Phi, Z) integrate its generator scalars in
+    one vectorised quadrature, and are 0 on every other segment.
+    """
+    a, b = path.vertices[:-1], path.vertices[1:]
+    exact = (method == "auto") & _commuting_segments(a, b)
+    phi, zeta = np.zeros(len(a)), np.zeros(len(a), dtype=complex)
+    if exact.any():
+        phi[exact], zeta[exact] = _segment_integrals(a[exact], b[exact], u)
+    return a, b - a, exact, phi, zeta
+
+
+def _step_factors(path: ParameterPath, u: float, window: tuple[int, int], counts_list, method: str, geometry=None):
     """Factors of one ordered product per entry of `counts_list`, as (product, (k, n, n) stack) chunks.
 
-    Each entry gives the steps of every segment. Under "auto" a commuting
-    segment yields its one exact factor exp(i (Phi I + Z L + conj(Z) L^T)).
-    Other segments (every segment under "magnus") take their count of
-    commutator-free fourth-order steps: with A1, A2 the step generators at
-    the two Gauss nodes of a step, exp(i (b A1 + a A2)) exp(i (a A1 + b A2))
-    with a, b = 1/4 +- sqrt(3)/6, both in the generator span; the step is
-    time-symmetric.
-
-    Each product's factors are laid out in path order and cut into chunks of
-    bounded size, across segment boundaries too. Each chunk is a batch, or
-    all products are one batch if they fit in one chunk. A batch takes one
-    scalar evaluation, one exponential of its (left, right) pairs and one
-    pairwise product, an exact factor being a left half whose right half is
-    I; a batch of two or more exact factors only exponentiates just those.
-    The (Phi, Z) of all exact segments come from one vectorised quadrature.
+    Each entry gives the steps of every segment. An exact segment (see
+    :func:`_loop_geometry`, derived once per call) yields its one factor
+    exp(i (Phi I + Z L + conj(Z) L^T)); every other segment its count of
+    commutator-free fourth-order steps exp(i (b A1 + a A2)) exp(i (a A1 + b A2)),
+    with A1, A2 the step generators at the two Gauss nodes of a step and
+    a, b = 1/4 +- sqrt(3)/6: both factors lie in the generator span, and the
+    step is time-symmetric. Each product's factors are laid out in path order
+    and cut into chunks of bounded size, across segment boundaries too. Each
+    chunk is a batch, or all products are one batch if they fit in one chunk.
+    A batch takes one scalar evaluation, one exponential of its (left, right)
+    pairs, an exact factor's right half being I, and one pairwise product; a
+    batch of two or more exact factors exponentiates just those.
     """
+    a, step, exact, exact_phi, exact_zeta = geometry or _loop_geometry(path, u, method)
     size = window[1] - window[0] + 1
     chunk = max(1, _CHUNK_ENTRIES // (size * size))
-    # segment s of product p is segment p * S + s of one tiled path
-    counts = np.concatenate(counts_list)
-    a, b = (np.tile(v, (len(counts_list), 1)) for v in (path.vertices[:-1], path.vertices[1:]))
-    exact = (counts > 0) & (method == "auto") & _commuting_segments(a, b)
-    if exact.any():
-        exact_phi, exact_zeta = _segment_integrals(a[exact], b[exact], u)
-        rank = np.cumsum(exact) - 1
-    entries = np.where(exact, 1, counts)
-    seg, offset = _runs(entries)
-    ends = np.cumsum([0, *entries.reshape(len(counts_list), -1).sum(axis=1)])
+    # row p of `counts` is product p; an exact segment is one entry
+    counts = np.array(counts_list)
+    entries = np.where((counts > 0) & exact, 1, counts)
+    seg, offset = _runs(entries.ravel())
+    ends = [0, *entries.sum(axis=1).cumsum().tolist()]
     pieces = [(p, lo, min(lo + chunk, hi)) for p, hi in enumerate(ends[1:]) for lo in range(ends[p], hi, chunk)]
     # products that fit in one chunk together share one batch
     for batch in [pieces] if 0 < ends[-1] <= chunk else [[piece] for piece in pieces]:
         lo, hi = batch[0][1], batch[-1][2]
         s, j = seg[lo:hi], offset[lo:hi]
-        ex = exact[s]
+        g, n = s % len(a), counts.ravel()[s, None]  # the segment and the count of every entry
+        ex = exact[g]
         if ex.all() and len(s) > 1:
-            stack = _span_exp(exact_phi[rank[s]], exact_zeta[rank[s]], tuple(window))
+            stack = _span_exp(exact_phi[g], exact_zeta[g], tuple(window))
         else:
-            pts = _nodes(a, b, counts, s, j, _GAUSS2_T).reshape(-1, 4)
-            phi, zeta = _generator_scalars(pts, np.repeat((b - a)[s] / counts[s, None], 2, axis=0), u)
+            # the two Gauss nodes a + (j + t) / n (b - a) of every step, as _nodes places them
+            pts = (a[g, None] + ((j[:, None] + _GAUSS2_T) / n)[:, :, None] * step[g, None]).reshape(-1, 4)
+            phi, zeta = _generator_scalars(pts, (step[g] / n).repeat(2, axis=0), u)
             # node scalars (A1, A2) per step -> factor scalars (left, right)
-            phi = phi.reshape(-1, 2) @ _CF4_MIX.T
-            zeta = zeta.reshape(-1, 2) @ _CF4_MIX.T
+            phi, zeta = (v.reshape(-1, 2) @ _CF4_MIX.T for v in (phi, zeta))
             if ex.any():
                 phi[ex], zeta[ex] = 0.0, 0.0
-                phi[ex, 0], zeta[ex, 0] = exact_phi[rank[s[ex]]], exact_zeta[rank[s[ex]]]
+                phi[ex, 0], zeta[ex, 0] = exact_phi[g[ex]], exact_zeta[g[ex]]
             pair = _span_exp(phi.ravel(), zeta.ravel(), tuple(window)).reshape(len(s), 2, size, size)
             stack = pair[:, 0] @ pair[:, 1]
         for p, i0, i1 in batch:
             yield p, stack[i0 - lo : i1 - lo]
 
 
-def _ordered_products(path: ParameterPath, u: float, window: tuple[int, int], counts_list, method: str) -> list:
-    """One ordered product per entry of `counts_list`; each has the bits of the product built alone."""
+def _ordered_products(path: ParameterPath, u: float, window, counts_list, method: str, geometry=None) -> list:
+    """One ordered product per entry of `counts_list`, each with the bits of the product built alone; I if empty."""
     m_lo, m_hi = _check_window(window)
-    products = [np.eye(m_hi - m_lo + 1, dtype=complex)] * len(counts_list)
-    for p, factors in _step_factors(path, u, window, counts_list, method):
-        products[p] = _tree_product(factors) @ products[p]
+    eye = np.eye(m_hi - m_lo + 1, dtype=complex)
+    products = [eye] * len(counts_list)
+    for p, factors in _step_factors(path, u, window, counts_list, method, geometry):
+        tree = _tree_product(factors)
+        products[p] = tree if products[p] is eye else tree @ products[p]
     return products
 
 
@@ -491,20 +497,16 @@ def _ordered_products(path: ParameterPath, u: float, window: tuple[int, int], co
 class HolonomyResult:
     """Path-ordered holonomy on an m-window, with its numerical defects and how it was made.
 
-    steps is the nominal step count of the returned product: half the start
-    count is split over the segments by length, at least one step per moving
-    segment, and doubled; each refinement round after the first product
-    doubles it. convergence_estimate estimates the returned product's error
-    from diff = max |U(steps) - U(steps // 2)|, against a shadow run with
-    exactly half the count on every segment; diff is the error of the
-    coarser product. The commutator-free fourth-order steps of Blanes & Moan
-    2006 are about 16x more accurate per halving of the step, so once a
-    round has fallen at least 8x from the previous diff (rate = previous /
-    diff >= 8) and diff is above the rounding floor of a thousand roundings
-    per step, the estimate is 2 diff / (min(rate, 16) - 1), with a margin
-    of 2. Otherwise, and always without refinement (target=None, the first
-    product, sweep rows), it is diff itself; it is zero when every segment
-    is exact. unitarity_defect is max |U U^dag - I|.
+    steps is the nominal step count of the returned product: half the start count is split over the
+    segments by length, at least one step per moving segment, and doubled; each refinement round after
+    the first product doubles it. convergence_estimate estimates the returned product's error from
+    diff = max |U(steps) - U(steps // 2)|, against a shadow run with exactly half the count on every
+    segment; diff is the error of the coarser product. The commutator-free fourth-order steps of Blanes
+    & Moan 2006 are about 16x more accurate per halving of the step, so once a round has fallen at least
+    8x from the previous diff (rate = previous / diff >= 8) and diff is above the rounding floor of a
+    thousand roundings per step, the estimate is 2 diff / (min(rate, 16) - 1), with a margin of 2.
+    Otherwise, and always without refinement (target=None, the first product, sweep rows), it is diff
+    itself; it is zero when every segment is exact. unitarity_defect is max |U U^dag - I|.
     """
 
     matrix: np.ndarray
@@ -519,11 +521,9 @@ def _unitarity_defect(matrix: np.ndarray) -> float:
 
 
 def _extrapolated_error(previous: float, diff: float, steps: int) -> float:
-    """Error estimate of U(steps) from the last two differences |U(s) - U(s/2)|.
+    """Error estimate of U(steps) from `diff` = |U(steps) - U(steps/2)| and `previous`, a doubling earlier.
 
-    `diff` is the difference at `steps`, `previous` the one a doubling
-    earlier. With rate = previous / diff >= 8 and diff above the rounding
-    floor, returns 2 diff / (min(rate, 16) - 1); otherwise diff itself.
+    With rate = previous / diff >= 8 and diff above the rounding floor, 2 diff / (min(rate, 16) - 1); else diff.
     """
     if diff < _FLOOR_ROUNDINGS * steps or previous < _MIN_RATE * diff:
         return diff
@@ -546,33 +546,30 @@ def holonomy_path_ordered(
     target: float | None = 1e-7,
     method: str = "auto",
 ) -> HolonomyResult:
-    """Path-ordered product of step exponentials around a closed loop.
+    """Path-ordered product of step exponentials around a closed loop, later steps on the left.
 
-    Later steps multiply from the left. Under ``method="auto"`` each segment
-    whose step generators commute is one exact factor and the other segments
-    take commutator-free fourth-order Magnus steps (Blanes & Moan 2006);
-    ``method="magnus"`` takes those steps everywhere. Each product is one
-    stack of factors across all segments, in chunks of bounded size, with
-    the span basis of the window computed once. A loop of exact segments
-    takes one quadrature, one exponential and one product, with estimate 0.
-    Otherwise the first batch builds the product and its shadow run, with
-    exactly half the count on every segment, and
+    Under ``method="auto"`` each segment whose step generators commute is one
+    exact factor and the other segments take commutator-free fourth-order
+    Magnus steps (Blanes & Moan 2006); ``method="magnus"`` takes those steps
+    everywhere. The loop's geometry is derived once per call, and each product
+    is one stack of factors across all segments, in chunks of bounded size. A
+    loop of exact segments takes one quadrature, one exponential and one
+    product, with estimate 0. Otherwise the first batch builds the product and
+    its shadow run, with exactly half the count on every segment, and
     diff = max |U(steps) - U(steps // 2)|. While convergence_estimate (see
     :class:`HolonomyResult`) exceeds `target`, the count of every segment
-    doubles, the previous product becoming the new shadow, up to the step
-    cap 2^20 (target=None disables refinement). A batch builds the next r
-    doublings at once: the fewest at which the estimate would meet the
-    target if each diff fell 16x, at most 3 and none past the cap. The rounds
-    are walked one product at a time and the products after the one that
-    meets the target are discarded, so every result is that of one product
-    per round.
-    `steps` must be an integer from 16 to the step cap, else ValidationError
-    before any work.
-    ConvergenceError is raised at the cap, or at once when a doubling fails
-    to halve a difference that is already within a thousand roundings per
-    step: the estimate has then reached its rounding floor.
-    Reversing the path returns the adjoint holonomy to rounding accuracy,
-    because the discretization mirrors exactly and every factor is
+    doubles, the previous product becoming the new shadow, up to the step cap
+    2^20 (target=None disables refinement). A batch builds the next r
+    doublings at once: the fewest at which the estimate would meet the target
+    if each diff fell 16x, at most 3 and none past the cap. The rounds are
+    walked one product at a time and the products after the one that meets
+    the target are discarded, so every result is that of one product per
+    round. `steps` must be an integer from 16 to the step cap, else
+    ValidationError before any work. ConvergenceError is raised at the cap, or
+    at once when a doubling fails to halve a difference that is already within
+    a thousand roundings per step: the estimate has then reached its rounding
+    floor. Reversing the path returns the adjoint holonomy to rounding
+    accuracy, because the discretization mirrors exactly and every factor is
     time-symmetric.
     """
     if target is not None:
@@ -590,11 +587,11 @@ def holonomy_path_ordered(
     _require_closed(path)
     if method not in _METHODS:
         raise ValidationError(f"method must be one of {_METHODS}, got {method!r}")
-    lengths, verts = path.segment_lengths, path.vertices
-    # a constant path takes no steps: its product is I
+    lengths = path.segment_lengths  # a constant path takes no steps: its product is I
     counts = path._allocation(steps) if lengths.sum() > 0.0 else np.zeros(len(lengths), dtype=int)
-    integrated = method != "auto" or not _commuting_segments(verts[:-1], verts[1:]).all()
-    current, *shadow = _ordered_products(path, u, window, [counts, counts // 2][: 1 + integrated], method)
+    geometry = _loop_geometry(path, u, method)
+    integrated = not geometry[2].all()  # some segment takes steps, and the shadow run
+    current, *shadow = _ordered_products(path, u, window, [counts, counts // 2][: 1 + integrated], method, geometry)
     diff = max_abs(current, shadow[0]) if shadow else 0.0
     estimate, batch = diff, []
     while target is not None and estimate > target:
@@ -604,7 +601,8 @@ def holonomy_path_ordered(
             )
         if not batch:
             ahead = _doublings(diff, target, (_STEP_CAP // steps).bit_length() - 1)
-            batch = _ordered_products(path, u, window, [counts * 2**k for k in range(1, ahead + 1)], method)
+            doublings = [counts * 2**k for k in range(1, ahead + 1)]
+            batch = _ordered_products(path, u, window, doublings, method, geometry)
         steps, counts = 2 * steps, 2 * counts
         coarse, current = current, batch.pop(0)
         previous, diff = diff, max_abs(current, coarse)

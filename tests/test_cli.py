@@ -490,6 +490,17 @@ _EDGE_INPUTS = {
     "holonomy_ratio_on_a_turning_segment": (
         ["holonomy", "--vertices", "{}"], ("turn.txt", "0.5 0 1 1\n0 1 1e-300 1\n0.3 1 1 1\n0.5 0 1 1\n"), "ratio of 1e+300"
     ),
+    # the loop functional S weighs (lambda B)^(-1/2) at its Gauss nodes
+    "phase_lambda_B_underflow": (
+        ["phase", "--vertices", "{}"],
+        ("tiny.txt", "0 0 1e-200 1e-200\n0 1 1e-200 1e-200\n0 1 2e-200 2e-200\n0 0 2e-200 2e-200\n0 0 1e-200 1e-200\n"),
+        "lambda B underflows",
+    ),
+    "phase_lambda_B_overflow": (
+        ["phase", "--vertices", "{}"],
+        ("huge.txt", "0 0 1e150 1e160\n0 1 1e150 1e160\n0 1 2e150 1e160\n0 0 2e150 1e160\n0 0 1e150 1e160\n"),
+        "lambda B overflows",
+    ),
 }
 
 

@@ -15,6 +15,7 @@ from dlh.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 CONFIG = str(GOLDEN / "config.json")  # Ex' = 0.3, Ey' = 0.7: a nonzero nu
+VERTICES = str(GOLDEN / "c9_loop.txt")  # C9's generic loop: two of its segments turn the field, so they are integrated
 
 CASES = {
     "derive": ("derive",),
@@ -30,6 +31,7 @@ CASES = {
     "phase_box": ("phase", "--named", "ADCHEFA", "--Ey2", "0.5"),
     "holonomy": ("holonomy", "--named", "ABCHEFA"),
     "holonomy_window": ("holonomy", "--named", "ADCHEFA", "--window", "1..2", "--steps", "64", "--target", "0"),
+    "holonomy_vertices": ("holonomy", "--vertices", VERTICES, "--target", "1e-8"),
     "oracle_check": ("oracle-check", "--grid-points", "128"),
     "oracle_check_default": ("oracle-check",),  # 256 points: the grid of the oracle_grid benchmark
     "sweep_c1": ("sweep", "--named", "C1", "--sweep", "area=0.5,2.0"),
@@ -51,7 +53,7 @@ def test_stdout_matches_golden(capsys, case, fmt):
 
 
 def test_every_case_has_both_golden_files():
-    files = {p.name for p in GOLDEN.iterdir()} - {"config.json"}
+    files = {p.name for p in GOLDEN.iterdir()} - {Path(CONFIG).name, Path(VERTICES).name}
     assert files == {f"{case}.{fmt}" for case in CASES for fmt in FORMATS}
 
 

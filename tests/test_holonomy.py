@@ -564,9 +564,9 @@ def _recorded_step_counts(monkeypatch):
     counts = []
     products = hol._ordered_products
 
-    def recording(path, u, window, counts_list, method):
+    def recording(path, u, window, counts_list, method, geometry=None):
         counts.extend(c.tolist() for c in counts_list)
-        return products(path, u, window, counts_list, method)
+        return products(path, u, window, counts_list, method, geometry)
 
     monkeypatch.setattr(hol, "_ordered_products", recording)
     return counts
@@ -851,6 +851,38 @@ def test_exact_loops_take_one_quadrature_one_exponential_one_product(monkeypatch
     assert calls["_segment_integrals"] == 0 and calls["_generator_scalars"] > 0
 
 
+def test_each_call_derives_its_loop_geometry_once(monkeypatch):
+    names = ("_commuting_segments", "_segment_integrals", "_span_exp", "_tree_product", "_ordered_products")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in names:
+        monkeypatch.setattr(hol, name, counted(name, getattr(hol, name)))
+
+    def run(loop, **kwargs):
+        calls.update(dict.fromkeys(calls, 0))
+        return holonomy_path_ordered(loop, 0.5, **kwargs)
+
+    # a box loop: one quadrature, one exponential and one product per call
+    for kind in hol.BOX_KINDS:
+        for steps, target in ((32, 1e-8), (256, None)):
+            run(box_loop(kind, EY, LAM, BB), steps=steps, target=target)
+            assert calls == dict.fromkeys(calls, 1)
+    # an integrated loop: one exact-segment test per call, however many batches
+    # its rounds take, and one quadrature of its exact segments, if it has any
+    loops = [(C9_LOOP, 1), (_rotating_polygon(24), 0), (_mixed_loop(np.random.default_rng(1914)), 1)]
+    for loop, quadratures in loops:
+        res = run(loop, target=1e-10)
+        assert res.steps > 2 * hol.DEFAULT_STEPS and calls["_ordered_products"] >= 2
+        assert calls["_commuting_segments"] == 1 and calls["_segment_integrals"] == quadratures
+
+
 # -- steps are checked before any product is built ----------------------------
 
 _BAD_COUNTS = [
@@ -921,7 +953,7 @@ def _per_segment_product(path, u, window, counts, method):
     return U
 
 
-def _per_segment_products(path, u, window, counts_list, method):
+def _per_segment_products(path, u, window, counts_list, method, geometry=None):
     return [_per_segment_product(path, u, window, c, method) for c in counts_list]
 
 

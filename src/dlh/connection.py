@@ -18,13 +18,13 @@ independent routes are implemented:
 
   with L the lowering pattern L_{m+1,m} = sqrt(m+1) on the m-window.
   :func:`connection_matrix` is Theta for a unit step along one parameter,
-  :func:`connection_closed_form` one entry of it, and the holonomy engine
-  (:mod:`dlh.holonomy`) contracts the same function with its path steps.
+  and the holonomy engine (:mod:`dlh.holonomy`) contracts the same function
+  with its path steps.
 
-Both routes use the sign convention fixed by the finite-difference oracle
-(:mod:`dlh.oracle`); the two possible sign choices for the diagonal pair and
-for the off-diagonal band are recorded in :data:`SIGN_CONVENTION`. Per
-parameter, with m the radial index,
+Both routes use the sign convention fixed by the finite-difference oracle;
+:func:`dlh.oracle.sign_convention_report` (``dlh oracle-check``) measures it
+and the rejected sign choices for the diagonal pair and the off-diagonal
+band. Per parameter, with m the radial index,
 
     A(Ex')_mm      = -Ey' / (16 u^2 lambda B)
     A(Ey')_mm      = +Ex' / (16 u^2 lambda B)
@@ -55,31 +55,11 @@ from .params import CONTROL_PARAMS, _check_param
 __all__ = [
     "CONTROL_PARAMS",
     "ConnectionMatrix",
-    "SIGN_CONVENTION",
     "connection_general",
-    "connection_closed_form",
     "connection_matrix",
     "chain_rule_consistency",
     "abelian_curvature",
 ]
-
-# Resolved vs rejected sign choices, surfaced by `dlh oracle-check`.
-SIGN_CONVENTION = {
-    "diagonal_relative_sign": "opposite",
-    "diagonal_resolved": {
-        "Ex_prime": "-Ey'/(16 u^2 lam B)",
-        "Ey_prime": "+Ex'/(16 u^2 lam B)",
-    },
-    "diagonal_rejected": (
-        "same-sign variant: makes A dEx' + A dEy' an exact 1-form with zero "
-        "curvature, contradicting the measured loop phase"
-    ),
-    "offdiagonal_sign": "+1",
-    "offdiagonal_prefactor": "1/(8u), equal to u when hbar = alpha",
-    "curvature_closed_form": "+1/(8 u^2 lam B)",
-    "area_law_coefficient": "-1/(16 u^2 lam B)",
-    "curvature_over_area_law": -2.0,
-}
 
 
 def _unpack(point) -> tuple[float, float, float, float]:
@@ -89,10 +69,6 @@ def _unpack(point) -> tuple[float, float, float, float]:
     if lam <= 0 or b <= 0:
         raise ValidationError(f"lambda and B must be positive, got lambda={lam}, B={b}")
     return ex, ey, lam, b
-
-
-def _check_level_and_m(n: int, m_row: int, m_col: int) -> tuple[int, int, int]:
-    return tuple(_check_count(name, index, 0) for name, index in (("n", n), ("m_row", m_row), ("m_col", m_col)))
 
 
 def _denominators(lam, b, u: float):
@@ -157,7 +133,8 @@ def connection_general(
     """
     _check_param(param)
     _check_positive("u", u)
-    _check_level_and_m(n, m_row, m_col)
+    for name, index in (("n", n), ("m_row", m_row), ("m_col", m_col)):
+        _check_count(name, index, 0)
     ex, ey, lam, b = _unpack(point)
     c = 1.0 / (4.0 * u * math.sqrt(lam * b))
     nu = complex(-c * ey, -c * ex)
@@ -176,26 +153,6 @@ def connection_general(
     if m_row == m_col - 1:
         return dlnl * nu * math.sqrt(m_col)
     return 0.0 + 0.0j
-
-
-def connection_closed_form(
-    param: str, point, u: float, n: int, m_row: int, m_col: int
-) -> complex:
-    """One entry of :func:`connection_matrix` (see module docstring), bit for bit, from the generator scalars alone.
-
-    The entry is phi I + zeta L + conj(zeta) L^T at (m_row, m_col), with the
-    same operations on the same numbers as in the matrix, signed zeros too.
-    """
-    _, m_row, m_col = _check_level_and_m(n, m_row, m_col)
-    _check_param(param)
-    p = _unpack(point)
-    _check_scales([p[2:]], u)
-    if abs(m_row - m_col) > 1:
-        return 0j
-    phi, zeta = _generator_scalars(p, np.eye(4)[CONTROL_PARAMS.index(param)], u)
-    band = math.sqrt(max(m_row, m_col))  # L_{m+1,m} = sqrt(m+1)
-    lower, upper = (band if m_row > m_col else 0.0), (band if m_row < m_col else 0.0)
-    return complex(phi * float(m_row == m_col) + zeta * lower + np.conj(zeta) * upper)
 
 
 @dataclass(frozen=True)

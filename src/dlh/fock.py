@@ -35,8 +35,6 @@ __all__ = [
     "ladder_b",
     "hamiltonian_matrix",
     "lz_matrix",
-    "number_a",
-    "number_b",
     "state_from_ground",
     "commutator",
 ]
@@ -78,10 +76,6 @@ class FockBasis:
         if not (_is_integer(idx) and 0 <= idx < self.size):
             raise ValidationError(f"index {idx} outside basis of size {self.size}")
         return divmod(idx, self.m_max + 1)
-
-    def ell(self, n: int, m: int) -> int:
-        """Angular momentum quantum number l = sigma (m - n)."""
-        return self.sigma * (m - n)
 
     def interior_indices(self, n_margin: int = 1, m_margin: int = 1) -> np.ndarray:
         """Flat indices with n <= n_max - n_margin and m <= m_max - m_margin.
@@ -141,18 +135,6 @@ def ladder_b(basis: FockBasis, direction: str) -> OperatorMatrix:
     bm = _ladder((0, basis.m_max))  # b- raises m by sqrt(m+1); b+ is its transpose
     i_n = np.eye(basis.n_max + 1, dtype=complex)
     return OperatorMatrix(np.kron(i_n, bm.T if direction == "plus" else bm), basis)
-
-
-def number_a(basis: FockBasis) -> OperatorMatrix:
-    """a+ a-: diagonal n."""
-    ns = np.repeat(np.arange(basis.n_max + 1), basis.m_max + 1).astype(float)
-    return OperatorMatrix(np.diag(ns).astype(complex), basis)
-
-
-def number_b(basis: FockBasis) -> OperatorMatrix:
-    """b- b+: diagonal m."""
-    ms = np.tile(np.arange(basis.m_max + 1), basis.n_max + 1).astype(float)
-    return OperatorMatrix(np.diag(ms).astype(complex), basis)
 
 
 def hamiltonian_matrix(basis: FockBasis, scales: DerivedScales) -> OperatorMatrix:

@@ -109,7 +109,8 @@ def _ratios(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _validate_vertices(vertices) -> np.ndarray:
-    v = _floats(vertices, "vertices must be rows of numbers (Ex', Ey', lambda, B)")
+    """A read-only float copy of `vertices`, or ValidationError."""
+    v = _floats(vertices, "vertices must be rows of numbers (Ex', Ey', lambda, B)").copy()
     if v.ndim != 2 or v.shape[1] != 4 or v.shape[0] < 2:
         raise ValidationError(
             f"vertices must be (V, 4) with V >= 2 rows of (Ex', Ey', lambda, B), got shape {v.shape}"
@@ -118,19 +119,22 @@ def _validate_vertices(vertices) -> np.ndarray:
         raise ValidationError("vertices contain non-finite entries")
     if np.any(v[:, 2] <= 0) or np.any(v[:, 3] <= 0):
         raise ValidationError("lambda and B must stay positive at every vertex")
+    v.setflags(write=False)
     return v
 
 
 @dataclass(frozen=True)
 class ParameterPath:
-    """Piecewise-linear path through (Ex', Ey', lambda, B).
+    """Closed piecewise-linear loop through (Ex', Ey', lambda, B), checked once, when it is built.
 
-    Segments are straight in all four coordinates, so positivity of lambda
-    and B at the vertices guarantees positivity along the whole path. A
-    vertex with lambda <= 0 or B <= 0 is a ValidationError: the holonomy
+    The path keeps a read-only copy of its vertices; the last must equal the
+    first. Segments are straight in all four coordinates, so positivity of
+    lambda and B at the vertices guarantees positivity along the whole path.
+    A vertex with lambda <= 0 or B <= 0 is a ValidationError: the holonomy
     engine and the Wilson oracle cover lambda, B > 0 only, not the
     sigma = -1 branch. So is a segment whose length overflows, or whose
-    lambda or B ratio exceeds 1e4, the quadrature's cap (3,333 panels).
+    lambda or B ratio exceeds 1e4, the quadrature's cap (3,333 panels), and
+    an open vertex list.
     """
 
     vertices: np.ndarray
@@ -152,18 +156,19 @@ class ParameterPath:
                 f"lambda or B changes by a ratio of {ratio[s]:.3g} along the segment {tuple(a[s].tolist())} -> "
                 f"{tuple(b[s].tolist())}, above the quadrature's cap {_MAX_RATIO:g}"
             )
-
-    @property
-    def segment_lengths(self) -> np.ndarray:
-        return np.linalg.norm(np.diff(self.vertices, axis=0), axis=1)
-
-    @property
-    def is_closed(self) -> bool:
         scale = max(1.0, float(np.max(np.abs(self.vertices))))
-        return bool(np.max(np.abs(self.vertices[0] - self.vertices[-1])) <= _CLOSURE_ATOL * scale)
+        if np.max(np.abs(self.vertices[0] - self.vertices[-1])) > _CLOSURE_ATOL * scale:
+            raise ValidationError("path must be closed (first vertex == last vertex)")
+
+    @functools.cached_property
+    def segment_lengths(self) -> np.ndarray:
+        """Length of every segment, computed once per path (read-only)."""
+        lengths = np.linalg.norm(np.diff(self.vertices, axis=0), axis=1)
+        lengths.setflags(write=False)
+        return lengths
 
     def reversed(self) -> "ParameterPath":
-        return ParameterPath(self.vertices[::-1].copy(), kind=self.kind)
+        return ParameterPath(self.vertices[::-1], kind=self.kind)
 
     def _allocation(self, steps: int) -> np.ndarray:
         """Steps per segment at a nominal count of `steps`: the one split of a loop.
@@ -172,14 +177,14 @@ class ParameterPath:
         nonzero length and none to a zero-length segment, and every share is
         doubled. The counts are even, so halving them gives a run at half the
         steps on every segment at once, however many segments the path has.
-        The split is symmetric under path reversal. The holonomy engine takes
-        its steps from it and the Wilson oracle its links; both validate
-        `steps` first.
+        A constant path takes no steps. The split is symmetric under path
+        reversal. The holonomy engine takes its steps from it and the Wilson
+        oracle its links; both validate `steps` first.
         """
         lengths = self.segment_lengths
         total = float(lengths.sum())
         if total == 0.0:
-            raise ValidationError("path has zero total length")
+            return np.zeros(len(lengths), dtype=int)
         half = np.maximum(1, np.rint((steps // 2) * lengths / total)).astype(int)
         return np.where(lengths == 0.0, 0, 2 * half)
 
@@ -228,26 +233,16 @@ def box_loop(kind: str, ey_range, lam_range, b_range, ex: float = 0.0) -> Parame
     return ParameterPath(verts, kind=kind)
 
 
-def _require_closed(path: ParameterPath) -> None:
-    if not path.is_closed:
-        raise ValidationError("path must be closed (first vertex == last vertex)")
+def signed_area(path: ParameterPath) -> float:
+    """Shoelace signed area of a loop in the (Ex', Ey') plane, counterclockwise positive.
 
-
-def signed_area(path: ParameterPath, plane: tuple[str, str] = ("Ex_prime", "Ey_prime")) -> float:
-    """Shoelace signed area of a closed path lying in one coordinate plane.
-
-    Counterclockwise in the (plane[0], plane[1]) orientation is positive.
-    The two remaining coordinates must be constant along the path.
+    lambda and B must be constant along the path.
     """
-    _require_closed(path)
-    if plane[0] not in CONTROL_PARAMS or plane[1] not in CONTROL_PARAMS or plane[0] == plane[1]:
-        raise ValidationError(f"plane must be two distinct names from {CONTROL_PARAMS}")
-    ia, ib = CONTROL_PARAMS.index(plane[0]), CONTROL_PARAMS.index(plane[1])
     v = path.vertices
-    for j in range(4):
-        if j not in (ia, ib) and np.ptp(v[:, j]) != 0.0:
+    for j in (2, 3):
+        if np.ptp(v[:, j]) != 0.0:
             raise ValidationError(f"path is not planar: {CONTROL_PARAMS[j]} varies along it")
-    a, b = v[:, ia], v[:, ib]
+    a, b = v[:, 0], v[:, 1]
     return 0.5 * float(np.sum(a[:-1] * b[1:] - a[1:] * b[:-1]))
 
 
@@ -258,8 +253,8 @@ class AbelianPhases:
     gamma_line_integral is the closed line integral of the diagonal
     connection, equal to curvature * signed_area; gamma_area_law is the
     area-law branch -signed_area/(16 u^2 lambda B). The two differ by an
-    exact factor of -2 (sign and magnitude), which is the content of the
-    sign-convention resolution in :data:`dlh.connection.SIGN_CONVENTION`.
+    exact factor of -2 (sign and magnitude), which the sign-convention report
+    (:func:`dlh.oracle.sign_convention_report`, ``dlh oracle-check``) measures.
     """
 
     signed_area: float
@@ -283,7 +278,7 @@ def abelian_phase(path: ParameterPath, u: float) -> AbelianPhases:
     linear in the field components, so this midpoint rule is exact.
     """
     _check_scales(path.vertices[:, 2:], u)
-    area = signed_area(path, plane=("Ex_prime", "Ey_prime"))
+    area = signed_area(path)
     v = path.vertices
     _, _, lam, b = _unpack(v[0])
     phi, _ = _generator_scalars(v[:-1] + 0.5 * np.diff(v, axis=0), np.diff(v, axis=0), u)
@@ -303,7 +298,6 @@ def loop_area_integral(path: ParameterPath) -> float:
     constant. A node where lambda B underflows to 0 or overflows is a
     ValidationError.
     """
-    _require_closed(path)
     a, b = path.vertices[:-1], path.vertices[1:]
     seg, pts, w = _segment_quadrature(a, b)
     with np.errstate(over="ignore"):
@@ -335,8 +329,9 @@ def area_closed_form(kind: str, ey_range, lam_range, b_range) -> float:
     if min(l1, l2, b1, b2) <= 0:
         raise ValidationError("lambda and B ranges must be positive")
     products = (l1 * b1, l1 * b2, l2 * b2)
-    if min(products) == 0.0:
-        raise ValidationError(f"lambda B underflows to 0 at a corner of {lam_range!r} and {b_range!r}")
+    if min(products) == 0.0 or max(products) == math.inf:
+        what = "underflows to 0" if min(products) == 0.0 else "overflows"
+        raise ValidationError(f"lambda B {what} at a corner of {lam_range!r} and {b_range!r}")
     w11, w12, w22 = (1.0 / math.sqrt(p) for p in products)
     if kind == "ABCHEFA":
         return (ey2 - ey1) * (w22 - w11)
@@ -511,7 +506,6 @@ class HolonomyResult:
 
     matrix: np.ndarray
     steps: int
-    window: tuple[int, int]
     unitarity_defect: float
     convergence_estimate: float
 
@@ -584,11 +578,9 @@ def holonomy_path_ordered(
     if steps > _STEP_CAP:
         raise ValidationError(f"steps must be <= the step cap {_STEP_CAP}, got {steps}")
     _check_scales(path.vertices[:, 2:], u)
-    _require_closed(path)
     if method not in _METHODS:
         raise ValidationError(f"method must be one of {_METHODS}, got {method!r}")
-    lengths = path.segment_lengths  # a constant path takes no steps: its product is I
-    counts = path._allocation(steps) if lengths.sum() > 0.0 else np.zeros(len(lengths), dtype=int)
+    counts = path._allocation(steps)  # a constant path takes no steps: its product is I
     geometry = _loop_geometry(path, u, method)
     integrated = not geometry[2].all()  # some segment takes steps, and the shadow run
     current, *shadow = _ordered_products(path, u, window, [counts, counts // 2][: 1 + integrated], method, geometry)
@@ -613,7 +605,7 @@ def holonomy_path_ordered(
                 f"holonomy estimate stalled at its rounding floor {min(previous, diff):.3e}, "
                 f"above target {target:.3e}, at {steps} steps"
             )
-    return HolonomyResult(current, steps, tuple(window), _unitarity_defect(current), estimate)
+    return HolonomyResult(current, steps, _unitarity_defect(current), estimate)
 
 
 def unordered_holonomy(path: ParameterPath, u: float, window: tuple[int, int] = (0, 3)) -> np.ndarray:
@@ -625,7 +617,6 @@ def unordered_holonomy(path: ParameterPath, u: float, window: tuple[int, int] = 
     gap between the two is the non-commutativity diagnostic.
     """
     _check_scales(path.vertices[:, 2:], u)
-    _require_closed(path)
     window = _check_window(window)
     phi, zeta = _segment_integrals(path.vertices[:-1], path.vertices[1:], u)
     return _span_exp(phi.sum(), zeta.sum(), window)[0]

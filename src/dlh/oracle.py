@@ -8,8 +8,8 @@ displacement is an exact phase-times-translation map, and Berry connections
 come from central finite differences of the resulting fields. Agreement
 with :mod:`dlh.fock`, :mod:`dlh.displaced` and :mod:`dlh.connection` is
 therefore an independent check, and the finite-difference measurements are
-what fixes the sign conventions recorded in
-:data:`dlh.connection.SIGN_CONVENTION`.
+what fixes the sign conventions: :func:`sign_convention_report`
+(``dlh oracle-check``) measures them.
 
 Displaced windows are built in shifted coordinates from 1-D factors, with
 no translation FFT and no N x N field. The translation T of the displacement
@@ -49,9 +49,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from ._linalg import _tree_product, unitarize
-from .connection import connection_closed_form
+from .connection import connection_matrix
 from .errors import ValidationError, _check_count, _check_positive, _check_window, _floats
-from .holonomy import ParameterPath, _nodes, _require_closed, _runs, rectangle_loop
+from .holonomy import ParameterPath, _nodes, _runs, rectangle_loop
 from .params import CONTROL_PARAMS, DerivedScales, PhysicalConfig, _check_param, _point_scales, derive_scales
 
 __all__ = [
@@ -517,7 +517,6 @@ class WilsonResult:
 
     matrix: np.ndarray
     points: int
-    window: tuple[int, int]
     smallest_overlap_singular: float
 
 
@@ -542,19 +541,18 @@ def wilson_loop_oracle(
     connection; the error is second order in the link count, O(1/steps^2)
     (it falls about 4x per doubling), and spectral in the grid.
     """
-    _require_closed(path)
     steps = _check_count("steps", steps, 8)
     window = _check_window(window)
-    if float(path.segment_lengths.sum()) == 0.0:
-        # constant path: every link is the Gram matrix of one frame, identity
-        return WilsonResult(np.eye(window[1] - window[0] + 1, dtype=complex), 0, window, 1.0)
     counts = path._allocation(steps)
+    if not counts.any():
+        # constant path: every link is the Gram matrix of one frame, identity
+        return WilsonResult(np.eye(window[1] - window[0] + 1, dtype=complex), 0, 1.0)
     pts = _nodes(path.vertices[:-1], path.vertices[1:], counts, *_runs(counts), [0.0]).reshape(-1, 4)
     st = _stack(grid, config, np.concatenate([pts, pts[:1]]), n, window)  # the last link ends on the first point
     links = _overlaps(st[:-1], st[1:])
     smallest = float(np.linalg.svd(links, compute_uv=False)[:, -1].min())
     gamma = unitarize(_tree_product(links[::-1])).conj().T  # the product in path order, the first link leftmost
-    return WilsonResult(gamma, len(pts), window, smallest)
+    return WilsonResult(gamma, len(pts), smallest)
 
 
 def _c2(z: complex) -> list[float]:
@@ -568,10 +566,12 @@ def sign_convention_report(config: PhysicalConfig = OPERATING_CONFIG, grid: Grid
     diagonal components and the sign and prefactor of the off-diagonal band.
     All four come from one stack on window (0, 1), the point and its eight
     shifts: the diagonal entries are its (0, 0) entries and the band entries
-    its (1, 0) entries. A small Wilson rectangle, the report's only other
-    stack, measures the curvature constant, which is compared against the
-    closed form +1/(8 u^2 lambda B) and against the area-law coefficient
-    -1/(16 u^2 lambda B) (factor -2: magnitude 2 and opposite orientation).
+    its (1, 0) entries, read against the same entries of
+    :func:`dlh.connection.connection_matrix` on that window. A small Wilson
+    rectangle, the report's only other stack, measures the curvature
+    constant, which is compared against the closed form +1/(8 u^2 lambda B)
+    and against the area-law coefficient -1/(16 u^2 lambda B) (factor -2:
+    magnitude 2 and opposite orientation).
     The rejected sign variants are evaluated on the same measurements so the
     report shows how far off each one is.
 
@@ -590,10 +590,8 @@ def sign_convention_report(config: PhysicalConfig = OPERATING_CONFIG, grid: Grid
     fd = _fd_matrices(grid, config, CONTROL_PARAMS, point, 0, (0, 1), 1e-3)
     fd_ex, fd_ey, fd_lam, fd_b = map(complex, (*fd[:2, 0, 0], *fd[2:, 1, 0]))
 
-    cf_ex = connection_closed_form("Ex_prime", point, u, 0, 0, 0)
-    cf_ey = connection_closed_form("Ey_prime", point, u, 0, 0, 0)
-    cf_lam = connection_closed_form("lambda_density", point, u, 0, 1, 0)
-    cf_b = connection_closed_form("B", point, u, 0, 1, 0)
+    cf = np.array([connection_matrix(param, point, u, 0, (0, 1)).entries for param in CONTROL_PARAMS])
+    cf_ex, cf_ey, cf_lam, cf_b = map(complex, (*cf[:2, 0, 0], *cf[2:, 1, 0]))
 
     side = 0.25
     loop = rectangle_loop(

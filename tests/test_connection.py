@@ -6,13 +6,11 @@ import pytest
 from dlh._linalg import _ladder
 from dlh.connection import (
     CONTROL_PARAMS,
-    SIGN_CONVENTION,
     _check_window,
     _generator_scalars,
     _generators,
     abelian_curvature,
     chain_rule_consistency,
-    connection_closed_form,
     connection_general,
     connection_matrix,
 )
@@ -44,31 +42,32 @@ def test_diagonal_closed_forms():
     pt = (0.3, 0.7, 2.0, 1.5)
     u = 0.45
     k = 1.0 / (16.0 * u * u * 2.0 * 1.5)
+    a_ex = connection_matrix("Ex_prime", pt, u, 0, (0, 3)).entries
+    a_ey = connection_matrix("Ey_prime", pt, u, 0, (0, 3)).entries
     for m in range(4):
-        assert connection_closed_form("Ex_prime", pt, u, 0, m, m) == pytest.approx(-0.7 * k)
-        assert connection_closed_form("Ey_prime", pt, u, 0, m, m) == pytest.approx(0.3 * k)
+        assert a_ex[m, m] == pytest.approx(-0.7 * k)
+        assert a_ey[m, m] == pytest.approx(0.3 * k)
     # in-plane components have no off-diagonal band
-    assert connection_closed_form("Ex_prime", pt, u, 0, 1, 0) == 0.0
-    assert connection_closed_form("Ey_prime", pt, u, 0, 0, 1) == 0.0
+    assert a_ex[1, 0] == 0.0
+    assert a_ey[0, 1] == 0.0
 
 
 def test_offdiagonal_closed_forms():
     ex, ey, lam, b = 0.2, -0.4, 1.3, 0.8
     pt = (ex, ey, lam, b)
     u = 0.5
+    a_lam = connection_matrix("lambda_density", pt, u, 2, (0, 3)).entries
+    a_b = connection_matrix("B", pt, u, 2, (0, 3)).entries
     for m in range(3):
-        got = connection_closed_form("lambda_density", pt, u, 2, m + 1, m)
         want = complex(ey, -ex) * math.sqrt(m + 1) / (8 * u * lam**1.5 * math.sqrt(b))
-        assert got == pytest.approx(want)
-        got_b = connection_closed_form("B", pt, u, 2, m + 1, m)
+        assert a_lam[m + 1, m] == pytest.approx(want)
         want_b = complex(ey, -ex) * math.sqrt(m + 1) / (8 * u * math.sqrt(lam) * b**1.5)
-        assert got_b == pytest.approx(want_b)
+        assert a_b[m + 1, m] == pytest.approx(want_b)
     # A(B) = A(lambda) * lam / B entry by entry
+    a_lam = connection_matrix("lambda_density", pt, u, 0, (0, 3)).entries
+    a_b = connection_matrix("B", pt, u, 0, (0, 3)).entries
     for m in range(3):
-        ratio = connection_closed_form("B", pt, u, 0, m + 1, m) / connection_closed_form(
-            "lambda_density", pt, u, 0, m + 1, m
-        )
-        assert ratio == pytest.approx(lam / b)
+        assert a_b[m + 1, m] / a_lam[m + 1, m] == pytest.approx(lam / b)
 
 
 def test_matrix_is_hermitian_tridiagonal(rng):
@@ -103,7 +102,6 @@ def test_curvature_value_and_area_law_link():
     pt = (0.0, 0.0, 2.0, 1.0)
     u = 0.5
     assert abelian_curvature(pt, u) == pytest.approx(1.0 / (8 * 0.25 * 2.0))
-    assert SIGN_CONVENTION["curvature_over_area_law"] == -2.0
     area_law = -1.0 / (16 * u * u * 2.0 * 1.0)
     assert abelian_curvature(pt, u) == pytest.approx(-2.0 * area_law)
 
@@ -115,10 +113,10 @@ def test_curvature_matches_fd_of_closed_form():
     m = 2
 
     def a_ex(ex, ey):
-        return connection_closed_form("Ex_prime", (ex, ey, lam, b), u, 0, m, m).real
+        return connection_matrix("Ex_prime", (ex, ey, lam, b), u, 0, (m, m)).entries[0, 0].real
 
     def a_ey(ex, ey):
-        return connection_closed_form("Ey_prime", (ex, ey, lam, b), u, 0, m, m).real
+        return connection_matrix("Ey_prime", (ex, ey, lam, b), u, 0, (m, m)).entries[0, 0].real
 
     fd = (a_ey(h, 0.0) - a_ey(-h, 0.0)) / (2 * h) - (a_ex(0.0, h) - a_ex(0.0, -h)) / (2 * h)
     assert fd == pytest.approx(abelian_curvature((0, 0, lam, b), u), rel=1e-9)
@@ -127,11 +125,11 @@ def test_curvature_matches_fd_of_closed_form():
 def test_validation_errors():
     good = (0.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValidationError):
-        connection_closed_form("Ez_prime", good, 0.5, 0, 0, 0)
+        connection_matrix("Ez_prime", good, 0.5, 0, (0, 0))
     with pytest.raises(ValidationError):
-        connection_closed_form("B", (0, 0, -1.0, 1.0), 0.5, 0, 0, 0)
+        connection_matrix("B", (0, 0, -1.0, 1.0), 0.5, 0, (0, 0))
     with pytest.raises(ValidationError):
-        connection_closed_form("B", (0, 0, 1.0, 0.0), 0.5, 0, 0, 0)
+        connection_matrix("B", (0, 0, 1.0, 0.0), 0.5, 0, (0, 0))
     with pytest.raises(ValidationError):
         connection_general("B", good, -0.5, 0, 0, 0)
     with pytest.raises(ValidationError):
@@ -236,29 +234,3 @@ def test_generator_stack_matches_single_points(rng):
     phi, zeta = _generator_scalars(pts, steps, 0.7)
     for p, d, f, z in zip(pts, steps, phi, zeta):
         assert _generator_scalars(p, d, 0.7) == (f, z)
-
-
-def _bits(z) -> tuple[int, int]:
-    """The IEEE bits of a complex number's two parts: equal bits tell -0.0 from 0.0."""
-    return tuple(np.array([z.real, z.imag]).view(np.uint64).tolist())
-
-
-def test_closed_form_entry_is_the_matrix_entry_bit_for_bit(rng):
-    # each entry from the generator scalars alone, as the window matrix has
-    # it, the sign of every zero part included; zero and negative
-    # coordinates give zero parts of either sign in the products
-    pts = _random_points(rng, 12) + [(0.0, 0.7, 2.0, 1.0), (-0.3, 0.0, 1.5, 2.5), (0.0, -0.0, 3.0, 0.5), (-0.0, -0.4, 0.7, 1.2)]
-    zero_parts = 0
-    for pt in pts:
-        u = 0.3 + rng.random()
-        for param in CONTROL_PARAMS:
-            for m_row in range(5):
-                for m_col in range(5):
-                    m_lo = min(m_row, m_col)
-                    got = connection_closed_form(param, pt, u, 1, m_row, m_col)
-                    entries = connection_matrix(param, pt, u, 1, (m_lo, m_lo + 1)).entries
-                    i, j = m_row - m_lo, m_col - m_lo
-                    want = complex(entries[i, j]) if max(i, j) <= 1 else 0j
-                    assert type(got) is complex and _bits(got) == _bits(want), (param, pt, m_row, m_col)
-                    zero_parts += (got.real == 0.0) + (got.imag == 0.0)
-    assert zero_parts > 0

@@ -11,8 +11,6 @@ from dlh.fock import (
     ladder_a,
     ladder_b,
     lz_matrix,
-    number_a,
-    number_b,
     state_from_ground,
 )
 from dlh.params import derive_scales
@@ -48,7 +46,7 @@ def test_basis_bounds_become_plain_ints():
 def test_basis_sigma_must_be_an_integer_sign(sigma):
     with pytest.raises(ValidationError, match="sigma must be"):
         build_basis(1, 1, sigma=sigma)
-    assert build_basis(1, 1, sigma=np.int64(-1)).ell(0, 1) == -1
+    assert build_basis(1, 1, sigma=np.int64(-1)).sigma == -1
 
 
 @pytest.mark.parametrize("idx", [1.5, True, np.float64(2.0)])
@@ -57,12 +55,6 @@ def test_labels_takes_an_integer_index(idx):
     with pytest.raises(ValidationError, match="outside basis"):
         basis.labels(idx)
     assert basis.labels(np.int64(4)) == (1, 1)
-
-
-def test_angular_momentum_label():
-    basis = build_basis(4, 4, sigma=1)
-    assert basis.ell(1, 3) == 2
-    assert build_basis(4, 4, sigma=-1).ell(1, 3) == -2
 
 
 def test_level_ladder_elements():
@@ -143,17 +135,6 @@ def test_lz_flips_with_sigma(cfg_desk):
     lz_p = lz_matrix(basis_p, sc).entries
     lz_m = lz_matrix(basis_m, flipped).entries
     assert np.allclose(lz_p, -lz_m)
-
-
-def test_number_operators():
-    basis = build_basis(3, 3)
-    na = number_a(basis).entries
-    nb = number_b(basis).entries
-    for n in range(4):
-        for m in range(4):
-            i = basis.index(n, m)
-            assert na[i, i] == n
-            assert nb[i, i] == m
 
 
 def test_state_from_ground_unit_vector():

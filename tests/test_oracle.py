@@ -7,7 +7,7 @@ import pytest
 
 from dlh import _linalg, holonomy, oracle
 from dlh._linalg import unitarize
-from dlh.connection import CONTROL_PARAMS, connection_closed_form, connection_matrix
+from dlh.connection import CONTROL_PARAMS, connection_matrix
 from dlh.errors import ValidationError
 from dlh.holonomy import ParameterPath, area_closed_form, box_loop, holonomy_path_ordered, rectangle_loop
 from dlh.oracle import (
@@ -179,7 +179,7 @@ def test_fd_connection_matches_closed_form(grid12, cfg_desk):
     ):
         lo, hi = min(row, col), max(row, col)
         fd = fd_connection_matrix(grid12, cfg_desk, param, point, 0, (lo, hi), h_step=1e-3)[row - lo, col - lo]
-        cf = connection_closed_form(param, point, sc.u, 0, row, col)
+        cf = connection_matrix(param, point, sc.u, 0, (lo, hi)).entries[row - lo, col - lo]
         assert abs(fd - cf) < 1e-6
 
 
@@ -187,7 +187,7 @@ def test_fd_richardson_order(grid12, cfg_desk):
     # central differences: truncation error drops ~4x when h halves
     point = (cfg_desk.Ex_prime, cfg_desk.Ey_prime, cfg_desk.lambda_density, cfg_desk.B)
     sc = derive_scales(cfg_desk)
-    cf = connection_closed_form("B", point, sc.u, 0, 1, 0)
+    cf = connection_matrix("B", point, sc.u, 0, (0, 1)).entries[1, 0]
     err4 = abs(fd_connection_matrix(grid12, cfg_desk, "B", point, 0, (0, 1), h_step=4e-3)[1, 0] - cf)
     err2 = abs(fd_connection_matrix(grid12, cfg_desk, "B", point, 0, (0, 1), h_step=2e-3)[1, 0] - cf)
     assert 2.5 < err4 / err2 < 6.0
@@ -618,14 +618,14 @@ def test_wilson_loop_is_second_order_in_the_links(grid14, cfg_natural):
 
 
 def test_wilson_validation(grid12, cfg_natural):
-    open_path = rectangle_loop("Ex_prime", "Ey_prime", (0, 0.2), (0, 0.2), (0, 0, 1, 1))
+    loop = rectangle_loop("Ex_prime", "Ey_prime", (0, 0.2), (0, 0.2), (0, 0, 1, 1))
     import dlh.holonomy as hol
 
-    trimmed = hol.ParameterPath(open_path.vertices[:-1])
+    # an open path is refused where it is built, before any oracle sees it
+    with pytest.raises(ValidationError, match="must be closed"):
+        hol.ParameterPath(loop.vertices[:-1])
     with pytest.raises(ValidationError):
-        wilson_loop_oracle(grid12, cfg_natural, trimmed)
-    with pytest.raises(ValidationError):
-        wilson_loop_oracle(grid12, cfg_natural, open_path, steps=4)
+        wilson_loop_oracle(grid12, cfg_natural, loop, steps=4)
     # a reversed window fails validation, also on a constant path that
     # needs no grid states
     const = hol.ParameterPath(np.array([[0.0, 0.5, 1.0, 1.0]] * 3))
@@ -933,14 +933,13 @@ def test_oracle_is_independent_of_the_algebra():
             assert module not in forbidden
             assert not {f"{module}.{n}" for n in names} & (forbidden | {"dlh.connection", "dlh.holonomy"})
             if module == "dlh.connection":
-                assert names == {"connection_closed_form"}
+                assert names == {"connection_matrix"}
             if module == "dlh.holonomy":
-                geometry = {"ParameterPath", "rectangle_loop", "_runs", "_nodes"}
-                assert names <= geometry | {"_require_closed"}
+                assert names <= {"ParameterPath", "rectangle_loop", "_runs", "_nodes"}
     users = {
         getattr(stmt, "name", type(stmt).__name__)
         for stmt in tree.body
         for node in ast.walk(stmt)
-        if isinstance(node, ast.Name) and node.id == "connection_closed_form"
+        if isinstance(node, ast.Name) and node.id == "connection_matrix"
     }
     assert users == {"sign_convention_report"}

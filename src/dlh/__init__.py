@@ -12,7 +12,7 @@ independent real-space grid oracles.
 Modules
 -------
 params      laboratory inputs and derived scales (omega, sigma, l_m, u, nu)
-fock        truncated (n, m) ladder algebra: operators, spectrum, Lz
+fock        truncated (n, m) basis of the ladder algebra: spectrum, Lz
 displaced   displacement operator, displaced states, dual-route Hamiltonian
 connection  Berry connection components, closed forms and chain-rule route
 holonomy    parameter loops, Abelian phases, path-ordered holonomies

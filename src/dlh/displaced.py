@@ -35,8 +35,7 @@ from .errors import ConsistencyError, ValidationError
 from .fock import FockBasis, OperatorMatrix
 from .params import DerivedScales, PhysicalConfig, derive_scales
 
-__all__ = ["DisplacedState", "displacement_matrix", "dual_route_deviation", "displaced_state",
-           "displaced_hamiltonian", "position_shift"]
+__all__ = ["DisplacedState", "displacement_matrix", "displaced_state", "displaced_hamiltonian", "position_shift"]
 
 # One truncation rule on the weight that the exact column of the requested level
 # keeps past n_max: above _RESOLVED_WEIGHT it warns, above _MAX_WEIGHT it refuses.
@@ -150,17 +149,6 @@ def displacement_matrix(nu: complex, basis: FockBasis) -> OperatorMatrix:
         raise ConsistencyError(f"dense-exponential and normally ordered D(nu) disagree by {dev:.3e} "
                                f"on the resolved levels (tol {_DUAL_ROUTE_TOL:.0e})")
     return OperatorMatrix(np.kron(d_n, np.eye(basis.m_max + 1)), basis)
-
-
-def dual_route_deviation(nu: complex, basis: FockBasis) -> float:
-    """Max deviation between the two routes to D(nu) on the resolved levels of the n-mode.
-
-    The dense exponential against the closed form of the normally ordered
-    product, as :func:`_route_gap` reads them; m plays no part.
-    """
-    nu = _amplitude(nu)
-    past = _guard(nu, basis.n_max, range(basis.n_max + 1))
-    return _route_gap(nu, _dense_route(nu, basis.n_max), past)
 
 
 @dataclass(frozen=True)

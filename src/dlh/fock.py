@@ -8,8 +8,11 @@ labeling the two commuting ladder algebras decouple completely:
     b+ |n, m> = sqrt(m)   |n, m-1>      b- |n, m> = sqrt(m+1) |n, m+1>
 
 with [a-, a+] = [b+, b-] = 1 and every a commuting with every b, so all four
-operators are Kronecker products and no sigma branching enters matrix
-construction. sigma only decides how (n, m) reads back as (n, l).
+operators are Kronecker products of the one ladder `_linalg._ladder` and no
+sigma branching enters matrix construction. sigma only decides how (n, m)
+reads back as (n, l). H and L_z are diagonal on this basis and are built as
+such. The ladder matrices live in `tests/_algebra.py`, where acceptance
+check C1 takes their commutators.
 
 The energy depends on n alone, E_n = hbar |omega| (n + 1/2); the b ladder
 walks the degenerate states inside one level. The ground state is annihilated
@@ -18,26 +21,14 @@ by a- and b+.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _ladder
 from .errors import ValidationError, _check_count, _is_integer
 from .params import DerivedScales
 
-__all__ = [
-    "FockBasis",
-    "OperatorMatrix",
-    "build_basis",
-    "ladder_a",
-    "ladder_b",
-    "hamiltonian_matrix",
-    "lz_matrix",
-    "state_from_ground",
-    "commutator",
-]
+__all__ = ["FockBasis", "OperatorMatrix", "build_basis", "hamiltonian_matrix", "lz_matrix"]
 
 
 @dataclass(frozen=True)
@@ -77,16 +68,6 @@ class FockBasis:
             raise ValidationError(f"index {idx} outside basis of size {self.size}")
         return divmod(idx, self.m_max + 1)
 
-    def interior_indices(self, n_margin: int = 1, m_margin: int = 1) -> np.ndarray:
-        """Flat indices with n <= n_max - n_margin and m <= m_max - m_margin.
-
-        Truncated ladder identities hold exactly only away from the cut; tests
-        and internal consistency checks restrict to this block.
-        """
-        ns, ms = np.divmod(np.arange(self.size), self.m_max + 1)
-        keep = (ns <= self.n_max - n_margin) & (ms <= self.m_max - m_margin)
-        return np.nonzero(keep)[0]
-
 
 @dataclass(frozen=True)
 class OperatorMatrix:
@@ -109,34 +90,6 @@ def build_basis(n_max: int, m_max: int, sigma: int = 1) -> FockBasis:
     return FockBasis(n_max=n_max, m_max=m_max, sigma=sigma)
 
 
-def ladder_a(basis: FockBasis, direction: str) -> OperatorMatrix:
-    """Level ladder: "plus" is a+ (raises n), "minus" is a- (lowers n).
-
-    a+ acting on the top row n = n_max truncates to zero; every identity that
-    involves a+ a- therefore only holds on the interior block.
-    """
-    if direction not in ("plus", "minus"):
-        raise ValidationError(f'direction must be "plus" or "minus", got {direction!r}')
-    an = _ladder((0, basis.n_max))  # a+; a- is its transpose
-    im = np.eye(basis.m_max + 1, dtype=complex)
-    return OperatorMatrix(np.kron(an if direction == "plus" else an.T, im), basis)
-
-
-def ladder_b(basis: FockBasis, direction: str) -> OperatorMatrix:
-    """Intra-level ladder: "plus" is b+ (lowers m), "minus" is b- (raises m).
-
-    b+ annihilates every m = 0 state, which in (n, l) language says that
-    m = n + sigma*l cannot go negative. For
-    sigma = -1 b+ raises l; for sigma = +1 it lowers l. [b+, b-] = 1 on the
-    interior block.
-    """
-    if direction not in ("plus", "minus"):
-        raise ValidationError(f'direction must be "plus" or "minus", got {direction!r}')
-    bm = _ladder((0, basis.m_max))  # b- raises m by sqrt(m+1); b+ is its transpose
-    i_n = np.eye(basis.n_max + 1, dtype=complex)
-    return OperatorMatrix(np.kron(i_n, bm.T if direction == "plus" else bm), basis)
-
-
 def hamiltonian_matrix(basis: FockBasis, scales: DerivedScales) -> OperatorMatrix:
     """H = hbar |omega| (a+ a- + 1/2): diagonal, m-degenerate."""
     ns = np.repeat(np.arange(basis.n_max + 1), basis.m_max + 1).astype(float)
@@ -149,30 +102,3 @@ def lz_matrix(basis: FockBasis, scales: DerivedScales) -> OperatorMatrix:
     ns, ms = np.divmod(np.arange(basis.size), basis.m_max + 1)
     diag = scales.hbar * basis.sigma * (ms - ns).astype(float)
     return OperatorMatrix(np.diag(diag).astype(complex), basis)
-
-
-def state_from_ground(basis: FockBasis, n: int, m: int) -> np.ndarray:
-    """|n, m> = a+^n b-^m / sqrt(n! m!) |0, 0>, built by explicit ladder action.
-
-    The m-raising operator is b- (amplitude sqrt(m+1)); b+ annihilates the
-    ground state, so only (a+, b-) generate the basis from |0, 0>. Within the
-    truncation the result is exactly the corresponding unit coordinate vector.
-    """
-    basis.index(n, m)  # ValidationError outside the truncation
-    vec = np.zeros(basis.size, dtype=complex)
-    vec[basis.index(0, 0)] = 1.0
-    ap = ladder_a(basis, "plus").entries
-    bm = ladder_b(basis, "minus").entries
-    for _ in range(m):
-        vec = bm @ vec
-    for _ in range(n):
-        vec = ap @ vec
-    vec /= math.sqrt(math.factorial(n) * math.factorial(m))
-    return vec
-
-
-def commutator(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
-    """[A, B] = AB - BA on a shared basis."""
-    if A.basis != B.basis:
-        raise ValidationError("commutator across different bases")
-    return OperatorMatrix(A.entries @ B.entries - B.entries @ A.entries, A.basis)

@@ -123,7 +123,7 @@ def _validate_vertices(vertices) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParameterPath:
     """Closed piecewise-linear loop through (Ex', Ey', lambda, B), checked once, when it is built.
 
@@ -134,7 +134,7 @@ class ParameterPath:
     engine and the Wilson oracle cover lambda, B > 0 only, not the
     sigma = -1 branch. So is a segment whose length overflows, or whose
     lambda or B ratio exceeds 1e4, the quadrature's cap (3,333 panels), and
-    an open vertex list.
+    an open vertex list. A path equals only itself and hashes by identity.
     """
 
     vertices: np.ndarray
@@ -321,7 +321,7 @@ def area_closed_form(kind: str, ey_range, lam_range, b_range) -> float:
         ADCHEFA: the negative of ABCHGFA
 
     All three vanish when Ey1 = Ey2; ABCHEFA also vanishes when
-    lam1 B1 = lam2 B2.
+    lam1 B1 = lam2 B2. An S that overflows is a ValidationError.
     """
     (ey1, ey2), (l1, l2), (b1, b2) = _floats((ey_range, lam_range, b_range), _BOX_RANGES, (3, 2)).tolist()
     if not all(map(math.isfinite, (ey1, ey2, l1, l2, b1, b2))):
@@ -332,14 +332,13 @@ def area_closed_form(kind: str, ey_range, lam_range, b_range) -> float:
     if min(products) == 0.0 or max(products) == math.inf:
         what = "underflows to 0" if min(products) == 0.0 else "overflows"
         raise ValidationError(f"lambda B {what} at a corner of {lam_range!r} and {b_range!r}")
+    if kind not in BOX_KINDS:
+        raise ValidationError(f"kind must be ABCHEFA, ABCHGFA or ADCHEFA, got {kind!r}")
     w11, w12, w22 = (1.0 / math.sqrt(p) for p in products)
-    if kind == "ABCHEFA":
-        return (ey2 - ey1) * (w22 - w11)
-    if kind == "ABCHGFA":
-        return (ey2 - ey1) * (w12 - w11)
-    if kind == "ADCHEFA":
-        return -(ey2 - ey1) * (w12 - w11)
-    raise ValidationError(f"kind must be ABCHEFA, ABCHGFA or ADCHEFA, got {kind!r}")
+    area = (ey2 - ey1) * {"ABCHEFA": w22 - w11, "ABCHGFA": w12 - w11, "ADCHEFA": w11 - w12}[kind]
+    if not math.isfinite(area):  # the Ey' width, or its product with the w difference, overflows
+        raise ValidationError(f"S of {kind} overflows on {ey_range!r}, {lam_range!r} and {b_range!r}")
+    return area
 
 
 def commuting_holonomy(area: float, u: float, window: tuple[int, int]) -> np.ndarray:
@@ -429,11 +428,11 @@ def _loop_geometry(path: ParameterPath, u: float, method: str) -> tuple:
     return a, b - a, exact, phi, zeta
 
 
-def _step_factors(path: ParameterPath, u: float, window: tuple[int, int], counts_list, method: str, geometry=None):
+def _step_factors(geometry: tuple, u: float, window: tuple[int, int], counts_list):
     """Factors of one ordered product per entry of `counts_list`, as (product, (k, n, n) stack) chunks.
 
-    Each entry gives the steps of every segment. An exact segment (see
-    :func:`_loop_geometry`, derived once per call) yields its one factor
+    Each entry gives the steps of every segment of the loop whose
+    :func:`_loop_geometry` is `geometry`. An exact segment yields its one factor
     exp(i (Phi I + Z L + conj(Z) L^T)); every other segment its count of
     commutator-free fourth-order steps exp(i (b A1 + a A2)) exp(i (a A1 + b A2)),
     with A1, A2 the step generators at the two Gauss nodes of a step and
@@ -445,7 +444,7 @@ def _step_factors(path: ParameterPath, u: float, window: tuple[int, int], counts
     pairs, an exact factor's right half being I, and one pairwise product; a
     batch of two or more exact factors exponentiates just those.
     """
-    a, step, exact, exact_phi, exact_zeta = geometry or _loop_geometry(path, u, method)
+    a, step, exact, exact_phi, exact_zeta = geometry
     size = window[1] - window[0] + 1
     chunk = max(1, _CHUNK_ENTRIES // (size * size))
     # row p of `counts` is product p; an exact segment is one entry
@@ -477,12 +476,12 @@ def _step_factors(path: ParameterPath, u: float, window: tuple[int, int], counts
             yield p, stack[i0 - lo : i1 - lo]
 
 
-def _ordered_products(path: ParameterPath, u: float, window, counts_list, method: str, geometry=None) -> list:
+def _ordered_products(geometry: tuple, u: float, window, counts_list) -> list:
     """One ordered product per entry of `counts_list`, each with the bits of the product built alone; I if empty."""
     m_lo, m_hi = _check_window(window)
     eye = np.eye(m_hi - m_lo + 1, dtype=complex)
     products = [eye] * len(counts_list)
-    for p, factors in _step_factors(path, u, window, counts_list, method, geometry):
+    for p, factors in _step_factors(geometry, u, window, counts_list):
         tree = _tree_product(factors)
         products[p] = tree if products[p] is eye else tree @ products[p]
     return products
@@ -583,7 +582,7 @@ def holonomy_path_ordered(
     counts = path._allocation(steps)  # a constant path takes no steps: its product is I
     geometry = _loop_geometry(path, u, method)
     integrated = not geometry[2].all()  # some segment takes steps, and the shadow run
-    current, *shadow = _ordered_products(path, u, window, [counts, counts // 2][: 1 + integrated], method, geometry)
+    current, *shadow = _ordered_products(geometry, u, window, [counts, counts // 2][: 1 + integrated])
     diff = max_abs(current, shadow[0]) if shadow else 0.0
     estimate, batch = diff, []
     while target is not None and estimate > target:
@@ -594,7 +593,7 @@ def holonomy_path_ordered(
         if not batch:
             ahead = _doublings(diff, target, (_STEP_CAP // steps).bit_length() - 1)
             doublings = [counts * 2**k for k in range(1, ahead + 1)]
-            batch = _ordered_products(path, u, window, doublings, method, geometry)
+            batch = _ordered_products(geometry, u, window, doublings)
         steps, counts = 2 * steps, 2 * counts
         coarse, current = current, batch.pop(0)
         previous, diff = diff, max_abs(current, coarse)

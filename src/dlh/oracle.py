@@ -32,8 +32,12 @@ a stack the bound cannot clear forms exact edges. Between points the ramps
 enter only as the relative phase exp(i (rate' - rate) x), so U^H U' is
 R diag(cos) R'^T + i R diag(sin) R'^T on one :func:`_ramp`, and the overlaps
 h^2 sum conj(C) o (U^H U') C' (V^H V')^T are one batched product over slices
-of the stack. Only :func:`window_states` (K = 1) forms F = R times the ramp.
-The independent check is :func:`build_state` then :func:`displace_field`.
+of the stack. No field F = R times the ramp is formed here.
+
+The spectral check route lives in ``tests/_fields.py``: raises on the centred
+Gaussian as 2-D differential operators, then an FFT translation and phase
+ramp, field by field. Its ``window_states`` forms the fields of one stack,
+and the tests pin the stack against that route.
 
 The oracle operates at desk-scale dimensionless parameters (everything of
 order one), never at laboratory magnitudes; the phases being validated are
@@ -52,23 +56,11 @@ from ._linalg import _tree_product, unitarize
 from .connection import connection_matrix
 from .errors import ValidationError, _check_count, _check_positive, _check_window, _floats
 from .holonomy import ParameterPath, _nodes, _runs, rectangle_loop
-from .params import CONTROL_PARAMS, DerivedScales, PhysicalConfig, _check_param, _point_scales, derive_scales
+from .params import CONTROL_PARAMS, PhysicalConfig, _check_param, _point_scales, derive_scales
 
 __all__ = [
     "OPERATING_CONFIG",
     "Grid2D",
-    "WaveField",
-    "ground_state",
-    "apply_level_raise",
-    "apply_level_lower",
-    "apply_radial_raise",
-    "apply_radial_lower",
-    "build_state",
-    "displace_field",
-    "window_states",
-    "apply_angular_momentum",
-    "apply_base_hamiltonian",
-    "apply_uniform_field_hamiltonian",
     "fd_connection_matrix",
     "WilsonResult",
     "wilson_loop_oracle",
@@ -82,7 +74,6 @@ OPERATING_CONFIG = PhysicalConfig(
     mass=1.0, alpha=0.5, hbar=1.0, lambda_density=2.0, B=1.0, Ex_prime=0.3, Ey_prime=0.7
 )
 
-_NORM_TOL = 1e-6
 _BOUNDARY_TOL = 1e-10
 _DRIFT_TOL = 1e-3
 
@@ -94,7 +85,7 @@ class Grid2D:
     Spacing h = 2 extent / (points - 1); the default, 256 points on
     [-12, 12]^2, is the grid of `dlh oracle-check`. Fields are treated as
     periodic by the spectral derivatives; all states of interest decay far
-    below rounding at the boundary, which :class:`WaveField` enforces.
+    below rounding at the boundary, which the frame guard of every stack enforces.
     """
 
     extent: float = 12.0
@@ -123,14 +114,6 @@ class Grid2D:
         k[-1] *= self.points % 2
         return k
 
-    @cached_property
-    def X(self) -> np.ndarray:
-        return self.x[:, None]
-
-    @cached_property
-    def Y(self) -> np.ndarray:
-        return self.x[None, :]
-
     def check_adequate(self, l_m, shift=0.0) -> None:
         """Adequacy rule: extent covers 6 l_m plus the shift, spacing <= l_m/4; at arrays of points, the first failure raises."""
         ok = (self.extent >= 6.0 * l_m + np.abs(shift)) & (self.h <= l_m / 4.0)  # False for a NaN l_m
@@ -144,19 +127,13 @@ class Grid2D:
             raise ValidationError(f"grid extent {self.extent} too small for l_m={l:.4g} with shift {d:.4g}")
         raise ValidationError(f"grid spacing {self.h:.4g} does not resolve l_m={l:.4g} (need h <= l_m/4)")
 
-    def overlap(self, f: np.ndarray, g: np.ndarray) -> complex:
-        return complex(self.h * self.h * np.vdot(f, g))
-
-    def norm(self, f: np.ndarray) -> float:
-        return math.sqrt(self.overlap(f, f).real)
-
-    def boundary_max(self, f: np.ndarray) -> float:
-        edges = (f[0, :], f[-1, :], f[:, 0], f[:, -1])
-        return float(max(np.max(np.abs(e)) for e in edges))
-
 
 def _deriv(grid: Grid2D, f: np.ndarray, axis: int) -> np.ndarray:
-    """Spectral derivative along x (axis -2 of a field), along y (axis -1) or of a 1-D factor (real f: real FFT)."""
+    """Spectral derivative along x (axis -2 of a field), along y (axis -1) or of a 1-D factor (real f: real FFT).
+
+    The stack's factors are real; a complex f, a field of the spectral check route in ``tests/_fields.py``,
+    takes the complex FFT on ``grid.k``.
+    """
     if not np.iscomplexobj(f):
         k = grid.k_half[:, None] if axis == -2 else grid.k_half
         return np.fft.irfft(1j * k * np.fft.rfft(f, axis=axis), grid.points, axis=axis)
@@ -167,27 +144,14 @@ def _deriv(grid: Grid2D, f: np.ndarray, axis: int) -> np.ndarray:
 def _axis_ladder(grid: Grid2D, l_m: float, sign: int, coord, f: np.ndarray, axis: int, out=None) -> np.ndarray:
     """[coord f / (2 l_m) + sign l_m df/dcoord] / sqrt(2) along one axis of f, written into `out` when given.
 
-    The 1-D factor of every ladder operator (see :func:`_ladder`); `coord`
-    is the coordinate of that axis, possibly shifted, broadcast against f.
+    The 1-D factor of every ladder operator, P f + i a Q f with P and Q this
+    factor along x and along y; `coord` is the coordinate of that axis,
+    possibly shifted, broadcast against f.
     """
     d = _deriv(grid, f, axis)
     d *= sign * l_m
     d += np.multiply(0.5 / l_m * coord, f, out=out)  # `out` holds this term until the sum lands in it
     return np.divide(d, math.sqrt(2.0), out=d if out is None else out)
-
-
-def _ladder(grid: Grid2D, l_m: float, a: int, sign: int, f: np.ndarray) -> np.ndarray:
-    """[(X + i a Y) f / (2 l_m) + sign l_m (d/dx + i a d/dy) f] / sqrt(2).
-
-    All four ladder operators have this form (a = +-sigma, sign = +-1). It is
-    P f + i a Q f, with P and Q the 1-D factor acting along x and along y.
-    """
-    return _axis_ladder(grid, l_m, sign, grid.X, f, -2) + 1j * a * _axis_ladder(grid, l_m, sign, grid.Y, f, -1)
-
-
-def _translate(grid: Grid2D, f: np.ndarray, ax: float, ay: float) -> np.ndarray:
-    """f(x + ax, y + ay) by spectral phase ramp (exact for band-limited f)."""
-    return np.fft.ifft2(np.fft.fft2(f) * np.outer(np.exp(1j * grid.k * ax), np.exp(1j * grid.k * ay)))
 
 
 def _check_frame(edge: float, context: str) -> None:
@@ -202,49 +166,6 @@ def _check_drift(nrm: float, context: str) -> None:
         raise ValidationError(
             f"norm drifted to {nrm:.6f} while building {context}; grid resolution insufficient"
         )
-
-
-@dataclass(frozen=True)
-class WaveField:
-    """Normalized complex field with its (n, m, nu, l_m) provenance labels.
-
-    Construction enforces unit quadrature norm and decay below 1e-10 on the
-    boundary frame, so any state that outgrows the grid is rejected rather
-    than silently wrapped by the periodic derivatives.
-    """
-
-    grid: Grid2D
-    values: np.ndarray
-    n: int
-    m: int
-    nu: complex
-    l_m: float
-
-    def __post_init__(self) -> None:
-        if self.values.shape != (self.grid.points, self.grid.points):
-            raise ValidationError("field shape does not match its grid")
-        if not abs(self.grid.norm(self.values) - 1.0) <= _NORM_TOL:
-            raise ValidationError("field is not normalized")
-        _check_frame(self.grid.boundary_max(self.values), "field")
-
-
-def _normalized(grid: Grid2D, f: np.ndarray, context: str) -> np.ndarray:
-    """f scaled to unit norm in place, once its norm is within 1e-3 of 1."""
-    nrm = grid.norm(f)
-    _check_drift(nrm, context)
-    f /= nrm
-    return f
-
-
-def ground_state(grid: Grid2D, l_m: float) -> WaveField:
-    """Gaussian ground field at unit quadrature norm.
-
-    The norm is fixed numerically (analytically the constant is
-    1/(l_m sqrt(2 pi))), which keeps the contract independent of that choice.
-    """
-    grid.check_adequate(l_m)
-    g = _gaussian(grid, l_m, 0.0)
-    return WaveField(grid=grid, values=np.outer(g, g).astype(complex), n=0, m=0, nu=0j, l_m=l_m)
 
 
 def _gaussian(grid: Grid2D, l_m, a, out=None) -> np.ndarray:
@@ -263,73 +184,10 @@ def _ramp(grid: Grid2D, rate) -> np.ndarray:
     return (coarse[..., :, None] * fine[..., None, :]).reshape(*coarse.shape[:-1], -1)[..., : grid.points]
 
 
-def apply_level_raise(grid: Grid2D, l_m: float, sigma: int, f: np.ndarray) -> np.ndarray:
-    """Level-index raising operator (n -> n+1) as a differential operator.
-
-    The overall factor i fixes the phase so that the displacement field
-    produced by :func:`displace_field` equals exp(nu A+ - conj(nu) A-) for
-    exactly this pair of ladder operators.  Per-level phases i**n drop out
-    of every fixed-level observable (connections, overlaps within a level).
-    """
-    return 1j * _ladder(grid, l_m, -sigma, -1, f)
-
-
-def apply_level_lower(grid: Grid2D, l_m: float, sigma: int, f: np.ndarray) -> np.ndarray:
-    """Adjoint of the level raise; annihilates the ground field."""
-    return -1j * _ladder(grid, l_m, sigma, +1, f)
-
-
-def apply_radial_raise(grid: Grid2D, l_m: float, sigma: int, f: np.ndarray) -> np.ndarray:
-    """Radial-index raising operator (m -> m+1) as a differential operator."""
-    return _ladder(grid, l_m, sigma, -1, f)
-
-
-def apply_radial_lower(grid: Grid2D, l_m: float, sigma: int, f: np.ndarray) -> np.ndarray:
-    """Adjoint of the radial raise; annihilates the ground field."""
-    return _ladder(grid, l_m, -sigma, +1, f)
-
-
-def build_state(grid: Grid2D, scales: DerivedScales, n: int, m: int) -> WaveField:
-    """Undisplaced (n, m) field: raising operators applied to the ground Gaussian."""
-    n, m = _check_count("n", n, 0), _check_count("m", m, 0)
-    f = ground_state(grid, scales.l_m).values
-    for j in range(1, m + 1):
-        f = apply_radial_raise(grid, scales.l_m, scales.sigma, f) / math.sqrt(j)
-    for j in range(1, n + 1):
-        f = apply_level_raise(grid, scales.l_m, scales.sigma, f) / math.sqrt(j)
-    f = _normalized(grid, f, f"state (n={n}, m={m})")
-    return WaveField(grid=grid, values=f, n=n, m=m, nu=0j, l_m=scales.l_m)
-
-
 def _displacement(l_m, s, nu) -> tuple:
-    """Translation (a_x, a_y) and phase-ramp rates (k_x, k_y) of the displacement (see displace_field), per point."""
+    """Translation (a_x, a_y) and ramp rates (k_x, k_y) of D f = exp(i (k_x x + k_y y)) f(x + a_x, y + a_y), per point."""
     r, c = math.sqrt(2.0) * l_m, 1.0 / (math.sqrt(2.0) * l_m)
     return r * nu.imag, -r * s * nu.real, c * nu.real, c * s * nu.imag
-
-
-def displace_field(grid: Grid2D, scales: DerivedScales, field: WaveField) -> WaveField:
-    """Exact displacement: linear phase times rigid translation.
-
-    The displacement generator is linear in positions and derivatives, so
-    it factorizes exactly (the cross commutator is a scalar already absorbed
-    here): with s = sigma and l = l_m,
-
-        (D f)(x, y) = exp[i (nu_x x + s nu_y y) / (sqrt(2) l)]
-                      * f(x + sqrt(2) l nu_y,  y - sqrt(2) s l nu_x)
-
-    which moves the density centroid by (-sqrt(2) l nu_y, +sqrt(2) s l nu_x).
-    This is the spectral route (an FFT translation of a sampled field);
-    :func:`window_states` builds the same states in shifted coordinates.
-    """
-    nu, l = scales.nu, scales.l_m
-    if nu == 0:
-        return WaveField(grid=grid, values=field.values.copy(), n=field.n, m=field.m, nu=0j, l_m=l)
-    ax, ay, kx, ky = _displacement(l, scales.sigma, nu)
-    g = _translate(grid, field.values, ax, ay)
-    g *= np.exp(1j * kx * grid.x)[:, None]
-    g *= np.exp(1j * ky * grid.x)
-    g = _normalized(grid, g, f"displaced state (n={field.n}, m={field.m})")
-    return WaveField(grid=grid, values=g, n=field.n, m=field.m, nu=nu, l_m=l)
 
 
 @dataclass(frozen=True)
@@ -410,62 +268,6 @@ def _stack(grid: Grid2D, config: PhysicalConfig, points, n: int, window: tuple[i
         _check_frame(float(frame[k, i]), f"state (n={n}, m={m_lo + i})")
     np.divide(st.C, norms[:, :, None, None], out=st.C)
     return st
-
-
-def window_states(
-    grid: Grid2D, config: PhysicalConfig, point, n: int, window: tuple[int, int]
-) -> list[WaveField]:
-    """Displaced fields for every m in the window, formed as U C V^T from its 1-D factors.
-
-    Every state on one grid comes from the same closed-form pipeline
-    (shifted ground Gaussian -> raises -> phase ramp), so the family is
-    smooth in the control parameters and finite differences of it measure
-    the connection in a fixed gauge. Built without a translation FFT: the
-    raising operators act in the shifted coordinates on the shifted
-    Gaussian (module docstring).
-    """
-    st = _stack(grid, config, [point], n, window)
-    nu, l = complex(st.nu[0]), float(st.l_m[0])
-    U, V = _ramp(grid, st.rate[0])[:, None] * st.R[0]  # F^T: the one place the factors are formed
-    return [WaveField(grid=grid, values=f, n=n, m=window[0] + i, nu=nu, l_m=l) for i, f in enumerate(U.T @ st.C[0] @ V)]
-
-
-def apply_angular_momentum(grid: Grid2D, hbar: float, f: np.ndarray) -> np.ndarray:
-    return -1j * hbar * (grid.X * _deriv(grid, f, -1) - grid.Y * _deriv(grid, f, -2))
-
-
-def apply_base_hamiltonian(grid: Grid2D, scales: DerivedScales, f: np.ndarray) -> np.ndarray:
-    """Zero-uniform-field Hamiltonian in kinetic + angular + potential form.
-
-    H = p^2/2M - (sigma |omega|/2) Lz + M omega^2 r^2 / 8, written with
-    M = hbar/(|omega| l_m^2) so only derived scales enter. This is
-    arithmetic independent of the ladder composition H = hw (a+ a- + 1/2)
-    that it is tested against.
-    """
-    hw = scales.hbar * scales.omega
-    l2 = scales.l_m * scales.l_m
-    kinetic = np.fft.ifft2(np.fft.fft2(f) * (0.5 * hw * l2 * (grid.k[:, None] ** 2 + grid.k ** 2)))
-    angular = -0.5 * scales.sigma * scales.omega * apply_angular_momentum(grid, scales.hbar, f)
-    potential = (hw / (8.0 * l2)) * (grid.X ** 2 + grid.Y ** 2) * f
-    return kinetic + angular + potential
-
-
-def apply_uniform_field_hamiltonian(grid: Grid2D, scales: DerivedScales, f: np.ndarray) -> np.ndarray:
-    """Hamiltonian with the uniform field folded in through the nu map.
-
-    H(nu) = H(0) - hw (nu a+ + conj(nu) a-) + hw |nu|^2, realized with the
-    grid differential ladders; its eigenfields are the displaced states at
-    the unshifted eigenvalues.
-    """
-    hw = scales.hbar * scales.omega
-    nu, s, l = scales.nu, scales.sigma, scales.l_m
-    out = apply_base_hamiltonian(grid, scales, f)
-    if nu != 0:
-        out = out - hw * (
-            nu * apply_level_raise(grid, l, s, f) + np.conj(nu) * apply_level_lower(grid, l, s, f)
-        )
-        out = out + hw * abs(nu) ** 2 * f
-    return out
 
 
 def _shifted_point(point, param: str, delta: float) -> np.ndarray:

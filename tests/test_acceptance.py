@@ -25,9 +25,8 @@ from dlh.displaced import (
     displaced_hamiltonian,
     displaced_state,
     displacement_matrix,
-    dual_route_deviation,
 )
-from dlh.fock import build_basis, commutator, hamiltonian_matrix, ladder_a, ladder_b
+from dlh.fock import build_basis, hamiltonian_matrix
 from dlh.holonomy import (
     ParameterPath,
     abelian_phase,
@@ -40,15 +39,14 @@ from dlh.holonomy import (
 )
 from dlh.oracle import (
     Grid2D,
-    apply_base_hamiltonian,
-    apply_uniform_field_hamiltonian,
-    build_state,
     fd_connection_matrix,
     sign_convention_report,
     wilson_loop_oracle,
-    window_states,
 )
 from dlh.params import derive_scales
+
+from _algebra import commutator, dual_route_deviation, interior_indices, ladder_a, ladder_b
+from _fields import apply_base_hamiltonian, apply_uniform_field_hamiltonian, build_state, overlap, window_states
 
 BOX_KINDS = ("ABCHEFA", "ABCHGFA", "ADCHEFA")
 EY, LAM, BB = (0.0, 1.0), (1.0, 4.0), (1.0, 4.0)
@@ -59,7 +57,7 @@ def test_c01_ladder_algebra_interior(cfg_desk):
     basis = build_basis(12, 12)
     am, ap = ladder_a(basis, "minus"), ladder_a(basis, "plus")
     bp, bm = ladder_b(basis, "plus"), ladder_b(basis, "minus")
-    interior = basis.interior_indices(1, 1)
+    interior = interior_indices(basis, 1, 1)
     blk = np.ix_(interior, interior)
     eye = np.eye(basis.size)
     devs = [
@@ -96,10 +94,10 @@ def test_c02_spectrum_exact_and_grid(grid12, cfg_natural):
     worst_rel = 0.0
     for n in range(4):
         bare = build_state(grid12, sc, n, 1)
-        e_bare = grid12.overlap(bare.values, apply_base_hamiltonian(grid12, sc, bare.values)).real
+        e_bare = overlap(grid12, bare.values, apply_base_hamiltonian(grid12, sc, bare.values)).real
         disp = window_states(grid12, cfg_natural, point, n, (1, 1))[0]
-        e_disp = grid12.overlap(
-            disp.values, apply_uniform_field_hamiltonian(grid12, sc, disp.values)
+        e_disp = overlap(
+            grid12, disp.values, apply_uniform_field_hamiltonian(grid12, sc, disp.values)
         ).real
         want = sc.energy_quantum * (n + 0.5)
         worst_rel = max(worst_rel, abs(e_bare - want) / want, abs(e_disp - want) / want)

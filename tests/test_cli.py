@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dlh.cli import main
-from dlh.errors import ConsistencyError, ConvergenceError
+from dlh.errors import ConsistencyError, ConvergenceError, ValidationError
 
 
 def run_cli(capsys, *argv):
@@ -459,6 +459,27 @@ def test_escaping_inputs_are_validation_errors(capsys, tmp_path, name):
     assert err.startswith("dlh: validation error: ") and named in err
 
 
+# Library calls that returned a non-finite value in silence, each with a text
+# its validation error must hold; no CLI input reaches them, as box_loop
+# refuses their ranges before the closed form sees them
+_ESCAPING_CALLS = {
+    "area_closed_form_width_overflows": (("ABCHEFA", (-1e308, 1e308), (1, 4), (1, 4)), "S of ABCHEFA overflows"),
+    "area_closed_form_product_overflows": (("ABCHGFA", (0, 1e300), (1e-300, 1), (1e-10, 1)), "S of ABCHGFA overflows"),
+    "area_closed_form_infinite_width_times_zero": (("ABCHEFA", (-1e308, 1e308), (1, 2), (2, 1)), "S of ABCHEFA overflows"),
+}
+
+
+@pytest.mark.parametrize("name", _ESCAPING_CALLS)
+def test_escaping_library_calls_are_validation_errors(name):
+    from dlh.holonomy import area_closed_form
+
+    args, named = _ESCAPING_CALLS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=named):
+            area_closed_form(*args)
+
+
 def _config_with(**fields) -> tuple[str, str]:
     return "cfg.json", json.dumps({**_GOOD_CONFIG, **fields})
 
@@ -759,9 +780,11 @@ def test_every_module_all_lists_bound_names_once():
         assert [n for n in module.__all__ if not hasattr(module, n)] == [], name
 
 
-def test_every_dlh_name_the_benchmark_reads_exists():
-    # the benchmark imports dlh names and reads them as alias.name; a name
-    # dropped from dlh fails here, not as an exception in a benchmark run
+def _benchmark_reads() -> set[str]:
+    """The dlh modules and names that perfbench/{workloads,inputs,reference}.py import or read as alias.name.
+
+    Each is checked to exist as it is found.
+    """
     import ast
     import importlib
     from types import ModuleType
@@ -797,8 +820,72 @@ def test_every_dlh_name_the_benchmark_reads_exists():
                 module = modules[node.value.id]
                 assert hasattr(module, node.attr), f"{module.__name__}.{node.attr}"
                 checked.add(f"{module.__name__}.{node.attr}")
+    return checked
+
+
+def test_every_dlh_name_the_benchmark_reads_exists():
+    # the benchmark imports dlh names and reads them as alias.name; a name
+    # dropped from dlh fails here, not as an exception in a benchmark run
+    checked = _benchmark_reads()
     assert {"dlh.holonomy.abelian_phase", "dlh.oracle.sign_convention_report",
             "dlh.connection.chain_rule_consistency", "dlh.params.PhysicalConfig", "dlh.cli"} <= checked
+
+
+def test_src_holds_only_what_dlh_or_the_benchmark_reaches():
+    # Every top-level definition in src/dlh (a function, a class or an assigned
+    # name) is reached from the code each module runs on import, the `dlh`
+    # entry of dlh.cli among it, or from a name the benchmark reads, through
+    # the dlh names that each reached definition reads. A helper that only the
+    # tests call lives in tests/, beside its callers.
+    import ast
+
+    trees = {path.stem: ast.parse(path.read_text()) for path in (Path(__file__).parents[1] / "src" / "dlh").glob("*.py")}
+    defined, bound = {}, {}  # module -> {name: its statement}; module -> {alias: (module, name or None)}
+    for module, tree in trees.items():
+        defined[module], bound[module] = {}, {}
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[module][stmt.name] = stmt
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                    if name != "__all__":  # lists names, defines none
+                        defined[module][name] = stmt
+        for node in ast.walk(tree):  # function-level imports too
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    target = (alias.name, None) if node.module is None else (node.module, alias.name)
+                    bound[module][alias.asname or alias.name] = target
+
+    def resolve(module, name):
+        """(module, name) of the definition that `name` binds in `module`, or None."""
+        ref = (module, name) if name in defined[module] else bound[module].get(name)
+        return ref if ref is not None and ref[1] in defined.get(ref[0], {}) else None
+
+    def reads(module, node) -> set:
+        """Every dlh definition that `node` reads by name or as alias.name."""
+        out = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                out.add(resolve(module, n.id))
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+                target = bound[module].get(n.value.id)
+                if target is not None and target[1] is None:  # the alias of a module
+                    out.add(resolve(target[0], n.attr))
+        return out - {None}
+
+    # the roots: what each module runs on import, and the names the benchmark reads
+    todo = [ref for m, tree in trees.items() for stmt in tree.body if stmt not in defined[m].values()
+            for ref in reads(m, stmt)]
+    todo += {resolve(*name.split(".")[1:]) for name in _benchmark_reads() if name.count(".") == 2} - {None}
+    reached = set()
+    while todo:
+        ref = todo.pop()
+        if ref not in reached:
+            reached.add(ref)
+            todo += reads(ref[0], defined[ref[0]][ref[1]])
+    unreached = {(m, name) for m in defined for name in defined[m]} - reached
+    assert unreached == {("__init__", "__version__")}
 
 
 def test_oracle_check_at_a_strong_field(capsys, tmp_path):

@@ -16,8 +16,10 @@ from dlh.connection import (
 )
 from dlh.errors import ValidationError
 from dlh.holonomy import commuting_holonomy, holonomy_path_ordered, rectangle_loop, unordered_holonomy
-from dlh.oracle import Grid2D, wilson_loop_oracle, window_states
+from dlh.oracle import Grid2D, wilson_loop_oracle
 from dlh.params import PhysicalConfig
+
+from _fields import window_states
 
 
 def _random_points(rng, count):

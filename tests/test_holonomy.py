@@ -14,6 +14,7 @@ import dlh.holonomy as hol
 from dlh import connection
 from dlh._linalg import _ladder, _span_basis, _span_exp, _span_table
 from dlh.connection import _generator_scalars, _generators
+from dlh.displaced import _displacement_block
 from dlh.errors import ConvergenceError, ValidationError
 from dlh.holonomy import (
     AbelianPhases,
@@ -92,6 +93,14 @@ def test_path_keeps_a_read_only_copy_of_its_vertices():
     assert path.vertices[1, 2] == 1.0 and not np.shares_memory(path.vertices, v)
     assert not path.vertices.flags.writeable and not path.segment_lengths.flags.writeable
     assert path.segment_lengths is path.segment_lengths  # computed once per path
+
+
+def test_a_path_equals_only_itself_and_hashes_by_identity():
+    # vertices are an array, so equal paths cannot be told by value; two
+    # builds of one loop are two paths
+    a, b = (box_loop("ABCHEFA", (0, 1), (1, 4), (1, 4)) for _ in range(2))
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) == object.__hash__(a) and len({a, b, a}) == 2
 
 
 def test_rectangle_vertices_and_area():
@@ -235,6 +244,27 @@ def test_box_holonomy_matches_commuting_closed_form():
     assert res.unitarity_defect < 1e-12
 
 
+@pytest.mark.parametrize("kind", hol.BOX_KINDS)
+def test_box_level_at_constant_ex_is_a_phase_times_a_displacement(kind):
+    # off Ex' = 0 the step generators of a named box no longer commute, yet
+    # the holonomy of the whole level is exp(i e w0 S / (8u^2)) D(i S / (4u)),
+    # with e = Ex', w0 = (lambda B)^(-1/2) at the first vertex and S the loop
+    # functional; the padded window (0, 30) carries the level's (0, 3) block
+    for ex in (0.5, 0.37, -1.2):
+        loop = box_loop(kind, EY, LAM, BB, ex=ex)
+        s, w0 = area_closed_form(kind, EY, LAM, BB), (loop.vertices[0, 2] * loop.vertices[0, 3]) ** -0.5
+        for u in (0.5, 0.3):
+            level = np.exp(1j * ex * w0 * s / (8 * u * u)) * _displacement_block(1j * s / (4 * u), range(4), range(4))
+            res = holonomy_path_ordered(loop, u, window=(0, 30), target=1e-11)
+            assert np.abs(res.matrix[:4, :4] - level).max() <= 1e-12
+    # so chi, the phase beyond the integral Phi of phi, is known exactly: ABCHEFA
+    # at Ex' = 0.5, u = 0.5 (w0 = 1) has Phi + chi = S/4 = -0.1875 and Z = S/2 = -0.375
+    if kind == "ABCHEFA":
+        loop = box_loop(kind, EY, LAM, BB, ex=0.5)
+        phi = hol._segment_integrals(loop.vertices[:-1], loop.vertices[1:], 0.5)[0].sum()
+        assert s == -0.75 and abs(phi - -0.1171875) <= 1e-15  # chi = -0.0703125
+
+
 def test_reversal_gives_adjoint():
     u = 0.5
     loop = box_loop("ABCHEFA", EY, LAM, BB)
@@ -369,7 +399,7 @@ def test_segment_integrals_at_rounding_accuracy():
 def test_tree_product_matches_sequential_product(rng):
     loop = _random_loop(rng)
     for steps in (37, 256):
-        chunks = hol._step_factors(loop, 0.5, (1, 4), [loop._allocation(steps)], "magnus")
+        chunks = hol._step_factors(hol._loop_geometry(loop, 0.5, "magnus"), 0.5, (1, 4), [loop._allocation(steps)])
         factors = np.concatenate([f for _, f in chunks])
         seq = np.eye(4, dtype=complex)
         for f in factors:
@@ -579,9 +609,9 @@ def _recorded_step_counts(monkeypatch):
     counts = []
     products = hol._ordered_products
 
-    def recording(path, u, window, counts_list, method, geometry=None):
+    def recording(geometry, u, window, counts_list):
         counts.extend(c.tolist() for c in counts_list)
-        return products(path, u, window, counts_list, method, geometry)
+        return products(geometry, u, window, counts_list)
 
     monkeypatch.setattr(hol, "_ordered_products", recording)
     return counts
@@ -640,7 +670,7 @@ def test_many_segment_estimate_bounds_the_true_error(sides):
 
 def _difference(loop, counts, method="auto"):
     """max |U(counts) - U(counts // 2)| from two products at explicit per-segment counts."""
-    fine, coarse = hol._ordered_products(loop, 0.5, (0, 3), [counts, counts // 2], method)
+    fine, coarse = hol._ordered_products(hol._loop_geometry(loop, 0.5, method), 0.5, (0, 3), [counts, counts // 2])
     return np.abs(fine - coarse).max()
 
 
@@ -704,7 +734,8 @@ def test_unrefined_estimate_is_the_raw_difference(loop):
 
 
 def _single_products(loop, window, counts_list, method="auto"):
-    return [hol._ordered_products(loop, 0.5, window, [c], method)[0] for c in counts_list]
+    geometry = hol._loop_geometry(loop, 0.5, method)
+    return [hol._ordered_products(geometry, 0.5, window, [c])[0] for c in counts_list]
 
 
 def _batch_loops(rotating_quadrilaterals):
@@ -717,7 +748,7 @@ def test_a_batch_equals_its_single_products(rotating_quadrilaterals, method):
     for loop in _batch_loops(rotating_quadrilaterals):
         counts = loop._allocation(32)
         for counts_list in ([counts, counts // 2], [2 * counts, 4 * counts, 8 * counts]):
-            batch = hol._ordered_products(loop, 0.5, (0, 3), counts_list, method)
+            batch = hol._ordered_products(hol._loop_geometry(loop, 0.5, method), 0.5, (0, 3), counts_list)
             singles = _single_products(loop, (0, 3), counts_list, method)
             assert all(np.array_equal(b, s) for b, s in zip(batch, singles))
 
@@ -743,7 +774,7 @@ def test_a_batch_on_a_wide_window_keeps_the_chunk_boundaries(monkeypatch):
         counts = loop._allocation(16)
         counts_list = [counts, counts // 2, 2 * counts]
         for method in ("auto", "magnus"):
-            batch = hol._ordered_products(loop, 0.5, window, counts_list, method)
+            batch = hol._ordered_products(hol._loop_geometry(loop, 0.5, method), 0.5, window, counts_list)
             singles = _single_products(loop, window, counts_list, method)
             assert all(np.array_equal(b, s) for b, s in zip(batch, singles))
     # no exponential stack is larger than one chunk's (left, right) pairs
@@ -968,10 +999,6 @@ def _per_segment_product(path, u, window, counts, method):
     return U
 
 
-def _per_segment_products(path, u, window, counts_list, method, geometry=None):
-    return [_per_segment_product(path, u, window, c, method) for c in counts_list]
-
-
 def _mixed_loop(rng):
     """Random closed loop of exact and integrated segments, with one zero-length segment."""
     verts = list(_commuting_loop(rng).vertices)
@@ -994,11 +1021,12 @@ def test_one_stack_matches_the_per_segment_product(monkeypatch, method):
             for steps in (16, 100):
                 counts = loop._allocation(steps)
                 want = _per_segment_product(loop, 0.5, (0, 3), counts, method)
-                (got,) = hol._ordered_products(loop, 0.5, (0, 3), [counts], method)
+                (got,) = hol._ordered_products(hol._loop_geometry(loop, 0.5, method), 0.5, (0, 3), [counts])
                 assert np.abs(got - want).max() <= 1e-13
     # chunks of 7 steps cut across segment boundaries
     counts = loops[0]._allocation(100)
-    sizes = [len(f) for _, f in hol._step_factors(loops[0], 0.5, (0, 3), [counts], "magnus")]
+    geometry = hol._loop_geometry(loops[0], 0.5, "magnus")
+    sizes = [len(f) for _, f in hol._step_factors(geometry, 0.5, (0, 3), [counts])]
     assert sizes[:-1] == [7] * (len(sizes) - 1) and sum(sizes) == counts.sum()
     assert not set(np.cumsum(sizes)) >= set(np.cumsum(counts)[counts > 0])
 
@@ -1007,7 +1035,11 @@ def test_one_stack_matches_the_per_segment_product(monkeypatch, method):
 def test_many_segment_product_matches_the_per_segment_product(sides, monkeypatch):
     loop = _rotating_polygon(sides)
     res = holonomy_path_ordered(loop, 0.5, target=1e-8)
-    monkeypatch.setattr(hol, "_ordered_products", _per_segment_products)
+
+    def per_segment(geometry, u, window, counts_list):
+        return [_per_segment_product(loop, u, window, c, "auto") for c in counts_list]
+
+    monkeypatch.setattr(hol, "_ordered_products", per_segment)
     ref = holonomy_path_ordered(loop, 0.5, target=1e-8)
     assert res.steps == ref.steps
     assert abs(res.convergence_estimate - ref.convergence_estimate) <= 1e-12

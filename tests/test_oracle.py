@@ -10,11 +10,16 @@ from dlh._linalg import unitarize
 from dlh.connection import CONTROL_PARAMS, connection_matrix
 from dlh.errors import ValidationError
 from dlh.holonomy import ParameterPath, area_closed_form, box_loop, holonomy_path_ordered, rectangle_loop
-from dlh.oracle import (
-    Grid2D,
+from dlh.oracle import Grid2D, fd_connection_matrix, render_sign_report, sign_convention_report, wilson_loop_oracle
+from dlh.params import PhysicalConfig, _point_scales, derive_scales
+
+import _fields
+from _fields import (
     WaveField,
-    apply_base_hamiltonian,
+    X,
+    Y,
     apply_angular_momentum,
+    apply_base_hamiltonian,
     apply_level_lower,
     apply_level_raise,
     apply_radial_lower,
@@ -22,14 +27,11 @@ from dlh.oracle import (
     apply_uniform_field_hamiltonian,
     build_state,
     displace_field,
-    fd_connection_matrix,
     ground_state,
-    render_sign_report,
-    sign_convention_report,
-    wilson_loop_oracle,
+    norm,
+    overlap,
     window_states,
 )
-from dlh.params import PhysicalConfig, _point_scales, derive_scales
 
 
 def test_grid_adequacy_rules():
@@ -84,9 +86,9 @@ def test_a_bad_l_m_fails_as_itself(grid12, l_m, later_row):
 
 def test_ground_state_shape_and_width(grid12):
     g = ground_state(grid12, 1.0)
-    assert abs(grid12.norm(g.values) - 1.0) < 1e-12
-    r2 = grid12.X**2 + grid12.Y**2
-    mean_r2 = grid12.overlap(g.values, r2 * g.values).real
+    assert abs(norm(grid12, g.values) - 1.0) < 1e-12
+    r2 = X(grid12)**2 + Y(grid12)**2
+    mean_r2 = overlap(grid12, g.values, r2 * g.values).real
     assert mean_r2 == pytest.approx(2.0, rel=1e-10)
 
 
@@ -124,7 +126,7 @@ def test_state_family_orthonormal(grid_coarse, cfg_natural):
     for (n1, m1), f in states.items():
         for (n2, m2), g in states.items():
             want = 1.0 if (n1, m1) == (n2, m2) else 0.0
-            assert abs(grid_coarse.overlap(f, g) - want) < 1e-6
+            assert abs(overlap(grid_coarse, f, g) - want) < 1e-6
 
 
 def test_displacement_centroid_and_coherence(grid12, cfg_natural):
@@ -132,13 +134,13 @@ def test_displacement_centroid_and_coherence(grid12, cfg_natural):
     point = (cfg_natural.Ex_prime, cfg_natural.Ey_prime, cfg_natural.lambda_density, cfg_natural.B)
     psi = window_states(grid12, cfg_natural, point, 0, (0, 0))[0]
     nu = sc.nu
-    cx = grid12.overlap(psi.values, grid12.X * psi.values).real
-    cy = grid12.overlap(psi.values, grid12.Y * psi.values).real
+    cx = overlap(grid12, psi.values, X(grid12) * psi.values).real
+    cy = overlap(grid12, psi.values, Y(grid12) * psi.values).real
     assert cx == pytest.approx(-math.sqrt(2.0) * sc.l_m * nu.imag, abs=1e-10)
     assert cy == pytest.approx(math.sqrt(2.0) * sc.sigma * sc.l_m * nu.real, abs=1e-10)
     # displaced ground field is a coherent state of the level ladder
     lowered = apply_level_lower(grid12, sc.l_m, sc.sigma, psi.values)
-    amp = grid12.overlap(psi.values, lowered)
+    amp = overlap(grid12, psi.values, lowered)
     assert abs(amp - nu) < 1e-12
     assert np.abs(lowered - nu * psi.values).max() < 1e-10
 
@@ -149,10 +151,10 @@ def test_energies_on_grid(grid12, cfg_natural):
     point = (cfg_natural.Ex_prime, cfg_natural.Ey_prime, cfg_natural.lambda_density, cfg_natural.B)
     for n in (0, 1):
         psi = window_states(grid12, cfg_natural, point, n, (1, 1))[0]
-        e = grid12.overlap(psi.values, apply_uniform_field_hamiltonian(grid12, sc, psi.values)).real
+        e = overlap(grid12, psi.values, apply_uniform_field_hamiltonian(grid12, sc, psi.values)).real
         assert e / hw == pytest.approx(n + 0.5, rel=1e-6)
     bare = build_state(grid12, sc, 2, 0)
-    e2 = grid12.overlap(bare.values, apply_base_hamiltonian(grid12, sc, bare.values)).real
+    e2 = overlap(grid12, bare.values, apply_base_hamiltonian(grid12, sc, bare.values)).real
     assert e2 / hw == pytest.approx(2.5, rel=1e-6)
 
 
@@ -164,7 +166,7 @@ def test_angular_momentum_both_chiralities(grid12):
         sc = derive_scales(cfg)
         assert sc.sigma == sigma
         f = build_state(grid12, sc, 0, 2).values
-        lz = grid12.overlap(f, apply_angular_momentum(grid12, sc.hbar, f)).real
+        lz = overlap(grid12, f, apply_angular_momentum(grid12, sc.hbar, f)).real
         assert lz == pytest.approx(sigma * 2.0, rel=1e-8)
 
 
@@ -311,7 +313,7 @@ def test_fast_paths_reject_states_at_the_frame(request, cfg_desk, grid_name, poi
 
 
 def _per_entry(grid, bras, kets):
-    return np.array([[grid.overlap(b.values, k.values) for k in kets] for b in bras])
+    return np.array([[overlap(grid, b.values, k.values) for k in kets] for b in bras])
 
 
 def _largest_rates(grid, config, pts, n, window, scale=1.05) -> float:
@@ -383,8 +385,9 @@ def test_wilson_links_match_per_entry_overlaps_at_the_largest_rates(grid12, cfg_
 
 
 def test_the_stack_keeps_real_powers_and_rates():
-    # the factors F = R times the ramp are formed by window_states alone; the
-    # stack holds R and the rates, and overlaps take the ramps' differences
+    # the factors F = R times the ramp are formed by the test-side
+    # window_states alone; the stack holds R and the rates, and overlaps take
+    # the ramps' differences
     import ast
 
     tree = ast.parse(open(oracle.__file__).read())
@@ -393,7 +396,8 @@ def test_the_stack_keeps_real_powers_and_rates():
     assert fields == ["grid", "l_m", "sigma", "nu", "R", "rate", "C"]
     callers = {
         stmt.name
-        for stmt in tree.body
+        for module in (tree, ast.parse(open(_fields.__file__).read()))
+        for stmt in module.body
         for node in ast.walk(stmt)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_ramp"
     }
@@ -767,8 +771,8 @@ def test_wavefield_guards(grid12):
     with pytest.raises(ValidationError):
         WaveField(grid=grid12, values=bad, n=0, m=0, nu=0j, l_m=1.0)
     # normalized but leaking through the boundary frame
-    leak = np.exp(-((grid12.X - 10.0) ** 2 + grid12.Y**2) / 4.0).astype(complex)
-    leak /= grid12.norm(leak)
+    leak = np.exp(-((X(grid12) - 10.0) ** 2 + Y(grid12)**2) / 4.0).astype(complex)
+    leak /= norm(grid12, leak)
     with pytest.raises(ValidationError):
         WaveField(grid=grid12, values=leak, n=0, m=0, nu=0j, l_m=1.0)
     with pytest.raises(ValidationError):
@@ -916,7 +920,7 @@ def test_oracle_is_independent_of_the_algebra():
     # the grid oracle takes parameter names from params and argument checks
     # from errors, and reads closed forms only to report against them; from
     # the holonomy module it takes loop geometry and validation, never the
-    # engine
+    # engine. Its test-side spectral route takes nothing from either.
     import ast
 
     import dlh.oracle
@@ -943,3 +947,11 @@ def test_oracle_is_independent_of_the_algebra():
         if isinstance(node, ast.Name) and node.id == "connection_matrix"
     }
     assert users == {"sign_convention_report"}
+    # the spectral route of the tests reads only the oracle, its argument checks and its scales
+    imported = set()
+    for node in ast.walk(ast.parse(open(_fields.__file__).read())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+    assert {m for m in imported if m.split(".")[0] == "dlh"} == {"dlh.errors", "dlh.oracle", "dlh.params"}

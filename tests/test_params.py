@@ -267,7 +267,9 @@ def _bad_inputs():
     from dlh.displaced import displaced_state
     from dlh.fock import build_basis
     from dlh.holonomy import abelian_phase, box_loop, holonomy_path_ordered, rectangle_loop
-    from dlh.oracle import Grid2D, build_state, fd_connection_matrix, window_states
+    from dlh.oracle import Grid2D, fd_connection_matrix
+
+    from _fields import build_state, window_states
 
     point = (0.3, 0.7, 2.0, 1.0)
     box = box_loop("ABCHEFA", (0.0, 0.5), (1.0, 2.0), (1.0, 2.0))

@@ -83,7 +83,7 @@ def unitarize(M: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def max_abs(A: np.ndarray, B: np.ndarray | None = None) -> float:
-    """Max-norm of A, or of A - B."""
-    d = A if B is None else A - B
+def max_abs(A: np.ndarray, B: np.ndarray) -> float:
+    """Max-norm of A - B."""
+    d = A - B
     return float(np.max(np.abs(d))) if d.size else 0.0

@@ -130,7 +130,7 @@ def load_config(path: str | None) -> PhysicalConfig:
         raise ValidationError(f"cannot read config file {path}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's 4300-digit limit
         raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"config file {path} must hold a JSON object")
@@ -148,7 +148,10 @@ def load_config(path: str | None) -> PhysicalConfig:
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(f"config key {key!r} must be a number, got {value!r}")
-        kwargs[field] = float(value)
+        try:
+            kwargs[field] = float(value)
+        except OverflowError:  # a JSON integer past the largest float
+            raise ValidationError(f"config key {key!r} is too large for a float") from None
     kwargs.setdefault("hbar", HBAR_SI)
     return PhysicalConfig(**kwargs)
 

@@ -157,15 +157,14 @@ def connection_general(
 
 @dataclass(frozen=True)
 class ConnectionMatrix:
-    """Connection component on the window m_lo..m_hi of level n.
+    """Connection component on the window m_lo..m_hi.
 
-    entries[i, j] = A_{(m_lo+i),(m_lo+j)}(param) at `point`; Hermitian and
-    tridiagonal by construction (the in-plane components are diagonal).
+    entries[i, j] = A_{(m_lo+i),(m_lo+j)} of the parameter and point that
+    :func:`connection_matrix` was called with; Hermitian and tridiagonal by
+    construction (the in-plane components are diagonal). The entries do not
+    depend on the level n.
     """
 
-    param: str
-    point: tuple[float, float, float, float]
-    n: int
     m_lo: int
     m_hi: int
     entries: np.ndarray
@@ -186,12 +185,12 @@ def connection_matrix(
     """
     _check_param(param)
     m_lo, m_hi = _check_window(window)
-    n = _check_count("n", n, 0)
+    _check_count("n", n, 0)
     p = _unpack(point)
     _check_scales([p[2:]], u)
     step = np.eye(4)[CONTROL_PARAMS.index(param)]
     A = _generators(*_generator_scalars(p, step, u), _ladder((m_lo, m_hi)))
-    return ConnectionMatrix(param=param, point=p, n=n, m_lo=m_lo, m_hi=m_hi, entries=A)
+    return ConnectionMatrix(m_lo=m_lo, m_hi=m_hi, entries=A)
 
 
 def chain_rule_consistency(point, u: float, n: int, window: tuple[int, int]) -> dict[str, float]:

@@ -153,7 +153,7 @@ def displacement_matrix(nu: complex, basis: FockBasis) -> OperatorMatrix:
 
 @dataclass(frozen=True)
 class DisplacedState:
-    """Coefficient vector of D(nu)|n, m> with its truncation deficit.
+    """Coefficient vector of D(nu)|n, m> with its truncation deficit, for the (n, m, nu) of :func:`displaced_state`.
 
     coefficients is column n of D_n on the basis itself, placed at radial
     index m. trunc_deficit is the weight of D(nu)|n, m> that lies past
@@ -161,9 +161,6 @@ class DisplacedState:
     the truncated basis leaves out, which the truncation rule reads.
     """
 
-    n: int
-    m: int
-    nu: complex
     coefficients: np.ndarray
     trunc_deficit: float
 
@@ -175,7 +172,7 @@ def displaced_state(n: int, m: int, nu: complex, basis: FockBasis) -> DisplacedS
     deficit = float(_guard(nu, basis.n_max, [n])[0])
     coeff = np.zeros(basis.size, dtype=complex)
     coeff[m :: basis.m_max + 1] = _dense_route(nu, basis.n_max)[:, n]
-    return DisplacedState(n=n, m=m, nu=nu, coefficients=coeff, trunc_deficit=deficit)
+    return DisplacedState(coefficients=coeff, trunc_deficit=deficit)
 
 
 def displaced_hamiltonian(nu: complex, basis: FockBasis, scales: DerivedScales) -> OperatorMatrix:

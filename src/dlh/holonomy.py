@@ -167,9 +167,6 @@ class ParameterPath:
         lengths.setflags(write=False)
         return lengths
 
-    def reversed(self) -> "ParameterPath":
-        return ParameterPath(self.vertices[::-1], kind=self.kind)
-
     def _allocation(self, steps: int) -> np.ndarray:
         """Steps per segment at a nominal count of `steps`: the one split of a loop.
 

@@ -15,9 +15,9 @@ Displaced windows are built in shifted coordinates from 1-D factors, with
 no translation FFT and no N x N field. The translation T of the displacement
 commutes with d/dx and d/dy and moves the coordinates, T X T^-1 = X + a_x,
 so T R^m B^n G is the raises R^m B^n with X -> X + a_x, Y -> Y + a_y applied
-to the shifted Gaussian. Every ladder operator is P (x) I + i a I (x) Q, with
-P and Q one 1-D operator c x + e d/dx (:func:`_axis_ladder`) along x and y;
-the radial raise has a = sigma, the level raise a = -sigma. The Gaussian and
+to the shifted Gaussian. Both raises are P (x) I + i a I (x) Q, with P and Q
+the 1-D raise [x / (2 l_m) - l_m d/dx] / sqrt(2) (:func:`_axis_ladder`) along
+x and y (radial raise a = sigma, level raise a = -sigma). The Gaussian and
 the phase ramp are outer products too, so the field (n, m) is U C V^T: U
 holds P^p g_x and V holds Q^q g_y (p, q <= n + m_hi), each times its 1-D
 ramp, and each raise takes the small matrix C to S C + i a C S^T (S the
@@ -36,8 +36,10 @@ of the stack. No field F = R times the ramp is formed here.
 
 The spectral check route lives in ``tests/_fields.py``: raises on the centred
 Gaussian as 2-D differential operators, then an FFT translation and phase
-ramp, field by field. Its ``window_states`` forms the fields of one stack,
-and the tests pin the stack against that route.
+ramp, field by field. It shares no arithmetic with the stack: its Gaussian,
+its complex derivatives, its wavenumbers, its translation and its ramp rates
+are its own. Its ``window_states`` forms the fields of one stack, and the
+tests pin the stack against that route.
 
 The oracle operates at desk-scale dimensionless parameters (everything of
 order one), never at laboratory magnitudes; the phases being validated are
@@ -104,10 +106,6 @@ class Grid2D:
         return -self.extent + self.h * np.arange(self.points)
 
     @cached_property
-    def k(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.h)
-
-    @cached_property
     def k_half(self) -> np.ndarray:
         """Wavenumbers of the real FFT, an even grid's Nyquist term set to 0: the derivative of real data is real."""
         k = 2.0 * np.pi * np.fft.rfftfreq(self.points, d=self.h)
@@ -128,30 +126,16 @@ class Grid2D:
         raise ValidationError(f"grid spacing {self.h:.4g} does not resolve l_m={l:.4g} (need h <= l_m/4)")
 
 
-def _deriv(grid: Grid2D, f: np.ndarray, axis: int) -> np.ndarray:
-    """Spectral derivative along x (axis -2 of a field), along y (axis -1) or of a 1-D factor (real f: real FFT).
+def _axis_ladder(grid: Grid2D, l_m, coord, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """[coord f / (2 l_m) - l_m df/dx] / sqrt(2) along the last axis of the real factors f, written into `out`.
 
-    The stack's factors are real; a complex f, a field of the spectral check route in ``tests/_fields.py``,
-    takes the complex FFT on ``grid.k``.
+    The raise P (or Q) of every stack factor, `coord` its shifted coordinate.
+    The derivative is a real FFT on ``grid.k_half``: the factors are real.
     """
-    if not np.iscomplexobj(f):
-        k = grid.k_half[:, None] if axis == -2 else grid.k_half
-        return np.fft.irfft(1j * k * np.fft.rfft(f, axis=axis), grid.points, axis=axis)
-    k = grid.k[:, None] if axis == -2 else grid.k
-    return np.fft.ifft(1j * k * np.fft.fft(f, axis=axis), axis=axis)
-
-
-def _axis_ladder(grid: Grid2D, l_m: float, sign: int, coord, f: np.ndarray, axis: int, out=None) -> np.ndarray:
-    """[coord f / (2 l_m) + sign l_m df/dcoord] / sqrt(2) along one axis of f, written into `out` when given.
-
-    The 1-D factor of every ladder operator, P f + i a Q f with P and Q this
-    factor along x and along y; `coord` is the coordinate of that axis,
-    possibly shifted, broadcast against f.
-    """
-    d = _deriv(grid, f, axis)
-    d *= sign * l_m
+    d = np.fft.irfft(1j * grid.k_half * np.fft.rfft(f), grid.points)
+    d *= -l_m
     d += np.multiply(0.5 / l_m * coord, f, out=out)  # `out` holds this term until the sum lands in it
-    return np.divide(d, math.sqrt(2.0), out=d if out is None else out)
+    return np.divide(d, math.sqrt(2.0), out=out)
 
 
 def _check_frame(edge: float, context: str) -> None:
@@ -251,7 +235,7 @@ def _stack(grid: Grid2D, config: PhysicalConfig, points, n: int, window: tuple[i
     R = np.empty((count, 2, size, grid.points))  # the real x and y factors of every point
     _gaussian(grid, l, shift, out=R[:, :, 0])
     for p in range(1, size):  # P (or Q) in the shifted coordinate
-        _axis_ladder(grid, l, -1, grid.x + shift, R[:, :, p - 1], -1, out=R[:, :, p])
+        _axis_ladder(grid, l, grid.x + shift, R[:, :, p - 1], R[:, :, p])
     C = np.where(sigma[:, None, None, None] > 0, _coefficients(1, n, m_lo, m_hi), _coefficients(-1, n, m_lo, m_hi))
     st = _Stack(grid, l_m, sigma, nu, R, rate, C)  # C per chirality
     gram = R @ R.swapaxes(-1, -2)  # U^H U and V^H V per point: the unit-modulus ramps drop out

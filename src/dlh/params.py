@@ -176,10 +176,6 @@ class RegimeReport:
     energy_threshold: float
     verdict: str  # "pass" | "warn"
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict == "pass"
-
 
 _MASS_THRESHOLD = 1e-6
 _ENERGY_THRESHOLD = 1e-20

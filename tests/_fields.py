@@ -6,8 +6,12 @@ ground Gaussian (:func:`build_state`), and displacement is an FFT translation
 times a phase ramp (:func:`displace_field`). :func:`window_states` forms the
 fields of one `dlh.oracle` stack, so the tests pin the shifted-coordinate
 stack against this route, and C2 reads grid energies from the Hamiltonians
-below. Like the oracle, this module takes nothing from the ladder algebra
-(`dlh.fock`, `dlh.displaced`) or the holonomy engine.
+below. The route shares no arithmetic with the stack: its Gaussian, its
+wavenumbers and derivatives, its ladders, its translation and its ramp are
+computed here. From `dlh.oracle` it takes only the grid, the stack and its
+ramp (to form the stack's fields) and the two field guards. Like the oracle,
+this module takes nothing from the ladder algebra (`dlh.fock`,
+`dlh.displaced`) or the holonomy engine.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dlh.errors import ValidationError, _check_count
-from dlh.oracle import Grid2D, _axis_ladder, _check_drift, _check_frame, _deriv, _displacement, _gaussian, _ramp, _stack
+from dlh.oracle import Grid2D, _check_drift, _check_frame, _ramp, _stack
 from dlh.params import DerivedScales, PhysicalConfig
 
 _NORM_TOL = 1e-6
@@ -45,18 +49,29 @@ def boundary_max(grid: Grid2D, f: np.ndarray) -> float:
     return float(max(np.max(np.abs(e)) for e in edges))
 
 
+def k(grid: Grid2D) -> np.ndarray:
+    """Wavenumbers of the complex FFT along either axis."""
+    return 2.0 * np.pi * np.fft.fftfreq(grid.points, d=grid.h)
+
+
+def deriv(grid: Grid2D, f: np.ndarray, axis: int) -> np.ndarray:
+    """Spectral derivative of f along any one of its axes, by the complex FFT."""
+    kk = k(grid).reshape((-1,) + (1,) * (f.ndim - 1 - axis % f.ndim))
+    return np.fft.ifft(1j * kk * np.fft.fft(f, axis=axis), axis=axis)
+
+
 def _ladder(grid: Grid2D, l_m: float, a: int, sign: int, f: np.ndarray) -> np.ndarray:
     """[(X + i a Y) f / (2 l_m) + sign l_m (d/dx + i a d/dy) f] / sqrt(2).
 
-    All four ladder operators have this form (a = +-sigma, sign = +-1). It is
-    P f + i a Q f, with P and Q the 1-D factor acting along x and along y.
+    All four ladder operators have this form (a = +-sigma, sign = +-1).
     """
-    return _axis_ladder(grid, l_m, sign, X(grid), f, -2) + 1j * a * _axis_ladder(grid, l_m, sign, Y(grid), f, -1)
+    position = (X(grid) + 1j * a * Y(grid)) * f / (2.0 * l_m)
+    return (position + sign * l_m * (deriv(grid, f, 0) + 1j * a * deriv(grid, f, 1))) / math.sqrt(2.0)
 
 
 def _translate(grid: Grid2D, f: np.ndarray, ax: float, ay: float) -> np.ndarray:
     """f(x + ax, y + ay) by spectral phase ramp (exact for band-limited f)."""
-    return np.fft.ifft2(np.fft.fft2(f) * np.outer(np.exp(1j * grid.k * ax), np.exp(1j * grid.k * ay)))
+    return np.fft.ifft2(np.fft.fft2(f) * np.outer(np.exp(1j * k(grid) * ax), np.exp(1j * k(grid) * ay)))
 
 
 @dataclass(frozen=True)
@@ -98,8 +113,8 @@ def ground_state(grid: Grid2D, l_m: float) -> WaveField:
     1/(l_m sqrt(2 pi))), which keeps the contract independent of that choice.
     """
     grid.check_adequate(l_m)
-    g = _gaussian(grid, l_m, 0.0)
-    return WaveField(grid=grid, values=np.outer(g, g).astype(complex), n=0, m=0, nu=0j, l_m=l_m)
+    g = np.exp(-(X(grid) ** 2 + Y(grid) ** 2) / (4.0 * l_m * l_m)).astype(complex)
+    return WaveField(grid=grid, values=g / norm(grid, g), n=0, m=0, nu=0j, l_m=l_m)
 
 
 def apply_level_raise(grid: Grid2D, l_m: float, sigma: int, f: np.ndarray) -> np.ndarray:
@@ -157,10 +172,9 @@ def displace_field(grid: Grid2D, scales: DerivedScales, field: WaveField) -> Wav
     nu, l = scales.nu, scales.l_m
     if nu == 0:
         return WaveField(grid=grid, values=field.values.copy(), n=field.n, m=field.m, nu=0j, l_m=l)
-    ax, ay, kx, ky = _displacement(l, scales.sigma, nu)
-    g = _translate(grid, field.values, ax, ay)
-    g *= np.exp(1j * kx * grid.x)[:, None]
-    g *= np.exp(1j * ky * grid.x)
+    r, s = math.sqrt(2.0) * l, scales.sigma
+    g = _translate(grid, field.values, r * nu.imag, -r * s * nu.real)
+    g *= np.exp(1j * (nu.real * X(grid) + s * nu.imag * Y(grid)) / r)
     g = _normalized(grid, g, f"displaced state (n={field.n}, m={field.m})")
     return WaveField(grid=grid, values=g, n=field.n, m=field.m, nu=nu, l_m=l)
 
@@ -184,7 +198,7 @@ def window_states(
 
 
 def apply_angular_momentum(grid: Grid2D, hbar: float, f: np.ndarray) -> np.ndarray:
-    return -1j * hbar * (X(grid) * _deriv(grid, f, -1) - Y(grid) * _deriv(grid, f, -2))
+    return -1j * hbar * (X(grid) * deriv(grid, f, 1) - Y(grid) * deriv(grid, f, 0))
 
 
 def apply_base_hamiltonian(grid: Grid2D, scales: DerivedScales, f: np.ndarray) -> np.ndarray:
@@ -197,7 +211,7 @@ def apply_base_hamiltonian(grid: Grid2D, scales: DerivedScales, f: np.ndarray) -
     """
     hw = scales.hbar * scales.omega
     l2 = scales.l_m * scales.l_m
-    kinetic = np.fft.ifft2(np.fft.fft2(f) * (0.5 * hw * l2 * (grid.k[:, None] ** 2 + grid.k ** 2)))
+    kinetic = np.fft.ifft2(np.fft.fft2(f) * (0.5 * hw * l2 * (k(grid)[:, None] ** 2 + k(grid) ** 2)))
     angular = -0.5 * scales.sigma * scales.omega * apply_angular_momentum(grid, scales.hbar, f)
     potential = (hw / (8.0 * l2)) * (X(grid) ** 2 + Y(grid) ** 2) * f
     return kinetic + angular + potential

@@ -326,7 +326,7 @@ def test_c10_holonomy_hygiene(cfg_natural):
     for loop in loops:
         fwd = holonomy_path_ordered(loop, sc.u, window=(0, 3), steps=512, target=None)
         worst_unitarity = max(worst_unitarity, fwd.unitarity_defect)
-        bwd = holonomy_path_ordered(loop.reversed(), sc.u, window=(0, 3), steps=512, target=None)
+        bwd = holonomy_path_ordered(ParameterPath(loop.vertices[::-1], kind=loop.kind), sc.u, window=(0, 3), steps=512, target=None)
         worst_reversal = max(
             worst_reversal, float(np.abs(bwd.matrix - fwd.matrix.conj().T).max())
         )

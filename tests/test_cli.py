@@ -433,6 +433,14 @@ _ESCAPING_INPUTS = {
     "derive_huge_field": (
         ["derive", "--config", "{}"], ("cfg.json", json.dumps({**_GOOD_CONFIG, "Ex_Vm": 1e308})), "Ex_prime = 1e+308"
     ),
+    "derive_config_int_past_float": (
+        ["derive", "--config", "{}"], ("cfg.json", json.dumps({**_GOOD_CONFIG, "Ey_Vm": 10**400})),
+        "config key 'Ey_Vm' is too large for a float",
+    ),
+    "derive_config_int_past_digit_limit": (
+        ["derive", "--config", "{}"], ("cfg.json", json.dumps(_GOOD_CONFIG).replace("0.7", "1" + "0" * 5000)),
+        "is not valid JSON",
+    ),
     "holonomy_huge_segment": (
         ["holonomy", "--vertices", "{}"], ("far.txt", "0 0 1 1\n1e308 1 1 1\n0 1 1 1\n0 0 1 1\n"), "segment 0"
     ),
@@ -886,6 +894,39 @@ def test_src_holds_only_what_dlh_or_the_benchmark_reaches():
             todo += reads(ref[0], defined[ref[0]][ref[1]])
     unreached = {(m, name) for m in defined for name in defined[m]} - reached
     assert unreached == {("__init__", "__version__")}
+
+
+def test_src_members_are_read_by_dlh_or_the_benchmark():
+    # Below the name level: every method and property of a src/dlh class
+    # (dunders aside) is read as an attribute by src/dlh outside its own
+    # definition, or by a benchmark file that reads dlh. Dataclass fields are
+    # out of scope, as asdict reads them. The match is by attribute name
+    # alone, whatever the receiver: a member named like an attribute read
+    # elsewhere (`.x`, `.size` of an array) passes unflagged.
+    import ast
+
+    root = Path(__file__).parents[1]
+    src = [ast.parse(path.read_text()) for path in (root / "src" / "dlh").glob("*.py")]
+    bench = [ast.parse((root / "perfbench" / f).read_text()) for f in ("workloads.py", "inputs.py", "reference.py")]
+
+    def reads(tree, skip=None) -> set:
+        """The attribute names that `tree` reads, outside the definition `skip`."""
+        out, todo = set(), [tree]
+        while todo:
+            node = todo.pop()
+            if node is not skip:
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    out.add(node.attr)
+                todo += ast.iter_child_nodes(node)
+        return out
+
+    members = [(cls.name, f) for tree in src for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for f in cls.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("__")]
+    assert ("Grid2D", "check_adequate") in {(c, f.name) for c, f in members}
+    benchmark = set().union(*map(reads, bench))
+    unread = [f"{c}.{f.name}" for c, f in members
+              if f.name not in benchmark and not any(f.name in reads(tree, skip=f) for tree in src)]
+    assert unread == []
 
 
 def test_oracle_check_at_a_strong_field(capsys, tmp_path):

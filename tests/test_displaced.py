@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -167,8 +168,10 @@ def test_displaced_state_dataclass_fields():
     basis = build_basis(12, 1)
     st = displaced_state(1, 1, 0.2j, basis)
     assert isinstance(st, DisplacedState)
-    assert (st.n, st.m, st.nu) == (1, 1, 0.2j)
+    # the result holds what it computed, not the (n, m, nu) it was called with
+    assert [f.name for f in fields(st)] == ["coefficients", "trunc_deficit"]
     assert st.coefficients.shape == (basis.size,)
+    assert {basis.labels(int(i))[1] for i in np.flatnonzero(st.coefficients)} == {1}  # placed at radial index m = 1
 
 
 def test_zero_displacement_is_identity():

@@ -30,7 +30,14 @@ from dlh.holonomy import (
     unordered_holonomy,
 )
 
+import _level
+
 EY, LAM, BB = (0.0, 1.0), (1.0, 4.0), (1.0, 4.0)
+
+
+def _reversed(path: ParameterPath) -> ParameterPath:
+    return ParameterPath(path.vertices[::-1], kind=path.kind)
+
 
 # the generic loop of acceptance check C9: Ex' engaged, so the field rotates
 # on every segment but the first
@@ -117,7 +124,7 @@ def test_rectangle_vertices_and_area():
     )
     assert np.array_equal(loop.vertices, want)
     assert signed_area(loop) == pytest.approx(0.5 * 2.0)
-    assert signed_area(loop.reversed()) == pytest.approx(-1.0)
+    assert signed_area(_reversed(loop)) == pytest.approx(-1.0)
     # rectangles off the field plane are plain custom paths
     other = rectangle_loop("lambda_density", "B", (1, 2), (1, 2), (0, 0, 1, 1))
     assert other.kind == "custom"
@@ -162,7 +169,7 @@ def test_box_loop_itineraries():
 
 def test_allocation_mirrors_under_reversal():
     for loop in (box_loop("ABCHEFA", EY, LAM, BB), C9_LOOP):
-        assert np.array_equal(loop.reversed()._allocation(97), loop._allocation(97)[::-1])
+        assert np.array_equal(_reversed(loop)._allocation(97), loop._allocation(97)[::-1])
 
 
 def test_nodes_tile_every_segment():
@@ -269,7 +276,7 @@ def test_reversal_gives_adjoint():
     u = 0.5
     loop = box_loop("ABCHEFA", EY, LAM, BB)
     fwd = holonomy_path_ordered(loop, u, window=(0, 2), steps=256, target=None)
-    bwd = holonomy_path_ordered(loop.reversed(), u, window=(0, 2), steps=256, target=None)
+    bwd = holonomy_path_ordered(_reversed(loop), u, window=(0, 2), steps=256, target=None)
     assert np.abs(bwd.matrix - fwd.matrix.conj().T).max() < 1e-12
 
 
@@ -297,7 +304,7 @@ def _spectrum_gap(A, B):
 @given(_polygon)
 def test_property_reversal_gives_adjoint_and_unitary(vertices):
     path = ParameterPath(vertices)
-    fwd, bwd = _holonomy(path), _holonomy(path.reversed())
+    fwd, bwd = _holonomy(path), _holonomy(_reversed(path))
     eye = np.eye(4)
     assert np.abs(fwd.conj().T @ fwd - eye).max() <= 1e-10
     assert np.abs(bwd.conj().T @ bwd - eye).max() <= 1e-10
@@ -574,6 +581,53 @@ def test_convergence_estimate_bounds_the_true_error(rotating_quadrilaterals):
         assert np.abs(res.matrix - ref).max() <= res.convergence_estimate <= 1e-9
 
 
+def _constant_polygons(axis: int):
+    """Ten random closed polygons at a constant Ex' (axis 0) or Ey' (axis 1), each with that constant and a scale u."""
+    rng = np.random.default_rng(17 + axis)
+    for _ in range(10):
+        k, e = int(rng.integers(3, 6)), rng.uniform(-1.5, 1.5)
+        plane = [np.full(k, e), rng.uniform(-1.0, 1.0, k)][:: 1 - 2 * axis]
+        corners = np.column_stack(plane + [rng.uniform(0.5, 3.0, (k, 2))])
+        yield ParameterPath(np.vstack([corners, corners[:1]])), e, float(rng.choice([0.5, 0.3]))
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["constant_ex", "constant_ey"])
+def test_level_reference_matches_the_closed_forms_at_constant_ex_or_ey(axis):
+    # at Ex' = e: Phi + chi = e w0 S / (8u^2) and Z = S / (4u), S the loop
+    # functional; at Ey' = e the quarter turn gives Phi + chi = -e w0 S_x / (8u^2)
+    # and Z = -i S_x / (4u), S_x the integral of w dEx' (the functional of the
+    # polygon with Ex' and Ey' swapped); w0 = (lambda B)^(-1/2) at the first vertex
+    for loop, e, u in _constant_polygons(axis):
+        ex, ey, lam, b = loop.vertices.T
+        w0 = (lam[0] * b[0]) ** -0.5
+        if axis == 0:
+            s = loop_area_integral(loop)
+            phase, z_want = e * w0 * s / (8 * u * u), s / (4 * u)
+        else:
+            s = loop_area_integral(ParameterPath(np.column_stack([ey, ex, lam, b])))
+            phase, z_want = -e * w0 * s / (8 * u * u), -1j * s / (4 * u)
+        phi, chi, z = _level.level(loop, u)
+        assert abs(phi + chi - phase) <= 1e-13 and abs(z - z_want) <= 1e-13
+        want = np.exp(1j * phase) * _displacement_block(1j * z_want, range(4), range(4))
+        assert np.abs(_level.level_block(loop, u) - want).max() <= 1e-13
+
+
+def test_level_reference_matches_the_padded_engine(rotating_quadrilaterals):
+    # the (0, 3) block of the engine's product on the padded window (0, 30)
+    for loop, _ in rotating_quadrilaterals:
+        res = holonomy_path_ordered(loop, 0.5, window=(0, 30), method="magnus", target=1e-11)
+        assert np.abs(res.matrix[:4, :4] - _level.level_block(loop, 0.5)).max() <= 1e-11
+
+
+def test_level_reference_matches_padded_dop853():
+    # DOP853 on the chain-rule connection, which shares no formula with the
+    # reference. (0, 8) is the smallest padding whose (0, 3) block has
+    # converged: the block of (0, 7) moves by 3.6e-11 at (0, 8), that of (0, 8)
+    # by 1.3e-13 at (0, 9); the block of (0, 3), the projected product, is 0.04 off
+    block = _dop853_holonomy(C9_LOOP, 0.5, (0, 8))[:4, :4]
+    assert np.abs(block - _level.level_block(C9_LOOP, 0.5)).max() <= 1e-11
+
+
 # the quarter turn (Ex', Ey') -> (-Ey', Ex') multiplies Ey' - i Ex' by i and
 # conjugates every generator by R = diag(i^m); the mirror Ey' -> -Ey' sends
 # each generator Theta to -conj(Theta); reversal inverts the product. The
@@ -601,7 +655,7 @@ def test_exact_symmetries_of_the_holonomy(route):
         assert np.abs(turned - right @ gamma @ right.conj().T).max() <= tol
         assert np.abs(turned - wrong @ gamma @ wrong.conj().T).max() > 1e-2
         assert np.abs(mirrored - gamma.conj()).max() <= tol
-        assert np.abs(holonomy(loop.reversed()) - gamma.conj().T).max() <= tol
+        assert np.abs(holonomy(_reversed(loop)) - gamma.conj().T).max() <= tol
 
 
 def _recorded_step_counts(monkeypatch):

@@ -238,20 +238,49 @@ _PIN_CASES = [
 ]
 
 
+def _spectral_route_gap(grid, cfg, lam, ex, ey, levels, window) -> float:
+    """Max |stack field - spectral route field| over the levels and window of one pin case."""
+    point = (ex, ey, lam, 1.0)
+    sc = derive_scales(cfg.at_point(*point))
+    gap = 0.0
+    for n in levels:
+        ws = window_states(grid, cfg, point, n, window)
+        assert [(w.n, w.m, w.nu) for w in ws] == [(n, m, sc.nu) for m in range(window[0], window[1] + 1)]
+        for w in ws:
+            ref = displace_field(grid, sc, build_state(grid, sc, n, w.m))
+            gap = max(gap, float(np.abs(w.values - ref.values).max()))
+    return gap
+
+
 @pytest.mark.parametrize("grid_name, lam, ex, ey, levels, window", _PIN_CASES)
 def test_window_states_match_spectral_route(request, cfg_desk, grid_name, lam, ex, ey, levels, window):
     # the shifted-coordinate construction against raises on the centred
     # Gaussian followed by the FFT translation and phase ramp
-    grid = request.getfixturevalue(grid_name)
-    point = (ex, ey, lam, 1.0)
-    sc = derive_scales(cfg_desk.at_point(*point))
+    sc = derive_scales(cfg_desk.at_point(ex, ey, lam, 1.0))
     assert sc.sigma == (1 if lam > 0 else -1) and abs(sc.nu) <= 2.45
-    for n in levels:
-        ws = window_states(grid, cfg_desk, point, n, window)
-        assert [(w.n, w.m, w.nu) for w in ws] == [(n, m, sc.nu) for m in range(window[0], window[1] + 1)]
-        for w in ws:
-            ref = displace_field(grid, sc, build_state(grid, sc, n, w.m))
-            assert np.abs(w.values - ref.values).max() <= 1e-9
+    assert _spectral_route_gap(request.getfixturevalue(grid_name), cfg_desk, lam, ex, ey, levels, window) <= 1e-9
+
+
+def _negated_ramp_rates(l_m, s, nu):
+    ax, ay, kx, ky = _REAL_DISPLACEMENT(l_m, s, nu)
+    return ax, ay, -kx, -ky
+
+
+def _gaussian_one_percent_wider(grid, l_m, a, out=None):
+    return _REAL_GAUSSIAN(grid, 1.01 * l_m, a, out)
+
+
+_REAL_DISPLACEMENT, _REAL_GAUSSIAN = oracle._displacement, oracle._gaussian
+# a slip in the stack's arithmetic, as the oracle function it replaces: the
+# spectral route computes its own Gaussian and displacement, so it sees both
+_STACK_MUTATIONS = {"_displacement": _negated_ramp_rates, "_gaussian": _gaussian_one_percent_wider}
+
+
+@pytest.mark.parametrize("name", _STACK_MUTATIONS)
+def test_the_spectral_route_fails_a_mutated_stack(request, monkeypatch, cfg_desk, name):
+    monkeypatch.setattr(oracle, name, _STACK_MUTATIONS[name])
+    gaps = (_spectral_route_gap(request.getfixturevalue(case[0]), cfg_desk, *case[1:]) for case in _PIN_CASES)
+    assert any(gap > 1e-9 for gap in gaps)
 
 
 @pytest.mark.parametrize("points, extent", [(64, 8.0), (100, 30.0), (128, 14.0), (256, 12.0), (257, 20.0)])
@@ -267,18 +296,23 @@ def test_ramp_from_two_tables_matches_the_direct_exponential(points, extent):
 @pytest.mark.parametrize("grid_name", ["grid12", "grid_coarse"])
 def test_real_factors_take_the_real_derivative(request, grid_name):
     # the real FFT drops the Nyquist term, the only term whose derivative is
-    # imaginary, so it matches the real part of the complex route
+    # imaginary, so it matches the real part of the spectral route's complex
+    # derivative; at coord 0 and l_m 1 the raise is -df/dx / sqrt(2) alone
     grid = request.getfixturevalue(grid_name)
     l, shift = np.array([[0.8], [1.0], [1.3]]), np.array([[-2.0], [0.0], [1.5]])
     powers = [oracle._gaussian(grid, l, shift)]
     for _ in range(5):
-        powers.append(oracle._axis_ladder(grid, l, -1, grid.x + shift, powers[-1], -1))
+        powers.append(oracle._axis_ladder(grid, l, grid.x + shift, powers[-1], np.empty_like(powers[-1])))
     field = np.outer(powers[2][1], powers[1][0])
-    for f, axis in [(p, -1) for p in powers] + [(field, -2), (field, -1)]:
+    for f in powers + [field, field.T.copy()]:  # a field along y, then along x
         assert f.dtype == np.float64
-        real, ref = oracle._deriv(grid, f, axis), oracle._deriv(grid, f.astype(complex), axis).real
+        real = -math.sqrt(2.0) * oracle._axis_ladder(grid, 1.0, 0.0, f, np.empty_like(f))
+        ref = _fields.deriv(grid, f.astype(complex), -1).real
         assert real.dtype == np.float64
         assert np.abs(real - ref).max() <= 1e-13 * np.abs(ref).max()
+    # the complex route takes any axis: along x of a field is along y of its transpose
+    along_x = _fields.deriv(grid, field.astype(complex), -2)
+    assert np.abs(along_x - _fields.deriv(grid, field.T.astype(complex), -1).T).max() <= 1e-14 * np.abs(along_x).max()
 
 
 def test_window_states_validation(grid_coarse, cfg_desk):
@@ -947,11 +981,16 @@ def test_oracle_is_independent_of_the_algebra():
         if isinstance(node, ast.Name) and node.id == "connection_matrix"
     }
     assert users == {"sign_convention_report"}
-    # the spectral route of the tests reads only the oracle, its argument checks and its scales
-    imported = set()
+    # the spectral route of the tests reads only the oracle, its argument checks and its scales;
+    # from the oracle, the grid, the stack and its ramp (to form the stack's fields) and the two
+    # field guards, so it shares no arithmetic with the stack
+    imported, from_oracle = set(), set()
     for node in ast.walk(ast.parse(open(_fields.__file__).read())):
         if isinstance(node, ast.ImportFrom):
             imported.add(node.module)
+            if node.module == "dlh.oracle":
+                from_oracle |= {a.name for a in node.names}
         elif isinstance(node, ast.Import):
             imported |= {a.name for a in node.names}
     assert {m for m in imported if m.split(".")[0] == "dlh"} == {"dlh.errors", "dlh.oracle", "dlh.params"}
+    assert from_oracle == {"Grid2D", "_stack", "_ramp", "_check_drift", "_check_frame"}

@@ -255,7 +255,7 @@ def test_regime_screening():
     )
     report = validate_regime(lab)
     assert report.mass_correction_ratio < 1e-6
-    assert report.ok
+    assert report.verdict == "pass"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ Eight subcommands cover the library surface:
     displace      displaced-state coefficients and truncation deficit
     connection    one connection component on an m-window, entry by entry
     phase         scalar loop functionals (in-plane rectangle or named box loop)
-    holonomy      path-ordered window holonomy with convergence diagnostics
+    holonomy      path-ordered window holonomy with convergence diagnostics,
+                  and the block of the whole level's holonomy
     oracle-check  grid cross-validation suite and sign-convention report
     sweep         Cartesian parameter studies of phase/holonomy diagnostics
 
@@ -477,6 +478,9 @@ def _cmd_holonomy(args) -> int:
     path, _ = _loop(vars(args), config)
     steps = _holonomy.DEFAULT_STEPS if args.steps is None else args.steps
     payload = _holonomy_payload(path, u, args.window, steps, None if args.target == 0.0 else args.target)
+    level = _holonomy.level_holonomy(path, u, args.window)
+    payload["level"] = {"Phi": level.Phi, "chi": level.chi, "abs_Z": abs(level.Z), "arg_Z": float(np.angle(level.Z)),
+                        "block": level.matrix, "leakage": level.leakage}
     labels = product(range(args.window[0], args.window[1] + 1), repeat=2)
     _emit(args, payload, table="matrix", index=(("row", "col"), labels))
     return 0

@@ -55,7 +55,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from ._linalg import _tree_product, unitarize
-from .connection import connection_matrix
+from .connection import abelian_curvature, connection_matrix
 from .errors import ValidationError, _check_count, _check_positive, _check_window, _floats
 from .holonomy import ParameterPath, _nodes, _runs, rectangle_loop
 from .params import CONTROL_PARAMS, PhysicalConfig, _check_param, _point_scales, derive_scales
@@ -387,8 +387,8 @@ def sign_convention_report(config: PhysicalConfig = OPERATING_CONFIG, grid: Grid
     gamma_measured = float(np.angle(wilson.matrix[0, 0]))
     area = side * side
     measured_curvature = gamma_measured / area
-    curvature_closed = 1.0 / (8.0 * u * u * lam * b)
-    area_law_coefficient = -1.0 / (16.0 * u * u * lam * b)
+    curvature_closed = abelian_curvature(point, u)
+    area_law_coefficient = -0.5 * curvature_closed  # -1/(16 u^2 lambda B): the denominators differ by an exact 2
 
     return {
         "operating_point": {"Ex_prime": ex, "Ey_prime": ey, "lambda_density": lam, "B": b, "u": u},

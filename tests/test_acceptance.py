@@ -7,6 +7,7 @@ rebuild reference quantities inline (explicit matrices, closed forms)
 instead of calling the library helper under test.
 """
 
+import json
 import math
 import time
 
@@ -33,6 +34,7 @@ from dlh.holonomy import (
     area_closed_form,
     box_loop,
     holonomy_path_ordered,
+    level_holonomy,
     loop_area_integral,
     rectangle_loop,
     unordered_holonomy,
@@ -47,6 +49,7 @@ from dlh.params import derive_scales
 
 from _algebra import commutator, dual_route_deviation, interior_indices, ladder_a, ladder_b
 from _fields import apply_base_hamiltonian, apply_uniform_field_hamiltonian, build_state, overlap, window_states
+from _ode import dop853_holonomy
 
 BOX_KINDS = ("ABCHEFA", "ABCHGFA", "ADCHEFA")
 EY, LAM, BB = (0.0, 1.0), (1.0, 4.0), (1.0, 4.0)
@@ -342,4 +345,48 @@ def test_c10_holonomy_hygiene(cfg_natural):
         f"ACCEPTANCE C10 PASS: unitarity defect <= {worst_unitarity:.3e} (tol 1e-8), "
         f"path reversal gives the adjoint to {worst_reversal:.3e} (tol 1e-7), "
         "convergence monotone over three step-halving refinements on all loops"
+    )
+
+
+def test_c11_level_holonomy(capsys):
+    t0 = time.perf_counter()
+    # C9's generic loop: the (0, 3) block of the whole level against DOP853 on
+    # the chain-rule connection, on the padded window (0, 8)
+    c9 = ParameterPath(
+        np.array(
+            [
+                [0.0, 0.0, 1.0, 1.0],
+                [0.6, 0.2, 1.0, 1.0],
+                [0.6, 0.9, 2.0, 1.0],
+                [0.2, 0.9, 2.0, 2.0],
+                [0.0, 0.0, 1.0, 1.0],
+            ]
+        )
+    )
+    dev_dop853 = float(np.abs(level_holonomy(c9, 0.5).matrix - dop853_holonomy(c9, 0.5, (0, 8))[:4, :4]).max())
+    # ABCHEFA at Ex' = 0.5, u = 0.5: every segment is exact, yet chi != 0; by
+    # hand, Phi = -15/128, chi = -9/128 and Z = S / (4u) = -3/8
+    box = level_holonomy(box_loop("ABCHEFA", EY, LAM, BB, ex=0.5), 0.5)
+    dev_box = max(abs(box.Phi + 0.1171875), abs(box.chi + 0.0703125), abs(box.Z + 0.375))
+    # `dlh holonomy --named ABCHEFA` (Ex' = 0): `matrix` is the product projected
+    # on the window (0, 3), exp(i (S / 4u) T) on four levels, and `level.block`
+    # the (0, 3) block of exp(i (S / 4u) (L + L^T)) on a ladder of 31 levels
+    assert cli_main(["holonomy", "--named", "ABCHEFA", "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    matrix, block = (np.array(x) @ np.array([1.0, 1j]) for x in (out["matrix"], out["level"]["block"]))
+    angle = area_closed_form("ABCHEFA", EY, LAM, BB) / (4.0 * out["u"])
+    L = np.diag(np.sqrt(np.arange(1.0, 31.0)), -1)
+    dev_projected = float(np.abs(matrix - scipy.linalg.expm(1j * angle * (L + L.T)[:4, :4])).max())
+    dev_level = float(np.abs(block - scipy.linalg.expm(1j * angle * (L + L.T))[:4, :4]).max())
+    gap = float(np.abs(matrix - block).max())
+    elapsed = time.perf_counter() - t0
+    assert dev_dop853 <= 1e-11
+    assert dev_box <= 1e-13
+    assert dev_projected <= 1e-12 and dev_level <= 1e-12
+    assert gap > 0.1
+    print(
+        f"ACCEPTANCE C11 PASS: level block vs padded DOP853 on C9's loop {dev_dop853:.3e} (tol 1e-11); "
+        f"ABCHEFA at Ex' = 0.5 (Phi, chi, Z) within {dev_box:.3e} of (-15/128, -9/128, -3/8) (tol 1e-13); "
+        f"`dlh holonomy --named ABCHEFA` matrix and level block each within {max(dev_projected, dev_level):.3e} "
+        f"of their expm (tol 1e-12) and {gap:.3f} apart (> 0.1), in {elapsed:.2f} s"
     )

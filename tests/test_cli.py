@@ -721,16 +721,16 @@ def test_the_dlh_script_is_the_main_block_entry():
 # the dlh modules each subcommand may load, beyond dlh and dlh.cli
 _SCALES = {"params", "errors"}
 _STATES = _SCALES | {"fock", "displaced", "_linalg"}
-_LOOPS = _STATES | {"connection", "holonomy"}
+_LOOPS = _SCALES | {"_linalg", "connection", "holonomy"}
 _FOOTPRINTS = {
     ("spectrum",): _SCALES,
     ("derive",): _STATES,
     ("displace", "--n-max", "4"): _STATES,
     ("connection", "--param", "B"): _STATES | {"connection"},
     ("phase", "--named", "C1"): _LOOPS,
-    ("holonomy", "--named", "ABCHEFA"): _LOOPS,
+    ("holonomy", "--named", "ABCHEFA"): _LOOPS | _STATES,  # the level's block is a window of D(i Z)
     ("sweep", "--named", "C1", "--sweep", "area=1,2"): _LOOPS,
-    ("oracle-check", "--grid-points", "128"): _LOOPS | {"oracle"},
+    ("oracle-check", "--grid-points", "128"): _LOOPS | _STATES | {"oracle"},
 }
 _PROBES = {
     "import dlh": "import dlh",

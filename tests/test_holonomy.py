@@ -1,4 +1,3 @@
-import functools
 import math
 import subprocess
 import sys
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dlh.holonomy as hol
-from dlh import connection
 from dlh._linalg import _ladder, _span_basis, _span_exp, _span_table
 from dlh.connection import _generator_scalars, _generators
 from dlh.displaced import _displacement_block
@@ -31,6 +29,7 @@ from dlh.holonomy import (
 )
 
 import _level
+from _ode import dop853_holonomy
 
 EY, LAM, BB = (0.0, 1.0), (1.0, 4.0), (1.0, 4.0)
 
@@ -270,14 +269,6 @@ def test_box_level_at_constant_ex_is_a_phase_times_a_displacement(kind):
         loop = box_loop(kind, EY, LAM, BB, ex=0.5)
         phi = hol._segment_integrals(loop.vertices[:-1], loop.vertices[1:], 0.5)[0].sum()
         assert s == -0.75 and abs(phi - -0.1171875) <= 1e-15  # chi = -0.0703125
-
-
-def test_reversal_gives_adjoint():
-    u = 0.5
-    loop = box_loop("ABCHEFA", EY, LAM, BB)
-    fwd = holonomy_path_ordered(loop, u, window=(0, 2), steps=256, target=None)
-    bwd = holonomy_path_ordered(_reversed(loop), u, window=(0, 2), steps=256, target=None)
-    assert np.abs(bwd.matrix - fwd.matrix.conj().T).max() < 1e-12
 
 
 # random closed polygons in (Ex', Ey', lambda, B); the properties below hold
@@ -524,32 +515,6 @@ def _magnus4_product(path, u, window, steps):
     return U
 
 
-def _dop853_holonomy(path, u, window):
-    """dU/ds = i A(x(s)) x'(s) U by DOP853, with A from the chain-rule connection entries."""
-    from scipy.integrate import solve_ivp
-
-    m_lo, m_hi = window
-    size = m_hi - m_lo + 1
-
-    def generator(point, step):
-        out = np.zeros((size, size), dtype=complex)
-        for param, d in zip(connection.CONTROL_PARAMS, step):
-            for i in range(size):
-                for j in range(max(0, i - 1), min(size, i + 2)):
-                    out[i, j] += d * connection.connection_general(param, point, u, 0, m_lo + i, m_lo + j)
-        return out
-
-    U = np.eye(size, dtype=complex)
-    for a, b in zip(path.vertices[:-1], path.vertices[1:]):
-        def rhs(s, y, a=a, step=b - a):
-            return (1j * generator(a + s * step, step) @ y.reshape(size, size)).ravel()
-
-        sol = solve_ivp(rhs, (0.0, 1.0), U.ravel(), method="DOP853", rtol=1e-12, atol=1e-14)
-        assert sol.success, sol.message
-        U = sol.y[:, -1].reshape(size, size)
-    return U
-
-
 @pytest.fixture(scope="module")
 def rotating_quadrilaterals():
     """Three random quadrilaterals with Ex' varying, so the field rotates on every segment."""
@@ -558,7 +523,7 @@ def rotating_quadrilaterals():
     for _ in range(3):
         corners = np.column_stack([rng.uniform(-0.75, 0.75, (4, 2)), rng.uniform(1.0, 4.0, (4, 2))])
         loop = ParameterPath(np.vstack([corners, corners[:1]]))
-        loops.append((loop, _dop853_holonomy(loop, 0.5, (0, 3))))
+        loops.append((loop, dop853_holonomy(loop, 0.5, (0, 3))))
     return loops
 
 
@@ -619,43 +584,30 @@ def test_level_reference_matches_the_padded_engine(rotating_quadrilaterals):
         assert np.abs(res.matrix[:4, :4] - _level.level_block(loop, 0.5)).max() <= 1e-11
 
 
-def test_level_reference_matches_padded_dop853():
+def test_level_reference_matches_padded_dop853(rotating_quadrilaterals):
     # DOP853 on the chain-rule connection, which shares no formula with the
-    # reference. (0, 8) is the smallest padding whose (0, 3) block has
-    # converged: the block of (0, 7) moves by 3.6e-11 at (0, 8), that of (0, 8)
-    # by 1.3e-13 at (0, 9); the block of (0, 3), the projected product, is 0.04 off
-    block = _dop853_holonomy(C9_LOOP, 0.5, (0, 8))[:4, :4]
-    assert np.abs(block - _level.level_block(C9_LOOP, 0.5)).max() <= 1e-11
+    # reference or with level_holonomy. On C9's loop (0, 8) is the smallest
+    # padding whose (0, 3) block has converged: the block of (0, 7) moves by
+    # 3.6e-11 at (0, 8), that of (0, 8) by 1.3e-13 at (0, 9); the block of
+    # (0, 3), the projected product, is 0.04 off. The padding needed grows with
+    # |Z(t)| along the loop: the third constant-Ex' polygon is within 1.3e-12 at
+    # (0, 8), while the first, second and fourth still move by 1.8e-5, 1.3e-6 and 7e-9
+    constant_ex = list(_constant_polygons(0))[2]
+    for loop, u in [(C9_LOOP, 0.5), (rotating_quadrilaterals[1][0], 0.5), (constant_ex[0], constant_ex[2])]:
+        block = dop853_holonomy(loop, u, (0, 8))[:4, :4]
+        assert np.abs(block - _level.level_block(loop, u)).max() <= 1e-11
+        assert np.abs(block - hol.level_holonomy(loop, u).matrix).max() <= 1e-11
 
 
-# the quarter turn (Ex', Ey') -> (-Ey', Ex') multiplies Ey' - i Ex' by i and
-# conjugates every generator by R = diag(i^m); the mirror Ey' -> -Ey' sends
-# each generator Theta to -conj(Theta); reversal inverts the product. The
-# fields are strong enough that a wrong R misses by far more than rounding;
-# the box loop off Ex' = 0 has only exact segments under "auto"
-_HOLONOMY_ROUTES = {
-    "auto": (lambda loop: holonomy_path_ordered(loop, 0.5, steps=256, target=None).matrix, 1e-12),
-    "magnus": (lambda loop: holonomy_path_ordered(loop, 0.5, steps=256, target=None, method="magnus").matrix, 1e-12),
-    "unordered": (lambda loop: unordered_holonomy(loop, 0.5), 1e-14),
-}
-
-
-@pytest.mark.parametrize("route", _HOLONOMY_ROUTES)
-def test_exact_symmetries_of_the_holonomy(route):
-    holonomy, tol = _HOLONOMY_ROUTES[route]
-    right, wrong = np.diag(1j ** np.arange(4)), np.diag((-1j) ** np.arange(4))
-    rng = np.random.default_rng(7)
-    corners = [np.column_stack([rng.uniform(-1.5, 1.5, (4, 2)), rng.uniform(0.5, 2.0, (4, 2))]) for _ in range(3)]
-    loops = [ParameterPath(np.vstack([c, c[:1]])) for c in corners]
-    for loop in loops + [box_loop("ABCHEFA", (-0.6, 1.2), (0.6, 1.8), (0.7, 1.5), ex=0.5)]:
-        ex, ey, lam, b = loop.vertices.T
-        gamma = holonomy(loop)
-        turned = holonomy(ParameterPath(np.column_stack([-ey, ex, lam, b])))
-        mirrored = holonomy(ParameterPath(np.column_stack([ex, -ey, lam, b])))
-        assert np.abs(turned - right @ gamma @ right.conj().T).max() <= tol
-        assert np.abs(turned - wrong @ gamma @ wrong.conj().T).max() > 1e-2
-        assert np.abs(mirrored - gamma.conj()).max() <= tol
-        assert np.abs(holonomy(_reversed(loop)) - gamma.conj().T).max() <= tol
+@_PROPERTY
+@given(_polygon, st.sampled_from((0.5, 0.3)))
+def test_level_holonomy_matches_the_reference(vertices, u):
+    # the spectral integral of Im(zeta conj(Z(t))) at the engine's Gauss nodes
+    # against the reference's closed form per segment
+    path = ParameterPath(vertices)
+    level, (phi, chi, z) = hol.level_holonomy(path, u), _level.level(path, u)
+    assert max(abs(level.Phi - phi), abs(level.chi - chi), abs(level.Z - z)) <= 1e-13
+    assert np.abs(level.matrix - _level.level_block(path, u)).max() <= 1e-13
 
 
 def _recorded_step_counts(monkeypatch):
@@ -701,10 +653,9 @@ def _rotating_polygon(sides):
     )
 
 
-@functools.cache
 def _rotating_polygon_reference(sides):
     loop = _rotating_polygon(sides)
-    return loop, _dop853_holonomy(loop, 0.5, (0, 3))
+    return loop, dop853_holonomy(loop, 0.5, (0, 3))
 
 
 @pytest.mark.parametrize("sides", [24, 64])
@@ -728,14 +679,9 @@ def _difference(loop, counts, method="auto"):
     return np.abs(fine - coarse).max()
 
 
-@functools.cache
-def _dop853_c9():
-    return _dop853_holonomy(C9_LOOP, 0.5, (0, 3))
-
-
 @pytest.mark.parametrize("target", [1e-7, 1e-8, 1e-9, 1e-10])
 def test_estimate_bounds_the_returned_products_error(rotating_quadrilaterals, target):
-    loops = [(C9_LOOP, _dop853_c9())] + list(rotating_quadrilaterals)
+    loops = [(C9_LOOP, dop853_holonomy(C9_LOOP, 0.5, (0, 3)))] + list(rotating_quadrilaterals)
     loops += [_rotating_polygon_reference(sides) for sides in (24, 64)]
     for loop, ref in loops:
         res = holonomy_path_ordered(loop, 0.5, target=target)
@@ -750,7 +696,7 @@ def test_estimate_halves_the_steps_of_the_raw_difference_rule():
         counts, steps = 2 * counts, 2 * steps
     res = holonomy_path_ordered(C9_LOOP, 0.5, target=1e-8)
     assert res.steps == steps // 2
-    assert np.abs(res.matrix - _dop853_c9()).max() <= res.convergence_estimate <= 1e-8
+    assert np.abs(res.matrix - dop853_holonomy(C9_LOOP, 0.5, (0, 3))).max() <= res.convergence_estimate <= 1e-8
 
 
 def test_extrapolated_error_rule():

@@ -672,9 +672,10 @@ def test_wilson_validation(grid12, cfg_natural):
 
 
 # quadrilaterals through all four parameters, 16 links a side, whose holonomy
-# is not diagonal; the quarter turn and the mirror map the 256-point square
-# grid onto itself and reversal reverses the links, so each relation holds to
-# rounding, with no discretization error
+# is not diagonal: the Wilson column of the relation table in
+# tests/test_relations.py. The quarter turn and the mirror map the 256-point
+# square grid onto itself and reversal reverses the links, so each relation
+# holds to rounding, with no discretization error
 _SYMMETRY_LOOPS = [
     [(0.1, 0.2, 1.0, 1.0), (0.5, 0.1, 1.2, 1.0), (0.6, 0.5, 1.2, 1.2), (0.2, 0.6, 1.0, 1.2)],
     [(-0.3, 0.4, 1.2, 0.9), (0.2, -0.2, 1.0, 1.1), (0.7, 0.3, 1.3, 1.0), (0.1, 0.9, 1.1, 1.2)],
@@ -701,65 +702,6 @@ def test_symmetry_loops_match_the_engine(grid12, cfg_natural, loop):
     gamma = _wilson_of(grid12, cfg_natural, vertices)
     assert np.abs(gamma - exact).max() <= 1e-4
     assert np.abs(gamma - np.diag(np.diag(gamma))).max() > 1e-2
-
-
-@pytest.mark.parametrize("loop", range(len(_SYMMETRY_LOOPS)))
-def test_wilson_loop_quarter_turn(grid12, cfg_natural, loop):
-    # (Ex', Ey') -> (-Ey', Ex') multiplies Ey' - i Ex' by i: Gamma -> R Gamma R^dag, R = diag(i^m)
-    vertices = _SYMMETRY_LOOPS[loop]
-    gamma = _wilson_of(grid12, cfg_natural, vertices)
-    turned = _wilson_of(grid12, cfg_natural, [(-ey, ex, lam, b) for ex, ey, lam, b in vertices])
-    right, wrong = np.diag([1.0, 1j]), np.diag([1.0, -1j])
-    assert np.abs(turned - right @ gamma @ right.conj().T).max() <= 1e-12
-    assert np.abs(turned - wrong @ gamma @ wrong.conj().T).max() > 1e-3
-
-
-@pytest.mark.parametrize("loop", range(len(_SYMMETRY_LOOPS)))
-def test_wilson_loop_mirror(grid12, cfg_natural, loop):
-    # Ey' -> -Ey' sends each generator Theta to -conj(Theta): Gamma -> conj(Gamma)
-    vertices = _SYMMETRY_LOOPS[loop]
-    gamma = _wilson_of(grid12, cfg_natural, vertices)
-    mirrored = _wilson_of(grid12, cfg_natural, [(ex, -ey, lam, b) for ex, ey, lam, b in vertices])
-    assert np.abs(mirrored - gamma.conj()).max() <= 1e-12
-    assert np.abs(gamma - gamma.conj()).max() > 1e-3
-
-
-@pytest.mark.parametrize("loop", range(len(_SYMMETRY_LOOPS)))
-def test_wilson_loop_reversal(grid12, cfg_natural, loop):
-    # the same loop from the same vertex, the other way round: Gamma -> Gamma^dag
-    vertices = _SYMMETRY_LOOPS[loop]
-    gamma = _wilson_of(grid12, cfg_natural, vertices)
-    reversed_ = _wilson_of(grid12, cfg_natural, vertices[:1] + vertices[:0:-1])
-    assert np.abs(reversed_ - gamma.conj().T).max() <= 1e-12
-    assert np.abs(gamma - gamma.conj().T).max() > 1e-3
-
-
-# the quarter turn Q: (Ex', Ey') -> (-Ey', Ex') multiplies Ey' - i Ex' by i, so
-# A_k(Qp) = sign R A_j(p) R^dag with R = diag(i^m), for (k, (j, sign)) below;
-# the mirror M: Ey' -> -Ey' gives A_k(Mp) = sign conj(A_k(p))
-_QUARTER_TURN = {"Ex_prime": ("Ey_prime", -1), "Ey_prime": ("Ex_prime", 1),
-                 "lambda_density": ("lambda_density", 1), "B": ("B", 1)}
-_MIRROR = {"Ex_prime": -1, "Ey_prime": 1, "lambda_density": -1, "B": -1}
-
-
-@pytest.mark.parametrize("route, tol", [("closed_form", 1e-15), ("fd", 1e-11)])
-@pytest.mark.parametrize("point", [(0.3, 0.7, 2.0, 1.0), (-0.4, 0.25, 1.5, 1.2)])
-def test_connection_quarter_turn_and_mirror(grid12, cfg_desk, route, tol, point):
-    u = derive_scales(cfg_desk).u
-
-    def connection(p):
-        if route == "closed_form":
-            return {k: connection_matrix(k, p, u, 0, (0, 3)).entries for k in CONTROL_PARAMS}
-        return {k: fd_connection_matrix(grid12, cfg_desk, k, p, 0, (0, 3)) for k in CONTROL_PARAMS}
-
-    ex, ey, lam, b = point
-    at_p, at_q, at_m = connection(point), connection((-ey, ex, lam, b)), connection((ex, -ey, lam, b))
-    right, wrong = np.diag(1j ** np.arange(4)), np.diag((-1j) ** np.arange(4))
-    for k, (j, sign) in _QUARTER_TURN.items():
-        assert np.abs(at_q[k] - sign * right @ at_p[j] @ right.conj().T).max() <= tol
-        assert np.abs(at_m[k] - _MIRROR[k] * at_p[k].conj()).max() <= tol
-    for k in ("lambda_density", "B"):
-        assert np.abs(at_q[k] - wrong @ at_p[k] @ wrong.conj().T).max() > 1e-2
 
 
 _RECTANGLE = [(0, 0, 1, 1), (0.3, 0, 1, 1), (0.3, 0.4, 1, 1), (0, 0.4, 1, 1), (0, 0, 1, 1)]
@@ -971,14 +913,14 @@ def test_oracle_is_independent_of_the_algebra():
             assert module not in forbidden
             assert not {f"{module}.{n}" for n in names} & (forbidden | {"dlh.connection", "dlh.holonomy"})
             if module == "dlh.connection":
-                assert names == {"connection_matrix"}
+                assert names == {"connection_matrix", "abelian_curvature"}
             if module == "dlh.holonomy":
                 assert names <= {"ParameterPath", "rectangle_loop", "_runs", "_nodes"}
     users = {
         getattr(stmt, "name", type(stmt).__name__)
         for stmt in tree.body
         for node in ast.walk(stmt)
-        if isinstance(node, ast.Name) and node.id == "connection_matrix"
+        if isinstance(node, ast.Name) and node.id in ("connection_matrix", "abelian_curvature")
     }
     assert users == {"sign_convention_report"}
     # the spectral route of the tests reads only the oracle, its argument checks and its scales;

@@ -412,7 +412,8 @@ def _cmd_connection(args) -> int:
         "u": scales.u,
         "matrix": mat.entries,
     }
-    _emit(args, payload, table="matrix", index=(("row", "col"), product(mat.window, repeat=2)))
+    labels = product(range(args.window[0], args.window[1] + 1), repeat=2)
+    _emit(args, payload, table="matrix", index=(("row", "col"), labels))
     return 0
 
 

@@ -157,21 +157,14 @@ def connection_general(
 
 @dataclass(frozen=True)
 class ConnectionMatrix:
-    """Connection component on the window m_lo..m_hi.
+    """Connection component on the window (m_lo, m_hi) that :func:`connection_matrix` was called with.
 
-    entries[i, j] = A_{(m_lo+i),(m_lo+j)} of the parameter and point that
-    :func:`connection_matrix` was called with; Hermitian and tridiagonal by
-    construction (the in-plane components are diagonal). The entries do not
-    depend on the level n.
+    entries[i, j] = A_{(m_lo+i),(m_lo+j)} of its parameter and point;
+    Hermitian and tridiagonal by construction (the in-plane components are
+    diagonal). The entries do not depend on the level n.
     """
 
-    m_lo: int
-    m_hi: int
     entries: np.ndarray
-
-    @property
-    def window(self) -> range:
-        return range(self.m_lo, self.m_hi + 1)
 
 
 def connection_matrix(
@@ -190,7 +183,7 @@ def connection_matrix(
     _check_scales([p[2:]], u)
     step = np.eye(4)[CONTROL_PARAMS.index(param)]
     A = _generators(*_generator_scalars(p, step, u), _ladder((m_lo, m_hi)))
-    return ConnectionMatrix(m_lo=m_lo, m_hi=m_hi, entries=A)
+    return ConnectionMatrix(entries=A)
 
 
 def chain_rule_consistency(point, u: float, n: int, window: tuple[int, int]) -> dict[str, float]:

@@ -179,15 +179,12 @@ class _Stack:
     """K displaced m-windows from real powers and ramp rates: ramps enter overlaps only as relative phases."""
 
     grid: Grid2D
-    l_m: np.ndarray  # (K,): the scales of each point
-    sigma: np.ndarray
-    nu: np.ndarray
     R: np.ndarray  # (K, 2, size, N), real: row R[k, a, p] is P^p g (a = 0) or Q^p g (a = 1), U^T and V^T without ramps
     rate: np.ndarray  # (K, 2, 1): the ramp rates along x and y
     C: np.ndarray
 
     def __getitem__(self, idx) -> _Stack:
-        return _Stack(self.grid, *(a[idx] for a in (self.l_m, self.sigma, self.nu, self.R, self.rate, self.C)))
+        return _Stack(self.grid, *(a[idx] for a in (self.R, self.rate, self.C)))
 
 
 def _overlaps(bras: _Stack, kets: _Stack, gram=None) -> np.ndarray:
@@ -237,7 +234,7 @@ def _stack(grid: Grid2D, config: PhysicalConfig, points, n: int, window: tuple[i
     for p in range(1, size):  # P (or Q) in the shifted coordinate
         _axis_ladder(grid, l, grid.x + shift, R[:, :, p - 1], R[:, :, p])
     C = np.where(sigma[:, None, None, None] > 0, _coefficients(1, n, m_lo, m_hi), _coefficients(-1, n, m_lo, m_hi))
-    st = _Stack(grid, l_m, sigma, nu, R, rate, C)  # C per chirality
+    st = _Stack(grid, R, rate, C)  # C per chirality
     gram = R @ R.swapaxes(-1, -2)  # U^H U and V^H V per point: the unit-modulus ramps drop out
     norms = np.sqrt(np.diagonal(_overlaps(st, st, gram), axis1=1, axis2=2).real)  # (K, m-count)
     # |edge rows| = |ends[0] V^T|, |edge columns| = |ends[1] U^T|. Cauchy-Schwarz, max_y |V_yq| <= ||V_q||, bounds them:

@@ -23,7 +23,7 @@ import numpy as np
 
 from dlh.errors import ValidationError, _check_count
 from dlh.oracle import Grid2D, _check_drift, _check_frame, _ramp, _stack
-from dlh.params import DerivedScales, PhysicalConfig
+from dlh.params import DerivedScales, PhysicalConfig, derive_scales
 
 _NORM_TOL = 1e-6
 
@@ -192,9 +192,9 @@ def window_states(
     Gaussian (the docstring of `dlh.oracle`).
     """
     st = _stack(grid, config, [point], n, window)
-    nu, l = complex(st.nu[0]), float(st.l_m[0])
+    sc = derive_scales(config.at_point(*point))
     U, V = _ramp(grid, st.rate[0])[:, None] * st.R[0]  # F^T: the one place the factors are formed
-    return [WaveField(grid=grid, values=f, n=n, m=window[0] + i, nu=nu, l_m=l) for i, f in enumerate(U.T @ st.C[0] @ V)]
+    return [WaveField(grid=grid, values=f, n=n, m=window[0] + i, nu=sc.nu, l_m=sc.l_m) for i, f in enumerate(U.T @ st.C[0] @ V)]
 
 
 def apply_angular_momentum(grid: Grid2D, hbar: float, f: np.ndarray) -> np.ndarray:

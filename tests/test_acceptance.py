@@ -53,6 +53,16 @@ from _ode import dop853_holonomy
 
 BOX_KINDS = ("ABCHEFA", "ABCHGFA", "ADCHEFA")
 EY, LAM, BB = (0.0, 1.0), (1.0, 4.0), (1.0, 4.0)
+# C9's generic loop: Ex' engaged, so the field rotates on every segment but the first
+C9_VERTICES = np.array(
+    [
+        [0.0, 0.0, 1.0, 1.0],
+        [0.6, 0.2, 1.0, 1.0],
+        [0.6, 0.9, 2.0, 1.0],
+        [0.2, 0.9, 2.0, 2.0],
+        [0.0, 0.0, 1.0, 1.0],
+    ]
+)
 
 
 def test_c01_ladder_algebra_interior(cfg_desk):
@@ -282,17 +292,8 @@ def test_c08_area_formulas(rng):
 
 def test_c09_noncommutativity(cfg_desk):
     sc = derive_scales(cfg_desk)
-    verts = np.array(
-        [
-            [0.0, 0.0, 1.0, 1.0],
-            [0.6, 0.2, 1.0, 1.0],
-            [0.6, 0.9, 2.0, 1.0],
-            [0.2, 0.9, 2.0, 2.0],
-            [0.0, 0.0, 1.0, 1.0],
-        ]
-    )
-    generic = ParameterPath(verts)
-    flat = ParameterPath(np.column_stack([np.zeros(len(verts)), verts[:, 1:]]))
+    generic = ParameterPath(C9_VERTICES)
+    flat = ParameterPath(np.column_stack([np.zeros(len(C9_VERTICES)), C9_VERTICES[:, 1:]]))
 
     def defect(loop):
         # the ordered product, unrefined at 1024 steps, against the step-free unordered exponential
@@ -312,19 +313,7 @@ def test_c10_holonomy_hygiene(cfg_natural):
     sc = derive_scales(cfg_natural)
     loops = [box_loop(kind, EY, LAM, BB) for kind in BOX_KINDS]
     # a loop engaging all four parameters, so the product is genuinely ordered
-    loops.append(
-        ParameterPath(
-            np.array(
-                [
-                    [0.0, 0.0, 1.0, 1.0],
-                    [0.6, 0.2, 1.0, 1.0],
-                    [0.6, 0.9, 2.0, 1.0],
-                    [0.2, 0.9, 2.0, 2.0],
-                    [0.0, 0.0, 1.0, 1.0],
-                ]
-            )
-        )
-    )
+    loops.append(ParameterPath(C9_VERTICES))
     worst_unitarity = worst_reversal = 0.0
     for loop in loops:
         fwd = holonomy_path_ordered(loop, sc.u, window=(0, 3), steps=512, target=None)
@@ -352,17 +341,7 @@ def test_c11_level_holonomy(capsys):
     t0 = time.perf_counter()
     # C9's generic loop: the (0, 3) block of the whole level against DOP853 on
     # the chain-rule connection, on the padded window (0, 8)
-    c9 = ParameterPath(
-        np.array(
-            [
-                [0.0, 0.0, 1.0, 1.0],
-                [0.6, 0.2, 1.0, 1.0],
-                [0.6, 0.9, 2.0, 1.0],
-                [0.2, 0.9, 2.0, 2.0],
-                [0.0, 0.0, 1.0, 1.0],
-            ]
-        )
-    )
+    c9 = ParameterPath(C9_VERTICES)
     dev_dop853 = float(np.abs(level_holonomy(c9, 0.5).matrix - dop853_holonomy(c9, 0.5, (0, 8))[:4, :4]).max())
     # ABCHEFA at Ex' = 0.5, u = 0.5: every segment is exact, yet chi != 0; by
     # hand, Phi = -15/128, chi = -9/128 and Z = S / (4u) = -3/8

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from dlh.cli import main
-from dlh.errors import ConsistencyError, ConvergenceError, ValidationError
+from dlh.errors import ConsistencyError, ConvergenceError
+
+from test_refusals import refusal_test
 
 
 def run_cli(capsys, *argv):
@@ -107,11 +109,7 @@ def test_displace_json_and_csv(capsys):
     assert lines[0] == "n,m,re,im"
 
 
-@pytest.mark.parametrize("nu", [("--nu-re", "nan"), ("--nu-im=-inf",), ("--nu-re", "inf", "--nu-im", "0.1")])
-def test_displace_refuses_a_non_finite_nu(capsys, nu):
-    rc, out, err = run_cli(capsys, "displace", *nu)
-    assert (rc, out) == (2, "")
-    assert "nu must be finite" in err
+test_displace_refuses_a_non_finite_nu = refusal_test("test_displace_refuses_a_non_finite_nu")
 
 
 # stdout of `displace --n-max 4 --m-max 1 --nu-re 0.5 --nu-im -0.2 --format csv`,
@@ -248,22 +246,9 @@ def test_vertices_file(capsys, tmp_path):
     payload = json.loads(out)
     # planar custom loop gets the abelian treatment
     assert payload["signed_area"] == pytest.approx(0.25)
-    rc, _, err = run_cli(capsys, "holonomy", "--vertices", str(vf), "--named", "C1")
-    assert rc == 2 and "mutually exclusive" in err
-    bad = tmp_path / "bad.txt"
-    bad.write_text("0 0 1\n0 1 1\n")
-    rc, _, err = run_cli(capsys, "holonomy", "--vertices", str(bad))
-    assert rc == 2
 
 
-@pytest.mark.parametrize("vertex", ["0.6 0.9 -2 1", "0.6 0.9 2 -1"], ids=["lambda", "B"])
-def test_holonomy_rejects_the_sigma_minus_branch(capsys, tmp_path, vertex):
-    # the engine and the Wilson oracle cover lambda, B > 0 only
-    vf = tmp_path / "loop.txt"
-    vf.write_text(f"0 0 1 1\n0.6 0.2 1 1\n{vertex}\n0 0 1 1\n")
-    rc, out, err = run_cli(capsys, "holonomy", "--vertices", str(vf))
-    assert rc == 2 and out == ""
-    assert "validation error" in err and "positive" in err
+test_holonomy_rejects_the_sigma_minus_branch = refusal_test("test_holonomy_rejects_the_sigma_minus_branch")
 
 
 def test_out_file_matches_stdout(capsys, tmp_path):
@@ -330,79 +315,13 @@ def test_config_file_loading(capsys, tmp_path):
     assert rows["nu_re"] != "0.0"
 
 
-def test_config_errors(capsys, tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"mass_kg": 1.0, "alpha_Fm2": 1.0, "lambda_Vm2": 1.0,
-                               "B_T": 1.0, "Ex_Vm": 0.0, "Ey_Vm": 0.0, "charge_C": 2.0}))
-    rc, _, err = run_cli(capsys, "derive", "--config", str(bad))
-    assert rc == 2
-    assert "charge_C" in err
-    missing = tmp_path / "missing.json"
-    missing.write_text(json.dumps({"mass_kg": 1.0}))
-    rc, _, err = run_cli(capsys, "derive", "--config", str(missing))
-    assert rc == 2 and "alpha_Fm2" in err
-    nonjson = tmp_path / "nonjson.json"
-    nonjson.write_text("{not json")
-    rc, _, err = run_cli(capsys, "derive", "--config", str(nonjson))
-    assert rc == 2
-    boolval = tmp_path / "bool.json"
-    boolval.write_text(json.dumps({"mass_kg": True, "alpha_Fm2": 1.0, "lambda_Vm2": 1.0,
-                                   "B_T": 1.0, "Ex_Vm": 0.0, "Ey_Vm": 0.0}))
-    rc, _, err = run_cli(capsys, "derive", "--config", str(boolval))
-    assert rc == 2
-    rc, _, err = run_cli(capsys, "derive", "--config", str(tmp_path / "absent.json"))
-    assert rc == 2
+test_config_errors = refusal_test("test_config_errors")
+test_non_finite_config_values_exit_2 = refusal_test("test_non_finite_config_values_exit_2")
 
 
-_GOOD_CONFIG = {"mass_kg": 1.0, "alpha_Fm2": 0.5, "hbar": 1.0, "lambda_Vm2": 2.0, "B_T": 1.0,
-                "Ex_Vm": 0.3, "Ey_Vm": 0.7}
-
-
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize("key", sorted(_GOOD_CONFIG))
-def test_non_finite_config_values_exit_2(capsys, tmp_path, key, value):
-    # json reads the NaN and Infinity literals as floats
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**_GOOD_CONFIG, key: value}))
-    rc, out, err = run_cli(capsys, "derive", "--config", str(cfg))
-    assert (rc, out) == (2, "") and "must be a finite number" in err
-
-
-@pytest.mark.parametrize("value", [True, 1.0, -1.0, "1"])
-def test_mistyped_sigma_override_exits_2(capsys, tmp_path, value):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**_GOOD_CONFIG, "sigma_override": value}))
-    rc, out, err = run_cli(capsys, "derive", "--config", str(cfg))
-    assert (rc, out) == (2, "") and "sigma_override" in err
-    cfg.write_text(json.dumps({**_GOOD_CONFIG, "sigma_override": -1}))
-    rc, out, _ = run_cli(capsys, "derive", "--config", str(cfg))
-    assert rc == 0 and "sigma,-1" in out.splitlines()
-
-
-def test_bad_inputs_exit_2(capsys):
-    rc, _, err = run_cli(capsys, "phase", "--named", "Q3")
-    assert rc == 2
-    rc, _, err = run_cli(capsys, "holonomy", "--named", "ABCHEFA", "--steps", "8")
-    assert rc == 2
-    rc, _, err = run_cli(capsys, "phase", "--named", "C1", "--area", "-1")
-    assert rc == 2
-    rc, _, err = run_cli(capsys, "holonomy")
-    assert rc == 2 and "path is required" in err
-    with pytest.raises(SystemExit) as exc:
-        main(["connection", "--param", "B", "--window", "3..1"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize(
-    "window, reason",
-    [("3..1", "0 <= m_lo <= m_hi"), ("-1..2", "0 <= m_lo <= m_hi"), ("3", "lo..hi"), ("a..b", "integers")],
-)
-def test_window_errors_name_their_reason(capsys, window, reason):
-    with pytest.raises(SystemExit) as exc:
-        main(["connection", "--param", "B", f"--window={window}"])
-    assert exc.value.code == 2
-    assert reason in capsys.readouterr().err
+test_mistyped_sigma_override_exits_2 = refusal_test("test_mistyped_sigma_override_exits_2")
+test_bad_inputs_exit_2 = refusal_test("test_bad_inputs_exit_2")
+test_window_errors_name_their_reason = refusal_test("test_window_errors_name_their_reason")
 
 
 def test_writing_to_a_directory_exits_2(capsys, tmp_path):
@@ -415,139 +334,10 @@ def test_writing_to_a_directory_exits_2(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == [taken] and not any(taken.iterdir())
 
 
-@pytest.mark.parametrize("target", ["-1e-8", "nan", "inf"])
-def test_bad_target_exit_2(capsys, target):
-    rc, out, err = run_cli(capsys, "holonomy", "--named", "ABCHEFA", f"--target={target}")
-    assert rc == 2 and "target" in err
-    assert out == ""
-
-
-# Inputs that once escaped as a raw ValueError, OverflowError or
-# ZeroDivisionError, or exited 0 with numpy overflow warnings; each file is
-# (name, contents) and the last entry is a text the validation error must hold.
-_RATIO_LOOP = ("ratio.txt", "0 0 1 1\n0 1 1e-300 1\n0 1 1 1\n0 0 1 1\n")
-_ESCAPING_INPUTS = {
-    "holonomy_lambda_ratio": (["holonomy", "--vertices", "{}"], _RATIO_LOOP, "ratio of 1e+300"),
-    "phase_lambda_ratio": (["phase", "--vertices", "{}"], _RATIO_LOOP, "ratio of 1e+300"),
-    "displace_huge_nu": (["displace", "--n-max", "3", "--nu-re", "1e200"], None, "|nu|^2 = inf"),
-    "derive_huge_field": (
-        ["derive", "--config", "{}"], ("cfg.json", json.dumps({**_GOOD_CONFIG, "Ex_Vm": 1e308})), "Ex_prime = 1e+308"
-    ),
-    "derive_config_int_past_float": (
-        ["derive", "--config", "{}"], ("cfg.json", json.dumps({**_GOOD_CONFIG, "Ey_Vm": 10**400})),
-        "config key 'Ey_Vm' is too large for a float",
-    ),
-    "derive_config_int_past_digit_limit": (
-        ["derive", "--config", "{}"], ("cfg.json", json.dumps(_GOOD_CONFIG).replace("0.7", "1" + "0" * 5000)),
-        "is not valid JSON",
-    ),
-    "holonomy_huge_segment": (
-        ["holonomy", "--vertices", "{}"], ("far.txt", "0 0 1 1\n1e308 1 1 1\n0 1 1 1\n0 0 1 1\n"), "segment 0"
-    ),
-    "phase_zero_area": (["phase", "--vertices", "{}"], ("flat.txt", "0 0 1 1\n1 0 1 1\n0 0 1 1\n"), "gamma_area_law is 0"),
-    # u^2 overflows, so the area-law phase of every row is 0
-    "sweep_area_law_underflow": (
-        ["sweep", "--named", "C1", "--sweep", "area=1,2", "--config", "{}"],
-        ("cfg.json", json.dumps({**_GOOD_CONFIG, "alpha_Fm2": 1e-308})),
-        "gamma_area_law is 0",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", _ESCAPING_INPUTS)
-def test_escaping_inputs_are_validation_errors(capsys, tmp_path, name):
-    argv, file, named = _ESCAPING_INPUTS[name]
-    if file is not None:
-        (tmp_path / file[0]).write_text(file[1])
-        argv = [arg.format(tmp_path / file[0]) for arg in argv]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a numpy RuntimeWarning escapes main as an exception
-        rc, out, err = run_cli(capsys, *argv)
-    assert (rc, out) == (2, "")
-    assert err.startswith("dlh: validation error: ") and named in err
-
-
-# Library calls that returned a non-finite value in silence, each with a text
-# its validation error must hold; no CLI input reaches them, as box_loop
-# refuses their ranges before the closed form sees them
-_ESCAPING_CALLS = {
-    "area_closed_form_width_overflows": (("ABCHEFA", (-1e308, 1e308), (1, 4), (1, 4)), "S of ABCHEFA overflows"),
-    "area_closed_form_product_overflows": (("ABCHGFA", (0, 1e300), (1e-300, 1), (1e-10, 1)), "S of ABCHGFA overflows"),
-    "area_closed_form_infinite_width_times_zero": (("ABCHEFA", (-1e308, 1e308), (1, 2), (2, 1)), "S of ABCHEFA overflows"),
-}
-
-
-@pytest.mark.parametrize("name", _ESCAPING_CALLS)
-def test_escaping_library_calls_are_validation_errors(name):
-    from dlh.holonomy import area_closed_form
-
-    args, named = _ESCAPING_CALLS[name]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match=named):
-            area_closed_form(*args)
-
-
-def _config_with(**fields) -> tuple[str, str]:
-    return "cfg.json", json.dumps({**_GOOD_CONFIG, **fields})
-
-
-# Inputs at the edge of the double range that once printed nan, raised a numpy
-# warning or doubled their steps to the cap. Each must compute with finite
-# stdout (named None) or exit 2 naming the input; the last entry is that name.
-_EDGE_INPUTS = {
-    "connection_B_tiny_B": (["connection", "--param", "B", "--config", "{}"], _config_with(B_T=1e-308), "B = 1e-308"),
-    "connection_Ex_tiny_B": (["connection", "--param", "Ex", "--config", "{}"], _config_with(B_T=1e-308), "B = 1e-308"),
-    "holonomy_C1_tiny_B": (["holonomy", "--named", "C1", "--config", "{}"], _config_with(B_T=1e-308), "B = 1e-308"),
-    "phase_C1_tiny_B": (["phase", "--named", "C1", "--config", "{}"], _config_with(B_T=1e-308), "B = 1e-308"),
-    "sweep_C1_tiny_B": (
-        ["sweep", "--named", "C1", "--sweep", "area=1,2", "--config", "{}"], _config_with(B_T=1e-308), "B = 1e-308"
-    ),
-    "connection_huge_lambda": (
-        ["connection", "--param", "B", "--config", "{}"], _config_with(lambda_Vm2=1e308), "lambda = 1e+308"
-    ),
-    "holonomy_C1_huge_lambda": (
-        ["holonomy", "--named", "C1", "--config", "{}"], _config_with(lambda_Vm2=1e308), "lambda = 1e+308"
-    ),
-    "holonomy_box_lambda_B_underflow": (
-        ["holonomy", "--named", "ABCHEFA", "--lam1", "1e-200", "--lam2", "2e-200", "--B1", "1e-200", "--B2", "2e-200"],
-        None, "lambda B underflows",
-    ),
-    # nu = -3.5e-309j, a subnormal
-    "displace_subnormal_nu": (["displace", "--config", "{}"], _config_with(Ex_Vm=1e-308, Ey_Vm=0.0), None),
-    # the in-plane field turns on the first two segments, so no quadrature reaches them
-    "holonomy_ratio_on_a_turning_segment": (
-        ["holonomy", "--vertices", "{}"], ("turn.txt", "0.5 0 1 1\n0 1 1e-300 1\n0.3 1 1 1\n0.5 0 1 1\n"), "ratio of 1e+300"
-    ),
-    # the loop functional S weighs (lambda B)^(-1/2) at its Gauss nodes
-    "phase_lambda_B_underflow": (
-        ["phase", "--vertices", "{}"],
-        ("tiny.txt", "0 0 1e-200 1e-200\n0 1 1e-200 1e-200\n0 1 2e-200 2e-200\n0 0 2e-200 2e-200\n0 0 1e-200 1e-200\n"),
-        "lambda B underflows",
-    ),
-    "phase_lambda_B_overflow": (
-        ["phase", "--vertices", "{}"],
-        ("huge.txt", "0 0 1e150 1e160\n0 1 1e150 1e160\n0 1 2e150 1e160\n0 0 2e150 1e160\n0 0 1e150 1e160\n"),
-        "lambda B overflows",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", _EDGE_INPUTS)
-def test_edge_of_range_inputs_compute_or_name_the_input(capsys, tmp_path, name):
-    argv, file, named = _EDGE_INPUTS[name]
-    if file is not None:
-        (tmp_path / file[0]).write_text(file[1])
-        argv = [arg.format(tmp_path / file[0]) for arg in argv]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a numpy RuntimeWarning escapes main as an exception
-        rc, out, err = run_cli(capsys, *argv)
-    if named is None:
-        assert (rc, err) == (0, "")
-        assert not re.search(r"(?i)\b(nan|inf|infinity)\b", out)
-    else:
-        assert (rc, out) == (2, "")
-        assert err.startswith("dlh: validation error: ") and named in err
+test_bad_target_exit_2 = refusal_test("test_bad_target_exit_2")
+test_escaping_inputs_are_validation_errors = refusal_test("test_escaping_inputs_are_validation_errors")
+test_escaping_library_calls_are_validation_errors = refusal_test("test_escaping_library_calls_are_validation_errors")
+test_edge_of_range_inputs_compute_or_name_the_input = refusal_test("test_edge_of_range_inputs_compute_or_name_the_input")
 
 
 def test_exit_3_on_numerical_failure(capsys, monkeypatch):
@@ -607,22 +397,8 @@ def test_sweep_two_axes_sorted(capsys):
     assert len(combos) == 4
 
 
-def test_sweep_validation(capsys):
-    rc, _, err = run_cli(capsys, "sweep", "--named", "C1", "--sweep", "Ey2=1,2")
-    assert rc == 2 and "does not apply" in err
-    rc, _, err = run_cli(capsys, "sweep", "--named", "C1", "--sweep", "area=1")
-    assert rc == 2 and "at least 2" in err
-    rc, _, err = run_cli(capsys, "sweep", "--named", "C1")
-    assert rc == 2
-    rc, _, err = run_cli(capsys, "sweep", "--named", "C1", "--sweep", "zz=1,2")
-    assert rc == 2 and "unknown sweep axis" in err
-
-
-def test_sweep_has_no_steps_axis(capsys):
-    # the step count is --steps; a swept steps axis would move only steps_used
-    rc, out, err = run_cli(capsys, "sweep", "--named", "ABCHEFA", "--sweep", "steps=64,128")
-    assert (rc, out) == (2, "")
-    assert "unknown sweep axis 'steps'" in err
+test_sweep_validation = refusal_test("test_sweep_validation")
+test_sweep_has_no_steps_axis = refusal_test("test_sweep_has_no_steps_axis")
 
 
 def test_oracle_check_passes(capsys, tmp_path):

@@ -27,30 +27,19 @@ from dlh.holonomy import (
     signed_area,
     unordered_holonomy,
 )
+from dlh.oracle import wilson_loop_oracle
 
 import _level
 from _ode import dop853_holonomy
-
-EY, LAM, BB = (0.0, 1.0), (1.0, 4.0), (1.0, 4.0)
+from test_acceptance import BB, C9_VERTICES, EY, LAM
+from test_refusals import refusal_test
 
 
 def _reversed(path: ParameterPath) -> ParameterPath:
     return ParameterPath(path.vertices[::-1], kind=path.kind)
 
 
-# the generic loop of acceptance check C9: Ex' engaged, so the field rotates
-# on every segment but the first
-C9_LOOP = ParameterPath(
-    np.array(
-        [
-            [0.0, 0.0, 1.0, 1.0],
-            [0.6, 0.2, 1.0, 1.0],
-            [0.6, 0.9, 2.0, 1.0],
-            [0.2, 0.9, 2.0, 2.0],
-            [0.0, 0.0, 1.0, 1.0],
-        ]
-    )
-)
+C9_LOOP = ParameterPath(C9_VERTICES)
 
 
 def _random_loop(rng):
@@ -75,21 +64,7 @@ def _commuting_loop(rng, legs=3):
     return ParameterPath(np.array(verts))
 
 
-def test_path_validation():
-    with pytest.raises(ValidationError):
-        ParameterPath(np.zeros((1, 4)))  # too few vertices
-    with pytest.raises(ValidationError):
-        ParameterPath(np.zeros((3, 3)))  # wrong width
-    # lambda, B > 0 only: the sigma = -1 branch is rejected at the vertices
-    with pytest.raises(ValidationError, match="positive"):
-        ParameterPath(np.array([[0, 0, 1, 1], [0, 0, -1, 1]], dtype=float))
-    with pytest.raises(ValidationError, match="positive"):
-        ParameterPath(np.array([[0, 0, 1, 1], [0, 0, 1, -1]], dtype=float))
-    with pytest.raises(ValidationError, match="kind"):
-        ParameterPath(np.array([[0, 0, 1, 1], [0, 0, 2, 1], [0, 0, 1, 1]]), kind="XYZ")
-    # closure is checked once, when the path is built
-    with pytest.raises(ValidationError, match=r"path must be closed \(first vertex == last vertex\)"):
-        ParameterPath(np.array([[0, 0, 1, 1], [0, 1, 1, 1]], dtype=float))
+test_path_validation = refusal_test("test_path_validation")
 
 
 def test_path_keeps_a_read_only_copy_of_its_vertices():
@@ -127,8 +102,6 @@ def test_rectangle_vertices_and_area():
     # rectangles off the field plane are plain custom paths
     other = rectangle_loop("lambda_density", "B", (1, 2), (1, 2), (0, 0, 1, 1))
     assert other.kind == "custom"
-    with pytest.raises(ValidationError):
-        rectangle_loop("Ex_prime", "Ex_prime", (0, 1), (0, 1), (0, 0, 1, 1))
 
 
 def test_box_loop_itineraries():
@@ -162,8 +135,6 @@ def test_box_loop_itineraries():
     for k in ("ABCHEFA", "ABCHGFA", "ADCHEFA"):
         v = box_loop(k, EY, LAM, BB).vertices
         assert np.array_equal(v[0], v[-1])
-    with pytest.raises(ValidationError):
-        box_loop("AAAAAAA", EY, LAM, BB)
 
 
 def test_allocation_mirrors_under_reversal():
@@ -196,15 +167,9 @@ def test_loop_functional_closed_forms():
     assert area_closed_form("ABCHEFA", EY, (1.0, 2.0), (2.0, 1.0)) == pytest.approx(0.0)
 
 
-@pytest.mark.parametrize(
-    "lam_range, b_range, what",
-    [((1e-200, 2e-200), (1e-200, 2e-200), "underflows to 0"), ((1e150, 2e150), (1e160, 2e160), "overflows")],
-    ids=["underflow", "overflow"],
+test_area_closed_form_refuses_a_corner_where_lambda_b_is_not_finite = refusal_test(
+    "test_area_closed_form_refuses_a_corner_where_lambda_b_is_not_finite"
 )
-def test_area_closed_form_refuses_a_corner_where_lambda_b_is_not_finite(lam_range, b_range, what):
-    # 1 / sqrt(inf) is 0, so an unchecked overflow would give S = 0.0; S is about -2.9e-156 there
-    with pytest.raises(ValidationError, match=f"lambda B {what} at a corner of"):
-        area_closed_form("ABCHGFA", (0, 1), lam_range, b_range)
 
 
 def test_abelian_phase_relations():
@@ -319,16 +284,9 @@ def test_auto_refinement_and_cap(monkeypatch):
     monkeypatch.setattr(hol, "_STEP_CAP", 64)
     with pytest.raises(ConvergenceError, match="step cap"):
         holonomy_path_ordered(C9_LOOP, 0.5, window=(0, 1), steps=16, target=1e-12)
-    with pytest.raises(ValidationError):
-        holonomy_path_ordered(C9_LOOP, 0.5, steps=8)
-    with pytest.raises(ValidationError):
-        holonomy_path_ordered(C9_LOOP, 0.5, method="midpoint")
 
 
-@pytest.mark.parametrize("target", [-1e-8, float("nan"), float("inf"), -float("inf"), "tight", True, False])
-def test_bad_target_rejected(target):
-    with pytest.raises(ValidationError, match="target"):
-        holonomy_path_ordered(C9_LOOP, 0.5, target=target)
+test_bad_target_rejected = refusal_test("test_bad_target_rejected")
 
 
 def test_rounding_floor_fails_fast():
@@ -413,12 +371,19 @@ def test_chunked_stacks_match_one_stack(rng, monkeypatch):
     assert np.abs(whole.matrix - chunked.matrix).max() <= 1e-13
 
 
-def test_constant_path_is_identity():
+def test_constant_path_is_identity(grid12, cfg_natural):
     const = ParameterPath(np.array([[0.2, 0.1, 1.0, 1.0]] * 3))
+    eye = np.eye(3, dtype=complex)
     res = holonomy_path_ordered(const, 0.5, window=(0, 2), steps=64)
-    assert np.array_equal(res.matrix, np.eye(3, dtype=complex))
+    assert np.array_equal(res.matrix, eye)
     assert res.unitarity_defect == 0.0 and res.convergence_estimate == 0.0
-    assert np.array_equal(unordered_holonomy(const, 0.5, (0, 2)), np.eye(3, dtype=complex))
+    assert np.array_equal(unordered_holonomy(const, 0.5, (0, 2)), eye)
+    level = hol.level_holonomy(const, 0.5, (0, 2))
+    assert (level.Phi, level.chi, level.Z, level.leakage) == (0.0, 0.0, 0.0, 0.0)
+    assert np.array_equal(level.matrix, eye)
+    wilson = wilson_loop_oracle(grid12, cfg_natural, const, window=(0, 2))
+    assert (wilson.points, wilson.smallest_overlap_singular) == (0, 1.0)
+    assert np.array_equal(wilson.matrix, eye)
 
 
 def _defect(loop, window, steps):
@@ -472,10 +437,7 @@ def test_magnus_steps_are_fourth_order():
     assert ests[0] / ests[1] > 10.0 and ests[1] / ests[2] > 10.0
 
 
-def test_signed_area_planarity_guard():
-    loop = box_loop("ABCHEFA", EY, LAM, BB)
-    with pytest.raises(ValidationError, match="not planar"):
-        signed_area(loop)  # lambda and B vary along it
+test_signed_area_planarity_guard = refusal_test("test_signed_area_planarity_guard")
 
 
 @pytest.mark.parametrize("window", [(0, 3), (1, 4), (0, 15), (0, 63)])

@@ -9,13 +9,12 @@ from dlh import _linalg, holonomy, oracle
 from dlh._linalg import unitarize
 from dlh.connection import CONTROL_PARAMS, connection_matrix
 from dlh.errors import ValidationError
-from dlh.holonomy import ParameterPath, area_closed_form, box_loop, holonomy_path_ordered, rectangle_loop
+from dlh.holonomy import ParameterPath, box_loop, holonomy_path_ordered, rectangle_loop
 from dlh.oracle import Grid2D, fd_connection_matrix, render_sign_report, sign_convention_report, wilson_loop_oracle
 from dlh.params import PhysicalConfig, _point_scales, derive_scales
 
 import _fields
 from _fields import (
-    WaveField,
     X,
     Y,
     apply_angular_momentum,
@@ -32,21 +31,10 @@ from _fields import (
     overlap,
     window_states,
 )
+from test_refusals import refusal_test
 
 
-def test_grid_adequacy_rules():
-    grid = Grid2D()
-    grid.check_adequate(1.0)
-    with pytest.raises(ValidationError):
-        grid.check_adequate(3.0)  # extent 12 < 6 * 3
-    with pytest.raises(ValidationError):
-        grid.check_adequate(0.1)  # h ~ 0.094 > 0.1 / 4
-    with pytest.raises(ValidationError):
-        grid.check_adequate(1.0, shift=7.0)
-    with pytest.raises(ValidationError):
-        Grid2D(extent=-1.0, points=64)
-    with pytest.raises(ValidationError):
-        Grid2D(extent=12.0, points=3)
+test_grid_adequacy_rules = refusal_test("test_grid_adequacy_rules")
 
 
 # l_m and shift of each adequacy case on the 256-point grid of extent 12, and
@@ -315,35 +303,8 @@ def test_real_factors_take_the_real_derivative(request, grid_name):
     assert np.abs(along_x - _fields.deriv(grid, field.T.astype(complex), -1).T).max() <= 1e-14 * np.abs(along_x).max()
 
 
-def test_window_states_validation(grid_coarse, cfg_desk):
-    with pytest.raises(ValidationError):
-        window_states(grid_coarse, cfg_desk, (0.3, 0.7, 2.0, 1.0), -1, (0, 1))
-    with pytest.raises(ValidationError):
-        window_states(grid_coarse, cfg_desk, (0.3, 0.7, 2.0, 1.0), 0, (-1, -1))
-
-
-# a window with a state past the 1e-10 boundary guard: (grid, point, n, window)
-_FRAME_CASES = [
-    ("grid12", (0.9, -0.4, -1.5, 1.0), 2, (1, 3)),
-    ("grid14", (0.3, 0.7, 2.0, 1.0), 3, (0, 4)),
-]
-
-
-@pytest.mark.parametrize("grid_name, point, n, window", _FRAME_CASES)
-def test_fast_paths_reject_states_at_the_frame(request, cfg_desk, grid_name, point, n, window):
-    # the guard is computed from the factors on the Wilson and fd paths,
-    # which never form the fields
-    grid = request.getfixturevalue(grid_name)
-    # a loop keeps lambda > 0; the mirrored point has the same l_m and |nu|
-    ex, ey, lam, b = point
-    loop = rectangle_loop("Ex_prime", "Ey_prime", (ex, ex + 0.1), (ey, ey + 0.1), (ex, ey, abs(lam), b))
-    for call in (
-        lambda: window_states(grid, cfg_desk, point, n, window),
-        lambda: fd_connection_matrix(grid, cfg_desk, "B", point, n, window),
-        lambda: wilson_loop_oracle(grid, cfg_desk, loop, n=n, window=window, steps=8),
-    ):
-        with pytest.raises(ValidationError, match="boundary frame"):
-            call()
+test_window_states_validation = refusal_test("test_window_states_validation")
+test_fast_paths_reject_states_at_the_frame = refusal_test("test_fast_paths_reject_states_at_the_frame")
 
 
 def _per_entry(grid, bras, kets):
@@ -427,7 +388,7 @@ def test_the_stack_keeps_real_powers_and_rates():
     tree = ast.parse(open(oracle.__file__).read())
     stack = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Stack")
     fields = [stmt.target.id for stmt in stack.body if isinstance(stmt, ast.AnnAssign)]
-    assert fields == ["grid", "l_m", "sigma", "nu", "R", "rate", "C"]
+    assert fields == ["grid", "R", "rate", "C"]
     callers = {
         stmt.name
         for module in (tree, ast.parse(open(_fields.__file__).read()))
@@ -448,8 +409,7 @@ def test_a_stack_equals_its_one_point_stacks(grid12, cfg_desk):
     pts = [(0.3, 0.7, 2.0, 1.0), (0.9, -1.6, -2.0, 1.0), (-0.4, 0.2, 1.5, 1.2)]
     stack = oracle._stack(grid12, cfg_desk, pts, 1, (0, 2))
     singles = [oracle._stack(grid12, cfg_desk, [p], 1, (0, 2)) for p in pts]
-    for name in ("l_m", "sigma", "nu", "rate"):
-        assert np.array_equal(getattr(stack, name), np.concatenate([getattr(s, name) for s in singles]))
+    assert np.array_equal(stack.rate, np.concatenate([s.rate for s in singles]))
     assert np.abs(stack.R - np.concatenate([s.R for s in singles])).max() <= 1e-15
     assert np.abs(stack.C - np.concatenate([s.C for s in singles])).max() <= 1e-15
     links = oracle._overlaps(stack, stack[[1, 2, 0]])
@@ -458,19 +418,19 @@ def test_a_stack_equals_its_one_point_stacks(grid12, cfg_desk):
 
 
 @pytest.mark.parametrize("override", [None, 1, -1])
-def test_stack_scales_equal_the_scales_of_each_point(grid12, cfg_desk, rng, override):
-    # the array path against derive_scales of each point's own config, the
-    # route a stack took point by point; lambda < 0 gives sigma = -1 unless
-    # sigma_override fixes it
+def test_stack_scales_equal_the_scales_of_each_point(cfg_desk, rng, override):
+    # the array path a stack derives its scales by, against derive_scales of
+    # each point's own config, the route a stack took point by point;
+    # lambda < 0 gives sigma = -1 unless sigma_override fixes it
     config = replace(cfg_desk, sigma_override=override)
     lam = rng.choice([-1.0, 1.0], 16) * rng.uniform(1.8, 2.6, 16)
     pts = np.column_stack([rng.uniform(-0.8, 0.8, (16, 2)), lam, rng.uniform(0.9, 1.1, 16)])
-    stack = oracle._stack(grid12, config, pts, 0, (0, 1))
+    _, sigma, l_m, _, nu = _point_scales(config, pts)
     want = [derive_scales(config.at_point(*p)) for p in pts]
-    assert np.array_equal(stack.l_m, [w.l_m for w in want])
-    assert np.array_equal(stack.nu, [w.nu for w in want])
-    assert np.array_equal(stack.sigma, [w.sigma for w in want])
-    assert set(stack.sigma) == ({1, -1} if override is None else {override})
+    assert np.array_equal(l_m, [w.l_m for w in want])
+    assert np.array_equal(nu, [w.nu for w in want])
+    assert np.array_equal(sigma, [w.sigma for w in want])
+    assert set(sigma) == ({1, -1} if override is None else {override})
 
 
 _GOOD = (0.3, 0.7, 2.0, 1.0)
@@ -655,20 +615,7 @@ def test_wilson_loop_is_second_order_in_the_links(grid14, cfg_natural):
     assert errors[0] >= 3 * errors[1] >= 9 * errors[2]
 
 
-def test_wilson_validation(grid12, cfg_natural):
-    loop = rectangle_loop("Ex_prime", "Ey_prime", (0, 0.2), (0, 0.2), (0, 0, 1, 1))
-    import dlh.holonomy as hol
-
-    # an open path is refused where it is built, before any oracle sees it
-    with pytest.raises(ValidationError, match="must be closed"):
-        hol.ParameterPath(loop.vertices[:-1])
-    with pytest.raises(ValidationError):
-        wilson_loop_oracle(grid12, cfg_natural, loop, steps=4)
-    # a reversed window fails validation, also on a constant path that
-    # needs no grid states
-    const = hol.ParameterPath(np.array([[0.0, 0.5, 1.0, 1.0]] * 3))
-    with pytest.raises(ValidationError, match="window"):
-        wilson_loop_oracle(grid12, cfg_natural, const, window=(3, 1))
+test_wilson_validation = refusal_test("test_wilson_validation")
 
 
 # quadrilaterals through all four parameters, 16 links a side, whose holonomy
@@ -729,96 +676,17 @@ def test_wilson_links_are_the_engine_allocation(grid12, cfg_natural, name):
         assert res.points == plain.points and np.array_equal(res.matrix, plain.matrix)
 
 
-@pytest.mark.parametrize("steps", ["64", 16.5, True, 4])
-def test_wilson_steps_must_be_an_integer_count(grid12, cfg_natural, steps):
-    loop = rectangle_loop("Ex_prime", "Ey_prime", (0, 0.2), (0, 0.2), (0, 0, 1, 1))
-    with pytest.raises(ValidationError, match="steps"):
-        wilson_loop_oracle(grid12, cfg_natural, loop, steps=steps)
-
-
-@pytest.mark.parametrize("h_step", ["1e-3", math.nan, math.inf, -math.inf, 0.0, -1e-3])
-def test_fd_h_step_must_be_a_finite_positive_number(grid12, cfg_desk, h_step):
-    with pytest.raises(ValidationError, match="h_step"):
-        fd_connection_matrix(grid12, cfg_desk, "B", (0.1, 0.1, 1.0, 1.0), 0, (0, 1), h_step=h_step)
-
-
-def test_wavefield_guards(grid12):
-    bad = np.ones((grid12.points, grid12.points), dtype=complex)
-    with pytest.raises(ValidationError):
-        WaveField(grid=grid12, values=bad, n=0, m=0, nu=0j, l_m=1.0)
-    # normalized but leaking through the boundary frame
-    leak = np.exp(-((X(grid12) - 10.0) ** 2 + Y(grid12)**2) / 4.0).astype(complex)
-    leak /= norm(grid12, leak)
-    with pytest.raises(ValidationError):
-        WaveField(grid=grid12, values=leak, n=0, m=0, nu=0j, l_m=1.0)
-    with pytest.raises(ValidationError):
-        WaveField(grid=grid12, values=bad[:10, :10], n=0, m=0, nu=0j, l_m=1.0)
-    with pytest.raises(ValidationError, match="normalized"):
-        WaveField(grid=grid12, values=np.full_like(bad, np.nan), n=0, m=0, nu=0j, l_m=1.0)
-
-
-def test_field_guards_reject_nan():
-    with pytest.raises(ValidationError, match="drifted"):
-        oracle._check_drift(math.nan, "state (n=0, m=0)")
-    with pytest.raises(ValidationError, match="boundary frame"):
-        oracle._check_frame(math.nan, "state (n=0, m=0)")
-
-
-@pytest.mark.parametrize(
-    "extent, points",
-    [(math.nan, 256), (math.inf, 256), (0.0, 256), (True, 256), ("12", 256), (12.0, 256.5), (12.0, 63), (12.0, True), (12.0, "256")],
+test_wilson_steps_must_be_an_integer_count = refusal_test("test_wilson_steps_must_be_an_integer_count")
+test_fd_h_step_must_be_a_finite_positive_number = refusal_test("test_fd_h_step_must_be_a_finite_positive_number")
+test_wavefield_guards = refusal_test("test_wavefield_guards")
+test_field_guards_reject_nan = refusal_test("test_field_guards_reject_nan")
+test_grid_rejects_bad_sizes = refusal_test("test_grid_rejects_bad_sizes")
+test_pipeline_rejects_offgrid_displacement = refusal_test("test_pipeline_rejects_offgrid_displacement")
+test_fd_parameter_validation = refusal_test("test_fd_parameter_validation")
+test_fd_points_must_have_four_coordinates = refusal_test("test_fd_points_must_have_four_coordinates")
+test_malformed_points_and_ranges_are_validation_errors = refusal_test(
+    "test_malformed_points_and_ranges_are_validation_errors"
 )
-def test_grid_rejects_bad_sizes(extent, points):
-    with pytest.raises(ValidationError, match="grid"):
-        Grid2D(extent=extent, points=points)
-
-
-def test_pipeline_rejects_offgrid_displacement(grid12, cfg_natural):
-    with pytest.raises(ValidationError):
-        window_states(grid12, cfg_natural, (0.0, 20.0, 1.0, 1.0), 0, (0, 0))
-
-
-def test_fd_parameter_validation(grid12, cfg_desk):
-    point = (0.1, 0.1, 1.0, 1.0)
-    with pytest.raises(ValidationError):
-        fd_connection_matrix(grid12, cfg_desk, "Ez", point, 0, (0, 0))
-    with pytest.raises(ValidationError):
-        fd_connection_matrix(grid12, cfg_desk, "B", point, 0, (0, 0), h_step=0.0)
-    with pytest.raises(ValidationError):
-        fd_connection_matrix(grid12, cfg_desk, "B", point, 0, (2, 1))
-
-
-@pytest.mark.parametrize("param", CONTROL_PARAMS)
-@pytest.mark.parametrize("point", [(0.3, 0.7, 2.0), (0.3, 0.7, 2.0, 1.0, 0.5)])
-def test_fd_points_must_have_four_coordinates(grid12, cfg_desk, param, point):
-    # checked before a coordinate is shifted, whichever parameter it is
-    with pytest.raises(ValidationError, match=f"got {len(point)} coordinates"):
-        fd_connection_matrix(grid12, cfg_desk, param, point, 0, (0, 1))
-
-
-# malformed points and ranges: each once escaped as a raw TypeError or ValueError, or returned a float
-_MALFORMED = {
-    "fd_point_not_a_sequence": lambda g, cfg: fd_connection_matrix(g, cfg, "B", 5, 0, (0, 1)),
-    "rectangle_range_not_a_pair": lambda g, cfg: rectangle_loop("Ex_prime", "Ey_prime", 1.0, (0, 1), (0, 0, 1, 1)),
-    "area_range_not_a_pair": lambda g, cfg: area_closed_form("ABCHEFA", 3, (1, 2), (1, 2)),
-    "fd_string_coordinate": lambda g, cfg: fd_connection_matrix(g, cfg, "B", (0, "a", 1, 1), 0, (0, 1)),
-    "window_states_string_coordinate": lambda g, cfg: window_states(g, cfg, (0, "a", 1, 1), 0, (0, 1)),
-    "point_scales_string_coordinate": lambda g, cfg: _point_scales(cfg, [(0, "a", 1, 1)]),
-    "rectangle_string_in_range": lambda g, cfg: rectangle_loop("Ex_prime", "Ey_prime", (0, "a"), (0, 1), (0, 0, 1, 1)),
-    "rectangle_string_in_base_point": lambda g, cfg: rectangle_loop("Ex_prime", "Ey_prime", (0, 1), (0, 1), (0, "a", 1, 1)),
-    "box_string_in_range": lambda g, cfg: box_loop("ABCHEFA", (0, "a"), (1, 2), (1, 2)),
-    "box_string_base_ex": lambda g, cfg: box_loop("ABCHEFA", (0, 1), (1, 2), (1, 2), ex="a"),
-    "box_three_entry_range": lambda g, cfg: box_loop("ABCHEFA", (0, 1, 2), (1, 2), (1, 2)),
-    "ragged_vertices": lambda g, cfg: ParameterPath([(0, 0, 1, 1), (0, 1, 1)]),
-    "area_nan_range": lambda g, cfg: area_closed_form("ABCHEFA", (0, math.nan), (1, 2), (1, 2)),
-    "area_inf_range": lambda g, cfg: area_closed_form("ABCHEFA", (0, 1), (1, math.inf), (1, 2)),
-}
-
-
-@pytest.mark.parametrize("name", _MALFORMED)
-def test_malformed_points_and_ranges_are_validation_errors(grid12, cfg_desk, name):
-    with pytest.raises(ValidationError):
-        _MALFORMED[name](grid12, cfg_desk)
 
 
 def test_sign_convention_report_contents(grid12):

@@ -49,20 +49,10 @@ from dlh.params import derive_scales
 
 from _algebra import commutator, dual_route_deviation, interior_indices, ladder_a, ladder_b
 from _fields import apply_base_hamiltonian, apply_uniform_field_hamiltonian, build_state, overlap, window_states
+from _loops import BB, C9_VERTICES, EY, LAM
 from _ode import dop853_holonomy
 
 BOX_KINDS = ("ABCHEFA", "ABCHGFA", "ADCHEFA")
-EY, LAM, BB = (0.0, 1.0), (1.0, 4.0), (1.0, 4.0)
-# C9's generic loop: Ex' engaged, so the field rotates on every segment but the first
-C9_VERTICES = np.array(
-    [
-        [0.0, 0.0, 1.0, 1.0],
-        [0.6, 0.2, 1.0, 1.0],
-        [0.6, 0.9, 2.0, 1.0],
-        [0.2, 0.9, 2.0, 2.0],
-        [0.0, 0.0, 1.0, 1.0],
-    ]
-)
 
 
 def test_c01_ladder_algebra_interior(cfg_desk):

@@ -13,7 +13,7 @@ import pytest
 from dlh.cli import main
 from dlh.errors import ConsistencyError, ConvergenceError
 
-from test_refusals import refusal_test
+from _refusals import refusal_test
 
 
 def run_cli(capsys, *argv):
@@ -703,6 +703,22 @@ def test_src_members_are_read_by_dlh_or_the_benchmark():
     unread = [f"{c}.{f.name}" for c, f in members
               if f.name not in benchmark and not any(f.name in reads(tree, skip=f) for tree in src)]
     assert unread == []
+
+
+def test_no_test_module_imports_another():
+    # what several test modules share lives in a helper module (tests/_*.py),
+    # so a test module that fails to collect takes no other module with it
+    import ast
+
+    imports = [
+        f"{path.name}: {name}"
+        for path in Path(__file__).parent.glob("test_*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        if name.split(".")[0].startswith("test_")
+    ]
+    assert imports == []
 
 
 def test_oracle_check_at_a_strong_field(capsys, tmp_path):

@@ -15,7 +15,7 @@ from dlh.connection import (
     connection_matrix,
 )
 
-from test_refusals import refusal_test
+from _refusals import refusal_test
 
 
 def _random_points(rng, count):

@@ -23,7 +23,7 @@ from dlh.fock import build_basis
 from dlh.params import derive_scales
 
 from _algebra import dual_route_deviation, interior_indices, ladder_a, state_from_ground
-from test_refusals import refusal_test
+from _refusals import refusal_test
 
 
 def test_displacement_is_unitary(rng):
@@ -104,7 +104,7 @@ def test_displaced_energy_via_expectation(cfg_desk):
 
 def test_truncation_refusal_and_warning():
     # the rule reads the weight that level 0 keeps past n_max: 2.0e-5 at
-    # |nu|^2 = 1.44 on n_max = 8 (its refusals are rows of tests/test_refusals.py)
+    # |nu|^2 = 1.44 on n_max = 8 (its refusals are rows of tests/_refusals.py)
     with pytest.warns(UserWarning, match="level 0 keeps 2.03e-05 of its weight past n_max = 8"):
         displaced_state(0, 0, 1.2, build_basis(8, 0))
     with warnings.catch_warnings():
@@ -288,7 +288,7 @@ def test_trunc_deficit_is_exact_far_below_rounding():
 def test_trunc_deficit_at_the_top_level():
     # n = n_max with |nu|^2 just under n_max/2: most of the state lies past
     # the truncation, and its edge nears the old padded mode's top level 47;
-    # the guard refuses that state (a row of tests/test_refusals.py), so the
+    # the guard refuses that state (a row of tests/_refusals.py), so the
     # weight is read from the helper
     nu, n_max = _nu(7.99, 0.7), 16
     ap = _ladder((0, 399))

@@ -7,7 +7,7 @@ from dlh.fock import build_basis, hamiltonian_matrix, lz_matrix
 from dlh.params import derive_scales
 
 from _algebra import commutator, interior_indices, ladder_a, ladder_b, state_from_ground
-from test_refusals import refusal_test
+from _refusals import refusal_test
 
 
 def test_basis_indexing_roundtrip():

@@ -30,9 +30,9 @@ from dlh.holonomy import (
 from dlh.oracle import wilson_loop_oracle
 
 import _level
+from _loops import BB, C9_VERTICES, EY, LAM
 from _ode import dop853_holonomy
-from test_acceptance import BB, C9_VERTICES, EY, LAM
-from test_refusals import refusal_test
+from _refusals import refusal_test
 
 
 def _reversed(path: ParameterPath) -> ParameterPath:
@@ -553,9 +553,14 @@ def test_level_reference_matches_padded_dop853(rotating_quadrilaterals):
     # 3.6e-11 at (0, 8), that of (0, 8) by 1.3e-13 at (0, 9); the block of
     # (0, 3), the projected product, is 0.04 off. The padding needed grows with
     # |Z(t)| along the loop: the third constant-Ex' polygon is within 1.3e-12 at
-    # (0, 8), while the first, second and fourth still move by 1.8e-5, 1.3e-6 and 7e-9
-    constant_ex = list(_constant_polygons(0))[2]
-    for loop, u in [(C9_LOOP, 0.5), (rotating_quadrilaterals[1][0], 0.5), (constant_ex[0], constant_ex[2])]:
+    # (0, 8), while the first, second and fourth still move by 1.8e-5, 1.3e-6 and 7e-9.
+    # The second constant-Ey' triangle (Ey' = 0.376, u = 0.3, |Z| = 0.13) is
+    # within 5.8e-13 at (0, 8) and 2.5e-14 at (0, 10): with the third
+    # constant-Ex' polygon it anchors both closed forms of
+    # test_level_reference_matches_the_closed_forms_at_constant_ex_or_ey
+    constant_ex, constant_ey = list(_constant_polygons(0))[2], list(_constant_polygons(1))[1]
+    for loop, u in [(C9_LOOP, 0.5), (rotating_quadrilaterals[1][0], 0.5), (constant_ex[0], constant_ex[2]),
+                    (constant_ey[0], constant_ey[2])]:
         block = dop853_holonomy(loop, u, (0, 8))[:4, :4]
         assert np.abs(block - _level.level_block(loop, u)).max() <= 1e-11
         assert np.abs(block - hol.level_holonomy(loop, u).matrix).max() <= 1e-11

@@ -31,7 +31,8 @@ from _fields import (
     overlap,
     window_states,
 )
-from test_refusals import refusal_test
+from _loops import _SYMMETRY_LOOPS, _closed, _wilson_of
+from _refusals import refusal_test
 
 
 test_grid_adequacy_rules = refusal_test("test_grid_adequacy_rules")
@@ -616,28 +617,6 @@ def test_wilson_loop_is_second_order_in_the_links(grid14, cfg_natural):
 
 
 test_wilson_validation = refusal_test("test_wilson_validation")
-
-
-# quadrilaterals through all four parameters, 16 links a side, whose holonomy
-# is not diagonal: the Wilson column of the relation table in
-# tests/test_relations.py. The quarter turn and the mirror map the 256-point
-# square grid onto itself and reversal reverses the links, so each relation
-# holds to rounding, with no discretization error
-_SYMMETRY_LOOPS = [
-    [(0.1, 0.2, 1.0, 1.0), (0.5, 0.1, 1.2, 1.0), (0.6, 0.5, 1.2, 1.2), (0.2, 0.6, 1.0, 1.2)],
-    [(-0.3, 0.4, 1.2, 0.9), (0.2, -0.2, 1.0, 1.1), (0.7, 0.3, 1.3, 1.0), (0.1, 0.9, 1.1, 1.2)],
-    [(0.8, -0.6, 1.0, 1.0), (1.2, 0.1, 1.5, 1.0), (0.4, 0.7, 1.5, 1.3), (-0.2, -0.1, 1.0, 1.3)],
-]
-
-
-def _closed(vertices) -> ParameterPath:
-    return ParameterPath(np.array(vertices + vertices[:1], dtype=float))
-
-
-def _wilson_of(grid, config, vertices):
-    res = wilson_loop_oracle(grid, config, _closed(vertices), n=0, window=(0, 1), steps=64)
-    assert res.points == 64
-    return res.matrix
 
 
 @pytest.mark.parametrize("loop", range(len(_SYMMETRY_LOOPS)))

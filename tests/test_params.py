@@ -7,7 +7,7 @@ import pytest
 from dlh.errors import ValidationError
 from dlh.params import CONTROL_PARAMS, PhysicalConfig, _point_scales, derive_scales, validate_regime
 
-from test_refusals import refusal_test
+from _refusals import refusal_test
 
 # natural units with omega = 1, sigma = +1, u = 1/sqrt(8)
 NATURAL = PhysicalConfig(mass=1.0, alpha=1.0, hbar=1.0, lambda_density=1.0, B=1.0)

@@ -29,7 +29,7 @@ from dlh.oracle import fd_connection_matrix
 from dlh.params import derive_scales
 
 import _level
-from test_oracle import _SYMMETRY_LOOPS, _wilson_of
+from _loops import _SYMMETRY_LOOPS, _wilson_of
 
 _QUARTER = np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
 _MIRROR = np.diag([1.0, -1.0, 1.0, 1.0])
@@ -58,7 +58,7 @@ _RELATIONS = {
 
 # the points of the connection routes; the loops of the engine, unordered and level routes: three random
 # quadrilaterals with fields strong enough that a wrong R misses by far more than rounding, and two ABCHEFA
-# boxes, off Ex' = 0 (only exact segments under "auto") and at Ex' = 0; the Wilson loops of tests/test_oracle.py
+# boxes, off Ex' = 0 (only exact segments under "auto") and at Ex' = 0; the Wilson loops of tests/_loops.py
 _POINTS = [(0.3, 0.7, 2.0, 1.0), (-0.4, 0.25, 1.5, 1.2)]
 _rng = np.random.default_rng(7)
 _LOOPS = [np.vstack([c, c[:1]]) for c in

@@ -13,6 +13,8 @@ import pytest
 from dlh.cli import main
 from dlh.errors import ConsistencyError, ConvergenceError
 
+from _refusals import refusal_test
+
 
 def run_cli(capsys, *argv):
     rc = main(list(argv))
@@ -105,6 +107,9 @@ def test_displace_json_and_csv(capsys):
     assert comments[6].startswith("# trunc_deficit = ")
     assert len(comments) == 7
     assert lines[0] == "n,m,re,im"
+
+
+test_displace_refuses_a_non_finite_nu = refusal_test("test_displace_refuses_a_non_finite_nu")
 
 
 # stdout of `displace --n-max 4 --m-max 1 --nu-re 0.5 --nu-im -0.2 --format csv`,
@@ -243,6 +248,9 @@ def test_vertices_file(capsys, tmp_path):
     assert payload["signed_area"] == pytest.approx(0.25)
 
 
+test_holonomy_rejects_the_sigma_minus_branch = refusal_test("test_holonomy_rejects_the_sigma_minus_branch")
+
+
 def test_out_file_matches_stdout(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, "phase", "--named", "ABCHGFA")
     target = tmp_path / "phase.json"
@@ -307,6 +315,15 @@ def test_config_file_loading(capsys, tmp_path):
     assert rows["nu_re"] != "0.0"
 
 
+test_config_errors = refusal_test("test_config_errors")
+test_non_finite_config_values_exit_2 = refusal_test("test_non_finite_config_values_exit_2")
+
+
+test_mistyped_sigma_override_exits_2 = refusal_test("test_mistyped_sigma_override_exits_2")
+test_bad_inputs_exit_2 = refusal_test("test_bad_inputs_exit_2")
+test_window_errors_name_their_reason = refusal_test("test_window_errors_name_their_reason")
+
+
 def test_writing_to_a_directory_exits_2(capsys, tmp_path):
     taken = tmp_path / "taken"
     taken.mkdir()
@@ -315,6 +332,12 @@ def test_writing_to_a_directory_exits_2(capsys, tmp_path):
     assert out == ""
     # no temporary file is left beside the target or in it
     assert list(tmp_path.iterdir()) == [taken] and not any(taken.iterdir())
+
+
+test_bad_target_exit_2 = refusal_test("test_bad_target_exit_2")
+test_escaping_inputs_are_validation_errors = refusal_test("test_escaping_inputs_are_validation_errors")
+test_escaping_library_calls_are_validation_errors = refusal_test("test_escaping_library_calls_are_validation_errors")
+test_edge_of_range_inputs_compute_or_name_the_input = refusal_test("test_edge_of_range_inputs_compute_or_name_the_input")
 
 
 def test_exit_3_on_numerical_failure(capsys, monkeypatch):
@@ -372,6 +395,10 @@ def test_sweep_two_axes_sorted(capsys):
     combos = [tuple(float(v) for v in line.split(",")[:2]) for line in lines[1:]]
     assert combos == sorted(combos)
     assert len(combos) == 4
+
+
+test_sweep_validation = refusal_test("test_sweep_validation")
+test_sweep_has_no_steps_axis = refusal_test("test_sweep_has_no_steps_axis")
 
 
 def test_oracle_check_passes(capsys, tmp_path):

@@ -15,6 +15,8 @@ from dlh.connection import (
     connection_matrix,
 )
 
+from _refusals import refusal_test
+
 
 def _random_points(rng, count):
     pts = []
@@ -116,9 +118,16 @@ def test_curvature_matches_fd_of_closed_form():
     assert fd == pytest.approx(abelian_curvature((0, 0, lam, b), u), rel=1e-9)
 
 
+test_validation_errors = refusal_test("test_validation_errors")
+test_window_bounds_must_be_integers = refusal_test("test_window_bounds_must_be_integers")
+
+
 def test_window_check_returns_plain_ints():
     bounds = _check_window((np.int64(1), np.int32(3)))
     assert bounds == (1, 3) and all(type(v) is int for v in bounds)
+
+
+test_non_finite_points_and_u_are_rejected = refusal_test("test_non_finite_points_and_u_are_rejected")
 
 
 def test_in_plane_elements_zero_at_origin():

@@ -23,6 +23,7 @@ from dlh.fock import build_basis
 from dlh.params import derive_scales
 
 from _algebra import dual_route_deviation, interior_indices, ladder_a, state_from_ground
+from _refusals import refusal_test
 
 
 def test_displacement_is_unitary(rng):
@@ -103,7 +104,7 @@ def test_displaced_energy_via_expectation(cfg_desk):
 
 def test_truncation_refusal_and_warning():
     # the rule reads the weight that level 0 keeps past n_max: 2.0e-5 at
-    # |nu|^2 = 1.44 on n_max = 8 (its refusals are rows of tests/test_refusals.py)
+    # |nu|^2 = 1.44 on n_max = 8 (its refusals are rows of tests/_refusals.py)
     with pytest.warns(UserWarning, match="level 0 keeps 2.03e-05 of its weight past n_max = 8"):
         displaced_state(0, 0, 1.2, build_basis(8, 0))
     with warnings.catch_warnings():
@@ -127,6 +128,9 @@ def test_refusal_bound_is_a_level_0_weight_of_one_tenth(n_max, occ_max):
         displaced_state(0, 0, math.sqrt(occ_max + 1e-4), basis)
     # |nu|^2 = n_max/2 keeps level 0 under it
     assert _level0_weight(n_max / 2, n_max) < 0.091
+
+
+test_non_finite_nu_is_refused = refusal_test("test_non_finite_nu_is_refused")
 
 
 def test_position_shift_values():
@@ -284,7 +288,7 @@ def test_trunc_deficit_is_exact_far_below_rounding():
 def test_trunc_deficit_at_the_top_level():
     # n = n_max with |nu|^2 just under n_max/2: most of the state lies past
     # the truncation, and its edge nears the old padded mode's top level 47;
-    # the guard refuses that state (a row of tests/test_refusals.py), so the
+    # the guard refuses that state (a row of tests/_refusals.py), so the
     # weight is read from the helper
     nu, n_max = _nu(7.99, 0.7), 16
     ap = _ladder((0, 399))

@@ -7,6 +7,7 @@ from dlh.fock import build_basis, hamiltonian_matrix, lz_matrix
 from dlh.params import derive_scales
 
 from _algebra import commutator, interior_indices, ladder_a, ladder_b, state_from_ground
+from _refusals import refusal_test
 
 
 def test_basis_indexing_roundtrip():
@@ -18,11 +19,18 @@ def test_basis_indexing_roundtrip():
             assert basis.labels(idx) == (n, m)
 
 
+test_basis_bounds_must_be_integers = refusal_test("test_basis_bounds_must_be_integers")
+
+
 def test_basis_bounds_become_plain_ints():
     basis = build_basis(np.int64(4), np.int32(1))
     assert type(basis.n_max) is int and type(basis.m_max) is int and basis.size == 10
     assert build_basis(1, 1, sigma=np.int64(-1)).sigma == -1
     assert build_basis(2, 2).labels(np.int64(4)) == (1, 1)
+
+
+test_basis_sigma_must_be_an_integer_sign = refusal_test("test_basis_sigma_must_be_an_integer_sign")
+test_labels_takes_an_integer_index = refusal_test("test_labels_takes_an_integer_index")
 
 
 def test_level_ladder_elements():

@@ -32,6 +32,7 @@ from dlh.oracle import wilson_loop_oracle
 import _level
 from _loops import BB, C9_VERTICES, EY, LAM
 from _ode import dop853_holonomy
+from _refusals import refusal_test
 
 
 def _reversed(path: ParameterPath) -> ParameterPath:
@@ -61,6 +62,9 @@ def _commuting_loop(rng, legs=3):
         control[2:] = start[2:] if k == legs - 1 else rng.uniform(1.0, 4.0, 2)
         verts += [field, control]
     return ParameterPath(np.array(verts))
+
+
+test_path_validation = refusal_test("test_path_validation")
 
 
 def test_path_keeps_a_read_only_copy_of_its_vertices():
@@ -161,6 +165,11 @@ def test_loop_functional_closed_forms():
         assert loop_area_integral(box_loop(kind, (1.0, 1.0), LAM, BB)) == 0.0
     # ABCHEFA also degenerates when lam1 B1 = lam2 B2
     assert area_closed_form("ABCHEFA", EY, (1.0, 2.0), (2.0, 1.0)) == pytest.approx(0.0)
+
+
+test_area_closed_form_refuses_a_corner_where_lambda_b_is_not_finite = refusal_test(
+    "test_area_closed_form_refuses_a_corner_where_lambda_b_is_not_finite"
+)
 
 
 def test_abelian_phase_relations():
@@ -275,6 +284,9 @@ def test_auto_refinement_and_cap(monkeypatch):
     monkeypatch.setattr(hol, "_STEP_CAP", 64)
     with pytest.raises(ConvergenceError, match="step cap"):
         holonomy_path_ordered(C9_LOOP, 0.5, window=(0, 1), steps=16, target=1e-12)
+
+
+test_bad_target_rejected = refusal_test("test_bad_target_rejected")
 
 
 def test_rounding_floor_fails_fast():
@@ -423,6 +435,9 @@ def test_magnus_steps_are_fourth_order():
     # a second-order scheme would shrink the estimate 4x per doubling
     ests = _magnus_estimates(C9_LOOP, (0, 3), (64, 128, 256))
     assert ests[0] / ests[1] > 10.0 and ests[1] / ests[2] > 10.0
+
+
+test_signed_area_planarity_guard = refusal_test("test_signed_area_planarity_guard")
 
 
 @pytest.mark.parametrize("window", [(0, 3), (1, 4), (0, 15), (0, 63)])

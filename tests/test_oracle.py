@@ -32,6 +32,10 @@ from _fields import (
     window_states,
 )
 from _loops import _SYMMETRY_LOOPS, _closed, _wilson_of
+from _refusals import refusal_test
+
+
+test_grid_adequacy_rules = refusal_test("test_grid_adequacy_rules")
 
 
 # l_m and shift of each adequacy case on the 256-point grid of extent 12, and
@@ -298,6 +302,10 @@ def test_real_factors_take_the_real_derivative(request, grid_name):
     # the complex route takes any axis: along x of a field is along y of its transpose
     along_x = _fields.deriv(grid, field.astype(complex), -2)
     assert np.abs(along_x - _fields.deriv(grid, field.T.astype(complex), -1).T).max() <= 1e-14 * np.abs(along_x).max()
+
+
+test_window_states_validation = refusal_test("test_window_states_validation")
+test_fast_paths_reject_states_at_the_frame = refusal_test("test_fast_paths_reject_states_at_the_frame")
 
 
 def _per_entry(grid, bras, kets):
@@ -608,6 +616,9 @@ def test_wilson_loop_is_second_order_in_the_links(grid14, cfg_natural):
     assert errors[0] >= 3 * errors[1] >= 9 * errors[2]
 
 
+test_wilson_validation = refusal_test("test_wilson_validation")
+
+
 @pytest.mark.parametrize("loop", range(len(_SYMMETRY_LOOPS)))
 def test_symmetry_loops_match_the_engine(grid12, cfg_natural, loop):
     # the loops of the symmetry checks carry the physical holonomy, within C6's 1e-4
@@ -642,6 +653,19 @@ def test_wilson_links_are_the_engine_allocation(grid12, cfg_natural, name):
         plain_loop = ParameterPath(np.array(_RECTANGLE))
         plain = wilson_loop_oracle(grid12, cfg_natural, plain_loop, n=0, window=(0, 1), steps=steps)
         assert res.points == plain.points and np.array_equal(res.matrix, plain.matrix)
+
+
+test_wilson_steps_must_be_an_integer_count = refusal_test("test_wilson_steps_must_be_an_integer_count")
+test_fd_h_step_must_be_a_finite_positive_number = refusal_test("test_fd_h_step_must_be_a_finite_positive_number")
+test_wavefield_guards = refusal_test("test_wavefield_guards")
+test_field_guards_reject_nan = refusal_test("test_field_guards_reject_nan")
+test_grid_rejects_bad_sizes = refusal_test("test_grid_rejects_bad_sizes")
+test_pipeline_rejects_offgrid_displacement = refusal_test("test_pipeline_rejects_offgrid_displacement")
+test_fd_parameter_validation = refusal_test("test_fd_parameter_validation")
+test_fd_points_must_have_four_coordinates = refusal_test("test_fd_points_must_have_four_coordinates")
+test_malformed_points_and_ranges_are_validation_errors = refusal_test(
+    "test_malformed_points_and_ranges_are_validation_errors"
+)
 
 
 def test_sign_convention_report_contents(grid12):

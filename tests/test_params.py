@@ -7,6 +7,8 @@ import pytest
 from dlh.errors import ValidationError
 from dlh.params import CONTROL_PARAMS, PhysicalConfig, _point_scales, derive_scales, validate_regime
 
+from _refusals import refusal_test
+
 # natural units with omega = 1, sigma = +1, u = 1/sqrt(8)
 NATURAL = PhysicalConfig(mass=1.0, alpha=1.0, hbar=1.0, lambda_density=1.0, B=1.0)
 
@@ -107,6 +109,11 @@ def test_nu_cross_pairing(cfg_desk):
     assert sc.nu.imag == pytest.approx(-c * cfg_desk.Ex_prime, rel=1e-14)
 
 
+test_invalid_configs_raise = refusal_test("test_invalid_configs_raise")
+test_non_finite_fields_raise = refusal_test("test_non_finite_fields_raise")
+test_scales_that_overflow_raise = refusal_test("test_scales_that_overflow_raise")
+
+
 _DESK = {"mass": 1.0, "alpha": 0.5, "hbar": 1.0}
 _GOOD_ROW = (0.3, 0.7, 2.0, 1.0)
 _DEGENERATE = "lambda_density * B must be nonzero: the effective Landau problem degenerates at zero cyclotron frequency"
@@ -191,6 +198,9 @@ def test_the_checks_accept_exactly_the_rows_that_pass_each_one():
     assert outcomes == {None, *CONTROL_PARAMS, "omega", "l_m", "u", "nu", "lambda_density * B"}
 
 
+test_sigma_override_must_be_the_int_plus_or_minus_one = refusal_test("test_sigma_override_must_be_the_int_plus_or_minus_one")
+
+
 def test_at_point_replaces_control_coordinates(cfg_desk):
     moved = cfg_desk.at_point(0.1, -0.2, 3.0, 0.5)
     assert (moved.Ex_prime, moved.Ey_prime) == (0.1, -0.2)
@@ -217,6 +227,9 @@ def test_regime_screening():
 
 # ---------------------------------------------------------------------------
 # one check per kind of argument
+
+
+test_bad_argument_raises_validation_error = refusal_test("test_bad_argument_raises_validation_error")
 
 
 def test_each_argument_check_has_one_home():

@@ -553,7 +553,7 @@ def _parse_sweeps(specs: list[str]) -> list[tuple[str, list[float]]]:
             raise ValidationError(f"sweep axis {name!r} given twice")
         seen.add(name)
         try:
-            vals = [float(v) for v in values.split(",") if v != ""]
+            vals = [float(v) for v in values.split(",")]
         except ValueError as exc:
             raise ValidationError(f"bad sweep values in {spec!r}: {exc}") from exc
         if len(vals) < 2:

@@ -7,14 +7,14 @@ independent routes are implemented:
 * :func:`connection_general` follows the chain rule through nu(xi) and
   l_m(xi): the in-plane field components move nu directly, while lambda and B
   move both nu (through l_m) and the basis scale itself.
-* The closed form, written once in :func:`_generator_scalars`. Contracted
-  with a step d = (dEx', dEy', dlambda, dB) the connection is the step
-  generator
+* The closed form, written once in :func:`_generator_scalars`. It depends on
+  lambda and B only through the one scale w = |lambda B|^{-1/2} and the
+  log-step d ln|lambda B| = dlambda/lambda + dB/B. Contracted with a step
+  d = (dEx', dEy', dlambda, dB) the connection is the step generator
 
       Theta = phi I + zeta L + conj(zeta) L^T,
-      phi   = (Ex' dEy' - Ey' dEx') / (16 u^2 lambda B),
-      zeta  = (Ey' - i Ex') [dlambda / (8 u lambda^{3/2} B^{1/2})
-                             + dB / (8 u lambda^{1/2} B^{3/2})],
+      phi   = w^2 (Ex' dEy' - Ey' dEx') / (16 u^2),
+      zeta  = (Ey' - i Ex') (w / 8u) (dlambda/lambda + dB/B),
 
   with L the lowering pattern L_{m+1,m} = sqrt(m+1) on the m-window.
   :func:`connection_matrix` is Theta for a unit step along one parameter,
@@ -26,19 +26,19 @@ Both routes use the sign convention fixed by the finite-difference oracle;
 and the rejected sign choices for the diagonal pair and the off-diagonal
 band. Per parameter, with m the radial index,
 
-    A(Ex')_mm      = -Ey' / (16 u^2 lambda B)
-    A(Ey')_mm      = +Ex' / (16 u^2 lambda B)
-    A(lam)_{m+1,m} = +(Ey' - i Ex') sqrt(m+1) / (8 u lambda^{3/2} B^{1/2})
-    A(B)_{m+1,m}   = +(Ey' - i Ex') sqrt(m+1) / (8 u lambda^{1/2} B^{3/2})
+    A(Ex')_mm      = -Ey' w^2 / (16 u^2)
+    A(Ey')_mm      = +Ex' w^2 / (16 u^2)
+    A(lam)_{m+1,m} = +(Ey' - i Ex') sqrt(m+1) w / (8 u lambda)
+    A(B)_{m+1,m}   = +(Ey' - i Ex') sqrt(m+1) w / (8 u B)
 
-with Hermitian conjugate entries above the diagonal. The off-diagonal
-prefactor 1/(8u) equals u exactly when hbar = alpha (natural units); only
-1/(8u) keeps the holonomy angle invariant under a change of units. Matrix
-elements do not depend on the level index n, only on m; n is accepted for
-interface symmetry with the per-level holonomy and checked for validity.
+with Hermitian conjugate entries above the diagonal, so lambda A(lam) = B A(B).
+The off-diagonal prefactor 1/(8u) equals u exactly when hbar = alpha (natural
+units); only 1/(8u) keeps the holonomy angle invariant under a change of units.
+Matrix elements do not depend on the level index n, only on m; n is accepted
+for interface symmetry with the per-level holonomy and checked for validity.
 
-Everything here assumes lambda > 0 and B > 0. The formulas carry no explicit
-sigma: chirality is absorbed in the (n, m) labeling.
+Both chiralities sigma = sign(lambda B) take these formulas, which carry no
+explicit sigma: it is absorbed in the (n, m) labeling.
 """
 
 from __future__ import annotations
@@ -66,35 +66,34 @@ def _unpack(point) -> tuple[float, float, float, float]:
     ex, ey, lam, b = _floats(point, "point must be 4 numbers (Ex', Ey', lambda, B)", (4,)).tolist()
     if not all(map(math.isfinite, (ex, ey, lam, b))):
         raise ValidationError(f"point contains non-finite entries: {point!r}")
-    if lam <= 0 or b <= 0:
-        raise ValidationError(f"lambda and B must be positive, got lambda={lam}, B={b}")
+    if lam == 0.0 or b == 0.0:
+        raise ValidationError(f"lambda and B must be nonzero, got lambda={lam}, B={b}")
     return ex, ey, lam, b
 
 
-def _denominators(lam, b, u: float):
-    """What the generator scalars divide by: 16 u^2 lambda B, 8 u lambda^{3/2} B^{1/2}, 8 u lambda^{1/2} B^{3/2}."""
-    return 16.0 * u * u * lam * b, 8.0 * u * lam ** 1.5 * np.sqrt(b), 8.0 * u * np.sqrt(lam) * b ** 1.5
+def _w2(lam, b):
+    """w^2 = 1/|lambda B|, the square of the one scale w = |lambda B|^(-1/2) of lambda and B."""
+    return 1.0 / np.abs(lam * b)
 
 
 def _check_scales(lam_b, u: float) -> None:
     """Refuse a u that is not positive and finite, and (lambda, B) rows where the generator scalars are not finite.
 
-    The rows are a path's vertices, or one point's. Where phi would divide by 0, or zeta by 0 or inf, the scalars are
-    inf or NaN or numpy warns (B^{3/2} underflows at B = 1e-308, lambda^{3/2} overflows at lambda = 1e308); 16 u^2
-    lambda B may overflow where u^2 does, and phi is then 0, rounded. Each denominator grows with lambda and B, so
-    the rows' smallest and largest bound it between them.
+    The rows are a path's vertices, or one point's. Per unit step the scalars are w^2/(16 u^2), and w/(8u) over
+    lambda or B: each is largest at the rows' smallest |lambda| and |B|, where it must be finite (w/(8u B) is inf at
+    B = 1e-308). w is smallest at their largest |lambda| and |B|, where lambda B must not overflow (w = 0).
     """
     _check_positive("u", u)
-    low, high = np.min(lam_b, axis=0), np.max(lam_b, axis=0)
+    low, high = np.min(np.abs(lam_b), axis=0), np.max(np.abs(lam_b), axis=0)
     with np.errstate(all="ignore"):
-        smallest, largest = _denominators(*low, u), _denominators(*high, u)
-    names = ("16 u^2 lambda B", "8 u lambda^(3/2) B^(1/2)", "8 u lambda^(1/2) B^(3/2)")
-    bad = [(name, low, d) for name, d in zip(names, smallest) if not d > 0.0]
-    bad += [(name, high, d) for name, d in zip(names[1:], largest[1:]) if not d < math.inf]
+        w2, w2_high, w = _w2(*low), _w2(*high), np.sqrt(_w2(*low)) / (8.0 * u)
+        factors = {"w^2/(16 u^2)": w2 / (16.0 * u * u), "w/(8u lambda)": w / low[0], "w/(8u B)": w / low[1]}
+    bad = [(low, name, f) for name, f in factors.items() if not f < math.inf]
+    bad += [(high, "w^2", w2_high)] if not w2_high > 0.0 else []
     if bad:
-        name, (lam, b), d = bad[0]
-        raise ValidationError(f"the connection is not finite at lambda = {float(lam)!r}, B = {float(b)!r}: "
-                              f"{name} is {float(d)!r} (u = {u!r})")
+        (lam, b), name, f = bad[0]
+        raise ValidationError(f"the connection is not finite at |lambda| = {float(lam)!r}, |B| = {float(b)!r}: "
+                              f"{name} is {float(f)!r} (u = {u!r})")
 
 
 def _generator_scalars(points, steps, u: float):
@@ -106,9 +105,9 @@ def _generator_scalars(points, steps, u: float):
     """
     ex, ey, lam, b = np.asarray(points, dtype=float).T
     dex, dey, dlam, db = np.asarray(steps, dtype=float).T
-    d_phi, d_lam, d_b = _denominators(lam, b, u)
-    phi = (ex * dey - ey * dex) / d_phi
-    zeta = (ey - 1j * ex) * (dlam / d_lam + db / d_b)
+    w2 = _w2(lam, b)
+    phi = (ex * dey - ey * dex) * (w2 / (16.0 * u * u))
+    zeta = (ey - 1j * ex) * (np.sqrt(w2) / (8.0 * u) * (dlam / lam + db / b))
     return phi, zeta
 
 
@@ -136,7 +135,7 @@ def connection_general(
     for name, index in (("n", n), ("m_row", m_row), ("m_col", m_col)):
         _check_count(name, index, 0)
     ex, ey, lam, b = _unpack(point)
-    c = 1.0 / (4.0 * u * math.sqrt(lam * b))
+    c = 1.0 / (4.0 * u * math.sqrt(abs(lam * b)))  # w / 4u
     nu = complex(-c * ey, -c * ex)
     if param == "Ex_prime":
         dnu, dlnl = complex(0.0, -c), 0.0
@@ -208,11 +207,11 @@ def chain_rule_consistency(point, u: float, n: int, window: tuple[int, int]) -> 
 
 
 def abelian_curvature(point, u: float) -> float:
-    """Curvature d A(Ey')/dEx' - d A(Ex')/dEy' = +1/(8 u^2 lambda B).
+    """Curvature d A(Ey')/dEx' - d A(Ex')/dEy' = +w^2/(8 u^2), w = |lambda B|^(-1/2), on both chiralities.
 
     Constant over the (Ex', Ey') plane; equal to -2 times the area-law
-    coefficient -1/(16 u^2 lambda B) used by the gamma_area_law branch.
+    coefficient -w^2/(16 u^2) used by the gamma_area_law branch.
     """
     _check_positive("u", u)
     _, _, lam, b = _unpack(point)
-    return 1.0 / (8.0 * u * u * lam * b)
+    return float(_w2(lam, b) / (8.0 * u * u))

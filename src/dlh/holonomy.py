@@ -10,7 +10,7 @@ here, the first three in increasing generality:
   generator is a real multiple of one fixed tridiagonal matrix T
   (T_{m+1,m} = sqrt(m+1)) and the path-ordered product collapses to
   exp(i S T / (4u)) with S the loop functional
-  S = closed-integral of (lambda B)^(-1/2) dEy'.
+  S = closed-integral of |lambda B|^(-1/2) dEy'.
 * :func:`holonomy_path_ordered` for arbitrary loops, segment by segment.
   With ``method="auto"``, a segment whose step generators commute (the
   in-plane field keeps one direction through the origin, or lambda and B
@@ -40,8 +40,8 @@ stays in that span and goes through the one span kernel, :func:`dlh._linalg._spa
 with one eigendecomposition of T = L + L^T per window, computed once; the
 level's D(i Z) is the closed form of :mod:`dlh.displaced`, exact on any window.
 
-Paths, and so the engine and the Wilson oracle, cover lambda, B > 0 only;
-the sigma = -1 branch is rejected at the vertices.
+Paths cover both chiralities sigma = sign(lambda B): lambda and B may take
+either sign, but neither may change sign along a segment.
 """
 
 from __future__ import annotations
@@ -109,8 +109,9 @@ _BATCH_DOUBLINGS = 3  # most doublings built ahead in one batch
 
 
 def _ratios(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The larger ratio of lambda, and of B, between the ends of every segment a -> b."""
-    return np.max(np.maximum(a[:, 2:], b[:, 2:]) / np.minimum(a[:, 2:], b[:, 2:]), axis=1)
+    """The larger ratio of |lambda|, and of |B|, between the ends of every segment a -> b."""
+    a, b = np.abs(a[:, 2:]), np.abs(b[:, 2:])
+    return np.max(np.maximum(a, b) / np.minimum(a, b), axis=1)
 
 
 def _validate_vertices(vertices) -> np.ndarray:
@@ -122,8 +123,9 @@ def _validate_vertices(vertices) -> np.ndarray:
         )
     if not np.all(np.isfinite(v)):
         raise ValidationError("vertices contain non-finite entries")
-    if np.any(v[:, 2] <= 0) or np.any(v[:, 3] <= 0):
-        raise ValidationError("lambda and B must stay positive at every vertex")
+    signs = np.sign(v[:, 2:])
+    if not signs.all() or np.any(signs[1:] != signs[:-1]):
+        raise ValidationError("lambda and B must be nonzero at every vertex and keep their signs along every segment")
     v.setflags(write=False)
     return v
 
@@ -133,13 +135,13 @@ class ParameterPath:
     """Closed piecewise-linear loop through (Ex', Ey', lambda, B), checked once, when it is built.
 
     The path keeps a read-only copy of its vertices; the last must equal the
-    first. Segments are straight in all four coordinates, so positivity of
-    lambda and B at the vertices guarantees positivity along the whole path.
-    A vertex with lambda <= 0 or B <= 0 is a ValidationError: the holonomy
-    engine and the Wilson oracle cover lambda, B > 0 only, not the
-    sigma = -1 branch. So is a segment whose length overflows, or whose
-    lambda or B ratio exceeds 1e4, the quadrature's cap (3,333 panels), and
-    an open vertex list. A path equals only itself and hashes by identity.
+    first. Segments are straight in all four coordinates, so lambda and B,
+    nonzero at the vertices and of one sign along every segment, stay nonzero
+    along the whole path; either sign, so either chirality, is allowed. A zero
+    lambda or B at a vertex, or a sign change along a segment, is a
+    ValidationError. So is a segment whose length overflows, or whose |lambda|
+    or |B| ratio exceeds 1e4, the quadrature's cap (3,333 panels), and an open
+    vertex list. A path equals only itself and hashes by identity.
     """
 
     vertices: np.ndarray
@@ -224,7 +226,7 @@ def box_loop(kind: str, ey_range, lam_range, b_range, ex: float = 0.0) -> Parame
         ABCHGFA: Ey' up at (lam1, B2), down at (lam1, B1)
         ADCHEFA: Ey' up at (lam1, B1), down at (lam1, B2)
 
-    so their loop functionals S = closed-integral of (lam B)^(-1/2) dEy' are
+    so their loop functionals S = closed-integral of |lam B|^(-1/2) dEy' are
     the closed forms in :func:`area_closed_form`.
     """
     if kind not in _BOX_ITINERARIES:
@@ -254,7 +256,7 @@ class AbelianPhases:
 
     gamma_line_integral is the closed line integral of the diagonal
     connection, equal to curvature * signed_area; gamma_area_law is the
-    area-law branch -signed_area/(16 u^2 lambda B). The two differ by an
+    area-law branch -signed_area w^2/(16 u^2), w = |lambda B|^(-1/2). The two differ by an
     exact factor of -2 (sign and magnitude), which the sign-convention report
     (:func:`dlh.oracle.sign_convention_report`, ``dlh oracle-check``) measures.
     """
@@ -267,7 +269,7 @@ class AbelianPhases:
     @property
     def ratio(self) -> float:
         if self.gamma_area_law == 0.0:
-            raise ValidationError("gamma_area_law is 0 (zero signed area, or 16 u^2 lambda B overflows): no ratio")
+            raise ValidationError("gamma_area_law is 0 (zero signed area, or 16 u^2 |lambda B| overflows): no ratio")
         return self.gamma_line_integral / self.gamma_area_law
 
 
@@ -288,12 +290,12 @@ def abelian_phase(path: ParameterPath, u: float) -> AbelianPhases:
         signed_area=area,
         curvature=abelian_curvature(v[0], u),
         gamma_line_integral=float(np.sum(phi)),
-        gamma_area_law=-area / (16.0 * u * u * lam * b),
+        gamma_area_law=-area / abs(16.0 * u * u * lam * b),
     )
 
 
 def loop_area_integral(path: ParameterPath) -> float:
-    """Loop functional S = closed-integral of (lambda B)^(-1/2) dEy'.
+    """Loop functional S = closed-integral of w dEy', w = |lambda B|^(-1/2).
 
     Gauss quadrature per segment (:func:`_segment_quadrature`); exact for the
     named box loops, where every segment has either dEy' = 0 or lambda, B
@@ -303,7 +305,7 @@ def loop_area_integral(path: ParameterPath) -> float:
     a, b = path.vertices[:-1], path.vertices[1:]
     seg, pts, w = _segment_quadrature(a, b)
     with np.errstate(over="ignore"):
-        lam_b = pts[:, 2] * pts[:, 3]
+        lam_b = np.abs(pts[:, 2] * pts[:, 3])
     finite = (lam_b > 0.0) & (lam_b < math.inf)
     if not finite.all():
         k = int(np.argmin(finite))
@@ -316,21 +318,22 @@ def loop_area_integral(path: ParameterPath) -> float:
 def area_closed_form(kind: str, ey_range, lam_range, b_range) -> float:
     """Closed form of the loop functional S for the named box itineraries.
 
-    With w_ij = (lam_i B_j)^(-1/2):
+    With w_ij = |lam_i B_j|^(-1/2):
 
         ABCHEFA: (Ey2 - Ey1)(w_22 - w_11)
         ABCHGFA: (Ey2 - Ey1)(w_12 - w_11)
         ADCHEFA: the negative of ABCHGFA
 
     All three vanish when Ey1 = Ey2; ABCHEFA also vanishes when
-    lam1 B1 = lam2 B2. An S that overflows is a ValidationError.
+    lam1 B1 = lam2 B2. A lambda or B range that contains 0, as the box's
+    segments would cross it, and an S that overflows are ValidationErrors.
     """
     (ey1, ey2), (l1, l2), (b1, b2) = _floats((ey_range, lam_range, b_range), _BOX_RANGES, (3, 2)).tolist()
     if not all(map(math.isfinite, (ey1, ey2, l1, l2, b1, b2))):
         raise ValidationError(f"ranges must be finite, got {ey_range!r}, {lam_range!r}, {b_range!r}")
-    if min(l1, l2, b1, b2) <= 0:
-        raise ValidationError("lambda and B ranges must be positive")
-    products = (l1 * b1, l1 * b2, l2 * b2)
+    if 0.0 in (l1, l2, b1, b2) or (l1 < 0) != (l2 < 0) or (b1 < 0) != (b2 < 0):
+        raise ValidationError(f"lambda and B ranges must be nonzero and of one sign, got {lam_range!r}, {b_range!r}")
+    products = (abs(l1 * b1), abs(l1 * b2), abs(l2 * b2))
     if min(products) == 0.0 or max(products) == math.inf:
         what = "underflows to 0" if min(products) == 0.0 else "overflows"
         raise ValidationError(f"lambda B {what} at a corner of {lam_range!r} and {b_range!r}")
@@ -582,10 +585,7 @@ def holonomy_path_ordered(
     time-symmetric.
     """
     if target is not None:
-        try:
-            value = float(target)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"target must be a number or None, got {target!r}") from exc
+        value = float(_floats(target, "target must be a number or None", ()))
         if isinstance(target, bool) or not (math.isfinite(value) and value >= 0.0):
             raise ValidationError(f"target must be a finite number >= 0 or None, got {target!r}")
         target = value

@@ -352,9 +352,9 @@ def sign_convention_report(config: PhysicalConfig = OPERATING_CONFIG, grid: Grid
     its (1, 0) entries, read against the same entries of
     :func:`dlh.connection.connection_matrix` on that window. A small Wilson
     rectangle, the report's only other stack, measures the curvature
-    constant, which is compared against the closed form +1/(8 u^2 lambda B)
-    and against the area-law coefficient -1/(16 u^2 lambda B) (factor -2:
-    magnitude 2 and opposite orientation).
+    constant, which is compared against the closed form +w^2/(8 u^2),
+    w = |lambda B|^(-1/2), on both chiralities, and against the area-law
+    coefficient -w^2/(16 u^2) (factor -2: magnitude 2 and opposite orientation).
     The rejected sign variants are evaluated on the same measurements so the
     report shows how far off each one is.
 
@@ -385,7 +385,7 @@ def sign_convention_report(config: PhysicalConfig = OPERATING_CONFIG, grid: Grid
     area = side * side
     measured_curvature = gamma_measured / area
     curvature_closed = abelian_curvature(point, u)
-    area_law_coefficient = -0.5 * curvature_closed  # -1/(16 u^2 lambda B): the denominators differ by an exact 2
+    area_law_coefficient = -0.5 * curvature_closed  # -w^2/(16 u^2): the denominators differ by an exact 2
 
     return {
         "operating_point": {"Ex_prime": ex, "Ey_prime": ey, "lambda_density": lam, "B": b, "u": u},
@@ -458,8 +458,8 @@ def render_sign_report(report: dict) -> str:
         "",
         "curvature over the in-plane field plane:",
         f"  measured (Wilson rectangle): {c['measured']:+.6e}",
-        f"  closed form +1/(8 u^2 lambda B): {c['closed_form']:+.6e}   deviation {c['deviation']:.3e}",
-        f"  area-law coefficient -1/(16 u^2 lambda B): {c['area_law_coefficient']:+.6e}",
+        f"  closed form +w^2/(8 u^2): {c['closed_form']:+.6e}   deviation {c['deviation']:.3e}",
+        f"  area-law coefficient -w^2/(16 u^2): {c['area_law_coefficient']:+.6e}",
         f"  measured / area-law = {c['measured_over_area_law']:+.4f}",
         f"  {c['flag']}",
     ]

@@ -122,9 +122,8 @@ _NU_CALLS = {
 
 def _frame_calls(grid, point, n, window) -> dict:
     """The paths that take the boundary guard from the factors and never form the fields."""
-    # a loop keeps lambda > 0; the mirrored point has the same l_m and |nu|
-    ex, ey, lam, b = point
-    loop = rectangle_loop("Ex_prime", "Ey_prime", (ex, ex + 0.1), (ey, ey + 0.1), (ex, ey, abs(lam), b))
+    ex, ey = point[:2]
+    loop = rectangle_loop("Ex_prime", "Ey_prime", (ex, ex + 0.1), (ey, ey + 0.1), point)
     return {
         "window_states": lambda: window_states(grid, _DESK, point, n, window),
         "fd": lambda: fd_connection_matrix(grid, _DESK, "B", point, n, window),
@@ -200,10 +199,8 @@ LIBRARY = {
     **_together("test_validation_errors", {
         "unknown parameter": (lambda: connection_matrix("Ez_prime", (0, 0, 1, 1), 0.5, 0, (0, 0)),
                               "unknown control parameter 'Ez_prime'"),
-        "negative lambda": (lambda: connection_matrix("B", (0, 0, -1.0, 1.0), 0.5, 0, (0, 0)),
-                            "lambda and B must be positive, got lambda=-1.0, B=1.0"),
         "zero B": (lambda: connection_matrix("B", (0, 0, 1.0, 0.0), 0.5, 0, (0, 0)),
-                   "lambda and B must be positive, got lambda=1.0, B=0.0"),
+                   "lambda and B must be nonzero, got lambda=1.0, B=0.0"),
         "negative u": (lambda: connection_general("B", (0, 0, 1, 1), -0.5, 0, 0, 0), "u must be a finite number > 0"),
         "negative n": (lambda: connection_general("B", (0, 0, 1, 1), 0.5, -1, 0, 0), "n must be >= 0, got -1"),
         "reversed window": (lambda: connection_matrix("B", (0, 0, 1, 1), 0.5, 0, (3, 1)), f"{_WINDOW}, got (3, 1)"),
@@ -242,14 +239,17 @@ LIBRARY = {
     **_together("test_path_validation", {
         "one vertex": (lambda: ParameterPath(np.zeros((1, 4))), f"{_SHAPE} (1, 4)"),
         "three coordinates": (lambda: ParameterPath(np.zeros((3, 3))), f"{_SHAPE} (3, 3)"),
-        # lambda, B > 0 only: the sigma = -1 branch is rejected at the vertices
-        "negative lambda": (lambda: ParameterPath([[0, 0, 1, 1], [0, 0, -1, 1]]), "positive"),
-        "negative B": (lambda: ParameterPath([[0, 0, 1, 1], [0, 0, 1, -1]]), "positive"),
+        # either sign of lambda and B is a path, but a segment from one sign to the other crosses 0
+        "negative lambda": (lambda: ParameterPath([[0, 0, 1, 1], [0, 0, -1, 1]]), "keep their signs along every"),
+        "negative B": (lambda: ParameterPath([[0, 0, 1, 1], [0, 0, 1, -1]]), "keep their signs along every"),
         "unknown kind": (lambda: ParameterPath([[0, 0, 1, 1], [0, 0, 2, 1], [0, 0, 1, 1]], kind="XYZ"), "kind"),
         # closure is checked once, when the path is built
         "open": (lambda: ParameterPath([[0, 0, 1, 1], [0, 1, 1, 1]]),
                  "path must be closed (first vertex == last vertex)"),
     }),
+    # |lambda| changes by 1e5 along the first segment, whichever sign lambda takes
+    "path_ratio_at_negative_lambda": (lambda: ParameterPath([[0, 0, -1, 1], [0, 0, -1e5, 1], [0, 0, -1, 1]]),
+                                      "ratio of 1e+05"),
     "rectangle_on_one_axis": (lambda: rectangle_loop("Ex_prime", "Ex_prime", (0, 1), (0, 1), (0, 0, 1, 1)),
                               "axes must be two distinct names"),
     "box_unknown_kind": (lambda: box_loop("AAAAAAA", (0.0, 1.0), (1.0, 4.0), (1.0, 4.0)),
@@ -422,10 +422,14 @@ CLI = {
     **_each("test_displace_refuses_a_non_finite_nu", {
         f"nu{i}": (["displace", *nu], {}, "nu must be finite")
         for i, nu in enumerate([("--nu-re", "nan"), ("--nu-im=-inf",), ("--nu-re", "inf", "--nu-im", "0.1")])}),
-    # the engine and the Wilson oracle cover lambda, B > 0 only
+    # a loop may visit the sigma = -1 branch, but these reach it along a segment that crosses lambda = 0 or B = 0
     **_each("test_holonomy_rejects_the_sigma_minus_branch", {
-        key: (["holonomy", "--vertices", "loop.txt"], _loop(f"0 0 1 1\n0.6 0.2 1 1\n{vertex}\n0 0 1 1\n"), "positive")
+        key: (["holonomy", "--vertices", "loop.txt"], _loop(f"0 0 1 1\n0.6 0.2 1 1\n{vertex}\n0 0 1 1\n"),
+              "keep their signs along every segment")
         for key, vertex in {"lambda": "0.6 0.9 -2 1", "B": "0.6 0.9 2 -1"}.items()}),
+    # an empty value is not dropped: each spelling once printed a row fewer
+    **{f"sweep_empty_value_{i}": (["sweep", "--named", "ABCHEFA", "--sweep", spec], {},
+                                  f"bad sweep values in {spec!r}") for i, spec in enumerate(("Ey2=1,,2", "Ey2=1,2,"))},
     "vertices_and_named": (["holonomy", "--vertices", "loop.txt", "--named", "C1"],
                            _loop("0 0 1 1\n0.5 0 1 1\n0.5 0.5 1 1\n0 0.5 1 1\n0 0 1 1\n"), "mutually exclusive"),
     "vertices_of_three_coordinates": (["holonomy", "--vertices", "loop.txt"], _loop("0 0 1\n0 1 1\n"),
@@ -461,17 +465,18 @@ CLI = {
     # inputs at the edge of the double range that once printed nan, raised a numpy warning or doubled their steps
     # to the cap
     **_each("test_edge_of_range_inputs_compute_or_name_the_input", {
-        **{name: ([*argv, "--config", "cfg.json"], _cfg(B_T=1e-308), "B = 1e-308") for name, argv in {
+        **{name: ([*argv, "--config", "cfg.json"], _cfg(B_T=1e-308), "|B| = 1e-308") for name, argv in {
             "connection_B_tiny_B": ["connection", "--param", "B"],
             "connection_Ex_tiny_B": ["connection", "--param", "Ex"],
             "holonomy_C1_tiny_B": ["holonomy", "--named", "C1"],
             "phase_C1_tiny_B": ["phase", "--named", "C1"],
             "sweep_C1_tiny_B": ["sweep", "--named", "C1", "--sweep", "area=1,2"],
         }.items()},
-        "connection_huge_lambda": (["connection", "--param", "B", "--config", "cfg.json"], _cfg(lambda_Vm2=1e308),
-                                   "lambda = 1e+308"),
-        "holonomy_C1_huge_lambda": (["holonomy", "--named", "C1", "--config", "cfg.json"], _cfg(lambda_Vm2=1e308),
-                                    "lambda = 1e+308"),
+        # lambda B = 1e308 is finite, and so is w = 1e-154
+        **{name: ([*argv, "--config", "cfg.json"], _cfg(lambda_Vm2=1e308), None) for name, argv in {
+            "connection_huge_lambda": ["connection", "--param", "B"],
+            "holonomy_C1_huge_lambda": ["holonomy", "--named", "C1"],
+        }.items()},
         "holonomy_box_lambda_B_underflow": (
             ["holonomy", "--named", "ABCHEFA", "--lam1", "1e-200", "--lam2", "2e-200", "--B1", "1e-200", "--B2",
              "2e-200"], {}, "lambda B underflows"),

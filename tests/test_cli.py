@@ -251,6 +251,23 @@ def test_vertices_file(capsys, tmp_path):
 test_holonomy_rejects_the_sigma_minus_branch = refusal_test("test_holonomy_rejects_the_sigma_minus_branch")
 
 
+@pytest.mark.parametrize("column", [2, 3])
+def test_loop_commands_run_the_sigma_minus_branch(capsys, tmp_path, column):
+    # C9's loop with lambda (or B) negated at every vertex reports what the loop itself reports: the closed form
+    # reads |lambda B| and the log-step, which do not see the sign
+    mirror = np.array([[0, 0, 1, 1], [0.6, 0.2, 1, 1], [0.6, 0.9, 2, 1], [0.2, 0.9, 2, 2], [0, 0, 1, 1]], dtype=float)
+    flipped = mirror * np.where(np.arange(4) == column, -1.0, 1.0)
+    reports = []
+    for vertices in (mirror, flipped):
+        np.savetxt(tmp_path / "loop.txt", vertices)
+        for command in ("holonomy", "phase"):
+            rc, out, err = run_cli(capsys, command, "--vertices", str(tmp_path / "loop.txt"))
+            assert (rc, err) == (0, "")
+            reports.append({k: v for k, v in json.loads(out).items() if k != "vertices"})
+    assert reports[:2] == reports[2:]
+    assert reports[0]["steps"] > 32 and reports[1]["S_quadrature"] != 0.0
+
+
 def test_out_file_matches_stdout(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, "phase", "--named", "ABCHGFA")
     target = tmp_path / "phase.json"
@@ -732,6 +749,19 @@ def test_oracle_check_at_a_strong_field(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["cross_checks"]["dual_route_displacement_ok"] is True
     assert payload["sign_report"]["operating_point"]["Ex_prime"] == 2.5
+
+
+@pytest.mark.parametrize("field", [{"lambda_Vm2": -2.0}, {"B_T": -1.0}])
+def test_oracle_check_passes_on_the_sigma_minus_branch(capsys, tmp_path, field):
+    # the grid's curvature is +w^2/(8 u^2) on both chiralities, and its fd connection meets the closed form
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**FIELDS_ON, **field}))
+    rc, out, err = run_cli(capsys, "oracle-check", "--config", str(cfg))
+    assert rc == 0, err
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    assert payload["sign_report"]["curvature"]["closed_form"] == 0.25
+    assert payload["sign_report"]["curvature"]["measured"] == pytest.approx(0.25, abs=1e-10)
 
 
 def test_oracle_check_names_a_failed_dual_route(capsys, monkeypatch):

@@ -119,6 +119,20 @@ def test_curvature_matches_fd_of_closed_form():
 
 
 test_validation_errors = refusal_test("test_validation_errors")
+
+
+@pytest.mark.parametrize("signs", [(-1, 1), (1, -1), (-1, -1)])
+def test_a_point_of_either_sign_reads_w_and_the_log_step(signs):
+    # once refused as lambda <= 0: at Ex' = Ey' = 0 the one entry is 0
+    assert connection_matrix("B", (0, 0, -1.0, 1.0), 0.5, 0, (0, 0)).entries.tolist() == [[0j]]
+    # w and the curvature do not see the signs of lambda and B; A_lambda and A_B take them, as d ln|lambda B| does
+    pt, u = (0.3, -0.7, 1.6, 0.9), 0.45
+    flipped = (*pt[:2], signs[0] * pt[2], signs[1] * pt[3])
+    for param, sign in zip(CONTROL_PARAMS, (1, 1, *signs)):
+        want = sign * connection_matrix(param, pt, u, 0, (0, 4)).entries
+        assert np.array_equal(connection_matrix(param, flipped, u, 0, (0, 4)).entries, want)
+    assert abelian_curvature(flipped, u) == abelian_curvature(pt, u)
+    assert chain_rule_consistency(flipped, u, 0, (0, 4))["max"] < 1e-15
 test_window_bounds_must_be_integers = refusal_test("test_window_bounds_must_be_integers")
 
 

@@ -167,6 +167,18 @@ def test_loop_functional_closed_forms():
     assert area_closed_form("ABCHEFA", EY, (1.0, 2.0), (2.0, 1.0)) == pytest.approx(0.0)
 
 
+def test_a_sigma_minus_box_equals_its_mirror():
+    # lambda from -1 to -100: the quadrature reads the ratio 100 of |lambda| and takes 33 panels on those segments,
+    # as on the mirror box at lambda from 1 to 100, whose w and log-step are the same at every point
+    minus, plus = (box_loop("ABCHEFA", EY, lam, BB, ex=0.5) for lam in ((-1.0, -100.0), (1.0, 100.0)))
+    assert abs(loop_area_integral(minus) - loop_area_integral(plus)) <= 1e-13
+    assert area_closed_form("ABCHEFA", EY, (-1.0, -100.0), BB) == area_closed_form("ABCHEFA", EY, (1.0, 100.0), BB)
+    a, b = hol.level_holonomy(minus, 0.5), hol.level_holonomy(plus, 0.5)
+    assert max(abs(a.Phi - b.Phi), abs(a.chi - b.chi), abs(a.Z - b.Z)) <= 1e-13
+    assert np.abs(a.matrix - b.matrix).max() <= 1e-13
+    assert np.abs(holonomy_path_ordered(minus, 0.5).matrix - holonomy_path_ordered(plus, 0.5).matrix).max() <= 1e-13
+
+
 test_area_closed_form_refuses_a_corner_where_lambda_b_is_not_finite = refusal_test(
     "test_area_closed_form_refuses_a_corner_where_lambda_b_is_not_finite"
 )

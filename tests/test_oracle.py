@@ -174,6 +174,20 @@ def test_fd_connection_matches_closed_form(grid12, cfg_desk):
         assert abs(fd - cf) < 1e-6
 
 
+# three sigma = -1 points and one with lambda, B < 0: the closed form reads lambda and B only through
+# w = |lambda B|^(-1/2) and the log-step dlambda/lambda + dB/B; the fd connection misses it by 8.6e-7 to 1.5e-6
+# there (5.0e-6 to 7.9e-6 relative), as at the operating point
+@pytest.mark.parametrize("point", [(0.3, 0.7, -2.0, 1.0), (-0.5, 0.4, 1.5, -1.2), (0.6, -0.2, -1.0, 2.2),
+                                   (0.3, 0.7, -2.0, -1.0)])
+def test_fd_connection_matches_the_closed_form_on_both_chiralities(grid14, cfg_desk, point):
+    u = derive_scales(cfg_desk).u
+    for n in (0, 1):
+        for param in CONTROL_PARAMS:
+            closed = connection_matrix(param, point, u, n, (0, 3)).entries
+            fd = fd_connection_matrix(grid14, cfg_desk, param, point, n, (0, 3))
+            assert np.abs(fd - closed).max() <= 2e-5 * np.abs(closed).max(), (n, param)
+
+
 def test_fd_richardson_order(grid12, cfg_desk):
     # central differences: truncation error drops ~4x when h halves
     point = (cfg_desk.Ex_prime, cfg_desk.Ey_prime, cfg_desk.lambda_density, cfg_desk.B)

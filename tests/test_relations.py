@@ -13,9 +13,14 @@ that Theta is Hermitian. A route's value at a point is the stack of the four
 components A_k(p) = Theta(p, e_k), and the relation reads sum_j A_j(g p) g_jk.
 The level's routes also carry chi composition: for loops l1, l2 from one base
 point, Phi and Z add and chi(l2 after l1) = chi1 + chi2 + Im(Z2 conj(Z1))
-(wrong variant: the cross term's sign flipped). Each route's value at an input
-is computed once and shared by the relations; derandomized hypothesis polygons
-feed the routes that cost about 1 ms a call or less.
+(wrong variant: the cross term's sign flipped). Three maps of lambda and B keep
+every value, G the identity: lambda -> -lambda, the chirality flip, which takes a
+loop to the sigma = -1 branch; (lambda, B) -> (2.5 lambda, B / 2.5); and
+lambda <-> B. Each keeps w = |lambda B|^(-1/2) and the log-step
+dlambda/lambda + dB/B, through which alone the connection reads lambda and B, and
+has no wrong variant. So does lambda A_lambda = B A_B at a point. Each route's
+value at an input is computed once and shared by the relations; derandomized
+hypothesis polygons feed the routes that cost about 1 ms a call or less.
 """
 
 import numpy as np
@@ -33,6 +38,9 @@ from _loops import _SYMMETRY_LOOPS, _wilson_of
 
 _QUARTER = np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
 _MIRROR = np.diag([1.0, -1.0, 1.0, 1.0])
+_CHIRALITY = np.diag([1.0, 1.0, -1.0, 1.0])
+_RESCALE = np.diag([1.0, 1.0, 2.5, 1.0 / 2.5])
+_SWAP = np.eye(4)[[0, 1, 3, 2]]
 
 
 def _turn(m, i=1j):
@@ -54,12 +62,16 @@ _RELATIONS = {
     "quarter_turn": (lambda x: x @ _QUARTER.T, _QUARTER, _turn, lambda m: _turn(m, -1j)),
     "mirror": (lambda x: x @ _MIRROR.T, _MIRROR, np.conj, _same),
     "reversal": (lambda x: x[::-1], -np.eye(4), _adjoint, _same),
+    **{name: (lambda x, g=g: x @ g.T, g, _same, _same)
+       for name, g in {"chirality": _CHIRALITY, "rescale": _RESCALE, "swap": _SWAP}.items()},
 }
 
-# the points of the connection routes; the loops of the engine, unordered and level routes: three random
-# quadrilaterals with fields strong enough that a wrong R misses by far more than rounding, and two ABCHEFA
-# boxes, off Ex' = 0 (only exact segments under "auto") and at Ex' = 0; the Wilson loops of tests/_loops.py
-_POINTS = [(0.3, 0.7, 2.0, 1.0), (-0.4, 0.25, 1.5, 1.2)]
+# the points of the connection routes, on both chiralities; the loops of the engine, unordered and level
+# routes: three random quadrilaterals with fields strong enough that a wrong R misses by far more than
+# rounding, and two ABCHEFA boxes, off Ex' = 0 (only exact segments under "auto") and at Ex' = 0; the Wilson
+# loops of tests/_loops.py
+_POINTS = [(0.3, 0.7, 2.0, 1.0), (-0.4, 0.25, 1.5, 1.2), (0.3, 0.7, -2.0, 1.0), (-0.4, 0.25, 1.5, -1.2),
+           (0.2, -0.5, -1.5, -1.2)]
 _rng = np.random.default_rng(7)
 _LOOPS = [np.vstack([c, c[:1]]) for c in
           (np.column_stack([_rng.uniform(-1.5, 1.5, (4, 2)), _rng.uniform(0.5, 2.0, (4, 2))]) for _ in range(3))]
@@ -91,19 +103,22 @@ def _route_values(grid, cfg_desk, cfg_natural) -> dict:
 # Wilson links exactly, and every engine factor is time-symmetric
 
 
-def _cells(tol, margin, reversal=None):
-    return {"quarter_turn": (tol, margin), "mirror": (tol, margin), "reversal": reversal or (tol, margin)}
+def _cells(tol, margin, reversal=None, **invariances):
+    """The cells of the three symmetry relations, and of each invariance named with its tolerance."""
+    cells = {"quarter_turn": (tol, margin), "mirror": (tol, margin), "reversal": reversal or (tol, margin)}
+    return cells | {name: (t, None) for name, t in invariances.items()}
 
 
+_KEEP_W = {"chirality": 1e-14, "rescale": 1e-14, "swap": 1e-14}
 _CELLS = {
-    "closed_form": (_POINTS, _cells(1e-15, 1e-2, (1e-15, None))),
-    "fd": (_POINTS, _cells(1e-11, 1e-2, (1e-5, None))),
-    "auto": (_LOOPS, _cells(1e-12, 1e-2)),
+    "closed_form": (_POINTS, _cells(1e-15, 1e-2, (1e-15, None), chirality=1e-15, rescale=1e-15, swap=1e-15)),
+    "fd": (_POINTS, _cells(1e-11, 1e-2, (1e-5, None), chirality=1e-11)),
+    "auto": (_LOOPS, _cells(1e-12, 1e-2, chirality=1e-12)),
     "magnus": (_LOOPS, _cells(1e-12, 1e-2)),
-    "unordered": (_LOOPS, _cells(1e-14, 1e-2)),
-    "wilson": (_WILSON_LOOPS, _cells(1e-12, 1e-3)),
+    "unordered": (_LOOPS, _cells(1e-14, 1e-2, **_KEEP_W)),
+    "wilson": (_WILSON_LOOPS, _cells(1e-12, 1e-3, chirality=1e-12)),
     "level_reference": (_LOOPS, _cells(1e-14, 1e-2)),
-    "level": (_LOOPS, _cells(1e-14, 1e-2)),
+    "level": (_LOOPS, _cells(1e-14, 1e-2, **_KEEP_W)),
 }
 _TABLE = [(relation, route) for route, (_, cells) in _CELLS.items() for relation in cells]
 _CHEAP = ("unordered", "level_reference", "level")  # about 1 ms a call or less
@@ -192,3 +207,12 @@ def test_chi_composition(route):
 @given(first=_polygon, second=_polygon)
 def test_chi_composition_on_polygons(route, first, second):
     assert _composition(route, first, second)[0] <= 1e-14
+
+
+@pytest.mark.parametrize("route, tol", [("closed_form", 1e-15), ("fd", 1e-6)])
+def test_lambda_and_b_components_share_one_log_step(value, route, tol):
+    # A_k = Theta(p, e_k) and the log-step dlambda/lambda + dB/B give lambda A_lambda = B A_B on both chiralities;
+    # the fd route meets it to its O(h^2) discretization (4.6e-7 measured)
+    for p in _POINTS:
+        A = value(route, p)
+        assert np.abs(p[2] * A[2] - p[3] * A[3]).max() <= tol, p

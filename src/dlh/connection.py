@@ -68,7 +68,15 @@ def _unpack(point) -> tuple[float, float, float, float]:
         raise ValidationError(f"point contains non-finite entries: {point!r}")
     if lam == 0.0 or b == 0.0:
         raise ValidationError(f"lambda and B must be nonzero, got lambda={lam}, B={b}")
+    lam_b = abs(lam * b)  # w^2 = 1/|lambda B| must be finite and nonzero
+    if not 0.0 < lam_b < math.inf:
+        raise ValidationError(_not_finite(abs(lam), abs(b), "w^2", math.inf if lam_b == 0.0 else 0.0))
     return ex, ey, lam, b
+
+
+def _not_finite(lam: float, b: float, name: str, value: float) -> str:
+    """The refusal of a connection that is not finite at |lambda| = lam, |B| = b, where `name` is `value`."""
+    return f"the connection is not finite at |lambda| = {lam!r}, |B| = {b!r}: {name} is {value!r}"
 
 
 def _w2(lam, b):
@@ -92,8 +100,7 @@ def _check_scales(lam_b, u: float) -> None:
     bad += [(high, "w^2", w2_high)] if not w2_high > 0.0 else []
     if bad:
         (lam, b), name, f = bad[0]
-        raise ValidationError(f"the connection is not finite at |lambda| = {float(lam)!r}, |B| = {float(b)!r}: "
-                              f"{name} is {float(f)!r} (u = {u!r})")
+        raise ValidationError(f"{_not_finite(float(lam), float(b), name, float(f))} (u = {u!r})")
 
 
 def _generator_scalars(points, steps, u: float):

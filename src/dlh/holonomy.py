@@ -23,10 +23,13 @@ here, the first three in increasing generality:
   bounded size. ``method="magnus"`` sends every segment through these
   steps. A shadow run at half the step count gives an a-posteriori
   convergence estimate, which refinement turns into a step-doubling
-  estimate of the returned product's own error. Products are built in
-  batches that share their chunks and the call's geometry: the first
-  product with its shadow, then the next doublings (at most 3) that the
-  fourth-order rate predicts for the target.
+  estimate of the returned product's own error. Each refinement round also
+  forms the Richardson product of its two latest products, sixth-order as
+  the steps are time-symmetric, and returns whichever of the two has the
+  smaller estimate. Products are built in batches that share their chunks
+  and the call's geometry: the first product with its shadow, then one
+  doubling, then the doublings (at most 3) that the sixth-order rate
+  predicts for the target.
 * :func:`level_holonomy` for the whole degenerate level around any loop:
   exp(i (Phi + chi)) D(i Z) from three integrals over the Gauss nodes of the
   loop's segments, and its block on a window, which is not the product of
@@ -101,8 +104,12 @@ _FLOOR_ROUNDINGS = 1e3 * 2.0 ** -52
 # 2^4 - 1 = 15 times closer to the limit than |U(s) - U(s/2)|. That ratio is
 # taken, with a margin of 2, only once two successive differences fell at
 # least 8x (the steps are in their asymptotic regime) and while the
-# difference stays above the rounding floor.
+# difference stays above the rounding floor. The steps are time-symmetric, so
+# the error of U(s) runs in even powers of the step: the Richardson product
+# E(s) = (16 U(s) - U(s/2)) / 15 cancels the fourth-order term and is about
+# 2^6 - 1 = 63 times closer to the limit than |E(s) - E(s/2)|.
 _ORDER_RATE = 16.0
+_SIXTH_RATE = 64.0
 _MIN_RATE = 8.0
 _MARGIN = 2.0
 _BATCH_DOUBLINGS = 3  # most doublings built ahead in one batch
@@ -512,14 +519,19 @@ class HolonomyResult:
 
     steps is the nominal step count of the returned product: half the start count is split over the
     segments by length, at least one step per moving segment, and doubled; each refinement round after
-    the first product doubles it. convergence_estimate estimates the returned product's error from
-    diff = max |U(steps) - U(steps // 2)|, against a shadow run with exactly half the count on every
-    segment; diff is the error of the coarser product. The commutator-free fourth-order steps of Blanes
-    & Moan 2006 are about 16x more accurate per halving of the step, so once a round has fallen at least
-    8x from the previous diff (rate = previous / diff >= 8) and diff is above the rounding floor of a
-    thousand roundings per step, the estimate is 2 diff / (min(rate, 16) - 1), with a margin of 2.
-    Otherwise, and always without refinement (target=None, the first product, sweep rows), it is diff
-    itself; it is zero when every segment is exact. unitarity_defect is max |U U^dag - I|.
+    the first product doubles it. matrix is U(steps), or after a refinement round possibly its Richardson
+    product E(steps) = (16 U(steps) - U(steps // 2)) / 15, whichever has the smaller estimate.
+    convergence_estimate estimates the returned product's error from diff = max |U(steps) - U(steps // 2)|,
+    against a shadow run with exactly half the count on every segment; diff is the error of the coarser
+    product. The commutator-free fourth-order steps of Blanes & Moan 2006 are about 16x more accurate per
+    halving of the step, so once a round has fallen at least 8x from the previous diff (rate = previous /
+    diff >= 8) and diff is above the rounding floor of a thousand roundings per step, the estimate of U is
+    2 diff / (min(rate, 16) - 1), with a margin of 2. The steps are time-symmetric, so E is sixth-order, and
+    under the same two guards, with max |E(steps) - E(steps // 2)| above the floor too, E's estimate is
+    2 max |E(steps) - E(steps // 2)| / 63. Otherwise, and always without refinement (target=None, the first
+    product, sweep rows), the estimate is diff itself and matrix is U; it is zero when every segment is
+    exact. unitarity_defect is max |U U^dag - I| of the returned matrix: E is unitary up to a term of
+    order diff^2.
     """
 
     matrix: np.ndarray
@@ -532,21 +544,30 @@ def _unitarity_defect(matrix: np.ndarray) -> float:
     return max_abs(matrix @ matrix.conj().T, np.eye(matrix.shape[0]))
 
 
-def _extrapolated_error(previous: float, diff: float, steps: int) -> float:
-    """Error estimate of U(steps) from `diff` = |U(steps) - U(steps/2)| and `previous`, a doubling earlier.
+def _richardson(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+    """E(s) = (16 U(s) - U(s/2)) / 15 from fine = U(s) and coarse = U(s/2)."""
+    return (_ORDER_RATE * fine - coarse) / (_ORDER_RATE - 1.0)
 
-    With rate = previous / diff >= 8 and diff above the rounding floor, 2 diff / (min(rate, 16) - 1); else diff.
+
+def _extrapolated_error(previous: float, diff: float, e_diff: float, steps: int) -> tuple[float, float]:
+    """Error estimates of U(steps) and of E(steps), from the differences diff = |U(steps) - U(steps/2)|,
+    `previous` a doubling earlier, and e_diff = |E(steps) - E(steps/2)|.
+
+    With rate = previous / diff >= 8 and diff above the rounding floor, 2 diff / (min(rate, 16) - 1), else
+    diff; and 2 e_diff / 63 when that gate passes and e_diff is above the floor too, else inf.
     """
-    if diff < _FLOOR_ROUNDINGS * steps or previous < _MIN_RATE * diff:
-        return diff
-    return _MARGIN * diff / (min(previous / diff, _ORDER_RATE) - 1.0)
+    floor = _FLOOR_ROUNDINGS * steps
+    if diff < floor or previous < _MIN_RATE * diff:
+        return diff, math.inf
+    extrapolated = _MARGIN * e_diff / (_SIXTH_RATE - 1.0) if e_diff >= floor else math.inf
+    return _MARGIN * diff / (min(previous / diff, _ORDER_RATE) - 1.0), extrapolated
 
 
-def _doublings(diff: float, target: float, room: int) -> int:
-    """Predicted doublings: least r with 2 diff / (15 * 16^r) <= target (3 if either is 0), in 1..3, <= `room`."""
+def _doublings(e_diff: float, target: float, room: int) -> int:
+    """Predicted doublings: least r with 2 e_diff / (63 * 64^r) <= target (3 if either is 0), in 1..3, <= `room`."""
     r = _BATCH_DOUBLINGS
-    if diff > 0.0 and target > 0.0:
-        r = math.ceil(min(r, math.log(_MARGIN * diff / ((_ORDER_RATE - 1.0) * target), _ORDER_RATE)))
+    if e_diff > 0.0 and target > 0.0:
+        r = math.ceil(min(r, math.log(_MARGIN * e_diff / ((_SIXTH_RATE - 1.0) * target), _SIXTH_RATE)))
     return max(1, min(r, room))
 
 
@@ -571,9 +592,13 @@ def holonomy_path_ordered(
     diff = max |U(steps) - U(steps // 2)|. While convergence_estimate (see
     :class:`HolonomyResult`) exceeds `target`, the count of every segment
     doubles, the previous product becoming the new shadow, up to the step cap
-    2^20 (target=None disables refinement). A batch builds the next r
-    doublings at once: the fewest at which the estimate would meet the target
-    if each diff fell 16x, at most 3 and none past the cap. The rounds are
+    2^20 (target=None disables refinement). Each round forms the Richardson
+    product E(steps) = (16 U(steps) - U(steps // 2)) / 15 of the two products
+    it holds and returns U or E, whichever has the smaller estimate, so a
+    call stops no later than on U's estimate alone. The first refinement
+    batch builds one doubling; each later batch builds the next r doublings
+    at once: the fewest at which E's estimate would meet the target if its
+    difference fell 64x, at most 3 and none past the cap. The rounds are
     walked one product at a time and the products after the one that meets
     the target are discarded, so every result is that of one product per
     round. `steps` must be an integer from 16 to the step cap, else
@@ -581,8 +606,8 @@ def holonomy_path_ordered(
     at once when a doubling fails to halve a difference that is already within
     a thousand roundings per step: the estimate has then reached its rounding
     floor. Reversing the path returns the adjoint holonomy to rounding
-    accuracy, because the discretization mirrors exactly and every factor is
-    time-symmetric.
+    accuracy, because the discretization mirrors exactly, every factor is
+    time-symmetric and E is linear in the two products.
     """
     if target is not None:
         value = float(_floats(target, "target must be a number or None", ()))
@@ -600,27 +625,30 @@ def holonomy_path_ordered(
     integrated = not geometry[2].all()  # some segment takes steps, and the shadow run
     current, *shadow = _ordered_products(geometry, u, window, [counts, counts // 2][: 1 + integrated])
     diff = max_abs(current, shadow[0]) if shadow else 0.0
-    estimate, batch = diff, []
+    result, estimate, batch, e_diff = current, diff, [], None
     while target is not None and estimate > target:
         if 2 * steps > _STEP_CAP:
             raise ConvergenceError(
                 f"holonomy estimate {estimate:.3e} above target {target:.3e} at step cap {_STEP_CAP}"
             )
+        if e_diff is None:  # the first round: E at the start count, from the shadow run
+            extrapolated = _richardson(current, shadow[0])
         if not batch:
-            ahead = _doublings(diff, target, (_STEP_CAP // steps).bit_length() - 1)
-            doublings = [counts * 2**k for k in range(1, ahead + 1)]
-            batch = _ordered_products(geometry, u, window, doublings)
+            ahead = 1 if e_diff is None else _doublings(e_diff, target, (_STEP_CAP // steps).bit_length() - 1)
+            batch = _ordered_products(geometry, u, window, [counts * 2**k for k in range(1, ahead + 1)])
         steps, counts = 2 * steps, 2 * counts
         coarse, current = current, batch.pop(0)
-        previous, diff = diff, max_abs(current, coarse)
-        estimate = _extrapolated_error(previous, diff, steps)
+        coarse_e, extrapolated = extrapolated, _richardson(current, coarse)
+        previous, diff, e_diff = diff, max_abs(current, coarse), max_abs(extrapolated, coarse_e)
+        estimate, e_estimate = _extrapolated_error(previous, diff, e_diff, steps)
+        result, estimate = (extrapolated, e_estimate) if e_estimate < estimate else (current, estimate)
         stalled = diff > 0.5 * previous and diff < _FLOOR_ROUNDINGS * steps
         if estimate > target and stalled:
             raise ConvergenceError(
                 f"holonomy estimate stalled at its rounding floor {min(previous, diff):.3e}, "
                 f"above target {target:.3e}, at {steps} steps"
             )
-    return HolonomyResult(current, steps, _unitarity_defect(current), estimate)
+    return HolonomyResult(result, steps, _unitarity_defect(result), estimate)
 
 
 def unordered_holonomy(path: ParameterPath, u: float, window: tuple[int, int] = (0, 3)) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Loops that several test modules read: the named boxes' ranges, C9's generic loop and the Wilson symmetry loops."""
+"""Loops that several test modules read: the named boxes' ranges, C9's generic loop, the rotating
+quadrilaterals and the Wilson symmetry loops."""
 
 import numpy as np
 
@@ -16,6 +17,12 @@ C9_VERTICES = np.array(
         [0.0, 0.0, 1.0, 1.0],
     ]
 )
+
+# vertices of three random closed quadrilaterals with Ex' varying, so the field rotates on every segment
+_rng = np.random.default_rng(606)
+ROTATING_QUADRILATERALS = [np.vstack([c, c[:1]]) for c in
+                           (np.column_stack([_rng.uniform(-0.75, 0.75, (4, 2)), _rng.uniform(1.0, 4.0, (4, 2))])
+                            for _ in range(3))]
 
 # quadrilaterals through all four parameters, 16 links a side, whose holonomy
 # is not diagonal: the Wilson column of the relation table in

@@ -224,6 +224,18 @@ LIBRARY = {
         "matrix_inf_u": (lambda: connection_matrix("B", (0.3, 0.7, 1.0, 1.0), math.inf, 0, (0, 1)), f"{_U} inf"),
         "path_ordered_inf_u": (lambda: holonomy_path_ordered(_LOOP, math.inf), f"{_U} inf"),
     }),
+    # points where lambda B underflows to 0 or overflows, so w^2 = 1/|lambda B| is not finite and nonzero:
+    # the curvature once returned inf with a divide warning, the chain rule raised ZeroDivisionError
+    **_each("test_a_point_where_lambda_b_is_not_finite_is_refused", {
+        "curvature_underflow": (lambda: abelian_curvature((0, 0, 1e-200, 1e-200), 0.5),
+                                "the connection is not finite at |lambda| = 1e-200, |B| = 1e-200: w^2 is inf"),
+        "general_underflow": (lambda: connection_general("B", (0.3, 0.7, 1e-200, 1e-200), 0.5, 0, 1, 0),
+                              "the connection is not finite at |lambda| = 1e-200, |B| = 1e-200: w^2 is inf"),
+        "curvature_overflow": (lambda: abelian_curvature((0, 0, 1e200, -1e200), 0.5),
+                               "the connection is not finite at |lambda| = 1e+200, |B| = 1e+200: w^2 is 0.0"),
+        "general_overflow": (lambda: connection_general("lambda_density", (0.3, 0.7, 1e200, 1e200), 0.5, 0, 1, 0),
+                             "the connection is not finite at |lambda| = 1e+200, |B| = 1e+200: w^2 is 0.0"),
+    }),
     # displaced: at |nu|^2 = 6.25 level 0 keeps 0.20 of its weight past n_max = 8; past |nu|^2 = n_max + 1 the
     # tail is not formed, so a huge nu is refused at once
     "displacement_past_the_truncation": (lambda: displacement_matrix(2.5, build_basis(8, 0)), "level 0 keeps over 0.1"),

@@ -143,6 +143,8 @@ def test_window_check_returns_plain_ints():
 
 test_non_finite_points_and_u_are_rejected = refusal_test("test_non_finite_points_and_u_are_rejected")
 
+test_a_point_where_lambda_b_is_not_finite_is_refused = refusal_test("test_a_point_where_lambda_b_is_not_finite_is_refused")
+
 
 def test_in_plane_elements_zero_at_origin():
     pt = (0.0, 0.0, 1.0, 1.0)

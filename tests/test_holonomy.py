@@ -30,7 +30,7 @@ from dlh.holonomy import (
 from dlh.oracle import wilson_loop_oracle
 
 import _level
-from _loops import BB, C9_VERTICES, EY, LAM
+from _loops import BB, C9_VERTICES, EY, LAM, ROTATING_QUADRILATERALS
 from _ode import dop853_holonomy
 from _refusals import refusal_test
 
@@ -491,14 +491,9 @@ def _magnus4_product(path, u, window, steps):
 
 @pytest.fixture(scope="module")
 def rotating_quadrilaterals():
-    """Three random quadrilaterals with Ex' varying, so the field rotates on every segment."""
-    rng = np.random.default_rng(606)
-    loops = []
-    for _ in range(3):
-        corners = np.column_stack([rng.uniform(-0.75, 0.75, (4, 2)), rng.uniform(1.0, 4.0, (4, 2))])
-        loop = ParameterPath(np.vstack([corners, corners[:1]]))
-        loops.append((loop, dop853_holonomy(loop, 0.5, (0, 3))))
-    return loops
+    """Three random quadrilaterals with Ex' varying, so the field rotates on every segment, with their DOP853 holonomy."""
+    loops = [ParameterPath(v) for v in ROTATING_QUADRILATERALS]
+    return [(loop, dop853_holonomy(loop, 0.5, (0, 3))) for loop in loops]
 
 
 def test_commutator_free_steps_match_magnus4(rotating_quadrilaterals):
@@ -668,24 +663,65 @@ def test_estimate_bounds_the_returned_products_error(rotating_quadrilaterals, ta
 
 
 def test_estimate_halves_the_steps_of_the_raw_difference_rule():
-    # the raw rule stops once max |U(s) - U(s/2)| <= target; the returned
-    # product is then one doubling finer than it needs to be
+    # the raw rule stops once max |U(s) - U(s/2)| <= target (256 steps on C9's
+    # loop at 1e-8); the Richardson product E and its sixth-order estimate meet
+    # the target two doublings earlier, at 64 steps
     counts, steps = C9_LOOP._allocation(hol.DEFAULT_STEPS), hol.DEFAULT_STEPS
     while _difference(C9_LOOP, counts) > 1e-8:
         counts, steps = 2 * counts, 2 * steps
     res = holonomy_path_ordered(C9_LOOP, 0.5, target=1e-8)
-    assert res.steps == steps // 2
+    assert res.steps == steps // 4
     assert np.abs(res.matrix - dop853_holonomy(C9_LOOP, 0.5, (0, 3))).max() <= res.convergence_estimate <= 1e-8
 
 
+@pytest.mark.parametrize("target", [1e-7, 1e-8, 1e-10])
+def test_a_returned_extrapolation_is_the_richardson_product(rotating_quadrilaterals, target):
+    # the call returns U(s) or E(s) = (16 U(s) - U(s/2)) / 15, the latter bit for bit from the two single
+    # products; either is within its estimate of DOP853, and E is unitary to second order in U(s) - U(s/2)
+    loops = [(C9_LOOP, dop853_holonomy(C9_LOOP, 0.5, (0, 3)))] + list(rotating_quadrilaterals)
+    extrapolated = 0
+    for loop, ref in loops:
+        res = holonomy_path_ordered(loop, 0.5, target=target)
+        counts = loop._allocation(hol.DEFAULT_STEPS) * (res.steps // hol.DEFAULT_STEPS)
+        fine, coarse = _single_products(loop, (0, 3), [counts, counts // 2])
+        if not np.array_equal(res.matrix, fine):
+            assert res.steps > hol.DEFAULT_STEPS and np.array_equal(res.matrix, (16.0 * fine - coarse) / 15.0)
+            extrapolated += 1
+        assert np.abs(res.matrix - ref).max() <= res.convergence_estimate <= target
+        assert res.unitarity_defect <= 1e-12
+    # every call that refined returned E: C9 and the second quadrilateral at 1e-7, all four below
+    assert extrapolated == {1e-7: 2}.get(target, 4)
+
+
+# steps built per call, the sum of every per-segment count passed to _ordered_products, by the rule that
+# returned U(s) only and predicted its batches from a 16x fall of diff: C9's loop, then the three quadrilaterals
+_STEPS_BUILT_BY_THE_DIFFERENCE_RULE = {1e-7: (112, 45, 255, 48), 1e-8: (240, 105, 527, 112), 1e-10: (1008, 225, 1071, 240)}
+
+
+@pytest.mark.parametrize("target", sorted(_STEPS_BUILT_BY_THE_DIFFERENCE_RULE))
+def test_no_call_builds_more_steps_than_the_difference_rule(rotating_quadrilaterals, target, monkeypatch):
+    counts = _recorded_step_counts(monkeypatch)
+    built = []
+    for loop in [C9_LOOP] + [loop for loop, _ in rotating_quadrilaterals]:
+        counts.clear()
+        holonomy_path_ordered(loop, 0.5, target=target)
+        built.append(sum(map(sum, counts)))
+    before = _STEPS_BUILT_BY_THE_DIFFERENCE_RULE[target]
+    assert all(now <= then for now, then in zip(built, before)), (built, before)
+    assert target == 1e-7 or sum(built) < sum(before) / 2
+
+
 def test_extrapolated_error_rule():
-    floor = hol._FLOOR_ROUNDINGS * 1024
-    assert hol._extrapolated_error(16e-6, 1e-6, 1024) == 2e-6 / 15.0
-    assert hol._extrapolated_error(40e-6, 1e-6, 1024) == 2e-6 / 15.0  # rate capped at 16
-    assert hol._extrapolated_error(8e-6, 1e-6, 1024) == 2e-6 / 7.0
-    assert hol._extrapolated_error(7.9e-6, 1e-6, 1024) == 1e-6  # below the rate gate
-    assert hol._extrapolated_error(16.0 * floor, 0.99 * floor, 1024) == 0.99 * floor  # below the floor guard
-    assert hol._extrapolated_error(1e-10, 0.0, 1024) == 0.0
+    # (estimate of U, estimate of E) from diff, the diff a doubling earlier and E's difference
+    floor, e = hol._FLOOR_ROUNDINGS * 1024, 1e-8
+    assert hol._extrapolated_error(16e-6, 1e-6, e, 1024) == (2e-6 / 15.0, 2e-8 / 63.0)
+    assert hol._extrapolated_error(40e-6, 1e-6, e, 1024) == (2e-6 / 15.0, 2e-8 / 63.0)  # rate capped at 16
+    assert hol._extrapolated_error(8e-6, 1e-6, e, 1024) == (2e-6 / 7.0, 2e-8 / 63.0)
+    assert hol._extrapolated_error(7.9e-6, 1e-6, e, 1024) == (1e-6, math.inf)  # below the rate gate
+    assert hol._extrapolated_error(16.0 * floor, 0.99 * floor, e, 1024) == (0.99 * floor, math.inf)  # floor guard
+    assert hol._extrapolated_error(16e-6, 1e-6, 0.99 * floor, 1024) == (2e-6 / 15.0, math.inf)  # E's floor guard
+    assert hol._extrapolated_error(16e-6, 1e-6, floor, 1024) == (2e-6 / 15.0, 2.0 * floor / 63.0)
+    assert hol._extrapolated_error(1e-10, 0.0, 0.0, 1024) == (0.0, math.inf)
 
 
 def test_slow_round_reports_the_raw_difference():
@@ -761,21 +797,27 @@ def test_a_batch_on_a_wide_window_keeps_the_chunk_boundaries(monkeypatch):
 
 
 def _sequential_rule(loop, window, steps, target, method="auto"):
-    """The refinement rule on one-product calls: the shadow, then one doubling per product."""
+    """The refinement rule on one-product calls: the shadow, then one doubling per product.
+
+    Each round returns whichever of U(s) and E(s) = (16 U(s) - U(s/2)) / 15 has the smaller estimate.
+    """
     counts = loop._allocation(steps)
     current, shadow = _single_products(loop, window, [counts, counts // 2], method)
     diff = np.abs(current - shadow).max()
-    estimate, rounds = diff, 0
+    result, estimate, rounds = current, diff, 0
+    extrapolated = (16.0 * current - shadow) / 15.0
     while estimate > target:
         if 2 * steps > hol._STEP_CAP:
             raise ConvergenceError(f"step cap {hol._STEP_CAP}")
         steps, counts, rounds = 2 * steps, 2 * counts, rounds + 1
         coarse, (current,) = current, _single_products(loop, window, [counts], method)
+        coarse_e, extrapolated = extrapolated, (16.0 * current - coarse) / 15.0
         previous, diff = diff, np.abs(current - coarse).max()
-        estimate = hol._extrapolated_error(previous, diff, steps)
+        u_estimate, e_estimate = hol._extrapolated_error(previous, diff, np.abs(extrapolated - coarse_e).max(), steps)
+        result, estimate = (extrapolated, e_estimate) if e_estimate < u_estimate else (current, u_estimate)
         if estimate > target and 0.5 * previous < diff < hol._FLOOR_ROUNDINGS * steps:
             raise ConvergenceError(f"rounding floor at {steps} steps")
-    return current, steps, estimate, rounds
+    return result, steps, estimate, rounds
 
 
 @pytest.mark.parametrize("target", [1e-7, 1e-8, 1e-10])
@@ -792,18 +834,21 @@ def test_batched_rounds_replay_the_sequential_rule(rotating_quadrilaterals, targ
         assert (res.steps, res.convergence_estimate) == (steps, estimate)
         assert res.steps == hol.DEFAULT_STEPS * 2**rounds
         assert res.unitarity_defect == hol._unitarity_defect(matrix)
-        assert batches[0] == 2 and max(batches) <= hol._BATCH_DOUBLINGS == 3
+        # the shadow, then one doubling; later batches are predicted from E's difference
+        assert batches[0] == 2 and batches[1:2] == [1][: rounds] and max(batches) <= hol._BATCH_DOUBLINGS == 3
         # on the rotating quadrilaterals the prediction builds no product that is not needed
         if any(loop is quad for quad, _ in rotating_quadrilaterals):
             assert sum(batches) == rounds + 2
 
 
 def test_prediction_of_the_doublings():
-    # 2 d / (15 * 16^r) <= target, clamped to 1..3 and to the room below the cap
-    one = 7.5e-8  # 2 d / (15 target) = 1 at target 1e-8
-    assert hol._doublings(15.9 * one, 1e-8, 10) == 1
-    assert hol._doublings(16.1 * one, 1e-8, 10) == 2
-    assert hol._doublings(257.0 * one, 1e-8, 10) == 3
+    # 2 e / (63 * 64^r) <= target, e the difference of E, clamped to 1..3 and to the room below the cap
+    one = 3.15e-7  # 2 e / (63 target) = 1 at target 1e-8
+    assert hol._doublings(0.9 * one, 1e-8, 10) == 1
+    assert hol._doublings(63.9 * one, 1e-8, 10) == 1
+    assert hol._doublings(64.1 * one, 1e-8, 10) == 2
+    assert hol._doublings(4095.0 * one, 1e-8, 10) == 2
+    assert hol._doublings(4097.0 * one, 1e-8, 10) == 3
     assert hol._doublings(1.0, 1e-8, 10) == 3
     assert hol._doublings(1.0, 1e-8, 2) == 2
     assert hol._doublings(1e-12, 1e-8, 10) == 1

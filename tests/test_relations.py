@@ -34,7 +34,7 @@ from dlh.oracle import fd_connection_matrix
 from dlh.params import derive_scales
 
 import _level
-from _loops import _SYMMETRY_LOOPS, _wilson_of
+from _loops import C9_VERTICES, ROTATING_QUADRILATERALS, _SYMMETRY_LOOPS, _wilson_of
 
 _QUARTER = np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
 _MIRROR = np.diag([1.0, -1.0, 1.0, 1.0])
@@ -78,6 +78,8 @@ _LOOPS = [np.vstack([c, c[:1]]) for c in
 _LOOPS += [box_loop("ABCHEFA", (-0.6, 1.2), (0.6, 1.8), (0.7, 1.5), ex=0.5).vertices,
            box_loop("ABCHEFA", (0.0, 1.0), (1.0, 4.0), (1.0, 4.0)).vertices]
 _WILSON_LOOPS = [np.array(v + v[:1]) for v in _SYMMETRY_LOOPS]
+# loops that refinement takes past its first product: C9's loop and the rotating quadrilaterals
+_REFINED_LOOPS = [C9_VERTICES, *ROTATING_QUADRILATERALS]
 _U = 0.5  # the scale of the closed-form, engine and level routes, and of cfg_desk
 
 
@@ -89,6 +91,7 @@ def _route_values(grid, cfg_desk, cfg_natural) -> dict:
         "fd": lambda p: np.array([fd_connection_matrix(grid, cfg_desk, k, p, 0, (0, 3)) for k in CONTROL_PARAMS]),
         "auto": lambda v: holonomy_path_ordered(ParameterPath(v), _U, steps=256, target=None).matrix,
         "magnus": lambda v: holonomy_path_ordered(ParameterPath(v), _U, steps=256, target=None, method="magnus").matrix,
+        "refined": lambda v: holonomy_path_ordered(ParameterPath(v), _U, target=1e-10).matrix,
         "unordered": lambda v: unordered_holonomy(ParameterPath(v), _U),
         "wilson": lambda v: _wilson_of(grid, cfg_natural, list(map(tuple, v[:-1]))),
         "level_reference": lambda v: _level.level_block(ParameterPath(v), _U),
@@ -100,7 +103,9 @@ def _route_values(grid, cfg_desk, cfg_natural) -> dict:
 # at rounding on every route but the fd one, whose generator is Hermitian only to its O(h^2) discretization
 # (1.2e-6 measured at h = 1e-3, the bound of tests/test_oracle.py::test_fd_matrix_hermitian): the quarter turn
 # and the mirror map the fd and Wilson grids onto themselves, reversal mirrors the engine's steps and the
-# Wilson links exactly, and every engine factor is time-symmetric
+# Wilson links exactly, and every engine factor is time-symmetric. Refinement takes the same rounds on a loop
+# and its reverse, and its Richardson product (16 U(s) - U(s/2)) / 15 is linear in the two products, so it
+# maps to its adjoint too (4.2e-15 measured)
 
 
 def _cells(tol, margin, reversal=None, **invariances):
@@ -115,6 +120,7 @@ _CELLS = {
     "fd": (_POINTS, _cells(1e-11, 1e-2, (1e-5, None), chirality=1e-11)),
     "auto": (_LOOPS, _cells(1e-12, 1e-2, chirality=1e-12)),
     "magnus": (_LOOPS, _cells(1e-12, 1e-2)),
+    "refined": (_REFINED_LOOPS, {"reversal": (1e-12, 1e-2)}),
     "unordered": (_LOOPS, _cells(1e-14, 1e-2, **_KEEP_W)),
     "wilson": (_WILSON_LOOPS, _cells(1e-12, 1e-3, chirality=1e-12)),
     "level_reference": (_LOOPS, _cells(1e-14, 1e-2)),
